@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race serve metrics chaos fuzz bench bench-all benchdiff table-accuracy profile scale ci
+.PHONY: all vet build test race serve metrics chaos fuzz bench bench-all benchdiff benchmark-smoke table-accuracy profile scale ci
 
 all: vet build test
 
@@ -69,11 +69,14 @@ fuzz:
 # benchmarks (steps/sec, allocs/step) on the ApoA-I-scale system —
 # including the full-electrostatics step (BenchmarkStepParPME) and the
 # cluster-pair steps in every numerical mode (BenchmarkStepParCluster*,
-# analytic/fp32/tabulated) — parsed into BENCH_6.json (see README,
-# "Benchmark records"). The step benchmarks share a one-time ~92k-atom
-# build + minimize, so the run takes a few minutes.
+# analytic/fp32/tabulated) and the PME mesh layer (3D FFT forward +
+# inverse, complex and real-input; one reciprocal sum whole and by
+# phase) — parsed into BENCH_6.json (see README, "Benchmark records").
+# The step benchmarks share a one-time ~92k-atom build + minimize, so
+# the run takes a few minutes.
 bench:
 	{ $(GO) test -run='^$$' -bench='Nonbonded' -benchmem ./internal/forcefield && \
+	  $(GO) test -run='^$$' -bench='Mesh3|RecipCompute' -benchmem ./internal/fft ./internal/pme && \
 	  $(GO) test -run='^$$' -bench='Step' -benchmem -benchtime=3x -timeout=30m ./internal/seq . ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_6.json
 
@@ -87,6 +90,14 @@ benchdiff:
 	  $(GO) test -run='^$$' -bench='Step' -benchmem -benchtime=3x -timeout=30m ./internal/seq . ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_NEW.json
 	$(GO) run ./cmd/benchdiff -new BENCH_NEW.json
+
+# The repository benchmark (BENCHMARK.json, benchmark/) is a module of its
+# own that `go test ./...` cannot see, and it compiles against internal
+# APIs (fft.Mesh3, pme.Recip, the engines). Build it, run every workload
+# at toy size with its correctness checks, and run the harness tests.
+benchmark-smoke:
+	bash benchmark/run.sh -smoke
+	cd benchmark && $(GO) test ./...
 
 # One iteration per benchmark: a quick smoke that every benchmark in the
 # tree still runs.
@@ -120,4 +131,4 @@ scale:
 	$(GO) run ./cmd/benchtables -scale > docs/scaletables_output.txt
 	@echo "wrote docs/scaletables_output.txt"
 
-ci: vet build race fuzz
+ci: vet build race fuzz benchmark-smoke

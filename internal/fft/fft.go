@@ -1,10 +1,25 @@
 // Package fft provides the deterministic fast Fourier transforms behind
-// the particle-mesh Ewald solver (internal/pme): an iterative in-place
-// radix-2 complex FFT with precomputed twiddle factors, and a 3D mesh
-// transform performed as three independent pencil sweeps. There is no
-// cgo and no hidden state; every 1D pencil transform is computed
-// independently, so the 3D result is bitwise identical no matter how the
-// pencils are divided among workers.
+// the particle-mesh Ewald solver (internal/pme). There is no cgo and no
+// hidden state.
+//
+// Plan is the 1D kernel: an iterative in-place radix-2 complex FFT with
+// precomputed twiddle factors, on split re/im slices. It transforms one
+// contiguous pencil (transform) or, with identical arithmetic per
+// element, many strided pencils at once as a block of contiguous rows
+// (sweepRows) — the form the y and x passes of the 3D transforms use, so
+// that no pass ever gathers a strided pencil element by element.
+//
+// Mesh3 is the complex K0×K1×K2 transform (z pencils, then y and x row
+// sweeps). RealMesh3 is the transform PME runs: a real mesh to the
+// K0×K1×(K2/2+1) half of its Hermitian spectrum and back, with the z
+// pass transforming two real rows per complex transform and the y/x
+// sweeps working on half the points. Mesh3 stays as the general
+// transform and as the oracle RealMesh3 is tested against.
+//
+// Work is split over a Pool by contiguous index ranges — z pencils (or
+// row pairs), (x, z) pencils, x-pass columns — and every element's
+// result depends only on its own pencil, so all transforms are bitwise
+// identical no matter how many workers share them.
 package fft
 
 import (
@@ -121,132 +136,52 @@ func (p *Plan) transform(re, im []float64, inverse bool) {
 	}
 }
 
-// Mesh3 is a dense K0×K1×K2 complex mesh stored as flat Re/Im arrays in
-// row-major order (x slowest, z fastest: index (x·K1 + y)·K2 + z), with
-// FFT plans for each axis. The 3D transform runs as three pencil sweeps
-// (z, then y, then x), each sweep parallelizable over pencils through a
-// Pool.
-type Mesh3 struct {
-	K  [3]int
-	Re []float64
-	Im []float64
-
-	plans [3]*Plan
-	// Per-worker strided-pencil gather/scatter scratch, sized on first use
-	// for the pool's worker count (the y and x sweeps are strided; copying
-	// a pencil into contiguous scratch keeps the butterfly loops simple
-	// and cache-friendly).
-	scratch [][]float64
-}
-
-// NewMesh3 allocates a zeroed mesh; every dimension must be a power of
-// two ≥ 2.
-func NewMesh3(k [3]int) (*Mesh3, error) {
-	m := &Mesh3{K: k}
-	for d := 0; d < 3; d++ {
-		if k[d] < 2 {
-			return nil, fmt.Errorf("fft: mesh dimension %d is %d, need ≥ 2", d, k[d])
+// sweepRows applies the plan's length-n transform along the row index of
+// n equally long rows at once: row r is re[r·stride : r·stride+width]
+// (and likewise im), and every column of the block gets exactly the
+// arithmetic transform gives one pencil — bit reversal as whole-row
+// swaps, then each butterfly with its twiddle hoisted out of a
+// contiguous run over the row pair. The result is therefore bitwise the
+// per-pencil transform's, for any way the columns are cut into blocks.
+func (p *Plan) sweepRows(re, im []float64, stride, width int, inverse bool) {
+	n := p.n
+	for i, j := range p.rev {
+		if int32(i) < j {
+			a, b := i*stride, int(j)*stride
+			swapRows(re[a:a+width], re[b:b+width])
+			swapRows(im[a:a+width], im[b:b+width])
 		}
-		plan, err := NewPlan(k[d])
-		if err != nil {
-			return nil, err
-		}
-		m.plans[d] = plan
 	}
-	n := k[0] * k[1] * k[2]
-	m.Re = make([]float64, n)
-	m.Im = make([]float64, n)
-	return m, nil
-}
-
-// Idx returns the flat index of mesh point (x, y, z).
-func (m *Mesh3) Idx(x, y, z int) int { return (x*m.K[1]+y)*m.K[2] + z }
-
-// Len returns the total number of mesh points.
-func (m *Mesh3) Len() int { return len(m.Re) }
-
-// Clear zeroes the mesh.
-func (m *Mesh3) Clear() {
-	for i := range m.Re {
-		m.Re[i] = 0
-		m.Im[i] = 0
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		step := n / size // twiddle table stride
+		for start := 0; start < n; start += size {
+			for k, tw := 0, 0; k < half; k, tw = k+1, tw+step {
+				wr, wi := p.cosTab[tw], p.sinTab[tw]
+				if inverse {
+					wi = -wi
+				}
+				a := (start + k) * stride
+				b := a + half*stride
+				ar, ai := re[a:a+width], im[a:a+width]
+				br, bi := re[b:b+width], im[b:b+width]
+				for j := range ar {
+					tr := br[j]*wr - bi[j]*wi
+					ti := br[j]*wi + bi[j]*wr
+					br[j] = ar[j] - tr
+					bi[j] = ai[j] - ti
+					ar[j] += tr
+					ai[j] += ti
+				}
+			}
+		}
 	}
 }
 
-func (m *Mesh3) ensureScratch(workers int) {
-	for len(m.scratch) < workers {
-		maxK := m.K[0]
-		if m.K[1] > maxK {
-			maxK = m.K[1]
-		}
-		m.scratch = append(m.scratch, make([]float64, 2*maxK))
+func swapRows(a, b []float64) {
+	for j := range a {
+		a[j], b[j] = b[j], a[j]
 	}
-}
-
-// Forward computes the in-place 3D forward DFT by sweeping pencils along
-// z, y, then x. Each pencil is transformed independently, so the result
-// is bitwise identical for any pool worker count.
-func (m *Mesh3) Forward(pool Pool) { m.sweep3(pool, false) }
-
-// Inverse computes the unnormalized in-place 3D inverse DFT (Forward
-// followed by Inverse scales the mesh by K0·K1·K2).
-func (m *Mesh3) Inverse(pool Pool) { m.sweep3(pool, true) }
-
-func (m *Mesh3) sweep3(pool Pool, inverse bool) {
-	workers := pool.Workers()
-	m.ensureScratch(workers)
-	k0, k1, k2 := m.K[0], m.K[1], m.K[2]
-
-	// z sweep: pencils are contiguous runs of length K2.
-	nz := k0 * k1
-	pool.Run(func(w int) {
-		lo, hi := span(nz, workers, w)
-		for p := lo; p < hi; p++ {
-			base := p * k2
-			m.plans[2].transform(m.Re[base:base+k2], m.Im[base:base+k2], inverse)
-		}
-	})
-
-	// y sweep: pencils stride by K2; gather into per-worker scratch.
-	ny := k0 * k2
-	pool.Run(func(w int) {
-		lo, hi := span(ny, workers, w)
-		sc := m.scratch[w]
-		re, im := sc[:k1], sc[k1:2*k1]
-		for p := lo; p < hi; p++ {
-			x, z := p/k2, p%k2
-			base := x*k1*k2 + z
-			for y := 0; y < k1; y++ {
-				re[y] = m.Re[base+y*k2]
-				im[y] = m.Im[base+y*k2]
-			}
-			m.plans[1].transform(re, im, inverse)
-			for y := 0; y < k1; y++ {
-				m.Re[base+y*k2] = re[y]
-				m.Im[base+y*k2] = im[y]
-			}
-		}
-	})
-
-	// x sweep: pencils stride by K1·K2.
-	nx := k1 * k2
-	stride := k1 * k2
-	pool.Run(func(w int) {
-		lo, hi := span(nx, workers, w)
-		sc := m.scratch[w]
-		re, im := sc[:k0], sc[k0:2*k0]
-		for p := lo; p < hi; p++ {
-			for x := 0; x < k0; x++ {
-				re[x] = m.Re[p+x*stride]
-				im[x] = m.Im[p+x*stride]
-			}
-			m.plans[0].transform(re, im, inverse)
-			for x := 0; x < k0; x++ {
-				m.Re[p+x*stride] = re[x]
-				m.Im[p+x*stride] = im[x]
-			}
-		}
-	})
 }
 
 // NextPow2 returns the smallest power of two ≥ n (and ≥ 2).

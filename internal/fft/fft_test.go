@@ -208,6 +208,193 @@ func TestMesh3AgainstNaive(t *testing.T) {
 	}
 }
 
+// pencilTransform3 is the reference 3D transform: every z, y, then x
+// pencil gathered into contiguous scratch and run through the 1D Plan.
+func pencilTransform3(t *testing.T, k [3]int, re, im []float64, inverse bool) {
+	t.Helper()
+	var plans [3]*Plan
+	for d := range plans {
+		p, err := NewPlan(k[d])
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[d] = p
+	}
+	strides := [3]int{k[1] * k[2], k[2], 1}
+	for _, d := range []int{2, 1, 0} {
+		sr, si := make([]float64, k[d]), make([]float64, k[d])
+		for base := range re {
+			if base/strides[d]%k[d] != 0 {
+				continue // not the first element of a pencil along d
+			}
+			for j := range sr {
+				sr[j], si[j] = re[base+j*strides[d]], im[base+j*strides[d]]
+			}
+			plans[d].transform(sr, si, inverse)
+			for j := range sr {
+				re[base+j*strides[d]], im[base+j*strides[d]] = sr[j], si[j]
+			}
+		}
+	}
+}
+
+// testDims are the mesh shapes the transform tests cover: cubic and
+// non-cubic, down to the PME minimum K = 4.
+var testDims = [][3]int{{4, 4, 4}, {8, 8, 8}, {16, 16, 16}, {64, 64, 64}, {4, 8, 16}, {64, 16, 8}}
+
+func bitsEqual(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestMesh3DifferentialRowSweepsVsPencils pins the row-swept 3D transform
+// to the per-pencil reference bit for bit, forward and inverse, for
+// worker counts above K0 and an x-pass chunk that divides nothing.
+func TestMesh3DifferentialRowSweepsVsPencils(t *testing.T) {
+	for _, k := range testDims {
+		for _, inverse := range []bool{false, true} {
+			ref := randomMesh(t, k, 17)
+			pencilTransform3(t, k, ref.Re, ref.Im, inverse)
+			for _, workers := range []int{1, 2, 3, 4, 8} {
+				for _, chunk := range []int{xChunk, 37} {
+					m := randomMesh(t, k, 17)
+					m.chunk = chunk
+					m.transform(waitPool{workers}, inverse)
+					if i := bitsEqual(m.Re, ref.Re); i >= 0 {
+						t.Fatalf("K=%v inverse=%v workers=%d chunk=%d: Re[%d] = %v, pencil reference %v",
+							k, inverse, workers, chunk, i, m.Re[i], ref.Re[i])
+					}
+					if i := bitsEqual(m.Im, ref.Im); i >= 0 {
+						t.Fatalf("K=%v inverse=%v workers=%d chunk=%d: Im[%d] = %v, pencil reference %v",
+							k, inverse, workers, chunk, i, m.Im[i], ref.Im[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func randomRealMesh(t *testing.T, k [3]int, seed int64) *RealMesh3 {
+	t.Helper()
+	m, err := NewRealMesh3(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for i := range m.Q {
+		m.Q[i] = rng.NormFloat64()
+	}
+	return m
+}
+
+// TestRealMesh3DifferentialVsComplex checks the half spectrum against the
+// complex transform of the same real data, to 1e-12 of the largest bin.
+func TestRealMesh3DifferentialVsComplex(t *testing.T) {
+	for _, k := range testDims {
+		rm := randomRealMesh(t, k, 23)
+		cm, _ := NewMesh3(k)
+		copy(cm.Re, rm.Q)
+		rm.Forward(Serial{})
+		cm.Forward(Serial{})
+		maxAbs := 0.0
+		for i := range cm.Re {
+			maxAbs = math.Max(maxAbs, math.Hypot(cm.Re[i], cm.Im[i]))
+		}
+		nz := rm.NZ()
+		if nz != k[2]/2+1 || len(rm.Re) != k[0]*k[1]*nz {
+			t.Fatalf("K=%v: NZ = %d, len(Re) = %d", k, nz, len(rm.Re))
+		}
+		for x := 0; x < k[0]; x++ {
+			for y := 0; y < k[1]; y++ {
+				for z := 0; z < nz; z++ {
+					h, c := (x*k[1]+y)*nz+z, cm.Idx(x, y, z)
+					if d := math.Hypot(rm.Re[h]-cm.Re[c], rm.Im[h]-cm.Im[c]); d > 1e-12*maxAbs {
+						t.Fatalf("K=%v bin (%d,%d,%d): real (%g, %g), complex (%g, %g), |Δ|/max = %.2e",
+							k, x, y, z, rm.Re[h], rm.Im[h], cm.Re[c], cm.Im[c], d/maxAbs)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRealMesh3RoundTrip checks c2r∘r2c = K0·K1·K2 · identity.
+func TestRealMesh3RoundTrip(t *testing.T) {
+	for _, k := range testDims {
+		m := randomRealMesh(t, k, 29)
+		orig := append([]float64(nil), m.Q...)
+		m.Forward(Serial{})
+		m.Inverse(Serial{})
+		scale := float64(k[0] * k[1] * k[2])
+		for i := range m.Q {
+			if math.Abs(m.Q[i]/scale-orig[i]) > 1e-12 {
+				t.Fatalf("K=%v round trip [%d]: %g vs %g", k, i, m.Q[i]/scale, orig[i])
+			}
+		}
+	}
+}
+
+// TestRealMesh3WorkerDeterminism pins the real transform pair bitwise
+// across worker counts (including more workers than x-planes) and an
+// x-pass chunk that does not divide K1·NZ.
+func TestRealMesh3WorkerDeterminism(t *testing.T) {
+	for _, k := range [][3]int{{4, 8, 16}, {16, 8, 32}} {
+		ref := randomRealMesh(t, k, 31)
+		ref.Forward(Serial{})
+		refRe := append([]float64(nil), ref.Re...)
+		refIm := append([]float64(nil), ref.Im...)
+		ref.Inverse(Serial{})
+		for _, workers := range []int{2, 3, 4, 8} {
+			m := randomRealMesh(t, k, 31)
+			m.chunk = 37
+			m.Forward(waitPool{workers})
+			if i := bitsEqual(m.Re, refRe); i >= 0 {
+				t.Fatalf("K=%v workers=%d: forward Re[%d] = %v, serial %v", k, workers, i, m.Re[i], refRe[i])
+			}
+			if i := bitsEqual(m.Im, refIm); i >= 0 {
+				t.Fatalf("K=%v workers=%d: forward Im[%d] = %v, serial %v", k, workers, i, m.Im[i], refIm[i])
+			}
+			m.Inverse(waitPool{workers})
+			if i := bitsEqual(m.Q, ref.Q); i >= 0 {
+				t.Fatalf("K=%v workers=%d: inverse Q[%d] = %v, serial %v", k, workers, i, m.Q[i], ref.Q[i])
+			}
+		}
+	}
+}
+
+func benchForwardInverse(b *testing.B, forward, inverse func(Pool)) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		forward(Serial{})
+		inverse(Serial{})
+	}
+}
+
+func BenchmarkMesh3ForwardInverse(b *testing.B) {
+	b.Run("64", func(b *testing.B) {
+		m, _ := NewMesh3([3]int{64, 64, 64})
+		for i := range m.Re {
+			m.Re[i] = float64(i%17) - 8
+		}
+		benchForwardInverse(b, m.Forward, m.Inverse)
+	})
+}
+
+func BenchmarkRealMesh3ForwardInverse(b *testing.B) {
+	b.Run("64", func(b *testing.B) {
+		m, _ := NewRealMesh3([3]int{64, 64, 64})
+		for i := range m.Q {
+			m.Q[i] = float64(i%17) - 8
+		}
+		benchForwardInverse(b, m.Forward, m.Inverse)
+	})
+}
+
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{0: 2, 1: 2, 2: 2, 3: 4, 16: 16, 17: 32, 100: 128}
 	for in, want := range cases {

@@ -95,6 +95,40 @@ func TestStepPMEZeroAllocsRealSpace(t *testing.T) {
 	}
 }
 
+// TestStepPMEZeroAllocsRecip covers what the test above steps around:
+// with MTS period 1 every step runs the whole reciprocal sum — spline,
+// spread, both 3D transforms, convolution, gather: ten pool regions — on
+// the worker pool, and must not allocate either. The region functions
+// are bound once (pme.Recip, fft.RealMesh3), not closed over per call.
+func TestStepPMEZeroAllocsRecip(t *testing.T) {
+	sys, st, err := molgen.Build(molgen.WaterBox(16, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := forcefield.Standard(7.0)
+	e, err := New(sys, ff, st, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.RebalanceEvery = 0
+	if err := EnableBlockLists(e, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := EnableFullElectrostatics(e, 1.0, 0.45, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		e.Step(0.5)
+	}
+	evals := e.RecipEvals()
+	if allocs := testing.AllocsPerRun(20, func() { e.Step(0.5) }); allocs != 0 {
+		t.Fatalf("steady-state PME Step with a reciprocal sum allocates: %v allocs/step, want 0", allocs)
+	}
+	if got := e.RecipEvals() - evals; got < 20 {
+		t.Fatalf("measured window ran %d reciprocal evaluations, want one per step", got)
+	}
+}
+
 // TestStepClusterZeroAllocs guards the cluster-mode hot path: once the
 // cluster list is built and the worker pool is up, a dynamics step —
 // including list rebuilds, whose builder scratch, slot tables, and

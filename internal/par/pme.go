@@ -10,7 +10,7 @@ import (
 )
 
 // poolAdapter exposes the engine's persistent worker pool through
-// fft.Pool so the PME mesh phases (spread, pencil FFTs, convolution,
+// fft.Pool so the PME mesh phases (spread, FFT passes, convolution,
 // gather) run on the same parked goroutines as the force evaluation. A
 // job code ≥ 2·workers dispatches worker job-2·workers into the region
 // function (codes below that are the compute and reduce phases — see

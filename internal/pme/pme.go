@@ -16,9 +16,10 @@
 //
 // Every stage is deterministic and bitwise independent of the worker
 // count: spreading partitions mesh x-slabs (each mesh point is written
-// by exactly one worker, scanning atoms in index order), the FFT works
-// on independent pencils, convolution energy is accumulated per x-plane
-// and reduced serially, and the gather is per-atom.
+// by exactly one worker, scanning atoms in index order), the real-input
+// FFT (fft.RealMesh3) works on independent row pairs, pencils and
+// columns, convolution energy is accumulated per x-plane of the half
+// spectrum and reduced serially, and the gather is per-atom.
 package pme
 
 import (
@@ -38,8 +39,9 @@ type Recip struct {
 	K    [3]int
 	Box  vec.V3
 
-	mesh *fft.Mesh3
-	// infl is the precomputed influence function on the full mesh:
+	mesh *fft.RealMesh3
+	// infl is the precomputed influence function on the half spectrum
+	// the real transform produces (z ≤ K2/2, indexed like mesh.Re):
 	// B(m)·exp(-π²m̂²/β²)/(π·V·m̂²), zero at m = 0. Multiplying the
 	// forward transform by infl and inverse-transforming yields the
 	// convolved potential mesh the gather reads.
@@ -47,6 +49,11 @@ type Recip struct {
 	// mhat2 holds the per-axis fractional frequency components squared,
 	// for the virial factor (recomputed per point from 1D tables).
 	mhat2 [3][]float64
+	// zScale is the energy prefactor of each half-spectrum z-bin:
+	// Coulomb/2 for the self-conjugate bins z = 0 and z = K2/2, twice
+	// that for the interior bins, which also stand for their conjugates
+	// at K2-z.
+	zScale []float64
 
 	// Per-atom spline caches, sized to the last Compute's atom count.
 	base [][3]int32      // leftmost mesh point of each atom's 4³ support
@@ -57,6 +64,16 @@ type Recip struct {
 	// result is independent of how workers split the convolution.
 	planeE []float64
 	planeV []float64
+
+	// Arguments of the Compute in flight, read by the region functions.
+	// These are bound once at construction: a fresh closure per Pool.Run
+	// would cost a heap allocation per phase and evaluation.
+	pos     []vec.V3
+	q       []float64
+	f       []vec.V3
+	workers int
+
+	splineFn, spreadFn, convolveFn, gatherFn func(w int)
 }
 
 // NewRecip builds a reciprocal-space solver with mesh dimensions chosen
@@ -87,7 +104,7 @@ func NewRecipK(box vec.V3, k [3]int, beta float64) (*Recip, error) {
 			return nil, fmt.Errorf("pme: mesh dimension %d is %d, need ≥ %d", d, k[d], order)
 		}
 	}
-	mesh, err := fft.NewMesh3(k)
+	mesh, err := fft.NewRealMesh3(k)
 	if err != nil {
 		return nil, err
 	}
@@ -95,6 +112,8 @@ func NewRecipK(box vec.V3, k [3]int, beta float64) (*Recip, error) {
 	r.buildInfluence()
 	r.planeE = make([]float64, k[0])
 	r.planeV = make([]float64, k[0])
+	r.splineFn, r.spreadFn = r.splineRegion, r.spreadRegion
+	r.convolveFn, r.gatherFn = r.convolveRegion, r.gatherRegion
 	return r, nil
 }
 
@@ -117,9 +136,8 @@ func splineModuli(k int) []float64 {
 	return out
 }
 
-// buildInfluence precomputes infl and the per-axis m̂² tables.
+// buildInfluence precomputes infl, zScale and the per-axis m̂² tables.
 func (r *Recip) buildInfluence() {
-	vol := r.Box.X * r.Box.Y * r.Box.Z
 	var bmod [3][]float64
 	for d := 0; d < 3; d++ {
 		bmod[d] = splineModuli(r.K[d])
@@ -133,23 +151,34 @@ func (r *Recip) buildInfluence() {
 			r.mhat2[d][m] = mh * mh
 		}
 	}
-	pi2OverBeta2 := math.Pi * math.Pi / (r.Beta * r.Beta)
-	r.infl = make([]float64, r.MeshPoints())
+	nz := r.mesh.NZ()
+	r.infl = make([]float64, r.K[0]*r.K[1]*nz)
 	idx := 0
 	for x := 0; x < r.K[0]; x++ {
 		for y := 0; y < r.K[1]; y++ {
-			for z := 0; z < r.K[2]; z++ {
-				m2 := r.mhat2[0][x] + r.mhat2[1][y] + r.mhat2[2][z]
-				if m2 == 0 {
-					r.infl[idx] = 0
-				} else {
-					b := 1 / (bmod[0][x] * bmod[1][y] * bmod[2][z])
-					r.infl[idx] = b * math.Exp(-pi2OverBeta2*m2) / (math.Pi * vol * m2)
-				}
+			for z := 0; z < nz; z++ {
+				r.infl[idx] = r.influence(&bmod, x, y, z)
 				idx++
 			}
 		}
 	}
+	r.zScale = make([]float64, nz)
+	for z := range r.zScale {
+		r.zScale[z] = units.Coulomb
+	}
+	r.zScale[0], r.zScale[nz-1] = units.Coulomb/2, units.Coulomb/2
+}
+
+// influence evaluates the influence function at mesh frequency
+// (x, y, z), any z in [0, K2); bmod holds the per-axis spline moduli.
+func (r *Recip) influence(bmod *[3][]float64, x, y, z int) float64 {
+	m2 := r.mhat2[0][x] + r.mhat2[1][y] + r.mhat2[2][z]
+	if m2 == 0 {
+		return 0
+	}
+	vol := r.Box.X * r.Box.Y * r.Box.Z
+	b := 1 / (bmod[0][x] * bmod[1][y] * bmod[2][z])
+	return b * math.Exp(-math.Pi*math.Pi/(r.Beta*r.Beta)*m2) / (math.Pi * vol * m2)
 }
 
 // spline4 fills w with the order-4 cardinal B-spline weights and d with
@@ -182,170 +211,185 @@ func (r *Recip) ensureAtomCaches(n int) {
 // the given positions and charges, splitting the work over the pool.
 // Forces (kcal/mol/Å) are written — not accumulated — into f, which must
 // have len(pos) entries; the returned energy and virial are in kcal/mol.
-// Results are bitwise identical for any pool worker count.
+// Results are bitwise identical for any pool worker count, and Compute
+// allocates nothing once the atom caches are sized.
 func (r *Recip) Compute(pos []vec.V3, q []float64, f []vec.V3, pool fft.Pool) (energy, virial float64) {
-	n := len(pos)
-	r.ensureAtomCaches(n)
-	workers := pool.Workers()
-	k0, k1, k2 := r.K[0], r.K[1], r.K[2]
-
-	// Per-atom spline phase: fractional mesh coordinate, stencil base,
-	// weights and derivatives. Independent per atom.
-	pool.Run(func(w int) {
-		lo, hi := span(n, workers, w)
-		for i := lo; i < hi; i++ {
-			for d := 0; d < 3; d++ {
-				u := pos[i].Comp(d) / r.Box.Comp(d) * float64(r.K[d])
-				fl := math.Floor(u)
-				t := u - fl
-				b := int32(fl) - (order - 1)
-				kd := int32(r.K[d])
-				b %= kd
-				if b < 0 {
-					b += kd
-				}
-				r.base[i][d] = b
-				spline4(t, &r.wgt[i][d], &r.dwgt[i][d])
-			}
-		}
-	})
-
-	// Spread: each worker owns a contiguous range of mesh x-slabs and
-	// scans all atoms in index order, depositing only the stencil rows
-	// that fall in its range. Each mesh point is therefore written by
-	// exactly one worker with a fixed, worker-count-independent
-	// accumulation order.
+	r.begin(pos, q, f, pool)
+	pool.Run(r.splineFn)
 	r.mesh.Clear()
-	pool.Run(func(w int) {
-		xlo, xhi := span(k0, workers, w)
-		if xlo == xhi {
-			return
-		}
-		re := r.mesh.Re
-		for i := 0; i < n; i++ {
-			qi := q[i]
-			if qi == 0 {
-				continue
-			}
-			bx := int(r.base[i][0])
-			for a := 0; a < order; a++ {
-				x := bx + a
-				if x >= k0 {
-					x -= k0
-				}
-				if x < xlo || x >= xhi {
-					continue
-				}
-				wx := qi * r.wgt[i][0][a]
-				by := int(r.base[i][1])
-				bz := int(r.base[i][2])
-				rowBase := x * k1 * k2
-				for b := 0; b < order; b++ {
-					y := by + b
-					if y >= k1 {
-						y -= k1
-					}
-					wxy := wx * r.wgt[i][1][b]
-					rb := rowBase + y*k2
-					for c := 0; c < order; c++ {
-						z := bz + c
-						if z >= k2 {
-							z -= k2
-						}
-						re[rb+z] += wxy * r.wgt[i][2][c]
-					}
-				}
-			}
-		}
-	})
+	pool.Run(r.spreadFn)
 
 	// Forward transform, convolution with the influence function, and
 	// inverse transform. Energy and virial accumulate per x-plane into
-	// fixed slots, summed serially below.
+	// fixed slots, summed serially here.
 	r.mesh.Forward(pool)
-	scale := units.Coulomb / 2
-	pi2OverBeta2 := math.Pi * math.Pi / (r.Beta * r.Beta)
-	pool.Run(func(w int) {
-		xlo, xhi := span(k0, workers, w)
-		re, im := r.mesh.Re, r.mesh.Im
-		for x := xlo; x < xhi; x++ {
-			var pe, pv float64
-			idx := x * k1 * k2
-			for y := 0; y < k1; y++ {
-				m2xy := r.mhat2[0][x] + r.mhat2[1][y]
-				for z := 0; z < k2; z++ {
-					g := r.infl[idx]
-					if g != 0 {
-						em := scale * g * (re[idx]*re[idx] + im[idx]*im[idx])
-						m2 := m2xy + r.mhat2[2][z]
-						pe += em
-						pv += em * (1 - 2*pi2OverBeta2*m2)
-					}
-					re[idx] *= g
-					im[idx] *= g
-					idx++
-				}
-			}
-			r.planeE[x] = pe
-			r.planeV[x] = pv
-		}
-	})
-	for x := 0; x < k0; x++ {
+	pool.Run(r.convolveFn)
+	for x := range r.planeE {
 		energy += r.planeE[x]
 		virial += r.planeV[x]
 	}
 	r.mesh.Inverse(pool)
+	pool.Run(r.gatherFn)
+	r.pos, r.q, r.f = nil, nil, nil
+	return energy, virial
+}
 
-	// Gather: F_i = -q_i Σ_stencil ∇W_i · conv. With the unnormalized DFT
-	// pair (forward e^{-2πi}, inverse e^{+2πi}, no 1/N), ∂E/∂Q(k) is
-	// exactly Coulomb·conv(k) — no mesh-size normalization appears.
-	// Per-atom, so worker-count independent.
+// begin records the arguments of one evaluation for the region functions.
+func (r *Recip) begin(pos []vec.V3, q []float64, f []vec.V3, pool fft.Pool) {
+	r.pos, r.q, r.f, r.workers = pos, q, f, pool.Workers()
+	r.ensureAtomCaches(len(pos))
+}
+
+// splineRegion is the per-atom spline phase: fractional mesh coordinate,
+// stencil base, weights and derivatives. Independent per atom.
+func (r *Recip) splineRegion(w int) {
+	lo, hi := span(len(r.pos), r.workers, w)
+	for i := lo; i < hi; i++ {
+		for d := 0; d < 3; d++ {
+			u := r.pos[i].Comp(d) / r.Box.Comp(d) * float64(r.K[d])
+			fl := math.Floor(u)
+			t := u - fl
+			b := int32(fl) - (order - 1)
+			kd := int32(r.K[d])
+			b %= kd
+			if b < 0 {
+				b += kd
+			}
+			r.base[i][d] = b
+			spline4(t, &r.wgt[i][d], &r.dwgt[i][d])
+		}
+	}
+}
+
+// spreadRegion deposits charges on the (cleared) real mesh: each worker
+// owns a contiguous range of mesh x-slabs and scans all atoms in index
+// order, depositing only the stencil rows that fall in its range. Each
+// mesh point is therefore written by exactly one worker with a fixed,
+// worker-count-independent accumulation order.
+func (r *Recip) spreadRegion(w int) {
+	k0, k1, k2 := r.K[0], r.K[1], r.K[2]
+	xlo, xhi := span(k0, r.workers, w)
+	if xlo == xhi {
+		return
+	}
+	mesh := r.mesh.Q
+	for i, qi := range r.q {
+		if qi == 0 {
+			continue
+		}
+		bx := int(r.base[i][0])
+		for a := 0; a < order; a++ {
+			x := bx + a
+			if x >= k0 {
+				x -= k0
+			}
+			if x < xlo || x >= xhi {
+				continue
+			}
+			wx := qi * r.wgt[i][0][a]
+			by := int(r.base[i][1])
+			bz := int(r.base[i][2])
+			rowBase := x * k1 * k2
+			for b := 0; b < order; b++ {
+				y := by + b
+				if y >= k1 {
+					y -= k1
+				}
+				wxy := wx * r.wgt[i][1][b]
+				rb := rowBase + y*k2
+				for c := 0; c < order; c++ {
+					z := bz + c
+					if z >= k2 {
+						z -= k2
+					}
+					mesh[rb+z] += wxy * r.wgt[i][2][c]
+				}
+			}
+		}
+	}
+}
+
+// convolveRegion multiplies a worker's x-planes of the half spectrum by
+// the influence function and leaves each plane's energy and virial in
+// its own slot. A bin's term is the full-spectrum one, Coulomb/2·g·|X|²,
+// counted once for the self-conjugate z-bins and twice for the interior
+// ones (zScale).
+func (r *Recip) convolveRegion(w int) {
+	k1, nz := r.K[1], r.mesh.NZ()
+	xlo, xhi := span(r.K[0], r.workers, w)
+	re, im, infl := r.mesh.Re, r.mesh.Im, r.infl
+	zScale, mz2 := r.zScale, r.mhat2[2]
+	twoPi2OverBeta2 := 2 * math.Pi * math.Pi / (r.Beta * r.Beta)
+	for x := xlo; x < xhi; x++ {
+		var pe, pv float64
+		idx := x * k1 * nz
+		for y := 0; y < k1; y++ {
+			m2xy := r.mhat2[0][x] + r.mhat2[1][y]
+			for z := 0; z < nz; z++ {
+				g := infl[idx]
+				em := zScale[z] * g * (re[idx]*re[idx] + im[idx]*im[idx])
+				pe += em
+				pv += em * (1 - twoPi2OverBeta2*(m2xy+mz2[z]))
+				re[idx] *= g
+				im[idx] *= g
+				idx++
+			}
+		}
+		r.planeE[x] = pe
+		r.planeV[x] = pv
+	}
+}
+
+// gatherRegion computes F_i = -q_i Σ_stencil ∇W_i · conv from the
+// inverse-transformed mesh. With the unnormalized DFT pair (forward
+// e^{-2πi}, inverse e^{+2πi}, no 1/N), ∂E/∂Q(k) is exactly
+// Coulomb·conv(k) — no mesh-size normalization appears. Per-atom, so
+// worker-count independent.
+func (r *Recip) gatherRegion(w int) {
+	k0, k1, k2 := r.K[0], r.K[1], r.K[2]
 	gscale := units.Coulomb
 	sx := float64(k0) / r.Box.X
 	sy := float64(k1) / r.Box.Y
 	sz := float64(k2) / r.Box.Z
-	pool.Run(func(w int) {
-		lo, hi := span(n, workers, w)
-		re := r.mesh.Re
-		for i := lo; i < hi; i++ {
-			qi := q[i]
-			if qi == 0 {
-				f[i] = vec.Zero
-				continue
-			}
-			var fx, fy, fz float64
-			bx, by, bz := int(r.base[i][0]), int(r.base[i][1]), int(r.base[i][2])
-			for a := 0; a < order; a++ {
-				x := bx + a
-				if x >= k0 {
-					x -= k0
-				}
-				wx, dx := r.wgt[i][0][a], r.dwgt[i][0][a]
-				rowBase := x * k1 * k2
-				for b := 0; b < order; b++ {
-					y := by + b
-					if y >= k1 {
-						y -= k1
-					}
-					wy, dy := r.wgt[i][1][b], r.dwgt[i][1][b]
-					rb := rowBase + y*k2
-					for c := 0; c < order; c++ {
-						z := bz + c
-						if z >= k2 {
-							z -= k2
-						}
-						wz, dz := r.wgt[i][2][c], r.dwgt[i][2][c]
-						v := re[rb+z]
-						fx += dx * wy * wz * v
-						fy += wx * dy * wz * v
-						fz += wx * wy * dz * v
-					}
-				}
-			}
-			f[i] = vec.New(-qi*gscale*fx*sx, -qi*gscale*fy*sy, -qi*gscale*fz*sz)
+	lo, hi := span(len(r.pos), r.workers, w)
+	mesh := r.mesh.Q
+	for i := lo; i < hi; i++ {
+		qi := r.q[i]
+		if qi == 0 {
+			r.f[i] = vec.Zero
+			continue
 		}
-	})
-	return energy, virial
+		var fx, fy, fz float64
+		bx, by, bz := int(r.base[i][0]), int(r.base[i][1]), int(r.base[i][2])
+		for a := 0; a < order; a++ {
+			x := bx + a
+			if x >= k0 {
+				x -= k0
+			}
+			wx, dx := r.wgt[i][0][a], r.dwgt[i][0][a]
+			rowBase := x * k1 * k2
+			for b := 0; b < order; b++ {
+				y := by + b
+				if y >= k1 {
+					y -= k1
+				}
+				wy, dy := r.wgt[i][1][b], r.dwgt[i][1][b]
+				rb := rowBase + y*k2
+				for c := 0; c < order; c++ {
+					z := bz + c
+					if z >= k2 {
+						z -= k2
+					}
+					wz, dz := r.wgt[i][2][c], r.dwgt[i][2][c]
+					v := mesh[rb+z]
+					fx += dx * wy * wz * v
+					fy += wx * dy * wz * v
+					fz += wx * wy * dz * v
+				}
+			}
+		}
+		r.f[i] = vec.New(-qi*gscale*fx*sx, -qi*gscale*fy*sy, -qi*gscale*fz*sz)
+	}
 }
 
 // span mirrors fft's contiguous partition (kept local to avoid exporting

@@ -235,6 +235,169 @@ func TestRecipRepeatDeterminism(t *testing.T) {
 	}
 }
 
+// TestRecipWorkerDeterminismSmallMesh repeats the determinism contract on
+// the minimum mesh (K0 = 4), where 8 workers outnumber the x-planes and
+// most own no slab, and on a non-cubic mesh.
+func TestRecipWorkerDeterminismSmallMesh(t *testing.T) {
+	pos, q, box := perturbedSalt()
+	n := len(pos)
+	for _, k := range [][3]int{{4, 4, 4}, {4, 8, 16}, {16, 8, 4}} {
+		ref, err := NewRecipK(box, k, 0.9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fRef := make([]vec.V3, n)
+		eRef, vRef := ref.Compute(pos, q, fRef, fft.Serial{})
+		for _, workers := range []int{2, 3, 4, 8} {
+			r, err := NewRecipK(box, k, 0.9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := make([]vec.V3, n)
+			e, v := r.Compute(pos, q, f, waitPool{workers})
+			if e != eRef || v != vRef {
+				t.Fatalf("K=%v workers=%d: energy/virial (%v, %v) differ from serial (%v, %v)", k, workers, e, v, eRef, vRef)
+			}
+			for i := range f {
+				if f[i] != fRef[i] {
+					t.Fatalf("K=%v workers=%d: force[%d] = %v, serial %v", k, workers, i, f[i], fRef[i])
+				}
+			}
+		}
+	}
+}
+
+// TestRecipHalfSpectrumEnergyMatchesFull checks the weighted half-spectrum
+// energy and virial sums (weight 2 on interior z-bins, 1 on z = 0 and
+// z = K2/2) against the plain sum over every bin of the complex
+// transform of the same charge mesh.
+func TestRecipHalfSpectrumEnergyMatchesFull(t *testing.T) {
+	pos, q, box := perturbedSalt()
+	for _, k := range [][3]int{{4, 4, 4}, {16, 16, 16}, {8, 16, 32}} {
+		r, err := NewRecipK(box, k, 0.9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := make([]vec.V3, len(pos))
+		e, v := r.Compute(pos, q, f, fft.Serial{})
+
+		// The charge mesh again, into the complex oracle.
+		r.begin(pos, q, f, fft.Serial{})
+		r.mesh.Clear()
+		r.spreadRegion(0)
+		full, err := fft.NewMesh3(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(full.Re, r.mesh.Q)
+		full.Forward(fft.Serial{})
+		var bmod [3][]float64
+		for d := range bmod {
+			bmod[d] = splineModuli(k[d])
+		}
+		var eFull, vFull float64
+		for x := 0; x < k[0]; x++ {
+			for y := 0; y < k[1]; y++ {
+				for z := 0; z < k[2]; z++ {
+					i := full.Idx(x, y, z)
+					em := units.Coulomb / 2 * r.influence(&bmod, x, y, z) * (full.Re[i]*full.Re[i] + full.Im[i]*full.Im[i])
+					m2 := r.mhat2[0][x] + r.mhat2[1][y] + r.mhat2[2][z]
+					eFull += em
+					vFull += em * (1 - 2*math.Pi*math.Pi/(r.Beta*r.Beta)*m2)
+				}
+			}
+		}
+		if rel := math.Abs(e-eFull) / math.Abs(eFull); rel > 1e-12 {
+			t.Fatalf("K=%v: half-spectrum energy %.15g vs full %.15g (rel %.2e)", k, e, eFull, rel)
+		}
+		if rel := math.Abs(v-vFull) / math.Abs(vFull); rel > 1e-12 {
+			t.Fatalf("K=%v: half-spectrum virial %.15g vs full %.15g (rel %.2e)", k, v, vFull, rel)
+		}
+	}
+}
+
+// waterLike builds a charge-neutral, water-shaped benchmark problem:
+// three-site molecules (-0.834, +0.417, +0.417) on a jittered lattice,
+// in molecule order like a generated water box — 11,079 atoms in a 48 Å
+// box, the md-pme workload's size.
+func waterLike() (pos []vec.V3, q []float64, box vec.V3) {
+	const side, perAxis, molecules = 48.0, 16, 3693
+	box = vec.New(side, side, side)
+	s := uint64(2024)
+	jitter := func() float64 {
+		s = s*6364136223846793005 + 1442695040888963407
+		return float64(s>>11)/float64(1<<53) - 0.5
+	}
+	h := side / perAxis
+	for m := 0; m < molecules; m++ {
+		o := vec.New(float64(m/(perAxis*perAxis))*h, float64(m/perAxis%perAxis)*h, float64(m%perAxis)*h)
+		o = o.Add(vec.New(jitter(), jitter(), jitter()))
+		for site, charge := range []float64{-0.834, 0.417, 0.417} {
+			at := o
+			if site > 0 {
+				at = o.Add(vec.New(jitter(), jitter(), jitter()).Scale(1.6))
+			}
+			pos = append(pos, vec.Wrap(at, box))
+			q = append(q, charge)
+		}
+	}
+	return pos, q, box
+}
+
+// BenchmarkRecipCompute times one reciprocal evaluation of the md-pme
+// sized problem (11k atoms, 64³ mesh) on one thread, whole and by phase.
+// Each phase runs on the state a real evaluation hands it, restored
+// outside the timer where the phase consumes its input.
+func BenchmarkRecipCompute(b *testing.B) {
+	pos, q, box := waterLike()
+	r, err := NewRecip(box, 1.0, 0.35)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if r.K != [3]int{64, 64, 64} {
+		b.Fatalf("mesh %v, want 64³", r.K)
+	}
+	f := make([]vec.V3, len(pos))
+	pool := fft.Serial{}
+	r.Compute(pos, q, f, pool)
+	potential := append([]float64(nil), r.mesh.Q...)
+	r.begin(pos, q, f, pool)
+	r.mesh.Clear()
+	r.spreadRegion(0)
+	charge := append([]float64(nil), r.mesh.Q...)
+	r.mesh.Forward(pool)
+	specRe := append([]float64(nil), r.mesh.Re...)
+	specIm := append([]float64(nil), r.mesh.Im...)
+
+	phases := []struct {
+		name    string
+		restore func()
+		run     func()
+	}{
+		{"total", nil, func() { r.Compute(pos, q, f, pool) }},
+		{"spline", nil, func() { r.splineRegion(0) }},
+		{"spread", nil, func() { r.mesh.Clear(); r.spreadRegion(0) }},
+		{"fft", func() { copy(r.mesh.Q, charge) }, func() { r.mesh.Forward(pool); r.mesh.Inverse(pool) }},
+		{"convolve", func() { copy(r.mesh.Re, specRe); copy(r.mesh.Im, specIm) }, func() { r.convolveRegion(0) }},
+		{"gather", func() { copy(r.mesh.Q, potential) }, func() { r.gatherRegion(0) }},
+	}
+	for _, ph := range phases {
+		b.Run(ph.name, func(b *testing.B) {
+			r.begin(pos, q, f, pool)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if ph.restore != nil {
+					b.StopTimer()
+					ph.restore()
+					b.StartTimer()
+				}
+				ph.run()
+			}
+		})
+	}
+}
+
 // TestExclusionTermDerivative checks fOverR against a numerical
 // derivative of the correction energy.
 func TestExclusionTermDerivative(t *testing.T) {

@@ -601,3 +601,35 @@ func TestVirialPairlistConsistent(t *testing.T) {
 		t.Errorf("virial: direct %v vs pairlist %v", a, b)
 	}
 }
+
+// TestStepPMEZeroAllocsRecip guards the full-electrostatics hot path of
+// the sequential engine: with MTS period 1 every step runs the whole
+// reciprocal sum (spline, spread, both 3D transforms, convolution,
+// gather) and, once the cluster list and atom caches are sized, must not
+// allocate.
+func TestStepPMEZeroAllocsRecip(t *testing.T) {
+	sys, st, err := molgen.Build(molgen.WaterBox(16, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(sys, forcefield.Standard(7.0), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.EnableClusterLists(4, 4, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := EnableFullElectrostatics(e, 1.0, 0.45, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		e.Step(0.5)
+	}
+	evals := e.RecipEvals()
+	if allocs := testing.AllocsPerRun(20, func() { e.Step(0.5) }); allocs != 0 {
+		t.Fatalf("steady-state PME Step with a reciprocal sum allocates: %v allocs/step, want 0", allocs)
+	}
+	if got := e.RecipEvals() - evals; got < 20 {
+		t.Fatalf("measured window ran %d reciprocal evaluations, want one per step", got)
+	}
+}
