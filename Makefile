@@ -40,10 +40,11 @@ metrics: vet
 # The chaos/conformance suite: fault injection, reliable delivery, and
 # checkpoint recovery, run twice (-count=2) to flush out any hidden
 # run-to-run nondeterminism in the seeded fault streams. The forcefield
-# and par packages carry the kernel/block-list differential tests; the
-# fft and pme packages carry the worker-count/repeat determinism tests
-# behind the bitwise-reproducible PME guarantee; the ldb package carries
-# the strategy property suite (never-worsen, validity, determinism).
+# package carries the kernel differential tests and the root package the
+# nonbonded-pipeline conformance table (TestDifferential*); the fft and
+# pme packages carry the worker-count/repeat determinism tests behind
+# the bitwise-reproducible PME guarantee; the ldb package carries the
+# strategy property suite (never-worsen, validity, determinism).
 chaos:
 	$(GO) test -count=2 -run 'Chaos|Crash|Reliable|Recovery|Property|Differential|Golden|Determinism|PME' \
 		./internal/converse ./internal/charm ./internal/core ./internal/ckpt ./internal/trace \
@@ -66,19 +67,20 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFTDCDecode -fuzztime=20s ./internal/ftdc
 
 # The tracked performance suite: kernel benchmarks (ns/pair) and step
-# benchmarks (steps/sec, allocs/step) on the ApoA-I-scale system —
-# including the full-electrostatics step (BenchmarkStepParPME) and the
-# cluster-pair steps in every numerical mode (BenchmarkStepParCluster*,
-# analytic/fp32/tabulated) and the PME mesh layer (3D FFT forward +
-# inverse, complex and real-input; one reciprocal sum whole and by
-# phase) — parsed into BENCH_6.json (see README, "Benchmark records").
-# The step benchmarks share a one-time ~92k-atom build + minimize, so
-# the run takes a few minutes.
+# benchmarks (steps/sec, allocs/step) on the ApoA-I-scale system — one
+# per configuration that exists (BenchmarkStepCluster{Seq,Par,ParPME},
+# BenchmarkStepReference, plus the traced and metered parallel step) —
+# and the PME mesh layer (3D FFT forward + inverse, complex and
+# real-input; one reciprocal sum whole and by phase), parsed into
+# BENCH_7.json (see README, "Benchmark records"; BENCH_3–6.json are the
+# history of the retired configurations and use their names). The step
+# benchmarks share a one-time ~92k-atom build + minimize, so the run
+# takes a few minutes.
 bench:
 	{ $(GO) test -run='^$$' -bench='Nonbonded' -benchmem ./internal/forcefield && \
 	  $(GO) test -run='^$$' -bench='Mesh3|RecipCompute' -benchmem ./internal/fft ./internal/pme && \
 	  $(GO) test -run='^$$' -bench='Step' -benchmem -benchtime=3x -timeout=30m ./internal/seq . ; } \
-	| $(GO) run ./cmd/benchjson -o BENCH_6.json
+	| $(GO) run ./cmd/benchjson -o BENCH_7.json
 
 # Regression gate for the hot path: rerun the tracked benchmark suite
 # into BENCH_NEW.json (not committed) and compare the pinned benchmarks
@@ -108,17 +110,17 @@ bench-all:
 # energy error of the tabulated kernels against the analytic ones, over
 # the physical separation range down into the repulsive wall. Shows the
 # h² convergence of the Hermite spline and where the default resolution
-# sits inside the production envelope (see DESIGN.md, "Tabulated
-# kernels").
+# sits inside the production envelope (see DESIGN.md, "Nonbonded
+# pipeline").
 table-accuracy:
 	$(GO) run ./cmd/tableacc
 
 # Projections profile of a traced benchmark run: a short mdrun with the
 # parallel pipeline and a trace attached, analyzed into PROFILE.json
 # (versioned gonamd-projections schema) plus the text summary on stdout.
-# Rides alongside the BENCH_4.json artifacts from `make bench`.
+# Rides alongside the BENCH_<n>.json artifacts from `make bench`.
 profile: build
-	$(GO) run ./cmd/mdrun -side 24 -steps 50 -workers 4 -skin 1.5 -trace PROFILE.trace.jsonl -profile
+	$(GO) run ./cmd/mdrun -side 24 -steps 50 -workers 4 -trace PROFILE.trace.jsonl -profile
 	$(GO) run ./cmd/projections -json PROFILE.trace.jsonl > PROFILE.json
 	@echo "wrote PROFILE.trace.jsonl and PROFILE.json"
 

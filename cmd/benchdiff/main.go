@@ -21,23 +21,16 @@ import (
 )
 
 // pinned is the named list of hot-path benchmarks that may not regress:
-// the sequential and batched-parallel step pipelines, the cluster
-// pipeline in every numerical mode (analytic, fp32-mixed, tabulated),
-// and the full-electrostatics configurations. A name only participates
-// once both reports carry it, so pinning a benchmark here before the
-// next BENCH_<n>.json lands is safe.
+// the cluster step pipeline in each configuration that exists
+// (sequential, parallel, parallel with metrics, parallel with PME) and
+// the kernels under it. A name only participates once both reports carry
+// it, so pinning a benchmark here before the next BENCH_<n>.json lands
+// is safe.
 var pinned = []string{
-	"BenchmarkStepSeq",
-	"BenchmarkStepSeqCluster",
-	"BenchmarkStepPar",
-	"BenchmarkStepParMetrics",
-	"BenchmarkStepParPME",
-	"BenchmarkStepParCluster",
-	"BenchmarkStepParClusterF32",
-	"BenchmarkStepParClusterTab",
-	"BenchmarkStepParClusterTabF32",
-	"BenchmarkStepParClusterPME",
-	"BenchmarkStepParClusterPMETab",
+	"BenchmarkStepClusterSeq",
+	"BenchmarkStepClusterPar",
+	"BenchmarkStepClusterParMetrics",
+	"BenchmarkStepClusterParPME",
 	"BenchmarkNonbondedCluster/8x8",
 	"BenchmarkNonbondedClusterTab/shifted",
 	"BenchmarkNonbondedClusterTab/ewald",

@@ -47,12 +47,7 @@ func main() {
 	ckptPath := flag.String("ckpt", "", "write a final sysio snapshot here (reload with -in); also written on SIGINT/SIGTERM")
 	trajEvery := flag.Int("trajevery", 10, "write a trajectory frame every N steps")
 	shake := flag.Bool("shake", false, "constrain bonds to hydrogen (sequential engine; allows -dt 2)")
-	skin := flag.Float64("skin", 0, "Verlet list skin, Å (0 = off; seq pairlist / par block lists)")
-	cluster := flag.String("cluster", "", "M×N cluster pair lists, e.g. 4x4 or 4x8 (replaces -skin lists)")
-	f32 := flag.Bool("f32", false, "mixed-precision cluster kernels: float32 pair math, float64 reduction (requires -cluster)")
-	table := flag.Bool("table", false, "tabulated cluster kernels: r²-indexed interaction tables, no sqrt/erfc/exp in the pair loop (requires -cluster; combines with -f32)")
-	tableSpacing := flag.Float64("table-spacing", 0, "interaction table grid spacing, Å² (0 = default resolution; requires -table)")
-	clusterSkin := flag.Float64("cluster-skin", 0, "cluster list skin override, Å (0 = default 1.5; requires -cluster)")
+	cluster := flag.String("cluster", "4x8", "M×N geometry of the cluster pair lists, e.g. 4x4 or 4x8")
 	pme := flag.Bool("pme", false, "full electrostatics: smooth particle-mesh Ewald")
 	grid := flag.Float64("grid", 1.0, "PME mesh spacing, Å (mesh dims round up to powers of two)")
 	ewaldBeta := flag.Float64("ewald-beta", 0, "Ewald splitting parameter, 1/Å (0 = auto from cutoff)")
@@ -65,18 +60,6 @@ func main() {
 	metricsEvery := flag.Duration("metricsevery", time.Second, "telemetry sampling interval; 0 samples only at exit (requires -metrics)")
 	flag.Parse()
 
-	// Contradictory table flags get CLI-level errors that name the flags,
-	// before any work happens (the options layer repeats the structural
-	// check in API terms for library use).
-	if *table && *cluster == "" {
-		log.Fatal("-table requires -cluster: the tabulated kernels only exist in cluster form (e.g. -cluster 8x8 -table)")
-	}
-	if *tableSpacing != 0 && !*table {
-		log.Fatalf("-table-spacing %g has no effect without -table", *tableSpacing)
-	}
-	if *tableSpacing < 0 {
-		log.Fatalf("-table-spacing %g Å² must be ≥ 0 (0 = default resolution)", *tableSpacing)
-	}
 	if *metricsEvery < 0 {
 		log.Fatalf("-metricsevery %v must be ≥ 0 (0 = one sample at exit)", *metricsEvery)
 	}
@@ -158,9 +141,9 @@ func main() {
 		*workers = -1 // constrained stepping runs on the sequential engine
 	}
 
-	// Option validation — skin/grid/MTS ranges and the -shake/-pme
-	// exclusion — lives in the options layer; construction errors carry
-	// the explanation.
+	// Option validation — cluster geometry, grid/MTS ranges and the
+	// -shake/-pme exclusion — lives in the options layer; construction
+	// errors carry the explanation.
 	var tlog *gonamd.TraceLog
 	if *profile || *tracePath != "" {
 		tlog = gonamd.NewTraceLog()
@@ -173,21 +156,10 @@ func main() {
 		opts = append(opts, gonamd.WithPME(*grid, *ewaldBeta, *mts))
 	}
 	var clM, clN int
-	if *cluster != "" {
-		if _, err := fmt.Sscanf(*cluster, "%dx%d", &clM, &clN); err != nil {
-			log.Fatalf("bad -cluster %q: want MxN, e.g. 4x4", *cluster)
-		}
-		opts = append(opts, gonamd.WithClusterLists(clM, clN))
+	if _, err := fmt.Sscanf(*cluster, "%dx%d", &clM, &clN); err != nil {
+		log.Fatalf("bad -cluster %q: want MxN, e.g. 4x8", *cluster)
 	}
-	if *clusterSkin > 0 {
-		opts = append(opts, gonamd.WithClusterSkin(*clusterSkin))
-	}
-	if *f32 {
-		opts = append(opts, gonamd.WithMixedPrecision())
-	}
-	if *table {
-		opts = append(opts, gonamd.WithTabulatedKernels(*tableSpacing))
-	}
+	opts = append(opts, gonamd.WithClusterLists(clM, clN))
 	if tlog != nil {
 		opts = append(opts, gonamd.WithTrace(tlog))
 	}
@@ -210,9 +182,6 @@ func main() {
 		if *lb != "" {
 			log.Fatalf("-lb %s applies only to the parallel engine (drop -shake / use -workers ≥ 0)", *lb)
 		}
-		if *skin > 0 {
-			opts = append(opts, gonamd.WithPairlist(*skin))
-		}
 		if *shake {
 			opts = append(opts, gonamd.WithHBondConstraints())
 		}
@@ -226,9 +195,6 @@ func main() {
 		eng = e
 		fmt.Println("engine: sequential")
 	} else {
-		if *skin > 0 {
-			opts = append(opts, gonamd.WithBlockLists(*skin))
-		}
 		if *lb != "" {
 			opts = append(opts, gonamd.WithLoadBalancer(*lb))
 		}
@@ -242,30 +208,11 @@ func main() {
 			fmt.Printf("load balancer: %s\n", *lb)
 		}
 	}
-	if *skin > 0 {
-		fmt.Printf("verlet lists: skin %.2f Å\n", *skin)
+	kernel := "analytic"
+	if *pme {
+		kernel = "tabulated Ewald"
 	}
-	if *cluster != "" {
-		mode := "fp64"
-		if *f32 {
-			mode = "fp32-mixed"
-		}
-		if *table {
-			mode += "-tab"
-		}
-		skinVal := *clusterSkin
-		if skinVal == 0 {
-			skinVal = 1.5
-		}
-		fmt.Printf("cluster lists: %dx%d, skin %.2f Å, %s\n", clM, clN, skinVal, mode)
-	}
-	if *table {
-		if *tableSpacing > 0 {
-			fmt.Printf("interaction table: spacing %g Å²\n", *tableSpacing)
-		} else {
-			fmt.Printf("interaction table: default resolution (cutoff²/%d bins)\n", gonamd.DefaultTableBins)
-		}
-	}
+	fmt.Printf("cluster lists: %dx%d, %s kernel\n", clM, clN, kernel)
 	if *pme {
 		beta := *ewaldBeta
 		if beta == 0 {

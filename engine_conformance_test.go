@@ -55,10 +55,10 @@ func TestEngineInterface(t *testing.T) {
 		build func(st *gonamd.State) (gonamd.Engine, error)
 	}{
 		{"sequential", func(st *gonamd.State) (gonamd.Engine, error) {
-			return gonamd.NewSequential(sys, ff, st, gonamd.WithPairlist(1.5))
+			return gonamd.NewSequential(sys, ff, st, gonamd.WithClusterLists(4, 8))
 		}},
 		{"parallel", func(st *gonamd.State) (gonamd.Engine, error) {
-			return gonamd.NewParallel(sys, ff, st, 4, gonamd.WithBlockLists(1.5))
+			return gonamd.NewParallel(sys, ff, st, 4)
 		}},
 	}
 	for _, m := range mk {
@@ -99,8 +99,8 @@ func TestOptionsOrderIndependent(t *testing.T) {
 		e.RebalanceEvery = 0
 		return runSteps(e, 5)
 	}
-	a := build(gonamd.WithBlockLists(1.5), gonamd.WithPME(1.0, 0, 2), gonamd.WithRebalanceEvery(0))
-	b := build(gonamd.WithRebalanceEvery(0), gonamd.WithPME(1.0, 0, 2), gonamd.WithBlockLists(1.5))
+	a := build(gonamd.WithPME(1.0, 0, 2), gonamd.WithClusterLists(4, 4), gonamd.WithRebalanceEvery(0))
+	b := build(gonamd.WithRebalanceEvery(0), gonamd.WithClusterLists(4, 4), gonamd.WithPME(1.0, 0, 2))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("atom %d positions differ between option orders: %v vs %v", i, a[i], b[i])
@@ -118,13 +118,13 @@ func TestPMEAutoBetaMatchesExplicit(t *testing.T) {
 
 	t.Run("sequential", func(t *testing.T) {
 		s1 := cloneState(st)
-		auto, err := gonamd.NewSequential(sys, ff, s1, gonamd.WithPairlist(1.5), gonamd.WithPME(1.0, 0, 2))
+		auto, err := gonamd.NewSequential(sys, ff, s1, gonamd.WithClusterLists(4, 8), gonamd.WithPME(1.0, 0, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		s2 := cloneState(st)
 		explicit, err := gonamd.NewSequential(sys, ff, s2,
-			gonamd.WithPairlist(1.5), gonamd.WithPME(1.0, 3.12/ff.Cutoff, 2))
+			gonamd.WithClusterLists(4, 8), gonamd.WithPME(1.0, 3.12/ff.Cutoff, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,13 +139,13 @@ func TestPMEAutoBetaMatchesExplicit(t *testing.T) {
 	t.Run("parallel", func(t *testing.T) {
 		s1 := cloneState(st)
 		auto, err := gonamd.NewParallel(sys, ff, s1, 4,
-			gonamd.WithBlockLists(1.5), gonamd.WithPME(1.0, 0, 2), gonamd.WithRebalanceEvery(0))
+			gonamd.WithPME(1.0, 0, 2), gonamd.WithRebalanceEvery(0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		s2 := cloneState(st)
 		explicit, err := gonamd.NewParallel(sys, ff, s2, 4,
-			gonamd.WithBlockLists(1.5), gonamd.WithPME(1.0, 3.12/ff.Cutoff, 2), gonamd.WithRebalanceEvery(0))
+			gonamd.WithPME(1.0, 3.12/ff.Cutoff, 2), gonamd.WithRebalanceEvery(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,19 +158,45 @@ func TestPMEAutoBetaMatchesExplicit(t *testing.T) {
 	})
 }
 
+// TestTabulatedKernelsOptionIsNoOp: the deprecated option changes no
+// engine state — with or without it a configuration follows bitwise the
+// same trajectory, analytic under the shifted cutoff and tabulated under
+// PME, whatever spacing it names.
+func TestTabulatedKernelsOptionIsNoOp(t *testing.T) {
+	sys, st, ff := confSetup(t)
+	for _, base := range [][]gonamd.Option{
+		{gonamd.WithClusterLists(4, 8)},
+		{gonamd.WithClusterLists(4, 8), gonamd.WithPME(1.0, 0, 1)},
+	} {
+		run := func(opts ...gonamd.Option) []gonamd.V3 {
+			e, err := gonamd.NewSequential(sys, ff, cloneState(st), append(opts, base...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return runSteps(e, 5)
+		}
+		a, b := run(), run(gonamd.WithTabulatedKernels(0.01))
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("atom %d: WithTabulatedKernels changed the trajectory: %v vs %v", i, a[i], b[i])
+			}
+		}
+	}
+}
+
 // TestTraceMatchesUntraced: attaching a trace must not perturb the
 // trajectory — instrumentation only observes.
 func TestTraceMatchesUntraced(t *testing.T) {
 	sys, st, ff := confSetup(t)
 	s1 := cloneState(st)
-	plain, err := gonamd.NewParallel(sys, ff, s1, 4, gonamd.WithBlockLists(1.5), gonamd.WithRebalanceEvery(0))
+	plain, err := gonamd.NewParallel(sys, ff, s1, 4, gonamd.WithRebalanceEvery(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s2 := cloneState(st)
 	tlog := gonamd.NewTraceLog()
 	traced, err := gonamd.NewParallel(sys, ff, s2, 4,
-		gonamd.WithBlockLists(1.5), gonamd.WithRebalanceEvery(0), gonamd.WithTrace(tlog))
+		gonamd.WithRebalanceEvery(0), gonamd.WithTrace(tlog))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,20 +231,16 @@ func TestOptionValidation(t *testing.T) {
 		err  string
 		run  func() error
 	}{
-		{"negative pairlist skin", "must be positive", func() error {
-			_, err := gonamd.NewSequential(sys, ff, cloneState(st), gonamd.WithPairlist(-1))
+		{"cluster geometry too wide", "out of range", func() error {
+			_, err := gonamd.NewSequential(sys, ff, cloneState(st), gonamd.WithClusterLists(9, 9))
 			return err
 		}},
-		{"zero block skin", "must be positive", func() error {
-			_, err := gonamd.NewParallel(sys, ff, cloneState(st), 2, gonamd.WithBlockLists(0))
+		{"zero cluster width", "out of range", func() error {
+			_, err := gonamd.NewParallel(sys, ff, cloneState(st), 2, gonamd.WithClusterLists(4, 0))
 			return err
 		}},
-		{"pairlist on parallel", "sequential engine", func() error {
-			_, err := gonamd.NewParallel(sys, ff, cloneState(st), 2, gonamd.WithPairlist(1.5))
-			return err
-		}},
-		{"block lists on sequential", "parallel engine", func() error {
-			_, err := gonamd.NewSequential(sys, ff, cloneState(st), gonamd.WithBlockLists(1.5))
+		{"negative table spacing", "must be ≥ 0", func() error {
+			_, err := gonamd.NewSequential(sys, ff, cloneState(st), gonamd.WithTabulatedKernels(-1))
 			return err
 		}},
 		{"zero PME grid", "must be positive", func() error {
@@ -240,15 +262,6 @@ func TestOptionValidation(t *testing.T) {
 		}},
 		{"negative rebalance", "must be ≥ 0", func() error {
 			_, err := gonamd.NewParallel(sys, ff, cloneState(st), 2, gonamd.WithRebalanceEvery(-1))
-			return err
-		}},
-		{"cluster skin without cluster lists", "requires WithClusterLists", func() error {
-			_, err := gonamd.NewSequential(sys, ff, cloneState(st), gonamd.WithClusterSkin(0.5))
-			return err
-		}},
-		{"negative cluster skin", "out of range", func() error {
-			_, err := gonamd.NewSequential(sys, ff, cloneState(st),
-				gonamd.WithClusterLists(4, 4), gonamd.WithClusterSkin(-1))
 			return err
 		}},
 	}

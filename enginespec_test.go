@@ -3,6 +3,7 @@ package gonamd_test
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gonamd"
@@ -26,7 +27,7 @@ func TestEngineSpecMatchesOptions(t *testing.T) {
 
 	raw := `{
 		"engine": "sequential",
-		"pairlist_skin": 1.0,
+		"cluster_m": 4, "cluster_n": 8,
 		"thermostat": {"kind": "langevin", "temperature": 310, "seed": 99}
 	}`
 	var spec gonamd.EngineSpec
@@ -44,7 +45,7 @@ func TestEngineSpecMatchesOptions(t *testing.T) {
 
 	stB := st.Clone()
 	optEng, err := gonamd.NewSequential(sys, ff, stB,
-		gonamd.WithPairlist(1.0),
+		gonamd.WithClusterLists(4, 8),
 		gonamd.WithThermostat(&gonamd.Langevin{Target: 310, Gamma: 0.005, Seed: 99}))
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +68,6 @@ func TestEngineSpecParallel(t *testing.T) {
 	spec := gonamd.EngineSpec{
 		Engine:         "parallel",
 		Workers:        2,
-		BlockListSkin:  1.0,
 		RebalanceEvery: &zero,
 	}
 	eng, th, err := spec.NewEngine(sys, ff, st.Clone())
@@ -89,59 +89,43 @@ func TestEngineSpecParallel(t *testing.T) {
 	}
 }
 
-// TestEngineSpecTabulated: the tabulated wire fields lower to
-// WithTabulatedKernels, and the spec-built engine reproduces the
-// option-built tabulated trajectory bitwise.
-func TestEngineSpecTabulated(t *testing.T) {
-	sys, st, ff := specSystem(t)
-
-	raw := `{
-		"engine": "sequential",
-		"cluster_m": 4, "cluster_n": 4,
-		"tabulated": true
-	}`
-	var spec gonamd.EngineSpec
-	if err := json.Unmarshal([]byte(raw), &spec); err != nil {
-		t.Fatal(err)
-	}
-	stA := st.Clone()
-	specEng, _, err := spec.NewEngine(sys, ff, stA)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	stB := st.Clone()
-	optEng, err := gonamd.NewSequential(sys, ff, stB,
-		gonamd.WithClusterLists(4, 4), gonamd.WithTabulatedKernels(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i := 0; i < 20; i++ {
-		specEng.Step(0.5)
-		optEng.Step(0.5)
-	}
-	if !reflect.DeepEqual(stA.Pos, stB.Pos) || !reflect.DeepEqual(stA.Vel, stB.Vel) {
-		t.Fatal("spec-built tabulated engine diverged from option-built engine")
-	}
-}
-
-// TestEngineSpecPrecisionMode: the four numerical modes name themselves
-// distinctly — checkpoints record the string and services refuse to
-// resume across a change, so tabulation must be part of it.
+// TestEngineSpecPrecisionMode: the numerical mode is derived, not
+// chosen — "fp64-tab" exactly when the tabulated kernel runs (cluster
+// lists with PME), "fp64" otherwise. Checkpoints record the string and
+// services refuse to resume across a change.
 func TestEngineSpecPrecisionMode(t *testing.T) {
+	pme := &gonamd.PMESpec{GridSpacing: 1}
 	cases := []struct {
-		spec gonamd.EngineSpec
-		want string
+		spec  gonamd.EngineSpec
+		want  string
+		lists bool
 	}{
-		{gonamd.EngineSpec{}, "fp64"},
-		{gonamd.EngineSpec{MixedPrecision: true}, "fp32-mixed"},
-		{gonamd.EngineSpec{Tabulated: true}, "fp64-tab"},
-		{gonamd.EngineSpec{MixedPrecision: true, Tabulated: true}, "fp32-mixed-tab"},
+		{gonamd.EngineSpec{}, "fp64", false},
+		{gonamd.EngineSpec{PME: pme}, "fp64", false}, // reference path: analytic erfc
+		{gonamd.EngineSpec{ClusterM: 4, ClusterN: 8}, "fp64", true},
+		{gonamd.EngineSpec{ClusterM: 4, ClusterN: 8, PME: pme}, "fp64-tab", true},
+		{gonamd.EngineSpec{Engine: "par"}, "fp64", true},
+		{gonamd.EngineSpec{Engine: "parallel", PME: pme}, "fp64-tab", true},
 	}
 	for _, c := range cases {
 		if got := c.spec.PrecisionMode(); got != c.want {
 			t.Errorf("PrecisionMode(%+v) = %q, want %q", c.spec, got, c.want)
+		}
+		if got := c.spec.UsesLists(); got != c.lists {
+			t.Errorf("UsesLists(%+v) = %v, want %v", c.spec, got, c.lists)
+		}
+	}
+}
+
+// TestEngineSpecRejectsRemovedFields: the retired list, precision and
+// tabulation knobs are not silently dropped by a strict decoder.
+func TestEngineSpecRejectsRemovedFields(t *testing.T) {
+	for _, field := range []string{"pairlist_skin", "blocklist_skin", "cluster_skin", "mixed_precision", "tabulated", "table_spacing"} {
+		dec := json.NewDecoder(strings.NewReader(`{"cluster_m":4,"cluster_n":8,"` + field + `":1}`))
+		dec.DisallowUnknownFields()
+		var spec gonamd.EngineSpec
+		if err := dec.Decode(&spec); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: strict decode error %v does not name the field", field, err)
 		}
 	}
 }
@@ -155,15 +139,12 @@ func TestEngineSpecRejections(t *testing.T) {
 		spec gonamd.EngineSpec
 	}{
 		{"unknown engine", gonamd.EngineSpec{Engine: "quantum"}},
-		{"pairlist on parallel", gonamd.EngineSpec{Engine: "par", PairlistSkin: 1}},
-		{"blocklists on sequential", gonamd.EngineSpec{BlockListSkin: 1}},
+		{"half a cluster geometry", gonamd.EngineSpec{ClusterM: 4}},
+		{"cluster geometry out of range", gonamd.EngineSpec{Engine: "par", ClusterM: 9, ClusterN: 9}},
 		{"negative pme grid", gonamd.EngineSpec{PME: &gonamd.PMESpec{GridSpacing: -1}}},
 		{"unknown thermostat", gonamd.EngineSpec{Thermostat: &gonamd.ThermostatSpec{Kind: "maxwell", Temperature: 300}}},
 		{"cold thermostat", gonamd.EngineSpec{Thermostat: &gonamd.ThermostatSpec{Kind: "langevin"}}},
 		{"shake plus pme", gonamd.EngineSpec{HBondConstraints: true, PME: &gonamd.PMESpec{GridSpacing: 1}}},
-		{"tabulated without clusters", gonamd.EngineSpec{Tabulated: true}},
-		{"tabulated on blocklists", gonamd.EngineSpec{Engine: "par", BlockListSkin: 1, Tabulated: true}},
-		{"negative table spacing", gonamd.EngineSpec{ClusterM: 4, ClusterN: 4, Tabulated: true, TableSpacing: -0.1}},
 	}
 	for _, c := range cases {
 		if _, _, err := c.spec.NewEngine(sys, ff, st.Clone()); err == nil {

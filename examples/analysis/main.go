@@ -22,7 +22,7 @@ func main() {
 	}
 	ff := gonamd.StandardForceField(7.0)
 
-	eng, err := gonamd.NewSequential(sys, ff, st, gonamd.WithPairlist(1.5))
+	eng, err := gonamd.NewSequential(sys, ff, st, gonamd.WithClusterLists(4, 8))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,8 +43,8 @@ func main() {
 	if err := w.Flush(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("simulated %d fs of %d waters; trajectory: %d frames, %d bytes (pairlist rebuilds: %d)\n",
-		frames*5, sys.N()/3, w.Frames(), buf.Len(), eng.PairlistRebuilds())
+	fmt.Printf("simulated %d fs of %d waters; trajectory: %d frames, %d bytes (cluster list rebuilds: %d)\n",
+		frames*5, sys.N()/3, w.Frames(), buf.Len(), eng.ClusterRebuilds())
 
 	r, err := gonamd.NewTrajReader(&buf)
 	if err != nil {

@@ -33,11 +33,11 @@ func main() {
 	after := minimizer.Minimize(200, 0.2)
 	fmt.Printf("minimized: %.1f -> %.1f kcal/mol\n", before, after)
 
-	// Run NVE dynamics on every core, with cached Verlet block lists and
-	// a Projections-style trace attached.
+	// Run NVE dynamics on every core over 4×8 cluster pair lists, with a
+	// Projections-style trace attached.
 	tlog := gonamd.NewTraceLog()
 	eng, err := gonamd.NewParallel(sys, ff, st, 0,
-		gonamd.WithBlockLists(1.5), gonamd.WithTrace(tlog))
+		gonamd.WithClusterLists(4, 8), gonamd.WithTrace(tlog))
 	if err != nil {
 		log.Fatal(err)
 	}

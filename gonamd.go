@@ -5,7 +5,10 @@
 //
 // It provides three ways to run molecular dynamics:
 //
-//   - a sequential reference engine (NewSequential),
+//   - a sequential engine (NewSequential) — the same cluster-pair-list
+//     nonbonded pipeline as the parallel engine on one thread, or, with
+//     no list option, the list-free reference path both are tested
+//     against,
 //   - a real shared-memory parallel engine mapping the paper's compute
 //     objects onto goroutine workers with measurement-based load
 //     balancing (NewParallel),
@@ -79,26 +82,15 @@ type (
 
 // Engines. Both satisfy the Engine interface and are configured at
 // construction with functional options: NewSequential(sys, ff, st,
-// WithPairlist(skin)), NewParallel(sys, ff, st, workers,
-// WithBlockLists(skin), WithPME(grid, beta, mts), WithTrace(log)), etc.
+// WithClusterLists(4, 8)), NewParallel(sys, ff, st, workers,
+// WithPME(grid, beta, mts), WithTrace(log)), etc.
 type (
-	// Sequential is the single-threaded reference engine.
+	// Sequential is the single-threaded engine: cluster pair lists with
+	// WithClusterLists, the list-free reference path without.
 	Sequential = seq.Engine
 	// Parallel is the shared-memory goroutine engine.
 	Parallel = par.Engine
 )
-
-// PairBatch is the SoA pair block consumed by ForceField.NonbondedBatch —
-// the batched kernel both engines stream their nonbonded pairs through.
-type PairBatch = forcefield.PairBatch
-
-// NewPairBatch allocates a reusable pair batch with the given capacity
-// (forcefield.DefaultBatchSize is the engines' block size).
-var NewPairBatch = forcefield.NewPairBatch
-
-// DefaultTableBins is the bin count WithTabulatedKernels(0) auto-derives
-// its interaction-table spacing from: spacing = cutoff²/DefaultTableBins.
-const DefaultTableBins = forcefield.DefaultTableBins
 
 // Full electrostatics: constructing either engine with
 // WithPME(gridSpacing, beta, mtsPeriod) switches it to smooth

@@ -29,12 +29,12 @@ type JobState struct {
 	Step int64 // MD steps completed
 
 	// Precision names the numerical mode the trajectory was produced in
-	// ("fp64" or "fp32-mixed", with a "-tab" suffix when the tabulated
-	// cluster kernels were active; see gonamd.EngineSpec.PrecisionMode).
-	// Trajectories are bitwise reproducible within a mode but not across
-	// modes, so resume refuses a mode change. Empty in checkpoints that
-	// predate the field and means fp64 (gob tolerates the missing field,
-	// so JobVersion is unchanged).
+	// ("fp64", or "fp64-tab" when the tabulated cluster kernel was active;
+	// see gonamd.EngineSpec.PrecisionMode — checkpoints from older servers
+	// may carry modes that no longer exist). Trajectories are bitwise
+	// reproducible within a mode but not across modes, so resume refuses
+	// a mode change. Empty in checkpoints that predate the field and means
+	// fp64 (gob tolerates the missing field, so JobVersion is unchanged).
 	Precision string
 
 	// Single-engine MD jobs: full phase space plus the Langevin noise

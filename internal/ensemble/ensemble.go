@@ -71,7 +71,11 @@ type Config struct {
 
 	// EngineWorkers selects the per-replica engine: 0 = auto (sequential
 	// below ~25k atoms, parallel above), 1 = always sequential, >1 =
-	// parallel with that many workers per replica.
+	// parallel with that many workers per replica. Bitwise kill-and-resume
+	// is promised for sequential replicas, whose list-free forces are a
+	// pure function of the checkpointed positions; parallel replicas carry
+	// cluster-list history a checkpoint does not capture and resume within
+	// reduction tolerance.
 	EngineWorkers int
 
 	// CheckpointEvery, with CheckpointPath, writes an atomic whole-ensemble
@@ -219,9 +223,9 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State, cfg Co
 func newEngine(sys *topology.System, ff *forcefield.Params, st *topology.State, engineWorkers int) (engine, error) {
 	switch {
 	case engineWorkers == 0 && sys.N() >= parAtomThreshold:
-		return par.New(sys, ff, st, 0)
+		return par.New(sys, ff, st, 0, 0, 0)
 	case engineWorkers > 1:
-		return par.New(sys, ff, st, engineWorkers)
+		return par.New(sys, ff, st, engineWorkers, 0, 0)
 	default:
 		return seq.New(sys, ff, st)
 	}

@@ -30,32 +30,6 @@ func BenchmarkNonbondedPair(b *testing.B) {
 	_ = acc
 }
 
-// BenchmarkNonbondedBatch measures the batched SoA kernel on full
-// DefaultBatchSize-pair blocks — the granularity the engines actually use
-// — and reports per-pair cost for direct comparison with
-// BenchmarkNonbondedPair.
-func BenchmarkNonbondedBatch(b *testing.B) {
-	p := Standard(12.0)
-	rng := xrand.New(1)
-	batch := NewPairBatch(DefaultBatchSize)
-	for k := 0; k < DefaultBatchSize; k++ {
-		r := rng.Range(2, 11.9)
-		ux, uy, uz := rng.Range(-1, 1), rng.Range(-1, 1), rng.Range(-1, 1)
-		un := 1 / (ux*ux + uy*uy + uz*uz)
-		dx, dy, dz := ux*un*r, uy*un*r, uz*un*r
-		batch.Append(int32(2*k), int32(2*k+1), TypeOW, TypeHW, -0.834, 0.417,
-			dx, dy, dz, dx*dx+dy*dy+dz*dz, k%8 == 0)
-	}
-	b.ResetTimer()
-	var acc float64
-	for i := 0; i < b.N; i++ {
-		evdw, eelec, vir := p.NonbondedBatch(batch)
-		acc += evdw + eelec + vir
-	}
-	_ = acc
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/DefaultBatchSize, "ns/pair")
-}
-
 func BenchmarkBondKernel(b *testing.B) {
 	p := Standard(12.0)
 	box := vec.New(50, 50, 50)
@@ -91,7 +65,7 @@ func BenchmarkDihedralKernel(b *testing.B) {
 // cluster list at the ApoA-I production geometry (9 Å cutoff, 1.5 Å
 // skin) so the cluster kernels can be measured in isolation from the
 // engines. The reported ns/listed-pair is directly comparable to
-// BenchmarkNonbondedBatch's ns/pair.
+// BenchmarkNonbondedPair's ns/op.
 func clusterBenchSetup(b *testing.B, m, n int) (*Params, *spatial.ClusterList, *ClusterData, []int32, []float64, []float64, []float64, int) {
 	b.Helper()
 	const side, listDist = 97.3, 10.5
@@ -117,7 +91,6 @@ func clusterBenchSetup(b *testing.B, m, n int) (*Params, *spatial.ClusterList, *
 	}
 	l := builder.Build(pos, func(func(i, j int32, modified bool)) {})
 	d := &ClusterData{}
-	d.EnableF32(true)
 	d.LoadStatic(l, types, charges)
 	d.LoadPositions(l, pos)
 	ns := l.Slots()
@@ -150,9 +123,9 @@ func BenchmarkNonbondedCluster(b *testing.B) {
 	}
 }
 
-// BenchmarkNonbondedClusterEwald is the analytic float64 kernel with
-// the Ewald real-space electrostatics on — the erfc/exp-bound
-// configuration the tabulated kernels exist to beat.
+// BenchmarkNonbondedClusterEwald is the analytic kernel with the Ewald
+// real-space electrostatics on — the erfc/exp-bound configuration the
+// tabulated kernel exists to beat.
 func BenchmarkNonbondedClusterEwald(b *testing.B) {
 	p, l, d, ics, fx, fy, fz, pairs := clusterBenchSetup(b, 8, 8)
 	pe := p.WithEwald(0.35)
@@ -190,33 +163,4 @@ func BenchmarkNonbondedClusterTab(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
 		})
 	}
-}
-
-func BenchmarkNonbondedClusterTab32(b *testing.B) {
-	p, l, d, ics, fx, fy, fz, pairs := clusterBenchSetup(b, 8, 8)
-	pe := p.WithEwald(0.35)
-	tab, err := pe.BuildInteractionTable(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var acc float64
-	for i := 0; i < b.N; i++ {
-		evdw, eelec, vir := pe.NonbondedClusterTab32(tab, l, d, ics, fx, fy, fz)
-		acc += evdw + eelec + vir
-	}
-	_ = acc
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
-}
-
-func BenchmarkNonbondedCluster32(b *testing.B) {
-	p, l, d, ics, fx, fy, fz, pairs := clusterBenchSetup(b, 4, 4)
-	b.ResetTimer()
-	var acc float64
-	for i := 0; i < b.N; i++ {
-		evdw, eelec, vir := p.NonbondedCluster32(l, d, ics, fx, fy, fz)
-		acc += evdw + eelec + vir
-	}
-	_ = acc
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
 }

@@ -10,45 +10,26 @@ import (
 )
 
 // Cluster kernels: the nonbonded inner loop over spatial.ClusterList
-// M×N cluster pairs. Per atom pair the float64 kernel performs exactly
-// the same operations as Nonbonded/NonbondedBatch — the scalar kernel
-// stays the reference and the three are bitwise identical pairwise — but
-// the cluster layout amortizes everything else: displacements come from
+// M×N cluster pairs. Per atom pair the analytic kernel performs exactly
+// the same operations as the scalar Nonbonded — which stays the
+// reference, and the two are bitwise identical pairwise — but the
+// cluster layout amortizes everything else: displacements come from
 // slot-indexed position arrays with a branchy minimum-image wrap (no
 // per-pair division/rounding), exclusions are pre-resolved into the
 // entry masks (no per-pair Classify), i-cluster operands and force
 // accumulators live in fixed-size locals across a whole entry run, and
 // forces accumulate per cluster before touching the slot arrays.
-//
-// The float32 kernel (NonbondedCluster32) is the opt-in mixed-precision
-// fast path: pair arithmetic runs in float32 from float32 operand
-// mirrors, while every reduction crosses into float64 at cluster
-// granularity — i-row and j-slot force partials (≤ 8 terms each) and
-// per-entry energy partials are accumulated in float32, then added into
-// the float64 slot arrays and totals. erfc/exp/sqrt stay on the float64
-// library implementations (converted per call) so the f32 path differs
-// from f64 only by rounding, not by approximation; both paths are
-// bitwise deterministic for a fixed evaluation order.
 
 // ClusterData holds the slot-indexed SoA operands of the cluster
-// kernels for one ClusterList: wrapped positions, atom types, charges,
-// and (when mixed precision is enabled) their float32 mirrors. Padding
-// slots hold zeros; the entry masks guarantee they are never evaluated.
+// kernels for one ClusterList: wrapped positions, atom types and
+// charges. Padding slots hold zeros; the entry masks guarantee they are
+// never evaluated.
 type ClusterData struct {
 	X, Y, Z []float64
 	Typ     []int32
 	Q       []float64 // raw charge (reference-kernel operand)
 	QA      []float64 // units.Coulomb · Q, hoisted for the optimized kernel
-
-	X32, Y32, Z32 []float32
-	QA32, Q32     []float32
-
-	f32 bool
 }
-
-// EnableF32 switches maintenance of the float32 operand mirrors on or
-// off. It must be set before LoadStatic/LoadPositions.
-func (d *ClusterData) EnableF32(on bool) { d.f32 = on }
 
 // LoadStatic fills the per-slot type and charge tables from the atom
 // arrays. Call once per list rebuild (slot assignment changes), after
@@ -58,27 +39,16 @@ func (d *ClusterData) LoadStatic(l *spatial.ClusterList, types []int32, charges 
 	d.Typ = resizeI32f(d.Typ, n)
 	d.Q = resizeF64(d.Q, n)
 	d.QA = resizeF64(d.QA, n)
-	if d.f32 {
-		d.Q32 = resizeF32(d.Q32, n)
-		d.QA32 = resizeF32(d.QA32, n)
-	}
 	for s := 0; s < n; s++ {
 		a := l.Atom[s]
 		if a < 0 {
 			d.Typ[s], d.Q[s], d.QA[s] = 0, 0, 0
-			if d.f32 {
-				d.Q32[s], d.QA32[s] = 0, 0
-			}
 			continue
 		}
 		q := charges[a]
 		d.Typ[s] = types[a]
 		d.Q[s] = q
 		d.QA[s] = units.Coulomb * q
-		if d.f32 {
-			d.Q32[s] = float32(q)
-			d.QA32[s] = float32(units.Coulomb * q)
-		}
 	}
 }
 
@@ -90,31 +60,66 @@ func (d *ClusterData) LoadPositions(l *spatial.ClusterList, pos []vec.V3) {
 	d.X = resizeF64(d.X, n)
 	d.Y = resizeF64(d.Y, n)
 	d.Z = resizeF64(d.Z, n)
-	if d.f32 {
-		d.X32 = resizeF32(d.X32, n)
-		d.Y32 = resizeF32(d.Y32, n)
-		d.Z32 = resizeF32(d.Z32, n)
-	}
 	for s := 0; s < n; s++ {
 		a := l.Atom[s]
 		if a < 0 {
 			d.X[s], d.Y[s], d.Z[s] = 0, 0, 0
-			if d.f32 {
-				d.X32[s], d.Y32[s], d.Z32[s] = 0, 0, 0
-			}
 			continue
 		}
 		w := vec.Wrap(pos[a], l.Box)
 		d.X[s], d.Y[s], d.Z[s] = w.X, w.Y, w.Z
-		if d.f32 {
-			d.X32[s], d.Y32[s], d.Z32[s] = float32(w.X), float32(w.Y), float32(w.Z)
-		}
 	}
 }
 
-// NonbondedCluster evaluates the listed i-clusters (ics, in order) in
-// float64, accumulating slot forces into fx/fy/fz (indexed like
-// d, caller-zeroed) and returning the summed van der Waals energy,
+// ClusterKernel is the one place an engine's cluster kernel is chosen,
+// and the choice follows the electrostatics the parameter set carries:
+// the Ewald real-space term (EwaldBeta > 0) is evaluated from an
+// interaction table at the default spacing, where it wins 2× over
+// per-pair erfc/exp; shifted-cutoff Coulomb stays analytic, where the
+// table loses 12 % (BENCH_6.json). The zero value is the analytic
+// kernel.
+type ClusterKernel struct {
+	tab *InteractionTable
+	ref bool
+}
+
+// ClusterKernel returns the kernel selection for the parameter set,
+// building the interaction table when the set is in Ewald mode. Call it
+// again after WithEwald swaps the electrostatics.
+func (p *Params) ClusterKernel() (ClusterKernel, error) {
+	if p.EwaldBeta == 0 {
+		return ClusterKernel{}, nil
+	}
+	tab, err := p.BuildInteractionTable(0)
+	return ClusterKernel{tab: tab}, err
+}
+
+// Tabulated reports whether the production kernel is the tabulated one.
+func (k ClusterKernel) Tabulated() bool { return k.tab != nil }
+
+// UseReference switches evaluation to NonbondedClusterRef, the analytic
+// scalar replay of the same list walk — the oracle the conformance tests
+// compare the production kernel with through a whole engine: bitwise
+// for NonbondedCluster, within the table's h² bound for
+// NonbondedClusterTab.
+func (k *ClusterKernel) UseReference(on bool) { k.ref = on }
+
+// Eval runs the selected kernel over the listed i-clusters; the
+// arguments and results are NonbondedCluster's.
+func (k ClusterKernel) Eval(p *Params, l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (evdw, eelec, virial float64) {
+	switch {
+	case k.ref:
+		return p.NonbondedClusterRef(l, d, ics, fx, fy, fz)
+	case k.tab != nil:
+		return p.NonbondedClusterTab(k.tab, l, d, ics, fx, fy, fz)
+	default:
+		return p.NonbondedCluster(l, d, ics, fx, fy, fz)
+	}
+}
+
+// NonbondedCluster evaluates the listed i-clusters (ics, in order),
+// accumulating slot forces into fx/fy/fz (indexed like d, caller-zeroed)
+// and returning the summed van der Waals energy,
 // electrostatic energy, and pair virial Σ f·d. Per pair it is bitwise
 // identical to Nonbonded.
 //
@@ -375,200 +380,12 @@ func (p *Params) NonbondedClusterRef(l *spatial.ClusterList, d *ClusterData, ics
 	return evdw, eelec, virial
 }
 
-// NonbondedCluster32 is the mixed-precision fast path: pair arithmetic
-// in float32, reductions in float64 at cluster granularity. Slot forces
-// and returned energies are float64. The evaluation order matches
-// NonbondedCluster, so for a fixed list the result is bitwise
-// reproducible run-to-run (but NOT bitwise comparable to the float64
-// kernels).
-func (p *Params) NonbondedCluster32(l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (evdw, eelec, virial float64) {
-	rc2f := p.Cutoff * p.Cutoff
-	rs2f := p.SwitchDist * p.SwitchDist
-	rc2 := float32(rc2f)
-	rs2 := float32(rs2f)
-	denom := float32((rc2f - rs2f) * (rc2f - rs2f) * (rc2f - rs2f))
-	invDenom := 1 / denom
-	invDenom6 := 6 * invDenom
-	sw3 := rc2 - 3*rs2
-	pair, pair14 := p.pair32, p.pair14_32
-	nt := p.ntypes
-	scale14 := float32(p.Scale14Elec)
-	betaF := p.EwaldBeta
-	beta := float32(betaF)
-	invSqrtPiBeta := float32(betaF / math.SqrtPi)
-	invRc2 := float32(1 / rc2f)
-	bx, by, bz := float32(l.Box.X), float32(l.Box.Y), float32(l.Box.Z)
-	hx, hy, hz := bx/2, by/2, bz/2
-	M, N := l.M, l.N
-	xs, ys, zs := d.X32, d.Y32, d.Z32
-	typ, qs, qas := d.Typ, d.Q32, d.QA32
-	rowMask := uint64(1)<<uint(N) - 1
-
-	// Same discipline as NonbondedCluster — staged i-operands, constant
-	// length-8 j-view re-slices — except the j-forces still stage in
-	// float32 and flush per entry through a float64 conversion: that
-	// per-cluster float64 reduction is the mixed-precision contract.
-	var xi, yi, zi, qai [8]float32
-	var ti [8]int32
-	var fxi, fyi, fzi [8]float64
-	var fxj, fyj, fzj [8]float32
-
-	for _, ic32 := range ics {
-		ic := int(ic32)
-		lo, hi := l.EntryOff[ic], l.EntryOff[ic+1]
-		if lo == hi {
-			continue
-		}
-		iBase := ic * M
-		for a := 0; a < M; a++ {
-			s := iBase + a
-			xi[a&7], yi[a&7], zi[a&7] = xs[s], ys[s], zs[s]
-			ti[a&7], qai[a&7] = typ[s], qas[s]
-			fxi[a&7], fyi[a&7], fzi[a&7] = 0, 0, 0
-		}
-		for _, e := range l.Entries[lo:hi] {
-			jBase := int(e.J) * N
-			mask, modMask := e.Mask, e.Mod
-			xj := xs[jBase:][:8]
-			yj := ys[jBase:][:8]
-			zj := zs[jBase:][:8]
-			tj := typ[jBase:][:8]
-			qj := qs[jBase:][:8]
-			for b := 0; b < N; b++ {
-				fxj[b&7], fyj[b&7], fzj[b&7] = 0, 0, 0
-			}
-			var evE, eeE, virE float32 // per-entry energy partials
-			for a := 0; a < M; a++ {
-				row := (mask >> uint(a*N)) & rowMask
-				if row == 0 {
-					continue
-				}
-				xa, ya, za := xi[a&7], yi[a&7], zi[a&7]
-				rowBase := int(ti[a&7]) * nt
-				qa := qai[a&7]
-				var fxa, fya, fza float32
-				modRow := (modMask >> uint(a*N)) & rowMask
-				for bitset := row; bitset != 0; bitset &= bitset - 1 {
-					b := bits.TrailingZeros64(bitset) & 7
-					dx := xa - xj[b]
-					if dx > hx {
-						dx -= bx
-					} else if dx < -hx {
-						dx += bx
-					}
-					dy := ya - yj[b]
-					if dy > hy {
-						dy -= by
-					} else if dy < -hy {
-						dy += by
-					}
-					dz := za - zj[b]
-					if dz > hz {
-						dz -= bz
-					} else if dz < -hz {
-						dz += bz
-					}
-					x := dx*dx + dy*dy + dz*dz
-					if x >= rc2 || x == 0 {
-						continue
-					}
-
-					qq := qa * qj[b]
-					var pp pairParam32
-					if modRow&(1<<uint(b)) != 0 {
-						pp = pair14[rowBase+int(tj[b])]
-						qq *= scale14
-					} else {
-						pp = pair[rowBase+int(tj[b])]
-					}
-
-					invX := 1 / x
-					invX3 := invX * invX * invX
-					a6 := pp.A * invX3 * invX3
-					b3 := pp.B * invX3
-					v := a6 - b3
-					dvdx := (3*b3 - 6*a6) * invX
-
-					var ev, dEdxVdw float32
-					if x <= rs2 {
-						ev = v
-						dEdxVdw = dvdx
-					} else {
-						d := rc2 - x
-						sw := d * d * (sw3 + 2*x) * invDenom
-						dswdx := d * (rs2 - x) * invDenom6
-						ev = v * sw
-						dEdxVdw = dvdx*sw + v*dswdx
-					}
-
-					r := float32(math.Sqrt(float64(x)))
-					invR := r * invX
-					var ee, dEdxElec float32
-					if beta > 0 {
-						br := beta * r
-						erfc := float32(math.Erfc(float64(br)))
-						ee = qq * erfc * invR
-						dEdxElec = -qq * (invSqrtPiBeta*float32(math.Exp(float64(-br*br)))*invX + 0.5*erfc*invX*invR)
-					} else {
-						sh := 1 - x*invRc2
-						qir := qq * invR
-						shsh := sh * sh
-						ee = qir * shsh
-						dEdxElec = -qir * (0.5*shsh*invX + 2*sh*invRc2)
-					}
-
-					fOverR := -2 * (dEdxVdw + dEdxElec)
-					fpx := fOverR * dx
-					fpy := fOverR * dy
-					fpz := fOverR * dz
-					fxa += fpx
-					fya += fpy
-					fza += fpz
-					fxj[b] -= fpx
-					fyj[b] -= fpy
-					fzj[b] -= fpz
-
-					evE += ev
-					eeE += ee
-					virE += fOverR * x
-				}
-				fxi[a&7] += float64(fxa)
-				fyi[a&7] += float64(fya)
-				fzi[a&7] += float64(fza)
-			}
-			for b := 0; b < N; b++ {
-				s := jBase + b
-				fx[s] += float64(fxj[b&7])
-				fy[s] += float64(fyj[b&7])
-				fz[s] += float64(fzj[b&7])
-			}
-			evdw += float64(evE)
-			eelec += float64(eeE)
-			virial += float64(virE)
-		}
-		for a := 0; a < M; a++ {
-			s := iBase + a
-			fx[s] += fxi[a&7]
-			fy[s] += fyi[a&7]
-			fz[s] += fzi[a&7]
-		}
-	}
-	return evdw, eelec, virial
-}
-
 // The resize helpers guarantee capacity ≥ n+8 so the kernels can take
 // fixed 8-capacity re-slices of a cluster's slot run (see the tile
 // subslice comment in NonbondedCluster).
 func resizeF64(s []float64, n int) []float64 {
 	if cap(s) < n+8 {
 		return make([]float64, n, n+n/8+8)
-	}
-	return s[:n]
-}
-
-func resizeF32(s []float32, n int) []float32 {
-	if cap(s) < n+8 {
-		return make([]float32, n, n+n/8+8)
 	}
 	return s[:n]
 }

@@ -1,6 +1,7 @@
 package forcefield
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,6 +9,14 @@ import (
 	"gonamd/internal/spatial"
 	"gonamd/internal/vec"
 )
+
+func relDiff(a, b float64) float64 {
+	d := math.Abs(a - b)
+	if d == 0 {
+		return 0
+	}
+	return d / math.Max(math.Abs(a), math.Abs(b))
+}
 
 // clusterTestSystem is a random small system with exclusions for
 // kernel-level differential checks.
@@ -77,8 +86,7 @@ func (s *clusterTestSystem) forEachExcl(fn func(i, j int32, modified bool)) {
 // evalCluster builds an M×N list and runs the given kernel, returning
 // per-atom forces plus energies.
 func (s *clusterTestSystem) evalCluster(t *testing.T, m, n int,
-	kern func(p *Params, l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (float64, float64, float64),
-	f32 bool) ([]vec.V3, float64, float64, float64) {
+	kern func(p *Params, l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (float64, float64, float64)) ([]vec.V3, float64, float64, float64) {
 	t.Helper()
 	b, err := spatial.NewClusterBuilder(s.box, m, n, s.params.Cutoff)
 	if err != nil {
@@ -86,7 +94,6 @@ func (s *clusterTestSystem) evalCluster(t *testing.T, m, n int,
 	}
 	l := b.Build(s.pos, s.forEachExcl)
 	var d ClusterData
-	d.EnableF32(f32)
 	d.LoadStatic(l, s.types, s.charges)
 	d.LoadPositions(l, s.pos)
 	ns := l.Slots()
@@ -134,16 +141,16 @@ func (s *clusterTestSystem) bruteForces() ([]vec.V3, float64, float64) {
 	return forces, evdw, eelec
 }
 
-// TestClusterKernelMatchesReference: the optimized float64 cluster
-// kernel must be bitwise identical to the scalar-kernel replay over the
+// TestDifferentialClusterKernelVsReference: the optimized cluster kernel must
+// be bitwise identical to the scalar-kernel replay over the
 // same list, for several cluster geometries and both electrostatic
 // modes.
-func TestClusterKernelMatchesReference(t *testing.T) {
+func TestDifferentialClusterKernelVsReference(t *testing.T) {
 	for _, beta := range []float64{0, 0.35} {
 		for _, mn := range [][2]int{{4, 4}, {4, 8}, {8, 4}, {2, 3}, {1, 1}} {
 			s := newClusterTestSystem(t, 42, 180, beta)
-			fOpt, ev1, ee1, vir1 := s.evalCluster(t, mn[0], mn[1], (*Params).NonbondedCluster, false)
-			fRef, ev2, ee2, vir2 := s.evalCluster(t, mn[0], mn[1], (*Params).NonbondedClusterRef, false)
+			fOpt, ev1, ee1, vir1 := s.evalCluster(t, mn[0], mn[1], (*Params).NonbondedCluster)
+			fRef, ev2, ee2, vir2 := s.evalCluster(t, mn[0], mn[1], (*Params).NonbondedClusterRef)
 			if !reflect.DeepEqual(fOpt, fRef) {
 				t.Fatalf("beta=%g %dx%d: optimized forces differ from scalar replay", beta, mn[0], mn[1])
 			}
@@ -155,13 +162,13 @@ func TestClusterKernelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestClusterKernelMatchesBruteForce: summed per-atom forces and
+// TestDifferentialClusterKernelVsBruteForce: summed per-atom forces and
 // energies agree with the O(N²) scalar reference within accumulation-
 // order tolerance.
-func TestClusterKernelMatchesBruteForce(t *testing.T) {
+func TestDifferentialClusterKernelVsBruteForce(t *testing.T) {
 	for _, beta := range []float64{0, 0.35} {
 		s := newClusterTestSystem(t, 7, 200, beta)
-		fCl, ev, ee, _ := s.evalCluster(t, 4, 4, (*Params).NonbondedCluster, false)
+		fCl, ev, ee, _ := s.evalCluster(t, 4, 4, (*Params).NonbondedCluster)
 		fRef, evRef, eeRef := s.bruteForces()
 		if relDiff(ev, evRef) > 1e-12 || relDiff(ee, eeRef) > 1e-12 {
 			t.Fatalf("beta=%g: energies (%g,%g) vs brute (%g,%g)", beta, ev, ee, evRef, eeRef)
@@ -174,38 +181,38 @@ func TestClusterKernelMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestClusterKernel32Accuracy: the mixed-precision kernel tracks the
-// float64 kernel within float32 rounding accumulated over ≤8-term sums.
-func TestClusterKernel32Accuracy(t *testing.T) {
+// TestClusterKernelDispatch: the kernel selection follows the parameter
+// set's electrostatics — analytic for the shifted cutoff, tabulated for
+// Ewald — and UseReference switches either to the scalar replay.
+func TestClusterKernelDispatch(t *testing.T) {
 	for _, beta := range []float64{0, 0.35} {
-		s := newClusterTestSystem(t, 11, 200, beta)
-		f64s, ev64, ee64, _ := s.evalCluster(t, 4, 4, (*Params).NonbondedCluster, false)
-		f32s, ev32, ee32, _ := s.evalCluster(t, 4, 4, (*Params).NonbondedCluster32, true)
-		var maxF float64
-		for i := range f64s {
-			if n := f64s[i].Norm(); n > maxF {
-				maxF = n
+		s := newClusterTestSystem(t, 5, 160, beta)
+		k, err := s.params.ClusterKernel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k.Tabulated() != (beta > 0) {
+			t.Fatalf("beta=%g: Tabulated() = %v", beta, k.Tabulated())
+		}
+		want := (*Params).NonbondedCluster
+		if beta > 0 {
+			want = func(p *Params, l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (float64, float64, float64) {
+				return p.NonbondedClusterTab(k.tab, l, d, ics, fx, fy, fz)
 			}
 		}
-		for i := range f64s {
-			if d := f32s[i].Sub(f64s[i]).Norm(); d > 1e-4*(1+maxF) {
-				t.Fatalf("beta=%g atom %d: f32 force error %g (f64 %v, f32 %v)", beta, i, d, f64s[i], f32s[i])
-			}
+		eval := func(p *Params, l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (float64, float64, float64) {
+			return k.Eval(p, l, d, ics, fx, fy, fz)
 		}
-		if relDiff(ev32, ev64) > 1e-4 || relDiff(ee32, ee64) > 1e-4 {
-			t.Fatalf("beta=%g: f32 energies (%g,%g) vs f64 (%g,%g)", beta, ev32, ev64, ee32, ee64)
+		fGot, ev1, ee1, _ := s.evalCluster(t, 4, 8, eval)
+		fWant, ev2, ee2, _ := s.evalCluster(t, 4, 8, want)
+		if !reflect.DeepEqual(fGot, fWant) || ev1 != ev2 || ee1 != ee2 {
+			t.Errorf("beta=%g: Eval is not the selected production kernel", beta)
+		}
+		k.UseReference(true)
+		fGot, ev1, ee1, _ = s.evalCluster(t, 4, 8, eval)
+		fWant, ev2, ee2, _ = s.evalCluster(t, 4, 8, (*Params).NonbondedClusterRef)
+		if !reflect.DeepEqual(fGot, fWant) || ev1 != ev2 || ee1 != ee2 {
+			t.Errorf("beta=%g: UseReference did not select the scalar replay", beta)
 		}
 	}
 }
-
-// TestClusterKernel32Deterministic: repeated evaluation over the same
-// list is bitwise reproducible.
-func TestClusterKernel32Deterministic(t *testing.T) {
-	s := newClusterTestSystem(t, 3, 150, 0.35)
-	f1, ev1, ee1, vir1 := s.evalCluster(t, 4, 4, (*Params).NonbondedCluster32, true)
-	f2, ev2, ee2, vir2 := s.evalCluster(t, 4, 4, (*Params).NonbondedCluster32, true)
-	if !reflect.DeepEqual(f1, f2) || ev1 != ev2 || ee1 != ee2 || vir1 != vir2 {
-		t.Fatal("mixed-precision evaluation not bitwise reproducible")
-	}
-}
-

@@ -6,19 +6,18 @@ import (
 	"gonamd/internal/spatial"
 )
 
-// Tabulated cluster kernels: identical list walk, staging discipline,
-// and reduction order to NonbondedCluster/NonbondedCluster32 (see
-// cluster.go — staged i-operands, constant-length-8 j-view re-slices,
-// packed masks), but the per-pair interaction comes from an
-// InteractionTable lookup: no Sqrt, no Erfc/Exp, no switching branch.
-// The only data-dependent branches left in the pair loop are the cutoff
-// skip and the 1-4 parameter select. Both kernels are bitwise
-// deterministic for a fixed list and evaluation order, and bitwise
-// unrelated to the analytic kernels (documented accuracy envelope
-// instead; see DESIGN.md "Tabulated kernels").
+// Tabulated cluster kernel: identical list walk, staging discipline,
+// and reduction order to NonbondedCluster (see cluster.go — staged
+// i-operands, constant-length-8 j-view re-slices, packed masks), but the
+// per-pair interaction comes from an InteractionTable lookup: no Sqrt,
+// no Erfc/Exp, no switching branch. The only data-dependent branches
+// left in the pair loop are the cutoff skip and the 1-4 parameter
+// select. It is bitwise deterministic for a fixed list and evaluation
+// order, and bitwise unrelated to the analytic kernel (documented
+// accuracy envelope instead; see DESIGN.md "Nonbonded pipeline").
 
-// NonbondedClusterTab evaluates the listed i-clusters in float64 from
-// the interaction table, accumulating slot forces into fx/fy/fz
+// NonbondedClusterTab evaluates the listed i-clusters from the
+// interaction table, accumulating slot forces into fx/fy/fz
 // (caller-zeroed, capacity ≥ Slots()+8 like NonbondedCluster) and
 // returning the summed vdW energy, electrostatic energy, and pair
 // virial. tab must have been built from p (after any WithEwald swap);
@@ -152,157 +151,6 @@ func (p *Params) NonbondedClusterTab(tab *InteractionTable, l *spatial.ClusterLi
 				fyi[a&7] += fya
 				fzi[a&7] += fza
 			}
-		}
-		for a := 0; a < M; a++ {
-			s := iBase + a
-			fx[s] += fxi[a&7]
-			fy[s] += fyi[a&7]
-			fz[s] += fzi[a&7]
-		}
-	}
-	return evdw, eelec, virial
-}
-
-// NonbondedClusterTab32 combines the tabulated interaction with the
-// mixed-precision contract of NonbondedCluster32: pair arithmetic and
-// table reconstruction in float32 (from the C32 coefficient mirror),
-// every reduction crossing into float64 at cluster granularity. The
-// slot-force and energy outputs stay float64, bitwise reproducible for
-// a fixed list, and inside the fp32-mixed accuracy envelope.
-func (p *Params) NonbondedClusterTab32(tab *InteractionTable, l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (evdw, eelec, virial float64) {
-	tab.checkParams(p)
-	rc2 := float32(tab.Cutoff2)
-	invH := float32(tab.InvSpacing)
-	halfH := float32(tab.HalfSpacing)
-	tc := tab.C32
-	lastBin := tab.Bins
-	pair, pair14 := p.pair32, p.pair14_32
-	nt := p.ntypes
-	scale14 := float32(p.Scale14Elec)
-	bx, by, bz := float32(l.Box.X), float32(l.Box.Y), float32(l.Box.Z)
-	hx, hy, hz := bx/2, by/2, bz/2
-	M, N := l.M, l.N
-	xs, ys, zs := d.X32, d.Y32, d.Z32
-	typ, qs, qas := d.Typ, d.Q32, d.QA32
-	rowMask := uint64(1)<<uint(N) - 1
-
-	var xi, yi, zi, qai [8]float32
-	var ti [8]int32
-	var fxi, fyi, fzi [8]float64
-	var fxj, fyj, fzj [8]float32
-
-	for _, ic32 := range ics {
-		ic := int(ic32)
-		lo, hi := l.EntryOff[ic], l.EntryOff[ic+1]
-		if lo == hi {
-			continue
-		}
-		iBase := ic * M
-		for a := 0; a < M; a++ {
-			s := iBase + a
-			xi[a&7], yi[a&7], zi[a&7] = xs[s], ys[s], zs[s]
-			ti[a&7], qai[a&7] = typ[s], qas[s]
-			fxi[a&7], fyi[a&7], fzi[a&7] = 0, 0, 0
-		}
-		for _, e := range l.Entries[lo:hi] {
-			jBase := int(e.J) * N
-			mask, modMask := e.Mask, e.Mod
-			xj := xs[jBase:][:8]
-			yj := ys[jBase:][:8]
-			zj := zs[jBase:][:8]
-			tj := typ[jBase:][:8]
-			qj := qs[jBase:][:8]
-			for b := 0; b < N; b++ {
-				fxj[b&7], fyj[b&7], fzj[b&7] = 0, 0, 0
-			}
-			var evE, eeE, virE float32 // per-entry energy partials
-			for a := 0; a < M; a++ {
-				row := (mask >> uint(a*N)) & rowMask
-				if row == 0 {
-					continue
-				}
-				xa, ya, za := xi[a&7], yi[a&7], zi[a&7]
-				rowBase := int(ti[a&7]) * nt
-				qa := qai[a&7]
-				var fxa, fya, fza float32
-				modRow := (modMask >> uint(a*N)) & rowMask
-				for bitset := row; bitset != 0; bitset &= bitset - 1 {
-					b := bits.TrailingZeros64(bitset) & 7
-					dx := xa - xj[b]
-					if dx > hx {
-						dx -= bx
-					} else if dx < -hx {
-						dx += bx
-					}
-					dy := ya - yj[b]
-					if dy > hy {
-						dy -= by
-					} else if dy < -hy {
-						dy += by
-					}
-					dz := za - zj[b]
-					if dz > hz {
-						dz -= bz
-					} else if dz < -hz {
-						dz += bz
-					}
-					x := dx*dx + dy*dy + dz*dz
-					if x >= rc2 || x == 0 {
-						continue
-					}
-
-					qq := qa * qj[b]
-					var pp pairParam32
-					if modRow&(1<<uint(b)) != 0 {
-						pp = pair14[rowBase+int(tj[b])]
-						qq *= scale14
-					} else {
-						pp = pair[rowBase+int(tj[b])]
-					}
-
-					xh := x * invH
-					bin := int(xh)
-					if bin > lastBin {
-						bin = lastBin
-					}
-					t := xh - float32(bin)
-					c := tc[bin*tabStride:][:tabStride]
-					halfT := halfH * t
-					dr := c[1] + t*c[2]
-					dd := c[4] + t*c[5]
-					de := c[7] + t*c[8]
-					dEdx := pp.A*dr + pp.B*dd + qq*de
-					ev := pp.A*(c[0]+halfT*(c[1]+dr)) + pp.B*(c[3]+halfT*(c[4]+dd))
-					ee := qq * (c[6] + halfT*(c[7]+de))
-
-					fOverR := -2 * dEdx
-					fpx := fOverR * dx
-					fpy := fOverR * dy
-					fpz := fOverR * dz
-					fxa += fpx
-					fya += fpy
-					fza += fpz
-					fxj[b] -= fpx
-					fyj[b] -= fpy
-					fzj[b] -= fpz
-
-					evE += ev
-					eeE += ee
-					virE += fOverR * x
-				}
-				fxi[a&7] += float64(fxa)
-				fyi[a&7] += float64(fya)
-				fzi[a&7] += float64(fza)
-			}
-			for b := 0; b < N; b++ {
-				s := jBase + b
-				fx[s] += float64(fxj[b&7])
-				fy[s] += float64(fyj[b&7])
-				fz[s] += float64(fzj[b&7])
-			}
-			evdw += float64(evE)
-			eelec += float64(eeE)
-			virial += float64(virE)
 		}
 		for a := 0; a < M; a++ {
 			s := iBase + a

@@ -11,8 +11,8 @@ import (
 // identity refactor: elecEwaldReal and elecShiftedCoulomb must reproduce
 // the pre-hoist inline expressions (kept verbatim below) bit for bit
 // over a wide sweep of operand magnitudes. If the helpers are ever
-// "simplified" algebraically, this fails and the three analytic kernels
-// would silently stop being pairwise bitwise interchangeable.
+// "simplified" algebraically, this fails and the scalar and cluster
+// kernels would silently stop being pairwise bitwise interchangeable.
 func TestElecHelpersBitwiseIdentity(t *testing.T) {
 	rng := xrand.New(99)
 	for n := 0; n < 20000; n++ {
@@ -28,7 +28,7 @@ func TestElecHelpersBitwiseIdentity(t *testing.T) {
 		invRc2 := 1 / rc2
 
 		// The original Ewald real-space expression, exactly as it
-		// appeared in Nonbonded/NonbondedBatch/NonbondedCluster.
+		// appeared in Nonbonded and NonbondedCluster.
 		br := beta * r
 		erfc := math.Erfc(br)
 		wantEE := qq * erfc * invR

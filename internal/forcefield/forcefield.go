@@ -75,20 +75,12 @@ type Params struct {
 
 	pair   []pairParam // combined LJ table, len = ntypes²
 	pair14 []pairParam
-	// float32 mirrors of the combined tables, operands of the
-	// mixed-precision cluster kernel.
-	pair32    []pairParam32
-	pair14_32 []pairParam32
-	ntypes    int
+	ntypes int
 }
 
 type pairParam struct {
 	// LJ in the A/B form: E = A/r¹² − B/r⁶.
 	A, B float64
-}
-
-type pairParam32 struct {
-	A, B float32
 }
 
 // Validate checks the parameter set and precomputes combined pair tables.
@@ -153,12 +145,6 @@ func (p *Params) buildPairTables() {
 			pp.B *= p.Scale14VdW
 			p.pair14[i*t+j] = pp
 		}
-	}
-	p.pair32 = make([]pairParam32, t*t)
-	p.pair14_32 = make([]pairParam32, t*t)
-	for k := range p.pair {
-		p.pair32[k] = pairParam32{A: float32(p.pair[k].A), B: float32(p.pair[k].B)}
-		p.pair14_32[k] = pairParam32{A: float32(p.pair14[k].A), B: float32(p.pair14[k].B)}
 	}
 }
 

@@ -90,24 +90,50 @@ func numericalPairForce(p *Params, ti, tj int32, qi, qj, r float64, modified boo
 	return -(e2 - e1) / (2 * h) // force magnitude along r̂ (positive = repulsive)
 }
 
+// TestNonbondedForceMatchesEnergyGradient covers both electrostatic
+// modes: shifted-cutoff Coulomb and the Ewald real-space erfc term.
 func TestNonbondedForceMatchesEnergyGradient(t *testing.T) {
-	p := testParams(t)
-	rng := xrand.New(1)
-	for trial := 0; trial < 300; trial++ {
-		r := rng.Range(2.0, p.Cutoff-1e-3)
-		ti := int32(rng.Intn(NumTypes))
-		tj := int32(rng.Intn(NumTypes))
-		qi := rng.Range(-1, 1)
-		qj := rng.Range(-1, 1)
-		modified := rng.Intn(2) == 0
-		_, _, fOverR := p.Nonbonded(ti, tj, qi, qj, r*r, modified)
-		analytic := fOverR * r // radial force component on i along r̂
-		numeric := numericalPairForce(p, ti, tj, qi, qj, r, modified)
-		tol := 1e-4 * (1 + math.Abs(numeric))
-		if math.Abs(analytic-numeric) > tol {
-			t.Fatalf("trial %d: r=%.4f ti=%d tj=%d mod=%v: analytic force %v != numeric %v",
-				trial, r, ti, tj, modified, analytic, numeric)
+	for _, p := range []*Params{testParams(t), testParams(t).WithEwald(0.32)} {
+		rng := xrand.New(1)
+		for trial := 0; trial < 300; trial++ {
+			r := rng.Range(2.0, p.Cutoff-1e-3)
+			ti := int32(rng.Intn(NumTypes))
+			tj := int32(rng.Intn(NumTypes))
+			qi := rng.Range(-1, 1)
+			qj := rng.Range(-1, 1)
+			modified := rng.Intn(2) == 0
+			_, _, fOverR := p.Nonbonded(ti, tj, qi, qj, r*r, modified)
+			analytic := fOverR * r // radial force component on i along r̂
+			numeric := numericalPairForce(p, ti, tj, qi, qj, r, modified)
+			tol := 1e-4 * (1 + math.Abs(numeric))
+			if math.Abs(analytic-numeric) > tol {
+				t.Fatalf("beta=%g trial %d: r=%.4f ti=%d tj=%d mod=%v: analytic force %v != numeric %v",
+					p.EwaldBeta, trial, r, ti, tj, modified, analytic, numeric)
+			}
 		}
+	}
+}
+
+// TestWithEwaldSharesTables checks the shallow copy: the clone flips only
+// EwaldBeta and reuses the validated pair tables, and the receiver keeps
+// plain cutoff electrostatics.
+func TestWithEwaldSharesTables(t *testing.T) {
+	p := Standard(10.0)
+	e := p.WithEwald(0.3)
+	if p.EwaldBeta != 0 {
+		t.Fatal("WithEwald mutated the receiver")
+	}
+	if e.EwaldBeta != 0.3 || e.ntypes != p.ntypes || &e.pair[0] != &p.pair[0] {
+		t.Fatal("WithEwald clone does not share validated pair tables")
+	}
+	// Same vdW, different electrostatics.
+	ev1, ee1, _ := p.Nonbonded(TypeOW, TypeOW, -0.8, -0.8, 9.0, false)
+	ev2, ee2, _ := e.Nonbonded(TypeOW, TypeOW, -0.8, -0.8, 9.0, false)
+	if ev1 != ev2 {
+		t.Fatalf("vdW changed under WithEwald: %g vs %g", ev1, ev2)
+	}
+	if ee1 == ee2 {
+		t.Fatal("electrostatics identical despite Ewald screening")
 	}
 }
 

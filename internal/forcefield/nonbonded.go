@@ -39,9 +39,9 @@ func (p *Params) Nonbonded(ti, tj int32, qi, qj, r2 float64, modified bool) (evd
 
 	// One division and one square root per pair: every other reciprocal
 	// is a multiplication by a hoisted inverse or by invR = r·invX
-	// (= 1/r, since x = r²). The batch and cluster kernels use the
-	// identical expressions in the identical order so the three stay
-	// bitwise interchangeable.
+	// (= 1/r, since x = r²). The cluster kernel uses the identical
+	// expressions in the identical order so the two stay bitwise
+	// interchangeable.
 	x := r2 // work in x = r² to avoid sqrt where possible
 	invX := 1 / x
 	invX3 := invX * invX * invX
@@ -84,12 +84,12 @@ func (p *Params) Nonbonded(ti, tj int32, qi, qj, r2 float64, modified bool) (evd
 
 // elecEwaldReal is the erfc-screened Ewald real-space electrostatic term
 // qq·erfc(βr)/r and its derivative with respect to x = r². It is the one
-// shared definition of the expression the scalar, batch, and cluster
-// kernels all evaluate — hoisted so the three cannot drift apart; the
-// operations and their order are exactly the pre-hoist expressions, so
-// every caller stays bitwise identical to its previous inline form
-// (pinned by TestElecHelpersBitwiseIdentity). invSqrtPiBeta must be
-// β/√π, computed once by the caller.
+// shared definition of the expression the scalar and cluster kernels
+// and the table builder all evaluate — hoisted so they cannot drift
+// apart; the operations and their order are exactly the pre-hoist
+// expressions, so every caller stays bitwise identical to its previous
+// inline form (pinned by TestElecHelpersBitwiseIdentity). invSqrtPiBeta
+// must be β/√π, computed once by the caller.
 func elecEwaldReal(qq, r, invR, invX, beta, invSqrtPiBeta float64) (ee, dEdx float64) {
 	br := beta * r
 	erfc := math.Erfc(br)
@@ -100,7 +100,7 @@ func elecEwaldReal(qq, r, invR, invX, beta, invSqrtPiBeta float64) (ee, dEdx flo
 
 // elecShiftedCoulomb is the cutoff-electrostatics counterpart of
 // elecEwaldReal: Coulomb with the (1 - x/rc²)² shifting function, again
-// the single shared definition for all float64 kernels (same bitwise
+// the single shared definition for all analytic kernels (same bitwise
 // contract). invRc2 must be 1/rc², hoisted by the caller.
 func elecShiftedCoulomb(qq, invR, invX, x, invRc2 float64) (ee, dEdx float64) {
 	sh := 1 - x*invRc2

@@ -60,7 +60,7 @@ const tabStride = 12
 
 // DefaultTableBins is the bin count auto-derived spacing aims for:
 // spacing = cutoff²/DefaultTableBins. At a 9 Å cutoff that is
-// h ≈ 0.0025 Å², a ~3 MB float64 table (~1.5 MB float32), and a
+// h ≈ 0.0025 Å², a ~3 MB table, and a
 // relative force error of order 7h²/x² ≈ 1·10⁻⁶ at LJ-contact
 // separations — the per-atom error on a minimized ApoA-I box stays
 // inside the 1e-5 production envelope with ~4× headroom (16384 bins
@@ -95,8 +95,6 @@ type InteractionTable struct {
 	// guard and contributes exactly zero force and energy — the cutoff
 	// test costs a conditional move, not a data-dependent branch.
 	C []float64
-	// C32 is the float32 mirror evaluated by NonbondedClusterTab32.
-	C32 []float32
 }
 
 // BuildInteractionTable precomputes the interaction table for the
@@ -151,7 +149,6 @@ func (p *Params) BuildInteractionTable(spacing float64) (*InteractionTable, erro
 		Cutoff2:     rc2,
 		EwaldBeta:   p.EwaldBeta,
 		C:           make([]float64, (bins+1)*tabStride),
-		C32:         make([]float32, (bins+1)*tabStride),
 	}
 	// Record N (the guard every clamped beyond-cutoff lookup reads)
 	// stays all-zero: make's zero value is the coefficient set that
@@ -162,9 +159,6 @@ func (p *Params) BuildInteractionTable(spacing float64) (*InteractionTable, erro
 		c[0], c[1], c[2] = k0.er, k0.dr, k1.dr-k0.dr
 		c[3], c[4], c[5] = k0.ed, k0.dd, k1.dd-k0.dd
 		c[6], c[7], c[8] = k0.ee, k0.de, k1.de-k0.de
-	}
-	for i, v := range tab.C {
-		tab.C32[i] = float32(v)
 	}
 	return tab, nil
 }
@@ -204,7 +198,7 @@ func (p *Params) tableComponents(x float64) (tr, dtr, td, dtd, te, dte float64) 
 // Eval evaluates the table for one pair with folded parameters A, B
 // (combined LJ), qq (units.Coulomb·qi·qj, 1-4 scaled by the caller) at
 // squared separation x. It performs exactly the arithmetic of the
-// float64 cluster kernel's inner loop — this is the readable
+// tabulated cluster kernel's inner loop — this is the readable
 // specification the fuzz and sweep tests exercise — returning the vdW
 // energy, electrostatic energy, and dE/dx (force on i = −2·dEdx·dr).
 func (tab *InteractionTable) Eval(A, B, qq, x float64) (evdw, eelec, dEdx float64) {

@@ -41,8 +41,8 @@ func TestInteractionTableBuilderValidation(t *testing.T) {
 	if got := tab.Spacing * float64(tab.Bins); got != rc2 {
 		t.Errorf("grid spans %g, want exactly rc² = %g (spacing must snap)", got, rc2)
 	}
-	if len(tab.C) != (tab.Bins+1)*tabStride || len(tab.C32) != len(tab.C) {
-		t.Errorf("coefficient storage %d/%d words, want %d", len(tab.C), len(tab.C32), (tab.Bins+1)*tabStride)
+	if len(tab.C) != (tab.Bins+1)*tabStride {
+		t.Errorf("coefficient storage %d words, want %d", len(tab.C), (tab.Bins+1)*tabStride)
 	}
 }
 

@@ -88,7 +88,7 @@ const (
 	FieldPMESec       // cumulative PME reciprocal busy seconds
 	FieldIntegrateSec // cumulative integration busy seconds
 	FieldCommSec      // cumulative reduction/communication busy seconds
-	FieldRebuilds     // cumulative pairlist/blocklist/cluster rebuilds
+	FieldRebuilds     // cumulative cluster list rebuilds
 	FieldImbalance    // load imbalance: max/mean worker load - 1 (0 for seq)
 	FieldQueueDepth   // scheduler queue depth for the job's tenant
 	FieldHeapAlloc    // runtime.MemStats.HeapAlloc, bytes

@@ -8,25 +8,24 @@ import (
 	"gonamd/internal/trace"
 )
 
-// TestStepZeroAllocs guards the steady-state hot path: once the block
-// lists are built and the worker pool is up, a dynamics step must not
-// allocate. Regressions here (per-step goroutine spawns, batch or touch
-// list growth, rebinning scratch) show up as a nonzero count.
+// TestStepZeroAllocs guards the steady-state hot path: once the cluster
+// list is built and the worker pool is up, a dynamics step — including
+// list rebuilds, whose builder scratch, slot tables, and worker slot
+// buffers are all reused — must not allocate. Regressions here (per-step
+// goroutine spawns, touch list growth, rebuild scratch) show up as a
+// nonzero count.
 func TestStepZeroAllocs(t *testing.T) {
 	sys, st, err := molgen.Build(molgen.WaterBox(16, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ff := forcefield.Standard(7.0)
-	e, err := New(sys, ff, st, 8)
+	e, err := New(sys, ff, st, 8, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.RebalanceEvery = 0
-	if err := EnableBlockLists(e, 1.5); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 10; i++ {
 		e.Step(0.5)
 	}
 	if allocs := testing.AllocsPerRun(20, func() { e.Step(0.5) }); allocs != 0 {
@@ -45,17 +44,14 @@ func TestStepZeroAllocsTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	ff := forcefield.Standard(7.0)
-	e, err := New(sys, ff, st, 8)
+	e, err := New(sys, ff, st, 8, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.RebalanceEvery = 0
-	if err := EnableBlockLists(e, 1.5); err != nil {
-		t.Fatal(err)
-	}
 	l := trace.NewLog()
 	e.SetTrace(l)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 10; i++ {
 		e.Step(0.5)
 	}
 	if allocs := testing.AllocsPerRun(20, func() { e.Step(0.5) }); allocs != 0 {
@@ -69,25 +65,24 @@ func TestStepZeroAllocsTraced(t *testing.T) {
 // TestStepPMEZeroAllocsRealSpace guards the PME hot path: on steps that
 // do not hit a reciprocal-evaluation boundary (the MTS period here is
 // longer than the measured window), a full-electrostatics dynamics step
-// runs entirely in the erfc real-space path and must not allocate.
+// runs entirely in the tabulated real-space kernel — its interaction
+// table built once and shared read-only across workers — and must not
+// allocate.
 func TestStepPMEZeroAllocsRealSpace(t *testing.T) {
 	sys, st, err := molgen.Build(molgen.WaterBox(16, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ff := forcefield.Standard(7.0)
-	e, err := New(sys, ff, st, 8)
+	e, err := New(sys, ff, st, 8, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.RebalanceEvery = 0
-	if err := EnableBlockLists(e, 1.5); err != nil {
-		t.Fatal(err)
-	}
 	if err := EnableFullElectrostatics(e, 1.0, 0.45, 1000); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 10; i++ {
 		e.Step(0.5)
 	}
 	if allocs := testing.AllocsPerRun(20, func() { e.Step(0.5) }); allocs != 0 {
@@ -106,18 +101,15 @@ func TestStepPMEZeroAllocsRecip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ff := forcefield.Standard(7.0)
-	e, err := New(sys, ff, st, 8)
+	e, err := New(sys, ff, st, 8, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.RebalanceEvery = 0
-	if err := EnableBlockLists(e, 1.5); err != nil {
-		t.Fatal(err)
-	}
 	if err := EnableFullElectrostatics(e, 1.0, 0.45, 1); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 10; i++ {
 		e.Step(0.5)
 	}
 	evals := e.RecipEvals()
@@ -126,93 +118,5 @@ func TestStepPMEZeroAllocsRecip(t *testing.T) {
 	}
 	if got := e.RecipEvals() - evals; got < 20 {
 		t.Fatalf("measured window ran %d reciprocal evaluations, want one per step", got)
-	}
-}
-
-// TestStepClusterZeroAllocs guards the cluster-mode hot path: once the
-// cluster list is built and the worker pool is up, a dynamics step —
-// including list rebuilds, whose builder scratch, slot tables, and
-// worker slot buffers are all reused — must not allocate.
-func TestStepClusterZeroAllocs(t *testing.T) {
-	for _, mixed := range []bool{false, true} {
-		sys, st, err := molgen.Build(molgen.WaterBox(16, 7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ff := forcefield.Standard(7.0)
-		e, err := New(sys, ff, st, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.RebalanceEvery = 0
-		if err := e.EnableClusterLists(4, 4, 0, mixed); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 10; i++ {
-			e.Step(0.5)
-		}
-		if allocs := testing.AllocsPerRun(20, func() { e.Step(0.5) }); allocs != 0 {
-			t.Fatalf("mixed=%v: steady-state cluster Step allocates: %v allocs/step, want 0", mixed, allocs)
-		}
-	}
-}
-
-// TestStepClusterTabZeroAllocs guards the tabulated hot path: the
-// interaction table is built once at EnableTabulatedKernels and shared
-// read-only across workers, so steady-state tabulated steps — in both
-// float64 and fp32-mixed table modes — must not allocate.
-func TestStepClusterTabZeroAllocs(t *testing.T) {
-	for _, mixed := range []bool{false, true} {
-		sys, st, err := molgen.Build(molgen.WaterBox(16, 7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ff := forcefield.Standard(7.0)
-		e, err := New(sys, ff, st, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.RebalanceEvery = 0
-		if err := e.EnableClusterLists(4, 4, 0, mixed); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.EnableTabulatedKernels(0); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 10; i++ {
-			e.Step(0.5)
-		}
-		if allocs := testing.AllocsPerRun(20, func() { e.Step(0.5) }); allocs != 0 {
-			t.Fatalf("mixed=%v: steady-state tabulated Step allocates: %v allocs/step, want 0", mixed, allocs)
-		}
-	}
-}
-
-// TestStepClusterZeroAllocsTraced: cluster-mode steps stay
-// allocation-free with the trace recorder attached.
-func TestStepClusterZeroAllocsTraced(t *testing.T) {
-	sys, st, err := molgen.Build(molgen.WaterBox(16, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ff := forcefield.Standard(7.0)
-	e, err := New(sys, ff, st, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.RebalanceEvery = 0
-	if err := e.EnableClusterLists(4, 4, 0, false); err != nil {
-		t.Fatal(err)
-	}
-	l := trace.NewLog()
-	e.SetTrace(l)
-	for i := 0; i < 10; i++ {
-		e.Step(0.5)
-	}
-	if allocs := testing.AllocsPerRun(20, func() { e.Step(0.5) }); allocs != 0 {
-		t.Fatalf("traced steady-state cluster Step allocates: %v allocs/step, want 0", allocs)
-	}
-	if len(l.Records) == 0 {
-		t.Fatal("trace recorded nothing")
 	}
 }

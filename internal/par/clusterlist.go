@@ -1,34 +1,35 @@
 package par
 
 import (
+	"math"
+
 	"gonamd/internal/forcefield"
 	"gonamd/internal/seq"
 	"gonamd/internal/spatial"
+	"gonamd/internal/topology"
 	"gonamd/internal/vec"
 )
 
 // Cluster pair lists on the parallel engine: one global M×N cluster list
-// (spatial.ClusterBuilder) replaces the per-task Verlet block lists. The
-// driver rebuilds the list under the same skin/2 drift rule (shared
-// guard/refPos machinery), assigns each i-cluster to the spatial cell
-// containing its bounding-box center, and nonbonded work decomposes into
-// one task per cell covering that cell's contiguous run of the
+// (spatial.ClusterBuilder), rebuilt in the driver under the skin/2 drift
+// rule (spatial.ListGuard). Each i-cluster is assigned to the spatial
+// cell containing its bounding-box center, and nonbonded work decomposes
+// into one task per cell covering that cell's contiguous run of the
 // cell-grouped cluster order — so the measured-task-time load balancers
-// keep working unchanged, and task identities (and their measurements)
-// survive rebuilds. Workers accumulate slot-indexed forces into private
-// buffers and flush them into their atom-indexed accumulators by touched
-// lcm(M,N)-aligned slot block, keeping both the flush and the
-// deterministic sparse reduction O(touched); the buffers are re-zeroed
-// while flushing, so no bulk clear is ever needed and the steady state
-// stays allocation-free.
+// work on stable task identities whose measurements survive rebuilds.
+// Workers accumulate slot-indexed forces into private buffers and flush
+// them into their atom-indexed accumulators by touched lcm(M,N)-aligned
+// slot block, keeping both the flush and the deterministic sparse
+// reduction O(touched); the buffers are re-zeroed while flushing, so no
+// bulk clear is ever needed and the steady state stays allocation-free.
 
-// parClusterState is the engine-side state of cluster-mode evaluation.
+// parClusterState is the engine's cluster list, its validity guard, and
+// the kernel operands every worker reads.
 type parClusterState struct {
-	mixed   bool                         // float32 fast path
-	useRef  bool                         // evaluate via the scalar-replay reference kernel (tests)
-	tab     *forcefield.InteractionTable // tabulated kernels when non-nil
+	kernel  forcefield.ClusterKernel // shared read-only by the workers
 	builder *spatial.ClusterBuilder
 	list    *spatial.ClusterList
+	guard   spatial.ListGuard
 	data    forcefield.ClusterData
 	exclFn  func(func(i, j int32, modified bool)) // bound once; rebuilds allocate nothing
 
@@ -44,130 +45,44 @@ type parClusterState struct {
 	cellCnt []int32
 }
 
-// EnableClusterLists switches the engine's nonbonded evaluation to M×N
-// cluster pair lists with the given skin (Å; ≤ 0 selects the default),
-// rebuilt under the same skin/2 drift rule as the block lists. mixed
-// selects the float32-accumulation fast path (float64 per-cluster
-// reduction). The spatial grid is rebuilt with cells at least
-// cutoff+skin wide and the task decomposition becomes one nonbonded
-// task per cell plus the usual bonded chunks.
-//
-// Construct with gonamd.NewParallel(sys, ff, st, workers,
-// gonamd.WithClusterLists(m, n)) instead where possible; the option
-// validates the geometry and delegates here.
-func (e *Engine) EnableClusterLists(m, n int, skin float64, mixed bool) error {
-	if skin <= 0 {
-		skin = seq.DefaultClusterSkin
-	}
-	builder, err := spatial.NewClusterBuilder(e.Sys.Box, m, n, e.FF.Cutoff+skin)
+// init validates the cluster geometry and selects the kernel the force
+// field's electrostatics call for (forcefield.ClusterKernel).
+func (c *parClusterState) init(sys *topology.System, ff *forcefield.Params, m, n int) error {
+	builder, err := spatial.NewClusterBuilder(sys.Box, m, n, ff.Cutoff+seq.DefaultClusterSkin)
 	if err != nil {
 		return err
 	}
-	grid, err := spatial.NewGrid(e.Sys.Box, e.FF.Cutoff+skin)
+	kernel, err := ff.ClusterKernel()
 	if err != nil {
 		return err
 	}
-	e.grid = grid
-	e.binner = spatial.NewBinner(grid)
-
-	c := &parClusterState{builder: builder, mixed: mixed, exclFn: e.Sys.ForEachExcludedPair}
-	c.data.EnableF32(mixed)
-	na := e.Sys.N()
-	c.types = make([]int32, na)
-	c.charges = make([]float64, na)
+	na := sys.N()
+	*c = parClusterState{kernel: kernel, builder: builder, exclFn: sys.ForEachExcludedPair,
+		guard: spatial.NewListGuard(seq.DefaultClusterSkin),
+		types: make([]int32, na), charges: make([]float64, na)}
 	for i := 0; i < na; i++ {
-		c.types[i] = e.Sys.Atoms[i].Type
-		c.charges[i] = e.Sys.Atoms[i].Charge
+		c.types[i] = sys.Atoms[i].Type
+		c.charges[i] = sys.Atoms[i].Charge
 	}
-	e.clb = c
-
-	// One nonbonded task per cell (cluster ranges filled per rebuild)
-	// plus the usual bonded chunks; block-list state is replaced.
-	e.tasks = nil
-	e.buildClusterTasks()
-	e.staticAssign()
-	e.blists = nil
-	e.skin = skin
-	e.refPos = make([]vec.V3, na)
-	e.guard.Limit = skin / 2
-	e.guard.Invalidate()
-	e.listBuilt = false
-	e.rebuilds = 0
-	e.listScans, e.listSkips = 0, 0
-	e.fresh = false
-	return nil
-}
-
-// EnableTabulatedKernels switches cluster-mode nonbonded evaluation to
-// the r²-indexed interaction table (see the sequential engine's method
-// for the contract). The table is built once here from the engine's
-// current force field and shared read-only by every worker; per-task
-// evaluation order, the touched-block flush, and the deterministic
-// sparse reduction are unchanged, so tabulated parallel runs stay
-// bitwise reproducible for a fixed worker count and mode and the
-// steady-state step stays allocation-free.
-func (e *Engine) EnableTabulatedKernels(spacing float64) error {
-	if e.clb == nil {
-		return seq.ErrTabNeedsClusters
-	}
-	tab, err := e.FF.BuildInteractionTable(spacing)
-	if err != nil {
-		return err
-	}
-	e.clb.tab = tab
-	e.fresh = false
 	return nil
 }
 
 // UseReferenceClusterKernel toggles evaluation through the scalar-replay
 // reference kernel (forcefield.NonbondedClusterRef) instead of the
-// optimized one; differential tests use it to prove the optimized kernel
-// bitwise-identical through the full engine pipeline. Ignored in
-// mixed-precision mode (the reference is float64-only).
+// production one, over the same list. The conformance tests use it to
+// compare the two through the full engine pipeline.
 func (e *Engine) UseReferenceClusterKernel(on bool) {
-	if e.clb != nil {
-		e.clb.useRef = on
-		e.fresh = false
-	}
+	e.clb.kernel.UseReference(on)
+	e.fresh = false
 }
 
 // ClusterRebuilds reports how many times the cluster list was (re)built.
-func (e *Engine) ClusterRebuilds() int {
-	if e.clb == nil {
-		return 0
-	}
-	return e.rebuilds
-}
+func (e *Engine) ClusterRebuilds() int { return e.clb.guard.Builds }
 
-// buildClusterTasks mirrors buildTasks for cluster mode: one nonbonded
-// task per cell plus bonded chunks.
-func (e *Engine) buildClusterTasks() {
-	np := e.grid.NumPatches()
-	for c := 0; c < np; c++ {
-		e.tasks = append(e.tasks, task{kind: taskCluster, cellA: c, cells: []int{c}})
-	}
-	if e.terms == nil {
-		for i := range e.Sys.Bonds {
-			e.terms = append(e.terms, bondedRef{0, int32(i)})
-		}
-		for i := range e.Sys.Angles {
-			e.terms = append(e.terms, bondedRef{1, int32(i)})
-		}
-		for i := range e.Sys.Dihedrals {
-			e.terms = append(e.terms, bondedRef{2, int32(i)})
-		}
-		for i := range e.Sys.Impropers {
-			e.terms = append(e.terms, bondedRef{3, int32(i)})
-		}
-	}
-	const chunk = 512
-	for lo := 0; lo < len(e.terms); lo += chunk {
-		hi := lo + chunk
-		if hi > len(e.terms) {
-			hi = len(e.terms)
-		}
-		e.tasks = append(e.tasks, task{kind: taskBonded, lo: lo, hi: hi})
-	}
+// advanceGuard feeds one integration step's maximum displacement bound
+// (|v|max·dt) to the list's drift guard.
+func (e *Engine) advanceGuard(maxV2, dt float64) {
+	e.clb.guard.Advance(math.Sqrt(maxV2) * dt)
 }
 
 // rebuildClusters regenerates the global cluster list at the current
@@ -177,7 +92,7 @@ func (e *Engine) buildClusterTasks() {
 // slot force buffers. Runs in the driver, strictly before evaluation, so
 // a rebuild step evaluates exactly the same list a replay step would.
 func (e *Engine) rebuildClusters() {
-	c := e.clb
+	c := &e.clb
 	c.list = c.builder.Build(e.St.Pos, c.exclFn)
 	c.data.LoadStatic(c.list, c.types, c.charges)
 
@@ -205,8 +120,8 @@ func (e *Engine) rebuildClusters() {
 	for ti := range e.tasks {
 		t := &e.tasks[ti]
 		if t.kind == taskCluster {
-			t.lo = int(c.cellCnt[t.cellA])
-			t.hi = int(c.cellCnt[t.cellA+1])
+			t.lo = int(c.cellCnt[t.cell])
+			t.hi = int(c.cellCnt[t.cell+1])
 		}
 	}
 	for ic := 0; ic < numI; ic++ {
@@ -231,14 +146,15 @@ func (e *Engine) rebuildClusters() {
 			ws.blkTouch = make([]int32, 0, nblk+8)
 		}
 	}
+	c.guard.Rebase(e.St.Pos)
 }
 
-// runClusterTask evaluates one cell's clusters with the configured
+// runClusterTask evaluates one cell's clusters with the selected
 // kernel, recording which lcm(M,N)-aligned slot blocks the worker's
 // buffers were written in (i-cluster and entry j-cluster ranges never
 // straddle a block boundary).
 func (e *Engine) runClusterTask(t *task, ws *wstate, en *seq.Energies) {
-	c := e.clb
+	c := &e.clb
 	l := c.list
 	ics := c.clOrder[t.lo:t.hi]
 	if len(ics) == 0 {
@@ -261,19 +177,7 @@ func (e *Engine) runClusterTask(t *task, ws *wstate, en *seq.Energies) {
 			}
 		}
 	}
-	var evdw, eelec, vir float64
-	switch {
-	case c.tab != nil && c.mixed:
-		evdw, eelec, vir = e.FF.NonbondedClusterTab32(c.tab, l, &c.data, ics, ws.fxs, ws.fys, ws.fzs)
-	case c.tab != nil:
-		evdw, eelec, vir = e.FF.NonbondedClusterTab(c.tab, l, &c.data, ics, ws.fxs, ws.fys, ws.fzs)
-	case c.mixed:
-		evdw, eelec, vir = e.FF.NonbondedCluster32(l, &c.data, ics, ws.fxs, ws.fys, ws.fzs)
-	case c.useRef:
-		evdw, eelec, vir = e.FF.NonbondedClusterRef(l, &c.data, ics, ws.fxs, ws.fys, ws.fzs)
-	default:
-		evdw, eelec, vir = e.FF.NonbondedCluster(l, &c.data, ics, ws.fxs, ws.fys, ws.fzs)
-	}
+	evdw, eelec, vir := c.kernel.Eval(e.FF, l, &c.data, ics, ws.fxs, ws.fys, ws.fzs)
 	en.VdW += evdw
 	en.Elec += eelec
 	en.Virial += vir
@@ -284,7 +188,7 @@ func (e *Engine) runClusterTask(t *task, ws *wstate, en *seq.Energies) {
 // deterministic for a fixed assignment) and re-zeroes them in the same
 // walk, restoring the all-zero invariant without a bulk clear.
 func (e *Engine) flushClusterForces(ws *wstate) {
-	c := e.clb
+	c := &e.clb
 	l := c.list
 	L := c.builder.L
 	atomOf := l.Atom

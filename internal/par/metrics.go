@@ -37,7 +37,7 @@ func (e *Engine) publishMetrics() {
 	rec.Store(ftdc.FieldPMESec, ph[trace.CatPME])
 	rec.Store(ftdc.FieldIntegrateSec, ph[trace.CatIntegration])
 	rec.Store(ftdc.FieldCommSec, ph[trace.CatComm])
-	rec.StoreInt(ftdc.FieldRebuilds, int64(e.rebuilds))
+	rec.StoreInt(ftdc.FieldRebuilds, int64(e.ClusterRebuilds()))
 	var sum, max float64
 	for w := range e.wstates {
 		load := e.wstates[w].nbT + e.wstates[w].bT

@@ -1,21 +1,15 @@
 // Package par is a real (not simulated) parallel molecular dynamics
 // engine for shared-memory machines: the paper's object decomposition
-// with goroutines in place of processors. Space is divided into
-// cutoff-sized cells; nonbonded self/pair computes, and chunks of bonded
-// terms, become tasks whose execution times are measured every step and
-// periodically rebalanced across workers with the same measurement-based
-// greedy/refinement strategies (internal/ldb) the cluster simulation
-// uses. Forces accumulate into worker-private arrays and are reduced in a
-// deterministic order, so results are independent of scheduling.
-//
-// The nonbonded hot path is batched: candidate pairs that survive
-// screening stream into per-worker structure-of-arrays blocks evaluated
-// by forcefield.NonbondedBatch, and each worker records the set of atom
-// indices it actually wrote so both the zeroing of its private array and
-// the final reduction cost O(touched) instead of O(N·workers). With
-// EnableBlockLists each nonbonded task additionally caches a Verlet pair
-// list with a skin, rebuilt only when atoms drift too far (see
-// blocklist.go).
+// with goroutines in place of processors. Nonbonded work is one global
+// M×N cluster pair list (clusterlist.go) cut into one task per spatial
+// cell, bonded terms into fixed-size chunks; task execution times are
+// measured every step and periodically rebalanced across workers with the
+// same measurement-based greedy/refinement strategies (internal/ldb) the
+// cluster simulation uses. Forces accumulate into worker-private arrays —
+// each worker records the atoms it actually wrote, so zeroing and the
+// final reduction cost O(touched) instead of O(N·workers) — and are
+// reduced in a deterministic order, so results are independent of
+// scheduling.
 package par
 
 import (
@@ -42,17 +36,14 @@ import (
 type taskKind uint8
 
 const (
-	taskSelf taskKind = iota
-	taskPair
-	taskBonded
-	taskCluster // one cell's run of the cell-grouped cluster order (clusterlist.go)
+	taskBonded  taskKind = iota
+	taskCluster          // one cell's run of the cell-grouped cluster order (clusterlist.go)
 )
 
 type task struct {
 	kind     taskKind
-	cellA    int // self and pair
-	cellB    int // pair only
-	lo, hi   int // bonded: term index range into the flattened term list
+	cell     int // cluster: owning cell
+	lo, hi   int // bonded: term range into the flattened list; cluster: range into clOrder
 	cells    []int
 	measured float64 // seconds, exponentially smoothed
 }
@@ -71,9 +62,9 @@ type wstate struct {
 	touch []int32
 	mark  []bool
 
-	// Cluster mode (clusterlist.go): slot-indexed force buffers the cluster
-	// kernels accumulate into, flushed to f by touched lcm(M,N)-aligned slot
-	// block after the task loop. Invariant: all-zero between evaluations.
+	// Slot-indexed force buffers the cluster kernels accumulate into
+	// (clusterlist.go), flushed to f by touched lcm(M,N)-aligned slot block
+	// after the task loop. Invariant: all-zero between evaluations.
 	fxs, fys, fzs []float64
 	blkTouch      []int32
 	blkMark       []bool
@@ -89,14 +80,6 @@ func (ws *wstate) add(i int32, fv vec.V3) {
 		ws.touch = append(ws.touch, i)
 	}
 	ws.f[i] = ws.f[i].Add(fv)
-}
-
-func (ws *wstate) sub(i int32, fv vec.V3) {
-	if !ws.mark[i] {
-		ws.mark[i] = true
-		ws.touch = append(ws.touch, i)
-	}
-	ws.f[i] = ws.f[i].Sub(fv)
 }
 
 // Engine runs molecular dynamics across a pool of goroutine workers.
@@ -119,17 +102,14 @@ type Engine struct {
 	Thermo thermo.Thermostat
 
 	workers  int
-	grid     *spatial.Grid
-	binner   *spatial.Binner
+	grid     *spatial.Grid // cells of edge ≥ cutoff+skin: the task decomposition
 	tasks    []task
 	assign   []int // task → worker
 	cellHome []int // cell → initially responsible worker (for ldb locality)
 	terms    []bondedRef
 
-	bins    [][]int32
 	forces  []vec.V3 // reduced forces
 	wstates []wstate // per-worker accumulators with touched-set tracking
-	wbatch  []*forcefield.PairBatch
 	wenergy []seq.Energies
 
 	// Persistent worker pool: spawning 2·workers goroutines per force
@@ -144,25 +124,12 @@ type Engine struct {
 	pmeFn    func(w int)
 
 	// pme, when non-nil, holds the full-electrostatics slow-force solver
-	// (see pme.go); the pair kernels then evaluate the erfc real-space
+	// (see pme.go); the pair kernel then evaluates the erfc real-space
 	// term and Step follows the impulse-MTS reciprocal schedule.
 	pme *pme.Solver
 
-	// Cluster pair lists (EnableClusterLists); nil means disabled. Shares
-	// skin/refPos/guard bookkeeping with the block lists below.
-	clb *parClusterState
-
-	// Verlet block lists (EnableBlockLists); skin == 0 means disabled.
-	skin       float64
-	blists     [][]uint64 // per-task packed pair lists
-	refPos     []vec.V3   // positions at last list build
-	guard      spatial.DriftGuard
-	listBuilt  bool
-	rebuildNow bool // this evaluation rebuilds every task's list
-	rebuilds   int
-	listScans  int
-	listSkips  int
-	dirtyCell  int // cell that triggered the last rebuild (-1 initial)
+	// clb is the global cluster pair list and its kernel (clusterlist.go).
+	clb parClusterState
 
 	cur      seq.Energies
 	fresh    bool
@@ -177,10 +144,21 @@ type Engine struct {
 	metrics *ftdc.Recorder
 }
 
-// New creates an engine with the given number of workers (0 = NumCPU).
-func New(sys *topology.System, ff *forcefield.Params, st *topology.State, workers int) (*Engine, error) {
+// DefaultClusterM × DefaultClusterN is the cluster geometry New uses when
+// given none: the shape every benchmark workload runs, within 5 % of 4×4
+// and 8×8 on the 92k-atom step (BENCH_6.json).
+const DefaultClusterM, DefaultClusterN = 4, 8
+
+// New creates an engine with the given number of workers (0 = NumCPU)
+// over m×n cluster pair lists (0, 0 = the default geometry). The spatial
+// grid has cells at least cutoff+skin wide, and work decomposes into one
+// nonbonded task per cell plus chunks of bonded terms.
+func New(sys *topology.System, ff *forcefield.Params, st *topology.State, workers, m, n int) (*Engine, error) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
+	}
+	if m == 0 && n == 0 {
+		m, n = DefaultClusterM, DefaultClusterN
 	}
 	if sys.N() != len(st.Pos) || sys.N() != len(st.Vel) {
 		return nil, fmt.Errorf("par: state size does not match system")
@@ -188,7 +166,7 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State, worker
 	if !sys.ExclusionsBuilt() {
 		return nil, fmt.Errorf("par: exclusions not built")
 	}
-	grid, err := spatial.NewGrid(sys.Box, ff.Cutoff)
+	grid, err := spatial.NewGrid(sys.Box, ff.Cutoff+seq.DefaultClusterSkin)
 	if err != nil {
 		return nil, err
 	}
@@ -197,12 +175,12 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State, worker
 		RebalanceEvery: 20,
 		workers:        workers,
 		grid:           grid,
-		binner:         spatial.NewBinner(grid),
 		forces:         make([]vec.V3, sys.N()),
 		wstates:        make([]wstate, workers),
-		wbatch:         make([]*forcefield.PairBatch, workers),
 		wenergy:        make([]seq.Energies, workers),
-		dirtyCell:      -1,
+	}
+	if err := e.clb.init(sys, ff, m, n); err != nil {
+		return nil, err
 	}
 	for w := range e.wstates {
 		e.wstates[w] = wstate{
@@ -210,7 +188,6 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State, worker
 			touch: make([]int32, 0, sys.N()),
 			mark:  make([]bool, sys.N()),
 		}
-		e.wbatch[w] = forcefield.NewPairBatch(forcefield.DefaultBatchSize)
 	}
 	e.buildTasks()
 	e.staticAssign()
@@ -226,27 +203,25 @@ func (e *Engine) NumTasks() int { return len(e.tasks) }
 // Balances returns how many load-balancing passes have run.
 func (e *Engine) Balances() int { return e.balances }
 
+// buildTasks creates one cluster task per cell (its cluster range is
+// filled in on every list rebuild; the task objects, and their measured
+// times, persist) plus the bonded chunks.
 func (e *Engine) buildTasks() {
 	np := e.grid.NumPatches()
 	for c := 0; c < np; c++ {
-		e.tasks = append(e.tasks, task{kind: taskSelf, cellA: c, cells: []int{c}})
+		e.tasks = append(e.tasks, task{kind: taskCluster, cell: c, cells: []int{c}})
 	}
-	for _, pr := range e.grid.NeighborPairs() {
-		e.tasks = append(e.tasks, task{kind: taskPair, cellA: pr[0], cellB: pr[1], cells: []int{pr[0], pr[1]}})
+	for i := range e.Sys.Bonds {
+		e.terms = append(e.terms, bondedRef{0, int32(i)})
 	}
-	if e.terms == nil {
-		for i := range e.Sys.Bonds {
-			e.terms = append(e.terms, bondedRef{0, int32(i)})
-		}
-		for i := range e.Sys.Angles {
-			e.terms = append(e.terms, bondedRef{1, int32(i)})
-		}
-		for i := range e.Sys.Dihedrals {
-			e.terms = append(e.terms, bondedRef{2, int32(i)})
-		}
-		for i := range e.Sys.Impropers {
-			e.terms = append(e.terms, bondedRef{3, int32(i)})
-		}
+	for i := range e.Sys.Angles {
+		e.terms = append(e.terms, bondedRef{1, int32(i)})
+	}
+	for i := range e.Sys.Dihedrals {
+		e.terms = append(e.terms, bondedRef{2, int32(i)})
+	}
+	for i := range e.Sys.Impropers {
+		e.terms = append(e.terms, bondedRef{3, int32(i)})
 	}
 	const chunk = 512
 	for lo := 0; lo < len(e.terms); lo += chunk {
@@ -259,13 +234,13 @@ func (e *Engine) buildTasks() {
 }
 
 // staticAssign distributes cells over workers with RCB and places each
-// task on the worker owning its (first) cell — the analogue of the
+// cluster task on the worker owning its cell — the analogue of the
 // paper's static placement stage.
 func (e *Engine) staticAssign() {
 	np := e.grid.NumPatches()
 	centers := make([]vec.V3, np)
 	weights := make([]float64, np)
-	bins := e.binner.Bin(e.St.Pos)
+	bins := e.grid.Bin(e.St.Pos)
 	for c := 0; c < np; c++ {
 		centers[c] = e.grid.Center(c)
 		weights[c] = float64(len(bins[c])) + 1
@@ -273,15 +248,10 @@ func (e *Engine) staticAssign() {
 	e.cellHome = spatial.RCB(centers, weights, e.workers)
 	e.assign = make([]int, len(e.tasks))
 	for ti, t := range e.tasks {
-		switch t.kind {
-		case taskSelf:
-			e.assign[ti] = e.cellHome[t.cellA]
-		case taskPair:
-			e.assign[ti] = e.cellHome[e.grid.BaseOf([]int{t.cellA, t.cellB})]
-		case taskBonded:
+		if t.kind == taskCluster {
+			e.assign[ti] = e.cellHome[t.cell]
+		} else {
 			e.assign[ti] = ti % e.workers
-		case taskCluster:
-			e.assign[ti] = e.cellHome[t.cellA]
 		}
 	}
 }
@@ -291,8 +261,6 @@ func (e *Engine) staticAssign() {
 // centralized pair the cluster simulation uses). The balance count is
 // the strategy's pass number, so composite strategies run their global
 // stage on the first rebalance and refine incrementally thereafter.
-// Cached block lists are per task, not per worker, so they survive
-// reassignment.
 func (e *Engine) Rebalance() {
 	prob := &ldb.Problem{
 		NumPE:      e.workers,
@@ -318,29 +286,13 @@ func (e *Engine) Rebalance() {
 // ComputeForces evaluates all forces in parallel and returns energies
 // (kinetic included).
 func (e *Engine) ComputeForces() seq.Energies {
-	if e.skin > 0 {
-		// Verlet lists (block or cluster): rebuild only when the lists
-		// went stale; otherwise both bins and lists are reused. Cluster
-		// lists rebuild in the driver so a rebuild step evaluates exactly
-		// the list a replay step would (bitwise rebuild-vs-replay).
-		e.rebuildNow = !e.listsValid()
-		if e.rebuildNow {
-			if e.clb != nil {
-				e.rebuildClusters()
-			} else {
-				e.bins = e.binner.Bin(e.St.Pos)
-			}
-			copy(e.refPos, e.St.Pos)
-			e.guard.Reset()
-			e.listBuilt = true
-			e.rebuilds++
-		}
-		if e.clb != nil {
-			e.clb.data.LoadPositions(e.clb.list, e.St.Pos)
-		}
-	} else {
-		e.bins = e.binner.Bin(e.St.Pos)
+	// The list rebuilds only when it went stale, and in the driver, so a
+	// rebuild step evaluates exactly the list a replay step would (bitwise
+	// rebuild-vs-replay).
+	if !e.clb.guard.Valid(e.St.Pos, e.Sys.Box) {
+		e.rebuildClusters()
 	}
+	e.clb.data.LoadPositions(e.clb.list, e.St.Pos)
 
 	t := e.phaseNow()
 	e.poolOnce.Do(e.startPool)
@@ -433,22 +385,11 @@ func (e *Engine) computeWorker(w int) {
 		}
 		start := time.Now()
 		t := &e.tasks[ti]
-		switch {
-		case t.kind == taskBonded:
+		if t.kind == taskBonded {
 			e.bondedRange(t.lo, t.hi, ws, &en)
-		case t.kind == taskCluster:
+		} else {
 			e.runClusterTask(t, ws, &en)
-		case e.skin > 0 && e.rebuildNow:
-			e.buildRunTask(ti, t, w, ws, &en)
-		case e.skin > 0:
-			e.runListTask(ti, w, ws, &en)
-		default:
-			e.runCellTask(t, w, ws, &en)
 		}
-		// The batch never spans tasks: flushing here keeps each task's
-		// energy grouping self-contained regardless of which worker runs
-		// it, and charges the work to the right task measurement.
-		e.flushBatch(w, ws, &en)
 		dt := time.Since(start).Seconds()
 		if t.kind == taskBonded {
 			bT += dt
@@ -463,9 +404,7 @@ func (e *Engine) computeWorker(w int) {
 			t.measured = 0.7*t.measured + 0.3*dt
 		}
 	}
-	if e.clb != nil {
-		e.flushClusterForces(ws)
-	}
+	e.flushClusterForces(ws)
 	ws.nbT, ws.bT = nbT, bT
 	slices.Sort(ws.touch)
 	e.wenergy[w] = en
@@ -484,65 +423,6 @@ func (e *Engine) reduceRange(lo, hi int) {
 			e.forces[i] = e.forces[i].Add(ws.f[i])
 		}
 	}
-}
-
-// runCellTask evaluates a self or pair task directly from the current
-// binning (the non-list path).
-func (e *Engine) runCellTask(t *task, w int, ws *wstate, en *seq.Energies) {
-	cutoff2 := e.FF.Cutoff * e.FF.Cutoff
-	switch t.kind {
-	case taskSelf:
-		atoms := e.bins[t.cellA]
-		for x := 0; x < len(atoms); x++ {
-			for y := x + 1; y < len(atoms); y++ {
-				e.batchPair(atoms[x], atoms[y], cutoff2, w, ws, en)
-			}
-		}
-	case taskPair:
-		for _, i := range e.bins[t.cellA] {
-			for _, j := range e.bins[t.cellB] {
-				e.batchPair(i, j, cutoff2, w, ws, en)
-			}
-		}
-	}
-}
-
-// batchPair screens one candidate pair and appends survivors to the
-// worker's batch, flushing full blocks.
-func (e *Engine) batchPair(i, j int32, cutoff2 float64, w int, ws *wstate, en *seq.Energies) {
-	d := vec.MinImage(e.St.Pos[i], e.St.Pos[j], e.Sys.Box)
-	r2 := d.Norm2()
-	if r2 >= cutoff2 {
-		return
-	}
-	kind := e.Sys.Classify(i, j)
-	if kind == topology.PairExcluded {
-		return
-	}
-	ai, aj := &e.Sys.Atoms[i], &e.Sys.Atoms[j]
-	e.wbatch[w].Append(i, j, ai.Type, aj.Type, ai.Charge, aj.Charge, d.X, d.Y, d.Z, r2, kind == topology.PairModified)
-	if e.wbatch[w].Full() {
-		e.flushBatch(w, ws, en)
-	}
-}
-
-// flushBatch evaluates the worker's pending block with the batched kernel
-// and scatters forces in append order.
-func (e *Engine) flushBatch(w int, ws *wstate, en *seq.Energies) {
-	b := e.wbatch[w]
-	if b.Len() == 0 {
-		return
-	}
-	evdw, eelec, vir := e.FF.NonbondedBatch(b)
-	en.VdW += evdw
-	en.Elec += eelec
-	en.Virial += vir
-	for k := 0; k < b.Len(); k++ {
-		fv := vec.New(b.Fx[k], b.Fy[k], b.Fz[k])
-		ws.add(b.I[k], fv)
-		ws.sub(b.J[k], fv)
-	}
-	b.Reset()
 }
 
 func (e *Engine) bondedRange(lo, hi int, ws *wstate, en *seq.Energies) {
@@ -619,32 +499,25 @@ func (e *Engine) Energies() seq.Energies {
 
 // Invalidate marks the cached forces stale after positions were modified
 // outside the engine (e.g. a replica-exchange configuration swap); the
-// next Step or Energies call recomputes them. The block-list drift bound
-// is voided too, since external edits are not drift-tracked.
+// next Step or Energies call recomputes them. The list's drift bound is
+// voided too, since external edits are not drift-tracked.
 func (e *Engine) Invalidate() {
 	e.fresh = false
-	if e.skin > 0 {
-		e.guard.Invalidate()
-	}
+	e.clb.guard.Invalidate()
 	if e.pme != nil {
 		e.pme.Invalidate()
 	}
 }
 
-// ResetLists drops the neighbor-list history so the next force
-// evaluation rebuilds the block or cluster lists from the positions it
-// sees, instead of replaying lists built at earlier positions. Replay
-// and rebuild agree on which pairs contribute, but not on the
-// accumulation order, so their sums differ in ulps. Dropping the history
-// makes the next evaluation a pure function of positions; the job
-// server calls this after every checkpoint so the uninterrupted
-// continuation stays bitwise identical to a run resumed from that
-// checkpoint. A no-op when no lists are enabled.
-func (e *Engine) ResetLists() {
-	if e.skin > 0 {
-		e.listBuilt = false
-	}
-}
+// ResetLists drops the cluster-list history so the next force evaluation
+// rebuilds the list from the positions it sees, instead of replaying a
+// list built at earlier positions. Replay and rebuild agree on which
+// pairs contribute, but not on the accumulation order, so their sums
+// differ in ulps. Dropping the history makes the next evaluation a pure
+// function of positions; the job server calls this after every checkpoint
+// so the uninterrupted continuation stays bitwise identical to a run
+// resumed from that checkpoint.
+func (e *Engine) ResetLists() { e.clb.guard.Drop() }
 
 // Kinetic returns the kinetic energy in kcal/mol.
 func (e *Engine) Kinetic() float64 {

@@ -35,7 +35,7 @@ func smallSystem(t *testing.T) (*topology.System, *topology.State, *forcefield.P
 func TestForcesMatchSequential(t *testing.T) {
 	sys, st, ff := smallSystem(t)
 	for _, workers := range []int{1, 2, 4, 7} {
-		eng, err := New(sys, ff, st.Clone(), workers)
+		eng, err := New(sys, ff, st.Clone(), workers, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestTrajectoryMatchesSequential(t *testing.T) {
 	}
 	refEng.Minimize(30, 0.2)
 
-	eng, err := New(sys, ff, parSt, 4)
+	eng, err := New(sys, ff, parSt, 4, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestTrajectoryMatchesSequential(t *testing.T) {
 
 func TestRebalanceRuns(t *testing.T) {
 	sys, st, ff := smallSystem(t)
-	eng, err := New(sys, ff, st, 3)
+	eng, err := New(sys, ff, st, 3, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestRebalanceRuns(t *testing.T) {
 
 func TestRebalanceImprovesSpread(t *testing.T) {
 	sys, st, ff := smallSystem(t)
-	eng, err := New(sys, ff, st, 4)
+	eng, err := New(sys, ff, st, 4, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestEnergyConservationParallel(t *testing.T) {
 	}
 	ref.Minimize(150, 0.2)
 
-	eng, err := New(sys, ff, st, 4)
+	eng, err := New(sys, ff, st, 4, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,17 +201,17 @@ func TestEnergyConservationParallel(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	sys, st, ff := smallSystem(t)
 	bad := &topology.State{Pos: st.Pos[:5], Vel: st.Vel[:5]}
-	if _, err := New(sys, ff, bad, 2); err == nil {
+	if _, err := New(sys, ff, bad, 2, 0, 0); err == nil {
 		t.Error("mismatched state accepted")
 	}
-	if eng, err := New(sys, ff, st, 0); err != nil || eng.Workers() <= 0 {
+	if eng, err := New(sys, ff, st, 0, 0, 0); err != nil || eng.Workers() <= 0 {
 		t.Errorf("workers=0 should default to NumCPU: %v", err)
 	}
 }
 
 func TestTemperatureAndKinetic(t *testing.T) {
 	sys, st, ff := smallSystem(t)
-	eng, err := New(sys, ff, st, 2)
+	eng, err := New(sys, ff, st, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestParallelNVT(t *testing.T) {
 	}
 	ref.Minimize(120, 0.2)
 
-	eng, err := New(sys, ff, st, 3)
+	eng, err := New(sys, ff, st, 3, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestParallelNVT(t *testing.T) {
 
 func TestWorkerLoadsSumPositive(t *testing.T) {
 	sys, st, ff := smallSystem(t)
-	eng, err := New(sys, ff, st, 3)
+	eng, err := New(sys, ff, st, 3, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestWorkerLoadsSumPositive(t *testing.T) {
 
 func TestVirialMatchesSequential(t *testing.T) {
 	sys, st, ff := smallSystem(t)
-	eng, err := New(sys, ff, st.Clone(), 4)
+	eng, err := New(sys, ff, st.Clone(), 4, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

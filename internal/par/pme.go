@@ -33,10 +33,11 @@ func (p poolAdapter) Run(f func(w int)) {
 
 // EnableFullElectrostatics switches the engine to smooth particle-mesh
 // Ewald, exactly as the sequential engine's function of the same name:
-// erfc real space in the batched pair kernels, the reciprocal mesh sum
-// every mtsPeriod steps as an impulse, with the mesh phases parallelized
-// over the engine's worker pool. Forces and energies are bitwise
-// identical to the sequential engine's PME path for any worker count.
+// erfc real space from the interaction table in the cluster kernel, the
+// reciprocal mesh sum every mtsPeriod steps as an impulse, with the mesh
+// phases parallelized over the engine's worker pool. The reciprocal
+// forces are bitwise identical to the sequential engine's for any worker
+// count.
 // Must be called before the first Step. This is the implementation
 // behind gonamd.WithPME; it is a package function rather than a method
 // so the configuration surface of the public Engine types stays
@@ -56,8 +57,14 @@ func EnableFullElectrostatics(e *Engine, gridSpacing, beta float64, mtsPeriod in
 	for i := range q {
 		q[i] = e.Sys.Atoms[i].Charge
 	}
+	// The cluster kernel follows the electrostatics: re-select it (and
+	// build the interaction table) for the Ewald real-space term.
+	ff := e.FF.WithEwald(beta)
+	if e.clb.kernel, err = ff.ClusterKernel(); err != nil {
+		return err
+	}
 	e.pme = pme.NewSolver(recip, q, e.FF.Scale14Elec, e.Sys, mtsPeriod)
-	e.FF = e.FF.WithEwald(beta)
+	e.FF = ff
 	e.fresh = false
 	return nil
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // benchEngine builds a medium water box once per benchmark.
-func benchEngine(b *testing.B, pairlist bool) *Engine {
+func benchEngine(b *testing.B, clusters bool) *Engine {
 	b.Helper()
 	sys, st, err := molgen.Build(molgen.WaterBox(22, 3))
 	if err != nil {
@@ -19,14 +19,16 @@ func benchEngine(b *testing.B, pairlist bool) *Engine {
 		b.Fatal(err)
 	}
 	eng.Minimize(50, 0.2)
-	if pairlist {
-		EnablePairlist(eng, 1.5)
+	if clusters {
+		if err := eng.EnableClusterLists(4, 8); err != nil {
+			b.Fatal(err)
+		}
 	}
 	return eng
 }
 
-// BenchmarkForceEvalCellList measures a full force evaluation with direct
-// cell lists (~3100 atoms, 9 Å cutoff).
+// BenchmarkForceEvalCellList measures a full force evaluation on the
+// list-free reference path (~3100 atoms, 9 Å cutoff).
 func BenchmarkForceEvalCellList(b *testing.B) {
 	eng := benchEngine(b, false)
 	b.ResetTimer()
@@ -36,9 +38,9 @@ func BenchmarkForceEvalCellList(b *testing.B) {
 	}
 }
 
-// BenchmarkForceEvalPairlist measures the same evaluation through a
-// Verlet pairlist (list reused across iterations, as in dynamics).
-func BenchmarkForceEvalPairlist(b *testing.B) {
+// BenchmarkForceEvalCluster measures the same evaluation over the
+// cluster pair list (list reused across iterations, as in dynamics).
+func BenchmarkForceEvalCluster(b *testing.B) {
 	eng := benchEngine(b, true)
 	eng.ComputeForces() // build the list
 	b.ResetTimer()

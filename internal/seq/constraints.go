@@ -135,11 +135,9 @@ func (e *Engine) StepConstrained(dt float64, c *Constraints) error {
 	if _, err := c.Shake(e.St, prev, e.Sys.Box, dt); err != nil {
 		return err
 	}
-	// SHAKE corrections move atoms beyond the |v|·dt drift, so the
-	// pairlist drift bound is unknown; force a displacement scan.
-	if e.plist != nil {
-		e.plist.guard.Invalidate()
-	}
+	// SHAKE corrections move atoms beyond the |v|·dt drift, so the list's
+	// drift bound is unknown; Invalidate forces a displacement scan.
+	e.Invalidate()
 	e.ComputeForces()
 	for i := range vel {
 		a := e.forces[i].Scale(units.ForceToAccel / e.Sys.Atoms[i].Mass)

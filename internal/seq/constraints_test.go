@@ -84,6 +84,39 @@ func TestConstrainedLargerTimestepStable(t *testing.T) {
 	}
 }
 
+// TestShakeRebuildsClusterList: SHAKE corrections are not drift-tracked,
+// so StepConstrained must void the list's drift bound every step. (It
+// once invalidated only a list mode the engine was not in; the cluster
+// list then never rebuilt and went stale silently.) The list must
+// rebuild during a constrained run, and the forces at the final
+// positions must equal the list-free reference path's.
+func TestShakeRebuildsClusterList(t *testing.T) {
+	eng, c := constrainedWaterSetup(t)
+	if err := eng.EnableClusterLists(4, 8); err != nil {
+		t.Fatal(err)
+	}
+	eng.ComputeForces()
+	built := eng.ClusterRebuilds()
+	for s := 0; s < 150; s++ {
+		if err := eng.StepConstrained(1.0, c); err != nil {
+			t.Fatalf("step %d: %v", s, err)
+		}
+	}
+	if eng.ClusterRebuilds() <= built {
+		t.Fatalf("cluster list never rebuilt in 150 constrained steps (%d builds)", eng.ClusterRebuilds())
+	}
+	ref, err := New(eng.Sys, eng.FF, eng.St.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf, cf := ref.Forces(), eng.Forces()
+	for i := range rf {
+		if !vec.ApproxEq(cf[i], rf[i], 1e-7*(1+rf[i].Norm())) {
+			t.Fatalf("atom %d: cluster force %v, reference %v", i, cf[i], rf[i])
+		}
+	}
+}
+
 func TestConstraintsSkipHeavyBonds(t *testing.T) {
 	// A protein-like chain has C-C and C-N bonds that must NOT be
 	// constrained; only X-H bonds are.

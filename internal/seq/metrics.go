@@ -34,6 +34,6 @@ func (e *Engine) publishMetrics() {
 	rec.Store(ftdc.FieldPMESec, ph[trace.CatPME])
 	rec.Store(ftdc.FieldIntegrateSec, ph[trace.CatIntegration])
 	rec.Store(ftdc.FieldCommSec, ph[trace.CatComm])
-	rec.StoreInt(ftdc.FieldRebuilds, int64(e.PairlistRebuilds()+e.ClusterRebuilds()))
+	rec.StoreInt(ftdc.FieldRebuilds, int64(e.ClusterRebuilds()))
 	// Sequential engine: one PE, no imbalance by definition.
 }

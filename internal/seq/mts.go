@@ -1,8 +1,6 @@
 package seq
 
 import (
-	"math"
-
 	"gonamd/internal/units"
 	"gonamd/internal/vec"
 )
@@ -22,19 +20,7 @@ func (e *Engine) computeSlowForces(dst []vec.V3) Energies {
 		e.forces[i] = vec.Zero
 	}
 	var en Energies
-	if e.clusters != nil {
-		if !e.clusters.valid(e.St, e.Sys.Box) {
-			e.buildClusterList()
-		}
-		e.nonbondedFromClusters(&en)
-	} else if e.plist != nil {
-		if !e.plist.valid(e.St, e.Sys.Box) {
-			e.buildPairlist()
-		}
-		e.nonbondedFromList(&en)
-	} else {
-		e.nonbonded(&en)
-	}
+	e.nonbonded(&en)
 	e.forces = saved
 	return en
 }
@@ -97,7 +83,7 @@ func (m *MTS) Step(dtFast float64, k int) {
 	}
 	// Inner velocity-Verlet loop with the fast (bonded) forces. Each
 	// inner drift moves atoms by |v|·dtFast, which must advance the
-	// pairlist drift bound before the slow-force evaluation below.
+	// list's drift bound before the slow-force evaluation below.
 	for inner := 0; inner < k; inner++ {
 		var maxV2 float64
 		for i := range pos {
@@ -108,12 +94,7 @@ func (m *MTS) Step(dtFast float64, k int) {
 			}
 			pos[i] = vec.Wrap(pos[i].Add(vel[i].Scale(dtFast)), e.Sys.Box)
 		}
-		if e.plist != nil {
-			e.plist.guard.Advance(math.Sqrt(maxV2) * dtFast)
-		}
-		if e.clusters != nil {
-			e.clusters.guard.Advance(math.Sqrt(maxV2) * dtFast)
-		}
+		e.advanceGuard(maxV2, dtFast)
 		m.fastEn = e.computeFastForces(m.fast)
 		for i := range vel {
 			a := m.fast[i].Scale(units.ForceToAccel / e.Sys.Atoms[i].Mass)

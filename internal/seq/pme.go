@@ -2,7 +2,6 @@ package seq
 
 import (
 	"fmt"
-	"math"
 
 	"gonamd/internal/fft"
 	"gonamd/internal/pme"
@@ -13,7 +12,9 @@ import (
 
 // EnableFullElectrostatics switches the engine from shifted-cutoff
 // electrostatics to smooth particle-mesh Ewald: the pair kernels evaluate
-// the erfc-screened real-space term inside the existing cutoff, and a
+// the erfc-screened real-space term inside the existing cutoff (from the
+// interaction table on the cluster path, analytically on the reference
+// path), and a
 // reciprocal-space mesh sum (order-4 B-spline PME on a grid of at most
 // gridSpacing Å per point) plus self, background, and excluded-pair
 // corrections supply the long-range remainder. mtsPeriod sets the
@@ -38,8 +39,16 @@ func EnableFullElectrostatics(e *Engine, gridSpacing, beta float64, mtsPeriod in
 	for i := range q {
 		q[i] = e.Sys.Atoms[i].Charge
 	}
+	ff := e.FF.WithEwald(beta)
+	if e.clusters != nil {
+		// The cluster kernel follows the electrostatics: re-select it (and
+		// build the interaction table) for the Ewald real-space term.
+		if e.clusters.kernel, err = ff.ClusterKernel(); err != nil {
+			return err
+		}
+	}
 	e.pme = pme.NewSolver(recip, q, e.FF.Scale14Elec, e.Sys, mtsPeriod)
-	e.FF = e.FF.WithEwald(beta)
+	e.FF = ff
 	e.fresh = false
 	return nil
 }
@@ -113,12 +122,7 @@ func (e *Engine) stepPME(dt float64) {
 		}
 		pos[i] = vec.Wrap(pos[i].Add(vel[i].Scale(dt)), e.Sys.Box)
 	}
-	if e.plist != nil {
-		e.plist.guard.Advance(math.Sqrt(maxV2) * dt)
-	}
-	if e.clusters != nil {
-		e.clusters.guard.Advance(math.Sqrt(maxV2) * dt)
-	}
+	e.advanceGuard(maxV2, dt)
 	e.phaseEmit("integrate", trace.CatIntegration, t)
 	e.ComputeForces()
 	t = e.phaseNow()

@@ -1,14 +1,15 @@
-// Package seq is the sequential reference molecular dynamics engine. It
-// evaluates the full CHARMM-style force field with cell lists, integrates
-// with velocity Verlet, and provides a steepest-descent minimizer. The
-// parallel engines (internal/par, internal/core) are validated against
-// the forces and energies this engine produces, and the paper's
-// "single processor time" baseline corresponds to this code path.
+// Package seq is the sequential molecular dynamics engine. It evaluates
+// the full CHARMM-style force field, integrates with velocity Verlet, and
+// provides a steepest-descent minimizer. Nonbonded forces take one of two
+// paths: M×N cluster pair lists (EnableClusterLists, the production path
+// shared with internal/par) or, with no list enabled, a list-free cell
+// walk through the scalar kernel — the reference oracle every other
+// configuration is validated against, and the paper's "single processor
+// time" baseline.
 package seq
 
 import (
 	"fmt"
-	"math"
 
 	"gonamd/internal/forcefield"
 	"gonamd/internal/ftdc"
@@ -59,17 +60,13 @@ type Engine struct {
 	grid   *spatial.Grid
 	binner *spatial.Binner // reusable zero-alloc rebinning
 	nbrs   [][]int32       // per-cell upper-half neighbor cells (nb > cell), precomputed
-	nbrs2  [][]int32       // two-shell variant, built lazily for narrow-cell pairlist builds
-	batch  *forcefield.PairBatch
 
-	forces     []vec.V3
-	cur        Energies
-	fresh      bool // forces correspond to current positions
-	plist      *pairlist
-	plRebuilds int
+	forces []vec.V3
+	cur    Energies
+	fresh  bool // forces correspond to current positions
 
 	// clusters, when non-nil, switches nonbonded evaluation to M×N
-	// cluster pair lists (see clusterlist.go); plist is nil then.
+	// cluster pair lists (see clusterlist.go).
 	clusters *clusterState
 
 	// pme, when non-nil, holds the full-electrostatics slow-force solver
@@ -122,25 +119,8 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State) (*Engi
 		grid:   grid,
 		binner: spatial.NewBinner(grid),
 		nbrs:   nbrs,
-		batch:  forcefield.NewPairBatch(forcefield.DefaultBatchSize),
 		forces: make([]vec.V3, sys.N()),
 	}, nil
-}
-
-// wideNeighbors returns the two-shell upper-half neighbor list of a cell,
-// built on first use (only narrow-cell pairlist rebuilds need it).
-func (e *Engine) wideNeighbors(cell int) []int32 {
-	if e.nbrs2 == nil {
-		e.nbrs2 = make([][]int32, e.grid.NumPatches())
-		for c := range e.nbrs2 {
-			for _, nb := range e.grid.Neighbors2(c) {
-				if nb > c {
-					e.nbrs2[c] = append(e.nbrs2[c], int32(nb))
-				}
-			}
-		}
-	}
-	return e.nbrs2[cell]
 }
 
 // Forces returns the force array from the last evaluation. The slice is
@@ -181,19 +161,7 @@ func (e *Engine) ComputeForces() Energies {
 	}
 	var en Energies
 	t := e.phaseNow()
-	if e.clusters != nil {
-		if !e.clusters.valid(e.St, e.Sys.Box) {
-			e.buildClusterList()
-		}
-		e.nonbondedFromClusters(&en)
-	} else if e.plist != nil {
-		if !e.plist.valid(e.St, e.Sys.Box) {
-			e.buildPairlist()
-		}
-		e.nonbondedFromList(&en)
-	} else {
-		e.nonbonded(&en)
-	}
+	e.nonbonded(&en)
 	t = e.phaseEmit("nonbonded", trace.CatNonbonded, t)
 	e.bonded(&en)
 	e.phaseEmit("bonded", trace.CatBonded, t)
@@ -203,23 +171,34 @@ func (e *Engine) ComputeForces() Energies {
 	return en
 }
 
-// nonbonded evaluates all within-cutoff pair interactions using cell
-// lists. Exclusions are detected during the pairwise loop, as the paper
-// describes ("these pairs must be detected as a part of the normal
-// pairwise force computation"). Surviving candidates stream into the
-// engine's reusable SoA batch and are evaluated block-at-a-time by the
-// batched kernel.
+// nonbonded evaluates the nonbonded forces into e.forces: over the
+// cluster list when one is enabled (rebuilt first if it went stale),
+// otherwise by the reference cell walk.
 func (e *Engine) nonbonded(en *Energies) {
+	if c := e.clusters; c != nil {
+		if !c.guard.Valid(e.St.Pos, e.Sys.Box) {
+			e.buildClusterList()
+		}
+		e.nonbondedFromClusters(en)
+		return
+	}
+	e.nonbondedCells(en)
+}
+
+// nonbondedCells is the reference path: all within-cutoff pairs from
+// cell lists rebinned at the current positions, one scalar Nonbonded call
+// per pair. Exclusions are detected during the pairwise loop, as the
+// paper describes ("these pairs must be detected as a part of the normal
+// pairwise force computation"). No list is carried between evaluations,
+// so the forces are a pure function of the positions.
+func (e *Engine) nonbondedCells(en *Energies) {
 	bins := e.binner.Bin(e.St.Pos)
 	cutoff2 := e.FF.Cutoff * e.FF.Cutoff
-	np := e.grid.NumPatches()
-
-	for cell := 0; cell < np; cell++ {
-		atoms := bins[cell]
+	for cell, atoms := range bins {
 		// Within-cell pairs.
 		for x := 0; x < len(atoms); x++ {
 			for y := x + 1; y < len(atoms); y++ {
-				e.batchPair(atoms[x], atoms[y], cutoff2, en)
+				e.pairForce(atoms[x], atoms[y], cutoff2, en)
 			}
 		}
 		// Cross-cell pairs, each cell pair visited once (nbrs holds only
@@ -227,17 +206,16 @@ func (e *Engine) nonbonded(en *Energies) {
 		for _, nb := range e.nbrs[cell] {
 			for _, i := range atoms {
 				for _, j := range bins[nb] {
-					e.batchPair(i, j, cutoff2, en)
+					e.pairForce(i, j, cutoff2, en)
 				}
 			}
 		}
 	}
-	e.flushBatch(en)
 }
 
-// batchPair screens one candidate pair (cutoff, exclusions) and appends
-// survivors to the engine's batch, flushing when the block fills.
-func (e *Engine) batchPair(i, j int32, cutoff2 float64, en *Energies) {
+// pairForce screens one candidate pair (cutoff, exclusions) and
+// accumulates its scalar-kernel force and energy.
+func (e *Engine) pairForce(i, j int32, cutoff2 float64, en *Energies) {
 	d := vec.MinImage(e.St.Pos[i], e.St.Pos[j], e.Sys.Box)
 	r2 := d.Norm2()
 	if r2 >= cutoff2 {
@@ -248,32 +226,13 @@ func (e *Engine) batchPair(i, j int32, cutoff2 float64, en *Energies) {
 		return
 	}
 	ai, aj := &e.Sys.Atoms[i], &e.Sys.Atoms[j]
-	e.batch.Append(i, j, ai.Type, aj.Type, ai.Charge, aj.Charge, d.X, d.Y, d.Z, r2, kind == topology.PairModified)
-	if e.batch.Full() {
-		e.flushBatch(en)
-	}
-}
-
-// flushBatch runs the batched kernel on the pending block and scatters
-// the per-pair forces in append order, so the force accumulation order —
-// and therefore the bit pattern of every force component — is identical
-// to evaluating the pairs one at a time.
-func (e *Engine) flushBatch(en *Energies) {
-	b := e.batch
-	if b.Len() == 0 {
-		return
-	}
-	evdw, eelec, vir := e.FF.NonbondedBatch(b)
+	evdw, eelec, fOverR := e.FF.Nonbonded(ai.Type, aj.Type, ai.Charge, aj.Charge, r2, kind == topology.PairModified)
 	en.VdW += evdw
 	en.Elec += eelec
-	en.Virial += vir
-	for k := 0; k < b.Len(); k++ {
-		f := vec.New(b.Fx[k], b.Fy[k], b.Fz[k])
-		i, j := b.I[k], b.J[k]
-		e.forces[i] = e.forces[i].Add(f)
-		e.forces[j] = e.forces[j].Sub(f)
-	}
-	b.Reset()
+	en.Virial += fOverR * r2
+	f := d.Scale(fOverR)
+	e.forces[i] = e.forces[i].Add(f)
+	e.forces[j] = e.forces[j].Sub(f)
 }
 
 func (e *Engine) bonded(en *Energies) {
@@ -323,14 +282,11 @@ func (e *Engine) bonded(en *Energies) {
 
 // Invalidate marks the cached forces stale after positions were modified
 // outside the engine (e.g. a replica-exchange configuration swap); the
-// next Step or Energies call recomputes them. The pairlist drift bound is
-// also invalidated, since the engine cannot bound how far an external
-// edit moved the atoms.
+// next Step or Energies call recomputes them. The cluster list's drift
+// bound is also invalidated, since the engine cannot bound how far an
+// external edit moved the atoms.
 func (e *Engine) Invalidate() {
 	e.fresh = false
-	if e.plist != nil {
-		e.plist.guard.Invalidate()
-	}
 	if e.clusters != nil {
 		e.clusters.guard.Invalidate()
 	}
@@ -339,22 +295,18 @@ func (e *Engine) Invalidate() {
 	}
 }
 
-// ResetLists drops the neighbor-list history so the next force
-// evaluation rebuilds every enabled list (atom-pair or cluster) from the
-// positions it sees, instead of replaying a list built at earlier
-// positions. Replay and rebuild agree on which pairs contribute (the
-// skin only admits extra pairs the kernels skip), but not on the
-// accumulation order, so their sums differ in ulps. Dropping the history
-// makes the next evaluation a pure function of positions; the job
-// server calls this after every checkpoint so the uninterrupted
-// continuation stays bitwise identical to a run resumed from that
-// checkpoint. A no-op when no lists are enabled.
+// ResetLists drops the cluster-list history so the next force evaluation
+// rebuilds the list from the positions it sees, instead of replaying a
+// list built at earlier positions. Replay and rebuild agree on which
+// pairs contribute (the skin only admits extra pairs the kernels skip),
+// but not on the accumulation order, so their sums differ in ulps.
+// Dropping the history makes the next evaluation a pure function of
+// positions; the job server calls this after every checkpoint so the
+// uninterrupted continuation stays bitwise identical to a run resumed
+// from that checkpoint. A no-op on the reference path.
 func (e *Engine) ResetLists() {
-	if e.plist != nil {
-		e.plist.refPos = nil
-	}
 	if e.clusters != nil {
-		e.clusters.list = nil
+		e.clusters.guard.Drop()
 	}
 }
 
@@ -396,8 +348,8 @@ func (e *Engine) Step(dt float64) {
 	pos, vel := e.St.Pos, e.St.Vel
 	t := e.phaseNow()
 	// Half kick + drift, tracking the largest speed: each atom's
-	// displacement this step is exactly |v|·dt, which advances the
-	// pairlist drift bound so validity checks can skip their O(N) scan.
+	// displacement this step is exactly |v|·dt, which advances the list's
+	// drift bound so validity checks can skip their O(N) scan.
 	var maxV2 float64
 	for i := range pos {
 		a := e.forces[i].Scale(units.ForceToAccel / e.Sys.Atoms[i].Mass)
@@ -407,12 +359,7 @@ func (e *Engine) Step(dt float64) {
 		}
 		pos[i] = vec.Wrap(pos[i].Add(vel[i].Scale(dt)), e.Sys.Box)
 	}
-	if e.plist != nil {
-		e.plist.guard.Advance(math.Sqrt(maxV2) * dt)
-	}
-	if e.clusters != nil {
-		e.clusters.guard.Advance(math.Sqrt(maxV2) * dt)
-	}
+	e.advanceGuard(maxV2, dt)
 	e.phaseEmit("integrate", trace.CatIntegration, t)
 	// New forces + half kick.
 	e.ComputeForces()
@@ -475,30 +422,14 @@ func (e *Engine) Minimize(steps int, maxMove float64) float64 {
 // (no cell lists). It exists to validate the cell-list implementation in
 // tests and is exported for the parallel engines' tests too.
 func BruteForce(sys *topology.System, ff *forcefield.Params, st *topology.State) ([]vec.V3, Energies) {
-	forces := make([]vec.V3, sys.N())
+	tmp := &Engine{Sys: sys, FF: ff, St: st, forces: make([]vec.V3, sys.N())}
 	var en Energies
 	cutoff2 := ff.Cutoff * ff.Cutoff
 	for i := int32(0); i < int32(sys.N()); i++ {
 		for j := i + 1; j < int32(sys.N()); j++ {
-			d := vec.MinImage(st.Pos[i], st.Pos[j], sys.Box)
-			r2 := d.Norm2()
-			if r2 >= cutoff2 {
-				continue
-			}
-			kind := sys.Classify(i, j)
-			if kind == topology.PairExcluded {
-				continue
-			}
-			ai, aj := &sys.Atoms[i], &sys.Atoms[j]
-			evdw, eelec, fOverR := ff.Nonbonded(ai.Type, aj.Type, ai.Charge, aj.Charge, r2, kind == topology.PairModified)
-			en.VdW += evdw
-			en.Elec += eelec
-			f := d.Scale(fOverR)
-			forces[i] = forces[i].Add(f)
-			forces[j] = forces[j].Sub(f)
+			tmp.pairForce(i, j, cutoff2, &en)
 		}
 	}
-	tmp := &Engine{Sys: sys, FF: ff, St: st, forces: forces}
 	tmp.bonded(&en)
-	return forces, en
+	return tmp.forces, en
 }

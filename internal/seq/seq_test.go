@@ -288,35 +288,47 @@ func TestNVTWithBerendsenThermostat(t *testing.T) {
 	}
 }
 
-func TestPairlistMatchesDirect(t *testing.T) {
+// clusterEngine returns an engine over st on 4×8 cluster lists.
+func clusterEngine(t *testing.T, sys *topology.System, ff *forcefield.Params, st *topology.State) *Engine {
+	t.Helper()
+	eng, err := New(sys, ff, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.EnableClusterLists(4, 8); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+func TestClusterListMatchesReference(t *testing.T) {
 	sys, st, ff := smallSystem(t)
 	direct, err := New(sys, ff, st.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	listed, err := New(sys, ff, st.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	EnablePairlist(listed, 1.5)
+	listed := clusterEngine(t, sys, ff, st.Clone())
 
 	dEn := direct.ComputeForces()
 	lEn := listed.ComputeForces()
 	if math.Abs(dEn.Potential()-lEn.Potential()) > 1e-9*(1+math.Abs(dEn.Potential())) {
-		t.Errorf("pairlist potential %v vs direct %v", lEn.Potential(), dEn.Potential())
+		t.Errorf("cluster potential %v vs reference %v", lEn.Potential(), dEn.Potential())
+	}
+	if math.Abs(dEn.Virial-lEn.Virial) > 1e-7*(1+math.Abs(dEn.Virial)) {
+		t.Errorf("virial: reference %v vs cluster %v", dEn.Virial, lEn.Virial)
 	}
 	df, lf := direct.Forces(), listed.Forces()
 	for i := range df {
 		if !vec.ApproxEq(lf[i], df[i], 1e-9*(1+df[i].Norm())) {
-			t.Fatalf("pairlist force on atom %d: %v vs %v", i, lf[i], df[i])
+			t.Fatalf("cluster force on atom %d: %v vs %v", i, lf[i], df[i])
 		}
 	}
-	if listed.PairlistRebuilds() != 1 {
-		t.Errorf("rebuilds = %d, want 1", listed.PairlistRebuilds())
+	if listed.ClusterRebuilds() != 1 {
+		t.Errorf("rebuilds = %d, want 1", listed.ClusterRebuilds())
 	}
 }
 
-func TestPairlistStaysCorrectAcrossTrajectory(t *testing.T) {
+func TestClusterListStaysCorrectAcrossTrajectory(t *testing.T) {
 	sys, st, ff := smallSystem(t)
 	direct, err := New(sys, ff, st.Clone())
 	if err != nil {
@@ -326,11 +338,7 @@ func TestPairlistStaysCorrectAcrossTrajectory(t *testing.T) {
 	dirSt := direct.St
 
 	listedSt := dirSt.Clone()
-	listed, err := New(sys, ff, listedSt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	EnablePairlist(listed, 1.0)
+	listed := clusterEngine(t, sys, ff, listedSt)
 
 	for s := 0; s < 25; s++ {
 		direct.Step(0.5)
@@ -344,73 +352,68 @@ func TestPairlistStaysCorrectAcrossTrajectory(t *testing.T) {
 	}
 }
 
-func TestPairlistRebuildsOnMotion(t *testing.T) {
+func TestClusterListRebuildsOnMotion(t *testing.T) {
 	sys, st, ff := smallSystem(t)
-	eng, err := New(sys, ff, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	EnablePairlist(eng, 1.0)
+	eng := clusterEngine(t, sys, ff, st)
 	eng.ComputeForces()
-	if eng.PairlistRebuilds() != 1 {
-		t.Fatalf("rebuilds = %d", eng.PairlistRebuilds())
+	if eng.ClusterRebuilds() != 1 {
+		t.Fatalf("rebuilds = %d", eng.ClusterRebuilds())
 	}
 	// Move one atom beyond skin/2: next evaluation must rebuild. External
 	// position edits go through Invalidate, which also voids the drift
 	// bound so the displacement scan actually runs.
-	st.Pos[0] = vec.Wrap(st.Pos[0].Add(vec.New(0.6, 0, 0)), sys.Box)
+	st.Pos[0] = vec.Wrap(st.Pos[0].Add(vec.New(DefaultClusterSkin/2+0.05, 0, 0)), sys.Box)
 	eng.Invalidate()
 	eng.ComputeForces()
-	if eng.PairlistRebuilds() != 2 {
-		t.Errorf("rebuilds = %d, want 2 after large displacement", eng.PairlistRebuilds())
+	if eng.ClusterRebuilds() != 2 {
+		t.Errorf("rebuilds = %d, want 2 after large displacement", eng.ClusterRebuilds())
 	}
 	// No motion: no rebuild.
 	eng.Invalidate()
 	eng.ComputeForces()
-	if eng.PairlistRebuilds() != 2 {
-		t.Errorf("rebuilds = %d, want 2 (no motion)", eng.PairlistRebuilds())
+	if eng.ClusterRebuilds() != 2 {
+		t.Errorf("rebuilds = %d, want 2 (no motion)", eng.ClusterRebuilds())
 	}
-	eng.DisablePairlist()
+	// ResetLists drops the history: the next evaluation rebuilds whatever
+	// the positions.
+	eng.Invalidate()
+	eng.ResetLists()
 	eng.ComputeForces()
-}
-
-func TestPairlistSmallCellFallback(t *testing.T) {
-	// A box whose cells are barely over the cutoff: cutoff+skin exceeds
-	// the cell size, forcing the two-shell neighbor scan.
-	spec := molgen.WaterBox(13, 12)
-	sys, st, err := molgen.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ff := forcefield.Standard(6.0) // cells ≈ 6.5 Å < 6+1.5
-	direct, err := New(sys, ff, st.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	listed, err := New(sys, ff, st.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	EnablePairlist(listed, 1.5)
-	dEn := direct.ComputeForces()
-	lEn := listed.ComputeForces()
-	if math.Abs(dEn.Potential()-lEn.Potential()) > 1e-9*(1+math.Abs(dEn.Potential())) {
-		t.Errorf("fallback pairlist potential %v vs %v", lEn.Potential(), dEn.Potential())
+	if eng.ClusterRebuilds() != 3 {
+		t.Errorf("rebuilds = %d, want 3 after ResetLists", eng.ClusterRebuilds())
 	}
 }
 
-func TestEnablePairlistValidation(t *testing.T) {
+// TestClusterKernelFollowsElectrostatics: nobody chooses the kernel — a
+// cluster engine evaluates the tabulated kernel exactly when full
+// electrostatics are on, whichever is enabled first.
+func TestClusterKernelFollowsElectrostatics(t *testing.T) {
 	sys, st, ff := smallSystem(t)
-	eng, err := New(sys, ff, st)
+	eng := clusterEngine(t, sys, ff, st.Clone())
+	if eng.clusters.kernel.Tabulated() {
+		t.Error("shifted-cutoff cluster engine selected the tabulated kernel")
+	}
+	if err := EnableFullElectrostatics(eng, 1.0, 0.35, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !eng.clusters.kernel.Tabulated() {
+		t.Error("cluster engine with PME did not select the tabulated kernel")
+	}
+	eng.ComputeForces() // the table must match the swapped force field (checkParams panics otherwise)
+
+	ref, err := New(sys, ff, st.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("zero skin did not panic")
-		}
-	}()
-	EnablePairlist(eng, 0)
+	if err := EnableFullElectrostatics(ref, 1.0, 0.35, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.EnableClusterLists(4, 8); err != nil {
+		t.Fatal(err)
+	}
+	if !ref.clusters.kernel.Tabulated() {
+		t.Error("PME engine given cluster lists afterwards did not select the tabulated kernel")
+	}
 }
 
 func TestMTSEnergyConservation(t *testing.T) {
@@ -590,18 +593,6 @@ func TestPressureFinite(t *testing.T) {
 	}
 }
 
-func TestVirialPairlistConsistent(t *testing.T) {
-	sys, st, ff := smallSystem(t)
-	direct, _ := New(sys, ff, st.Clone())
-	listed, _ := New(sys, ff, st.Clone())
-	EnablePairlist(listed, 1.5)
-	a := direct.ComputeForces().Virial
-	b := listed.ComputeForces().Virial
-	if math.Abs(a-b) > 1e-7*(1+math.Abs(a)) {
-		t.Errorf("virial: direct %v vs pairlist %v", a, b)
-	}
-}
-
 // TestStepPMEZeroAllocsRecip guards the full-electrostatics hot path of
 // the sequential engine: with MTS period 1 every step runs the whole
 // reciprocal sum (spline, spread, both 3D transforms, convolution,
@@ -616,7 +607,7 @@ func TestStepPMEZeroAllocsRecip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.EnableClusterLists(4, 4, 0, false); err != nil {
+	if err := e.EnableClusterLists(4, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := EnableFullElectrostatics(e, 1.0, 0.45, 1); err != nil {

@@ -3,18 +3,20 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 
 	"gonamd"
-	"gonamd/internal/traj"
+	"gonamd/internal/ckpt"
 )
 
-// clusterSpecs are the two jobs of the cluster-kernel e2e test: a
-// parallel fp64 run and a sequential mixed-precision run, both on M×N
-// cluster pair lists.
+// clusterSpecs are the jobs of the cluster-list e2e test: the sequential
+// and parallel engines on explicit geometries, and the parallel engine
+// with full electrostatics (the tabulated kernel). The parallel engine
+// with no cluster fields rides in e2eSpecs.
 func clusterSpecs() []JobSpec {
 	base := JobSpec{
 		System:          SystemSpec{Preset: "water", Side: 10, Seed: 7, Cutoff: 4.5},
@@ -24,77 +26,25 @@ func clusterSpecs() []JobSpec {
 		EnergyEvery:     20,
 		CheckpointEvery: 40,
 	}
+	seq := base
+	seq.Name = "seq-cluster"
+	seq.Engine = gonamd.EngineSpec{ClusterM: 4, ClusterN: 8}
+
 	par := base
 	par.Name = "par-cluster"
 	par.Engine = gonamd.EngineSpec{Engine: "parallel", Workers: 2, ClusterM: 4, ClusterN: 4}
 
-	mixed := base
-	mixed.Name = "seq-cluster-f32"
-	mixed.Engine = gonamd.EngineSpec{ClusterM: 4, ClusterN: 4, MixedPrecision: true}
-
-	tab := base
-	tab.Name = "seq-cluster-tab"
-	tab.Engine = gonamd.EngineSpec{ClusterM: 4, ClusterN: 4, Tabulated: true}
-	return []JobSpec{par, mixed, tab}
+	pme := base
+	pme.Name = "par-cluster-pme"
+	pme.Engine = gonamd.EngineSpec{Engine: "parallel", Workers: 2, ClusterM: 4, ClusterN: 8,
+		PME: &gonamd.PMESpec{GridSpacing: 1, MTSPeriod: 2}}
+	return []JobSpec{seq, par, pme}
 }
 
-// rebaseEngine mirrors Job.rebaseListsLocked for in-process reference
-// runs: after each checkpoint boundary the server re-anchors list-mode
-// engines on the checkpointed positions, so the reference must too.
-func rebaseEngine(eng gonamd.Engine) {
-	eng.Invalidate()
-	switch e := eng.(type) {
-	case *gonamd.Sequential:
-		e.ResetLists()
-	case *gonamd.Parallel:
-		e.ResetLists()
-	}
-}
-
-// clusterReferenceTrajectory is referenceTrajectory plus the job
-// server's checkpoint-rebase cadence, which is part of the trajectory
-// contract for list-mode engines (see Job.rebaseListsLocked).
-func clusterReferenceTrajectory(t *testing.T, spec JobSpec) []byte {
-	t.Helper()
-	if err := spec.normalize(40); err != nil {
-		t.Fatal(err)
-	}
-	sys, st, err := spec.System.build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ff := gonamd.StandardForceField(spec.System.Cutoff)
-	eng, _, err := spec.Engine.NewEngine(sys, ff, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	w, err := traj.NewWriter(&buf, sys.N(), sys.Box)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := int64(1); step <= spec.Steps; step++ {
-		eng.Step(spec.Dt)
-		if step%spec.FrameEvery == 0 {
-			if err := w.WriteFrame(step, float64(step)*spec.Dt, st.Pos); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if ce := spec.CheckpointEvery; ce > 0 && step%ce == 0 {
-			rebaseEngine(eng)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestClusterJobsCrashRestartResume: jobs selecting cluster lists and
-// mixed precision are admitted over HTTP, survive a server kill, and
-// resume bit-identically within their numerical mode — each final
-// trajectory is byte-for-byte an uninterrupted run of the same spec.
-// This is the sharpest determinism claim the cluster path makes: a
+// TestClusterJobsCrashRestartResume: jobs on cluster lists are admitted
+// over HTTP, survive a server kill, and resume bit-identically — each
+// final trajectory is byte-for-byte an uninterrupted run of the same
+// spec. This is the sharpest determinism claim the cluster path makes: a
 // Verlet list carries history (forces depend on where the active list
 // was built), so byte-equality only holds because the server rebases
 // list-mode engines on every checkpoint.
@@ -156,7 +106,7 @@ func TestClusterJobsCrashRestartResume(t *testing.T) {
 			t.Errorf("job %s finished at step %d, want %d", id, st.Step, specs[i].Steps)
 		}
 		got := getTrajectory(t, srv2.URL, id)
-		want := clusterReferenceTrajectory(t, specs[i])
+		want := referenceTrajectory(t, specs[i])
 		if !bytes.Equal(got, want) {
 			t.Errorf("job %s (%s): resumed trajectory differs from uninterrupted run (%d vs %d bytes)",
 				id, specs[i].Name, len(got), len(want))
@@ -164,55 +114,111 @@ func TestClusterJobsCrashRestartResume(t *testing.T) {
 	}
 }
 
-// TestClusterPrecisionMismatchRejected: a checkpoint taken in one
-// precision mode must not silently continue under another — the
-// trajectories are not comparable across modes. A restart whose
-// spec-of-record flips mixed_precision fails the job with a note naming
-// the two modes instead of resuming.
-func TestClusterPrecisionMismatchRejected(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{StateDir: dir, Workers: 1, SliceSteps: 25, CheckpointEvery: 40}
+// TestRetiredModesFailLoudly: state left by a server from before the
+// nonbonded pipeline collapsed to one path must never resume in a
+// different numerical mode. A checkpoint recorded in a mode the spec no
+// longer selects — the float32 path that no longer exists, or "fp64" for
+// a cluster + PME job whose kernel is now tabulated — fails the job with
+// the mode-mismatch note naming both modes; a spec of record naming a
+// removed engine field fails it naming the field.
+func TestRetiredModesFailLoudly(t *testing.T) {
+	pme := &gonamd.PMESpec{GridSpacing: 1}
+	cases := []struct {
+		name   string
+		engine gonamd.EngineSpec
+		tamper func(t *testing.T, dir, id string)
+		notes  []string
+	}{
+		{"fp32-mixed checkpoint", gonamd.EngineSpec{ClusterM: 4, ClusterN: 4},
+			setCheckpointMode("fp32-mixed"), []string{"precision mode", "fp32-mixed", "fp64"}},
+		{"analytic cluster+PME checkpoint", gonamd.EngineSpec{ClusterM: 4, ClusterN: 4, PME: pme},
+			setCheckpointMode("fp64"), []string{"precision mode", "fp64-tab"}},
+		{"removed field in the spec of record", gonamd.EngineSpec{ClusterM: 4, ClusterN: 4},
+			func(t *testing.T, dir, id string) {
+				path := jobPath(dir, id, "spec.json")
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw = bytes.Replace(raw, []byte(`"cluster_m"`), []byte(`"mixed_precision":true,"cluster_m"`), 1)
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}, []string{"spec of record", "mixed_precision"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{StateDir: dir, Workers: 1, SliceSteps: 25, CheckpointEvery: 40}
+			s := newTestScheduler(t, cfg)
+			spec := waterJob(4000)
+			spec.Engine = c.engine
+			st, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "a durable checkpoint", func() bool {
+				_, err := os.Stat(jobPath(dir, st.ID, "ckpt"))
+				return err == nil
+			})
+			s.Kill()
+			c.tamper(t, dir, st.ID)
 
-	s := newTestScheduler(t, cfg)
-	spec := waterJob(4000)
-	spec.Engine = gonamd.EngineSpec{ClusterM: 4, ClusterN: 4}
-	st, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
+			s2 := newTestScheduler(t, cfg)
+			defer s2.Stop()
+			got := waitState(t, s2, st.ID, StateFailed)
+			for _, want := range c.notes {
+				if !strings.Contains(got.Note, want) {
+					t.Errorf("failure note %q does not mention %q", got.Note, want)
+				}
+			}
+		})
 	}
-	id := st.ID
-	waitFor(t, "a durable checkpoint", func() bool {
-		_, err := os.Stat(jobPath(dir, id, "ckpt"))
-		return err == nil
-	})
-	s.Kill()
+}
 
-	// Flip the precision mode in the on-disk spec — the document of
-	// record a rescan rebuilds the job from.
-	raw, err := os.ReadFile(jobPath(dir, id, "spec.json"))
-	if err != nil {
-		t.Fatal(err)
+// setCheckpointMode rewrites the precision mode a job's checkpoint
+// records, standing in for a checkpoint an older server wrote.
+func setCheckpointMode(mode string) func(t *testing.T, dir, id string) {
+	return func(t *testing.T, dir, id string) {
+		path := jobPath(dir, id, "ckpt")
+		snap, err := ckpt.LoadJobFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Precision = mode
+		if err := ckpt.SaveJobFile(path, snap); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var tampered JobSpec
-	if err := json.Unmarshal(raw, &tampered); err != nil {
-		t.Fatal(err)
-	}
-	tampered.Engine.MixedPrecision = true
-	out, err := json.Marshal(tampered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(jobPath(dir, id, "spec.json"), out, 0o644); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	s2 := newTestScheduler(t, cfg)
-	defer s2.Stop()
-	got := waitState(t, s2, id, StateFailed)
-	if !strings.Contains(got.Note, "precision mode") {
-		t.Errorf("failure note %q does not name the precision-mode mismatch", got.Note)
-	}
-	if !strings.Contains(got.Note, "fp64") || !strings.Contains(got.Note, "fp32-mixed") {
-		t.Errorf("failure note %q does not name both modes", got.Note)
+// TestSubmitRejectsRemovedEngineFields pins the strict decoder: a job
+// naming an engine field that no longer exists is a 400 that names the
+// field, not a job that runs in some other mode.
+func TestSubmitRejectsRemovedEngineFields(t *testing.T) {
+	s := newTestScheduler(t, Config{Workers: 1})
+	defer s.Stop()
+	srv := httptest.NewServer(NewServer(s))
+	defer srv.Close()
+	for _, f := range [][2]string{
+		{"mixed_precision", "true"}, {"tabulated", "true"}, {"table_spacing", "0.01"},
+		{"cluster_skin", "0.5"}, {"pairlist_skin", "1.5"}, {"blocklist_skin", "1.5"},
+	} {
+		name := f[0]
+		body := `{"system":{"preset":"water","side":10,"seed":7,"cutoff":4.5},"steps":10,` +
+			`"engine":{"cluster_m":4,"cluster_n":8,"` + name + `":` + f[1] + `}}`
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(reply["error"], name) {
+			t.Errorf("%s: status %d, error %q; want 400 naming the field", name, resp.StatusCode, reply["error"])
+		}
 	}
 }

@@ -257,9 +257,10 @@ func (j *Job) ensure() error {
 // from a crash mid-write are discarded.
 func (j *Job) applyResume(snap *ckpt.JobState) error {
 	// Bit-identical resume only holds within one numerical mode: a
-	// checkpoint taken under fp64 replayed under fp32-mixed (or vice
-	// versa) would silently continue a different trajectory. Empty means
-	// fp64 — checkpoints that predate the field.
+	// checkpoint taken under the analytic kernel replayed under the
+	// tabulated one (or in a mode this server no longer has) would
+	// silently continue a different trajectory. Empty means fp64 —
+	// checkpoints that predate the field.
 	have := snap.Precision
 	if have == "" {
 		have = "fp64"
@@ -414,15 +415,16 @@ func (j *Job) emitCadence() error {
 }
 
 // rebaseListsLocked re-anchors a list-mode engine on the checkpoint just
-// written. A Verlet or cluster list carries history: forces depend on
+// written. A cluster list carries history: forces depend on
 // where the active list was built, not just on the current positions, so
 // an engine resumed from a checkpoint (which builds a fresh list at the
 // checkpointed positions) would diverge from the uninterrupted run in
 // ulps. Invalidate plus ResetLists force the continuing engine to redo
 // exactly what the resumed one will — re-evaluate at the checkpointed
 // positions over a freshly built list — so both follow bitwise-identical
-// trajectories. Engines without lists already evaluate forces as a pure
-// function of positions and skip the extra evaluation this costs.
+// trajectories. The sequential reference path carries no list, already
+// evaluates forces as a pure function of positions, and skips the extra
+// evaluation this costs.
 func (j *Job) rebaseListsLocked() {
 	if j.eng == nil || !j.Spec.Engine.UsesLists() {
 		return

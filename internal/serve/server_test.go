@@ -17,8 +17,10 @@ import (
 
 // e2eSpecs are the three concurrent jobs of the crash/restart test: a
 // plain NVE run, a Langevin run (whose noise stream must survive the
-// restart), and a parallel-engine Langevin run (whose static task
-// decomposition must be reconstructed identically).
+// restart), and a parallel-engine Langevin run with no cluster fields
+// (whose static task decomposition must be reconstructed identically,
+// and whose default cluster list the server must rebase on every
+// checkpoint like an explicitly configured one).
 func e2eSpecs() []JobSpec {
 	base := JobSpec{
 		System:          SystemSpec{Preset: "water", Side: 10, Seed: 7, Cutoff: 4.5},
@@ -49,7 +51,10 @@ func e2eSpecs() []JobSpec {
 
 // referenceTrajectory runs a spec's simulation start-to-finish in
 // process, through the same spec→engine bridge the server uses, and
-// returns the trajectory bytes an uninterrupted run would produce.
+// returns the trajectory bytes an uninterrupted run would produce. After
+// each checkpoint boundary the server re-anchors list-mode engines on the
+// checkpointed positions (Job.rebaseListsLocked) — part of the trajectory
+// contract, so the reference does too.
 func referenceTrajectory(t *testing.T, spec JobSpec) []byte {
 	t.Helper()
 	if err := spec.normalize(40); err != nil {
@@ -74,6 +79,15 @@ func referenceTrajectory(t *testing.T, spec JobSpec) []byte {
 		if step%spec.FrameEvery == 0 {
 			if err := w.WriteFrame(step, float64(step)*spec.Dt, st.Pos); err != nil {
 				t.Fatal(err)
+			}
+		}
+		if ce := spec.CheckpointEvery; ce > 0 && step%ce == 0 && spec.Engine.UsesLists() {
+			eng.Invalidate()
+			switch e := eng.(type) {
+			case *gonamd.Sequential:
+				e.ResetLists()
+			case *gonamd.Parallel:
+				e.ResetLists()
 			}
 		}
 	}

@@ -145,14 +145,6 @@ func (s *JobSpec) normalizeMD() error {
 		// rescale on a shifted schedule and break bit-identical resume.
 		return fmt.Errorf("serve: the rescale thermostat's interval phase is not checkpointable; use langevin or berendsen")
 	}
-	if s.Engine.Tabulated && s.Engine.ClusterM == 0 {
-		// NewEngine would reject this too, but only when the job first
-		// runs; fail the submission instead of a queued job.
-		return fmt.Errorf("serve: tabulated kernels require cluster lists (set cluster_m/cluster_n)")
-	}
-	if s.Engine.TableSpacing < 0 {
-		return fmt.Errorf("serve: table_spacing %g Å² must be ≥ 0 (0 = default resolution)", s.Engine.TableSpacing)
-	}
 	par, err := s.Engine.Parallel()
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -120,6 +121,17 @@ func (s *Scheduler) recoverJob(id string) (*Job, error) {
 			j.events.close()
 			return j, nil
 		}
+	}
+
+	// A spec of record written by an older server may name engine fields
+	// that no longer exist. Dropping them would run the job in another
+	// mode than it was submitted for; fail it naming the field, as the
+	// HTTP submission would.
+	strict := json.NewDecoder(bytes.NewReader(specJSON))
+	strict.DisallowUnknownFields()
+	if err := strict.Decode(new(JobSpec)); err != nil {
+		j.finalizeExternal(StateFailed, fmt.Sprintf("cannot resume: spec of record: %v", err))
+		return j, nil
 	}
 
 	snap, err := ckpt.LoadJobFile(j.ckptPath())

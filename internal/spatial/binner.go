@@ -1,12 +1,15 @@
 package spatial
 
-import "gonamd/internal/vec"
+import (
+	"math"
+
+	"gonamd/internal/vec"
+)
 
 // Binner bins atoms into a grid's patches using storage that is reused
 // across calls, so steady-state rebinning performs no heap allocations.
-// The engines rebin every step (direct cell paths) or on every Verlet
-// list rebuild (cached list paths); either way the per-call [][]int32 of
-// Grid.Bin was the dominant recurring allocation source.
+// The reference cell path rebins every step; the per-call [][]int32 of
+// Grid.Bin was its dominant recurring allocation source.
 type Binner struct {
 	grid  *Grid
 	ids   []int32   // scratch: patch of each atom
@@ -56,27 +59,11 @@ func (b *Binner) Bin(pos []vec.V3) [][]int32 {
 	return b.cells
 }
 
-// MovedBeyond reports whether any atom's minimum-image displacement from
-// its reference position exceeds limit, with an early exit on the first
-// offender. This is the Verlet-list invalidation rule shared by the
-// sequential pairlist and the parallel block lists: a list built with
-// skin s covers every within-cutoff pair while no atom has moved more
-// than s/2 since the build.
-func MovedBeyond(pos, ref []vec.V3, box vec.V3, limit float64) bool {
-	limit2 := limit * limit
-	for i := range pos {
-		if vec.MinImage(pos[i], ref[i], box).Norm2() > limit2 {
-			return true
-		}
-	}
-	return false
-}
-
 // MaxDisplacement2 returns the largest squared minimum-image displacement
-// of any atom from its reference position. Unlike MovedBeyond it always
-// scans every atom; a passing scan therefore measures the true maximum,
-// which callers feed back into DriftGuard.Seed so subsequent validity
-// checks can be skipped again.
+// of any atom from its reference position. It always scans every atom; a
+// passing scan therefore measures the true maximum, which ListGuard.Valid
+// feeds back into DriftGuard.Seed so subsequent validity checks can be
+// skipped again.
 func MaxDisplacement2(pos, ref []vec.V3, box vec.V3) float64 {
 	var max float64
 	for i := range pos {
@@ -85,25 +72,6 @@ func MaxDisplacement2(pos, ref []vec.V3, box vec.V3) float64 {
 		}
 	}
 	return max
-}
-
-// CellMovedBeyond scans cell by cell (using the frozen membership the
-// lists were built from) and returns the first cell containing an atom
-// whose displacement from its reference exceeds limit, or -1 if every
-// atom is still within bounds. The per-cell granularity exists for
-// diagnostics and early exit; because pair lists of different cells can
-// cover the same atoms only under one consistent binning, a single dirty
-// cell invalidates the whole list set (see DESIGN.md, "Hot path").
-func CellMovedBeyond(bins [][]int32, pos, ref []vec.V3, box vec.V3, limit float64) int {
-	limit2 := limit * limit
-	for c, atoms := range bins {
-		for _, i := range atoms {
-			if vec.MinImage(pos[i], ref[i], box).Norm2() > limit2 {
-				return c
-			}
-		}
-	}
-	return -1
 }
 
 // DriftGuard maintains a conservative upper bound on how far any atom can
@@ -138,3 +106,52 @@ func (g *DriftGuard) Advance(maxStep float64) {
 // CanSkip reports whether the accumulated bound proves that no atom can
 // have moved beyond Limit, making a displacement scan unnecessary.
 func (g *DriftGuard) CanSkip() bool { return g.bound >= 0 && g.bound <= g.Limit }
+
+// ListGuard is the Verlet-list validity rule, stated once for every
+// engine: a list built with skin s covers every within-cutoff pair while
+// no atom has moved more than s/2 from the positions the list was built
+// at. It owns that reference snapshot and the drift bound over it.
+type ListGuard struct {
+	DriftGuard
+	Builds int // Rebase calls, i.e. list (re)builds
+
+	ref   []vec.V3 // positions at the last Rebase
+	built bool
+}
+
+// NewListGuard returns the guard of a list with the given skin; it
+// reports invalid until the first Rebase.
+func NewListGuard(skin float64) ListGuard {
+	return ListGuard{DriftGuard: DriftGuard{Limit: skin / 2, bound: -1}}
+}
+
+// Valid reports whether the list built at the last Rebase still covers
+// every within-cutoff pair at pos. The drift bound answers most calls in
+// O(1); when it cannot, one O(N) displacement scan decides and, on
+// success, re-seeds the bound with the measured maximum.
+func (g *ListGuard) Valid(pos []vec.V3, box vec.V3) bool {
+	if !g.built {
+		return false
+	}
+	if g.CanSkip() {
+		return true
+	}
+	d2 := MaxDisplacement2(pos, g.ref, box)
+	if d2 > g.Limit*g.Limit {
+		return false
+	}
+	g.Seed(math.Sqrt(d2))
+	return true
+}
+
+// Rebase records pos as the positions the list was just built at.
+func (g *ListGuard) Rebase(pos []vec.V3) {
+	g.ref = append(g.ref[:0], pos...)
+	g.Reset()
+	g.built = true
+	g.Builds++
+}
+
+// Drop forgets the list, so the next Valid reports false whatever the
+// positions: the next evaluation rebuilds instead of replaying.
+func (g *ListGuard) Drop() { g.built = false }

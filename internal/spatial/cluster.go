@@ -24,15 +24,14 @@ import (
 // the two clusters' axis-aligned bounding boxes come within the list
 // distance under the periodic minimum image. Within an entry, mask bits
 // are set only for atom pairs themselves within the list distance at
-// build time — the same Verlet criterion the atom-pair lists apply — so
-// a kernel sweep tests the pair-list candidate count, not the tile
-// volume. Every real atom pair within the list distance is covered, and
+// build time — the Verlet criterion of an atom-pair list — so a kernel
+// sweep tests the pair-list candidate count, not the tile volume. Every real atom pair within the list distance is covered, and
 // covered exactly once: the pair with slots s_i < s_j appears only in
 // entry (s_i/M, s_j/N), at mask bit (s_i mod M)·N + (s_j mod N). The
 // packed 64-bit interaction mask also encodes Newton's-third-law
 // ordering (only s_j > s_i bits are set), padding slots, and exclusions;
 // a parallel mask flags modified 1-4 pairs. The skin/2 drift rule
-// (DriftGuard) decides list reuse exactly as for the atom-pair lists.
+// (ListGuard) decides list reuse.
 
 // ClusterPairEntry is one packed cluster pair of a ClusterList: the
 // j-cluster index plus the interaction masks. Mask bit a·N+b enables the
@@ -478,8 +477,8 @@ func (b *ClusterBuilder) buildEntries() {
 // entryMask computes the interaction mask of one entry: ordering
 // (Newton's 3rd law), padding, and the per-pair distance filter. Only
 // pairs within ListDist at build time get a bit — exactly the Verlet
-// criterion the atom-pair lists apply — so the kernels' candidate count
-// matches the pair list's instead of growing with the tile volume. The
+// criterion of an atom-pair list — so the kernels' candidate count
+// matches such a list's instead of growing with the tile volume. The
 // displacement arithmetic (wrapped coordinates, branchy minimum image)
 // is the same the kernels use, so the filter keeps precisely the pairs a
 // kernel sweep at the build positions would find within ListDist.

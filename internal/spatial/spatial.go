@@ -136,31 +136,6 @@ func (g *Grid) Neighbors(id int) []int {
 	return out
 }
 
-// Neighbors2 returns the distinct patches within two grid steps of patch
-// id along every axis (up to 124), excluding id itself — used when a
-// search radius slightly exceeds the cell size.
-func (g *Grid) Neighbors2(id int) []int {
-	ix, iy, iz := g.Coords(id)
-	seen := map[int]bool{id: true}
-	var out []int
-	for dz := -2; dz <= 2; dz++ {
-		for dy := -2; dy <= 2; dy++ {
-			for dx := -2; dx <= 2; dx++ {
-				if dx == 0 && dy == 0 && dz == 0 {
-					continue
-				}
-				n := g.Index(mod(ix+dx, g.Dim[0]), mod(iy+dy, g.Dim[1]), mod(iz+dz, g.Dim[2]))
-				if !seen[n] {
-					seen[n] = true
-					out = append(out, n)
-				}
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // UpstreamNeighbors returns the ids of the at most 7 distinct neighbors
 // of patch id at equal-or-greater coordinates along all three axes
 // (offsets in {0,1}³ except the zero offset), under periodic wrap. The

@@ -323,26 +323,51 @@ func TestNewGridErrors(t *testing.T) {
 	}
 }
 
-func TestNeighbors2(t *testing.T) {
-	g, _ := NewGrid(vec.New(84, 84, 84), 12.0) // 7×7×7
-	n2 := g.Neighbors2(g.Index(3, 3, 3))
-	if len(n2) != 124 {
-		t.Errorf("Neighbors2 = %d, want 124 (5³-1)", len(n2))
+// TestListGuard walks the skin/2 validity rule through its cases: no
+// list yet, the drift bound answering alone, the bound overshooting and
+// a scan re-seeding it, a real displacement past the limit, an external
+// edit, and a dropped list.
+func TestListGuard(t *testing.T) {
+	box := vec.New(20, 20, 20)
+	pos := []vec.V3{vec.New(1, 1, 1), vec.New(19.9, 5, 5)}
+	g := NewListGuard(1.5)
+	if g.Valid(pos, box) {
+		t.Fatal("valid before any list was built")
 	}
-	// Every 1-neighbor is also a 2-neighbor.
-	set := map[int]bool{}
-	for _, n := range n2 {
-		set[n] = true
+	g.Rebase(pos)
+	if !g.Valid(pos, box) || g.Builds != 1 {
+		t.Fatalf("fresh list invalid (builds %d)", g.Builds)
 	}
-	for _, n := range g.Neighbors(g.Index(3, 3, 3)) {
-		if !set[n] {
-			t.Errorf("1-neighbor %d missing from Neighbors2", n)
-		}
+
+	// Tracked drift inside the limit: the bound answers without a scan —
+	// shown by an untracked edit it cannot see.
+	g.Advance(0.5)
+	moved := []vec.V3{pos[0].Add(vec.New(5, 0, 0)), pos[1]}
+	if !g.Valid(moved, box) {
+		t.Error("bound within the limit did not skip the scan")
 	}
-	// Small grid deduplicates.
-	gs, _ := NewGrid(vec.New(36, 36, 36), 12.0) // 3×3×3
-	if n := gs.Neighbors2(0); len(n) != 26 {
-		t.Errorf("3×3×3 Neighbors2 = %d, want 26 (whole grid)", len(n))
+	// Bound past the limit: the scan decides. A small true displacement
+	// (across the periodic boundary) keeps the list and re-seeds the bound.
+	g.Advance(0.5)
+	near := []vec.V3{pos[0], vec.New(0.2, 5, 5)}
+	if !g.Valid(near, box) || !g.CanSkip() {
+		t.Error("scan of a 0.3 Å displacement should keep the list and re-arm the bound")
+	}
+	if !g.Valid(moved, box) { // the re-seeded bound (0.3) is inside the limit
+		t.Error("re-seeded bound did not skip")
+	}
+	// An external edit voids the bound; the scan then sees the 5 Å move.
+	g.Invalidate()
+	if g.Valid(moved, box) {
+		t.Error("displacement past skin/2 reported valid")
+	}
+	g.Rebase(moved)
+	if !g.Valid(moved, box) || g.Builds != 2 {
+		t.Error("rebased list invalid")
+	}
+	g.Drop()
+	if g.Valid(moved, box) {
+		t.Error("dropped list reported valid")
 	}
 }
 

@@ -32,7 +32,7 @@ func TestStepZeroAllocsMetrics(t *testing.T) {
 
 	rec := gonamd.NewMetricsRecorder(0)
 	par, err := gonamd.NewParallel(sys, ff, cloneState(st), 8,
-		gonamd.WithBlockLists(1.5), gonamd.WithRebalanceEvery(0),
+		gonamd.WithRebalanceEvery(0),
 		gonamd.WithMetricsRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestStepZeroAllocsMetrics(t *testing.T) {
 		t.Fatalf("recorder sample after stepping: ok=%v values=%v, want steps > 0", ok, last.Values)
 	}
 
-	base, err := gonamd.NewSequential(sys, ff, cloneState(st), gonamd.WithPairlist(1.5))
+	base, err := gonamd.NewSequential(sys, ff, cloneState(st), gonamd.WithClusterLists(4, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestStepZeroAllocsMetrics(t *testing.T) {
 	baseAllocs := testing.AllocsPerRun(20, func() { base.Step(0.5) })
 
 	rec2 := gonamd.NewMetricsRecorder(0)
-	met, err := gonamd.NewSequential(sys, ff, cloneState(st), gonamd.WithPairlist(1.5),
+	met, err := gonamd.NewSequential(sys, ff, cloneState(st), gonamd.WithClusterLists(4, 8),
 		gonamd.WithMetricsRecorder(rec2))
 	if err != nil {
 		t.Fatal(err)
@@ -81,13 +81,13 @@ func TestMetricsMatchesUnmetered(t *testing.T) {
 
 	t.Run("parallel", func(t *testing.T) {
 		plain, err := gonamd.NewParallel(sys, ff, cloneState(st), 4,
-			gonamd.WithBlockLists(1.5), gonamd.WithRebalanceEvery(0))
+			gonamd.WithRebalanceEvery(0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := gonamd.NewMetricsRecorder(0)
 		metered, err := gonamd.NewParallel(sys, ff, cloneState(st), 4,
-			gonamd.WithBlockLists(1.5), gonamd.WithRebalanceEvery(0),
+			gonamd.WithRebalanceEvery(0),
 			gonamd.WithMetricsRecorder(rec))
 		if err != nil {
 			t.Fatal(err)
@@ -106,12 +106,12 @@ func TestMetricsMatchesUnmetered(t *testing.T) {
 	})
 
 	t.Run("sequential", func(t *testing.T) {
-		plain, err := gonamd.NewSequential(sys, ff, cloneState(st), gonamd.WithPairlist(1.5))
+		plain, err := gonamd.NewSequential(sys, ff, cloneState(st), gonamd.WithClusterLists(4, 8))
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := gonamd.NewMetricsRecorder(0)
-		metered, err := gonamd.NewSequential(sys, ff, cloneState(st), gonamd.WithPairlist(1.5),
+		metered, err := gonamd.NewSequential(sys, ff, cloneState(st), gonamd.WithClusterLists(4, 8),
 			gonamd.WithMetricsRecorder(rec))
 		if err != nil {
 			t.Fatal(err)
@@ -138,7 +138,7 @@ func TestMetricsWithTrace(t *testing.T) {
 	rec := gonamd.NewMetricsRecorder(0)
 	tlog := gonamd.NewTraceLog()
 	e, err := gonamd.NewParallel(sys, ff, cloneState(st), 4,
-		gonamd.WithBlockLists(1.5), gonamd.WithRebalanceEvery(0),
+		gonamd.WithRebalanceEvery(0),
 		gonamd.WithTrace(tlog), gonamd.WithMetricsRecorder(rec))
 	if err != nil {
 		t.Fatal(err)

@@ -66,14 +66,9 @@ func (k engineKind) String() string {
 type engineOptions struct {
 	kind engineKind
 
-	pairlistSkin float64 // seq: Verlet pair list skin, 0 = off
-	blockSkin    float64 // par: Verlet block list skin, 0 = off
-
-	clusterM, clusterN int     // cluster pair lists, 0 = off
-	clusterSkin        float64 // cluster list skin override (Å), 0 = default
-	mixedPrecision     bool    // float32 cluster fast path
-	tabulated          bool    // r²-indexed tabulated cluster kernels
-	tableSpacing       float64 // table grid spacing (Å²), 0 = default
+	// Cluster pair list geometry; 0×0 = not given (sequential: the
+	// reference cell path; parallel: the default geometry).
+	clusterM, clusterN int
 
 	pmeSet  bool
 	pmeGrid float64
@@ -95,55 +90,26 @@ type engineOptions struct {
 // Option configures an engine at construction time. Options are applied
 // by NewSequential and NewParallel in a fixed internal order, so the
 // order they are passed in never changes the result. Engine-specific
-// options (WithPairlist, WithBlockLists, ...) return a construction
-// error when handed to the other engine.
+// options (WithRebalanceEvery, WithHBondConstraints, ...) return a
+// construction error when handed to the other engine.
 type Option func(*engineOptions) error
 
-// WithPairlist switches the sequential engine's nonbonded path to a
-// Verlet pair list with the given skin in Å (rebuilt only when an atom
-// has drifted more than skin/2). Sequential engine only; skin must be
-// positive.
-func WithPairlist(skin float64) Option {
-	return func(o *engineOptions) error {
-		if o.kind != kindSequential {
-			return fmt.Errorf("gonamd: WithPairlist applies only to the sequential engine (use WithBlockLists for the parallel engine)")
-		}
-		if skin <= 0 {
-			return fmt.Errorf("gonamd: pairlist skin %g Å must be positive", skin)
-		}
-		o.pairlistSkin = skin
-		return nil
-	}
-}
-
-// WithBlockLists caches a Verlet pair list with the given skin (Å) per
-// nonbonded task of the parallel engine, rebuilt only when atoms drift
-// beyond skin/2. Parallel engine only; skin must be positive.
-func WithBlockLists(skin float64) Option {
-	return func(o *engineOptions) error {
-		if o.kind != kindParallel {
-			return fmt.Errorf("gonamd: WithBlockLists applies only to the parallel engine (use WithPairlist for the sequential engine)")
-		}
-		if skin <= 0 {
-			return fmt.Errorf("gonamd: block list skin %g Å must be positive", skin)
-		}
-		o.blockSkin = skin
-		return nil
-	}
-}
-
-// WithClusterLists switches the engine's nonbonded path to M×N cluster
-// pair lists (GROMACS-style): atoms pack into spatial clusters of M
-// (i-side) and N (j-side) consecutive slots, the Verlet list pairs
-// clusters instead of atoms with a per-pair interaction bitmask, and the
-// kernel evaluates each M×N tile with the pair invariants hoisted.
-// Works on both engines; the parallel engine decomposes the list by
-// spatial cell and keeps its deterministic reduction, so cluster runs
-// stay bitwise reproducible for a fixed worker count and mode. M and N
-// must be in [1, 8] with M·N ≤ 64 (typical: 4×4 or 4×8). The list uses
-// the default skin and rebuilds under the same skin/2 drift rule as the
-// other list modes. Incompatible with WithPairlist and WithBlockLists —
-// each selects a different nonbonded evaluation strategy.
+// WithClusterLists selects the production nonbonded path — M×N cluster
+// pair lists (GROMACS-style) — and its geometry: atoms pack into spatial
+// clusters of M (i-side) and N (j-side) consecutive slots, the Verlet
+// list pairs clusters instead of atoms with a per-pair interaction
+// bitmask, and the kernel evaluates each M×N tile with the pair
+// invariants hoisted. M and N must be in [1, 8] with M·N ≤ 64 (typical:
+// 4×8). The list carries a 1.5 Å skin and rebuilds under the skin/2
+// drift rule. The kernel follows the electrostatics: analytic under the
+// shifted cutoff, tabulated under WithPME.
+//
+// The parallel engine always runs cluster lists (4×8 when this option is
+// absent) and decomposes the list by spatial cell with a deterministic
+// reduction, so runs are bitwise reproducible for a fixed worker count.
+// The sequential engine without this option evaluates the list-free
+// cell-walk reference path, the oracle the cluster path is tested
+// against.
 func WithClusterLists(m, n int) Option {
 	return func(o *engineOptions) error {
 		if m < 1 || m > 8 || n < 1 || n > 8 || m*n > 64 {
@@ -154,63 +120,20 @@ func WithClusterLists(m, n int) Option {
 	}
 }
 
-// WithClusterSkin overrides the Verlet skin (Å) of the cluster pair
-// lists enabled by WithClusterLists. The skin trades list size against
-// rebuild frequency: every listed cluster pair within cutoff+skin is
-// re-evaluated each step, while the drift guard only rebuilds once an
-// atom has moved skin/2 from the list's reference positions — so a
-// smaller skin shrinks the per-step kernel work linearly in
-// (1+skin/cutoff)³ at the price of more frequent rebuilds. Correctness
-// never depends on the value: any positive skin obeys the same drift
-// rule. The default (1.5 Å) matches the atom-pair list modes; tighter
-// skins (0.5–0.75 Å) are usually a net win for large boxes where the
-// rebuild amortizes over hundreds of steps. Requires WithClusterLists.
-func WithClusterSkin(skin float64) Option {
-	return func(o *engineOptions) error {
-		if !(skin > 0) || skin > 1e6 {
-			return fmt.Errorf("gonamd: cluster skin %g out of range (want 0 < skin)", skin)
-		}
-		o.clusterSkin = skin
-		return nil
-	}
-}
-
-// WithMixedPrecision selects the float32 fast path for the cluster
-// kernels: pair interactions evaluate in float32 from float32 position
-// and parameter mirrors, with per-cluster partial sums reduced into
-// float64 accumulators, bounding rounding error to the ≤8-term tile sums.
-// Trajectories remain bitwise reproducible run-to-run for a fixed
-// configuration, but differ from float64 trajectories (see DESIGN.md,
-// "Cluster kernels & precision contract"). Requires WithClusterLists.
-func WithMixedPrecision() Option {
-	return func(o *engineOptions) error {
-		o.mixedPrecision = true
-		return nil
-	}
-}
-
-// WithTabulatedKernels switches the cluster kernels to r²-indexed
-// force/energy interaction tables: the combined Lennard-Jones +
-// electrostatics interaction (including the Ewald real-space term when
-// PME is on, and the vdW switching function) is precomputed once at
-// construction as quadratic splines of E and dE/d(r²) on a uniform r²
-// grid, and the pair loop becomes lookup + FMA — no Sqrt, no Erfc/Exp,
-// no switching branch. spacing is the grid spacing in Å² (0 selects the
-// default resolution, cutoff²/16384 bins, whose force error is well
-// under 1e-6 relative — see DESIGN.md "Tabulated kernels" for the
-// accuracy-vs-spacing table). Requires WithClusterLists; composes with
-// WithMixedPrecision (float32 tabulated kernel) and WithPME (the table
-// is built after the Ewald swap). Tabulated trajectories are bitwise
-// reproducible for a fixed configuration but numerically distinct from
-// analytic ones, so checkpoints record the mode and services refuse to
-// resume across a change.
+// WithTabulatedKernels does nothing beyond validating spacing: the
+// engines choose the tabulated kernel themselves, at the default table
+// spacing, exactly when the electrostatics are Ewald (WithPME on the
+// cluster path), which is where the table wins.
+//
+// Deprecated: kept only because benchmark/md.go, which this repository's
+// benchmark freezes, still passes WithTabulatedKernels(0) next to
+// WithPME. Delete that call in a benchmark-only change, then this
+// function.
 func WithTabulatedKernels(spacing float64) Option {
-	return func(o *engineOptions) error {
+	return func(*engineOptions) error {
 		if spacing < 0 || spacing != spacing {
-			return fmt.Errorf("gonamd: table spacing %g Å² must be ≥ 0 (0 = default resolution)", spacing)
+			return fmt.Errorf("gonamd: table spacing %g Å² must be ≥ 0", spacing)
 		}
-		o.tabulated = true
-		o.tableSpacing = spacing
 		return nil
 	}
 }
@@ -353,26 +276,13 @@ func (o *engineOptions) validate() error {
 	if o.hbond && o.pmeSet {
 		return fmt.Errorf("gonamd: WithHBondConstraints and WithPME cannot be combined: the impulse-MTS PME step has no SHAKE/RATTLE projection")
 	}
-	if o.clusterM > 0 {
-		if o.pairlistSkin > 0 {
-			return fmt.Errorf("gonamd: WithClusterLists and WithPairlist cannot be combined: each selects a different nonbonded evaluation strategy")
-		}
-		if o.blockSkin > 0 {
-			return fmt.Errorf("gonamd: WithClusterLists and WithBlockLists cannot be combined: each selects a different nonbonded evaluation strategy")
-		}
-	} else if o.mixedPrecision {
-		return fmt.Errorf("gonamd: WithMixedPrecision requires WithClusterLists: only the cluster kernels have a float32 fast path")
-	} else if o.clusterSkin > 0 {
-		return fmt.Errorf("gonamd: WithClusterSkin requires WithClusterLists: the skin belongs to the cluster pair list")
-	} else if o.tabulated {
-		return fmt.Errorf("gonamd: WithTabulatedKernels requires WithClusterLists: the tabulated kernels only exist in cluster form")
-	}
 	return nil
 }
 
-// NewSequential creates the single-threaded reference engine, configured
-// by the options (WithPairlist, WithPME, WithTrace, WithThermostat,
-// WithHBondConstraints).
+// NewSequential creates the single-threaded engine, configured by the
+// options (WithClusterLists, WithPME, WithTrace, WithMetrics,
+// WithThermostat, WithHBondConstraints). With no WithClusterLists it is
+// the list-free reference engine.
 func NewSequential(sys *System, ff *ForceField, st *State, opts ...Option) (*Sequential, error) {
 	o := engineOptions{kind: kindSequential}
 	for _, opt := range opts {
@@ -390,22 +300,13 @@ func NewSequential(sys *System, ff *ForceField, st *State, opts ...Option) (*Seq
 	if o.thermostat != nil {
 		e.Thermo = o.thermostat
 	}
-	if o.pairlistSkin > 0 {
-		seq.EnablePairlist(e, o.pairlistSkin)
-	}
 	if o.clusterM > 0 {
-		if err := e.EnableClusterLists(o.clusterM, o.clusterN, o.clusterSkin, o.mixedPrecision); err != nil {
+		if err := e.EnableClusterLists(o.clusterM, o.clusterN); err != nil {
 			return nil, err
 		}
 	}
 	if o.pmeSet {
 		if err := seq.EnableFullElectrostatics(e, o.pmeGrid, o.betaOrAuto(ff), o.pmeMTS); err != nil {
-			return nil, err
-		}
-	}
-	// After any Ewald swap: the table folds the active electrostatics.
-	if o.tabulated {
-		if err := e.EnableTabulatedKernels(o.tableSpacing); err != nil {
 			return nil, err
 		}
 	}
@@ -426,9 +327,9 @@ func NewSequential(sys *System, ff *ForceField, st *State, opts ...Option) (*Seq
 }
 
 // NewParallel creates the shared-memory parallel engine with the given
-// number of goroutine workers (0 = GOMAXPROCS), configured by the
-// options (WithBlockLists, WithPME, WithTrace, WithThermostat,
-// WithRebalanceEvery).
+// number of goroutine workers (0 = all cores), configured by the
+// options (WithClusterLists, WithPME, WithTrace, WithMetrics,
+// WithThermostat, WithRebalanceEvery, WithLoadBalancer).
 func NewParallel(sys *System, ff *ForceField, st *State, workers int, opts ...Option) (*Parallel, error) {
 	o := engineOptions{kind: kindParallel}
 	for _, opt := range opts {
@@ -439,7 +340,7 @@ func NewParallel(sys *System, ff *ForceField, st *State, workers int, opts ...Op
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	e, err := par.New(sys, ff, st, workers)
+	e, err := par.New(sys, ff, st, workers, o.clusterM, o.clusterN)
 	if err != nil {
 		return nil, err
 	}
@@ -452,24 +353,8 @@ func NewParallel(sys *System, ff *ForceField, st *State, workers int, opts ...Op
 	if o.lb != nil {
 		e.LB = o.lb
 	}
-	if o.blockSkin > 0 {
-		if err := par.EnableBlockLists(e, o.blockSkin); err != nil {
-			return nil, err
-		}
-	}
-	if o.clusterM > 0 {
-		if err := e.EnableClusterLists(o.clusterM, o.clusterN, o.clusterSkin, o.mixedPrecision); err != nil {
-			return nil, err
-		}
-	}
 	if o.pmeSet {
 		if err := par.EnableFullElectrostatics(e, o.pmeGrid, o.betaOrAuto(ff), o.pmeMTS); err != nil {
-			return nil, err
-		}
-	}
-	// After any Ewald swap: the table folds the active electrostatics.
-	if o.tabulated {
-		if err := e.EnableTabulatedKernels(o.tableSpacing); err != nil {
 			return nil, err
 		}
 	}
@@ -504,30 +389,11 @@ type EngineSpec struct {
 	Engine string `json:"engine,omitempty"`
 	// Workers is the parallel engine's goroutine count (0 = all cores).
 	Workers int `json:"workers,omitempty"`
-	// PairlistSkin enables the sequential Verlet pair list (Å, 0 = off).
-	PairlistSkin float64 `json:"pairlist_skin,omitempty"`
-	// BlockListSkin enables the parallel Verlet block lists (Å, 0 = off).
-	BlockListSkin float64 `json:"blocklist_skin,omitempty"`
-	// ClusterM/ClusterN enable M×N cluster pair lists (0 = off); see
-	// WithClusterLists for the geometry constraints.
+	// ClusterM/ClusterN select M×N cluster pair lists; see
+	// WithClusterLists for the geometry constraints and for what 0×0
+	// means on each engine.
 	ClusterM int `json:"cluster_m,omitempty"`
 	ClusterN int `json:"cluster_n,omitempty"`
-	// ClusterSkin overrides the cluster-list Verlet skin (Å, 0 = default
-	// 1.5); see WithClusterSkin for the size/rebuild trade-off.
-	ClusterSkin float64 `json:"cluster_skin,omitempty"`
-	// MixedPrecision selects the float32 cluster fast path; requires
-	// cluster lists. Changes the numerical trajectory (see DESIGN.md), so
-	// services must not resume a checkpoint across a precision-mode change.
-	MixedPrecision bool `json:"mixed_precision,omitempty"`
-	// Tabulated switches the cluster kernels to r²-indexed interaction
-	// tables (see WithTabulatedKernels); requires cluster lists. Like
-	// MixedPrecision it changes the numerical trajectory, so the
-	// precision mode records it and services refuse to resume a
-	// checkpoint across a tabulation change.
-	Tabulated bool `json:"tabulated,omitempty"`
-	// TableSpacing overrides the table grid spacing (Å², 0 = default
-	// resolution); only meaningful with Tabulated.
-	TableSpacing float64 `json:"table_spacing,omitempty"`
 	// PME enables smooth particle-mesh Ewald full electrostatics.
 	PME *PMESpec `json:"pme,omitempty"`
 	// RebalanceEvery, when non-nil, overrides the parallel engine's
@@ -594,32 +460,29 @@ func (t *ThermostatSpec) New() (Thermostat, error) {
 	}
 }
 
+// UsesLists reports whether the spec's engine evaluates nonbonded forces
+// over a cluster pair list: every parallel engine does, and a sequential
+// one given a geometry. Such engines carry list history — forces depend
+// on where the current list was built, not just on the current positions
+// — so services that promise bit-identical crash resume rebase them on
+// every checkpoint (Invalidate + ResetLists; see the job server). Only
+// the sequential reference path is list-free.
+func (s *EngineSpec) UsesLists() bool {
+	par, _ := s.Parallel()
+	return par || s.ClusterM > 0 || s.ClusterN > 0
+}
+
 // PrecisionMode names the numerical mode the spec's trajectory runs in:
-// "fp64" for full float64 evaluation, "fp32-mixed" for the
-// mixed-precision cluster fast path, with a "-tab" suffix when the
-// tabulated kernels replace the analytic interaction. Trajectories are
-// bitwise reproducible within a mode but differ across modes, so
+// "fp64-tab" when the tabulated cluster kernel evaluates the pair
+// interaction (cluster lists with PME), "fp64" otherwise. Trajectories
+// are bitwise reproducible within a mode but differ across modes, so
 // checkpoints record this and services refuse to resume across a mode
 // change.
 func (s *EngineSpec) PrecisionMode() string {
-	mode := "fp64"
-	if s.MixedPrecision {
-		mode = "fp32-mixed"
+	if s.UsesLists() && s.PME != nil {
+		return "fp64-tab"
 	}
-	if s.Tabulated {
-		mode += "-tab"
-	}
-	return mode
-}
-
-// UsesLists reports whether the spec enables any neighbor-list mode
-// (Verlet pair or block lists, or cluster lists). List-mode engines
-// carry list history — forces depend on where the current list was
-// built, not just on the current positions — so services that promise
-// bit-identical crash resume rebase such engines on every checkpoint
-// (Invalidate + ResetLists; see the job server).
-func (s *EngineSpec) UsesLists() bool {
-	return s.PairlistSkin > 0 || s.BlockListSkin > 0 || s.ClusterM > 0
+	return "fp64"
 }
 
 // Parallel reports whether the spec selects the parallel engine.
@@ -641,12 +504,6 @@ func (s *EngineSpec) options(th Thermostat) []Option {
 	if th != nil {
 		opts = append(opts, WithThermostat(th))
 	}
-	if s.PairlistSkin > 0 {
-		opts = append(opts, WithPairlist(s.PairlistSkin))
-	}
-	if s.BlockListSkin > 0 {
-		opts = append(opts, WithBlockLists(s.BlockListSkin))
-	}
 	if s.PME != nil {
 		mts := s.PME.MTSPeriod
 		if mts == 0 {
@@ -656,15 +513,6 @@ func (s *EngineSpec) options(th Thermostat) []Option {
 	}
 	if s.ClusterM > 0 || s.ClusterN > 0 {
 		opts = append(opts, WithClusterLists(s.ClusterM, s.ClusterN))
-	}
-	if s.ClusterSkin > 0 {
-		opts = append(opts, WithClusterSkin(s.ClusterSkin))
-	}
-	if s.MixedPrecision {
-		opts = append(opts, WithMixedPrecision())
-	}
-	if s.Tabulated {
-		opts = append(opts, WithTabulatedKernels(s.TableSpacing))
 	}
 	if s.RebalanceEvery != nil {
 		opts = append(opts, WithRebalanceEvery(*s.RebalanceEvery))

@@ -18,7 +18,6 @@ import (
 const (
 	benchSide   = 97.3 // Å → ~92.3k atoms at water density
 	benchCutoff = 9.0
-	benchSkin   = 1.5
 	benchDt     = 0.5
 )
 
@@ -37,7 +36,7 @@ func benchSystem(b *testing.B) (*gonamd.System, *gonamd.State, *gonamd.ForceFiel
 			panic(err)
 		}
 		ff := gonamd.StandardForceField(benchCutoff)
-		eng, err := gonamd.NewSequential(sys, ff, st, gonamd.WithPairlist(benchSkin))
+		eng, err := gonamd.NewSequential(sys, ff, st, gonamd.WithClusterLists(4, 8))
 		if err != nil {
 			panic(err)
 		}
@@ -47,302 +46,88 @@ func benchSystem(b *testing.B) (*gonamd.System, *gonamd.State, *gonamd.ForceFiel
 	return benchSys, benchSt.Clone(), benchFF
 }
 
-func reportSteps(b *testing.B) {
+// benchSteps times b.N steps of an engine whose first force evaluation
+// (list build, buffer warm-up, reciprocal priming under PME) is done.
+func benchSteps(b *testing.B, eng gonamd.Engine) {
+	eng.Energies()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step(benchDt)
+	}
+	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/sec")
 }
 
-// BenchmarkStepPar is the headline number: the full batched pipeline —
-// per-task Verlet block lists, SoA batch kernel, sparse force reduction —
-// at 8 workers.
-func BenchmarkStepPar(b *testing.B) {
+// One step benchmark per configuration that exists, each at the default
+// geometry (4×8) and skin. The names are new with the one-pipeline
+// change: BENCH_3–6.json carry the retired configurations' numbers under
+// the old names (BenchmarkStepPar = block lists, BenchmarkStepParCluster
+// = 8×8 lists on a 0.5 Å skin, ...), which must not be compared with
+// these.
+
+func benchPar(b *testing.B, opts ...gonamd.Option) *gonamd.Parallel {
 	sys, st, ff := benchSystem(b)
-	eng, err := gonamd.NewParallel(sys, ff, st, 8,
-		gonamd.WithBlockLists(benchSkin), gonamd.WithRebalanceEvery(0))
+	eng, err := gonamd.NewParallel(sys, ff, st, 8, append(opts, gonamd.WithRebalanceEvery(0))...)
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng.ComputeForces() // build lists and warm per-worker buffers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(benchDt)
-	}
-	b.StopTimer()
-	reportSteps(b)
+	return eng
 }
 
-// BenchmarkStepParTraced is BenchmarkStepPar with a trace log attached:
-// the per-phase instrumentation must stay within 0 allocs/step and add
-// only marginal (≤2%) wall overhead.
-func BenchmarkStepParTraced(b *testing.B) {
-	sys, st, ff := benchSystem(b)
+// BenchmarkStepClusterPar is the headline number: cluster pair lists,
+// the analytic M×N kernel, slot-force flush into the sparse
+// deterministic reduction, at 8 workers.
+func BenchmarkStepClusterPar(b *testing.B) { benchSteps(b, benchPar(b)) }
+
+// BenchmarkStepClusterParPME is the full-electrostatics configuration:
+// the tabulated Ewald real-space kernel plus the reciprocal mesh sum
+// (smooth PME on the worker pool) amortized over a 4-step impulse-MTS
+// cycle.
+func BenchmarkStepClusterParPME(b *testing.B) {
+	benchSteps(b, benchPar(b, gonamd.WithPME(1.0, 3.12/benchCutoff, 4)))
+}
+
+// BenchmarkStepClusterParTraced is BenchmarkStepClusterPar with a trace
+// log attached: the per-phase instrumentation must stay within 0
+// allocs/step and add only marginal (≤2%) wall overhead.
+func BenchmarkStepClusterParTraced(b *testing.B) {
 	tlog := gonamd.NewTraceLog()
-	eng, err := gonamd.NewParallel(sys, ff, st, 8,
-		gonamd.WithBlockLists(benchSkin), gonamd.WithRebalanceEvery(0),
-		gonamd.WithTrace(tlog))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.ComputeForces()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(benchDt)
-	}
-	b.StopTimer()
-	reportSteps(b)
+	benchSteps(b, benchPar(b, gonamd.WithTrace(tlog)))
 	rep := gonamd.AnalyzeTrace(tlog, gonamd.ProjectionsOptions{})
 	b.ReportMetric(rep.Utilization*100, "util%")
 }
 
-// BenchmarkStepParMetrics is BenchmarkStepPar with a 1 Hz FTDC metrics
-// recorder attached: the telemetry contract is 0 allocs/step and ≤2%
-// wall overhead — publication is a handful of atomic word stores, and
-// the sampler goroutine touches only its own ring.
-func BenchmarkStepParMetrics(b *testing.B) {
-	sys, st, ff := benchSystem(b)
+// BenchmarkStepClusterParMetrics is BenchmarkStepClusterPar with a 1 Hz
+// FTDC metrics recorder attached: the telemetry contract is 0
+// allocs/step and ≤2% wall overhead — publication is a handful of atomic
+// word stores, and the sampler goroutine touches only its own ring.
+func BenchmarkStepClusterParMetrics(b *testing.B) {
 	rec := gonamd.NewMetricsRecorder(time.Second)
 	defer rec.Close()
-	eng, err := gonamd.NewParallel(sys, ff, st, 8,
-		gonamd.WithBlockLists(benchSkin), gonamd.WithRebalanceEvery(0),
-		gonamd.WithMetricsRecorder(rec))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.ComputeForces()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(benchDt)
-	}
-	b.StopTimer()
-	reportSteps(b)
+	benchSteps(b, benchPar(b, gonamd.WithMetricsRecorder(rec)))
 }
 
-// BenchmarkStepParBaseline is the pre-pipeline configuration of the
-// parallel engine — rebinning and screening every candidate pair every
-// step, no cached lists — kept as the reference the block-list speedup
-// is measured against.
-func BenchmarkStepParBaseline(b *testing.B) {
+// BenchmarkStepClusterSeq is the sequential engine on the same lists,
+// the single-processor end of the scaling story.
+func BenchmarkStepClusterSeq(b *testing.B) {
 	sys, st, ff := benchSystem(b)
-	eng, err := gonamd.NewParallel(sys, ff, st, 8, gonamd.WithRebalanceEvery(0))
+	eng, err := gonamd.NewSequential(sys, ff, st, gonamd.WithClusterLists(4, 8))
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng.ComputeForces()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(benchDt)
-	}
-	b.StopTimer()
-	reportSteps(b)
+	benchSteps(b, eng)
 }
 
-// BenchmarkStepParPME is the full-electrostatics configuration: the same
-// batched pipeline with the erfc real-space kernel plus the reciprocal
-// mesh sum (smooth PME on the worker pool) amortized over a 4-step
-// impulse-MTS cycle.
-func BenchmarkStepParPME(b *testing.B) {
+// BenchmarkStepReference is the list-free reference path — rebinning and
+// screening every candidate pair every step through the scalar kernel —
+// kept as the baseline the cluster pipeline's speedup is measured
+// against.
+func BenchmarkStepReference(b *testing.B) {
 	sys, st, ff := benchSystem(b)
-	eng, err := gonamd.NewParallel(sys, ff, st, 8,
-		gonamd.WithBlockLists(benchSkin), gonamd.WithRebalanceEvery(0),
-		gonamd.WithPME(1.0, 3.12/benchCutoff, 4))
+	eng, err := gonamd.NewSequential(sys, ff, st)
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng.ComputeForces()
-	eng.RecipForces() // prime the reciprocal solver's mesh and spline caches
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(benchDt)
-	}
-	b.StopTimer()
-	reportSteps(b)
-}
-
-// BenchmarkStepParCluster is the cluster-pair pipeline at 8 workers:
-// 8×8 cluster pair lists with a 0.5 Å skin, evaluated by the M×N kernel
-// (hoisted per-pair invariants, per-cluster accumulation, slot-force
-// flush into the sparse deterministic reduction). The speedup over
-// BenchmarkStepPar comes from the cluster layout — no per-candidate
-// batch building, branch-free operand staging per tile — and from the
-// tighter skin, which the amortized rebuild cost makes a net win at
-// this box size (see WithClusterSkin).
-func BenchmarkStepParCluster(b *testing.B) {
-	sys, st, ff := benchSystem(b)
-	eng, err := gonamd.NewParallel(sys, ff, st, 8,
-		gonamd.WithClusterLists(8, 8), gonamd.WithClusterSkin(0.5),
-		gonamd.WithRebalanceEvery(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.ComputeForces() // build lists and warm per-worker buffers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(benchDt)
-	}
-	b.StopTimer()
-	reportSteps(b)
-}
-
-// BenchmarkStepParClusterF32 is BenchmarkStepParCluster on the
-// mixed-precision fast path: float32 pair math over the cluster tiles,
-// float64 per-cluster reduction (see DESIGN.md for the accuracy and
-// determinism contract).
-func BenchmarkStepParClusterF32(b *testing.B) {
-	sys, st, ff := benchSystem(b)
-	eng, err := gonamd.NewParallel(sys, ff, st, 8,
-		gonamd.WithClusterLists(8, 8), gonamd.WithClusterSkin(0.5),
-		gonamd.WithMixedPrecision(), gonamd.WithRebalanceEvery(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.ComputeForces()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(benchDt)
-	}
-	b.StopTimer()
-	reportSteps(b)
-}
-
-// BenchmarkStepParClusterTab is BenchmarkStepParCluster with the
-// r²-indexed tabulated kernels: same lists, same deterministic
-// reduction, but the pair loop is table lookup + FMA — no Sqrt, no
-// switching branch (and no Erfc/Exp when PME is on). The default table
-// resolution keeps the force error well inside the fp32-mixed envelope
-// (see DESIGN.md "Tabulated kernels").
-func BenchmarkStepParClusterTab(b *testing.B) {
-	sys, st, ff := benchSystem(b)
-	eng, err := gonamd.NewParallel(sys, ff, st, 8,
-		gonamd.WithClusterLists(8, 8), gonamd.WithClusterSkin(0.5),
-		gonamd.WithTabulatedKernels(0), gonamd.WithRebalanceEvery(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.ComputeForces()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(benchDt)
-	}
-	b.StopTimer()
-	reportSteps(b)
-}
-
-// BenchmarkStepParClusterTabF32 combines the tabulated kernels with the
-// mixed-precision fast path: float32 table reconstruction from the
-// float32 coefficient mirror, float64 per-cluster reduction.
-func BenchmarkStepParClusterTabF32(b *testing.B) {
-	sys, st, ff := benchSystem(b)
-	eng, err := gonamd.NewParallel(sys, ff, st, 8,
-		gonamd.WithClusterLists(8, 8), gonamd.WithClusterSkin(0.5),
-		gonamd.WithMixedPrecision(), gonamd.WithTabulatedKernels(0),
-		gonamd.WithRebalanceEvery(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.ComputeForces()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(benchDt)
-	}
-	b.StopTimer()
-	reportSteps(b)
-}
-
-// BenchmarkStepParClusterPME is the cluster pipeline with full
-// electrostatics: erfc real-space evaluated by the analytic cluster
-// kernel plus the reciprocal mesh sum on the 4-step impulse-MTS cycle.
-// Paired with BenchmarkStepParClusterPMETab below, it isolates what the
-// tabulated kernels buy when the real-space electrostatics actually
-// contain Erfc/Exp (the shifted-Coulomb StepParCluster baseline has
-// neither, so the table can only win back the Sqrt and the switching
-// branch there).
-func BenchmarkStepParClusterPME(b *testing.B) {
-	sys, st, ff := benchSystem(b)
-	eng, err := gonamd.NewParallel(sys, ff, st, 8,
-		gonamd.WithClusterLists(8, 8), gonamd.WithClusterSkin(0.5),
-		gonamd.WithPME(1.0, 3.12/benchCutoff, 4),
-		gonamd.WithRebalanceEvery(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.ComputeForces()
-	eng.RecipForces()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(benchDt)
-	}
-	b.StopTimer()
-	reportSteps(b)
-}
-
-// BenchmarkStepParClusterPMETab is BenchmarkStepParClusterPME with the
-// tabulated real-space kernel: the table folds erfc(βr)/r at build
-// time, so the pair loop runs no Sqrt, no Erfc, no Exp.
-func BenchmarkStepParClusterPMETab(b *testing.B) {
-	sys, st, ff := benchSystem(b)
-	eng, err := gonamd.NewParallel(sys, ff, st, 8,
-		gonamd.WithClusterLists(8, 8), gonamd.WithClusterSkin(0.5),
-		gonamd.WithPME(1.0, 3.12/benchCutoff, 4),
-		gonamd.WithTabulatedKernels(0),
-		gonamd.WithRebalanceEvery(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.ComputeForces()
-	eng.RecipForces()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(benchDt)
-	}
-	b.StopTimer()
-	reportSteps(b)
-}
-
-// BenchmarkStepSeqCluster is the sequential engine on the same 8×8
-// cluster lists and 0.5 Å skin, for the single-processor end of the
-// cluster scaling story.
-func BenchmarkStepSeqCluster(b *testing.B) {
-	sys, st, ff := benchSystem(b)
-	eng, err := gonamd.NewSequential(sys, ff, st,
-		gonamd.WithClusterLists(8, 8), gonamd.WithClusterSkin(0.5))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.ComputeForces()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(benchDt)
-	}
-	b.StopTimer()
-	reportSteps(b)
-}
-
-// BenchmarkStepSeq is the sequential engine with its Verlet pairlist on
-// the same system, for the single-processor baseline of the scaling
-// story.
-func BenchmarkStepSeq(b *testing.B) {
-	sys, st, ff := benchSystem(b)
-	eng, err := gonamd.NewSequential(sys, ff, st, gonamd.WithPairlist(benchSkin))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.ComputeForces()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(benchDt)
-	}
-	b.StopTimer()
-	reportSteps(b)
+	benchSteps(b, eng)
 }

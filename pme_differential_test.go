@@ -2,82 +2,15 @@ package gonamd_test
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"gonamd"
 )
 
-// pmeParams are the full-electrostatics settings the differential tests
-// share: 1 Å mesh spacing, an Ewald β giving erfc(β·rc) ≈ 8e-6 at the
-// 7 Å cutoff, and (where noted) a 4-step MTS reciprocal period.
-const (
-	pmeGridSpacing = 1.0
-	pmeBeta        = 0.45
-)
-
-// TestPMEDifferentialSeqVsPar: with full electrostatics enabled, the
-// sequential and parallel engines must agree — the reciprocal (slow)
-// forces bitwise for every worker count, the total forces and energies
-// within reduction tolerance.
-func TestPMEDifferentialSeqVsPar(t *testing.T) {
-	sys, st, ff := diffSystem(t)
-
-	ref, err := gonamd.NewSequential(sys, ff, st.Clone(), gonamd.WithPME(pmeGridSpacing, pmeBeta, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refEn := ref.Energies()
-	refF := ref.Forces()
-	refRecip := ref.RecipForces()
-
-	for _, workers := range []int{1, 2, 4, 8} {
-		p, err := gonamd.NewParallel(sys, ff, st.Clone(), workers, gonamd.WithPME(pmeGridSpacing, pmeBeta, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		en := p.Energies()
-		if math.Abs(en.Potential()-refEn.Potential()) > 1e-7*(1+math.Abs(refEn.Potential())) {
-			t.Errorf("%d workers: potential %v, sequential %v", workers, en.Potential(), refEn.Potential())
-		}
-		// The slow reciprocal forces are computed by a fully deterministic
-		// decomposition: bitwise identical to the sequential engine's, for
-		// any worker count.
-		if !reflect.DeepEqual(p.RecipForces(), refRecip) {
-			t.Errorf("%d workers: reciprocal forces not bitwise identical to sequential", workers)
-		}
-		for i, f := range p.Forces() {
-			if d := f.Sub(refF[i]).Norm(); d > 1e-7*(1+refF[i].Norm()) {
-				t.Fatalf("%d workers: fast force on atom %d off by %v", workers, i, d)
-			}
-		}
-	}
-}
-
-// TestPMEDifferentialBitwiseRuns: the parallel PME trajectory is exactly
-// reproducible — two runs with the same worker count give bitwise
-// identical positions and velocities, including across an MTS cycle.
-func TestPMEDifferentialBitwiseRuns(t *testing.T) {
-	sys, st, ff := diffSystem(t)
-	const steps, dt = 8, 0.5
-	for _, workers := range []int{2, 4, 8} {
-		run := func() *gonamd.State {
-			parSt := st.Clone()
-			p, err := gonamd.NewParallel(sys, ff, parSt, workers, gonamd.WithPME(pmeGridSpacing, pmeBeta, 4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < steps; i++ {
-				p.Step(dt)
-			}
-			return parSt
-		}
-		a, b := run(), run()
-		if !reflect.DeepEqual(a.Pos, b.Pos) || !reflect.DeepEqual(a.Vel, b.Vel) {
-			t.Errorf("%d workers: PME trajectory not bitwise reproducible", workers)
-		}
-	}
-}
+// The full-electrostatics settings (pmeGridSpacing, pmeBeta) are shared
+// with the conformance table in differential_test.go, which carries the
+// sequential-vs-parallel and bitwise-repeat checks for every PME
+// configuration; this file keeps what is specific to the Ewald sum.
 
 // TestPMEDifferentialVsDirectEwald: the engines' decomposed electrostatic
 // energy (erfc real space within the cutoff + mesh reciprocal + self +
