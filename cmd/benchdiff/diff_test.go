@@ -124,6 +124,7 @@ func TestPinnedList(t *testing.T) {
 		"BenchmarkStepClusterPar",
 		"BenchmarkStepClusterParPME",
 		"BenchmarkStepClusterParMetrics",
+		"BenchmarkNonbondedCluster/4x8",
 		"BenchmarkNonbondedClusterTab/shifted",
 	} {
 		if !re.MatchString(name) {
@@ -137,6 +138,7 @@ func TestPinnedList(t *testing.T) {
 		"BenchmarkStepParClusterF32",
 		"BenchmarkStepParClusterTabF32",
 		"BenchmarkStepClusterParMetricsExtra",
+		"BenchmarkNonbondedCluster/8x8",
 		"BenchmarkNonbondedClusterTab/shifted/extra",
 	} {
 		if re.MatchString(name) {

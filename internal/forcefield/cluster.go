@@ -13,12 +13,18 @@ import (
 // M×N cluster pairs. Per atom pair the analytic kernel performs exactly
 // the same operations as the scalar Nonbonded — which stays the
 // reference, and the two are bitwise identical pairwise — but the
-// cluster layout amortizes everything else: displacements come from
+// cluster layout strips everything else: displacements come from
 // slot-indexed position arrays with a branchy minimum-image wrap (no
 // per-pair division/rounding), exclusions are pre-resolved into the
 // entry masks (no per-pair Classify), i-cluster operands and force
 // accumulators live in fixed-size locals across a whole entry run, and
 // forces accumulate per cluster before touching the slot arrays.
+//
+// Each list entry is swept in two phases (see pairBuf): a filter that
+// walks the entry's mask bits and keeps the candidates inside the cutoff
+// without branching on the outcome, then a straight-line pair-math loop
+// over the survivors. The filter is shared by both production kernels;
+// they differ only in the pair math.
 
 // ClusterData holds the slot-indexed SoA operands of the cluster
 // kernels for one ClusterList: wrapped positions, atom types and
@@ -141,11 +147,11 @@ func (p *Params) NonbondedCluster(l *spatial.ClusterList, d *ClusterData, ics []
 	beta := p.EwaldBeta
 	invSqrtPiBeta := beta / math.SqrtPi
 	bx, by, bz := l.Box.X, l.Box.Y, l.Box.Z
-	hx, hy, hz := bx/2, by/2, bz/2
 	M, N := l.M, l.N
 	xs, ys, zs := d.X, d.Y, d.Z
 	typ, qs, qas := d.Typ, d.Q, d.QA
-	rowMask := uint64(1)<<uint(N) - 1
+	abOf := pairSlotTable(M, N)
+	var buf pairBuf
 
 	// The i-cluster operands are staged once per cluster into fixed-size
 	// locals indexed with `& 7`; the j-cluster is accessed through
@@ -175,104 +181,86 @@ func (p *Params) NonbondedCluster(l *spatial.ClusterList, d *ClusterData, ics []
 		for _, e := range l.Entries[lo:hi] {
 			jBase := int(e.J) * N
 			mask, modMask := e.Mask, e.Mod
-			xj := xs[jBase:][:8]
-			yj := ys[jBase:][:8]
-			zj := zs[jBase:][:8]
+			xj := (*[8]float64)(xs[jBase:][:8])
+			yj := (*[8]float64)(ys[jBase:][:8])
+			zj := (*[8]float64)(zs[jBase:][:8])
 			tj := typ[jBase:][:8]
 			qj := qs[jBase:][:8]
 			fxj := fx[jBase:][:8]
 			fyj := fy[jBase:][:8]
 			fzj := fz[jBase:][:8]
-			for a := 0; a < M; a++ {
-				row := (mask >> uint(a*N)) & rowMask
-				if row == 0 {
+			n := buf.gather(mask, &abOf, &xi, &yi, &zi, xj, yj, zj, bx, by, bz, rc2)
+
+			// Row partials: zeroed per entry and folded into fxi at
+			// entry end, so every i-force sees the partial sums of a
+			// row-by-row walk.
+			var pfx, pfy, pfz [8]float64
+			for k := 0; k < n; k++ {
+				x := buf.x[k&63]
+				if x == 0 {
 					continue
 				}
-				xa, ya, za := xi[a&7], yi[a&7], zi[a&7]
-				ta, qa := int(ti[a&7]), qai[a&7]
-				rowBase := ta * nt
-				var fxa, fya, fza float64
-				modRow := (modMask >> uint(a*N)) & rowMask
-				for bitset := row; bitset != 0; bitset &= bitset - 1 {
-					b := bits.TrailingZeros64(bitset) & 7
-					dx := xa - xj[b]
-					if dx > hx {
-						dx -= bx
-					} else if dx < -hx {
-						dx += bx
-					}
-					dy := ya - yj[b]
-					if dy > hy {
-						dy -= by
-					} else if dy < -hy {
-						dy += by
-					}
-					dz := za - zj[b]
-					if dz > hz {
-						dz -= bz
-					} else if dz < -hz {
-						dz += bz
-					}
-					x := dx*dx + dy*dy + dz*dz
-					if x >= rc2 || x == 0 {
-						continue
-					}
+				ab := uint(buf.ab[k&63])
+				a, b := ab>>3&7, ab&7
+				dx, dy, dz := buf.dx[k&63], buf.dy[k&63], buf.dz[k&63]
 
-					qq := qa * qj[b]
-					var pp pairParam
-					if modRow&(1<<uint(b)) != 0 {
-						pp = pair14[rowBase+int(tj[b])]
-						qq *= scale14
-					} else {
-						pp = pair[rowBase+int(tj[b])]
-					}
-
-					invX := 1 / x
-					invX3 := invX * invX * invX
-					a6 := pp.A * invX3 * invX3
-					b3 := pp.B * invX3
-					v := a6 - b3
-					dvdx := (3*b3 - 6*a6) * invX
-
-					var ev, dEdxVdw float64
-					if x <= rs2 {
-						ev = v
-						dEdxVdw = dvdx
-					} else {
-						d := rc2 - x
-						sw := d * d * (sw3 + 2*x) * invDenom
-						dswdx := d * (rs2 - x) * invDenom6
-						ev = v * sw
-						dEdxVdw = dvdx*sw + v*dswdx
-					}
-
-					r := math.Sqrt(x)
-					invR := r * invX
-					var ee, dEdxElec float64
-					if beta > 0 {
-						ee, dEdxElec = elecEwaldReal(qq, r, invR, invX, beta, invSqrtPiBeta)
-					} else {
-						ee, dEdxElec = elecShiftedCoulomb(qq, invR, invX, x, invRc2)
-					}
-
-					fOverR := -2 * (dEdxVdw + dEdxElec)
-					fpx := fOverR * dx
-					fpy := fOverR * dy
-					fpz := fOverR * dz
-					fxa += fpx
-					fya += fpy
-					fza += fpz
-					fxj[b] -= fpx
-					fyj[b] -= fpy
-					fzj[b] -= fpz
-
-					evdw += ev
-					eelec += ee
-					virial += fOverR * x
+				qq := qai[a] * qj[b]
+				rowBase := int(ti[a]) * nt
+				var pp pairParam
+				if modMask>>(a*uint(N)+b)&1 != 0 {
+					pp = pair14[rowBase+int(tj[b])]
+					qq *= scale14
+				} else {
+					pp = pair[rowBase+int(tj[b])]
 				}
-				fxi[a&7] += fxa
-				fyi[a&7] += fya
-				fzi[a&7] += fza
+
+				invX := 1 / x
+				invX3 := invX * invX * invX
+				a6 := pp.A * invX3 * invX3
+				b3 := pp.B * invX3
+				v := a6 - b3
+				dvdx := (3*b3 - 6*a6) * invX
+
+				var ev, dEdxVdw float64
+				if x <= rs2 {
+					ev = v
+					dEdxVdw = dvdx
+				} else {
+					d := rc2 - x
+					sw := d * d * (sw3 + 2*x) * invDenom
+					dswdx := d * (rs2 - x) * invDenom6
+					ev = v * sw
+					dEdxVdw = dvdx*sw + v*dswdx
+				}
+
+				r := math.Sqrt(x)
+				invR := r * invX
+				var ee, dEdxElec float64
+				if beta > 0 {
+					ee, dEdxElec = elecEwaldReal(qq, r, invR, invX, beta, invSqrtPiBeta)
+				} else {
+					ee, dEdxElec = elecShiftedCoulomb(qq, invR, invX, x, invRc2)
+				}
+
+				fOverR := -2 * (dEdxVdw + dEdxElec)
+				fpx := fOverR * dx
+				fpy := fOverR * dy
+				fpz := fOverR * dz
+				pfx[a] += fpx
+				pfy[a] += fpy
+				pfz[a] += fpz
+				fxj[b] -= fpx
+				fyj[b] -= fpy
+				fzj[b] -= fpz
+
+				evdw += ev
+				eelec += ee
+				virial += fOverR * x
+			}
+			for a := 0; a < M; a++ {
+				fxi[a&7] += pfx[a&7]
+				fyi[a&7] += pfy[a&7]
+				fzi[a&7] += pfz[a&7]
 			}
 		}
 		for a := 0; a < M; a++ {
@@ -283,6 +271,78 @@ func (p *Params) NonbondedCluster(l *spatial.ClusterList, d *ClusterData, ics []
 		}
 	}
 	return evdw, eelec, virial
+}
+
+// pairBuf is the candidate buffer of one list entry: the two-phase
+// sweep's hand-off between the cutoff filter and the pair math. At most
+// M·N ≤ 64 candidates; ab packs the pair's slots as i-slot<<3 | j-slot.
+// It lives on the kernel's stack (~2 KB).
+type pairBuf struct {
+	ab            [64]uint8
+	dx, dy, dz, x [64]float64
+}
+
+// deBruijn64 maps an isolated bit 1<<t to a distinct 6-bit hash
+// (1<<t · deBruijn64) >> 58, the sequence math/bits falls back to.
+const deBruijn64 = 0x03f79d71b4ca8b09
+
+// pairSlotTable returns the filter's lookup from a mask bit's de Bruijn
+// hash to the packed slots (a<<3 | b) of bit t = a·N + b.
+func pairSlotTable(m, n int) (tab [64]uint8) {
+	for t := 0; t < m*n; t++ {
+		tab[uint64(1)<<uint(t)*deBruijn64>>58] = uint8(t/n<<3 | t%n)
+	}
+	return tab
+}
+
+// gather is the filter phase: it walks the set bits of one entry's mask
+// in ascending order (row-major over the M×N tile, the order the
+// reference walks), computes each candidate's minimum-image displacement
+// and r² with the reference's arithmetic, stores it unconditionally and
+// keeps it only if r² < rc2 — by advancing the write index with the sign
+// bit of r² − rc2 (r² == rc2 gives +0: rejected), so the cutoff decision
+// never steers a branch. It returns the number of survivors, which sit
+// in buf[0:n] in walk order.
+//
+// The bit index comes from a de Bruijn hash, not bits.TrailingZeros64:
+// BSF carries a dependency on its destination register, and when the
+// register allocator hands it the one that last held the sign bit — the
+// end of the load → subtract → multiply chain — every iteration waits
+// for the previous one (measured: 12.8 → 19 ns per candidate).
+func (buf *pairBuf) gather(mask uint64, abOf *[64]uint8, xi, yi, zi, xj, yj, zj *[8]float64, bx, by, bz, rc2 float64) int {
+	hx, hy, hz := bx/2, by/2, bz/2
+	nhx, nhy, nhz := -hx, -hy, -hz // named: written -hx in the loop, the negation is redone per candidate
+	// Dereference every operand once here: the nil checks then dominate
+	// the loop and the compiler drops the eight it would repeat per bit.
+	_, _, _, _, _, _, _, _ = *abOf, *xi, *yi, *zi, *xj, *yj, *zj, *buf
+	n := 0
+	for m := mask; m != 0; m &= m - 1 {
+		ab := uint(abOf[(m&-m)*deBruijn64>>58])
+		a, b := ab>>3&7, ab&7
+		dx := xi[a] - xj[b]
+		if dx > hx {
+			dx -= bx
+		} else if dx < nhx {
+			dx += bx
+		}
+		dy := yi[a] - yj[b]
+		if dy > hy {
+			dy -= by
+		} else if dy < nhy {
+			dy += by
+		}
+		dz := zi[a] - zj[b]
+		if dz > hz {
+			dz -= bz
+		} else if dz < nhz {
+			dz += bz
+		}
+		x := dx*dx + dy*dy + dz*dz
+		k := n & 63
+		buf.ab[k], buf.dx[k], buf.dy[k], buf.dz[k], buf.x[k] = uint8(ab), dx, dy, dz, x
+		n += int(math.Float64bits(x-rc2) >> 63)
+	}
+	return n
 }
 
 // NonbondedClusterRef is the differential-testing reference for

@@ -27,6 +27,7 @@ type clusterTestSystem struct {
 	types   []int32
 	charges []float64
 	excl    map[[2]int32]bool // pair → modified?
+	skin    float64           // lists are built at Cutoff + skin
 }
 
 func newClusterTestSystem(t *testing.T, seed int64, n int, beta float64) *clusterTestSystem {
@@ -83,37 +84,47 @@ func (s *clusterTestSystem) forEachExcl(fn func(i, j int32, modified bool)) {
 	}
 }
 
-// evalCluster builds an M×N list and runs the given kernel, returning
-// per-atom forces plus energies.
-func (s *clusterTestSystem) evalCluster(t *testing.T, m, n int,
-	kern func(p *Params, l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (float64, float64, float64)) ([]vec.V3, float64, float64, float64) {
+// clusterKern is the signature the cluster kernels share.
+type clusterKern func(p *Params, l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (float64, float64, float64)
+
+// evalSlots builds an M×N list at Cutoff + skin and runs the given
+// kernel over every i-cluster, returning the list, its operands, the raw
+// slot forces (x, y, z) and (evdw, eelec, virial).
+func (s *clusterTestSystem) evalSlots(t *testing.T, m, n int, kern clusterKern) (l *spatial.ClusterList, d *ClusterData, f [3][]float64, en [3]float64) {
 	t.Helper()
-	b, err := spatial.NewClusterBuilder(s.box, m, n, s.params.Cutoff)
+	b, err := spatial.NewClusterBuilder(s.box, m, n, s.params.Cutoff+s.skin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := b.Build(s.pos, s.forEachExcl)
-	var d ClusterData
+	l = b.Build(s.pos, s.forEachExcl)
+	d = &ClusterData{}
 	d.LoadStatic(l, s.types, s.charges)
 	d.LoadPositions(l, s.pos)
 	ns := l.Slots()
 	// Capacity ns+8: the kernels take constant-length-8 re-slices of a
 	// cluster's slot run (see NonbondedCluster).
-	fx := make([]float64, ns, ns+8)
-	fy := make([]float64, ns, ns+8)
-	fz := make([]float64, ns, ns+8)
+	for k := range f {
+		f[k] = make([]float64, ns, ns+8)
+	}
 	ics := make([]int32, l.NumI())
 	for i := range ics {
 		ics[i] = int32(i)
 	}
-	ev, ee, vir := kern(s.params, l, &d, ics, fx, fy, fz)
+	en[0], en[1], en[2] = kern(s.params, l, d, ics, f[0], f[1], f[2])
+	return l, d, f, en
+}
+
+// evalCluster is evalSlots reduced to per-atom forces plus energies.
+func (s *clusterTestSystem) evalCluster(t *testing.T, m, n int, kern clusterKern) ([]vec.V3, float64, float64, float64) {
+	t.Helper()
+	l, _, f, en := s.evalSlots(t, m, n, kern)
 	forces := make([]vec.V3, len(s.pos))
 	for sl, a := range l.Atom {
 		if a >= 0 {
-			forces[a] = vec.New(fx[sl], fy[sl], fz[sl])
+			forces[a] = vec.New(f[0][sl], f[1][sl], f[2][sl])
 		}
 	}
-	return forces, ev, ee, vir
+	return forces, en[0], en[1], en[2]
 }
 
 // bruteForces is the O(N²) scalar-kernel reference over the same

@@ -1,20 +1,17 @@
 package forcefield
 
-import (
-	"math/bits"
+import "gonamd/internal/spatial"
 
-	"gonamd/internal/spatial"
-)
-
-// Tabulated cluster kernel: identical list walk, staging discipline,
-// and reduction order to NonbondedCluster (see cluster.go — staged
-// i-operands, constant-length-8 j-view re-slices, packed masks), but the
-// per-pair interaction comes from an InteractionTable lookup: no Sqrt,
-// no Erfc/Exp, no switching branch. The only data-dependent branches
-// left in the pair loop are the cutoff skip and the 1-4 parameter
-// select. It is bitwise deterministic for a fixed list and evaluation
-// order, and bitwise unrelated to the analytic kernel (documented
-// accuracy envelope instead; see DESIGN.md "Nonbonded pipeline").
+// Tabulated cluster kernel: identical two-phase sweep, staging
+// discipline, and reduction order to NonbondedCluster (see cluster.go —
+// staged i-operands, constant-length-8 j-view re-slices, the shared
+// pairBuf filter), but the per-pair interaction comes from an
+// InteractionTable lookup: no Sqrt, no Erfc/Exp, no switching branch.
+// The only data-dependent branch left in the pair loop is the 1-4
+// parameter select. It is bitwise deterministic for a fixed list and
+// evaluation order, and bitwise unrelated to the analytic kernel
+// (documented accuracy envelope instead; see DESIGN.md "Nonbonded
+// pipeline").
 
 // NonbondedClusterTab evaluates the listed i-clusters from the
 // interaction table, accumulating slot forces into fx/fy/fz
@@ -33,11 +30,11 @@ func (p *Params) NonbondedClusterTab(tab *InteractionTable, l *spatial.ClusterLi
 	nt := p.ntypes
 	scale14 := p.Scale14Elec
 	bx, by, bz := l.Box.X, l.Box.Y, l.Box.Z
-	hx, hy, hz := bx/2, by/2, bz/2
 	M, N := l.M, l.N
 	xs, ys, zs := d.X, d.Y, d.Z
 	typ, qs, qas := d.Typ, d.Q, d.QA
-	rowMask := uint64(1)<<uint(N) - 1
+	abOf := pairSlotTable(M, N)
+	var buf pairBuf
 
 	var xi, yi, zi, qai [8]float64
 	var ti [8]int32
@@ -59,97 +56,74 @@ func (p *Params) NonbondedClusterTab(tab *InteractionTable, l *spatial.ClusterLi
 		for _, e := range l.Entries[lo:hi] {
 			jBase := int(e.J) * N
 			mask, modMask := e.Mask, e.Mod
-			xj := xs[jBase:][:8]
-			yj := ys[jBase:][:8]
-			zj := zs[jBase:][:8]
+			xj := (*[8]float64)(xs[jBase:][:8])
+			yj := (*[8]float64)(ys[jBase:][:8])
+			zj := (*[8]float64)(zs[jBase:][:8])
 			tj := typ[jBase:][:8]
 			qj := qs[jBase:][:8]
 			fxj := fx[jBase:][:8]
 			fyj := fy[jBase:][:8]
 			fzj := fz[jBase:][:8]
-			for a := 0; a < M; a++ {
-				row := (mask >> uint(a*N)) & rowMask
-				if row == 0 {
+			n := buf.gather(mask, &abOf, &xi, &yi, &zi, xj, yj, zj, bx, by, bz, rc2)
+
+			var pfx, pfy, pfz [8]float64
+			for k := 0; k < n; k++ {
+				x := buf.x[k&63]
+				if x == 0 {
 					continue
 				}
-				xa, ya, za := xi[a&7], yi[a&7], zi[a&7]
-				ta, qa := int(ti[a&7]), qai[a&7]
-				rowBase := ta * nt
-				var fxa, fya, fza float64
-				modRow := (modMask >> uint(a*N)) & rowMask
-				for bitset := row; bitset != 0; bitset &= bitset - 1 {
-					b := bits.TrailingZeros64(bitset) & 7
-					dx := xa - xj[b]
-					if dx > hx {
-						dx -= bx
-					} else if dx < -hx {
-						dx += bx
-					}
-					dy := ya - yj[b]
-					if dy > hy {
-						dy -= by
-					} else if dy < -hy {
-						dy += by
-					}
-					dz := za - zj[b]
-					if dz > hz {
-						dz -= bz
-					} else if dz < -hz {
-						dz += bz
-					}
-					x := dx*dx + dy*dy + dz*dz
-					if x >= rc2 || x == 0 {
-						continue
-					}
+				ab := uint(buf.ab[k&63])
+				a, b := ab>>3&7, ab&7
+				dx, dy, dz := buf.dx[k&63], buf.dy[k&63], buf.dz[k&63]
 
-					qq := qa * qj[b]
-					var pp pairParam
-					if modRow&(1<<uint(b)) != 0 {
-						pp = pair14[rowBase+int(tj[b])]
-						qq *= scale14
-					} else {
-						pp = pair[rowBase+int(tj[b])]
-					}
-
-					// Table lookup + reconstruction: the arithmetic of
-					// InteractionTable.Eval, inlined. The clamp onto the
-					// zero guard record only fires when x·invH rounds up
-					// to Bins at the cutoff edge (≤ 1 ulp) — a CMOV, so
-					// the pair loop stays branch-free past the cutoff
-					// test shared with the analytic kernels.
-					xh := x * invH
-					bin := int(xh)
-					if bin > lastBin {
-						bin = lastBin
-					}
-					t := xh - float64(bin)
-					c := tc[bin*tabStride:][:tabStride]
-					halfT := halfH * t
-					dr := c[1] + t*c[2]
-					dd := c[4] + t*c[5]
-					de := c[7] + t*c[8]
-					dEdx := pp.A*dr + pp.B*dd + qq*de
-					ev := pp.A*(c[0]+halfT*(c[1]+dr)) + pp.B*(c[3]+halfT*(c[4]+dd))
-					ee := qq * (c[6] + halfT*(c[7]+de))
-
-					fOverR := -2 * dEdx
-					fpx := fOverR * dx
-					fpy := fOverR * dy
-					fpz := fOverR * dz
-					fxa += fpx
-					fya += fpy
-					fza += fpz
-					fxj[b] -= fpx
-					fyj[b] -= fpy
-					fzj[b] -= fpz
-
-					evdw += ev
-					eelec += ee
-					virial += fOverR * x
+				qq := qai[a] * qj[b]
+				rowBase := int(ti[a]) * nt
+				var pp pairParam
+				if modMask>>(a*uint(N)+b)&1 != 0 {
+					pp = pair14[rowBase+int(tj[b])]
+					qq *= scale14
+				} else {
+					pp = pair[rowBase+int(tj[b])]
 				}
-				fxi[a&7] += fxa
-				fyi[a&7] += fya
-				fzi[a&7] += fza
+
+				// Table lookup + reconstruction: the arithmetic of
+				// InteractionTable.Eval, inlined. The clamp onto the
+				// zero guard record only fires when x·invH rounds up
+				// to Bins at the cutoff edge (≤ 1 ulp) — a CMOV.
+				xh := x * invH
+				bin := int(xh)
+				if bin > lastBin {
+					bin = lastBin
+				}
+				t := xh - float64(bin)
+				c := tc[bin*tabStride:][:tabStride]
+				halfT := halfH * t
+				dr := c[1] + t*c[2]
+				dd := c[4] + t*c[5]
+				de := c[7] + t*c[8]
+				dEdx := pp.A*dr + pp.B*dd + qq*de
+				ev := pp.A*(c[0]+halfT*(c[1]+dr)) + pp.B*(c[3]+halfT*(c[4]+dd))
+				ee := qq * (c[6] + halfT*(c[7]+de))
+
+				fOverR := -2 * dEdx
+				fpx := fOverR * dx
+				fpy := fOverR * dy
+				fpz := fOverR * dz
+				pfx[a] += fpx
+				pfy[a] += fpy
+				pfz[a] += fpz
+				fxj[b] -= fpx
+				fyj[b] -= fpy
+				fzj[b] -= fpz
+
+				evdw += ev
+				eelec += ee
+				virial += fOverR * x
+			}
+			for a := 0; a < M; a++ {
+				fxi[a&7] += pfx[a&7]
+				fyi[a&7] += pfy[a&7]
+				fzi[a&7] += pfz[a&7]
 			}
 		}
 		for a := 0; a < M; a++ {

@@ -90,15 +90,7 @@ func (l *ClusterList) CenterI(ic int) vec.V3 {
 func (l *ClusterList) NumPairs() int {
 	n := 0
 	for i := range l.Entries {
-		n += popcount(l.Entries[i].Mask)
-	}
-	return n
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
+		n += bits.OnesCount64(l.Entries[i].Mask)
 	}
 	return n
 }
@@ -155,12 +147,11 @@ func NewClusterBuilder(box vec.V3, m, n int, listDist float64) (*ClusterBuilder,
 }
 
 func lcm(a, b int) int {
-	g, x, y := 1, a, b
+	x, y := a, b
 	for y != 0 {
 		x, y = y, x%y
 	}
-	g = x
-	return a / g * b
+	return a / x * b
 }
 
 // Build packs the atoms into clusters and lists every cluster pair whose
@@ -482,64 +473,62 @@ func (b *ClusterBuilder) buildEntries() {
 // displacement arithmetic (wrapped coordinates, branchy minimum image)
 // is the same the kernels use, so the filter keeps precisely the pairs a
 // kernel sweep at the build positions would find within ListDist.
+//
+// The distance test runs fixed-trip over the whole M×N tile and never
+// branches on its outcome: a slot pair's bit is the inverted sign of
+// ListDist² − r² (r² == ListDist² gives +0, so the pair stays listed).
+// Which slot pairs may interact at all — real i-slot, real j-slot, and
+// s_j > s_i where the two views overlap — is integer work ANDed on per
+// row; padding slots hold stale but finite coordinates, so testing them
+// is harmless.
 func (b *ClusterBuilder) entryMask(icBase, jcBase, ic, jc int) uint64 {
+	M, N := b.M, b.N
 	rj := b.realJ[jc]
 	ri := b.realI[ic]
 	dist2 := b.ListDist * b.ListDist
 	bx, by, bz := b.Box.X, b.Box.Y, b.Box.Z
 	hx, hy, hz := bx/2, by/2, bz/2
-	ordered := jcBase >= icBase+b.M // disjoint views: every j-slot follows every i-slot
 
 	// Stage the j-cluster coordinates once per entry into fixed arrays
 	// (every later index is masked with &7, so the pair loop runs with no
-	// bounds checks), and iterate only the real j-slots via rj's set bits.
-	// Padding slots hold stale coordinates but are never visited.
+	// bounds checks).
 	var xj, yj, zj [8]float64
-	for m := rj; m != 0; m &= m - 1 {
-		bb := bits.TrailingZeros64(m) & 7
-		js := jcBase + bb
-		xj[bb], yj[bb], zj[bb] = b.sx[js], b.sy[js], b.sz[js]
-	}
+	copy(xj[:], b.sx[jcBase:jcBase+N])
+	copy(yj[:], b.sy[jcBase:jcBase+N])
+	copy(zj[:], b.sz[jcBase:jcBase+N])
+
 	var mask uint64
-	for a := 0; a < b.M; a++ {
-		if ri&(1<<uint(a)) == 0 {
-			continue
-		}
+	for a := 0; a < M; a++ {
 		is := icBase + a
 		xa, ya, za := b.sx[is], b.sy[is], b.sz[is]
-		rowBit := uint64(1) << uint(a*b.N)
-		lim := -1 // ordered: no j-slot can precede an i-slot
-		if !ordered {
-			lim = is - jcBase // skip bb with jcBase+bb <= is
-		}
-		for m := rj; m != 0; m &= m - 1 {
-			bb := bits.TrailingZeros64(m) & 7
-			if bb <= lim {
-				continue
-			}
-			dx := xa - xj[bb]
+		var near uint64
+		for bb := 0; bb < N; bb++ {
+			dx := xa - xj[bb&7]
 			if dx > hx {
 				dx -= bx
 			} else if dx < -hx {
 				dx += bx
 			}
-			dy := ya - yj[bb]
+			dy := ya - yj[bb&7]
 			if dy > hy {
 				dy -= by
 			} else if dy < -hy {
 				dy += by
 			}
-			dz := za - zj[bb]
+			dz := za - zj[bb&7]
 			if dz > hz {
 				dz -= bz
 			} else if dz < -hz {
 				dz += bz
 			}
-			if dx*dx+dy*dy+dz*dz > dist2 {
-				continue
-			}
-			mask |= rowBit << uint(bb)
+			near |= ^math.Float64bits(dist2-(dx*dx+dy*dy+dz*dz)) >> 63 << uint(bb)
 		}
+		valid := rj & -(ri >> uint(a) & 1) // every real j-slot if i-slot a is real
+		if lim := is - jcBase; lim >= 0 {
+			// Overlapping views: keep only the j-slots after i-slot a.
+			valid &^= 2<<uint(lim) - 1
+		}
+		mask |= (near & valid) << uint(a*N)
 	}
 	return mask
 }
