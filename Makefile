@@ -41,14 +41,16 @@ metrics: vet
 # checkpoint recovery, run twice (-count=2) to flush out any hidden
 # run-to-run nondeterminism in the seeded fault streams. The forcefield
 # package carries the kernel differential tests and the root package the
-# nonbonded-pipeline conformance table (TestDifferential*); the fft and
-# pme packages carry the worker-count/repeat determinism tests behind
-# the bitwise-reproducible PME guarantee; the ldb package carries the
+# nonbonded-pipeline conformance table (TestDifferential*); the engine
+# package carries the zero-allocation step table (one worker and two,
+# PME real-space and reciprocal rows included); the fft and pme packages
+# carry the worker-count/repeat determinism tests behind the
+# bitwise-reproducible PME guarantee; the ldb package carries the
 # strategy property suite (never-worsen, validity, determinism).
 chaos:
-	$(GO) test -count=2 -run 'Chaos|Crash|Reliable|Recovery|Property|Differential|Golden|Determinism|PME' \
+	$(GO) test -count=2 -run 'Chaos|Crash|Reliable|Recovery|Property|Differential|Golden|Determinism|PME|ZeroAllocs' \
 		./internal/converse ./internal/charm ./internal/core ./internal/ckpt ./internal/trace \
-		./internal/forcefield ./internal/par ./internal/fft ./internal/pme ./internal/projections \
+		./internal/forcefield ./internal/engine ./internal/fft ./internal/pme ./internal/projections \
 		./internal/ldb ./internal/ftdc ./internal/serve .
 
 # Short runs of the fuzz targets (one -fuzz per invocation): the
@@ -69,7 +71,8 @@ fuzz:
 # The tracked performance suite: kernel benchmarks (ns/pair) and step
 # benchmarks (steps/sec, allocs/step) on the ApoA-I-scale system — one
 # per configuration that exists (BenchmarkStepCluster{Seq,Par,ParPME},
-# BenchmarkStepReference, plus the traced and metered parallel step) —
+# BenchmarkStepReference, plus the traced and metered parallel step; all
+# in the root package, Seq being the one-worker engine) —
 # and the PME mesh layer (3D FFT forward + inverse, complex and
 # real-input; one reciprocal sum whole and by phase), parsed into
 # BENCH_7.json (see README, "Benchmark records"; BENCH_3–6.json are the
@@ -79,7 +82,7 @@ fuzz:
 bench:
 	{ $(GO) test -run='^$$' -bench='Nonbonded' -benchmem ./internal/forcefield && \
 	  $(GO) test -run='^$$' -bench='Mesh3|RecipCompute' -benchmem ./internal/fft ./internal/pme && \
-	  $(GO) test -run='^$$' -bench='Step' -benchmem -benchtime=3x -timeout=30m ./internal/seq . ; } \
+	  $(GO) test -run='^$$' -bench='Step' -benchmem -benchtime=3x -timeout=30m . ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_7.json
 
 # Regression gate for the hot path: rerun the tracked benchmark suite
@@ -89,7 +92,7 @@ bench:
 # more than 10% or disappears.
 benchdiff:
 	{ $(GO) test -run='^$$' -bench='Nonbonded' -benchmem ./internal/forcefield && \
-	  $(GO) test -run='^$$' -bench='Step' -benchmem -benchtime=3x -timeout=30m ./internal/seq . ; } \
+	  $(GO) test -run='^$$' -bench='Step' -benchmem -benchtime=3x -timeout=30m . ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_NEW.json
 	$(GO) run ./cmd/benchdiff -new BENCH_NEW.json
 

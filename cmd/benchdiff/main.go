@@ -23,7 +23,7 @@ import (
 // pinned is the named list of hot-path benchmarks that may not regress:
 // the cluster step pipeline in each configuration that exists
 // (sequential, parallel, parallel with metrics, parallel with PME) and
-// the kernels under it, at the geometry both engines default to (4×8).
+// the kernels under it, at the default geometry (4×8).
 // A name only participates once both reports carry it, so pinning a
 // benchmark here before the next BENCH_<n>.json lands is safe.
 var pinned = []string{

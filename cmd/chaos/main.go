@@ -123,6 +123,7 @@ func runEnsemble(seed uint64, crashAt int64, steps, replicas int, side float64, 
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer ref.Close()
 	if err := ref.Run(steps); err != nil {
 		log.Fatal(err)
 	}
@@ -137,6 +138,7 @@ func runEnsemble(seed uint64, crashAt int64, steps, replicas int, side float64, 
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer victim.Close()
 	if err := victim.Run(steps); err != gonamd.ErrInjectedFailure {
 		log.Fatalf("victim run: got %v, want injected failure at step %d", err, crashAt)
 	}
@@ -152,6 +154,7 @@ func runEnsemble(seed uint64, crashAt int64, steps, replicas int, side float64, 
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer recovered.Close()
 	f, err := os.Open(ckptPath)
 	if err != nil {
 		log.Fatal(err)

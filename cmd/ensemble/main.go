@@ -148,6 +148,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer ens.Close()
 	fmt.Printf("ensemble: %d replicas, ladder %.1f..%.1f K, exchange every %d steps\n",
 		*replicas, ladder[0], ladder[len(ladder)-1], *exchange)
 

@@ -1,6 +1,5 @@
-// Command mdrun runs real molecular dynamics on a synthetic system using
-// either the sequential reference engine or the shared-memory parallel
-// engine, printing an energy log.
+// Command mdrun runs real molecular dynamics on a synthetic system, on
+// one inline worker or a pool of them, printing an energy log.
 //
 // Usage:
 //
@@ -176,8 +175,7 @@ func main() {
 		opts = append(opts, gonamd.WithMetricsRecorder(mrec))
 	}
 
-	var eng gonamd.Engine
-	var constraints *gonamd.Constraints
+	var eng *gonamd.Parallel
 	if *workers < 0 {
 		if *lb != "" {
 			log.Fatalf("-lb %s applies only to the parallel engine (drop -shake / use -workers ≥ 0)", *lb)
@@ -189,8 +187,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if constraints = e.Constraints(); constraints != nil {
-			fmt.Printf("SHAKE/RATTLE: %d constrained bonds\n", constraints.Count())
+		if c := e.Constraints(); c != nil {
+			fmt.Printf("SHAKE/RATTLE: %d constrained bonds\n", c.Count())
 		}
 		eng = e
 		fmt.Println("engine: sequential")
@@ -276,7 +274,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	seqEng, _ := eng.(*gonamd.Sequential)
+	defer eng.Close()
+	constraints := eng.Constraints()
 	start := time.Now()
 	done := 0
 	for s := 1; s <= *steps; s++ {
@@ -285,7 +284,7 @@ func main() {
 			break
 		}
 		if constraints != nil {
-			if err := seqEng.StepConstrained(*dt, constraints); err != nil {
+			if err := eng.StepConstrained(*dt, constraints); err != nil {
 				log.Fatal(err)
 			}
 		} else {

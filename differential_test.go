@@ -14,22 +14,17 @@ import (
 )
 
 // One conformance table for the one nonbonded pipeline: every engine
-// configuration that exists — the sequential reference path, the
-// sequential cluster path, and the parallel engine at 1/2/4/8 workers —
-// under every electrostatics mode and cluster geometry, held to the same
-// list of guarantees against the brute-force oracle.
+// configuration that exists — the list-free reference mode, the cluster
+// path as NewSequential builds it, and as NewParallel does at 1/2/4/8
+// workers — under every electrostatics mode and cluster geometry, held to
+// the same list of guarantees against the brute-force oracle.
 
-// pipelineEngine is what the conformance checks need of either engine.
-type pipelineEngine interface {
-	gonamd.Engine
-	ClusterRebuilds() int
-	RecipForces() []gonamd.V3
-	UseReferenceClusterKernel(on bool)
-}
+// pipelineEngine is the engine under either constructor's name.
+type pipelineEngine = *gonamd.Parallel
 
-// pipelineConfig is one row of the table. workers < 0 is the sequential
-// reference path (no list, scalar kernel; m and n unused), 0 the
-// sequential cluster path, ≥ 1 the parallel engine.
+// pipelineConfig is one row of the table. workers < 0 is the reference
+// mode (no list, scalar kernel; m and n unused), 0 NewSequential on
+// cluster lists, ≥ 1 NewParallel.
 type pipelineConfig struct {
 	workers, m, n int
 }
@@ -81,6 +76,7 @@ func (c pipelineConfig) build(t *testing.T, sys *gonamd.System, ff *gonamd.Force
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(eng.Close)
 	return eng
 }
 
@@ -163,6 +159,15 @@ func TestDifferentialPipelineConformance(t *testing.T) {
 		oracleF, oracleEn := seq.BruteForce(sys, oracleFF, st)
 		_, fScale := maxForceErr(oracleF, oracleF)
 
+		// What the seq-cluster row of each geometry produced, for the
+		// par1-cluster row that follows it: one engine under two names.
+		type rowResult struct {
+			en  gonamd.Energies
+			f   []gonamd.V3
+			end *gonamd.State
+		}
+		seqRows := map[[2]int]rowResult{}
+
 		for _, cfg := range configs {
 			t.Run(mode.name+"/"+cfg.String(), func(t *testing.T) {
 				tabulated := mode.mts > 0 && !cfg.reference()
@@ -241,6 +246,24 @@ func TestDifferentialPipelineConformance(t *testing.T) {
 				a, b := run(), run()
 				if !reflect.DeepEqual(a.Pos, b.Pos) || !reflect.DeepEqual(a.Vel, b.Vel) {
 					t.Error("trajectory not bitwise reproducible run to run")
+				}
+
+				// NewSequential is NewParallel with one worker: the same
+				// forces, energies and trajectory, bit for bit.
+				switch geom := [2]int{cfg.m, cfg.n}; cfg.workers {
+				case 0:
+					seqRows[geom] = rowResult{en, prod, a}
+				case 1:
+					want := seqRows[geom]
+					if en != want.en {
+						t.Errorf("energies not bitwise the seq-cluster row's: %v vs %v", en, want.en)
+					}
+					if !reflect.DeepEqual(prod, want.f) {
+						t.Error("forces not bitwise the seq-cluster row's")
+					}
+					if !reflect.DeepEqual(a.Pos, want.end.Pos) || !reflect.DeepEqual(a.Vel, want.end.Vel) {
+						t.Errorf("%d-step trajectory not bitwise the seq-cluster row's", steps)
+					}
 				}
 
 				// Rebuild versus replay. At more than one worker the static

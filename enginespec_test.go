@@ -77,15 +77,12 @@ func TestEngineSpecParallel(t *testing.T) {
 	if th != nil {
 		t.Fatalf("unexpected thermostat %v", th)
 	}
-	p, ok := eng.(*gonamd.Parallel)
-	if !ok {
-		t.Fatalf("engine type %T, want *Parallel", eng)
+	defer eng.Close()
+	if eng.Workers() != 2 {
+		t.Fatalf("workers = %d, want 2", eng.Workers())
 	}
-	if p.Workers() != 2 {
-		t.Fatalf("workers = %d, want 2", p.Workers())
-	}
-	if p.RebalanceEvery != 0 {
-		t.Fatalf("RebalanceEvery = %d, want 0", p.RebalanceEvery)
+	if eng.RebalanceEvery != 0 {
+		t.Fatalf("RebalanceEvery = %d, want 0", eng.RebalanceEvery)
 	}
 }
 

@@ -41,6 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer eng.Close() // stops the worker goroutines
 	fmt.Printf("running on %d workers (%d tasks)\n", eng.Workers(), eng.NumTasks())
 
 	const dt = 0.5 // fs

@@ -50,6 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer ens.Close()
 	if err := ens.Run(300); err != nil {
 		log.Fatal(err)
 	}
@@ -84,6 +85,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer resumed.Close()
 	if err := resumed.Resume(bytes.NewReader(ck.Bytes())); err != nil {
 		log.Fatal(err)
 	}

@@ -3,15 +3,16 @@
 // "Scalable Molecular Dynamics for Large Biomolecular Systems" (SC 2000)
 // — the NAMD2 scaling paper.
 //
-// It provides three ways to run molecular dynamics:
+// It provides two ways to run molecular dynamics:
 //
-//   - a sequential engine (NewSequential) — the same cluster-pair-list
-//     nonbonded pipeline as the parallel engine on one thread, or, with
-//     no list option, the list-free reference path both are tested
+//   - a real shared-memory engine mapping the paper's compute objects —
+//     per-cell runs of one M×N cluster pair list, chunks of bonded terms —
+//     onto goroutine workers with measurement-based load balancing
+//     (NewParallel). NewSequential is the same engine with one worker,
+//     which runs inline with no goroutines: the single-processor time
+//     every speedup is measured against. Given no list option it
+//     evaluates the list-free reference mode the cluster path is tested
 //     against,
-//   - a real shared-memory parallel engine mapping the paper's compute
-//     objects onto goroutine workers with measurement-based load
-//     balancing (NewParallel),
 //   - a deterministic cluster simulation that reproduces the paper's
 //     evaluation — hybrid force/spatial decomposition with home and
 //     proxy patches on up to thousands of simulated processors
@@ -35,13 +36,13 @@ import (
 	"gonamd/internal/ckpt"
 	"gonamd/internal/converse"
 	"gonamd/internal/core"
+	"gonamd/internal/engine"
 	"gonamd/internal/ensemble"
 	"gonamd/internal/forcefield"
 	"gonamd/internal/ftdc"
 	"gonamd/internal/ldb"
 	"gonamd/internal/machine"
 	"gonamd/internal/molgen"
-	"gonamd/internal/par"
 	"gonamd/internal/pme"
 	"gonamd/internal/projections"
 	"gonamd/internal/seq"
@@ -80,19 +81,22 @@ type (
 	Grid = spatial.Grid
 )
 
-// Engines. Both satisfy the Engine interface and are configured at
-// construction with functional options: NewSequential(sys, ff, st,
-// WithClusterLists(4, 8)), NewParallel(sys, ff, st, workers,
-// WithPME(grid, beta, mts), WithTrace(log)), etc.
+// The engine. Sequential and Parallel are two names of one type, kept for
+// what the constructors promise: NewSequential(sys, ff, st,
+// WithClusterLists(4, 8)) returns it with one inline worker,
+// NewParallel(sys, ff, st, workers, WithPME(grid, beta, mts),
+// WithTrace(log)) with a goroutine pool. It is configured at construction
+// with functional options and satisfies the Engine interface.
 type (
-	// Sequential is the single-threaded engine: cluster pair lists with
-	// WithClusterLists, the list-free reference path without.
-	Sequential = seq.Engine
-	// Parallel is the shared-memory goroutine engine.
-	Parallel = par.Engine
+	// Sequential is the engine as NewSequential constructs it: one worker,
+	// cluster pair lists with WithClusterLists, the list-free reference
+	// mode without.
+	Sequential = engine.Engine
+	// Parallel is the engine as NewParallel constructs it.
+	Parallel = engine.Engine
 )
 
-// Full electrostatics: constructing either engine with
+// Full electrostatics: constructing the engine with
 // WithPME(gridSpacing, beta, mtsPeriod) switches it to smooth
 // particle-mesh Ewald with impulse multiple timestepping. The building
 // blocks are exported for analysis code and tests.
@@ -220,14 +224,14 @@ type (
 	// Langevin is a stochastic thermostat with a deterministic stream.
 	Langevin = thermo.Langevin
 	// Constraints holds SHAKE/RATTLE bond constraints.
-	Constraints = seq.Constraints
+	Constraints = engine.Constraints
 )
 
 // NewHBondConstraints constrains every bond involving hydrogen to its
 // force-field equilibrium length, enabling ~2 fs timesteps via
 // Sequential.StepConstrained.
 func NewHBondConstraints(sys *System, ff *ForceField) (*Constraints, error) {
-	return seq.NewHBondConstraints(sys, func(typ int32) float64 { return ff.BondTypes[typ].R0 })
+	return engine.NewHBondConstraints(sys, func(typ int32) float64 { return ff.BondTypes[typ].R0 })
 }
 
 // Trajectory I/O.

@@ -1,8 +1,6 @@
-package par
+package engine
 
 import (
-	"math"
-
 	"gonamd/internal/forcefield"
 	"gonamd/internal/seq"
 	"gonamd/internal/spatial"
@@ -10,7 +8,7 @@ import (
 	"gonamd/internal/vec"
 )
 
-// Cluster pair lists on the parallel engine: one global M×N cluster list
+// Cluster pair lists: one global M×N cluster list
 // (spatial.ClusterBuilder), rebuilt in the driver under the skin/2 drift
 // rule (spatial.ListGuard). Each i-cluster is assigned to the spatial
 // cell containing its bounding-box center, and nonbonded work decomposes
@@ -22,10 +20,12 @@ import (
 // slot block, keeping both the flush and the deterministic sparse
 // reduction O(touched); the buffers are re-zeroed while flushing, so no
 // bulk clear is ever needed and the steady state stays allocation-free.
+// The single worker of a one-worker engine has nobody to stay out of the
+// way of and skips the block bookkeeping: it flushes every slot.
 
-// parClusterState is the engine's cluster list, its validity guard, and
+// clusterState is the engine's cluster list, its validity guard, and
 // the kernel operands every worker reads.
-type parClusterState struct {
+type clusterState struct {
 	kernel  forcefield.ClusterKernel // shared read-only by the workers
 	builder *spatial.ClusterBuilder
 	list    *spatial.ClusterList
@@ -45,44 +45,46 @@ type parClusterState struct {
 	cellCnt []int32
 }
 
-// init validates the cluster geometry and selects the kernel the force
-// field's electrostatics call for (forcefield.ClusterKernel).
-func (c *parClusterState) init(sys *topology.System, ff *forcefield.Params, m, n int) error {
+// newClusterState validates the cluster geometry and selects the kernel
+// the force field's electrostatics call for (forcefield.ClusterKernel).
+func newClusterState(sys *topology.System, ff *forcefield.Params, m, n int) (*clusterState, error) {
 	builder, err := spatial.NewClusterBuilder(sys.Box, m, n, ff.Cutoff+seq.DefaultClusterSkin)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	kernel, err := ff.ClusterKernel()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	na := sys.N()
-	*c = parClusterState{kernel: kernel, builder: builder, exclFn: sys.ForEachExcludedPair,
+	c := &clusterState{kernel: kernel, builder: builder, exclFn: sys.ForEachExcludedPair,
 		guard: spatial.NewListGuard(seq.DefaultClusterSkin),
 		types: make([]int32, na), charges: make([]float64, na)}
 	for i := 0; i < na; i++ {
 		c.types[i] = sys.Atoms[i].Type
 		c.charges[i] = sys.Atoms[i].Charge
 	}
-	return nil
+	return c, nil
 }
 
 // UseReferenceClusterKernel toggles evaluation through the scalar-replay
 // reference kernel (forcefield.NonbondedClusterRef) instead of the
 // production one, over the same list. The conformance tests use it to
-// compare the two through the full engine pipeline.
+// compare the two through the full engine pipeline. A no-op in reference
+// mode, which has no cluster kernel.
 func (e *Engine) UseReferenceClusterKernel(on bool) {
-	e.clb.kernel.UseReference(on)
-	e.fresh = false
+	if e.clb != nil {
+		e.clb.kernel.UseReference(on)
+		e.fresh = false
+	}
 }
 
 // ClusterRebuilds reports how many times the cluster list was (re)built.
-func (e *Engine) ClusterRebuilds() int { return e.clb.guard.Builds }
-
-// advanceGuard feeds one integration step's maximum displacement bound
-// (|v|max·dt) to the list's drift guard.
-func (e *Engine) advanceGuard(maxV2, dt float64) {
-	e.clb.guard.Advance(math.Sqrt(maxV2) * dt)
+func (e *Engine) ClusterRebuilds() int {
+	if e.clb == nil {
+		return 0
+	}
+	return e.clb.guard.Builds
 }
 
 // rebuildClusters regenerates the global cluster list at the current
@@ -92,7 +94,7 @@ func (e *Engine) advanceGuard(maxV2, dt float64) {
 // slot force buffers. Runs in the driver, strictly before evaluation, so
 // a rebuild step evaluates exactly the same list a replay step would.
 func (e *Engine) rebuildClusters() {
-	c := &e.clb
+	c := e.clb
 	c.list = c.builder.Build(e.St.Pos, c.exclFn)
 	c.data.LoadStatic(c.list, c.types, c.charges)
 
@@ -141,6 +143,9 @@ func (e *Engine) rebuildClusters() {
 		ws.fxs = growZeroF64(ws.fxs, slots)
 		ws.fys = growZeroF64(ws.fys, slots)
 		ws.fzs = growZeroF64(ws.fzs, slots)
+		if ws.mark == nil {
+			continue // the single worker flushes every slot
+		}
 		ws.blkMark = growZeroBool(ws.blkMark, nblk)
 		if ws.blkTouch == nil {
 			ws.blkTouch = make([]int32, 0, nblk+8)
@@ -150,16 +155,27 @@ func (e *Engine) rebuildClusters() {
 }
 
 // runClusterTask evaluates one cell's clusters with the selected
-// kernel, recording which lcm(M,N)-aligned slot blocks the worker's
-// buffers were written in (i-cluster and entry j-cluster ranges never
-// straddle a block boundary).
+// kernel.
 func (e *Engine) runClusterTask(t *task, ws *wstate, en *seq.Energies) {
-	c := &e.clb
-	l := c.list
+	c := e.clb
 	ics := c.clOrder[t.lo:t.hi]
 	if len(ics) == 0 {
 		return
 	}
+	if ws.mark != nil {
+		c.markBlocks(ics, ws)
+	}
+	evdw, eelec, vir := c.kernel.Eval(e.FF, c.list, &c.data, ics, ws.fxs, ws.fys, ws.fzs)
+	en.VdW += evdw
+	en.Elec += eelec
+	en.Virial += vir
+}
+
+// markBlocks records which lcm(M,N)-aligned slot blocks the kernel is
+// about to write in the worker's buffers (i-cluster and entry j-cluster
+// ranges never straddle a block boundary).
+func (c *clusterState) markBlocks(ics []int32, ws *wstate) {
+	l := c.list
 	L := c.builder.L
 	for _, ic := range ics {
 		lo, hi := l.EntryOff[ic], l.EntryOff[ic+1]
@@ -177,10 +193,6 @@ func (e *Engine) runClusterTask(t *task, ws *wstate, en *seq.Energies) {
 			}
 		}
 	}
-	evdw, eelec, vir := c.kernel.Eval(e.FF, l, &c.data, ics, ws.fxs, ws.fys, ws.fzs)
-	en.VdW += evdw
-	en.Elec += eelec
-	en.Virial += vir
 }
 
 // flushClusterForces folds the worker's slot force buffers into its
@@ -188,10 +200,21 @@ func (e *Engine) runClusterTask(t *task, ws *wstate, en *seq.Energies) {
 // deterministic for a fixed assignment) and re-zeroes them in the same
 // walk, restoring the all-zero invariant without a bulk clear.
 func (e *Engine) flushClusterForces(ws *wstate) {
-	c := &e.clb
+	c := e.clb
 	l := c.list
 	L := c.builder.L
 	atomOf := l.Atom
+	if ws.mark == nil {
+		// Every atom has one slot, so the order of this walk does not show
+		// in the sums.
+		for s, a := range atomOf {
+			if a >= 0 {
+				ws.f[a] = ws.f[a].Add(vec.New(ws.fxs[s], ws.fys[s], ws.fzs[s]))
+			}
+			ws.fxs[s], ws.fys[s], ws.fzs[s] = 0, 0, 0
+		}
+		return
+	}
 	for _, blk := range ws.blkTouch {
 		base := int(blk) * L
 		for s := base; s < base+L; s++ {

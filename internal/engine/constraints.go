@@ -1,10 +1,10 @@
-package seq
+package engine
 
 import (
 	"fmt"
 
 	"gonamd/internal/topology"
-	"gonamd/internal/units"
+	"gonamd/internal/trace"
 	"gonamd/internal/vec"
 )
 
@@ -16,6 +16,10 @@ type Constraints struct {
 	pairs  []constraintPair
 	Tol    float64 // relative tolerance on |r|² (default 1e-8)
 	MaxIts int     // iteration cap per step (default 100)
+
+	// prev is StepConstrained's copy of the pre-drift positions, reused
+	// across steps: a Constraints value serves one engine at a time.
+	prev []vec.V3
 }
 
 type constraintPair struct {
@@ -36,7 +40,7 @@ func NewHBondConstraints(sys *topology.System, r0 func(typ int32) float64) (*Con
 		}
 		d := r0(b.Type)
 		if d <= 0 {
-			return nil, fmt.Errorf("seq: constraint bond type %d has target length %g", b.Type, d)
+			return nil, fmt.Errorf("engine: constraint bond type %d has target length %g", b.Type, d)
 		}
 		c.pairs = append(c.pairs, constraintPair{
 			i: b.I, j: b.J, d2: d * d, rmI: 1 / mi, rmJ: 1 / mj,
@@ -88,7 +92,7 @@ func (c *Constraints) Shake(st *topology.State, prev []vec.V3, box vec.V3, dt fl
 			return it, nil
 		}
 	}
-	return c.MaxIts, fmt.Errorf("seq: SHAKE did not converge in %d iterations", c.MaxIts)
+	return c.MaxIts, fmt.Errorf("engine: SHAKE did not converge in %d iterations", c.MaxIts)
 }
 
 // Rattle removes the velocity components along each constrained bond
@@ -115,39 +119,34 @@ func (c *Constraints) Rattle(st *topology.State, box vec.V3) (int, error) {
 			return it, nil
 		}
 	}
-	return c.MaxIts, fmt.Errorf("seq: RATTLE did not converge in %d iterations", c.MaxIts)
+	return c.MaxIts, fmt.Errorf("engine: RATTLE did not converge in %d iterations", c.MaxIts)
 }
 
 // StepConstrained advances one velocity-Verlet step with SHAKE/RATTLE
-// constraints applied. It is a method on the sequential engine; the
-// parallel engine can use the same Constraints object between its own
-// steps.
+// constraints applied. An error (the solver did not converge) leaves the
+// step unfinished and uncounted.
 func (e *Engine) StepConstrained(dt float64, c *Constraints) error {
 	e.ensureForces()
-	pos, vel := e.St.Pos, e.St.Vel
-	prev := make([]vec.V3, len(pos))
-	copy(prev, pos)
-	for i := range pos {
-		a := e.forces[i].Scale(units.ForceToAccel / e.Sys.Atoms[i].Mass)
-		vel[i] = vel[i].Add(a.Scale(0.5 * dt))
-		pos[i] = vec.Wrap(pos[i].Add(vel[i].Scale(dt)), e.Sys.Box)
-	}
-	if _, err := c.Shake(e.St, prev, e.Sys.Box, dt); err != nil {
+	c.prev = append(c.prev[:0], e.St.Pos...)
+	t := e.phaseNow()
+	e.kickDrift(e.forces, dt)
+	if _, err := c.Shake(e.St, c.prev, e.Sys.Box, dt); err != nil {
 		return err
 	}
 	// SHAKE corrections move atoms beyond the |v|·dt drift, so the list's
 	// drift bound is unknown; Invalidate forces a displacement scan.
 	e.Invalidate()
+	e.phaseEmit("integrate", trace.CatIntegration, t)
 	e.ComputeForces()
-	for i := range vel {
-		a := e.forces[i].Scale(units.ForceToAccel / e.Sys.Atoms[i].Mass)
-		vel[i] = vel[i].Add(a.Scale(0.5 * dt))
-	}
+	t = e.phaseNow()
+	e.kick(e.forces, 0.5*dt)
 	if _, err := c.Rattle(e.St, e.Sys.Box); err != nil {
 		return err
 	}
 	if e.Thermo != nil {
 		e.Thermo.Apply(e.Sys, e.St, dt)
 	}
+	e.phaseEmit("integrate", trace.CatIntegration, t)
+	e.finishStep()
 	return nil
 }

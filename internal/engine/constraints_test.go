@@ -1,4 +1,4 @@
-package seq
+package engine
 
 import (
 	"math"
@@ -6,6 +6,7 @@ import (
 
 	"gonamd/internal/forcefield"
 	"gonamd/internal/molgen"
+	"gonamd/internal/topology"
 	"gonamd/internal/vec"
 )
 
@@ -16,10 +17,7 @@ func constrainedWaterSetup(t *testing.T) (*Engine, *Constraints) {
 		t.Fatal(err)
 	}
 	ff := forcefield.Standard(6.0)
-	eng, err := New(sys, ff, st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := refEngine(t, sys, ff, st)
 	eng.Minimize(150, 0.2)
 	c, err := NewHBondConstraints(sys, func(typ int32) float64 { return ff.BondTypes[typ].R0 })
 	if err != nil {
@@ -90,29 +88,44 @@ func TestConstrainedLargerTimestepStable(t *testing.T) {
 // list then never rebuilt and went stale silently.) The list must
 // rebuild during a constrained run, and the forces at the final
 // positions must equal the list-free reference path's.
+//
+// The constrained step runs on the shared compute phase, so the same
+// holds on two workers, whose trajectory must follow the one-worker one
+// within summation-order tolerance.
 func TestShakeRebuildsClusterList(t *testing.T) {
-	eng, c := constrainedWaterSetup(t)
-	if err := eng.EnableClusterLists(4, 8); err != nil {
-		t.Fatal(err)
-	}
-	eng.ComputeForces()
-	built := eng.ClusterRebuilds()
-	for s := 0; s < 150; s++ {
-		if err := eng.StepConstrained(1.0, c); err != nil {
-			t.Fatalf("step %d: %v", s, err)
+	relaxed, c := constrainedWaterSetup(t)
+	sys, ff := relaxed.Sys, relaxed.FF
+	var oneSt *topology.State
+	for _, workers := range []int{1, 2} {
+		st := relaxed.St.Clone()
+		eng := clusterEngine(t, sys, ff, st, workers)
+		eng.ComputeForces()
+		built := eng.ClusterRebuilds()
+		for s := 0; s < 150; s++ {
+			if err := eng.StepConstrained(1.0, c); err != nil {
+				t.Fatalf("%d workers, step %d: %v", workers, s, err)
+			}
 		}
-	}
-	if eng.ClusterRebuilds() <= built {
-		t.Fatalf("cluster list never rebuilt in 150 constrained steps (%d builds)", eng.ClusterRebuilds())
-	}
-	ref, err := New(eng.Sys, eng.FF, eng.St.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf, cf := ref.Forces(), eng.Forces()
-	for i := range rf {
-		if !vec.ApproxEq(cf[i], rf[i], 1e-7*(1+rf[i].Norm())) {
-			t.Fatalf("atom %d: cluster force %v, reference %v", i, cf[i], rf[i])
+		if eng.ClusterRebuilds() <= built {
+			t.Fatalf("%d workers: cluster list never rebuilt in 150 constrained steps (%d builds)", workers, eng.ClusterRebuilds())
+		}
+		if eng.Steps() != 150 {
+			t.Errorf("%d workers: %d steps counted, want 150", workers, eng.Steps())
+		}
+		rf, cf := refEngine(t, sys, ff, st.Clone()).Forces(), eng.Forces()
+		for i := range rf {
+			if !vec.ApproxEq(cf[i], rf[i], 1e-7*(1+rf[i].Norm())) {
+				t.Fatalf("%d workers, atom %d: cluster force %v, reference %v", workers, i, cf[i], rf[i])
+			}
+		}
+		if workers == 1 {
+			oneSt = st
+			continue
+		}
+		for i := range st.Pos {
+			if d := vec.MinImage(st.Pos[i], oneSt.Pos[i], sys.Box).Norm(); d > 1e-6 {
+				t.Fatalf("two-worker constrained run diverged from one worker by %.2e Å at atom %d", d, i)
+			}
 		}
 	}
 }

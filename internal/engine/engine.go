@@ -1,24 +1,37 @@
-// Package par is a real (not simulated) parallel molecular dynamics
-// engine for shared-memory machines: the paper's object decomposition
-// with goroutines in place of processors. Nonbonded work is one global
-// M×N cluster pair list (clusterlist.go) cut into one task per spatial
-// cell, bonded terms into fixed-size chunks; task execution times are
-// measured every step and periodically rebalanced across workers with the
-// same measurement-based greedy/refinement strategies (internal/ldb) the
+// Package engine is the molecular dynamics engine: the paper's object
+// decomposition on a shared-memory machine, with goroutines in place of
+// processors, from one worker upward. Nonbonded work is one global M×N
+// cluster pair list (clusterlist.go) cut into one task per spatial cell,
+// bonded terms into fixed-size chunks; task execution times are measured
+// every step and periodically rebalanced across workers with the same
+// measurement-based greedy/refinement strategies (internal/ldb) the
 // cluster simulation uses. Forces accumulate into worker-private arrays —
 // each worker records the atoms it actually wrote, so zeroing and the
 // final reduction cost O(touched) instead of O(N·workers) — and are
 // reduced in a deterministic order, so results are independent of
 // scheduling.
-package par
+//
+// One worker is the same program run inline: no goroutine is started, the
+// compute phase runs on the calling goroutine and accumulates straight
+// into the engine's force array, and there is nothing to reduce. That is
+// the "sequential engine", and the single-processor time speedups are
+// measured against.
+//
+// Constructed without a cluster geometry the engine evaluates nonbonded
+// forces by the list-free cell walk of internal/seq instead — one task in
+// place of the per-cell cluster tasks, everything else unchanged. That
+// reference mode is the oracle the cluster path is tested against.
+package engine
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
 	"time"
 
+	"gonamd/internal/fft"
 	"gonamd/internal/forcefield"
 	"gonamd/internal/ftdc"
 	"gonamd/internal/ldb"
@@ -36,9 +49,27 @@ import (
 type taskKind uint8
 
 const (
-	taskBonded  taskKind = iota
-	taskCluster          // one cell's run of the cell-grouped cluster order (clusterlist.go)
+	taskBonded   taskKind = iota
+	taskCluster           // one cell's run of the cell-grouped cluster order (clusterlist.go)
+	taskCellWalk          // reference mode: the whole list-free cell walk (seq.CellWalk)
 )
+
+// taskSet selects which tasks a force evaluation runs: everything, or
+// one half of a fast/slow force split (mts.go).
+type taskSet uint8
+
+const (
+	bondedTasks taskSet = 1 << iota
+	nonbondedTasks
+	allTasks = bondedTasks | nonbondedTasks
+)
+
+func (s taskSet) has(k taskKind) bool {
+	if k == taskBonded {
+		return s&bondedTasks != 0
+	}
+	return s&nonbondedTasks != 0
+}
 
 type task struct {
 	kind     taskKind
@@ -56,7 +87,9 @@ type bondedRef struct {
 
 // wstate is one worker's private force accumulator plus the sparse record
 // of which atoms it has written this evaluation. touch is sorted at the
-// end of the compute phase so the reduction can binary-search it.
+// end of the compute phase so the reduction can binary-search it. The
+// single worker of a one-worker engine accumulates into the engine's
+// force array itself (f aliases it) and keeps no record: mark is nil.
 type wstate struct {
 	f     []vec.V3
 	touch []int32
@@ -75,14 +108,15 @@ type wstate struct {
 }
 
 func (ws *wstate) add(i int32, fv vec.V3) {
-	if !ws.mark[i] {
+	if ws.mark != nil && !ws.mark[i] {
 		ws.mark[i] = true
 		ws.touch = append(ws.touch, i)
 	}
 	ws.f[i] = ws.f[i].Add(fv)
 }
 
-// Engine runs molecular dynamics across a pool of goroutine workers.
+// Engine runs molecular dynamics on one inline worker or across a pool
+// of goroutine workers.
 type Engine struct {
 	Sys *topology.System
 	FF  *forcefield.Params
@@ -111,29 +145,34 @@ type Engine struct {
 	forces  []vec.V3 // reduced forces
 	wstates []wstate // per-worker accumulators with touched-set tracking
 	wenergy []seq.Energies
+	run     taskSet // the tasks the current evaluation runs
 
-	// Persistent worker pool: spawning 2·workers goroutines per force
-	// evaluation was the last per-step allocation source, so a fixed pool
-	// parks on workCh instead. A job k < workers is compute phase for
-	// worker k; k in [workers, 2·workers) is reduce phase for worker
-	// k-workers; k ≥ 2·workers runs pmeFn (a PME mesh phase) for worker
-	// k-2·workers.
-	poolOnce sync.Once
-	workCh   chan int
-	wg       sync.WaitGroup
-	pmeFn    func(w int)
+	// Persistent worker pool of a multi-worker engine (a one-worker engine
+	// never starts it): spawning 2·workers goroutines per force evaluation
+	// was the last per-step allocation source, so a fixed pool parks on
+	// workCh instead, from the first evaluation until Close. A job
+	// k < workers is compute phase for worker k; k in [workers, 2·workers)
+	// is reduce phase for worker k-workers; k ≥ 2·workers runs pmeFn (a
+	// PME mesh phase) for worker k-2·workers.
+	workCh chan int
+	wg     sync.WaitGroup // jobs of the phase in flight
+	exited sync.WaitGroup // worker goroutines
+	pmeFn  func(w int)
+	mesh   fft.Pool // what the PME mesh phases run on (pme.go)
 
 	// pme, when non-nil, holds the full-electrostatics slow-force solver
 	// (see pme.go); the pair kernel then evaluates the erfc real-space
 	// term and Step follows the impulse-MTS reciprocal schedule.
 	pme *pme.Solver
 
-	// clb is the global cluster pair list and its kernel (clusterlist.go).
-	clb parClusterState
+	// clb is the global cluster pair list and its kernel (clusterlist.go);
+	// nil in reference mode, where walk evaluates the nonbonded forces.
+	clb  *clusterState
+	walk *seq.CellWalk
 
 	cur      seq.Energies
-	fresh    bool
-	steps    int
+	fresh    bool // forces correspond to current positions
+	steps    int64
 	balances int
 
 	// tr, when non-nil, receives per-phase execution records (tracing.go).
@@ -142,29 +181,34 @@ type Engine struct {
 	// metrics, when non-nil, receives the always-on telemetry vector
 	// after every step (see metrics.go).
 	metrics *ftdc.Recorder
+
+	// cons, when non-nil, holds SHAKE/RATTLE constraints attached at
+	// construction (the options API); drive them with StepConstrained.
+	cons *Constraints
 }
 
-// DefaultClusterM × DefaultClusterN is the cluster geometry New uses when
-// given none: the shape every benchmark workload runs, within 5 % of 4×4
-// and 8×8 on the 92k-atom step (BENCH_6.json).
+// DefaultClusterM × DefaultClusterN is the cluster geometry every
+// benchmark workload runs and callers without a preference pass to New.
+// The kernel sweep costs 16.8 / 14.0 / 13.0 ns per candidate at 4×4 /
+// 4×8 / 8×8 (BenchmarkNonbondedCluster), against more candidates per
+// useful pair as the tile grows.
 const DefaultClusterM, DefaultClusterN = 4, 8
 
 // New creates an engine with the given number of workers (0 = NumCPU)
-// over m×n cluster pair lists (0, 0 = the default geometry). The spatial
-// grid has cells at least cutoff+skin wide, and work decomposes into one
-// nonbonded task per cell plus chunks of bonded terms.
+// over m×n cluster pair lists, or, given 0×0, in the list-free reference
+// mode, which runs on one worker. The spatial grid has cells at least
+// cutoff+skin wide, and work decomposes into one nonbonded task per cell
+// (reference mode: one task in all) plus chunks of bonded terms. A
+// multi-worker engine rebalances every 20 steps unless told otherwise.
 func New(sys *topology.System, ff *forcefield.Params, st *topology.State, workers, m, n int) (*Engine, error) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if m == 0 && n == 0 {
-		m, n = DefaultClusterM, DefaultClusterN
-	}
 	if sys.N() != len(st.Pos) || sys.N() != len(st.Vel) {
-		return nil, fmt.Errorf("par: state size does not match system")
+		return nil, fmt.Errorf("engine: state size %d/%d does not match %d atoms", len(st.Pos), len(st.Vel), sys.N())
 	}
 	if !sys.ExclusionsBuilt() {
-		return nil, fmt.Errorf("par: exclusions not built")
+		return nil, fmt.Errorf("engine: exclusions not built")
 	}
 	grid, err := spatial.NewGrid(sys.Box, ff.Cutoff+seq.DefaultClusterSkin)
 	if err != nil {
@@ -172,21 +216,34 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State, worker
 	}
 	e := &Engine{
 		Sys: sys, FF: ff, St: st,
-		RebalanceEvery: 20,
-		workers:        workers,
-		grid:           grid,
-		forces:         make([]vec.V3, sys.N()),
-		wstates:        make([]wstate, workers),
-		wenergy:        make([]seq.Energies, workers),
+		workers: workers,
+		grid:    grid,
+		forces:  make([]vec.V3, sys.N()),
+		wstates: make([]wstate, workers),
+		wenergy: make([]seq.Energies, workers),
 	}
-	if err := e.clb.init(sys, ff, m, n); err != nil {
+	if m == 0 && n == 0 {
+		if workers != 1 {
+			return nil, fmt.Errorf("engine: the list-free reference mode runs on one worker, not %d", workers)
+		}
+		if e.walk, err = seq.NewCellWalk(sys.Box, ff.Cutoff); err != nil {
+			return nil, err
+		}
+	} else if e.clb, err = newClusterState(sys, ff, m, n); err != nil {
 		return nil, err
 	}
-	for w := range e.wstates {
-		e.wstates[w] = wstate{
-			f:     make([]vec.V3, sys.N()),
-			touch: make([]int32, 0, sys.N()),
-			mark:  make([]bool, sys.N()),
+	if workers == 1 {
+		e.wstates[0].f = e.forces
+		e.mesh = fft.Serial{}
+	} else {
+		e.RebalanceEvery = 20
+		e.mesh = poolAdapter{e}
+		for w := range e.wstates {
+			e.wstates[w] = wstate{
+				f:     make([]vec.V3, sys.N()),
+				touch: make([]int32, 0, sys.N()),
+				mark:  make([]bool, sys.N()),
+			}
 		}
 	}
 	e.buildTasks()
@@ -205,11 +262,15 @@ func (e *Engine) Balances() int { return e.balances }
 
 // buildTasks creates one cluster task per cell (its cluster range is
 // filled in on every list rebuild; the task objects, and their measured
-// times, persist) plus the bonded chunks.
+// times, persist), or the one cell-walk task of the reference mode, plus
+// the bonded chunks.
 func (e *Engine) buildTasks() {
-	np := e.grid.NumPatches()
-	for c := 0; c < np; c++ {
-		e.tasks = append(e.tasks, task{kind: taskCluster, cell: c, cells: []int{c}})
+	if e.clb == nil {
+		e.tasks = append(e.tasks, task{kind: taskCellWalk})
+	} else {
+		for c := 0; c < e.grid.NumPatches(); c++ {
+			e.tasks = append(e.tasks, task{kind: taskCluster, cell: c, cells: []int{c}})
+		}
 	}
 	for i := range e.Sys.Bonds {
 		e.terms = append(e.terms, bondedRef{0, int32(i)})
@@ -283,39 +344,50 @@ func (e *Engine) Rebalance() {
 	e.balances++
 }
 
-// ComputeForces evaluates all forces in parallel and returns energies
-// (kinetic included).
+// ComputeForces evaluates all forces and returns energies (kinetic
+// included).
 func (e *Engine) ComputeForces() seq.Energies {
-	// The list rebuilds only when it went stale, and in the driver, so a
-	// rebuild step evaluates exactly the list a replay step would (bitwise
-	// rebuild-vs-replay).
-	if !e.clb.guard.Valid(e.St.Pos, e.Sys.Box) {
-		e.rebuildClusters()
+	en := e.evaluate(allTasks)
+	e.cur = en
+	e.fresh = true
+	en.Kinetic = e.Kinetic()
+	return en
+}
+
+// evaluate runs the tasks in set into e.forces and returns their summed
+// energies. Anything short of allTasks leaves the cached forces stale.
+func (e *Engine) evaluate(set taskSet) seq.Energies {
+	e.run = set
+	e.fresh = false
+	if c := e.clb; c != nil && set&nonbondedTasks != 0 {
+		// The list rebuilds only when it went stale, and in the driver, so a
+		// rebuild step evaluates exactly the list a replay step would (bitwise
+		// rebuild-vs-replay).
+		if !c.guard.Valid(e.St.Pos, e.Sys.Box) {
+			e.rebuildClusters()
+		}
+		c.data.LoadPositions(c.list, e.St.Pos)
 	}
-	e.clb.data.LoadPositions(e.clb.list, e.St.Pos)
 
 	t := e.phaseNow()
-	e.poolOnce.Do(e.startPool)
-	e.wg.Add(e.workers)
-	for w := 0; w < e.workers; w++ {
-		e.workCh <- w
+	if e.workers == 1 {
+		e.computeWorker(0)
+	} else {
+		e.runPool(0)
 	}
-	e.wg.Wait()
 	if e.tr.Enabled() {
 		e.emitComputePhase(t)
 		t = e.tr.Now()
 	}
 
-	// Deterministic sparse reduction: each reducer owns an atom range and
-	// adds worker contributions in fixed worker order, visiting only atoms
-	// the worker actually touched (its sorted touch list locates the range
-	// by binary search).
-	e.wg.Add(e.workers)
-	for w := 0; w < e.workers; w++ {
-		e.workCh <- e.workers + w
+	if e.workers > 1 {
+		// Deterministic sparse reduction: each reducer owns an atom range and
+		// adds worker contributions in fixed worker order, visiting only atoms
+		// the worker actually touched (its sorted touch list locates the range
+		// by binary search).
+		e.runPool(e.workers)
+		e.phaseEmit("reduce", trace.CatComm, t)
 	}
-	e.wg.Wait()
-	e.phaseEmit("reduce", trace.CatComm, t)
 
 	var en seq.Energies
 	for w := 0; w < e.workers; w++ {
@@ -327,26 +399,47 @@ func (e *Engine) ComputeForces() seq.Energies {
 		en.Elec += e.wenergy[w].Elec
 		en.Virial += e.wenergy[w].Virial
 	}
-	e.cur = en
-	e.fresh = true
-	en.Kinetic = e.Kinetic()
 	return en
 }
 
-// startPool launches the persistent workers (once, at first evaluation).
-// They park on workCh between phases; channel sends of plain ints and the
-// shared WaitGroup keep the steady-state dispatch allocation-free.
-func (e *Engine) startPool() {
-	e.workCh = make(chan int)
-	for k := 0; k < e.workers; k++ {
-		go e.workerLoop()
+// runPool hands job codes base … base+workers-1 to the pool and waits for
+// them, starting the pool on first use (or first use after Close). The
+// workers park on workCh between phases; channel sends of plain ints and
+// the shared WaitGroup keep the steady-state dispatch allocation-free.
+func (e *Engine) runPool(base int) {
+	if e.workCh == nil {
+		e.workCh = make(chan int)
+		e.exited.Add(e.workers)
+		for k := 0; k < e.workers; k++ {
+			go e.workerLoop(e.workCh)
+		}
+	}
+	e.wg.Add(e.workers)
+	for w := 0; w < e.workers; w++ {
+		e.workCh <- base + w
+	}
+	e.wg.Wait()
+}
+
+// Close stops the worker pool and returns once its goroutines have
+// exited; until then they, and through them the engine's O(N·workers)
+// accumulators, stay reachable for the life of the process. Call it when
+// done with an engine. It is idempotent, a no-op on a one-worker engine
+// (which never started a goroutine), and must not overlap a step; a
+// closed engine that is stepped again simply starts a new pool.
+func (e *Engine) Close() {
+	if e.workCh != nil {
+		close(e.workCh)
+		e.exited.Wait()
+		e.workCh = nil
 	}
 }
 
-func (e *Engine) workerLoop() {
+func (e *Engine) workerLoop(jobs <-chan int) {
+	defer e.exited.Done()
 	n := e.Sys.N()
 	chunk := (n + e.workers - 1) / e.workers
-	for job := range e.workCh {
+	for job := range jobs {
 		switch {
 		case job < e.workers:
 			e.computeWorker(job)
@@ -368,27 +461,35 @@ func (e *Engine) workerLoop() {
 
 // computeWorker is phase one: run the worker's assigned tasks into its
 // private accumulator. Zeroing covers only the atoms touched during the
-// previous evaluation.
+// previous evaluation — or, for the single worker writing the engine's
+// force array directly, all of it.
 func (e *Engine) computeWorker(w int) {
 	ws := &e.wstates[w]
-	for _, i := range ws.touch {
-		ws.f[i] = vec.Zero
-		ws.mark[i] = false
+	if ws.mark == nil {
+		clear(ws.f)
+	} else {
+		for _, i := range ws.touch {
+			ws.f[i] = vec.Zero
+			ws.mark[i] = false
+		}
+		ws.touch = ws.touch[:0]
 	}
-	ws.touch = ws.touch[:0]
 
 	var en seq.Energies
 	var nbT, bT float64
 	for ti := range e.tasks {
-		if e.assign[ti] != w {
+		t := &e.tasks[ti]
+		if e.assign[ti] != w || !e.run.has(t.kind) {
 			continue
 		}
 		start := time.Now()
-		t := &e.tasks[ti]
-		if t.kind == taskBonded {
+		switch t.kind {
+		case taskBonded:
 			e.bondedRange(t.lo, t.hi, ws, &en)
-		} else {
+		case taskCluster:
 			e.runClusterTask(t, ws, &en)
+		case taskCellWalk:
+			e.walk.Nonbonded(e.Sys, e.FF, e.St.Pos, ws.f, &en)
 		}
 		dt := time.Since(start).Seconds()
 		if t.kind == taskBonded {
@@ -404,7 +505,9 @@ func (e *Engine) computeWorker(w int) {
 			t.measured = 0.7*t.measured + 0.3*dt
 		}
 	}
-	e.flushClusterForces(ws)
+	if e.clb != nil && e.run&nonbondedTasks != 0 {
+		e.flushClusterForces(ws)
+	}
 	ws.nbT, ws.bT = nbT, bT
 	slices.Sort(ws.touch)
 	e.wenergy[w] = en
@@ -471,12 +574,17 @@ func (e *Engine) bondedRange(lo, hi int, ws *wstate, en *seq.Energies) {
 	}
 }
 
-// Forces returns the reduced force array from the last evaluation.
+// Forces returns the force array from the last evaluation. The slice is
+// owned by the engine.
 func (e *Engine) Forces() []vec.V3 {
+	e.ensureForces()
+	return e.forces
+}
+
+func (e *Engine) ensureForces() {
 	if !e.fresh {
 		e.ComputeForces()
 	}
-	return e.forces
 }
 
 // Energies returns the last evaluation's energies plus current kinetic.
@@ -484,9 +592,7 @@ func (e *Engine) Forces() []vec.V3 {
 // reciprocal-space terms from their latest evaluation (up to mtsPeriod-1
 // steps old mid-cycle, by construction of the impulse scheme).
 func (e *Engine) Energies() seq.Energies {
-	if !e.fresh {
-		e.ComputeForces()
-	}
+	e.ensureForces()
 	en := e.cur
 	if e.pme != nil {
 		e.ensureRecip()
@@ -503,7 +609,9 @@ func (e *Engine) Energies() seq.Energies {
 // voided too, since external edits are not drift-tracked.
 func (e *Engine) Invalidate() {
 	e.fresh = false
-	e.clb.guard.Invalidate()
+	if e.clb != nil {
+		e.clb.guard.Invalidate()
+	}
 	if e.pme != nil {
 		e.pme.Invalidate()
 	}
@@ -516,8 +624,12 @@ func (e *Engine) Invalidate() {
 // differ in ulps. Dropping the history makes the next evaluation a pure
 // function of positions; the job server calls this after every checkpoint
 // so the uninterrupted continuation stays bitwise identical to a run
-// resumed from that checkpoint.
-func (e *Engine) ResetLists() { e.clb.guard.Drop() }
+// resumed from that checkpoint. A no-op in reference mode.
+func (e *Engine) ResetLists() {
+	if e.clb != nil {
+		e.clb.guard.Drop()
+	}
+}
 
 // Kinetic returns the kinetic energy in kcal/mol.
 func (e *Engine) Kinetic() float64 {
@@ -533,42 +645,74 @@ func (e *Engine) Temperature() float64 {
 	return units.KineticToKelvin(e.Kinetic(), 3*e.Sys.N())
 }
 
-// Step advances one velocity-Verlet step of dt femtoseconds, with the
-// force evaluation parallelized across workers. With full electrostatics
-// enabled the step follows the impulse-MTS schedule in stepPME.
-func (e *Engine) Step(dt float64) {
-	if e.pme != nil {
-		e.stepPME(dt)
-		return
+// atmPerKcalMolA3 converts kcal/mol/Å³ to atmospheres.
+const atmPerKcalMolA3 = 68568.4
+
+// Pressure returns the instantaneous pressure in atmospheres from the
+// virial equation P·V = N·kB·T + W/3.
+func (e *Engine) Pressure() float64 {
+	en := e.Energies()
+	vol := e.Sys.Box.X * e.Sys.Box.Y * e.Sys.Box.Z
+	nkt := float64(e.Sys.N()) * units.Boltzmann * e.Temperature()
+	return (nkt + en.Virial/3) / vol * atmPerKcalMolA3
+}
+
+// kick adds f·dt/m to every velocity.
+func (e *Engine) kick(f []vec.V3, dt float64) {
+	vel := e.St.Vel
+	for i := range vel {
+		a := f[i].Scale(units.ForceToAccel / e.Sys.Atoms[i].Mass)
+		vel[i] = vel[i].Add(a.Scale(dt))
 	}
-	if !e.fresh {
-		e.ComputeForces()
-	}
+}
+
+// kickDrift is the first half of a velocity-Verlet step under forces f:
+// half kick, then drift. It tracks the largest speed: each atom's
+// displacement is exactly |v|·dt, which advances the list's drift bound
+// so validity checks can skip their O(N) scan.
+func (e *Engine) kickDrift(f []vec.V3, dt float64) {
 	pos, vel := e.St.Pos, e.St.Vel
-	t := e.phaseNow()
 	var maxV2 float64
 	for i := range pos {
-		a := e.forces[i].Scale(units.ForceToAccel / e.Sys.Atoms[i].Mass)
+		a := f[i].Scale(units.ForceToAccel / e.Sys.Atoms[i].Mass)
 		vel[i] = vel[i].Add(a.Scale(0.5 * dt))
 		if v2 := vel[i].Norm2(); v2 > maxV2 {
 			maxV2 = v2
 		}
 		pos[i] = vec.Wrap(pos[i].Add(vel[i].Scale(dt)), e.Sys.Box)
 	}
-	e.advanceGuard(maxV2, dt)
+	if e.clb != nil {
+		e.clb.guard.Advance(math.Sqrt(maxV2) * dt)
+	}
+}
+
+// Step advances one velocity-Verlet step of dt femtoseconds. With full
+// electrostatics enabled the step follows the impulse-MTS schedule in
+// stepPME.
+func (e *Engine) Step(dt float64) {
+	if e.pme != nil {
+		e.stepPME(dt)
+		return
+	}
+	e.ensureForces()
+	t := e.phaseNow()
+	e.kickDrift(e.forces, dt)
 	e.phaseEmit("integrate", trace.CatIntegration, t)
 	e.ComputeForces()
 	t = e.phaseNow()
-	for i := range vel {
-		a := e.forces[i].Scale(units.ForceToAccel / e.Sys.Atoms[i].Mass)
-		vel[i] = vel[i].Add(a.Scale(0.5 * dt))
-	}
+	e.kick(e.forces, 0.5*dt)
 	if e.Thermo != nil {
 		e.Thermo.Apply(e.Sys, e.St, dt)
 	}
 	e.phaseEmit("integrate", trace.CatIntegration, t)
+	e.finishStep()
+}
+
+// finishStep is the epilogue of every kind of step: count it, rebalance
+// on the configured cadence, emit the step marker and publish metrics.
+func (e *Engine) finishStep() {
 	e.steps++
-	if e.RebalanceEvery > 0 && e.steps%e.RebalanceEvery == 0 {
+	if e.RebalanceEvery > 0 && e.steps%int64(e.RebalanceEvery) == 0 {
 		e.Rebalance()
 	}
 	e.markStep()
@@ -580,6 +724,41 @@ func (e *Engine) Run(n int, dt float64) seq.Energies {
 		e.Step(dt)
 	}
 	return e.Energies()
+}
+
+// Minimize performs up to steps iterations of steepest descent with
+// per-atom displacements capped at maxMove Å, adapting the step size. It
+// returns the final potential energy. Velocities are untouched.
+func (e *Engine) Minimize(steps int, maxMove float64) float64 {
+	gamma := 1e-4
+	prev := e.ComputeForces().Potential()
+	saved := make([]vec.V3, len(e.St.Pos))
+	for s := 0; s < steps; s++ {
+		copy(saved, e.St.Pos)
+		for i, f := range e.forces {
+			d := f.Scale(gamma)
+			if n := d.Norm(); n > maxMove {
+				d = d.Scale(maxMove / n)
+			}
+			e.St.Pos[i] = vec.Wrap(e.St.Pos[i].Add(d), e.Sys.Box)
+		}
+		e.Invalidate() // minimizer moves are not drift-bound tracked
+		cur := e.ComputeForces().Potential()
+		if cur > prev {
+			// Reject the move and shrink the step.
+			copy(e.St.Pos, saved)
+			e.Invalidate()
+			gamma *= 0.5
+			if gamma < 1e-12 {
+				break
+			}
+			continue
+		}
+		gamma *= 1.2
+		prev = cur
+	}
+	e.ensureForces()
+	return prev
 }
 
 // WorkerLoads returns the most recent measured per-worker load in

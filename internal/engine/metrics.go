@@ -1,4 +1,4 @@
-package seq
+package engine
 
 import (
 	"gonamd/internal/ftdc"
@@ -7,12 +7,13 @@ import (
 
 // SetMetrics attaches an always-on telemetry recorder: after every
 // completed step the engine publishes the FTDC engine vector (step
-// count, per-phase busy seconds, rebuild count) into the recorder's
-// slot array — a handful of atomic stores, no locks, no allocation.
-// The per-phase times come from the trace recorder's accumulators; if
-// no trace is attached, a timing-only recorder (bounded memory) is
-// installed so phase timing works without a Projections log. Passing
-// nil detaches metrics.
+// count, per-phase busy seconds, rebuild count, worker load imbalance)
+// into the recorder's slot array — a handful of atomic stores, no
+// locks, no allocation, so the zero-alloc step contract holds with
+// metrics on. The per-phase times come from the trace recorder's
+// accumulators; if no trace is attached, a timing-only recorder
+// (bounded memory) is installed so phase timing works without a
+// Projections log. Passing nil detaches metrics.
 func (e *Engine) SetMetrics(rec *ftdc.Recorder) {
 	e.metrics = rec
 	if rec != nil && !e.tr.Enabled() {
@@ -24,7 +25,9 @@ func (e *Engine) SetMetrics(rec *ftdc.Recorder) {
 func (e *Engine) Metrics() *ftdc.Recorder { return e.metrics }
 
 // publishMetrics pushes the current engine vector into the recorder
-// slots. Called once per step from markStep; hot-path safe.
+// slots. Called once per step from markStep; hot-path safe — the
+// imbalance gauge is computed inline from the per-worker accumulators
+// (WorkerLoads allocates, so it stays off this path).
 func (e *Engine) publishMetrics() {
 	rec := e.metrics
 	rec.StoreInt(ftdc.FieldSteps, e.steps)
@@ -35,5 +38,17 @@ func (e *Engine) publishMetrics() {
 	rec.Store(ftdc.FieldIntegrateSec, ph[trace.CatIntegration])
 	rec.Store(ftdc.FieldCommSec, ph[trace.CatComm])
 	rec.StoreInt(ftdc.FieldRebuilds, int64(e.ClusterRebuilds()))
-	// Sequential engine: one PE, no imbalance by definition.
+	var sum, max float64
+	for w := range e.wstates {
+		load := e.wstates[w].nbT + e.wstates[w].bT
+		sum += load
+		if load > max {
+			max = load
+		}
+	}
+	imb := 0.0
+	if mean := sum / float64(len(e.wstates)); mean > 0 {
+		imb = max/mean - 1
+	}
+	rec.Store(ftdc.FieldImbalance, imb)
 }

@@ -1,35 +1,52 @@
-package seq
+package engine
 
 import (
 	"fmt"
 
-	"gonamd/internal/fft"
 	"gonamd/internal/pme"
 	"gonamd/internal/trace"
-	"gonamd/internal/units"
 	"gonamd/internal/vec"
 )
+
+// poolAdapter exposes a multi-worker engine's persistent pool through
+// fft.Pool so the PME mesh phases (spread, FFT passes, convolution,
+// gather) run on the same parked goroutines as the force evaluation. A
+// job code ≥ 2·workers dispatches worker job-2·workers into the region
+// function (codes below that are the compute and reduce phases — see
+// workerLoop). A one-worker engine runs them on fft.Serial instead.
+type poolAdapter struct{ e *Engine }
+
+func (p poolAdapter) Workers() int { return p.e.workers }
+
+func (p poolAdapter) Run(f func(w int)) {
+	e := p.e
+	e.pmeFn = f
+	e.runPool(2 * e.workers)
+	e.pmeFn = nil
+}
 
 // EnableFullElectrostatics switches the engine from shifted-cutoff
 // electrostatics to smooth particle-mesh Ewald: the pair kernels evaluate
 // the erfc-screened real-space term inside the existing cutoff (from the
-// interaction table on the cluster path, analytically on the reference
-// path), and a
-// reciprocal-space mesh sum (order-4 B-spline PME on a grid of at most
-// gridSpacing Å per point) plus self, background, and excluded-pair
-// corrections supply the long-range remainder. mtsPeriod sets the
-// multiple-timestepping split: the reciprocal sum is evaluated once every
-// mtsPeriod steps and applied as an impulse (Verlet-I/r-RESPA), 1 meaning
-// every step. Must be called before the first Step. This is the
-// implementation behind gonamd.WithPME; it is a package function rather
-// than a method so the configuration surface of the public Engine types
-// stays construction-only.
+// interaction table on the cluster path, analytically in reference
+// mode), and a reciprocal-space mesh sum (order-4 B-spline PME on a grid
+// of at most gridSpacing Å per point) plus self, background, and
+// excluded-pair corrections supply the long-range remainder. mtsPeriod
+// sets the multiple-timestepping split: the reciprocal sum is evaluated
+// once every mtsPeriod steps and applied as an impulse
+// (Verlet-I/r-RESPA), 1 meaning every step. The mesh phases are split
+// over the engine's workers; the reciprocal forces are bitwise identical
+// for any worker count.
+// Must be called before the first Step. This is the implementation
+// behind gonamd.WithPME; it is a package function rather than a method
+// so the configuration surface of the public Engine type stays
+// construction-only.
 func EnableFullElectrostatics(e *Engine, gridSpacing, beta float64, mtsPeriod int) error {
 	if e.pme != nil {
-		return fmt.Errorf("seq: full electrostatics already enabled")
+		return fmt.Errorf("engine: full electrostatics already enabled")
 	}
 	if mtsPeriod < 1 {
-		return fmt.Errorf("seq: MTS period %d must be ≥ 1", mtsPeriod)
+		return fmt.Errorf("engine: MTS period %d must be ≥ 1", mtsPeriod)
 	}
 	recip, err := pme.NewRecip(e.Sys.Box, gridSpacing, beta)
 	if err != nil {
@@ -40,10 +57,10 @@ func EnableFullElectrostatics(e *Engine, gridSpacing, beta float64, mtsPeriod in
 		q[i] = e.Sys.Atoms[i].Charge
 	}
 	ff := e.FF.WithEwald(beta)
-	if e.clusters != nil {
+	if e.clb != nil {
 		// The cluster kernel follows the electrostatics: re-select it (and
 		// build the interaction table) for the Ewald real-space term.
-		if e.clusters.kernel, err = ff.ClusterKernel(); err != nil {
+		if e.clb.kernel, err = ff.ClusterKernel(); err != nil {
 			return err
 		}
 	}
@@ -81,11 +98,11 @@ func (e *Engine) ensureRecip() {
 	}
 }
 
-// evalRecip runs one reciprocal-space evaluation, timed as a "pme_recip"
-// phase record when tracing is attached.
+// evalRecip runs one reciprocal-space evaluation on the workers, timed
+// as a "pme_recip" phase record when tracing is attached.
 func (e *Engine) evalRecip() {
 	t := e.phaseNow()
-	e.pme.Evaluate(e.St.Pos, fft.Serial{})
+	e.pme.Evaluate(e.St.Pos, e.mesh)
 	e.phaseEmit("pme_recip", trace.CatPME, t)
 }
 
@@ -99,37 +116,21 @@ func (e *Engine) stepPME(dt float64) {
 	p := e.pme
 	e.ensureForces()
 	e.ensureRecip()
-	pos, vel := e.St.Pos, e.St.Vel
 	dtOuter := dt * float64(p.MTSPeriod)
 	fr := p.Forces()
 
 	// Outer half-kick with the reciprocal impulse at the cycle start.
 	t := e.phaseNow()
 	if p.Counter == 0 {
-		for i := range vel {
-			a := fr[i].Scale(units.ForceToAccel / e.Sys.Atoms[i].Mass)
-			vel[i] = vel[i].Add(a.Scale(0.5 * dtOuter))
-		}
+		e.kick(fr, 0.5*dtOuter)
 	}
 
 	// Inner velocity-Verlet step with the fast forces.
-	var maxV2 float64
-	for i := range pos {
-		a := e.forces[i].Scale(units.ForceToAccel / e.Sys.Atoms[i].Mass)
-		vel[i] = vel[i].Add(a.Scale(0.5 * dt))
-		if v2 := vel[i].Norm2(); v2 > maxV2 {
-			maxV2 = v2
-		}
-		pos[i] = vec.Wrap(pos[i].Add(vel[i].Scale(dt)), e.Sys.Box)
-	}
-	e.advanceGuard(maxV2, dt)
+	e.kickDrift(e.forces, dt)
 	e.phaseEmit("integrate", trace.CatIntegration, t)
 	e.ComputeForces()
 	t = e.phaseNow()
-	for i := range vel {
-		a := e.forces[i].Scale(units.ForceToAccel / e.Sys.Atoms[i].Mass)
-		vel[i] = vel[i].Add(a.Scale(0.5 * dt))
-	}
+	e.kick(e.forces, 0.5*dt)
 	e.phaseEmit("integrate", trace.CatIntegration, t)
 
 	// Cycle end: fresh reciprocal forces and the closing outer half-kick.
@@ -138,14 +139,11 @@ func (e *Engine) stepPME(dt float64) {
 		p.Counter = 0
 		e.evalRecip()
 		t = e.phaseNow()
-		for i := range vel {
-			a := fr[i].Scale(units.ForceToAccel / e.Sys.Atoms[i].Mass)
-			vel[i] = vel[i].Add(a.Scale(0.5 * dtOuter))
-		}
+		e.kick(fr, 0.5*dtOuter)
 		e.phaseEmit("integrate", trace.CatIntegration, t)
 	}
 	if e.Thermo != nil {
 		e.Thermo.Apply(e.Sys, e.St, dt)
 	}
-	e.markStep()
+	e.finishStep()
 }

@@ -1,4 +1,4 @@
-package par
+package engine
 
 import (
 	"gonamd/internal/topology"
@@ -9,8 +9,9 @@ import (
 // evaluation emits one compacted "nonbonded" and "bonded" record per
 // worker (PE = worker, duration = that worker's summed task times, laid
 // end to end from the phase start so spans sum exactly to the record
-// duration) plus a PE-0 "reduce" record of the reduction-phase wall
-// time; Step adds "integrate" records and a zero-duration "step" marker.
+// duration) plus, on a multi-worker engine, a PE-0 "reduce" record of the
+// reduction-phase wall time; Step adds "integrate" records ("pme_recip"
+// too when full electrostatics are on) and a zero-duration "step" marker.
 // Workers only accumulate floats — all records are emitted from the
 // goroutine driving the step, so the recorder needs no locking. Passing
 // nil or a disabled log detaches tracing; the hot path then pays only
@@ -30,8 +31,8 @@ func (e *Engine) System() *topology.System { return e.Sys }
 // State returns the engine's mutable positions/velocities.
 func (e *Engine) State() *topology.State { return e.St }
 
-// Steps returns the number of Step calls completed.
-func (e *Engine) Steps() int { return e.steps }
+// Steps returns the number of steps completed.
+func (e *Engine) Steps() int64 { return e.steps }
 
 // phaseNow samples the recorder clock, or returns 0 with tracing off.
 func (e *Engine) phaseNow() float64 {
@@ -41,7 +42,8 @@ func (e *Engine) phaseNow() float64 {
 	return 0
 }
 
-// phaseEmit records [start, now) under entry/cat on PE 0 and returns now.
+// phaseEmit records [start, now) under entry/cat on PE 0 and returns
+// now, so consecutive phases chain without re-sampling the clock.
 func (e *Engine) phaseEmit(entry string, cat trace.Category, start float64) float64 {
 	if !e.tr.Enabled() {
 		return 0

@@ -28,9 +28,8 @@ import (
 	"time"
 
 	"gonamd/internal/ckpt"
+	"gonamd/internal/engine"
 	"gonamd/internal/forcefield"
-	"gonamd/internal/par"
-	"gonamd/internal/seq"
 	"gonamd/internal/thermo"
 	"gonamd/internal/topology"
 	"gonamd/internal/trace"
@@ -98,13 +97,6 @@ type Config struct {
 	Trace *trace.Log
 }
 
-// engine is the per-replica stepper: both seq.Engine and par.Engine.
-type engine interface {
-	Step(dt float64)
-	Energies() seq.Energies
-	Invalidate()
-}
-
 // Replica is one rung of the ladder: a full system state plus the engine
 // and thermostat advancing it.
 type Replica struct {
@@ -112,7 +104,7 @@ type Replica struct {
 	Temp  float64 // ladder temperature, K
 
 	st    *topology.State
-	eng   engine
+	eng   *engine.Engine
 	th    *thermo.Langevin
 	steps int64
 }
@@ -214,29 +206,26 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State, cfg Co
 		if err != nil {
 			return nil, err
 		}
-		setThermostat(eng, th)
+		eng.Thermo = th
 		e.replicas = append(e.replicas, &Replica{Index: i, Temp: temp, st: rst, eng: eng, th: th})
 	}
 	return e, nil
 }
 
-func newEngine(sys *topology.System, ff *forcefield.Params, st *topology.State, engineWorkers int) (engine, error) {
-	switch {
-	case engineWorkers == 0 && sys.N() >= parAtomThreshold:
-		return par.New(sys, ff, st, 0, 0, 0)
-	case engineWorkers > 1:
-		return par.New(sys, ff, st, engineWorkers, 0, 0)
-	default:
-		return seq.New(sys, ff, st)
+// newEngine builds one replica's engine: list-free and inline on one
+// worker, or on cluster lists with a worker pool (0 workers = all cores).
+func newEngine(sys *topology.System, ff *forcefield.Params, st *topology.State, engineWorkers int) (*engine.Engine, error) {
+	if engineWorkers > 1 || engineWorkers == 0 && sys.N() >= parAtomThreshold {
+		return engine.New(sys, ff, st, engineWorkers, engine.DefaultClusterM, engine.DefaultClusterN)
 	}
+	return engine.New(sys, ff, st, 1, 0, 0)
 }
 
-func setThermostat(eng engine, th thermo.Thermostat) {
-	switch e := eng.(type) {
-	case *seq.Engine:
-		e.Thermo = th
-	case *par.Engine:
-		e.Thermo = th
+// Close stops every replica engine's worker pool. Call it when done with
+// the ensemble; the pools' goroutines otherwise outlive it.
+func (e *Ensemble) Close() {
+	for _, r := range e.replicas {
+		r.eng.Close()
 	}
 }
 

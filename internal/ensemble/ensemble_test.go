@@ -6,9 +6,9 @@ import (
 	"os"
 	"testing"
 
+	"gonamd/internal/engine"
 	"gonamd/internal/forcefield"
 	"gonamd/internal/molgen"
-	"gonamd/internal/seq"
 	"gonamd/internal/topology"
 	"gonamd/internal/trace"
 )
@@ -22,7 +22,7 @@ func buildRelaxed(t testing.TB, spec molgen.Spec, cutoff float64, minSteps int) 
 		t.Fatal(err)
 	}
 	ff := forcefield.Standard(cutoff)
-	eng, err := seq.New(sys, ff, st)
+	eng, err := engine.New(sys, ff, st, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,9 @@ import (
 // index w in [0, Workers()) — possibly concurrently — and returns when
 // all calls have finished. Implementations must guarantee the calls see
 // each other's prior writes only through Run's completion (the usual
-// fork/join model). Serial is the trivial implementation; internal/par
-// adapts its persistent worker pool to this interface.
+// fork/join model). Serial is the trivial implementation, which a
+// one-worker engine runs on; internal/engine adapts the persistent pool
+// of a multi-worker one to this interface.
 type Pool interface {
 	Workers() int
 	Run(f func(w int))

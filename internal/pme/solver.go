@@ -16,9 +16,9 @@ type ExclusionSource interface {
 // Solver bundles the engine-facing slow-force machinery of full
 // electrostatics: the reciprocal-space mesh sum plus the constant self
 // and background terms and the per-pair corrections for excluded and
-// scaled pairs. Both real engines (internal/seq, internal/par) drive one
-// Solver; the erfc real-space term is not handled here — it rides in the
-// engines' nonbonded pair kernels via forcefield.Params.EwaldBeta.
+// scaled pairs. The engine (internal/engine) drives one Solver; the erfc
+// real-space term is not handled here — it rides in the nonbonded pair
+// kernels via forcefield.Params.EwaldBeta.
 //
 // Evaluate is deterministic and bitwise independent of the pool's worker
 // count: the mesh sum is by construction (see Recip.Compute) and the

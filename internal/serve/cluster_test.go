@@ -13,10 +13,11 @@ import (
 	"gonamd/internal/ckpt"
 )
 
-// clusterSpecs are the jobs of the cluster-list e2e test: the sequential
-// and parallel engines on explicit geometries, and the parallel engine
-// with full electrostatics (the tabulated kernel). The parallel engine
-// with no cluster fields rides in e2eSpecs.
+// clusterSpecs are the jobs of the cluster-list e2e test: one inline
+// worker and a pool of two on explicit geometries, the pool with full
+// electrostatics (the tabulated kernel), and one inline worker stepping
+// under SHAKE/RATTLE constraints. A pool with no cluster fields rides in
+// e2eSpecs.
 func clusterSpecs() []JobSpec {
 	base := JobSpec{
 		System:          SystemSpec{Preset: "water", Side: 10, Seed: 7, Cutoff: 4.5},
@@ -38,7 +39,11 @@ func clusterSpecs() []JobSpec {
 	pme.Name = "par-cluster-pme"
 	pme.Engine = gonamd.EngineSpec{Engine: "parallel", Workers: 2, ClusterM: 4, ClusterN: 8,
 		PME: &gonamd.PMESpec{GridSpacing: 1, MTSPeriod: 2}}
-	return []JobSpec{seq, par, pme}
+	shake := base
+	shake.Name = "seq-cluster-shake"
+	shake.Dt = 2
+	shake.Engine = gonamd.EngineSpec{ClusterM: 4, ClusterN: 8, HBondConstraints: true}
+	return []JobSpec{seq, par, pme, shake}
 }
 
 // TestClusterJobsCrashRestartResume: jobs on cluster lists are admitted

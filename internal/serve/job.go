@@ -91,7 +91,7 @@ type Job struct {
 	sys           *gonamd.System
 	ff            *gonamd.ForceField
 	st            *gonamd.State
-	eng           gonamd.Engine
+	eng           *gonamd.Parallel // nil for ensemble jobs, and again once finalized
 	th            gonamd.Thermostat
 	ens           *ensemble.Ensemble
 	tlog          *trace.Log
@@ -200,12 +200,7 @@ func (j *Job) ensure() error {
 		}
 		j.eng, j.th = eng, th
 		if j.tlog != nil {
-			switch e := eng.(type) {
-			case *gonamd.Sequential:
-				e.SetTrace(j.tlog)
-			case *gonamd.Parallel:
-				e.SetTrace(j.tlog)
-			}
+			eng.SetTrace(j.tlog)
 		}
 		if j.metricsInterval >= 0 {
 			// OpenFile recovers a torn tail from a crash and appends, so
@@ -216,12 +211,7 @@ func (j *Job) ensure() error {
 			}
 			rec := ftdc.NewEngineRecorder(j.metricsInterval)
 			rec.SetSink(fw)
-			switch e := eng.(type) {
-			case *gonamd.Sequential:
-				e.SetMetrics(rec)
-			case *gonamd.Parallel:
-				e.SetMetrics(rec)
-			}
+			eng.SetMetrics(rec)
 			j.metricsFW = fw
 			j.statusMu.Lock()
 			j.metrics = rec
@@ -374,7 +364,9 @@ func (j *Job) runSlice(n int, killed <-chan struct{}) sliceOutcome {
 		if j.pauseF.Load() {
 			return j.pauseNow()
 		}
-		j.eng.Step(j.Spec.Dt)
+		if err := j.stepEngine(); err != nil {
+			return j.finalize(StateFailed, err.Error())
+		}
 		j.step++
 		if err := j.emitCadence(); err != nil {
 			return j.finalize(StateFailed, err.Error())
@@ -385,6 +377,17 @@ func (j *Job) runSlice(n int, killed <-chan struct{}) sliceOutcome {
 	}
 	j.updateStatus(func(s *JobStatus) { s.Step = j.step; s.Frames = j.frames })
 	return outcomeProgress
+}
+
+// stepEngine advances the engine one step: the constrained step when the
+// spec attached SHAKE/RATTLE constraints (a solver that does not converge
+// fails the job), the plain one otherwise.
+func (j *Job) stepEngine() error {
+	if c := j.eng.Constraints(); c != nil {
+		return j.eng.StepConstrained(j.Spec.Dt, c)
+	}
+	j.eng.Step(j.Spec.Dt)
+	return nil
 }
 
 // emitCadence handles the per-step cadences: trajectory frames, energy
@@ -430,12 +433,7 @@ func (j *Job) rebaseListsLocked() {
 		return
 	}
 	j.eng.Invalidate()
-	switch e := j.eng.(type) {
-	case *gonamd.Sequential:
-		e.ResetLists()
-	case *gonamd.Parallel:
-		e.ResetLists()
-	}
+	j.eng.ResetLists()
 }
 
 func (j *Job) runEnsembleSlice(n int, killed <-chan struct{}) sliceOutcome {
@@ -563,8 +561,13 @@ func (j *Job) pauseNow() sliceOutcome {
 
 // finalize moves the job to a terminal state: closes the trajectory,
 // persists the terminal status, emits the final events (including the
-// Projections summary when tracing), and ends every event stream.
+// Projections summary when tracing), ends every event stream, and stops
+// and drops the engines — a terminal job is read through its status,
+// trace log, metrics ring and files, never its engine, and a worker pool
+// left running would hold the engine for the life of the server.
 func (j *Job) finalize(state, note string) sliceOutcome {
+	j.closeEnginesLocked()
+	j.eng, j.ens = nil, nil
 	if j.trajW != nil {
 		err := j.trajW.Flush()
 		if cerr := j.trajFile.Close(); err == nil {
@@ -601,6 +604,26 @@ func (j *Job) finalize(state, note string) sliceOutcome {
 	default:
 		return outcomeFailed
 	}
+}
+
+// closeEnginesLocked stops the worker pools of the job's engines, whose
+// goroutines would otherwise outlive the job. The engines stay usable: a
+// later step starts a fresh pool.
+func (j *Job) closeEnginesLocked() {
+	if j.eng != nil {
+		j.eng.Close()
+	}
+	if j.ens != nil {
+		j.ens.Close()
+	}
+}
+
+// closeEngines is closeEnginesLocked for the scheduler's stop and kill
+// paths, which run after every slice has returned.
+func (j *Job) closeEngines() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.closeEnginesLocked()
 }
 
 // finalizeExternal finalizes a job that is not on a worker (queued or

@@ -396,6 +396,7 @@ func (s *Scheduler) Stop() error {
 			firstErr = err
 		}
 		j.closeMetrics()
+		j.closeEngines()
 		j.persistStatus()
 	}
 	return firstErr
@@ -425,6 +426,7 @@ func (s *Scheduler) Kill() {
 	s.mu.Unlock()
 	for _, j := range jobs {
 		j.killMetrics()
+		j.closeEngines()
 	}
 }
 

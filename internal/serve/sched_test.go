@@ -3,11 +3,14 @@ package serve
 import (
 	"encoding/binary"
 	"encoding/json"
+	"math"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"gonamd"
 	"gonamd/internal/ckpt"
 )
 
@@ -399,5 +402,88 @@ func tamper(t *testing.T, path string, mut func([]byte)) {
 	mut(b)
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFinishedJobsReleaseWorkers: a finished job stops its engine's
+// worker pool and drops the engine, so the process's goroutine count
+// returns to where it was however many multi-worker jobs have run. (The
+// pool's parked goroutines used to hold every finished engine, and its
+// O(N·workers) accumulators, for the life of the server.)
+func TestFinishedJobsReleaseWorkers(t *testing.T) {
+	s := newTestScheduler(t, Config{Workers: 2, TenantQuota: 2, SliceSteps: 10, CheckpointEvery: 1 << 30})
+	defer s.Stop()
+	baseline := runtime.NumGoroutine()
+
+	var ids []string
+	for i := 0; i < 4; i++ {
+		spec := waterJob(30)
+		spec.Engine = gonamd.EngineSpec{Engine: "par", Workers: 2}
+		st, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		waitState(t, s, id, StateDone)
+	}
+	waitFor(t, "the goroutine count to return to its baseline", func() bool {
+		return runtime.NumGoroutine() <= baseline
+	})
+	for _, id := range ids {
+		if j, _ := s.Get(id); j.eng != nil {
+			t.Errorf("finished job %s still holds its engine", id)
+		}
+	}
+}
+
+// TestConstrainedJobHoldsBondLengths: hbond_constraints is not just
+// accepted and attached — the scheduler drives the constrained step, so
+// after several slices at a 2 fs timestep every O–H bond of the
+// checkpointed state sits at its equilibrium length within the SHAKE
+// tolerance. (The job used to run plain unconstrained steps, silently.)
+// A solver that cannot converge fails the job with its error.
+func TestConstrainedJobHoldsBondLengths(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestScheduler(t, Config{StateDir: dir, Workers: 1, SliceSteps: 10, CheckpointEvery: 1 << 30})
+	defer s.Stop()
+
+	spec := waterJob(40)
+	spec.Dt = 2
+	spec.Minimize = 40
+	spec.Engine = gonamd.EngineSpec{ClusterM: 4, ClusterN: 8, HBondConstraints: true}
+	st, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, st.ID, StateDone)
+
+	snap, err := ckpt.LoadJobFile(jobPath(dir, st.ID, "ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, _, err := spec.System.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := gonamd.StandardForceField(spec.System.Cutoff)
+	for _, b := range sys.Bonds {
+		r := gonamd.MinImage(snap.Pos[b.I], snap.Pos[b.J], sys.Box).Norm()
+		// SHAKE converges |r|² to a relative 1e-8.
+		if want := ff.BondTypes[b.Type].R0; math.Abs(r-want) > 1e-8*want {
+			t.Fatalf("bond %d-%d length %.10f after a constrained job, want %.10f", b.I, b.J, r, want)
+		}
+	}
+
+	diverging := waterJob(40)
+	diverging.Dt = 200
+	diverging.Engine = spec.Engine
+	st, err = s.Submit(diverging)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed := waitState(t, s, st.ID, StateFailed); !strings.Contains(failed.Note, "did not converge") {
+		t.Errorf("note of the diverging constrained job = %q, want the solver's error", failed.Note)
 	}
 }

@@ -69,13 +69,20 @@ func referenceTrajectory(t *testing.T, spec JobSpec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	var buf bytes.Buffer
 	w, err := traj.NewWriter(&buf, sys.N(), sys.Box)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for step := int64(1); step <= spec.Steps; step++ {
-		eng.Step(spec.Dt)
+		if c := eng.Constraints(); c != nil {
+			if err := eng.StepConstrained(spec.Dt, c); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			eng.Step(spec.Dt)
+		}
 		if step%spec.FrameEvery == 0 {
 			if err := w.WriteFrame(step, float64(step)*spec.Dt, st.Pos); err != nil {
 				t.Fatal(err)
@@ -83,12 +90,7 @@ func referenceTrajectory(t *testing.T, spec JobSpec) []byte {
 		}
 		if ce := spec.CheckpointEvery; ce > 0 && step%ce == 0 && spec.Engine.UsesLists() {
 			eng.Invalidate()
-			switch e := eng.(type) {
-			case *gonamd.Sequential:
-				e.ResetLists()
-			case *gonamd.Parallel:
-				e.ResetLists()
-			}
+			eng.ResetLists()
 		}
 	}
 	if err := w.Flush(); err != nil {

@@ -5,15 +5,15 @@ package thermo_test
 // box actually equilibrates at each rung of a temperature ladder — if it
 // sat at the wrong temperature, exchange acceptance would be computed
 // between mislabeled ensembles. This lives in an external test package
-// because the engines import thermo.
+// because the engine imports thermo.
 
 import (
 	"math"
 	"testing"
 
+	"gonamd/internal/engine"
 	"gonamd/internal/forcefield"
 	"gonamd/internal/molgen"
-	"gonamd/internal/seq"
 	"gonamd/internal/thermo"
 )
 
@@ -23,7 +23,7 @@ func TestLangevinRelaxesToLadderTemperatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	ff := forcefield.Standard(6.0)
-	eng, err := seq.New(sys, ff, st)
+	eng, err := engine.New(sys, ff, st, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

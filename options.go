@@ -4,18 +4,17 @@ import (
 	"fmt"
 	"time"
 
+	"gonamd/internal/engine"
 	"gonamd/internal/ftdc"
 	"gonamd/internal/ldb"
-	"gonamd/internal/par"
-	"gonamd/internal/seq"
 	"gonamd/internal/thermo"
 	"gonamd/internal/trace"
 )
 
-// Engine is the interface both real engines satisfy: construct one with
-// NewSequential or NewParallel and drive it without caring which. The
-// cluster simulation (NewClusterSim) models machines rather than
-// advancing real atoms and stays outside this interface.
+// Engine is what driving a simulation needs of the engine NewSequential
+// and NewParallel construct, for callers that would rather not name the
+// type. The cluster simulation (NewClusterSim) models machines rather
+// than advancing real atoms and stays outside this interface.
 type Engine interface {
 	// Step advances one velocity-Verlet step of dt femtoseconds.
 	Step(dt float64)
@@ -39,35 +38,19 @@ type Engine interface {
 	State() *State
 }
 
-var (
-	_ Engine = (*Sequential)(nil)
-	_ Engine = (*Parallel)(nil)
-)
-
-// engineKind discriminates which constructor is applying the options, so
-// engine-specific options can reject the wrong engine by name.
-type engineKind uint8
-
-const (
-	kindSequential engineKind = iota
-	kindParallel
-)
-
-func (k engineKind) String() string {
-	if k == kindSequential {
-		return "sequential"
-	}
-	return "parallel"
-}
+var _ Engine = (*Parallel)(nil)
 
 // engineOptions accumulates the configuration the options record. All
 // validation that spans options (or needs the force field) happens after
 // every option has run, so option order never matters.
 type engineOptions struct {
-	kind engineKind
+	// parallel tells which constructor is applying the options, so options
+	// that make sense only at one worker, or only at several, can reject
+	// the other constructor by name.
+	parallel bool
 
 	// Cluster pair list geometry; 0×0 = not given (sequential: the
-	// reference cell path; parallel: the default geometry).
+	// list-free reference mode; parallel: the default geometry).
 	clusterM, clusterN int
 
 	pmeSet  bool
@@ -104,12 +87,11 @@ type Option func(*engineOptions) error
 // drift rule. The kernel follows the electrostatics: analytic under the
 // shifted cutoff, tabulated under WithPME.
 //
-// The parallel engine always runs cluster lists (4×8 when this option is
-// absent) and decomposes the list by spatial cell with a deterministic
+// The engine decomposes the list by spatial cell with a deterministic
 // reduction, so runs are bitwise reproducible for a fixed worker count.
-// The sequential engine without this option evaluates the list-free
-// cell-walk reference path, the oracle the cluster path is tested
-// against.
+// NewParallel always runs cluster lists (4×8 when this option is absent);
+// NewSequential without this option evaluates the list-free cell-walk
+// reference mode, the oracle the cluster path is tested against.
 func WithClusterLists(m, n int) Option {
 	return func(o *engineOptions) error {
 		if m < 1 || m > 8 || n < 1 || n > 8 || m*n > 64 {
@@ -222,7 +204,7 @@ func WithThermostat(th Thermostat) Option {
 // rebalancing; call Rebalance manually). Parallel engine only.
 func WithRebalanceEvery(steps int) Option {
 	return func(o *engineOptions) error {
-		if o.kind != kindParallel {
+		if !o.parallel {
 			return fmt.Errorf("gonamd: WithRebalanceEvery applies only to the parallel engine")
 		}
 		if steps < 0 {
@@ -243,7 +225,7 @@ func WithRebalanceEvery(steps int) Option {
 // listing the valid names. Parallel engine only.
 func WithLoadBalancer(name string) Option {
 	return func(o *engineOptions) error {
-		if o.kind != kindParallel {
+		if !o.parallel {
 			return fmt.Errorf("gonamd: WithLoadBalancer applies only to the parallel engine")
 		}
 		s, err := ldb.Lookup(name)
@@ -263,7 +245,7 @@ func WithLoadBalancer(name string) Option {
 // PME step has no constraint projection.
 func WithHBondConstraints() Option {
 	return func(o *engineOptions) error {
-		if o.kind != kindSequential {
+		if o.parallel {
 			return fmt.Errorf("gonamd: WithHBondConstraints applies only to the sequential engine")
 		}
 		o.hbond = true
@@ -279,12 +261,27 @@ func (o *engineOptions) validate() error {
 	return nil
 }
 
-// NewSequential creates the single-threaded engine, configured by the
-// options (WithClusterLists, WithPME, WithTrace, WithMetrics,
-// WithThermostat, WithHBondConstraints). With no WithClusterLists it is
-// the list-free reference engine.
+// NewSequential creates the engine with one worker, which runs inline on
+// the calling goroutine, configured by the options (WithClusterLists,
+// WithPME, WithTrace, WithMetrics, WithThermostat, WithHBondConstraints).
+// With no WithClusterLists it runs the list-free reference mode.
 func NewSequential(sys *System, ff *ForceField, st *State, opts ...Option) (*Sequential, error) {
-	o := engineOptions{kind: kindSequential}
+	return newEngine(false, sys, ff, st, 1, opts)
+}
+
+// NewParallel creates the engine with the given number of goroutine
+// workers (0 = all cores), configured by the options (WithClusterLists,
+// WithPME, WithTrace, WithMetrics, WithThermostat, WithRebalanceEvery,
+// WithLoadBalancer). Close it when done: the workers are parked
+// goroutines that otherwise live as long as the process.
+func NewParallel(sys *System, ff *ForceField, st *State, workers int, opts ...Option) (*Parallel, error) {
+	return newEngine(true, sys, ff, st, workers, opts)
+}
+
+// newEngine is the one construction body: apply and validate the options,
+// then build the engine with the given worker count.
+func newEngine(parallel bool, sys *System, ff *ForceField, st *State, workers int, opts []Option) (*engine.Engine, error) {
+	o := engineOptions{parallel: parallel}
 	for _, opt := range opts {
 		if err := opt(&o); err != nil {
 			return nil, err
@@ -293,20 +290,20 @@ func NewSequential(sys *System, ff *ForceField, st *State, opts ...Option) (*Seq
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	e, err := seq.New(sys, ff, st)
+	if parallel && o.clusterM == 0 {
+		o.clusterM, o.clusterN = engine.DefaultClusterM, engine.DefaultClusterN
+	}
+	e, err := engine.New(sys, ff, st, workers, o.clusterM, o.clusterN)
 	if err != nil {
 		return nil, err
 	}
-	if o.thermostat != nil {
-		e.Thermo = o.thermostat
+	e.Thermo = o.thermostat
+	if o.rebalanceEverySet {
+		e.RebalanceEvery = o.rebalanceEvery
 	}
-	if o.clusterM > 0 {
-		if err := e.EnableClusterLists(o.clusterM, o.clusterN); err != nil {
-			return nil, err
-		}
-	}
+	e.LB = o.lb
 	if o.pmeSet {
-		if err := seq.EnableFullElectrostatics(e, o.pmeGrid, o.betaOrAuto(ff), o.pmeMTS); err != nil {
+		if err := engine.EnableFullElectrostatics(e, o.pmeGrid, o.betaOrAuto(ff), o.pmeMTS); err != nil {
 			return nil, err
 		}
 	}
@@ -316,47 +313,6 @@ func NewSequential(sys *System, ff *ForceField, st *State, opts ...Option) (*Seq
 			return nil, err
 		}
 		e.SetConstraints(c)
-	}
-	if o.trace != nil {
-		e.SetTrace(o.trace)
-	}
-	if o.metrics != nil {
-		e.SetMetrics(o.metrics)
-	}
-	return e, nil
-}
-
-// NewParallel creates the shared-memory parallel engine with the given
-// number of goroutine workers (0 = all cores), configured by the
-// options (WithClusterLists, WithPME, WithTrace, WithMetrics,
-// WithThermostat, WithRebalanceEvery, WithLoadBalancer).
-func NewParallel(sys *System, ff *ForceField, st *State, workers int, opts ...Option) (*Parallel, error) {
-	o := engineOptions{kind: kindParallel}
-	for _, opt := range opts {
-		if err := opt(&o); err != nil {
-			return nil, err
-		}
-	}
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	e, err := par.New(sys, ff, st, workers, o.clusterM, o.clusterN)
-	if err != nil {
-		return nil, err
-	}
-	if o.thermostat != nil {
-		e.Thermo = o.thermostat
-	}
-	if o.rebalanceEverySet {
-		e.RebalanceEvery = o.rebalanceEvery
-	}
-	if o.lb != nil {
-		e.LB = o.lb
-	}
-	if o.pmeSet {
-		if err := par.EnableFullElectrostatics(e, o.pmeGrid, o.betaOrAuto(ff), o.pmeMTS); err != nil {
-			return nil, err
-		}
 	}
 	if o.trace != nil {
 		e.SetTrace(o.trace)
@@ -532,7 +488,7 @@ func (s *EngineSpec) options(th Thermostat) []Option {
 // instance the engine applies (nil for NVE) — exposed so callers that
 // checkpoint, like the job server, can snapshot and restore a Langevin
 // noise stream.
-func (s *EngineSpec) NewEngine(sys *System, ff *ForceField, st *State) (Engine, Thermostat, error) {
+func (s *EngineSpec) NewEngine(sys *System, ff *ForceField, st *State) (*Parallel, Thermostat, error) {
 	par, err := s.Parallel()
 	if err != nil {
 		return nil, nil, err
@@ -543,7 +499,7 @@ func (s *EngineSpec) NewEngine(sys *System, ff *ForceField, st *State) (Engine, 
 			return nil, nil, err
 		}
 	}
-	var eng Engine
+	var eng *Parallel
 	if par {
 		eng, err = NewParallel(sys, ff, st, s.Workers, s.options(th)...)
 	} else {
