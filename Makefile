@@ -60,13 +60,17 @@ chaos:
 # checks run on the seed corpora in `test`; fuzzing explores beyond
 # them. FuzzFTDCDecode drives malformed telemetry streams against the
 # chunked decoder: decoding must error cleanly, never panic, and
-# anything it accepts must re-encode bit-exactly. Part of `ci` —
-# list-building, table, and codec bugs corrupt data silently, so all
-# three get adversarial inputs on every change.
+# anything it accepts must re-encode bit-exactly. FuzzTraceJSON holds
+# the trace reader behind cmd/projections to the same contract: error
+# cleanly, never panic, and any log it accepts re-encodes through
+# WriteJSON to the same records. Part of `ci` — list-building, table,
+# and codec bugs corrupt data silently, so all four get adversarial
+# inputs on every change.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzClusterPairs -fuzztime=20s ./internal/spatial
 	$(GO) test -run='^$$' -fuzz=FuzzInteractionTable -fuzztime=20s ./internal/forcefield
 	$(GO) test -run='^$$' -fuzz=FuzzFTDCDecode -fuzztime=20s ./internal/ftdc
+	$(GO) test -run='^$$' -fuzz=FuzzTraceJSON -fuzztime=20s ./internal/trace
 
 # The tracked performance suite: kernel benchmarks (ns/pair) and step
 # benchmarks (steps/sec, allocs/step) on the ApoA-I-scale system — one
@@ -105,7 +109,10 @@ benchmark-smoke:
 	cd benchmark && $(GO) test ./...
 
 # One iteration per benchmark: a quick smoke that every benchmark in the
-# tree still runs.
+# tree still runs. Includes the DES layer benchmarks: the converse event
+# core (BenchmarkEventThroughput, events/s and allocs) and whole ApoA-I
+# cluster simulations on des-scale's timing schedule
+# (BenchmarkSimApoA1/{std-1,std-1024,hier+tree-1024}, internal/bench).
 bench-all:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -timeout=30m ./...
 

@@ -45,6 +45,9 @@ type Runtime struct {
 	objs        []objSlot
 	reduceEntry EntryID // lazily registered by NewReducer; -1 until then
 
+	// ctx is the one entry-method context, reused by every dispatch.
+	ctx Ctx
+
 	// Reliable-delivery state (nil/zero unless EnableReliable was called).
 	reliable  bool
 	relCfg    ReliableConfig
@@ -68,6 +71,7 @@ type objSlot struct {
 // registered before Run.
 func NewRuntime(m *converse.Machine) *Runtime {
 	rt := &Runtime{M: m, reduceEntry: -1}
+	rt.ctx.RT = rt
 	rt.dispatchH = m.RegisterHandler("charm.dispatch", rt.dispatch)
 	// Relays are immediate: forwarding runs in the communication layer at
 	// arrival (Converse immediate messages / the dedicated communication
@@ -176,13 +180,15 @@ func (rt *Runtime) dispatch(cc *converse.Ctx, payload any, size int) {
 			env.obj, cc.PE(), slot.pe))
 	}
 	cc.SetObj(int32(env.obj))
-	ctx := &Ctx{C: cc, RT: rt, Obj: env.obj}
+	rt.ctx.C, rt.ctx.Obj = cc, env.obj
 	before := cc.Elapsed()
-	rt.entries[env.entry](ctx, slot.state, env.payload, size)
+	rt.entries[env.entry](&rt.ctx, slot.state, env.payload, size)
 	slot.load += cc.Elapsed() - before
 }
 
-// Ctx is the context passed to entry methods.
+// Ctx is the context passed to entry methods. A runtime dispatches every
+// invocation on one Ctx, so an entry method must not keep it past its
+// return.
 type Ctx struct {
 	C   *converse.Ctx
 	RT  *Runtime

@@ -22,7 +22,9 @@ func BenchmarkEventThroughput(b *testing.B) {
 			ctx.Send((ctx.PE()+1)%64, relay, nil, 256, 0)
 		}
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	m.Inject(0, relay, nil, 256, 0)
 	m.Run()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }

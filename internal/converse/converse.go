@@ -13,8 +13,8 @@
 package converse
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 
 	"gonamd/internal/trace"
 )
@@ -49,66 +49,108 @@ type NetworkModel struct {
 	MulticastPerDest   float64
 }
 
+// msg is one message: an invocation in an outbox, in flight, or queued.
 type msg struct {
+	payload any
+	delay   float64 // extra arrival delay (timers via Ctx.After)
+	prio    int64
+	size    int
 	to      int32
 	handler HandlerID
-	payload any
-	size    int
-	prio    int64
-	seq     uint64
-	local   bool    // sent from the same PE (cheaper receive)
-	delay   float64 // extra arrival delay (timers via Ctx.After)
+	local   bool // sent from the same PE (cheaper receive)
 }
 
 // Event kinds, in tie-break order at equal times.
 const (
-	kindDone    uint8 = iota // execution completion
-	kindArrive               // message arrival
-	kindRestart              // crashed PE comes back up
+	kindDone    uint64 = iota // execution completion
+	kindArrive                // message arrival
+	kindRestart               // crashed PE comes back up
 )
 
-type event struct {
-	time float64
-	kind uint8
-	seq  uint64
-	pe   int32
-	inc  uint32 // PE incarnation that scheduled a kindDone event
-	m    msg    // arrival only
+// kindShift places an event's kind above its sequence number in key.lo;
+// sequence numbers stay below 1<<62 for any run that could finish.
+const (
+	kindShift = 62
+	seqMask   = 1<<kindShift - 1
+)
+
+// key is an entry of the event queue and of the PE ready queues, ordered
+// lexicographically on (hi, lo). An event key holds the IEEE-754 bits of
+// its time in hi — times are never negative, and the bit patterns of
+// non-negative floats order like their values — and kind<<kindShift | seq
+// in lo, so events pop by (time, kind, seq). A ready key holds the
+// priority with its sign bit flipped in hi (unsigned order of the result
+// is signed order of the priority) and the message's seq in lo, so
+// messages pop by (prio, seq). Sequence numbers are unique, so both are
+// total orders and the pop sequence does not depend on the heap's shape.
+// Keys hold no pointers: sifting them needs no write barriers, and the
+// messages they stand for stay put in the machine's slab.
+type key struct {
+	hi, lo uint64
+	pe     int32  // events: the processor
+	arg    uint32 // arrivals and ready entries: the slab slot; completions: the PE incarnation
 }
 
-type eventHeap []event
+func (a key) less(b key) bool { return a.hi < b.hi || a.hi == b.hi && a.lo < b.lo }
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	if h[i].kind != h[j].kind {
-		return h[i].kind < h[j].kind
-	}
-	return h[i].seq < h[j].seq
+func (a key) time() float64 { return math.Float64frombits(a.hi) }
+
+func readyKey(prio int64, seq uint64, slot uint32) key {
+	return key{hi: uint64(prio) ^ 1<<63, lo: seq, arg: slot}
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
-type readyHeap []msg
+// queue is a binary min-heap of keys.
+type queue []key
 
-func (h readyHeap) Len() int { return len(h) }
-func (h readyHeap) Less(i, j int) bool {
-	if h[i].prio != h[j].prio {
-		return h[i].prio < h[j].prio
+func (q *queue) push(k key) {
+	h := append(*q, k)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !k.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	h[i] = k
+	*q = h
 }
-func (h readyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *readyHeap) Push(x any)   { *h = append(*h, x.(msg)) }
-func (h *readyHeap) Pop() any     { old := *h; n := len(old); m := old[n-1]; *h = old[:n-1]; return m }
+
+// pop removes and returns the least key. The vacated slot is zeroed.
+func (q *queue) pop() key {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = key{}
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].less(h[c]) {
+				c = r
+			}
+			if !h[c].less(last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
+}
 
 // PE is one virtual processor.
 type PE struct {
 	id    int32
-	ready readyHeap
+	ready queue
 	busy  bool
 
 	// Crash state: a down PE discards arrivals; incarnation invalidates
@@ -141,10 +183,19 @@ type Machine struct {
 	handlerNames []string
 	immediate    []bool
 	pes          []*PE
-	events       eventHeap
+	events       queue
 	seq          uint64
 	now          float64
 	stopped      bool
+
+	// msgs is the slab holding every queued or in-flight message; free
+	// lists its vacant slots. Vacated slots are zeroed so the slab keeps
+	// no dead payload reachable.
+	msgs []msg
+	free []uint32
+
+	// ctx is the one execution context, reused by every execution.
+	ctx Ctx
 
 	fault    *FaultPlan
 	crashes  []Crash // sorted by At
@@ -158,6 +209,7 @@ type Machine struct {
 // NewMachine creates a machine with npe processors.
 func NewMachine(npe int, net NetworkModel) *Machine {
 	m := &Machine{Net: net}
+	m.ctx.m = m
 	m.pes = make([]*PE, npe)
 	for i := range m.pes {
 		m.pes[i] = &PE{id: int32(i)}
@@ -206,11 +258,43 @@ func (m *Machine) RegisterImmediateHandler(name string, fn Handler) HandlerID {
 // virtual time, for seeding the computation before Run.
 func (m *Machine) Inject(pe int, h HandlerID, payload any, size int, prio int64) {
 	m.validate(pe, h)
+	m.schedule(m.now, kindArrive, int32(pe), m.store(msg{to: int32(pe), handler: h, payload: payload, size: size, prio: prio}))
+}
+
+// schedule pushes an event with the next sequence number. Events are
+// never scheduled in the past, which keeps times non-negative and the
+// schedule monotone.
+func (m *Machine) schedule(t float64, kind uint64, pe int32, arg uint32) {
+	if !(t >= m.now) {
+		panic(fmt.Sprintf("converse: event scheduled at %v, before the current time %v", t, m.now))
+	}
 	m.seq++
-	heap.Push(&m.events, event{
-		time: m.now, kind: kindArrive, seq: m.seq, pe: int32(pe),
-		m: msg{to: int32(pe), handler: h, payload: payload, size: size, prio: prio, seq: m.seq},
-	})
+	m.events.push(key{hi: math.Float64bits(t), lo: kind<<kindShift | m.seq, pe: pe, arg: arg})
+}
+
+// store puts mg in a vacant slab slot and returns the slot.
+func (m *Machine) store(mg msg) uint32 {
+	if n := len(m.free); n > 0 {
+		s := m.free[n-1]
+		m.free = m.free[:n-1]
+		m.msgs[s] = mg
+		return s
+	}
+	m.msgs = append(m.msgs, mg)
+	return uint32(len(m.msgs) - 1)
+}
+
+// release zeroes and frees slab slot s.
+func (m *Machine) release(s uint32) {
+	m.msgs[s] = msg{}
+	m.free = append(m.free, s)
+}
+
+// take returns the message in slab slot s and frees the slot.
+func (m *Machine) take(s uint32) msg {
+	mg := m.msgs[s]
+	m.release(s)
+	return mg
 }
 
 func (m *Machine) validate(pe int, h HandlerID) {
@@ -229,34 +313,33 @@ func (m *Machine) Run() float64 {
 		// Scheduled crashes fire just before the first event at or after
 		// their time, so they interleave deterministically with the
 		// event schedule.
-		if m.checkCrash(m.events[0].time) {
+		if m.checkCrash(m.events[0].time()) {
 			continue
 		}
-		ev := heap.Pop(&m.events).(event)
-		if ev.time < m.now {
-			panic("converse: time went backwards")
-		}
-		m.now = ev.time
+		ev := m.events.pop()
+		m.now = ev.time()
 		pe := m.pes[ev.pe]
-		switch ev.kind {
+		switch ev.lo >> kindShift {
 		case kindDone:
-			if ev.inc != pe.incarnation {
+			if ev.arg != pe.incarnation {
 				continue // execution was wiped out by a crash
 			}
 			pe.busy = false
-			if pe.ready.Len() > 0 {
+			if len(pe.ready) > 0 {
 				m.startExec(pe)
 			}
 		case kindArrive:
 			if pe.down {
 				m.Stats.Lost++
+				m.release(ev.arg)
 				continue
 			}
-			if m.immediate[ev.m.handler] {
-				m.execImmediate(pe, ev.m)
+			mg := &m.msgs[ev.arg]
+			if m.immediate[mg.handler] {
+				m.execute(pe, m.take(ev.arg), false)
 				continue
 			}
-			heap.Push(&pe.ready, ev.m)
+			pe.ready.push(readyKey(mg.prio, ev.lo&seqMask, ev.arg))
 			if !pe.busy {
 				m.startExec(pe)
 			}
@@ -267,114 +350,89 @@ func (m *Machine) Run() float64 {
 	return m.now
 }
 
-// startExec pops the best-priority ready message on pe and executes its
-// handler at the current virtual time, charging receive overhead, the
-// handler's own charges, and send costs; completion is scheduled at
-// start + total.
+// startExec pops the best-priority ready message on pe and executes it
+// on the worker.
 func (m *Machine) startExec(pe *PE) {
-	mg := heap.Pop(&pe.ready).(msg)
+	mg := m.take(pe.ready.pop().arg)
 	pe.busy = true
-	pe.MsgsRecv++
-
-	ctx := &Ctx{m: m, pe: pe, start: m.now}
-	recvCost := m.Net.RecvOverhead
-	if mg.local {
-		recvCost = m.Net.LocalRecvOverhead
-	}
-	if recvCost > 0 {
-		ctx.charge(recvCost, trace.CatRecv)
-	}
-	m.handlers[mg.handler](ctx, mg.payload, mg.size)
-
-	end := m.now + ctx.dur
-	pe.BusyTime += ctx.dur
-	m.seq++
-	heap.Push(&m.events, event{time: end, kind: kindDone, seq: m.seq, pe: pe.id, inc: pe.incarnation})
-
-	if m.Trace.Enabled() {
-		m.Trace.Add(trace.ExecRecord{
-			PE:    pe.id,
-			Obj:   ctx.obj,
-			Entry: m.handlerNames[mg.handler],
-			Start: m.now,
-			End:   end,
-			Spans: ctx.spans,
-		})
-	}
-
-	m.dispatchOutbox(pe, ctx, end)
+	m.execute(pe, mg, true)
 }
 
-// execImmediate runs an immediate handler at message arrival on the
-// PE's communication processor: the worker's busy state and scheduler
-// queue are untouched, and the handler's charges (receive overhead plus
-// whatever it charges itself) delay only its own outgoing messages.
-// Immediate time is accounted separately (PE.CommTime) so worker
-// utilization still means entry-method execution.
-func (m *Machine) execImmediate(pe *PE, mg msg) {
+// execute runs mg's handler on pe at the current virtual time on the
+// machine's one Ctx, charging receive overhead, the handler's own
+// charges, and send costs. A worker execution occupies the PE until
+// start + total, when its completion event fires. An immediate handler
+// runs on the PE's communication processor: the worker's busy state and
+// scheduler queue are untouched, and its charges delay only its own
+// outgoing messages; its time is accounted separately (PE.CommTime) so
+// worker utilization still means entry-method execution.
+func (m *Machine) execute(pe *PE, mg msg, worker bool) {
 	pe.MsgsRecv++
-	ctx := &Ctx{m: m, pe: pe, start: m.now}
+	c := &m.ctx
+	c.pe, c.start, c.dur, c.obj = pe, m.now, 0, 0
 	recvCost := m.Net.RecvOverhead
 	if mg.local {
 		recvCost = m.Net.LocalRecvOverhead
 	}
 	if recvCost > 0 {
-		ctx.charge(recvCost, trace.CatRecv)
+		c.charge(recvCost, trace.CatRecv)
 	}
-	m.handlers[mg.handler](ctx, mg.payload, mg.size)
-	end := m.now + ctx.dur
-	pe.CommTime += ctx.dur
+	m.handlers[mg.handler](c, mg.payload, mg.size)
+
+	end := m.now + c.dur
+	if worker {
+		pe.BusyTime += c.dur
+		m.schedule(end, kindDone, pe.id, pe.incarnation)
+	} else {
+		pe.CommTime += c.dur
+	}
 	if m.Trace.Enabled() {
 		m.Trace.Add(trace.ExecRecord{
 			PE:    pe.id,
-			Obj:   ctx.obj,
+			Obj:   c.obj,
 			Entry: m.handlerNames[mg.handler],
 			Start: m.now,
 			End:   end,
-			Spans: ctx.spans,
+			Spans: append([]trace.Span(nil), c.spans...), // the record owns its spans
 		})
 	}
-	m.dispatchOutbox(pe, ctx, end)
+	m.dispatchOutbox(pe, c, end)
+	c.spans = c.spans[:0]
+	clear(c.outbox)
+	c.outbox = c.outbox[:0]
 }
 
 // dispatchOutbox queues the messages sent during an execution: they
 // leave the PE at completion time and arrive after latency +
 // transmission (plus any Ctx.After delay), with the fault plan's
 // drop/delay/dup/reorder verdicts applied to remote messages.
-func (m *Machine) dispatchOutbox(pe *PE, ctx *Ctx, end float64) {
-	var arrive, dupJitter []float64
-	var drop []bool
-	if n := len(ctx.outbox); n > 0 {
-		arrive = make([]float64, n)
-		for i, out := range ctx.outbox {
-			arrive[i] = end + out.delay
-			if out.to != pe.id {
-				arrive[i] += m.Net.Latency + float64(out.size)*m.Net.PerByte
-			}
+func (m *Machine) dispatchOutbox(pe *PE, c *Ctx, end float64) {
+	c.arrive = c.arrive[:0]
+	for _, out := range c.outbox {
+		t := end + out.delay
+		if out.to != pe.id {
+			t += m.Net.Latency + float64(out.size)*m.Net.PerByte
 		}
-		if m.fault != nil {
-			drop = make([]bool, n)
-			dupJitter = make([]float64, n)
-			for i := range dupJitter {
-				dupJitter[i] = -1
-			}
-			m.messageFaults(pe, ctx.outbox, arrive, drop, dupJitter)
-		}
+		c.arrive = append(c.arrive, t)
 	}
-	for i, out := range ctx.outbox {
+	faults := m.fault != nil
+	if faults {
+		c.drop, c.dupJitter = c.drop[:0], c.dupJitter[:0]
+		for range c.outbox {
+			c.drop = append(c.drop, false)
+			c.dupJitter = append(c.dupJitter, -1)
+		}
+		m.messageFaults(pe, c.outbox, c.arrive, c.drop, c.dupJitter)
+	}
+	for i, out := range c.outbox {
 		m.TotalMsgs++
 		m.TotalBytes += out.size
-		if drop != nil && drop[i] {
+		if faults && c.drop[i] {
 			continue
 		}
-		m.seq++
-		out.seq = m.seq
-		heap.Push(&m.events, event{time: arrive[i], kind: kindArrive, seq: m.seq, pe: out.to, m: out})
-		if dupJitter != nil && dupJitter[i] >= 0 {
-			m.seq++
-			d := out
-			d.seq = m.seq
-			heap.Push(&m.events, event{time: arrive[i] + dupJitter[i], kind: kindArrive, seq: m.seq, pe: out.to, m: d})
+		m.schedule(c.arrive[i], kindArrive, out.to, m.store(out))
+		if faults && c.dupJitter[i] >= 0 {
+			m.schedule(c.arrive[i]+c.dupJitter[i], kindArrive, out.to, m.store(out))
 		}
 	}
 }
@@ -401,14 +459,20 @@ func (m *Machine) PEStats() (busy []float64, msgs []int) {
 }
 
 // Ctx is passed to handlers; it charges virtual time and sends messages.
+// A machine runs every execution on one Ctx, so a handler must not keep
+// it past its return.
 type Ctx struct {
 	m      *Machine
 	pe     *PE
 	start  float64
 	dur    float64
+	obj    int32
 	spans  []trace.Span
 	outbox []msg
-	obj    int32
+
+	// Per-execution scratch of dispatchOutbox.
+	arrive, dupJitter []float64
+	drop              []bool
 }
 
 // PE returns the executing processor's id.

@@ -13,7 +13,6 @@
 package converse
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -168,7 +167,11 @@ func (m *Machine) checkCrash(t float64) bool {
 	pe.down = true
 	pe.busy = false
 	pe.incarnation++
-	m.Stats.Lost += pe.ready.Len()
+	m.Stats.Lost += len(pe.ready)
+	for _, k := range pe.ready {
+		m.release(k.arg)
+	}
+	clear(pe.ready)
 	pe.ready = pe.ready[:0]
 	m.Stats.Crashes++
 	m.faultRecord("fault.crash", pe.id, m.now)
@@ -177,8 +180,7 @@ func (m *Machine) checkCrash(t float64) bool {
 	}
 	// Schedule the restart as an ordinary event so a stalled machine
 	// still advances to it before quiescing.
-	m.seq++
-	heap.Push(&m.events, event{time: m.now + c.Down, kind: kindRestart, seq: m.seq, pe: pe.id})
+	m.schedule(m.now+c.Down, kindRestart, pe.id, 0)
 	return true
 }
 

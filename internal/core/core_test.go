@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"gonamd/internal/topology"
 	"gonamd/internal/trace"
 	"gonamd/internal/vec"
+	"gonamd/internal/xrand"
 )
 
 // testWorkload builds a small shared workload (~3000 atoms, 3×3×3
@@ -519,5 +521,32 @@ func TestPeriodicRefinementTracksSlowDrift(t *testing.T) {
 	if refined[len(refined)-1] >= frozen[len(frozen)-1]*0.97 {
 		t.Errorf("periodic refine %.4f not better than frozen %.4f",
 			refined[len(refined)-1], frozen[len(frozen)-1])
+	}
+}
+
+// TestStepCounterMatchesMap: the arrival counter behaves exactly like the
+// map it replaced (count, compare with need, delete when reached) for any
+// key order and need, including needs of 0 and 1 and counts that
+// overshoot, and survives the snapshot's map form.
+func TestStepCounterMatchesMap(t *testing.T) {
+	rng := xrand.New(5)
+	var c stepCounter
+	ref := map[int]int{}
+	for i := 0; i < 20000; i++ {
+		key, need := rng.Intn(6), rng.Intn(5)
+		ref[key]++
+		want := ref[key] >= need
+		if want {
+			delete(ref, key)
+		}
+		if got := c.arrive(key, need); got != want {
+			t.Fatalf("arrival %d (key %d, need %d): counter says %v, map %v", i, key, need, got, want)
+		}
+		if i%97 == 0 {
+			c = gotCounter(gotMap(c))
+		}
+	}
+	if got := gotMap(c); !maps.Equal(got, ref) {
+		t.Fatalf("counter holds %v, map %v", got, ref)
 	}
 }

@@ -38,8 +38,8 @@ type pmeForceMsg struct{ step int }
 
 // pencilState is one PME pencil compute object. Z-pencils act twice per
 // reciprocal step (forward spread+FFT, then inverse FFT+gather), so
-// their got map is keyed by 2·step+phase; x-pencils act once, keyed by
-// step.
+// their arrivals are counted under 2·step+phase; x-pencils act once,
+// counted under step.
 type pencilState struct {
 	z       bool
 	ix, iy  int
@@ -49,7 +49,7 @@ type pencilState struct {
 	bwdWork float64 // z only: inverse z-passes + force gather
 
 	need int // transpose blocks expected (p²); z charge phase uses len(patches)
-	got  map[int]int
+	got  stepCounter
 }
 
 // pmeOn reports whether the simulation models full electrostatics.
@@ -66,35 +66,27 @@ func (s *Sim) registerPMEEntries() {
 	s.ePencilCharge = s.rt.RegisterEntry("pme.charges", func(c *charm.Ctx, obj, payload any, size int) {
 		zp := obj.(*pencilState)
 		step := payload.(int)
-		key := 2 * step
-		zp.got[key]++
-		if zp.got[key] < len(zp.patches) {
+		if !zp.got.arrive(2*step, len(zp.patches)) {
 			return
 		}
-		delete(zp.got, key)
 		c.Charge(zp.fwdWork, trace.CatPME)
 		s.transpose(c, s.xPencilObj, s.ePencilFwd, step)
 	})
 	s.ePencilFwd = s.rt.RegisterEntry("pme.transpose", func(c *charm.Ctx, obj, payload any, size int) {
 		xp := obj.(*pencilState)
 		step := payload.(int)
-		xp.got[step]++
-		if xp.got[step] < xp.need {
+		if !xp.got.arrive(step, xp.need) {
 			return
 		}
-		delete(xp.got, step)
 		c.Charge(xp.fwdWork, trace.CatPME)
 		s.transpose(c, s.zPencilObj, s.ePencilBwd, step)
 	})
 	s.ePencilBwd = s.rt.RegisterEntry("pme.untranspose", func(c *charm.Ctx, obj, payload any, size int) {
 		zp := obj.(*pencilState)
 		step := payload.(int)
-		key := 2*step + 1
-		zp.got[key]++
-		if zp.got[key] < zp.need {
+		if !zp.got.arrive(2*step+1, zp.need) {
 			return
 		}
-		delete(zp.got, key)
 		c.Charge(zp.bwdWork, trace.CatPME)
 		for _, p := range zp.patches {
 			c.Send(s.patchObj[p], s.ePatchForce, pmeForceMsg{step: step},
@@ -194,7 +186,6 @@ func (s *Sim) createPencils() error {
 				fwdWork: atomShare*m.PerAtomSpread + fftPass,
 				bwdWork: fftPass + atomShare*m.PerAtomSpread,
 				need:    p * p,
-				got:     map[int]int{},
 			}
 			s.zPencils = append(s.zPencils, zp)
 			s.zPencilObj = append(s.zPencilObj,
@@ -208,7 +199,6 @@ func (s *Sim) createPencils() error {
 				ix: jy, iy: jz,
 				fwdWork: meshPerPencil * (2*logK + 1) * m.PerMeshPoint,
 				need:    p * p,
-				got:     map[int]int{},
 			}
 			s.xPencils = append(s.xPencils, xp)
 			s.xPencilObj = append(s.xPencilObj,

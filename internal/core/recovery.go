@@ -59,12 +59,22 @@ type SimState struct {
 	TotalBytes int
 }
 
-func copyGot(m map[int]int) map[int]int {
-	out := make(map[int]int, len(m))
-	for k, v := range m {
-		out[k] = v
+// gotMap converts an arrival counter to the snapshot's map form.
+func gotMap(c stepCounter) map[int]int {
+	out := make(map[int]int, len(c))
+	for _, e := range c {
+		out[e.key] = e.n
 	}
 	return out
+}
+
+// gotCounter converts a snapshot's map back to an arrival counter.
+func gotCounter(m map[int]int) stepCounter {
+	var c stepCounter
+	for k, n := range m {
+		c = append(c, stepCount{key: k, n: n})
+	}
+	return c
 }
 
 // snapshotState captures the sim's current application state.
@@ -84,20 +94,20 @@ func (s *Sim) snapshotState(step int) *SimState {
 	}
 	for i, ps := range s.patches {
 		st.PatchStep[i] = ps.step
-		st.PatchGot[i] = copyGot(ps.got)
+		st.PatchGot[i] = gotMap(ps.got)
 	}
 	for i, cs := range s.computes {
 		st.ComputeWork[i] = cs.work
-		st.ComputeGot[i] = copyGot(cs.got)
+		st.ComputeGot[i] = gotMap(cs.got)
 	}
 	for obj, px := range s.proxySt {
-		st.ProxyGot[int32(obj)] = copyGot(px.got)
+		st.ProxyGot[int32(obj)] = gotMap(px.got)
 	}
 	for _, pen := range s.zPencils {
-		st.PencilGot = append(st.PencilGot, copyGot(pen.got))
+		st.PencilGot = append(st.PencilGot, gotMap(pen.got))
 	}
 	for _, pen := range s.xPencils {
-		st.PencilGot = append(st.PencilGot, copyGot(pen.got))
+		st.PencilGot = append(st.PencilGot, gotMap(pen.got))
 	}
 	busy, msgs := s.m.PEStats()
 	st.PEBusy, st.PEMsgs = busy, msgs
@@ -108,18 +118,18 @@ func (s *Sim) snapshotState(step int) *SimState {
 func (s *Sim) restoreState(st *SimState) {
 	for i, ps := range s.patches {
 		ps.step = st.PatchStep[i]
-		ps.got = copyGot(st.PatchGot[i])
+		ps.got = gotCounter(st.PatchGot[i])
 	}
 	for i, cs := range s.computes {
 		cs.work = st.ComputeWork[i]
-		cs.got = copyGot(st.ComputeGot[i])
+		cs.got = gotCounter(st.ComputeGot[i])
 	}
 	for obj, got := range st.ProxyGot {
-		s.proxySt[charm.ObjID(obj)].got = copyGot(got)
+		s.proxySt[charm.ObjID(obj)].got = gotCounter(got)
 	}
 	for i, pen := range append(append([]*pencilState{}, s.zPencils...), s.xPencils...) {
 		if i < len(st.PencilGot) {
-			pen.got = copyGot(st.PencilGot[i])
+			pen.got = gotCounter(st.PencilGot[i])
 		}
 	}
 	s.stepEnd = append(s.stepEnd[:0], st.StepEnd...)

@@ -126,7 +126,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	// Scribble over everything the snapshot covers.
 	for _, ps := range s.patches {
 		ps.step = -1
-		ps.got[12345] = 9
+		ps.got = append(ps.got, stepCount{key: 12345, n: 9})
 	}
 	for _, cs := range s.computes {
 		cs.work *= 3

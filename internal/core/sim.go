@@ -224,7 +224,7 @@ type patchState struct {
 	atoms         int
 	step          int
 	expect        int
-	got           map[int]int
+	got           stepCounter
 	proxies       []charm.ObjID
 	locals        []charm.ObjID
 	pencils       []charm.ObjID // z-pencils this patch spreads charge onto
@@ -237,8 +237,39 @@ type proxyState struct {
 	home     charm.ObjID
 	computes []charm.ObjID
 	expect   int
-	got      map[int]int
+	got      stepCounter
 	frcBytes int
+}
+
+// stepCounter counts one object's message arrivals per step (or per
+// step-and-phase key). The step protocol keeps at most a step or two in
+// flight per object, so a short slice scanned linearly stands in for a
+// map; snapshots keep the map form (see recovery.go).
+type stepCounter []stepCount
+
+type stepCount struct{ key, n int }
+
+// arrive counts one arrival for key and reports whether need arrivals
+// have now been counted, forgetting the key when they have.
+func (c *stepCounter) arrive(key, need int) bool {
+	s := *c
+	for i := range s {
+		if s[i].key != key {
+			continue
+		}
+		s[i].n++
+		if s[i].n < need {
+			return false
+		}
+		s[i] = s[len(s)-1]
+		*c = s[:len(s)-1]
+		return true
+	}
+	if need > 1 {
+		*c = append(s, stepCount{key: key, n: 1})
+		return false
+	}
+	return true
 }
 
 type target struct {
@@ -254,7 +285,7 @@ type computeState struct {
 	drift      float64 // per-step multiplicative work change (see SetLoadDrift)
 	migratable bool
 	need       int
-	got        map[int]int
+	got        stepCounter
 	reps       []target
 }
 
@@ -381,17 +412,15 @@ func (s *Sim) registerEntries() {
 		case int:
 			step = m
 		}
-		ps.got[step]++
 		need := ps.expect
 		if s.pmeRecipStep(step) {
 			// Reciprocal steps additionally wait for one slow-force
 			// message from each attached z-pencil.
 			need += len(ps.pencils)
 		}
-		if ps.got[step] < need {
+		if !ps.got.arrive(step, need) {
 			return
 		}
-		delete(ps.got, step)
 		// All forces for this step are in: integrate, then begin the
 		// next step by distributing new positions (the critical entry
 		// method of Figures 3-4).
@@ -417,21 +446,17 @@ func (s *Sim) registerEntries() {
 	s.eProxyDeposit = s.rt.RegisterEntry("proxy.deposit", func(c *charm.Ctx, obj, payload any, size int) {
 		px := obj.(*proxyState)
 		step := payload.(int)
-		px.got[step]++
-		if px.got[step] < px.expect {
+		if !px.got.arrive(step, px.expect) {
 			return
 		}
-		delete(px.got, step)
 		c.Send(px.home, s.ePatchForce, proxyForceMsg{step: step}, px.frcBytes, prio(step, classForce))
 	})
 	s.eNotify = s.rt.RegisterEntry("compute.notify", func(c *charm.Ctx, obj, payload any, size int) {
 		cs := obj.(*computeState)
 		step := payload.(int)
-		cs.got[step]++
-		if cs.got[step] < cs.need {
+		if !cs.got.arrive(step, cs.need) {
 			return
 		}
-		delete(cs.got, step)
 		c.Charge(cs.work, cs.cat)
 		if cs.drift != 0 {
 			cs.work *= 1 + cs.drift
@@ -460,7 +485,6 @@ func (s *Sim) placePatches() {
 		ps := &patchState{
 			id:            p,
 			atoms:         s.w.PatchAtoms[p],
-			got:           map[int]int{},
 			integrateTime: float64(s.w.PatchAtoms[p]) * s.cfg.Model.PerAtomIntegrate,
 			posBytes:      32 * s.w.PatchAtoms[p],
 		}
@@ -483,7 +507,6 @@ func (s *Sim) addCompute(name string, pe int, cat trace.Category, patches []int,
 		work:       work,
 		migratable: migratable,
 		need:       len(patches),
-		got:        map[int]int{},
 	}
 	s.computes = append(s.computes, cs)
 	s.computeObj = append(s.computeObj, s.rt.CreateObj(name, pe, cs, migratable))
@@ -624,7 +647,6 @@ func (s *Sim) wire() {
 			px := &proxyState{
 				patch:    k.patch,
 				home:     s.patchObj[k.patch],
-				got:      map[int]int{},
 				frcBytes: 24 * ps.atoms,
 			}
 			pobj = s.rt.CreateObj(fmt.Sprintf("proxy%d@%d", k.patch, k.pe), k.pe, px, false)
