@@ -46,7 +46,8 @@ metrics: vet
 # PME real-space and reciprocal rows included); the fft and pme packages
 # carry the worker-count/repeat determinism tests behind the
 # bitwise-reproducible PME guarantee; the ldb package carries the
-# strategy property suite (never-worsen, validity, determinism).
+# strategy property suite (never-worsen, validity, determinism) and the
+# assignment golden.
 chaos:
 	$(GO) test -count=2 -run 'Chaos|Crash|Reliable|Recovery|Property|Differential|Golden|Determinism|PME|ZeroAllocs' \
 		./internal/converse ./internal/charm ./internal/core ./internal/ckpt ./internal/trace \
@@ -63,14 +64,21 @@ chaos:
 # anything it accepts must re-encode bit-exactly. FuzzTraceJSON holds
 # the trace reader behind cmd/projections to the same contract: error
 # cleanly, never panic, and any log it accepts re-encodes through
-# WriteJSON to the same records. Part of `ci` — list-building, table,
-# and codec bugs corrupt data silently, so all four get adversarial
-# inputs on every change.
+# WriteJSON to the same records. FuzzEnvelopeLoad and FuzzLoadJob hold
+# the checkpoint envelope behind DES snapshots, CheckpointPath files and
+# gonamdd job checkpoints to the same contract, fed raw file bytes and
+# payloads re-framed behind a valid header and CRC so the gob decoder is
+# reached; their seeds are whole checkpoints, which the fuzzer would
+# spend the run minimizing, hence the cap. Part of `ci` — list-building,
+# table, and codec bugs corrupt data silently, so all six get
+# adversarial inputs on every change.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzClusterPairs -fuzztime=20s ./internal/spatial
 	$(GO) test -run='^$$' -fuzz=FuzzInteractionTable -fuzztime=20s ./internal/forcefield
 	$(GO) test -run='^$$' -fuzz=FuzzFTDCDecode -fuzztime=20s ./internal/ftdc
 	$(GO) test -run='^$$' -fuzz=FuzzTraceJSON -fuzztime=20s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeLoad -fuzztime=20s -fuzzminimizetime=2s ./internal/ckpt
+	$(GO) test -run='^$$' -fuzz=FuzzLoadJob -fuzztime=20s -fuzzminimizetime=2s ./internal/ckpt
 
 # The tracked performance suite: kernel benchmarks (ns/pair) and step
 # benchmarks (steps/sec, allocs/step) on the ApoA-I-scale system — one

@@ -5,6 +5,8 @@ import (
 
 	"gonamd/internal/core"
 	"gonamd/internal/machine"
+	"gonamd/internal/molgen"
+	"gonamd/internal/spatial"
 )
 
 // BenchmarkSimApoA1 times whole cluster simulations of the ApoA-I
@@ -41,6 +43,37 @@ func BenchmarkSimApoA1(b *testing.B) {
 			}
 			b.ReportMetric(steps*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
 			b.ReportMetric(float64(msgs), "msgs/op")
+		})
+	}
+}
+
+// BenchmarkBuildWorkload times the exact pair census of the ApoA-I and
+// BC1 systems, the set-up every DES user pays once per system (the
+// repository benchmark's core.workload_build_s). The systems are built
+// outside the timer.
+func BenchmarkBuildWorkload(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		spec molgen.Spec
+	}{{"apoa1", molgen.ApoA1()}, {"bc1", molgen.BC1()}} {
+		b.Run(c.name, func(b *testing.B) {
+			spec := c.spec
+			spec.Temperature = 0
+			sys, st, err := molgen.Build(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			grid, err := spatial.NewGridDims(spec.Box, spec.PatchDims, molgen.Cutoff)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.BuildWorkload(spec.Name, sys, st, grid, molgen.Cutoff, ListDist); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

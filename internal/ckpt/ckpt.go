@@ -128,16 +128,11 @@ func (s *EnsembleState) Validate() error {
 // simulation's recovery snapshots) so every persisted state in the
 // system gets the same integrity checking.
 func EnvelopeSave(w io.Writer, tag string, version uint32, v any) error {
-	magic := tagMagic(tag)
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
 		return fmt.Errorf("ckpt: encoding: %w", err)
 	}
-	var hdr [32]byte
-	copy(hdr[:12], magic[:])
-	binary.LittleEndian.PutUint32(hdr[12:16], version)
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(payload.Len()))
-	binary.LittleEndian.PutUint64(hdr[24:32], crc64.Checksum(payload.Bytes(), crcTable))
+	hdr := header(tag, version, payload.Bytes())
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("ckpt: writing header: %w", err)
 	}
@@ -145,6 +140,17 @@ func EnvelopeSave(w io.Writer, tag string, version uint32, v any) error {
 		return fmt.Errorf("ckpt: writing payload: %w", err)
 	}
 	return nil
+}
+
+// header is the envelope header of payload.
+func header(tag string, version uint32, payload []byte) [32]byte {
+	var hdr [32]byte
+	magic := tagMagic(tag)
+	copy(hdr[:12], magic[:])
+	binary.LittleEndian.PutUint32(hdr[12:16], version)
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(payload)))
+	binary.LittleEndian.PutUint64(hdr[24:32], crc64.Checksum(payload, crcTable))
+	return hdr
 }
 
 // EnvelopeLoad reads an envelope written by EnvelopeSave with the same
@@ -168,14 +174,17 @@ func EnvelopeLoad(r io.Reader, tag string, version uint32, v any) error {
 	if length > maxPayload {
 		return fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return fmt.Errorf("%w: payload: %v", ErrTruncated, err)
+	// Grow the buffer as the bytes arrive rather than trusting the header
+	// with an allocation: a damaged length must not cost gigabytes before
+	// the stream turns out to be short.
+	var payload bytes.Buffer
+	if n, err := io.CopyN(&payload, r, int64(length)); err != nil {
+		return fmt.Errorf("%w: payload: %d of %d bytes: %v", ErrTruncated, n, length, err)
 	}
-	if sum := crc64.Checksum(payload, crcTable); sum != binary.LittleEndian.Uint64(hdr[24:32]) {
+	if sum := crc64.Checksum(payload.Bytes(), crcTable); sum != binary.LittleEndian.Uint64(hdr[24:32]) {
 		return fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+	if err := gob.NewDecoder(&payload).Decode(v); err != nil {
 		return fmt.Errorf("%w: decoding: %v", ErrCorrupt, err)
 	}
 	return nil

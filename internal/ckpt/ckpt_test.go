@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -70,6 +71,24 @@ func TestLoadRejectsTruncation(t *testing.T) {
 	}
 }
 
+// TestLoadTrustsNoLengthBeforeReading: a damaged header claiming a
+// 1 GiB payload in front of a few bytes is a truncation, found without
+// allocating what the header claims.
+func TestLoadTrustsNoLengthBeforeReading(t *testing.T) {
+	raw := encode(t, sample())[:40]
+	binary.LittleEndian.PutUint64(raw[16:24], 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Errorf("err = %v, want ErrTruncated", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("loading 40 bytes allocated %d bytes", n)
+	}
+}
+
 func TestLoadRejectsCorruption(t *testing.T) {
 	full := encode(t, sample())
 	// Flip one bit in the payload: the checksum must catch it.
@@ -104,9 +123,12 @@ func TestLoadRejectsWrongMagic(t *testing.T) {
 func TestValidateRejectsInconsistentSnapshots(t *testing.T) {
 	mut := func(f func(*EnsembleState)) *EnsembleState { s := sample(); f(s); return s }
 	cases := map[string]*EnsembleState{
-		"no replicas":        mut(func(s *EnsembleState) { s.Replicas = nil }),
-		"pos/vel mismatch":   mut(func(s *EnsembleState) { s.Replicas[1].Vel = s.Replicas[1].Vel[:3] }),
-		"ragged atom counts": mut(func(s *EnsembleState) { s.Replicas[2].Pos = s.Replicas[2].Pos[:3]; s.Replicas[2].Vel = s.Replicas[2].Vel[:3] }),
+		"no replicas":      mut(func(s *EnsembleState) { s.Replicas = nil }),
+		"pos/vel mismatch": mut(func(s *EnsembleState) { s.Replicas[1].Vel = s.Replicas[1].Vel[:3] }),
+		"ragged atom counts": mut(func(s *EnsembleState) {
+			s.Replicas[2].Pos = s.Replicas[2].Pos[:3]
+			s.Replicas[2].Vel = s.Replicas[2].Vel[:3]
+		}),
 		"bad temperature":    mut(func(s *EnsembleState) { s.Replicas[0].Temp = -1 }),
 		"counter shape":      mut(func(s *EnsembleState) { s.Attempts = s.Attempts[:1] }),
 		"accepts > attempts": mut(func(s *EnsembleState) { s.Accepts[0] = s.Attempts[0] + 1 }),

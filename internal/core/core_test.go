@@ -58,28 +58,55 @@ func testWorkload(t *testing.T) (*Workload, machine.Model) {
 
 func TestWorkloadPairCountsMatchBruteForce(t *testing.T) {
 	w, _ := testWorkload(t)
-	// Brute-force O(N²) count of distinct pairs within cutoff/listdist.
-	var within, listed int64
+	// Brute-force O(N²) census of distinct pairs within cutoff/listdist,
+	// attributed to the patch pair (or the patch) of their two atoms.
+	pairIdx := map[[2]int]int{}
+	for i, pr := range w.Pairs {
+		pairIdx[[2]int{min(pr[0], pr[1]), max(pr[0], pr[1])}] = i
+	}
+	self := make([]PairCount, len(w.Self))
+	pairs := make([]PairCount, len(w.PairCounts))
+	var stray int64 // listed pairs between patches that are not neighbors
 	cut2 := w.Cutoff * w.Cutoff
 	list2 := w.ListDist * w.ListDist
 	n := wlSys.N()
+	patch := make([]int, n)
+	for i, p := range wlSt.Pos {
+		patch[i] = w.Grid.PatchOf(p)
+	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			r2 := vec.MinImage(wlSt.Pos[i], wlSt.Pos[j], wlSys.Box).Norm2()
-			if r2 < list2 {
-				listed++
-				if r2 < cut2 {
-					within++
-				}
+			if r2 >= list2 {
+				continue
+			}
+			var c *PairCount
+			if a, b := patch[i], patch[j]; a == b {
+				c = &self[a]
+			} else if k, ok := pairIdx[[2]int{min(a, b), max(a, b)}]; ok {
+				c = &pairs[k]
+			} else {
+				stray++
+				continue
+			}
+			c.Listed++
+			if r2 < cut2 {
+				c.Within++
 			}
 		}
 	}
-	c := w.Counts()
-	if c.Pairs != within {
-		t.Errorf("workload Pairs = %d, brute force %d", c.Pairs, within)
+	if stray != 0 {
+		t.Errorf("%d listed pairs between non-neighbor patches", stray)
 	}
-	if c.Listed != listed {
-		t.Errorf("workload Listed = %d, brute force %d", c.Listed, listed)
+	for p, c := range self {
+		if w.Self[p] != c {
+			t.Errorf("Self[%d] = %+v, brute force %+v", p, w.Self[p], c)
+		}
+	}
+	for k, c := range pairs {
+		if w.PairCounts[k] != c {
+			t.Errorf("PairCounts[%d] (patches %v) = %+v, brute force %+v", k, w.Pairs[k], w.PairCounts[k], c)
+		}
 	}
 }
 

@@ -12,7 +12,9 @@
 //
 // Snapshots round-trip through the internal/ckpt envelope (gob payload,
 // CRC-64, version check) even when kept in memory, so the recovery path
-// exercises exactly the bytes that CheckpointPath persists to disk.
+// exercises exactly the bytes that CheckpointPath persists to disk. A sim
+// with neither a fault plan nor a CheckpointPath never reads a snapshot
+// and encodes none.
 package core
 
 import (
@@ -20,7 +22,6 @@ import (
 	"fmt"
 	"io"
 
-	"gonamd/internal/charm"
 	"gonamd/internal/ckpt"
 	"gonamd/internal/trace"
 )
@@ -85,7 +86,7 @@ func (s *Sim) snapshotState(step int) *SimState {
 		PatchGot:    make([]map[int]int, len(s.patches)),
 		ComputeWork: make([]float64, len(s.computes)),
 		ComputeGot:  make([]map[int]int, len(s.computes)),
-		ProxyGot:    make(map[int32]map[int]int, len(s.proxySt)),
+		ProxyGot:    map[int32]map[int]int{},
 		StepEnd:     append([]float64(nil), s.stepEnd...),
 		Loads:       s.rt.Loads(),
 		BusyBase:    append([]float64(nil), s.busyBase...),
@@ -95,13 +96,13 @@ func (s *Sim) snapshotState(step int) *SimState {
 	for i, ps := range s.patches {
 		st.PatchStep[i] = ps.step
 		st.PatchGot[i] = gotMap(ps.got)
+		for _, px := range ps.byPE {
+			st.ProxyGot[int32(px.obj)] = gotMap(px.got)
+		}
 	}
 	for i, cs := range s.computes {
 		st.ComputeWork[i] = cs.work
 		st.ComputeGot[i] = gotMap(cs.got)
-	}
-	for obj, px := range s.proxySt {
-		st.ProxyGot[int32(obj)] = gotMap(px.got)
 	}
 	for _, pen := range s.zPencils {
 		st.PencilGot = append(st.PencilGot, gotMap(pen.got))
@@ -119,13 +120,15 @@ func (s *Sim) restoreState(st *SimState) {
 	for i, ps := range s.patches {
 		ps.step = st.PatchStep[i]
 		ps.got = gotCounter(st.PatchGot[i])
+		for _, px := range ps.byPE {
+			if got, ok := st.ProxyGot[int32(px.obj)]; ok {
+				px.got = gotCounter(got)
+			}
+		}
 	}
 	for i, cs := range s.computes {
 		cs.work = st.ComputeWork[i]
 		cs.got = gotCounter(st.ComputeGot[i])
-	}
-	for obj, got := range st.ProxyGot {
-		s.proxySt[charm.ObjID(obj)].got = gotCounter(got)
 	}
 	for i, pen := range append(append([]*pencilState{}, s.zPencils...), s.xPencils...) {
 		if i < len(st.PencilGot) {
@@ -146,10 +149,21 @@ func (s *Sim) restoreState(st *SimState) {
 	s.rt.ResetReliable()
 }
 
-// takeSnapshot encodes the current state through the ckpt envelope and
+// takeSnapshot marks step as the rollback target. Only a fault plan can
+// roll the sim back and only CheckpointPath persists a snapshot, so
+// without either the step is all that is recorded.
+func (s *Sim) takeSnapshot(step int) {
+	if s.cfg.Faults != nil || s.cfg.CheckpointPath != "" {
+		s.saveSnapshot(step)
+		return
+	}
+	s.snapStep = step
+}
+
+// saveSnapshot encodes the current state through the ckpt envelope and
 // keeps the bytes as the rollback target; with CheckpointPath set the
 // same bytes are also persisted atomically.
-func (s *Sim) takeSnapshot(step int) {
+func (s *Sim) saveSnapshot(step int) {
 	st := s.snapshotState(step)
 	var buf bytes.Buffer
 	if err := ckpt.EnvelopeSave(&buf, simTag, simVersion, st); err != nil {

@@ -121,7 +121,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	s.totalSteps = 2
 	s.runEpoch(2)
 	before := s.snapshotState(2)
-	s.takeSnapshot(2)
+	s.saveSnapshot(2) // without a fault plan, takeSnapshot would keep only the step
 
 	// Scribble over everything the snapshot covers.
 	for _, ps := range s.patches {

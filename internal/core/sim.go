@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 
 	"gonamd/internal/charm"
 	"gonamd/internal/converse"
@@ -225,7 +227,8 @@ type patchState struct {
 	step          int
 	expect        int
 	got           stepCounter
-	proxies       []charm.ObjID
+	proxies       []charm.ObjID // the proxies computes currently use
+	byPE          []*proxyState // every proxy ever created, by PE
 	locals        []charm.ObjID
 	pencils       []charm.ObjID // z-pencils this patch spreads charge onto
 	integrateTime float64
@@ -234,6 +237,8 @@ type patchState struct {
 
 type proxyState struct {
 	patch    int
+	pe       int
+	obj      charm.ObjID
 	home     charm.ObjID
 	computes []charm.ObjID
 	expect   int
@@ -307,8 +312,6 @@ type Sim struct {
 	patches    []*patchState
 	computeObj []charm.ObjID
 	computes   []*computeState
-	proxyByKey map[[2]int]charm.ObjID
-	proxySt    map[charm.ObjID]*proxyState
 
 	// PME pencil decomposition (nil/empty when Config.PMEGrid == 0).
 	ePencilCharge charm.EntryID
@@ -352,12 +355,10 @@ func NewSim(w *Workload, cfg Config) (*Sim, error) {
 	net.MulticastOptimized = cfg.MulticastOpt
 
 	s := &Sim{
-		cfg:        cfg,
-		w:          w,
-		m:          converse.NewMachine(cfg.PEs, net),
-		lb:         lb,
-		proxyByKey: map[[2]int]charm.ObjID{},
-		proxySt:    map[charm.ObjID]*proxyState{},
+		cfg: cfg,
+		w:   w,
+		m:   converse.NewMachine(cfg.PEs, net),
+		lb:  lb,
 	}
 	if cfg.CollectTrace {
 		s.m.Trace = trace.NewLog()
@@ -608,73 +609,88 @@ func unionInts(a, b []int) []int {
 // wire rebuilds the proxy structure and message expectations from the
 // computes' current locations. Must be called while the machine is
 // quiescent.
+//
+// It runs in O(entries): a counting sort of the computes by PE feeds a
+// counting sort of their patch references by patch, both stable, so each
+// patch's references come out in (PE, compute index) order. A run of one
+// PE is then the patch's local computes or one proxy's, and new proxies
+// are created in (patch, PE) order.
 func (s *Sim) wire() {
-	// Group compute objects by (patch, PE), deterministically.
-	type key struct{ patch, pe int }
-	compsFor := map[key][]charm.ObjID{}
-	var keys []key
+	loc := make([]int, len(s.computes))
+	peStart := make([]int, s.cfg.PEs+1)
+	refStart := make([]int, len(s.patches)+1)
 	for ci, cs := range s.computes {
-		pe := s.rt.Location(s.computeObj[ci])
+		loc[ci] = s.rt.Location(s.computeObj[ci])
+		peStart[loc[ci]+1]++
 		for _, p := range cs.patches {
-			k := key{p, pe}
-			if compsFor[k] == nil {
-				keys = append(keys, k)
-			}
-			compsFor[k] = append(compsFor[k], s.computeObj[ci])
+			refStart[p+1]++
+		}
+		if len(cs.reps) != len(cs.patches) {
+			cs.reps = make([]target, len(cs.patches))
 		}
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].patch != keys[b].patch {
-			return keys[a].patch < keys[b].patch
+	for pe := range s.cfg.PEs {
+		peStart[pe+1] += peStart[pe]
+	}
+	for p := range s.patches {
+		refStart[p+1] += refStart[p]
+	}
+	byPE := make([]int, len(s.computes))
+	for ci, pe := range loc {
+		byPE[peStart[pe]] = ci
+		peStart[pe]++
+	}
+	refs := make([]patchRef, refStart[len(s.patches)])
+	next := append([]int(nil), refStart...)
+	for _, ci := range byPE {
+		for k, p := range s.computes[ci].patches {
+			refs[next[p]] = patchRef{ci: ci, k: k}
+			next[p]++
 		}
-		return keys[a].pe < keys[b].pe
-	})
+	}
 
-	for _, ps := range s.patches {
+	for p, ps := range s.patches {
 		ps.proxies = ps.proxies[:0]
 		ps.locals = ps.locals[:0]
-	}
-	activeProxies := map[charm.ObjID]bool{}
-	for _, k := range keys {
-		ps := s.patches[k.patch]
-		if k.pe == s.patchHome[k.patch] {
-			ps.locals = append(ps.locals, compsFor[k]...)
-			continue
-		}
-		pk := [2]int{k.patch, k.pe}
-		pobj, ok := s.proxyByKey[pk]
-		if !ok {
-			px := &proxyState{
-				patch:    k.patch,
-				home:     s.patchObj[k.patch],
-				frcBytes: 24 * ps.atoms,
+		known := 0 // ps.byPE[:known] lie on PEs below the current run's
+		for run := refs[refStart[p]:refStart[p+1]]; len(run) > 0; {
+			pe := loc[run[0].ci]
+			n := 1
+			for n < len(run) && loc[run[n].ci] == pe {
+				n++
 			}
-			pobj = s.rt.CreateObj(fmt.Sprintf("proxy%d@%d", k.patch, k.pe), k.pe, px, false)
-			s.proxyByKey[pk] = pobj
-			s.proxySt[pobj] = px
+			if pe == s.patchHome[p] {
+				for _, r := range run[:n] {
+					ps.locals = append(ps.locals, s.computeObj[r.ci])
+					s.computes[r.ci].reps[r.k] = target{obj: s.patchObj[p], entry: s.ePatchForce}
+				}
+				run = run[n:]
+				continue
+			}
+			for known < len(ps.byPE) && ps.byPE[known].pe < pe {
+				known++
+			}
+			if known == len(ps.byPE) || ps.byPE[known].pe != pe {
+				px := &proxyState{patch: p, pe: pe, home: s.patchObj[p], frcBytes: 24 * ps.atoms}
+				px.obj = s.rt.CreateObj("proxy"+strconv.Itoa(p)+"@"+strconv.Itoa(pe), pe, px, false)
+				ps.byPE = slices.Insert(ps.byPE, known, px)
+			}
+			px := ps.byPE[known]
+			px.computes = slices.Grow(px.computes[:0], n)
+			for _, r := range run[:n] {
+				px.computes = append(px.computes, s.computeObj[r.ci])
+				s.computes[r.ci].reps[r.k] = target{obj: px.obj, entry: s.eProxyDeposit}
+			}
+			px.expect = len(px.computes)
+			ps.proxies = append(ps.proxies, px.obj)
+			run = run[n:]
 		}
-		px := s.proxySt[pobj]
-		px.computes = append(px.computes[:0], compsFor[k]...)
-		px.expect = len(px.computes)
-		ps.proxies = append(ps.proxies, pobj)
-		activeProxies[pobj] = true
-	}
-	for _, ps := range s.patches {
 		ps.expect = len(ps.locals) + len(ps.proxies)
 	}
-	// Compute force-deposit targets.
-	for ci, cs := range s.computes {
-		pe := s.rt.Location(s.computeObj[ci])
-		cs.reps = cs.reps[:0]
-		for _, p := range cs.patches {
-			if pe == s.patchHome[p] {
-				cs.reps = append(cs.reps, target{obj: s.patchObj[p], entry: s.ePatchForce})
-			} else {
-				cs.reps = append(cs.reps, target{obj: s.proxyByKey[[2]int{p, pe}], entry: s.eProxyDeposit})
-			}
-		}
-	}
 }
+
+// patchRef is a compute's k-th patch reference.
+type patchRef struct{ ci, k int }
 
 // sendPositions is the tail of the integration method: multicast the
 // patch's new positions to its proxies and notify co-located computes.
@@ -769,13 +785,14 @@ func (s *Sim) loadBalance(steps int, strat ldb.Strategy, pass int) {
 		s.busyBase = make([]float64, s.cfg.PEs)
 	}
 
+	pencilObjs := append(append([]charm.ObjID{}, s.zPencilObj...), s.xPencilObj...)
 	prob := &ldb.Problem{
 		NumPE:      s.cfg.PEs,
 		NumPatches: s.w.Grid.NumPatches(),
+		Objects:    make([]ldb.Object, 0, len(s.computes)+len(pencilObjs)),
 		PatchHome:  s.patchHome,
 		Background: make([]float64, s.cfg.PEs),
 	}
-	pencilObjs := append(append([]charm.ObjID{}, s.zPencilObj...), s.xPencilObj...)
 
 	// Background: everything the PE did that is not compute-object work
 	// (integration, proxies, message handling), per step.

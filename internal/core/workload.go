@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"gonamd/internal/machine"
@@ -76,21 +77,23 @@ func BuildWorkload(name string, sys *topology.System, st *topology.State, grid *
 	}
 	w.PairCounts = make([]PairCount, len(w.Pairs))
 
-	bins := grid.Bin(st.Pos)
-	atomPatch := make([]int32, sys.N())
-	patchPos := make([][]vec.V3, np)
-	for p, atoms := range bins {
-		w.PatchAtoms[p] = len(atoms)
-		patchPos[p] = make([]vec.V3, len(atoms))
-		for k, ai := range atoms {
-			atomPatch[ai] = int32(p)
-			patchPos[p][k] = st.Pos[ai]
-		}
-	}
-
 	cut2 := cutoff * cutoff
 	list2 := listDist * listDist
 	box := sys.Box
+
+	// Each patch's positions, grouped by sub-cell (see splitPatch).
+	bins := grid.Bin(st.Pos)
+	atomPatch := make([]int32, sys.N())
+	patchPos := make([][]vec.V3, np)
+	cells := make([][]subCell, np)
+	var key []int
+	for p, atoms := range bins {
+		w.PatchAtoms[p] = len(atoms)
+		for _, ai := range atoms {
+			atomPatch[ai] = int32(p)
+		}
+		patchPos[p], cells[p], key = splitPatch(grid, p, st.Pos, atoms, box, key)
+	}
 
 	// Within-patch pairs.
 	for p := 0; p < np; p++ {
@@ -98,7 +101,7 @@ func BuildWorkload(name string, sys *topology.System, st *topology.State, grid *
 		var c PairCount
 		for i := 0; i < len(pos); i++ {
 			for j := i + 1; j < len(pos); j++ {
-				r2 := vec.MinImage(pos[i], pos[j], box).Norm2()
+				r2 := minImage2(pos[i], pos[j], box)
 				if r2 < list2 {
 					c.Listed++
 					if r2 < cut2 {
@@ -110,28 +113,45 @@ func BuildWorkload(name string, sys *topology.System, st *topology.State, grid *
 		w.Self[p] = c
 	}
 
-	// Cross-patch pairs with a bounding-box prune: an atom further than
+	// Cross-patch pairs. A pair of sub-cells is skipped when no two of
+	// their atoms can be within listDist, with a relative margin far above
+	// the rounding of any computed distance, so every skipped pair is one
+	// the full loop would not have counted. Inside, an atom further than
 	// listDist from the neighbor patch's cell cannot pair with any atom
 	// inside it.
+	skip2 := list2 * (1 + 1e-9)
+	var near []vec.V3
 	for pi, pr := range w.Pairs {
 		a, b := pr[0], pr[1]
-		posA, posB := patchPos[a], patchPos[b]
-		if len(posA) > len(posB) {
+		if len(patchPos[a]) > len(patchPos[b]) {
 			a, b = b, a
-			posA, posB = posB, posA
 		}
+		posA, posB := patchPos[a], patchPos[b]
 		bxLo, bxHi := patchBounds(grid, b)
 		var c PairCount
-		for _, pa := range posA {
-			if boxDist2(pa, bxLo, bxHi, box) >= list2 {
+		for _, ca := range cells[a] {
+			near = near[:0]
+			for _, pa := range posA[ca.start:ca.end] {
+				if boxDist2(pa, bxLo, bxHi, box) < list2 {
+					near = append(near, pa)
+				}
+			}
+			if len(near) == 0 {
 				continue
 			}
-			for _, pb := range posB {
-				r2 := vec.MinImage(pa, pb, box).Norm2()
-				if r2 < list2 {
-					c.Listed++
-					if r2 < cut2 {
-						c.Within++
+			for _, cb := range cells[b] {
+				if cellDist2(ca, cb, box) >= skip2 {
+					continue
+				}
+				for _, pa := range near {
+					for _, pb := range posB[cb.start:cb.end] {
+						r2 := minImage2(pa, pb, box)
+						if r2 < list2 {
+							c.Listed++
+							if r2 < cut2 {
+								c.Within++
+							}
+						}
 					}
 				}
 			}
@@ -247,6 +267,90 @@ func boxDist2(p, lo, hi, box vec.V3) float64 {
 		dh := circDist(x, h, L)
 		d := math.Min(dl, dh)
 		d2 += d * d
+	}
+	return d2
+}
+
+// minImage2 is vec.MinImage(a, b, box).Norm2(), bit for bit, without the
+// rounding call where it cannot change anything: math.Round returns ±0
+// for |d/L| < ½, and subtracting ±0 leaves d's square as it was.
+func minImage2(a, b, box vec.V3) float64 {
+	dx, dy, dz := a.X-b.X, a.Y-b.Y, a.Z-b.Z
+	if q := dx / box.X; !(math.Abs(q) < 0.5) {
+		dx -= box.X * math.Round(q)
+	}
+	if q := dy / box.Y; !(math.Abs(q) < 0.5) {
+		dy -= box.Y * math.Round(q)
+	}
+	if q := dz / box.Z; !(math.Abs(q) < 0.5) {
+		dz -= box.Z * math.Round(q)
+	}
+	return dx*dx + dy*dy + dz*dz
+}
+
+// subCell is a run of a patch's atom positions, pos[start:end] as
+// splitPatch lays them out, and the bounds of those positions wrapped
+// into the box.
+type subCell struct {
+	lo, hi     vec.V3
+	start, end int
+}
+
+// splitPatch splits patch id's cell into 3×3×3 sub-cells and returns the
+// positions of its atoms grouped by sub-cell, with the non-empty
+// sub-cells, whose bounds are taken in the periodic box box. key is
+// scratch, returned for reuse.
+func splitPatch(g *spatial.Grid, id int, allPos []vec.V3, atoms []int32, box vec.V3, key []int) ([]vec.V3, []subCell, []int) {
+	cellLo, _ := patchBounds(g, id)
+	sub := g.Size.Scale(1.0 / 3)
+	idx := func(x, lo, size float64) int { return min(max(int((x-lo)/size), 0), 2) }
+	key = slices.Grow(key[:0], len(atoms))[:len(atoms)]
+	var start [28]int
+	for k, ai := range atoms {
+		w := vec.Wrap(allPos[ai], box)
+		key[k] = idx(w.X, cellLo.X, sub.X) + 3*idx(w.Y, cellLo.Y, sub.Y) + 9*idx(w.Z, cellLo.Z, sub.Z)
+		start[key[k]+1]++
+	}
+	for c := 0; c < 27; c++ {
+		start[c+1] += start[c]
+	}
+	pos := make([]vec.V3, len(atoms))
+	next := start
+	for k, ai := range atoms {
+		pos[next[key[k]]] = allPos[ai]
+		next[key[k]]++
+	}
+
+	var cells []subCell
+	for c := 0; c < 27; c++ {
+		if start[c] == start[c+1] {
+			continue
+		}
+		sc := subCell{start: start[c], end: start[c+1]}
+		for k, p := range pos[sc.start:sc.end] {
+			w := vec.Wrap(p, box)
+			if k == 0 {
+				sc.lo, sc.hi = w, w
+				continue
+			}
+			sc.lo = vec.New(math.Min(sc.lo.X, w.X), math.Min(sc.lo.Y, w.Y), math.Min(sc.lo.Z, w.Z))
+			sc.hi = vec.New(math.Max(sc.hi.X, w.X), math.Max(sc.hi.Y, w.Y), math.Max(sc.hi.Z, w.Z))
+		}
+		cells = append(cells, sc)
+	}
+	return pos, cells, key
+}
+
+// cellDist2 is a lower bound on the squared minimum-image distance
+// between any atom of sub-cell a and any of sub-cell b: per axis, the gap
+// between their bounds on the ring of the box's length.
+func cellDist2(a, b subCell, box vec.V3) float64 {
+	d2 := 0.0
+	for c := 0; c < 3; c++ {
+		aLo, aHi, bLo, bHi, L := a.lo.Comp(c), a.hi.Comp(c), b.lo.Comp(c), b.hi.Comp(c), box.Comp(c)
+		gap := max(0, bLo-aHi, aLo-bHi)
+		gap = min(gap, max(0, bLo+L-aHi), max(0, aLo+L-bHi))
+		d2 += gap * gap
 	}
 	return d2
 }

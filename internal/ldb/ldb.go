@@ -20,6 +20,8 @@ package ldb
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -116,24 +118,25 @@ func Evaluate(p *Problem, assign []int) Stats {
 	st.Imbalance = st.MaxLoad - st.AvgLoad
 
 	// A proxy exists for patch t on PE e when some object on e needs t
-	// and e is not t's home.
-	need := make(map[int]map[int]bool, p.NumPatches)
-	for i, o := range p.Objects {
-		pe := assign[i]
-		for _, t := range o.Patches {
-			if p.PatchHome[t] == pe {
-				continue
+	// and e is not t's home. Walking the objects PE by PE, a per-patch
+	// stamp (the last PE counted for it, plus one) counts each pair once.
+	start, idx := bucket(p, assign)
+	stamp := make([]int, p.NumPatches)
+	proxies := make([]int, p.NumPatches)
+	for pe := 0; pe < p.NumPE; pe++ {
+		for _, i := range idx[start[pe]:start[pe+1]] {
+			for _, t := range p.Objects[i].Patches {
+				if p.PatchHome[t] != pe && stamp[t] != pe+1 {
+					stamp[t] = pe + 1
+					proxies[t]++
+				}
 			}
-			if need[t] == nil {
-				need[t] = make(map[int]bool)
-			}
-			need[t][pe] = true
 		}
 	}
-	for _, pes := range need {
-		st.Proxies += len(pes)
-		if len(pes) > st.MaxProxiesPerPatch {
-			st.MaxProxiesPerPatch = len(pes)
+	for _, n := range proxies {
+		st.Proxies += n
+		if n > st.MaxProxiesPerPatch {
+			st.MaxProxiesPerPatch = n
 		}
 	}
 	return st
@@ -151,34 +154,111 @@ func PELoads(p *Problem, assign []int) []float64 {
 	return loads
 }
 
-// availability tracks which patches have data (home or proxy) on each PE.
-type availability struct {
-	onPE    []map[int]bool // pe → set of patches
-	holders [][]int        // patch → PEs holding it (order of creation)
+// bucket groups the objects by PE, in index order within a PE (a
+// counting sort): the objects on pe are idx[start[pe]:start[pe+1]].
+func bucket(p *Problem, assign []int) (start, idx []int) {
+	start = make([]int, p.NumPE+1)
+	for _, pe := range assign {
+		start[pe+1]++
+	}
+	for pe := 0; pe < p.NumPE; pe++ {
+		start[pe+1] += start[pe]
+	}
+	idx = make([]int, len(assign))
+	next := append([]int(nil), start[:p.NumPE]...)
+	for i, pe := range assign {
+		idx[next[pe]] = i
+		next[pe]++
+	}
+	return start, idx
 }
 
-func newAvailability(p *Problem) *availability {
+// objLists buckets the migratable objects by PE, in index order. Each
+// list is a capacity-limited window of one shared array, so an append
+// reallocates that list alone.
+func objLists(p *Problem, assign []int) [][]int {
+	start, idx := bucket(p, assign)
+	l := make([][]int, p.NumPE)
+	for pe := range l {
+		l[pe] = slices.DeleteFunc(idx[start[pe]:start[pe+1]:start[pe+1]],
+			func(i int) bool { return !p.Objects[i].Migratable })
+	}
+	return l
+}
+
+// availability tracks which patches have data (home or proxy) on each
+// PE: a dense PE × patch bitset of ⌈patches/64⌉ words per PE, beside
+// each patch's holders in ascending order.
+type availability struct {
+	words   int
+	bits    []uint64
+	holders [][]int // patch → PEs holding it, sorted
+}
+
+// newAvailability places every patch on its home PE and, for every
+// object (or, with pinnedOnly, every non-migratable one), the object's
+// patches on its current PE.
+func newAvailability(p *Problem, pinnedOnly bool) *availability {
+	words := (p.NumPatches + 63) / 64
 	a := &availability{
-		onPE:    make([]map[int]bool, p.NumPE),
+		words:   words,
+		bits:    make([]uint64, p.NumPE*words),
 		holders: make([][]int, p.NumPatches),
 	}
-	for pe := range a.onPE {
-		a.onPE[pe] = make(map[int]bool)
+	count := make([]int, p.NumPatches+1)
+	set := func(patch, pe int) {
+		w := &a.bits[pe*words+patch>>6]
+		if bit := uint64(1) << (patch & 63); *w&bit == 0 {
+			*w |= bit
+			count[patch+1]++
+		}
 	}
 	for t, home := range p.PatchHome {
-		a.add(t, home)
+		set(t, home)
+	}
+	for _, o := range p.Objects {
+		if !pinnedOnly || !o.Migratable {
+			for _, t := range o.Patches {
+				set(t, o.PE)
+			}
+		}
+	}
+	// Read the holders off the bitset, PE by PE, so each list is sorted;
+	// each is a capacity-limited window of one array, like objLists.
+	for t := range p.NumPatches {
+		count[t+1] += count[t]
+	}
+	all := make([]int, count[p.NumPatches])
+	for t := range a.holders {
+		a.holders[t] = all[count[t]:count[t]:count[t+1]]
+	}
+	for pe := 0; pe < p.NumPE; pe++ {
+		for w, word := range a.bits[pe*words : (pe+1)*words] {
+			for ; word != 0; word &= word - 1 {
+				t := w*64 + bits.TrailingZeros64(word)
+				a.holders[t] = append(a.holders[t], pe)
+			}
+		}
 	}
 	return a
 }
 
 func (a *availability) add(patch, pe int) {
-	if !a.onPE[pe][patch] {
-		a.onPE[pe][patch] = true
-		a.holders[patch] = append(a.holders[patch], pe)
+	w := &a.bits[pe*a.words+patch>>6]
+	if bit := uint64(1) << (patch & 63); *w&bit == 0 {
+		*w |= bit
+		h := a.holders[patch]
+		k, _ := slices.BinarySearch(h, pe)
+		h = append(h, 0)
+		copy(h[k+1:], h[k:])
+		h[k] = pe
+		a.holders[patch] = h
 	}
 }
 
-func (a *availability) has(patch, pe int) bool { return a.onPE[pe][patch] }
+func (a *availability) has(patch, pe int) bool {
+	return a.bits[pe*a.words+patch>>6]&(1<<(patch&63)) != 0
+}
 
 // missing returns how many of the object's patches are not yet on pe.
 func missing(a *availability, patches []int, pe int) int {
@@ -200,6 +280,74 @@ func homeCount(p *Problem, patches []int, pe int) int {
 		}
 	}
 	return n
+}
+
+// tournament is a tournament tree over a slice of loads, for the first
+// least-loaded (or, with heaviest set, most-loaded) PE of any span of
+// PEs. Every node holds the index of the winner of its two children, the
+// left (lower index) one on ties, so a span's winner is what a linear
+// scan with a strict comparison returns; a query or a changed load costs
+// O(log P).
+type tournament struct {
+	vals []float64
+	sign float64 // 1 for the least, -1 for the most loaded (negation is exact)
+	n    int     // leaves: len(vals) rounded up to a power of two
+	node []int   // node k's children are 2k and 2k+1; leaf n+i holds i, -1 past the end
+}
+
+func newTournament(vals []float64, heaviest bool) *tournament {
+	n := 1
+	for n < len(vals) {
+		n <<= 1
+	}
+	t := &tournament{vals: vals, sign: 1, n: n, node: make([]int, 2*n)}
+	if heaviest {
+		t.sign = -1
+	}
+	for i := 0; i < n; i++ {
+		t.node[n+i] = i
+		if i >= len(vals) {
+			t.node[n+i] = -1
+		}
+	}
+	for k := n - 1; k >= 1; k-- {
+		t.node[k] = t.winner(t.node[2*k], t.node[2*k+1])
+	}
+	return t
+}
+
+// winner of a and b, where a's leaves all lie left of b's.
+func (t *tournament) winner(a, b int) int {
+	if a < 0 {
+		return b
+	}
+	if b >= 0 && t.sign*t.vals[b] < t.sign*t.vals[a] {
+		return b
+	}
+	return a
+}
+
+// update refolds vals[i] after it changed.
+func (t *tournament) update(i int) {
+	for k := (t.n + i) / 2; k >= 1; k /= 2 {
+		t.node[k] = t.winner(t.node[2*k], t.node[2*k+1])
+	}
+}
+
+// span returns the winner among [lo, hi), -1 when the span is empty.
+func (t *tournament) span(lo, hi int) int {
+	left, right := -1, -1
+	for l, r := lo+t.n, hi+t.n; l < r; l, r = l/2, r/2 {
+		if l&1 == 1 {
+			left = t.winner(left, t.node[l])
+			l++
+		}
+		if r&1 == 1 {
+			r--
+			right = t.winner(t.node[r], right)
+		}
+	}
+	return t.winner(left, right)
 }
 
 // Greedy is the paper's initial load balancing algorithm (§3.2): process
@@ -229,7 +377,7 @@ func (g *Greedy) Map(p *Problem, _ int) []int {
 	if p.Background != nil {
 		copy(loads, p.Background)
 	}
-	avail := newAvailability(p)
+	avail := newAvailability(p, true)
 
 	total := 0.0
 	for _, l := range loads {
@@ -242,9 +390,6 @@ func (g *Greedy) Map(p *Problem, _ int) []int {
 		if !o.Migratable {
 			assign[i] = o.PE
 			loads[o.PE] += o.Load
-			for _, t := range o.Patches {
-				avail.add(t, o.PE)
-			}
 			continue
 		}
 		order = append(order, i)
@@ -252,19 +397,42 @@ func (g *Greedy) Map(p *Problem, _ int) []int {
 	threshold := overload * total / float64(p.NumPE)
 
 	// Largest object first.
-	sort.Slice(order, func(a, b int) bool {
-		la, lb := p.Objects[order[a]].Load, p.Objects[order[b]].Load
-		if la != lb {
-			return la > lb
+	slices.SortFunc(order, func(a, b int) int {
+		if la, lb := p.Objects[a].Load, p.Objects[b].Load; la != lb {
+			if la > lb {
+				return -1
+			}
+			return 1
 		}
-		return order[a] < order[b]
+		return a - b
 	})
 
+	least := newTournament(loads, false)
+	var cands, merged []int
 	for _, i := range order {
 		obj := &p.Objects[i]
-		pe := g.pick(p, obj, loads, avail, threshold)
+		// Candidates, ascending: every PE already holding (home or proxy)
+		// one of the object's patches — the only places the object can run
+		// without new communication — plus the globally least-loaded PE as
+		// an escape. Holder lists are sorted, so the union is a merge.
+		cands = cands[:0]
+		for _, t := range obj.Patches {
+			merged = mergeUnique(merged[:0], cands, avail.holders[t])
+			cands, merged = merged, cands
+		}
+		minPE := least.span(0, p.NumPE)
+		if k, found := slices.BinarySearch(cands, minPE); !found {
+			cands = slices.Insert(cands, k, minPE)
+		}
+
+		pe := pick(p, obj, cands, loads, avail, threshold)
+		if pe < 0 {
+			// Everything over threshold: least-loaded PE.
+			pe = minPE
+		}
 		assign[i] = pe
 		loads[pe] += obj.Load
+		least.update(pe)
 		for _, t := range obj.Patches {
 			avail.add(t, pe)
 		}
@@ -272,32 +440,27 @@ func (g *Greedy) Map(p *Problem, _ int) []int {
 	return assign
 }
 
-// pick selects the destination PE for one object.
-func (g *Greedy) pick(p *Problem, obj *Object, loads []float64, avail *availability, threshold float64) int {
-	// Candidates: every PE already holding (home or proxy) one of the
-	// object's patches — the only places the object can run without new
-	// communication — plus the globally least-loaded PE as an escape.
-	seen := map[int]bool{}
-	var cands []int
-	for _, t := range obj.Patches {
-		for _, pe := range avail.holders[t] {
-			if !seen[pe] {
-				seen[pe] = true
-				cands = append(cands, pe)
-			}
+// mergeUnique appends to dst the union of the ascending, duplicate-free
+// lists a and b, ascending and duplicate-free.
+func mergeUnique(dst, a, b []int) []int {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			dst, a = append(dst, a[0]), a[1:]
+		case b[0] < a[0]:
+			dst, b = append(dst, b[0]), b[1:]
+		default:
+			dst, a, b = append(dst, a[0]), a[1:], b[1:]
 		}
 	}
-	minPE := 0
-	for pe := 1; pe < p.NumPE; pe++ {
-		if loads[pe] < loads[minPE] {
-			minPE = pe
-		}
-	}
-	if !seen[minPE] {
-		cands = append(cands, minPE)
-	}
-	sort.Ints(cands) // determinism
+	return append(append(dst, a...), b...)
+}
 
+// pick selects the destination of one object among the sorted candidates
+// at or under the threshold: the most home patches, then the fewest new
+// proxies, then the least load, then the lowest PE. It returns -1 when
+// every candidate is over the threshold.
+func pick(p *Problem, obj *Object, cands []int, loads []float64, avail *availability, threshold float64) int {
 	best := -1
 	var bestHome, bestNew int
 	var bestLoad float64
@@ -314,10 +477,6 @@ func (g *Greedy) pick(p *Problem, obj *Object, loads []float64, avail *availabil
 			best, bestHome, bestNew, bestLoad = pe, h, nw, loads[pe]
 		}
 	}
-	if best < 0 {
-		// Everything over threshold: least-loaded PE.
-		return minPE
-	}
 	return best
 }
 
@@ -326,7 +485,7 @@ func (g *Greedy) pick(p *Problem, obj *Object, loads []float64, avail *availabil
 // threshold is tighter than the greedy pass's. It starts from the
 // objects' current PEs.
 type Refine struct {
-	// Overload relative to average; zero means the default 1.03.
+	// Overload relative to average; zero means the default 1.06.
 	Overload float64
 }
 
@@ -340,36 +499,172 @@ func (r *Refine) Map(p *Problem, _ int) []int {
 	if overload == 0 {
 		overload = 1.06
 	}
-	assign := make([]int, len(p.Objects))
-	for i, o := range p.Objects {
-		assign[i] = o.PE
-	}
-	loads := PELoads(p, assign)
-	total := 0.0
-	for _, l := range loads {
-		total += l
-	}
-	threshold := overload * total / float64(p.NumPE)
-
-	// Availability reflects the starting assignment.
-	avail := newAvailability(p)
-	for i, o := range p.Objects {
-		for _, t := range o.Patches {
-			avail.add(t, assign[i])
-		}
-	}
-
-	refineLoop(p, assign, loads, avail, threshold, nil, false)
-	return assign
+	b := newBalance(p, overload)
+	b.refine(0, p.NumPE, false)
+	return b.assign
 }
 
-// refineLoop is the conservative shedding loop shared by Refine and the
-// per-group stage of Hierarchical. It mutates assign/loads/avail in
-// place, moving objects off PEs above threshold onto PEs that stay at or
-// below it; because a source is only selected while above the threshold
-// and a destination only accepted while the move leaves it at or below,
-// the maximum PE load never increases. A non-nil within predicate
-// restricts both sources and destinations to the PEs it accepts.
+// balance is the working state of the incremental strategies (Refine and
+// every stage of Hierarchical): the assignment being improved, the PE
+// loads it gives with tournament trees over them, data availability, the
+// migratable objects on each PE, and the overload threshold.
+type balance struct {
+	p         *Problem
+	assign    []int
+	loads     []float64
+	least     *tournament // nil while crossGroup runs, which keeps its own
+	most      *tournament // per-group extremes instead
+	avail     *availability
+	objsOn    [][]int
+	spare     []int  // unused room that full lists in objsOn grow into
+	unsorted  []bool // objsOn[pe] changed since order last sorted it
+	threshold float64
+}
+
+// newBalance starts from every object on its current PE, with the
+// threshold overload × the average PE load.
+func newBalance(p *Problem, overload float64) *balance {
+	b := &balance{p: p, assign: make([]int, len(p.Objects))}
+	for i, o := range p.Objects {
+		b.assign[i] = o.PE
+	}
+	b.loads = PELoads(p, b.assign)
+	total := 0.0
+	for _, l := range b.loads {
+		total += l
+	}
+	b.threshold = overload * total / float64(p.NumPE)
+	// Availability reflects the starting assignment.
+	b.avail = newAvailability(p, false)
+	b.objsOn = objLists(p, b.assign)
+	b.unsorted = make([]bool, p.NumPE)
+	for pe := range b.unsorted {
+		b.unsorted[pe] = true
+	}
+	return b
+}
+
+// order starts a stage over PEs [lo, hi): it sorts their object lists
+// heaviest first (load descending, then index ascending), dropping the
+// slots moves vacated (-1). The order is total, so each list is exactly
+// what a fresh bucketing of the current assignment, sorted, would give;
+// during the stage, objects a PE receives follow in arrival order.
+func (b *balance) order(lo, hi int) {
+	for pe := lo; pe < hi; pe++ {
+		if !b.unsorted[pe] {
+			continue
+		}
+		objs := slices.DeleteFunc(b.objsOn[pe], func(i int) bool { return i < 0 })
+		slices.SortFunc(objs, func(x, y int) int {
+			if lx, ly := b.p.Objects[x].Load, b.p.Objects[y].Load; lx != ly {
+				if lx > ly {
+					return -1
+				}
+				return 1
+			}
+			return x - y
+		})
+		b.objsOn[pe] = objs
+		b.unsorted[pe] = false
+	}
+}
+
+// move migrates the oi-th object of src's list to dst.
+func (b *balance) move(src, oi, dst int) {
+	i := b.objsOn[src][oi]
+	obj := &b.p.Objects[i]
+	b.assign[i] = dst
+	b.loads[src] -= obj.Load
+	b.loads[dst] += obj.Load
+	if b.least != nil {
+		for _, pe := range [2]int{src, dst} {
+			b.least.update(pe)
+			b.most.update(pe)
+		}
+	}
+	for _, t := range obj.Patches {
+		b.avail.add(t, dst)
+	}
+	if d := b.objsOn[dst]; len(d) == cap(d) {
+		// Regrow from one shared block instead of one allocation per list.
+		n := max(2*len(d), 8)
+		if len(b.spare) < n {
+			b.spare = make([]int, max(n, len(b.p.Objects)/4))
+		}
+		b.objsOn[dst] = append(b.spare[:0:n], d...)
+		b.spare = b.spare[n:]
+	}
+	b.objsOn[dst] = append(b.objsOn[dst], i)
+	b.objsOn[src][oi] = -1
+	b.unsorted[src], b.unsorted[dst] = true, true
+}
+
+// accepts reports whether pe may take an object of load l off src: the
+// move keeps it at or below the threshold or, with relaxed set, strictly
+// below src's current load.
+func (b *balance) accepts(pe int, l float64, src int, relaxed bool) bool {
+	x := b.loads[pe] + l
+	return !(x > b.threshold) || relaxed && x < b.loads[src]
+}
+
+// shed moves the first object on src's list (heaviest first) that a PE
+// of [lo, hi) accepts to its best destination there, and returns that
+// destination, or -1 when no object can move. least is the span's
+// least-loaded PE, the lowest on ties. Acceptance only gets harder as a
+// PE's load grows, so some PE accepts an object exactly when least does
+// (or none does, when least is src: then every PE of the span weighs as
+// much as src).
+func (b *balance) shed(src, lo, hi, least int, relaxed bool) int {
+	if least == src {
+		return -1
+	}
+	for oi, i := range b.objsOn[src] {
+		if i >= 0 && b.accepts(least, b.p.Objects[i].Load, src, relaxed) {
+			dst := b.destination(&b.p.Objects[i], src, lo, hi, least, relaxed)
+			b.move(src, oi, dst)
+			return dst
+		}
+	}
+	return -1
+}
+
+// destination returns where in [lo, hi) an object least accepts is best
+// moved off src: among the accepting PEs other than src, the one with the
+// fewest new proxies, then the least load, then the lowest index.
+//
+// Only two kinds of PE can win. A PE already holding one of the object's
+// patches (a holder) needs fewer new proxies than any other; every other
+// PE misses all of them, so among those only the least-loaded one can
+// win. Weighing the holders in the span against least therefore picks
+// exactly what a scan of the whole span would.
+func (b *balance) destination(obj *Object, src, lo, hi, least int, relaxed bool) int {
+	best, bestNew, bestLoad := least, missing(b.avail, obj.Patches, least), b.loads[least]
+	for _, t := range obj.Patches {
+		h := b.avail.holders[t]
+		from, _ := slices.BinarySearch(h, lo)
+		for _, pe := range h[from:] {
+			if pe >= hi {
+				break
+			}
+			if pe == src || !b.accepts(pe, obj.Load, src, relaxed) {
+				continue
+			}
+			nw, l := missing(b.avail, obj.Patches, pe), b.loads[pe]
+			if nw < bestNew || nw == bestNew && (l < bestLoad || l == bestLoad && pe < best) {
+				best, bestNew, bestLoad = pe, nw, l
+			}
+		}
+	}
+	return best
+}
+
+// refine is the conservative shedding loop shared by Refine and the
+// per-group stages of Hierarchical, over the PEs [lo, hi) alone: sources
+// and destinations both lie in the range. It moves objects off PEs above
+// the threshold onto PEs that stay at or below it; because a source is
+// only selected while above the threshold and a destination only
+// accepted while the move leaves it at or below, the maximum PE load
+// never increases.
 //
 // With relaxed set, a destination is also accepted when the move leaves
 // it strictly below the source's current load. At thousands of PEs the
@@ -379,87 +674,25 @@ func (r *Refine) Map(p *Problem, _ int) []int {
 // increases (the destination ends below a load that already existed),
 // and each move strictly reduces the sum of squared PE loads, so the
 // loop cannot revisit a state.
-func refineLoop(p *Problem, assign []int, loads []float64, avail *availability, threshold float64, within func(pe int) bool, relaxed bool) {
-	// Objects per PE, heaviest first.
-	objsOn := make([][]int, p.NumPE)
-	for i, o := range p.Objects {
-		if o.Migratable {
-			objsOn[assign[i]] = append(objsOn[assign[i]], i)
-		}
+func (b *balance) refine(lo, hi int, relaxed bool) {
+	b.order(lo, hi)
+	if b.least == nil {
+		b.least = newTournament(b.loads, false)
+		b.most = newTournament(b.loads, true)
 	}
-	for pe := range objsOn {
-		sort.Slice(objsOn[pe], func(a, b int) bool {
-			la, lb := p.Objects[objsOn[pe][a]].Load, p.Objects[objsOn[pe][b]].Load
-			if la != lb {
-				return la > lb
-			}
-			return objsOn[pe][a] < objsOn[pe][b]
-		})
-	}
-
 	// In the strict regime no object moves twice (destinations stay at or
 	// below the threshold and never become sources), so the object count
 	// bounds the loop; relaxed moves strictly shrink the sum of squared
 	// loads, so a small multiple of it covers the re-shuffling they allow.
-	for iter := 0; iter < 4*len(p.Objects)+p.NumPE+16; iter++ {
-		// Most overloaded PE.
-		src := -1
-		for pe := 0; pe < p.NumPE; pe++ {
-			if within != nil && !within(pe) {
-				continue
-			}
-			if loads[pe] > threshold && (src < 0 || loads[pe] > loads[src]) {
-				src = pe
-			}
-		}
-		if src < 0 {
-			break
-		}
-		moved := false
-		for oi, i := range objsOn[src] {
-			if i < 0 {
-				continue
-			}
-			obj := &p.Objects[i]
-			// Find the best underloaded destination: fewest new proxies,
-			// then least loaded.
-			best := -1
-			var bestNew int
-			var bestLoad float64
-			for pe := 0; pe < p.NumPE; pe++ {
-				if pe == src {
-					continue
-				}
-				if loads[pe]+obj.Load > threshold && !(relaxed && loads[pe]+obj.Load < loads[src]) {
-					continue
-				}
-				if within != nil && !within(pe) {
-					continue
-				}
-				nw := missing(avail, obj.Patches, pe)
-				if best < 0 || nw < bestNew || (nw == bestNew && loads[pe] < bestLoad) {
-					best, bestNew, bestLoad = pe, nw, loads[pe]
-				}
-			}
-			if best < 0 {
-				continue
-			}
-			assign[i] = best
-			loads[src] -= obj.Load
-			loads[best] += obj.Load
-			for _, t := range obj.Patches {
-				avail.add(t, best)
-			}
-			objsOn[best] = append(objsOn[best], i)
-			objsOn[src][oi] = -1
-			moved = true
-			break
-		}
-		if !moved {
-			// The heaviest PE cannot shed anything; since every other
-			// overloaded PE is lighter but faces the same receivers,
-			// retrying others rarely helps — stop, like the paper's
-			// conservative refinement.
+	for iter := 0; iter < 4*len(b.p.Objects)+b.p.NumPE+16; iter++ {
+		// The most overloaded PE, the lowest on ties, sheds its heaviest
+		// object that fits somewhere: to the PE with the fewest new
+		// proxies, then the least loaded, then the lowest. When it cannot
+		// shed anything, stop: every other overloaded PE is lighter but
+		// faces the same receivers, so retrying others rarely helps — like
+		// the paper's conservative refinement.
+		src := b.most.span(lo, hi)
+		if !(b.loads[src] > b.threshold) || b.shed(src, lo, hi, b.least.span(lo, hi), relaxed) < 0 {
 			break
 		}
 	}
@@ -490,12 +723,7 @@ func (d *Diffusion) Map(p *Problem, _ int) []int {
 
 	// Objects on each PE, smallest first (cheap objects diffuse first,
 	// keeping the moves fine-grained).
-	objsOn := make([][]int, p.NumPE)
-	for i, o := range p.Objects {
-		if o.Migratable {
-			objsOn[assign[i]] = append(objsOn[assign[i]], i)
-		}
-	}
+	objsOn := objLists(p, assign)
 	sortObjs := func(pe int) {
 		sort.Slice(objsOn[pe], func(a, b int) bool {
 			la, lb := p.Objects[objsOn[pe][a]].Load, p.Objects[objsOn[pe][b]].Load
@@ -516,7 +744,8 @@ func (d *Diffusion) Map(p *Problem, _ int) []int {
 	for it := 0; it < iters; it++ {
 		moved := false
 		for pe := 0; pe < p.NumPE; pe++ {
-			for _, nb := range []int{mod(pe-1, p.NumPE), mod(pe+1, p.NumPE)} {
+			for side := -1; side <= 1; side += 2 {
+				nb := mod(pe+side, p.NumPE)
 				if nb == pe {
 					continue
 				}
@@ -525,6 +754,7 @@ func (d *Diffusion) Map(p *Problem, _ int) []int {
 					continue
 				}
 				// Push objects while they fit in half the gap.
+				pushed := false
 				for len(objsOn[pe]) > 0 {
 					i := objsOn[pe][0]
 					l := p.Objects[i].Load
@@ -537,10 +767,12 @@ func (d *Diffusion) Map(p *Problem, _ int) []int {
 					loads[nb] += l
 					diff = loads[pe] - loads[nb]
 					objsOn[nb] = append(objsOn[nb], i)
-					moved = true
+					pushed = true
 				}
-				if moved {
+				if pushed {
+					// Only the receiver's list lost its order.
 					sortObjs(nb)
+					moved = true
 				}
 			}
 		}

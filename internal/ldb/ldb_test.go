@@ -40,13 +40,6 @@ func randomProblem(seed uint64, npe, npatch, nobj int) *Problem {
 	return p
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func checkAssignment(t *testing.T, p *Problem, assign []int, strategy string) {
 	t.Helper()
 	if len(assign) != len(p.Objects) {

@@ -1,7 +1,5 @@
 package ldb
 
-import "sort"
-
 // Stager is implemented by composite strategies whose balancing passes
 // consist of multiple stages. Callers that record per-stage statistics
 // (the cluster simulation's LBStats) run the stages themselves, feeding
@@ -85,9 +83,12 @@ func (r *RefineOnly) Map(p *Problem, _ int) []int {
 // like RefineOnly the modeled max-PE load never exceeds that of the input
 // mapping. The centralized GreedyRefine produces better mappings at small
 // PE counts (it sees everything); hierarchical wins past a few hundred
-// PEs where a centralized balancer's O(objects × PEs) decision cost and
-// the migration bursts it triggers stop amortizing — the crossover the
-// paper's scaling discussion predicts.
+// PEs, where the migration bursts a from-scratch mapping triggers stop
+// amortizing — the crossover the paper's scaling discussion predicts.
+// Its decision cost never scans the machine: a move in a group stage
+// costs O(log PEs) tree queries plus the object's patch holders inside
+// the group, and a cross-group move O(groups + GroupSize) (DESIGN.md,
+// "Load balancing at scale").
 type Hierarchical struct {
 	// GroupSize is the number of PEs per balancing group; zero means the
 	// default 128. The last group may be smaller.
@@ -109,36 +110,15 @@ func (h *Hierarchical) Map(p *Problem, _ int) []int {
 	if overload == 0 {
 		overload = 1.06
 	}
-	assign := make([]int, len(p.Objects))
-	for i, o := range p.Objects {
-		assign[i] = o.PE
-	}
-	loads := PELoads(p, assign)
-	total := 0.0
-	for _, l := range loads {
-		total += l
-	}
-	threshold := overload * total / float64(p.NumPE)
-
-	avail := newAvailability(p)
-	for i, o := range p.Objects {
-		for _, t := range o.Patches {
-			avail.add(t, assign[i])
-		}
-	}
-
-	group := func(pe int) int { return pe / gs }
-	ngroups := group(p.NumPE-1) + 1
-	refineGroup := func(g int) {
-		refineLoop(p, assign, loads, avail, threshold, func(pe int) bool { return group(pe) == g }, true)
-	}
+	b := newBalance(p, overload)
+	groups := groupSpans(p.NumPE, gs)
 
 	// Stage 1: every group refines independently with group-local moves.
-	for g := 0; g < ngroups; g++ {
-		refineGroup(g)
+	for _, g := range groups {
+		b.refine(g[0], g[1], true)
 	}
-	if ngroups <= 1 {
-		return assign
+	if len(groups) <= 1 {
+		return b.assign
 	}
 
 	// Stage 2: cross-group pass over group-aggregate loads. A group whose
@@ -146,55 +126,32 @@ func (h *Hierarchical) Map(p *Problem, _ int) []int {
 	// shed its heaviest objects to the least-loaded PE of the group with
 	// the lowest aggregate (average) load. The threshold guard on the
 	// destination preserves the never-worsen property.
-	h.crossGroup(p, assign, loads, avail, threshold, gs, ngroups)
+	b.crossGroup(groups)
 
 	// Stage 3: smooth the receiving groups locally.
-	for g := 0; g < ngroups; g++ {
-		refineGroup(g)
+	for _, g := range groups {
+		b.refine(g[0], g[1], true)
 	}
-	return assign
+	return b.assign
+}
+
+// groupSpans cuts npe PEs into contiguous [lo, hi) groups of gs; the last
+// may be smaller.
+func groupSpans(npe, gs int) [][2]int {
+	var out [][2]int
+	for lo := 0; lo < npe; lo += gs {
+		out = append(out, [2]int{lo, min(lo+gs, npe)})
+	}
+	return out
 }
 
 // crossGroup moves objects between groups guided by group-aggregate
-// loads, mutating assign/loads/avail in place.
-func (h *Hierarchical) crossGroup(p *Problem, assign []int, loads []float64, avail *availability, threshold float64, gs, ngroups int) {
-	group := func(pe int) int { return pe / gs }
-	groupSpan := func(g int) (int, int) {
-		lo := g * gs
-		hi := lo + gs
-		if hi > p.NumPE {
-			hi = p.NumPE
-		}
-		return lo, hi
-	}
-	gavg := make([]float64, ngroups)
-	aggregate := func() {
-		for g := 0; g < ngroups; g++ {
-			lo, hi := groupSpan(g)
-			sum := 0.0
-			for pe := lo; pe < hi; pe++ {
-				sum += loads[pe]
-			}
-			gavg[g] = sum / float64(hi-lo)
-		}
-	}
-
-	// Objects per PE, heaviest first, maintained across moves.
-	objsOn := make([][]int, p.NumPE)
-	for i, o := range p.Objects {
-		if o.Migratable {
-			objsOn[assign[i]] = append(objsOn[assign[i]], i)
-		}
-	}
-	for pe := range objsOn {
-		sort.Slice(objsOn[pe], func(a, b int) bool {
-			la, lb := p.Objects[objsOn[pe][a]].Load, p.Objects[objsOn[pe][b]].Load
-			if la != lb {
-				return la > lb
-			}
-			return objsOn[pe][a] < objsOn[pe][b]
-		})
-	}
+// loads (see groupLoads).
+func (b *balance) crossGroup(groups [][2]int) {
+	p, loads := b.p, b.loads
+	b.order(0, p.NumPE)
+	b.least, b.most = nil, nil
+	gl := newGroupLoads(groups, loads, b.threshold)
 
 	// Threshold-respecting moves park each object at most once (the
 	// destination never becomes a source again); relaxed moves strictly
@@ -203,16 +160,16 @@ func (h *Hierarchical) crossGroup(p *Problem, assign []int, loads []float64, ava
 	// at thousands of PEs the patch-home PEs start with nearly all the
 	// work and everything else idle.
 	for iter := 0; iter <= 4*len(p.Objects)+p.NumPE; iter++ {
-		aggregate()
 		// Source: the over-threshold PE in the group with the highest
-		// aggregate load (group chosen by aggregate, PE by its own load).
+		// aggregate load (group chosen by aggregate, PE by its own load),
+		// i.e. the maximum of (group average, load, -index).
 		gsrc, src := -1, -1
-		for pe := 0; pe < p.NumPE; pe++ {
-			if loads[pe] <= threshold {
+		for g := range groups {
+			pe := gl.top(g)
+			if pe < 0 {
 				continue
 			}
-			g := group(pe)
-			if gsrc < 0 || gavg[g] > gavg[gsrc] || (gavg[g] == gavg[gsrc] && loads[pe] > loads[src]) {
+			if gsrc < 0 || gl.avg[g] > gl.avg[gsrc] || (gl.avg[g] == gl.avg[gsrc] && loads[pe] > loads[src]) {
 				gsrc, src = g, pe
 			}
 		}
@@ -222,15 +179,14 @@ func (h *Hierarchical) crossGroup(p *Problem, assign []int, loads []float64, ava
 		// Destination group: lowest aggregate load, excluding the source
 		// group (its PEs already refused this load locally).
 		gdst := -1
-		for g := 0; g < ngroups; g++ {
+		for g := range groups {
 			if g == gsrc {
 				continue
 			}
-			if gdst < 0 || gavg[g] < gavg[gdst] {
+			if gdst < 0 || gl.avg[g] < gl.avg[gdst] {
 				gdst = g
 			}
 		}
-		lo, hi := groupSpan(gdst)
 		// Heaviest object on src with an acceptable PE in the destination
 		// group. A PE is acceptable when the move keeps it at or below the
 		// threshold, or — past the granularity limit, where single objects
@@ -239,42 +195,78 @@ func (h *Hierarchical) crossGroup(p *Problem, assign []int, loads []float64, ava
 		// PEs prefer the fewest new proxies, then the least loaded: the
 		// cross-group move is where proxies are created, so placing by
 		// load alone would flood the multicast layer.
-		moved := false
-		for oi, i := range objsOn[src] {
-			if i < 0 {
-				continue
-			}
-			obj := &p.Objects[i]
-			dst := -1
-			var dstNew int
-			var dstLoad float64
-			for pe := lo; pe < hi; pe++ {
-				if loads[pe]+obj.Load > threshold && loads[pe]+obj.Load >= loads[src] {
-					continue
-				}
-				nw := missing(avail, obj.Patches, pe)
-				if dst < 0 || nw < dstNew || (nw == dstNew && loads[pe] < dstLoad) {
-					dst, dstNew, dstLoad = pe, nw, loads[pe]
-				}
-			}
-			if dst < 0 {
-				continue
-			}
-			assign[i] = dst
-			loads[src] -= obj.Load
-			loads[dst] += obj.Load
-			for _, t := range obj.Patches {
-				avail.add(t, dst)
-			}
-			objsOn[dst] = append(objsOn[dst], i)
-			objsOn[src][oi] = -1
-			moved = true
-			break
-		}
-		if !moved {
+		dst := b.shed(src, groups[gdst][0], groups[gdst][1], gl.least(gdst), true)
+		if dst < 0 {
 			// The lightest foreign group cannot take anything from the
 			// worst source: no cross-group move can help further.
 			return
 		}
+		gl.rescan(src)
+		gl.rescan(dst)
 	}
+}
+
+// groupLoads keeps, for contiguous groups of PEs, each group's average
+// load, its heaviest over-threshold PE (-1 when none) and its
+// least-loaded PE, the lowest on ties. They are running values over the
+// group's PEs, kept per PE as the prefix up to and including it, so a
+// changed load is folded in by rescanning from its PE to the end of the
+// group: the same left-to-right sum as a full recomputation, so every
+// average is bitwise what the full one gives.
+type groupLoads struct {
+	groups       [][2]int
+	size         int // PEs per group; the last may have fewer
+	loads        []float64
+	threshold    float64
+	sum          []float64 // per PE: the running sum
+	heavy, light []int32   // per PE: the running heaviest over-threshold and least-loaded PE
+	avg          []float64 // per group
+}
+
+func newGroupLoads(groups [][2]int, loads []float64, threshold float64) *groupLoads {
+	gl := &groupLoads{
+		groups:    groups,
+		size:      groups[0][1] - groups[0][0],
+		loads:     loads,
+		threshold: threshold,
+		sum:       make([]float64, len(loads)),
+		heavy:     make([]int32, len(loads)),
+		light:     make([]int32, len(loads)),
+		avg:       make([]float64, len(groups)),
+	}
+	for _, g := range groups {
+		gl.rescan(g[0])
+	}
+	return gl
+}
+
+func (gl *groupLoads) top(g int) int   { return int(gl.heavy[gl.groups[g][1]-1]) }
+func (gl *groupLoads) least(g int) int { return int(gl.light[gl.groups[g][1]-1]) }
+
+// rescan refolds the running values of pe's group from pe on.
+func (gl *groupLoads) rescan(pe int) {
+	g := pe / gl.size
+	lo, hi := gl.groups[g][0], gl.groups[g][1]
+	sum, top, least := 0.0, int32(-1), int32(pe)
+	if pe > lo {
+		sum, top, least = gl.sum[pe-1], gl.heavy[pe-1], gl.light[pe-1]
+	}
+	topLoad, leastLoad := gl.threshold, gl.loads[least]
+	if top >= 0 {
+		topLoad = gl.loads[top]
+	}
+	loads := gl.loads[pe:hi]
+	sums, heavy, light := gl.sum[pe:hi], gl.heavy[pe:hi], gl.light[pe:hi]
+	sums, heavy, light = sums[:len(loads)], heavy[:len(loads)], light[:len(loads)]
+	for k, l := range loads {
+		sum += l
+		if l > topLoad {
+			top, topLoad = int32(pe+k), l
+		}
+		if l < leastLoad {
+			least, leastLoad = int32(pe+k), l
+		}
+		sums[k], heavy[k], light[k] = sum, top, least
+	}
+	gl.avg[g] = sum / float64(hi-lo)
 }

@@ -103,24 +103,10 @@ func TestHierarchicalSingleGroupIsLocalRefine(t *testing.T) {
 	p := randomProblem(22, 8, 32, 100)
 	got := (&Hierarchical{GroupSize: 8}).Map(p, 0)
 
-	want := make([]int, len(p.Objects))
-	for i, o := range p.Objects {
-		want[i] = o.PE
-	}
-	loads := PELoads(p, want)
-	total := 0.0
-	for _, l := range loads {
-		total += l
-	}
-	avail := newAvailability(p)
-	for i, o := range p.Objects {
-		for _, pt := range o.Patches {
-			avail.add(pt, want[i])
-		}
-	}
-	refineLoop(p, want, loads, avail, 1.06*total/float64(p.NumPE), nil, true)
+	b := newBalance(p, 1.06)
+	b.refine(0, p.NumPE, true)
 
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(got, b.assign) {
 		t.Error("single-group hierarchical differs from relaxed refine")
 	}
 }
