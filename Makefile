@@ -56,8 +56,9 @@ chaos:
 
 # Short runs of the fuzz targets (one -fuzz per invocation): the
 # cluster-builder geometry fuzzer, and the interaction-table fuzzer that
-# drives random parameter folds and the full r² domain against the
-# analytic kernels within an a-priori h² error bound. The property
+# drives random charge folds and the full r² domain against the
+# analytic electrostatics within the cubic spline's a-priori h³ error
+# bound (and the shared LJ switch against its branchy form). The property
 # checks run on the seed corpora in `test`; fuzzing explores beyond
 # them. FuzzFTDCDecode drives malformed telemetry streams against the
 # chunked decoder: decoding must error cleanly, never panic, and
@@ -69,9 +70,12 @@ chaos:
 # gonamdd job checkpoints to the same contract, fed raw file bytes and
 # payloads re-framed behind a valid header and CRC so the gob decoder is
 # reached; their seeds are whole checkpoints, which the fuzzer would
-# spend the run minimizing, hence the cap. Part of `ci` — list-building,
-# table, and codec bugs corrupt data silently, so all six get
-# adversarial inputs on every change.
+# spend the run minimizing, hence the cap. FuzzSystemLoad holds sysio.Load
+# — gonamdd inline topologies, molgen files — to the same contract, fed
+# raw files and gob payloads it gzips itself; FuzzTrajReader holds the
+# trajectory reader gonamdd runs on resume to it. Part of `ci` —
+# list-building, table, and codec bugs corrupt data silently, so all
+# eight get adversarial inputs on every change.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzClusterPairs -fuzztime=20s ./internal/spatial
 	$(GO) test -run='^$$' -fuzz=FuzzInteractionTable -fuzztime=20s ./internal/forcefield
@@ -79,6 +83,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTraceJSON -fuzztime=20s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeLoad -fuzztime=20s -fuzzminimizetime=2s ./internal/ckpt
 	$(GO) test -run='^$$' -fuzz=FuzzLoadJob -fuzztime=20s -fuzzminimizetime=2s ./internal/ckpt
+	$(GO) test -run='^$$' -fuzz=FuzzSystemLoad -fuzztime=20s -fuzzminimizetime=2s ./internal/sysio
+	$(GO) test -run='^$$' -fuzz=FuzzTrajReader -fuzztime=20s ./internal/traj
 
 # The tracked performance suite: kernel benchmarks (ns/pair) and step
 # benchmarks (steps/sec, allocs/step) on the ApoA-I-scale system — one
@@ -124,12 +130,12 @@ benchmark-smoke:
 bench-all:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -timeout=30m ./...
 
-# The interaction-table accuracy sweep: spacing → max relative force and
-# energy error of the tabulated kernels against the analytic ones, over
-# the physical separation range down into the repulsive wall. Shows the
-# h² convergence of the Hermite spline and where the default resolution
-# sits inside the production envelope (see DESIGN.md, "Nonbonded
-# pipeline").
+# The interaction-table accuracy sweep: spacing (256 → 16,384 bins) →
+# max error of the tabulated electrostatic derivative, and of a whole
+# LJ + charge pair, against the analytic kernels over the physical
+# separation range down into the repulsive wall. Shows the h³
+# convergence of the cubic Hermite table and where the default
+# resolution sits (see DESIGN.md, "Nonbonded pipeline").
 table-accuracy:
 	$(GO) run ./cmd/tableacc
 

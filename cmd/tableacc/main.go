@@ -1,14 +1,16 @@
 // Command tableacc prints the interaction-table accuracy sweep: for a
-// range of table spacings, the maximum relative force and energy error
-// of the tabulated interaction against the analytic kernels over the
-// physical separation range. The sweep shows the h² convergence of the
-// Hermite construction and where the default resolution sits inside the
-// production envelope (see DESIGN.md, "Tabulated kernels").
+// range of table spacings, the maximum error of the tabulated
+// electrostatic derivative against the analytic one, and the maximum
+// relative force and energy error of a whole LJ + charge pair (whose
+// Lennard-Jones term is analytic in both kernels) over the physical
+// separation range. The sweep shows the h³ convergence of the cubic
+// Hermite table and where the default resolution sits (see DESIGN.md,
+// "Nonbonded pipeline").
 //
 // Usage:
 //
 //	make table-accuracy
-//	tableacc -cutoff 9 -beta 0.35 -xmin 2
+//	tableacc -cutoff 9 -beta 0.3466 -xmin 1
 package main
 
 import (
@@ -22,32 +24,29 @@ import (
 func main() {
 	log.SetFlags(0)
 	cutoff := flag.Float64("cutoff", 9.0, "nonbonded cutoff, Å")
-	beta := flag.Float64("beta", 0.35, "Ewald splitting parameter, 1/Å (0 = shifted Coulomb)")
-	xmin := flag.Float64("xmin", 2.0, "sweep start, Å² (r ≈ 1.4 Å reaches into the repulsive wall)")
+	beta := flag.Float64("beta", 0, "Ewald splitting parameter, 1/Å (0 = the engines' 3.12/cutoff)")
+	xmin := flag.Float64("xmin", 1.0, "sweep start, Å² (r = 1 Å reaches into the repulsive wall)")
 	flag.Parse()
 
-	p := forcefield.Standard(*cutoff)
-	if *beta > 0 {
-		p = p.WithEwald(*beta)
+	if *beta == 0 {
+		*beta = 3.12 / *cutoff
 	}
+	p := forcefield.Standard(*cutoff).WithEwald(*beta)
 	rc2 := p.Cutoff * p.Cutoff
 
-	mode := "shifted Coulomb"
-	if *beta > 0 {
-		mode = fmt.Sprintf("Ewald real space (beta %.3g 1/Å)", *beta)
-	}
-	fmt.Printf("interaction-table accuracy sweep: cutoff %g Å, %s, x in [%g, %g) Å²\n",
-		*cutoff, mode, *xmin, rc2)
-	fmt.Printf("%8s  %12s  %14s  %14s\n", "bins", "spacing Å²", "max force err", "max energy err")
-	for bins := 1024; bins <= 2*forcefield.DefaultTableBins; bins *= 2 {
+	fmt.Printf("interaction-table accuracy sweep: cutoff %g Å, Ewald real space (beta %.4g 1/Å), x in [%g, %g) Å²\n",
+		*cutoff, *beta, *xmin, rc2)
+	fmt.Printf("%8s  %12s  %14s  %14s  %14s\n", "bins", "spacing Å²", "max elec dT/dx", "max pair force", "max pair energy")
+	for bins := 256; bins <= 16384; bins *= 2 {
 		spacing := rc2 / float64(bins)
-		fErr, eErr := forcefield.TableForceError(p, spacing, *xmin)
+		fErr, eErr, dErr := forcefield.TableForceError(p, spacing, *xmin)
 		def := ""
 		if bins == forcefield.DefaultTableBins {
 			def = "  <- default"
 		}
-		fmt.Printf("%8d  %12.5g  %14.3g  %14.3g%s\n", bins, spacing, fErr, eErr, def)
+		fmt.Printf("%8d  %12.5g  %14.3g  %14.3g  %14.3g%s\n", bins, spacing, dErr, fErr, eErr, def)
 	}
-	fmt.Println("\nerrors are relative to the per-pair interaction scale over the sweep;")
-	fmt.Println("halving the spacing cuts the error ~4x (the h² signature of the spline).")
+	fmt.Println("\nelec dT/dx: relative to the analytic derivative at the same x; pair columns:")
+	fmt.Println("relative to the pair's force and energy scale over the sweep. Halving the")
+	fmt.Println("spacing cuts the derivative error ~8x (the h³ signature of the cubic spline).")
 }

@@ -210,6 +210,9 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State, worker
 	if !sys.ExclusionsBuilt() {
 		return nil, fmt.Errorf("engine: exclusions not built")
 	}
+	if err := checkTypes(sys, ff); err != nil {
+		return nil, err
+	}
 	grid, err := spatial.NewGrid(sys.Box, ff.Cutoff+seq.DefaultClusterSkin)
 	if err != nil {
 		return nil, err
@@ -249,6 +252,44 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State, worker
 	e.buildTasks()
 	e.staticAssign()
 	return e, nil
+}
+
+// checkTypes rejects a system whose atoms or bonded terms index past the
+// force field's parameter tables: the kernels index those tables
+// unchecked, and a gonamdd inline topology can carry any index.
+func checkTypes(sys *topology.System, ff *forcefield.Params) error {
+	bad := func(what string, i int, typ int32, n int) error {
+		if typ >= 0 && int(typ) < n {
+			return nil
+		}
+		return fmt.Errorf("engine: %s %d has type %d; the force field has %d %s types", what, i, typ, n, what)
+	}
+	for i, a := range sys.Atoms {
+		if err := bad("atom", i, a.Type, len(ff.AtomTypes)); err != nil {
+			return err
+		}
+	}
+	for i, b := range sys.Bonds {
+		if err := bad("bond", i, b.Type, len(ff.BondTypes)); err != nil {
+			return err
+		}
+	}
+	for i, a := range sys.Angles {
+		if err := bad("angle", i, a.Type, len(ff.AngleTypes)); err != nil {
+			return err
+		}
+	}
+	for i, d := range sys.Dihedrals {
+		if err := bad("dihedral", i, d.Type, len(ff.DihedralTypes)); err != nil {
+			return err
+		}
+	}
+	for i, d := range sys.Impropers {
+		if err := bad("improper", i, d.Type, len(ff.ImproperTypes)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Workers returns the worker count.

@@ -79,11 +79,11 @@ func (d *ClusterData) LoadPositions(l *spatial.ClusterList, pos []vec.V3) {
 
 // ClusterKernel is the one place an engine's cluster kernel is chosen,
 // and the choice follows the electrostatics the parameter set carries:
-// the Ewald real-space term (EwaldBeta > 0) is evaluated from an
-// interaction table at the default spacing, where it wins 2× over
-// per-pair erfc/exp; shifted-cutoff Coulomb stays analytic, where the
-// table loses 12 % (BENCH_6.json). The zero value is the analytic
-// kernel.
+// under the Ewald real-space term (EwaldBeta > 0) the erfc/exp pair
+// comes from a 128 KiB table at the default spacing (Lennard-Jones stays
+// analytic either way); shifted-cutoff Coulomb has no transcendental to
+// remove and stays analytic, bitwise the scalar reference. The zero
+// value is the analytic kernel.
 type ClusterKernel struct {
 	tab *InteractionTable
 	ref bool
@@ -106,8 +106,8 @@ func (k ClusterKernel) Tabulated() bool { return k.tab != nil }
 // UseReference switches evaluation to NonbondedClusterRef, the analytic
 // scalar replay of the same list walk — the oracle the conformance tests
 // compare the production kernel with through a whole engine: bitwise
-// for NonbondedCluster, within the table's h² bound for
-// NonbondedClusterTab.
+// for NonbondedCluster; for NonbondedClusterTab bitwise in the van der
+// Waals energy and within the table's h³ bound in the electrostatics.
 func (k *ClusterKernel) UseReference(on bool) { k.ref = on }
 
 // Eval runs the selected kernel over the listed i-clusters; the
@@ -135,11 +135,7 @@ func (k ClusterKernel) Eval(p *Params, l *spatial.ClusterList, d *ClusterData, i
 // constant-length-8 re-slices so the pair loop carries no bounds checks.
 func (p *Params) NonbondedCluster(l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (evdw, eelec, virial float64) {
 	rc2 := p.Cutoff * p.Cutoff
-	rs2 := p.SwitchDist * p.SwitchDist
-	denom := (rc2 - rs2) * (rc2 - rs2) * (rc2 - rs2)
-	invDenom := 1 / denom
-	invDenom6 := 6 * invDenom
-	sw3 := rc2 - 3*rs2
+	lj := p.lj()
 	invRc2 := 1 / rc2
 	pair, pair14 := p.pair, p.pair14
 	nt := p.ntypes
@@ -215,24 +211,8 @@ func (p *Params) NonbondedCluster(l *spatial.ClusterList, d *ClusterData, ics []
 				}
 
 				invX := 1 / x
-				invX3 := invX * invX * invX
-				a6 := pp.A * invX3 * invX3
-				b3 := pp.B * invX3
-				v := a6 - b3
-				dvdx := (3*b3 - 6*a6) * invX
-
-				var ev, dEdxVdw float64
-				if x <= rs2 {
-					ev = v
-					dEdxVdw = dvdx
-				} else {
-					d := rc2 - x
-					sw := d * d * (sw3 + 2*x) * invDenom
-					dswdx := d * (rs2 - x) * invDenom6
-					ev = v * sw
-					dEdxVdw = dvdx*sw + v*dswdx
-				}
-
+				v, dvdx := ljPow(pp.A, pp.B, invX)
+				ev, dEdxVdw := lj.switched(x, v, dvdx)
 				r := math.Sqrt(x)
 				invR := r * invX
 				var ee, dEdxElec float64

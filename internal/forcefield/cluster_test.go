@@ -173,6 +173,31 @@ func TestDifferentialClusterKernelVsReference(t *testing.T) {
 	}
 }
 
+// TestClusterTabVdWBitwiseAnalytic: the two production kernels share
+// the van der Waals arithmetic, so on the same list and positions the
+// tabulated kernel's vdW energy is bitwise the analytic kernel's, under
+// either electrostatics and on every geometry — they differ only in the
+// electrostatic term.
+func TestClusterTabVdWBitwiseAnalytic(t *testing.T) {
+	for _, beta := range []float64{0, 0.35} {
+		s := newClusterTestSystem(t, 42, 180, beta)
+		tab, err := s.params.BuildInteractionTable(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tabKern := func(p *Params, l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (float64, float64, float64) {
+			return p.NonbondedClusterTab(tab, l, d, ics, fx, fy, fz)
+		}
+		for _, mn := range [][2]int{{4, 4}, {4, 8}, {8, 8}, {2, 3}, {1, 1}} {
+			_, evTab, _, _ := s.evalCluster(t, mn[0], mn[1], tabKern)
+			_, evAna, _, _ := s.evalCluster(t, mn[0], mn[1], (*Params).NonbondedCluster)
+			if evTab != evAna {
+				t.Errorf("beta=%g %dx%d: tabulated vdW energy %v, analytic %v", beta, mn[0], mn[1], evTab, evAna)
+			}
+		}
+	}
+}
+
 // TestDifferentialClusterKernelVsBruteForce: summed per-atom forces and
 // energies agree with the O(N²) scalar reference within accumulation-
 // order tolerance.

@@ -5,27 +5,25 @@ import "gonamd/internal/spatial"
 // Tabulated cluster kernel: identical two-phase sweep, staging
 // discipline, and reduction order to NonbondedCluster (see cluster.go —
 // staged i-operands, constant-length-8 j-view re-slices, the shared
-// pairBuf filter), but the per-pair interaction comes from an
-// InteractionTable lookup: no Sqrt, no Erfc/Exp, no switching branch.
-// The only data-dependent branch left in the pair loop is the 1-4
-// parameter select. It is bitwise deterministic for a fixed list and
-// evaluation order, and bitwise unrelated to the analytic kernel
-// (documented accuracy envelope instead; see DESIGN.md "Nonbonded
-// pipeline").
+// pairBuf filter), and the identical van der Waals arithmetic through
+// the shared ljSwitched — so its evdw is bitwise the analytic kernel's —
+// but the electrostatic term comes from an InteractionTable lookup: no
+// Sqrt, no Erfc/Exp. It is bitwise deterministic for a fixed list and
+// evaluation order; its electrostatics carry the table's documented
+// accuracy envelope instead of bitwise equality (see DESIGN.md
+// "Nonbonded pipeline").
 
-// NonbondedClusterTab evaluates the listed i-clusters from the
-// interaction table, accumulating slot forces into fx/fy/fz
-// (caller-zeroed, capacity ≥ Slots()+8 like NonbondedCluster) and
-// returning the summed vdW energy, electrostatic energy, and pair
-// virial. tab must have been built from p (after any WithEwald swap);
-// a mismatch panics.
+// NonbondedClusterTab evaluates the listed i-clusters with the
+// electrostatic term from the interaction table, accumulating slot
+// forces into fx/fy/fz (caller-zeroed, capacity ≥ Slots()+8 like
+// NonbondedCluster) and returning the summed vdW energy, electrostatic
+// energy, and pair virial. tab must have been built from p (after any
+// WithEwald swap); a mismatch panics.
 func (p *Params) NonbondedClusterTab(tab *InteractionTable, l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (evdw, eelec, virial float64) {
 	tab.checkParams(p)
 	rc2 := tab.Cutoff2
-	invH := tab.InvSpacing
-	halfH := tab.HalfSpacing
-	tc := tab.C
-	lastBin := tab.Bins
+	lj := p.lj()
+	invH, recs := tab.InvSpacing, tab.recs
 	pair, pair14 := p.pair, p.pair14
 	nt := p.ntypes
 	scale14 := p.Scale14Elec
@@ -86,26 +84,11 @@ func (p *Params) NonbondedClusterTab(tab *InteractionTable, l *spatial.ClusterLi
 					pp = pair[rowBase+int(tj[b])]
 				}
 
-				// Table lookup + reconstruction: the arithmetic of
-				// InteractionTable.Eval, inlined. The clamp onto the
-				// zero guard record only fires when x·invH rounds up
-				// to Bins at the cutoff edge (≤ 1 ulp) — a CMOV.
-				xh := x * invH
-				bin := int(xh)
-				if bin > lastBin {
-					bin = lastBin
-				}
-				t := xh - float64(bin)
-				c := tc[bin*tabStride:][:tabStride]
-				halfT := halfH * t
-				dr := c[1] + t*c[2]
-				dd := c[4] + t*c[5]
-				de := c[7] + t*c[8]
-				dEdx := pp.A*dr + pp.B*dd + qq*de
-				ev := pp.A*(c[0]+halfT*(c[1]+dr)) + pp.B*(c[3]+halfT*(c[4]+dd))
-				ee := qq * (c[6] + halfT*(c[7]+de))
+				v, dvdx := ljPow(pp.A, pp.B, 1/x)
+				ev, dEdxVdw := lj.switched(x, v, dvdx)
+				ee, dEdxElec := tabElec(recs, invH, qq, x)
 
-				fOverR := -2 * dEdx
+				fOverR := -2 * (dEdxVdw + dEdxElec)
 				fpx := fOverR * dx
 				fpy := fOverR * dy
 				fpz := fOverR * dz

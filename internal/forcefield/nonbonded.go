@@ -44,28 +44,9 @@ func (p *Params) Nonbonded(ti, tj int32, qi, qj, r2 float64, modified bool) (evd
 	// interchangeable.
 	x := r2 // work in x = r² to avoid sqrt where possible
 	invX := 1 / x
-	invX3 := invX * invX * invX
-	a6 := pp.A * invX3 * invX3
-	b3 := pp.B * invX3
-	v := a6 - b3 // LJ energy before switching
-	dvdx := (3*b3 - 6*a6) * invX
-
-	rs2 := p.SwitchDist * p.SwitchDist
-	var dEdxVdw float64
-	if x <= rs2 {
-		evdw = v
-		dEdxVdw = dvdx
-	} else {
-		denom := (rc2 - rs2) * (rc2 - rs2) * (rc2 - rs2)
-		invDenom := 1 / denom
-		invDenom6 := 6 * invDenom
-		sw3 := rc2 - 3*rs2
-		d := rc2 - x
-		sw := d * d * (sw3 + 2*x) * invDenom
-		dswdx := d * (rs2 - x) * invDenom6
-		evdw = v * sw
-		dEdxVdw = dvdx*sw + v*dswdx
-	}
+	v, dvdx := ljPow(pp.A, pp.B, invX)
+	lj := p.lj()
+	evdw, dEdxVdw := lj.switched(x, v, dvdx)
 
 	// Electrostatics: erfc-screened Ewald real-space term when EwaldBeta
 	// is set, otherwise Coulomb with the (1 - x/rc²)² shifting function.
@@ -80,6 +61,46 @@ func (p *Params) Nonbonded(ti, tj int32, qi, qj, r2 float64, modified bool) (evd
 
 	fOverR = -2 * (dEdxVdw + dEdxElec)
 	return evdw, eelec, fOverR
+}
+
+// ljSwitched is Lennard-Jones with NAMD's C1 switching function active
+// between SwitchDist and Cutoff, its switch constants hoisted once per
+// kernel call. ljPow and switched are the one shared definition of the
+// van der Waals term that Nonbonded and both cluster kernels evaluate,
+// so the tabulated kernel's van der Waals terms are bitwise the analytic
+// kernel's (pinned by TestClusterTabVdWBitwiseAnalytic). It is two
+// functions, not one, because together they exceed the compiler's
+// inlining budget, and a call per pair costs the kernels more than the
+// pair math it wraps.
+type ljSwitched struct{ rs2, rc2, sw3, invDenom, invDenom6 float64 }
+
+func (p *Params) lj() ljSwitched {
+	rc2 := p.Cutoff * p.Cutoff
+	rs2 := p.SwitchDist * p.SwitchDist
+	invDenom := 1 / ((rc2 - rs2) * (rc2 - rs2) * (rc2 - rs2))
+	return ljSwitched{rs2: rs2, rc2: rc2, sw3: rc2 - 3*rs2, invDenom: invDenom, invDenom6: 6 * invDenom}
+}
+
+// ljPow returns the unswitched LJ energy A/x⁶ − B/x³ and its derivative
+// with respect to x = r², given invX = 1/x.
+func ljPow(A, B, invX float64) (v, dvdx float64) {
+	invX3 := invX * invX * invX
+	a6 := A * invX3 * invX3
+	b3 := B * invX3
+	return a6 - b3, (3*b3 - 6*a6) * invX
+}
+
+// switched applies the switch to ljPow's (v, dvdx) at x, returning the
+// van der Waals energy and its x-derivative. The switch is evaluated on
+// every pair and selected arithmetically — sw = 1, dsw/dx = 0 up to the
+// onset x ≤ rs² — instead of by an unpredictable branch; v·1 and
+// dvdx·1 + v·0 are exact, so the result is bitwise the branchy form's
+// (FuzzInteractionTable checks it against that form).
+func (s *ljSwitched) switched(x, v, dvdx float64) (ev, dEdx float64) {
+	d, e := s.rc2-x, s.rs2-x
+	on := float64(math.Float64bits(e) >> 63) // 1 past the onset, else 0
+	sw := d*d*(s.sw3+2*x)*s.invDenom*on + (1 - on)
+	return v * sw, dvdx*sw + v*(d*e*s.invDenom6*on)
 }
 
 // elecEwaldReal is the erfc-screened Ewald real-space electrostatic term

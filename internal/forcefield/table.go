@@ -7,102 +7,87 @@ import (
 	"gonamd/internal/units"
 )
 
-// Tabulated interactions: the combined LJ + electrostatic pair
-// interaction precomputed on a uniform grid in x = r², GROMACS-style, so
-// the cluster inner loop needs no Sqrt, no Erfc/Exp, and no
-// switching-function branch — just a table lookup and multiply-adds.
+// Tabulated electrostatics: the one transcendental of the Ewald
+// real-space pair interaction precomputed on a uniform grid in x = r²,
+// so the tabulated cluster kernel needs no Sqrt and no Erfc/Exp.
+// Lennard-Jones and its switch stay analytic — the kernels share one
+// definition of them (ljSwitched), so the tabulated kernel's van der
+// Waals terms are bitwise the analytic kernel's and the two differ only
+// in the electrostatic term (the split of the GROMACS cluster-pair
+// kernels). The table holds one geometry-only component, with the
+// charge product folded in at evaluation time:
 //
-// The pair interaction is decomposed into three geometry-only components
-// with the per-pair parameters folded back in at evaluation time:
+//	E(x) = qq·T(x)
 //
-//	E(x) = A·TR(x) + B·TD(x) + qq·TE(x)
+//	T(x) = erfc(β√x)/√x            Ewald real space, or
+//	       (1/√x)·(1 − x/rc²)²     shifted Coulomb when β = 0
 //
-//	TR(x) = x⁻⁶·sw(x)               repulsion  (folds the combined LJ A)
-//	TD(x) = −x⁻³·sw(x)              dispersion (folds the combined LJ B)
-//	TE(x) = erfc(β√x)/√x            Ewald real space  (folds qq), or
-//	        (1/√x)·(1 − x/rc²)²     shifted Coulomb when β = 0
+// Each bin of width h stores the cubic Hermite spline that matches T and
+// its exact derivative dT/dx at both knots, as coefficients in
+// t = x/h − i ∈ [0, 1):
 //
-// sw is the C1 switching function of the analytic kernels, baked into
-// TR/TD so the tabulated kernel has no SwitchDist branch. Per type pair
-// the fold is three scalar multipliers (A, B from the combined pair
-// tables, qq from the charges), which is why three shared component
-// tables suffice instead of ntypes² per-pair tables.
+//	T(t)  = c0 + t·(c1 + t·(c2 + t·c3))
+//	dT/dx = (c1 + t·(2·c2 + 3t·c3)) / h
 //
-// Each component is stored as a quadratic Hermite spline over bins of
-// width h: per bin the knot energy E_i, the knot derivative D_i =
-// dE/dx(x_i), and the derivative increment ΔD_i = D_{i+1} − D_i. The
-// kernels reconstruct, with t = x/h − i ∈ [0, 1):
-//
-//	D(t) = D_i + t·ΔD_i                      (linear in t, C0 at knots)
-//	E(t) = E_i + (h·t/2)·(D_i + D(t))        (exact integral of D(t))
-//
-// Because E(t) is the exact integral of the continuous piecewise-linear
-// D, the tabulated force is the exact gradient of a continuous
-// piecewise-quadratic potential — the tabulated dynamics conserve their
-// own (slightly perturbed) Hamiltonian, which is what makes the NVE
-// drift of the tabulated kernels as good as the analytic ones. The
-// reported energy differs from that potential only by the O(h³)
-// per-bin trapezoid defect at knot seams. Interpolation error against
-// the analytic interaction scales as h² (pinned by
+// The kernels take the force from the derivative of that cubic, and the
+// cubics join with matching value and slope, so the tabulated force is
+// the exact gradient of a C¹ potential — the tabulated dynamics conserve
+// their own (slightly perturbed) Hamiltonian, which is what keeps their
+// NVE drift as good as the analytic kernel's. Against the analytic term
+// the force error converges as h³ and the energy error as h⁴ (pinned by
 // TestInteractionTableAccuracySweep).
 //
-// Knot 0 cannot be sampled at x = 0 where x⁻⁶ diverges; it is sampled
-// at the finite inner point h/8 instead. Bin 0 is therefore finite and
-// strongly repulsive but not accurate: the table's accuracy envelope
-// holds for x ≥ h (≈ 0.005 Å² at the default spacing — far inside any
-// physical contact distance), and FuzzInteractionTable pins finiteness
-// below that.
+// Knot 0 cannot be sampled at x = 0 where 1/√x diverges; it is sampled
+// at the finite inner point h/8 instead. Bin 0 is therefore finite but
+// not accurate: the table's accuracy envelope holds for x ≥ h (≈ 0.02 Å²
+// at the default spacing — far inside any physical contact distance),
+// and FuzzInteractionTable pins finiteness below that.
 
-// tabStride is the float64 word count per table bin: three components ×
-// (E_i, D_i, ΔD_i) plus three words of padding so a bin spans exactly
-// 96 bytes (1.5 cache lines) and bin addressing is a single multiply.
-const tabStride = 12
+// cubic is one table bin, four words: T(t) = c0 + t·(c1 + t·(c2 + t·c3)).
+type cubic struct{ c0, c1, c2, c3 float64 }
 
 // DefaultTableBins is the bin count auto-derived spacing aims for:
 // spacing = cutoff²/DefaultTableBins. At a 9 Å cutoff that is
-// h ≈ 0.0025 Å², a ~3 MB table, and a
-// relative force error of order 7h²/x² ≈ 1·10⁻⁶ at LJ-contact
-// separations — the per-atom error on a minimized ApoA-I box stays
-// inside the 1e-5 production envelope with ~4× headroom (16384 bins
-// measures right at the envelope there: protein heavy-atom contacts sit
-// deeper in the repulsive wall than water's).
-const DefaultTableBins = 32768
+// h ≈ 0.0198 Å² and a 128 KiB table, which stays in a core's L2 cache,
+// with a maximum relative dT/dx error of 8·10⁻⁷ over x ∈ [1, 81) Å² at
+// β = 0.3466 — the smallest power of two at or below the 2.9·10⁻⁶ of the
+// 32,768-bin quadratic table of all three LJ + Coulomb components it
+// replaced (`make table-accuracy` prints the sweep).
+const DefaultTableBins = 4096
 
 // maxTableBins caps user-requested spacings so a typo cannot allocate
-// gigabytes (1<<20 bins ≈ 100 MB of float64 table).
+// gigabytes (1<<20 bins ≈ 32 MB of float64 table).
 const maxTableBins = 1 << 20
 
-// minTableBins rejects spacings too coarse to interpolate the LJ wall.
+// minTableBins rejects spacings too coarse to interpolate 1/√x at
+// contact distances.
 const minTableBins = 64
 
-// InteractionTable is a built r²-indexed interaction table. It captures
-// Cutoff, SwitchDist, and EwaldBeta from the Params it was built from;
-// the tabulated kernels panic if handed a Params whose electrostatic
-// mode or cutoff no longer matches (the engines rebuild the table after
-// enabling PME, which swaps the Params via WithEwald).
+// InteractionTable is a built r²-indexed electrostatic table. It
+// captures Cutoff and EwaldBeta from the Params it was built from; the
+// tabulated kernels panic if handed a Params whose electrostatic mode or
+// cutoff no longer matches (the engines rebuild the table after enabling
+// PME, which swaps the Params via WithEwald).
 type InteractionTable struct {
-	Spacing     float64 // bin width h in x = r², Å²
-	InvSpacing  float64 // 1/h
-	HalfSpacing float64 // h/2 (energy-reconstruction factor)
-	Bins        int     // bin count N; the grid spans [0, N·h] = [0, rc²]
-	Cutoff2     float64 // rc², the table's upper edge
-	EwaldBeta   float64 // β baked into TE (0 = shifted Coulomb)
+	Spacing    float64 // bin width h in x = r², Å²
+	InvSpacing float64 // 1/h
+	Bins       int     // bin count N; the grid spans [0, N·h] = [0, rc²]
+	Cutoff2    float64 // rc², the table's upper edge
+	EwaldBeta  float64 // β baked into T (0 = shifted Coulomb)
 
-	// C holds Bins+1 records of tabStride float64 each:
-	// [Er, Dr, ΔDr, Ed, Dd, ΔDd, Ee, De, ΔDe, 0, 0, 0]. Record N is an
-	// all-zero guard: the kernels clamp the bin index to N instead of
-	// branching on the cutoff, so every beyond-cutoff pair reads the
-	// guard and contributes exactly zero force and energy — the cutoff
-	// test costs a conditional move, not a data-dependent branch.
-	C []float64
+	// recs holds Bins+1 bins. Bin N is an all-zero guard: x < rc² can
+	// still round to x·(1/h) = N at the cutoff edge, and that lookup then
+	// contributes exactly zero force and energy instead of needing a
+	// branch or a clamp.
+	recs []cubic
 }
 
-// BuildInteractionTable precomputes the interaction table for the
+// BuildInteractionTable precomputes the electrostatic table for the
 // parameter set at the given bin spacing (in Å² of r²). A spacing of 0
 // auto-derives cutoff²/DefaultTableBins. The spacing is snapped so an
 // integer number of bins lands exactly on cutoff². The Params must have
-// been Validated, and the table must be rebuilt if Cutoff, SwitchDist,
-// or EwaldBeta change afterwards.
+// been Validated, and the table must be rebuilt if Cutoff or EwaldBeta
+// change afterwards.
 func (p *Params) BuildInteractionTable(spacing float64) (*InteractionTable, error) {
 	if p.Cutoff <= 0 || p.SwitchDist <= 0 || p.SwitchDist >= p.Cutoff {
 		return nil, fmt.Errorf("forcefield: interaction table requires validated params (cutoff %g, switchdist %g)", p.Cutoff, p.SwitchDist)
@@ -123,114 +108,77 @@ func (p *Params) BuildInteractionTable(spacing float64) (*InteractionTable, erro
 	}
 	h := rc2 / float64(bins)
 
-	// Sample the three components at every knot. Knot 0 uses the finite
-	// inner point h/8 (see the package comment above); knot N uses
-	// exactly rc² so the table's edge matches the kernels' cutoff test.
-	type knot struct{ er, dr, ed, dd, ee, de float64 }
-	knots := make([]knot, bins+1)
-	for k := 0; k <= bins; k++ {
-		x := h * float64(k)
-		switch k {
-		case 0:
-			x = h / 8
-		case bins:
-			x = rc2
-		}
-		var kn knot
-		kn.er, kn.dr, kn.ed, kn.dd, kn.ee, kn.de = p.tableComponents(x)
-		knots[k] = kn
-	}
-
 	tab := &InteractionTable{
-		Spacing:     h,
-		InvSpacing:  1 / h,
-		HalfSpacing: h / 2,
-		Bins:        bins,
-		Cutoff2:     rc2,
-		EwaldBeta:   p.EwaldBeta,
-		C:           make([]float64, (bins+1)*tabStride),
+		Spacing:    h,
+		InvSpacing: 1 / h,
+		Bins:       bins,
+		Cutoff2:    rc2,
+		EwaldBeta:  p.EwaldBeta,
+		recs:       make([]cubic, bins+1),
 	}
-	// Record N (the guard every clamped beyond-cutoff lookup reads)
-	// stays all-zero: make's zero value is the coefficient set that
-	// evaluates to exactly zero energy and force for any t.
+	// Knot 0 uses the finite inner point h/8 (see the package comment
+	// above); knot N uses exactly rc² so the table's edge matches the
+	// kernels' cutoff test. Bin N, the guard, stays all-zero: make's zero
+	// value evaluates to exactly zero energy and force for any t.
+	e0, d0 := p.tableElec(h / 8)
 	for i := 0; i < bins; i++ {
-		k0, k1 := knots[i], knots[i+1]
-		c := tab.C[i*tabStride:][:tabStride]
-		c[0], c[1], c[2] = k0.er, k0.dr, k1.dr-k0.dr
-		c[3], c[4], c[5] = k0.ed, k0.dd, k1.dd-k0.dd
-		c[6], c[7], c[8] = k0.ee, k0.de, k1.de-k0.de
+		x1 := h * float64(i+1)
+		if i+1 == bins {
+			x1 = rc2
+		}
+		e1, d1 := p.tableElec(x1)
+		s0, s1 := h*d0, h*d1 // slopes in t
+		tab.recs[i] = cubic{e0, s0, 3*(e1-e0) - 2*s0 - s1, 2*(e0-e1) + s0 + s1}
+		e0, d0 = e1, d1
 	}
 	return tab, nil
 }
 
-// tableComponents evaluates the three interaction components and their
-// x-derivatives at one sample point 0 < x ≤ rc². The expressions match
-// the analytic kernels term for term (the electrostatic component is
-// the shared helper with qq = 1), so the table converges on the analytic
-// interaction as h → 0.
-func (p *Params) tableComponents(x float64) (tr, dtr, td, dtd, te, dte float64) {
-	rc2 := p.Cutoff * p.Cutoff
-	rs2 := p.SwitchDist * p.SwitchDist
+// tableElec evaluates the tabulated component T and its x-derivative at
+// one sample point 0 < x ≤ rc² with the analytic kernels' shared helpers
+// (qq = 1), so the table converges on the analytic interaction as h → 0.
+func (p *Params) tableElec(x float64) (te, dte float64) {
 	invX := 1 / x
-	invX3 := invX * invX * invX
-	invX6 := invX3 * invX3
-	tr, td = invX6, -invX3
-	dtr, dtd = -6*invX6*invX, 3*invX3*invX
-	if x > rs2 {
-		denom := (rc2 - rs2) * (rc2 - rs2) * (rc2 - rs2)
-		invDenom := 1 / denom
-		d := rc2 - x
-		sw := d * d * (rc2 - 3*rs2 + 2*x) * invDenom
-		dswdx := d * (rs2 - x) * 6 * invDenom
-		dtr, dtd = dtr*sw+tr*dswdx, dtd*sw+td*dswdx
-		tr, td = tr*sw, td*sw
-	}
 	r := math.Sqrt(x)
 	invR := r * invX
 	if beta := p.EwaldBeta; beta > 0 {
-		te, dte = elecEwaldReal(1, r, invR, invX, beta, beta/math.SqrtPi)
-	} else {
-		te, dte = elecShiftedCoulomb(1, invR, invX, x, 1/rc2)
+		return elecEwaldReal(1, r, invR, invX, beta, beta/math.SqrtPi)
 	}
-	return
+	return elecShiftedCoulomb(1, invR, invX, x, 1/(p.Cutoff*p.Cutoff))
 }
 
-// Eval evaluates the table for one pair with folded parameters A, B
-// (combined LJ), qq (units.Coulomb·qi·qj, 1-4 scaled by the caller) at
-// squared separation x. It performs exactly the arithmetic of the
-// tabulated cluster kernel's inner loop — this is the readable
-// specification the fuzz and sweep tests exercise — returning the vdW
-// energy, electrostatic energy, and dE/dx (force on i = −2·dEdx·dr).
-func (tab *InteractionTable) Eval(A, B, qq, x float64) (evdw, eelec, dEdx float64) {
-	// Mirror the cluster kernels' domain contract exactly: the pair is
-	// skipped at x == 0 and from the cutoff outward. Without the x ≥ rc²
-	// early-out, x·InvSpacing can round a hair below the guard record at
-	// x == rc² and extrapolate the last real bin to a nonzero value.
+// tabElec is the lookup of the tabulated kernels: the electrostatic
+// energy qq·T(x) and its x-derivative from the cubic of x's bin, for
+// 0 < x < rc² (recs and invH are the table's). Small enough to inline
+// into the kernel's pair loop, which a call would cost ~5 %.
+func tabElec(recs []cubic, invH, qq, x float64) (ee, dEdx float64) {
+	xh := x * invH
+	bin := int(xh)
+	t := xh - float64(bin)
+	k := &recs[bin]
+	return qq * (k.c0 + t*(k.c1+t*(k.c2+t*k.c3))), qq * invH * (k.c1 + t*(2*k.c2+3*t*k.c3))
+}
+
+// Eval evaluates the tabulated electrostatic term for the charge product
+// qq (units.Coulomb·qi·qj, 1-4 scaled by the caller) at squared
+// separation x, returning the energy and dE/dx (force on i =
+// −2·dEdx·dr) — the lookup of the tabulated cluster kernel, under its
+// domain contract: zero at x == 0 and from the cutoff outward.
+func (tab *InteractionTable) Eval(qq, x float64) (eelec, dEdx float64) {
 	if x == 0 || x >= tab.Cutoff2 {
-		return 0, 0, 0
+		return 0, 0
 	}
-	xs := x * tab.InvSpacing
-	bin := int(xs)
-	if bin > tab.Bins {
-		bin = tab.Bins // beyond-cutoff clamp onto the zero guard record
-	}
-	t := xs - float64(bin)
-	c := tab.C[bin*tabStride:][:tabStride]
-	halfT := tab.HalfSpacing * t
-	dr := c[1] + t*c[2]
-	dd := c[4] + t*c[5]
-	de := c[7] + t*c[8]
-	dEdx = A*dr + B*dd + qq*de
-	evdw = A*(c[0]+halfT*(c[1]+dr)) + B*(c[3]+halfT*(c[4]+dd))
-	eelec = qq * (c[6] + halfT*(c[7]+de))
-	return
+	return tabElec(tab.recs, tab.InvSpacing, qq, x)
 }
 
 // NonbondedTab is the scalar tabulated counterpart of Nonbonded: the
-// same signature and parameter folding, with the interaction evaluated
-// from the table instead of analytically. It exists for differential
-// tests and the accuracy sweep; the engines call the cluster kernels.
+// same signature and analytic van der Waals term, with the electrostatic
+// term looked up in the table. It exists for differential tests and the
+// accuracy sweep; the engines call the cluster kernels.
 func (p *Params) NonbondedTab(tab *InteractionTable, ti, tj int32, qi, qj, r2 float64, modified bool) (evdw, eelec, fOverR float64) {
+	if r2 == 0 || r2 >= tab.Cutoff2 {
+		return 0, 0, 0
+	}
 	var pp pairParam
 	qq := units.Coulomb * qi * qj
 	if modified {
@@ -239,8 +187,11 @@ func (p *Params) NonbondedTab(tab *InteractionTable, ti, tj int32, qi, qj, r2 fl
 	} else {
 		pp = p.pair[int(ti)*p.ntypes+int(tj)]
 	}
-	evdw, eelec, dEdx := tab.Eval(pp.A, pp.B, qq, r2)
-	return evdw, eelec, -2 * dEdx
+	v, dvdx := ljPow(pp.A, pp.B, 1/r2)
+	lj := p.lj()
+	evdw, dEdxVdw := lj.switched(r2, v, dvdx)
+	eelec, dEdxElec := tab.Eval(qq, r2)
+	return evdw, eelec, -2 * (dEdxVdw + dEdxElec)
 }
 
 // checkParams panics if the table was built for a different interaction

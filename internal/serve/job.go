@@ -285,12 +285,13 @@ func (j *Job) applyResume(snap *ckpt.JobState) error {
 
 // rewindTrajectory rewrites a trajectory file keeping only frames at or
 // before maxStep, and returns an open writer positioned to append the
-// next frame. A missing file starts a fresh trajectory.
+// next frame. A missing file starts a fresh trajectory, and so does one
+// whose header does not describe this job's atoms (a damaged file).
 func rewindTrajectory(path string, natoms int, box gonamd.V3, maxStep int64) (*os.File, *traj.Writer, int, error) {
 	var kept []*traj.Frame
 	if old, err := os.Open(path); err == nil {
 		r, rerr := traj.NewReader(old)
-		if rerr == nil {
+		if rerr == nil && r.NAtoms == natoms {
 			for {
 				fr, ferr := r.ReadFrame()
 				if ferr != nil {

@@ -5,13 +5,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"gonamd"
+	"gonamd/internal/sysio"
 	"gonamd/internal/traj"
 )
 
@@ -430,4 +434,100 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("missing job: status %d, want 404", resp.StatusCode)
 	}
+}
+
+// TestServerSurvivesMalformedInlineTopology: an inline topology whose
+// bond indexes past its atoms used to panic the exclusion builder on the
+// scheduler's slice goroutine and take the whole server down; an atom
+// type past the force field's table, or a non-finite coordinate, panicked
+// the kernels or the cell binning the same way. Each must end its own
+// job failed, naming the defect, while the server keeps serving the next
+// job.
+func TestServerSurvivesMalformedInlineTopology(t *testing.T) {
+	sched, err := NewScheduler(Config{StateDir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sched.Stop()
+	srv := httptest.NewServer(NewServer(sched))
+	defer srv.Close()
+
+	for _, tc := range []struct {
+		corrupt func(*gonamd.System, *gonamd.State)
+		note    string
+	}{
+		{func(sys *gonamd.System, _ *gonamd.State) { sys.Bonds[0].I = 1 << 20 }, "bond 0 index out of range"},
+		{func(sys *gonamd.System, _ *gonamd.State) { sys.Atoms[0].Type = 1000 }, "atom 0 has type 1000"},
+		{func(_ *gonamd.System, st *gonamd.State) { st.Pos[0].X = math.NaN() }, "atom 0 position"},
+	} {
+		sys, st, err := gonamd.BuildSystem(gonamd.WaterBoxSpec(10, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.corrupt(sys, st)
+		var blob bytes.Buffer
+		if err := sysio.Save(&blob, sys, st); err != nil {
+			t.Fatal(err)
+		}
+		bad := postJob(t, srv.URL, JobSpec{System: SystemSpec{Inline: blob.Bytes(), Cutoff: 4.5}, Steps: 10})
+		waitFor(t, "the malformed job to fail", func() bool { return getStatus(t, srv.URL, bad.ID).State == StateFailed })
+		if note := getStatus(t, srv.URL, bad.ID).Note; !strings.Contains(note, tc.note) {
+			t.Errorf("failed job's note %q does not contain %q", note, tc.note)
+		}
+	}
+
+	good := postJob(t, srv.URL, waterJob(20))
+	waitFor(t, "the next job to finish", func() bool { return getStatus(t, srv.URL, good.ID).State == StateDone })
+}
+
+// TestRewindTrajectoryIgnoresForeignHeader: on resume the job server
+// reads its trajectory file back; one whose header declares another atom
+// count (a damaged file) is no trajectory — the job starts a fresh one
+// rather than failing on, or allocating for, what the header claims.
+func TestRewindTrajectoryIgnoresForeignHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "traj.bin")
+	box := gonamd.V3{X: 10, Y: 10, Z: 10}
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := traj.NewWriter(f, 5, box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.WriteFrame(10, 5, make([]gonamd.V3, 5))
+	w.Flush()
+	f.Close()
+
+	file, w2, kept, err := rewindTrajectory(path, 3, box, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	if kept != 0 {
+		t.Errorf("kept %d frames of a 5-atom trajectory for a 3-atom job", kept)
+	}
+	if err := w2.WriteFrame(20, 10, make([]gonamd.V3, 3)); err != nil {
+		t.Fatal(err)
+	}
+	w2.Flush()
+	r, err := traj.NewReader(bytes.NewReader(mustRead(t, path)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.NAtoms != 3 {
+		t.Fatalf("rewound file header declares %d atoms, want a fresh 3-atom trajectory", r.NAtoms)
+	}
+	if frames, err := r.ReadAll(); err != nil || len(frames) != 1 || frames[0].Step != 20 {
+		t.Errorf("rewound file holds %d frames (err %v), want only the new step-20 frame", len(frames), err)
+	}
+}
+
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -8,8 +8,10 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"gonamd/internal/topology"
+	"gonamd/internal/vec"
 )
 
 // fileFormat is the on-disk structure (gob-encoded, gzip-compressed).
@@ -33,8 +35,13 @@ func Save(w io.Writer, sys *topology.System, st *topology.State) error {
 	return zw.Close()
 }
 
-// Load reads a system and state written by Save, rebuilding the
-// exclusion lists (they are derived data and not stored) and validating.
+// Load reads a system and state written by Save, validating them and
+// then rebuilding the exclusion lists (derived data, not stored). The
+// bytes may come from a user (gonamdd inline topologies) or a damaged
+// disk: anything malformed is an error, never a panic — validation runs
+// first because the exclusion builder indexes atoms by bond, and
+// non-finite coordinates are rejected because the engines bin atoms by
+// them.
 func Load(r io.Reader) (*topology.System, *topology.State, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
@@ -51,12 +58,26 @@ func Load(r io.Reader) (*topology.System, *topology.State, error) {
 	if f.Sys == nil || f.St == nil {
 		return nil, nil, fmt.Errorf("sysio: incomplete file")
 	}
-	f.Sys.BuildExclusions()
 	if err := f.Sys.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("sysio: loaded system invalid: %w", err)
 	}
 	if f.Sys.N() != len(f.St.Pos) || f.Sys.N() != len(f.St.Vel) {
 		return nil, nil, fmt.Errorf("sysio: state size does not match system")
 	}
+	for i := range f.St.Pos {
+		if !finite(f.St.Pos[i]) || !finite(f.St.Vel[i]) {
+			return nil, nil, fmt.Errorf("sysio: atom %d position %v or velocity %v is not finite", i, f.St.Pos[i], f.St.Vel[i])
+		}
+	}
+	f.Sys.BuildExclusions()
 	return f.Sys, f.St, nil
+}
+
+func finite(v vec.V3) bool {
+	for _, x := range [3]float64{v.X, v.Y, v.Z} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }

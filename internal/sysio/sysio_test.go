@@ -2,6 +2,9 @@ package sysio
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/gob"
+	"math"
 	"strings"
 	"testing"
 
@@ -61,4 +64,93 @@ func TestSaveValidates(t *testing.T) {
 	if err := Save(&buf, sys, bad); err == nil {
 		t.Error("mismatched state accepted")
 	}
+}
+
+// TestLoadRejectsMalformedSystems: a system file whose topology indexes
+// past its atoms, or whose box or coordinates are not finite — what a
+// hostile or damaged gonamdd inline topology carries — is an error
+// naming the defect, not a panic in the exclusion builder or, later, in
+// the engines' cell binning.
+func TestLoadRejectsMalformedSystems(t *testing.T) {
+	for _, tc := range []struct {
+		corrupt func(*topology.System, *topology.State)
+		want    string
+	}{
+		{func(s *topology.System, _ *topology.State) { s.Bonds[0].I = 1 << 20 }, "bond 0 index out of range"},
+		{func(s *topology.System, _ *topology.State) { s.Angles[0].K = -1 }, "angle 0 index out of range"},
+		{func(s *topology.System, _ *topology.State) { s.Box.Y = math.Inf(1) }, "not finite and positive"},
+		{func(_ *topology.System, st *topology.State) { st.Vel[3].Z = math.NaN() }, "atom 3 position"},
+	} {
+		sys, st, err := molgen.Build(molgen.WaterBox(10, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.corrupt(sys, st)
+		var buf bytes.Buffer
+		if err := Save(&buf, sys, st); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Load error %v, want one containing %q", err, tc.want)
+		}
+	}
+}
+
+// FuzzSystemLoad holds Load to the contract of the other decoders that
+// read user or disk bytes: error cleanly or succeed, never panic, and
+// anything accepted re-saves and loads back to the same system and
+// state. With compress set the input is a raw gob payload that the test
+// gzips first, so the fuzzer reaches the decoder and the validation
+// behind the gzip framing instead of dying on it.
+func FuzzSystemLoad(f *testing.F) {
+	for _, corrupt := range []func(*topology.System, *topology.State){
+		func(*topology.System, *topology.State) {},
+		func(sys *topology.System, _ *topology.State) { sys.Bonds[0].I = 1 << 20 },
+		func(_ *topology.System, st *topology.State) { st.Pos = st.Pos[:1] },
+	} {
+		sys, st, err := molgen.Build(molgen.WaterBox(8, 3))
+		if err != nil {
+			f.Fatal(err)
+		}
+		corrupt(sys, st)
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(&fileFormat{Magic: magic, Sys: sys, St: st}); err != nil {
+			f.Fatal(err)
+		}
+		var file bytes.Buffer
+		zw := gzip.NewWriter(&file)
+		zw.Write(payload.Bytes())
+		zw.Close()
+		f.Add(file.Bytes(), false)
+		f.Add(file.Bytes()[:file.Len()/2], false)
+		f.Add(payload.Bytes(), true)
+	}
+	f.Add([]byte{}, true)
+	f.Fuzz(func(t *testing.T, data []byte, compress bool) {
+		if compress {
+			var buf bytes.Buffer
+			zw := gzip.NewWriter(&buf)
+			zw.Write(data)
+			zw.Close()
+			data = buf.Bytes()
+		}
+		sys, st, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Save(&buf, sys, st); err != nil {
+			t.Fatalf("accepted system does not re-save: %v", err)
+		}
+		sys2, st2, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("re-saved system does not load: %v", err)
+		}
+		var a, b bytes.Buffer
+		if gob.NewEncoder(&a).Encode(&fileFormat{Magic: magic, Sys: sys, St: st}) != nil ||
+			gob.NewEncoder(&b).Encode(&fileFormat{Magic: magic, Sys: sys2, St: st2}) != nil ||
+			!bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatal("system or state changed across a re-save")
+		}
+	})
 }

@@ -11,6 +11,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"gonamd/internal/vec"
@@ -243,11 +244,12 @@ func containsSorted(xs []int32, v int32) bool {
 // problem found, or nil.
 func (s *System) Validate() error {
 	n := int32(s.N())
-	if s.Box.X <= 0 || s.Box.Y <= 0 || s.Box.Z <= 0 {
-		return fmt.Errorf("topology: non-positive box %v", s.Box)
+	finitePos := func(x float64) bool { return x > 0 && x <= math.MaxFloat64 } // false for NaN
+	if !finitePos(s.Box.X) || !finitePos(s.Box.Y) || !finitePos(s.Box.Z) {
+		return fmt.Errorf("topology: box %v is not finite and positive", s.Box)
 	}
 	for i, a := range s.Atoms {
-		if a.Mass <= 0 {
+		if !(a.Mass > 0) {
 			return fmt.Errorf("topology: atom %d has non-positive mass %g", i, a.Mass)
 		}
 	}

@@ -7,6 +7,7 @@ package traj
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -105,10 +106,17 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if h.Magic != magic {
 		return nil, fmt.Errorf("traj: bad magic %#x", h.Magic)
 	}
+	if h.NAtoms == 0 {
+		return nil, fmt.Errorf("traj: header declares no atoms")
+	}
 	return &Reader{r: br, NAtoms: int(h.NAtoms), Box: vec.New(h.BoxX, h.BoxY, h.BoxZ)}, nil
 }
 
-// ReadFrame decodes the next frame, returning io.EOF at the end.
+// ReadFrame decodes the next frame, returning io.EOF at the end. The
+// atom count comes from the file header, which the reader does not
+// trust with an allocation: a frame's buffer grows as its bytes arrive,
+// so a damaged count (up to 48 GiB of coordinates) costs no more memory
+// than the bytes actually in the file.
 func (r *Reader) ReadFrame() (*Frame, error) {
 	var fh frameHeader
 	if err := binary.Read(r.r, binary.LittleEndian, &fh); err != nil {
@@ -117,13 +125,15 @@ func (r *Reader) ReadFrame() (*Frame, error) {
 		}
 		return nil, err
 	}
-	buf := make([]float32, 3*r.NAtoms)
-	if err := binary.Read(r.r, binary.LittleEndian, buf); err != nil {
-		return nil, fmt.Errorf("traj: truncated frame: %w", err)
+	var raw bytes.Buffer
+	if n, err := io.CopyN(&raw, r.r, 12*int64(r.NAtoms)); err != nil {
+		return nil, fmt.Errorf("traj: truncated frame: %d of %d coordinate bytes: %w", n, 12*int64(r.NAtoms), err)
 	}
+	b := raw.Bytes()
+	coord := func(k int) float64 { return float64(math.Float32frombits(binary.LittleEndian.Uint32(b[4*k:]))) }
 	f := &Frame{Step: fh.Step, Time: fh.Time, Pos: make([]vec.V3, r.NAtoms)}
 	for i := range f.Pos {
-		f.Pos[i] = vec.New(float64(buf[3*i]), float64(buf[3*i+1]), float64(buf[3*i+2]))
+		f.Pos[i] = vec.New(coord(3*i), coord(3*i+1), coord(3*i+2))
 	}
 	return f, nil
 }

@@ -2,8 +2,10 @@ package traj
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -228,3 +230,102 @@ func TestMSDHandlesWrapping(t *testing.T) {
 		}
 	}
 }
+
+// TestReaderTrustsNoAtomCount: a header claiming 2³²−1 atoms in front of
+// a few bytes of frame data is a truncated frame, read without
+// allocating the 48 GiB the count implies, and a header claiming none
+// is rejected — no writer produces one.
+func TestReaderTrustsNoAtomCount(t *testing.T) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf, 2, vec.New(5, 5, 5))
+	w.WriteFrame(0, 0, make([]vec.V3, 2))
+	w.Flush()
+	data := buf.Bytes()
+	for _, tc := range []struct {
+		natoms uint32
+		reject bool
+	}{{math.MaxUint32, false}, {0, true}} {
+		binary.LittleEndian.PutUint32(data[4:8], tc.natoms)
+		r, err := NewReader(bytes.NewReader(data))
+		if tc.reject {
+			if err == nil {
+				t.Errorf("header with %d atoms accepted", tc.natoms)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := r.ReadFrame(); err == nil || !strings.Contains(err.Error(), "truncated frame") {
+			t.Errorf("frame behind a %d-atom header: %v, want truncated", tc.natoms, err)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("reading a 24-byte frame allocated %d bytes", grew)
+		}
+	}
+}
+
+// FuzzTrajReader holds the trajectory reader — which gonamdd runs on a
+// job's trajectory file when it resumes the job — to the decoder
+// contract: error cleanly or succeed, never panic, and the frames it
+// accepts re-encode through Writer and read back the same.
+func FuzzTrajReader(f *testing.F) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf, 3, vec.New(10, 20, 30))
+	for i := 0; i < 3; i++ {
+		pos := []vec.V3{vec.New(1, 2, 3), vec.New(4.5, 5.5, 6.5), vec.New(float64(i), -1, 1e-3)}
+		w.WriteFrame(int64(10*i), float64(i)*0.5, pos)
+	}
+	w.Flush()
+	file := buf.Bytes()
+	f.Add(file)
+	f.Add(file[:len(file)-7])
+	f.Add(file[:32])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		frames, _ := r.ReadAll() // a torn trailing frame ends the read
+		if len(frames) == 0 {
+			return
+		}
+		var out bytes.Buffer
+		w, err := NewWriter(&out, r.NAtoms, r.Box)
+		if err != nil {
+			t.Fatalf("accepted header does not re-encode: %v", err)
+		}
+		for _, fr := range frames {
+			if err := w.WriteFrame(fr.Step, fr.Time, fr.Pos); err != nil {
+				t.Fatalf("accepted frame does not re-encode: %v", err)
+			}
+		}
+		w.Flush()
+		r2, err := NewReader(&out)
+		if err != nil {
+			t.Fatalf("re-encoded header does not read: %v", err)
+		}
+		again, err := r2.ReadAll()
+		if err != nil || len(again) != len(frames) || r2.NAtoms != r.NAtoms || !same(r2.Box.X, r.Box.X) || !same(r2.Box.Y, r.Box.Y) || !same(r2.Box.Z, r.Box.Z) {
+			t.Fatalf("re-encoded trajectory reads back differently: %d of %d frames, err %v", len(again), len(frames), err)
+		}
+		for k, fr := range frames {
+			g := again[k]
+			if g.Step != fr.Step || !same(g.Time, fr.Time) {
+				t.Fatalf("frame %d header changed across a re-encode", k)
+			}
+			for i, p := range fr.Pos {
+				if q := g.Pos[i]; !same(q.X, p.X) || !same(q.Y, p.Y) || !same(q.Z, p.Z) {
+					t.Fatalf("frame %d atom %d: %v re-encodes as %v", k, i, p, q)
+				}
+			}
+		}
+	})
+}
+
+// same is float equality that also holds between two NaNs.
+func same(a, b float64) bool { return a == b || (a != a && b != b) }
