@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"gonamd"
+	"gonamd/internal/ldb"
 	"gonamd/internal/trace"
 )
 
@@ -37,7 +38,7 @@ func main() {
 			GrainSplit:   split,
 			SplitBonded:  true,
 			MulticastOpt: true,
-			DisableLB:    true,
+			LB:           ldb.NoOp{},
 			MeasureSteps: 2,
 			CollectTrace: true,
 		})

@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"gonamd"
+	"gonamd/internal/ldb"
 )
 
 func main() {
@@ -42,7 +43,7 @@ func main() {
 	// Stage 1: static placement only (patches via recursive coordinate
 	// bisection, computes at their base patch homes).
 	cfg := base
-	cfg.DisableLB = true
+	cfg.LB = ldb.NoOp{}
 	sim, err := gonamd.NewClusterSim(w, cfg)
 	if err != nil {
 		log.Fatal(err)

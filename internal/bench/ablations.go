@@ -6,6 +6,7 @@ import (
 
 	"gonamd/internal/baseline"
 	"gonamd/internal/core"
+	"gonamd/internal/ldb"
 	"gonamd/internal/machine"
 )
 
@@ -31,12 +32,12 @@ func Ablations(peCounts []int) ([]AblationRow, error) {
 		mut  func(*core.Config)
 	}{
 		{"full (paper config)", func(c *core.Config) {}},
-		{"no load balancing", func(c *core.Config) { c.DisableLB = true }},
+		{"no load balancing", func(c *core.Config) { c.LB = ldb.NoOp{} }},
 		{"no grainsize split", func(c *core.Config) { c.GrainSplit = false }},
 		{"no self split", func(c *core.Config) { c.SplitSelf = false; c.GrainSplit = false }},
 		{"pinned bonded computes", func(c *core.Config) { c.SplitBonded = false }},
 		{"naive multicast", func(c *core.Config) { c.MulticastOpt = false }},
-		{"diffusion LB", func(c *core.Config) { c.DiffusionLB = true }},
+		{"diffusion LB", func(c *core.Config) { c.LB = &ldb.Diffusion{} }},
 	}
 	rows := make([]AblationRow, 0, len(variants))
 	for _, v := range variants {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"gonamd/internal/core"
+	"gonamd/internal/ldb"
 	"gonamd/internal/machine"
 	"gonamd/internal/trace"
 )
@@ -38,7 +39,7 @@ func GrainsizeHistogram(split bool) (*trace.Histogram, error) {
 		GrainSplit:   split,
 		SplitBonded:  true,
 		MulticastOpt: true,
-		DisableLB:    true, // the paper measured grainsizes pre-balancing
+		LB:           ldb.NoOp{}, // the paper measured grainsizes pre-balancing
 		MeasureSteps: 2,
 		CollectTrace: true,
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"gonamd/internal/ldb"
 	"gonamd/internal/machine"
 	"gonamd/internal/molgen"
 	"gonamd/internal/spatial"
@@ -222,7 +223,7 @@ func TestAtMostSevenProxiesAfterStaticPlacement(t *testing.T) {
 	np := w.Grid.NumPatches()
 	sim, err := NewSim(w, Config{
 		PEs: np, Model: m, GrainSplit: true, SplitBonded: true, MulticastOpt: true,
-		DisableLB: true,
+		LB: ldb.NoOp{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +241,7 @@ func TestAtMostSevenProxiesAfterStaticPlacement(t *testing.T) {
 
 func TestLoadBalancingImproves(t *testing.T) {
 	pes := 16
-	static := runSim(t, Config{PEs: pes, GrainSplit: true, SplitBonded: true, MulticastOpt: true, DisableLB: true})
+	static := runSim(t, Config{PEs: pes, GrainSplit: true, SplitBonded: true, MulticastOpt: true, LB: ldb.NoOp{}})
 	balanced := runSim(t, Config{PEs: pes, GrainSplit: true, SplitBonded: true, MulticastOpt: true})
 	if balanced.AvgStep >= static.AvgStep {
 		t.Errorf("LB did not improve: static %.4f vs balanced %.4f", static.AvgStep, balanced.AvgStep)
@@ -304,7 +305,7 @@ func TestEveryComputeRunsEveryStep(t *testing.T) {
 	w, m := testWorkload(t)
 	sim, err := NewSim(w, Config{
 		PEs: 4, Model: m, GrainSplit: false, SplitBonded: true,
-		MulticastOpt: true, DisableLB: true, MeasureSteps: 3, CollectTrace: true,
+		MulticastOpt: true, LB: ldb.NoOp{}, MeasureSteps: 3, CollectTrace: true,
 	})
 	if err != nil {
 		t.Fatal(err)

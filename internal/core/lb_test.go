@@ -7,78 +7,6 @@ import (
 	"gonamd/internal/ldb"
 )
 
-// TestLegacyLBConfigEquivalence pins the deprecated-boolean shim: every
-// legacy configuration must map onto the strategy registry bit-
-// identically — same step durations, message counts, bytes, LB stats,
-// and measurement window.
-func TestLegacyLBConfigEquivalence(t *testing.T) {
-	base := Config{PEs: 8, GrainSplit: true, SplitBonded: true, MulticastOpt: true}
-	cases := []struct {
-		name   string
-		legacy func(*Config)
-		reg    string
-	}{
-		{"default", func(c *Config) {}, "greedy+refine"},
-		{"disable", func(c *Config) { c.DisableLB = true }, "none"},
-		{"diffusion", func(c *Config) { c.DiffusionLB = true }, "diffusion"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			legacyCfg := base
-			tc.legacy(&legacyCfg)
-			old := runSim(t, legacyCfg)
-
-			strat, err := ldb.Lookup(tc.reg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			newCfg := base
-			newCfg.LB = strat
-			nw := runSim(t, newCfg)
-
-			if !reflect.DeepEqual(old.StepDurations, nw.StepDurations) {
-				t.Errorf("step durations differ:\nlegacy  %v\nregistry %v", old.StepDurations, nw.StepDurations)
-			}
-			if old.TotalMsgs != nw.TotalMsgs || old.TotalBytes != nw.TotalBytes {
-				t.Errorf("traffic differs: legacy %d msgs/%d B, registry %d msgs/%d B",
-					old.TotalMsgs, old.TotalBytes, nw.TotalMsgs, nw.TotalBytes)
-			}
-			if !reflect.DeepEqual(old.LBStats, nw.LBStats) {
-				t.Errorf("LB stats differ:\nlegacy  %+v\nregistry %+v", old.LBStats, nw.LBStats)
-			}
-			if old.MeasureT0 != nw.MeasureT0 || old.MeasureT1 != nw.MeasureT1 {
-				t.Errorf("measure window differs: legacy [%v,%v], registry [%v,%v]",
-					old.MeasureT0, old.MeasureT1, nw.MeasureT0, nw.MeasureT1)
-			}
-		})
-	}
-}
-
-// TestLegacyOverloadsFlowThroughShim: the deprecated overload floats must
-// reach the default strategy (different threshold → different mapping on
-// a problem this lumpy is likely, but at minimum the run must accept and
-// use them without error and stay deterministic).
-func TestLegacyOverloadsFlowThroughShim(t *testing.T) {
-	legacy := runSim(t, Config{PEs: 8, GrainSplit: true, SplitBonded: true, MulticastOpt: true,
-		GreedyOverload: 1.4, RefineOverload: 1.2})
-	reg := runSim(t, Config{PEs: 8, GrainSplit: true, SplitBonded: true, MulticastOpt: true,
-		LB: &ldb.GreedyRefine{GreedyOverload: 1.4, RefineOverload: 1.2}})
-	if !reflect.DeepEqual(legacy.StepDurations, reg.StepDurations) {
-		t.Errorf("explicit overloads not equivalent through the shim")
-	}
-}
-
-// TestLBConflictRejected: mixing the new field with the deprecated
-// booleans is a configuration error, reported at construction.
-func TestLBConflictRejected(t *testing.T) {
-	w, m := testWorkload(t)
-	_, err := NewSim(w, Config{PEs: 4, Model: m, MulticastOpt: true,
-		LB: ldb.NoOp{}, DisableLB: true})
-	if err == nil {
-		t.Fatal("Config.LB together with DisableLB accepted")
-	}
-}
-
 // TestHierarchicalStrategyRuns: the scalable strategy drives a full
 // simulation and, like every incremental strategy, never worsens max
 // load across its passes.

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"gonamd/internal/ldb"
 	"gonamd/internal/trace"
 )
 
@@ -49,7 +50,7 @@ func TestPMEMTSReducesPencilTraffic(t *testing.T) {
 	w, model := testWorkload(t)
 	run := func(mts int) *Result {
 		sim, err := NewSim(w, Config{
-			PEs: 4, Model: model, DisableLB: true,
+			PEs: 4, Model: model, LB: ldb.NoOp{},
 			PMEGrid: 32, PMEMTSPeriod: mts, PMEPencils: 2,
 		})
 		if err != nil {

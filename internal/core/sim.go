@@ -58,35 +58,12 @@ type Config struct {
 	RefineSteps  int
 	MeasureSteps int
 
-	// LB is the pluggable load-balancing strategy. Nil selects the
-	// default ldb.GreedyRefine (or the strategy implied by the deprecated
-	// boolean fields below). Use ldb.Lookup to resolve a registry name
+	// LB is the pluggable load-balancing strategy; nil selects the
+	// default ldb.GreedyRefine. Use ldb.Lookup to resolve a registry name
 	// ("greedy+refine", "refine-only", "hierarchical", "diffusion",
 	// "none"); ldb.NoOp skips balancing and the warm/refine epochs
-	// entirely, like the old DisableLB. Setting LB together with a
-	// deprecated boolean is a configuration error.
+	// entirely (static placement only).
 	LB ldb.Strategy
-
-	// DisableLB skips both balancing passes (static placement only).
-	//
-	// Deprecated: set LB to ldb.NoOp{} (registry name "none") instead.
-	DisableLB bool
-	// DiffusionLB replaces the centralized greedy+refine strategies with
-	// the distributed ring-diffusion strategy (for ablations comparing
-	// the paper's §2.2 centralized-vs-distributed discussion).
-	//
-	// Deprecated: set LB to &ldb.Diffusion{} (registry name "diffusion")
-	// instead.
-	DiffusionLB bool
-
-	// GreedyOverload and RefineOverload tune the default strategy's
-	// thresholds when LB is nil (0 = ldb default); ignored when LB is
-	// set — tune the strategy value itself instead.
-	//
-	// Deprecated: set LB to an &ldb.GreedyRefine{...} with explicit
-	// overloads instead.
-	GreedyOverload float64
-	RefineOverload float64
 
 	CollectTrace bool
 
@@ -141,27 +118,6 @@ func (c *Config) fillDefaults() {
 	if c.PMEGrid > 0 && c.PMEMTSPeriod == 0 {
 		c.PMEMTSPeriod = 4
 	}
-}
-
-// resolveLB maps the configuration onto one ldb.Strategy: the pluggable
-// LB field when set, otherwise the deprecated boolean shim (DisableLB →
-// "none", DiffusionLB → "diffusion", default → "greedy+refine" with the
-// legacy overload fields). The shim reproduces the pre-registry behavior
-// bit-identically and is pinned by TestLegacyLBConfigEquivalence.
-func (c *Config) resolveLB() (ldb.Strategy, error) {
-	if c.LB != nil {
-		if c.DisableLB || c.DiffusionLB {
-			return nil, fmt.Errorf("core: Config.LB set together with deprecated DisableLB/DiffusionLB booleans")
-		}
-		return c.LB, nil
-	}
-	switch {
-	case c.DisableLB:
-		return ldb.NoOp{}, nil
-	case c.DiffusionLB:
-		return &ldb.Diffusion{}, nil
-	}
-	return &ldb.GreedyRefine{GreedyOverload: c.GreedyOverload, RefineOverload: c.RefineOverload}, nil
 }
 
 // lbIsNone reports whether the strategy is the registry's "none": no
@@ -347,9 +303,9 @@ func NewSim(w *Workload, cfg Config) (*Sim, error) {
 		return nil, fmt.Errorf("core: PEs = %d", cfg.PEs)
 	}
 	cfg.fillDefaults()
-	lb, err := cfg.resolveLB()
-	if err != nil {
-		return nil, err
+	lb := cfg.LB
+	if lb == nil {
+		lb = &ldb.GreedyRefine{}
 	}
 	net := cfg.Model.Net
 	net.MulticastOptimized = cfg.MulticastOpt

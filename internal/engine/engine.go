@@ -54,23 +54,6 @@ const (
 	taskCellWalk          // reference mode: the whole list-free cell walk (seq.CellWalk)
 )
 
-// taskSet selects which tasks a force evaluation runs: everything, or
-// one half of a fast/slow force split (mts.go).
-type taskSet uint8
-
-const (
-	bondedTasks taskSet = 1 << iota
-	nonbondedTasks
-	allTasks = bondedTasks | nonbondedTasks
-)
-
-func (s taskSet) has(k taskKind) bool {
-	if k == taskBonded {
-		return s&bondedTasks != 0
-	}
-	return s&nonbondedTasks != 0
-}
-
 type task struct {
 	kind     taskKind
 	cell     int // cluster: owning cell
@@ -145,7 +128,6 @@ type Engine struct {
 	forces  []vec.V3 // reduced forces
 	wstates []wstate // per-worker accumulators with touched-set tracking
 	wenergy []seq.Energies
-	run     taskSet // the tasks the current evaluation runs
 
 	// Persistent worker pool of a multi-worker engine (a one-worker engine
 	// never starts it): spawning 2·workers goroutines per force evaluation
@@ -385,22 +367,10 @@ func (e *Engine) Rebalance() {
 	e.balances++
 }
 
-// ComputeForces evaluates all forces and returns energies (kinetic
-// included).
+// ComputeForces runs every task into the engine's force array and
+// returns the energies (kinetic included).
 func (e *Engine) ComputeForces() seq.Energies {
-	en := e.evaluate(allTasks)
-	e.cur = en
-	e.fresh = true
-	en.Kinetic = e.Kinetic()
-	return en
-}
-
-// evaluate runs the tasks in set into e.forces and returns their summed
-// energies. Anything short of allTasks leaves the cached forces stale.
-func (e *Engine) evaluate(set taskSet) seq.Energies {
-	e.run = set
-	e.fresh = false
-	if c := e.clb; c != nil && set&nonbondedTasks != 0 {
+	if c := e.clb; c != nil {
 		// The list rebuilds only when it went stale, and in the driver, so a
 		// rebuild step evaluates exactly the list a replay step would (bitwise
 		// rebuild-vs-replay).
@@ -440,6 +410,9 @@ func (e *Engine) evaluate(set taskSet) seq.Energies {
 		en.Elec += e.wenergy[w].Elec
 		en.Virial += e.wenergy[w].Virial
 	}
+	e.cur = en
+	e.fresh = true
+	en.Kinetic = e.Kinetic()
 	return en
 }
 
@@ -520,7 +493,7 @@ func (e *Engine) computeWorker(w int) {
 	var nbT, bT float64
 	for ti := range e.tasks {
 		t := &e.tasks[ti]
-		if e.assign[ti] != w || !e.run.has(t.kind) {
+		if e.assign[ti] != w {
 			continue
 		}
 		start := time.Now()
@@ -546,7 +519,7 @@ func (e *Engine) computeWorker(w int) {
 			t.measured = 0.7*t.measured + 0.3*dt
 		}
 	}
-	if e.clb != nil && e.run&nonbondedTasks != 0 {
+	if e.clb != nil {
 		e.flushClusterForces(ws)
 	}
 	ws.nbT, ws.bT = nbT, bT

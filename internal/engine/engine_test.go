@@ -590,80 +590,6 @@ func TestClusterListStaysCorrectAcrossTrajectory(t *testing.T) {
 	}
 }
 
-func TestMTSEnergyConservation(t *testing.T) {
-	spec := molgen.WaterBox(15, 18)
-	sys, st, err := molgen.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ff := forcefield.Standard(6.5)
-	eng := refEngine(t, sys, ff, st)
-	eng.Minimize(150, 0.2)
-	mts := NewMTS(eng)
-	mts.Step(0.5, 2) // prime the split force evaluations
-	e0 := mts.Energies().Total()
-	var maxDrift float64
-	for s := 0; s < 60; s++ {
-		mts.Step(0.5, 2) // 1 fs outer, 0.5 fs inner
-		if d := math.Abs(mts.Energies().Total() - e0); d > maxDrift {
-			maxDrift = d
-		}
-	}
-	ke := eng.Kinetic()
-	if ke == 0 {
-		t.Fatal("no kinetic energy")
-	}
-	if maxDrift > 0.08*ke {
-		t.Errorf("MTS energy drift %.3f kcal/mol (KE %.3f)", maxDrift, ke)
-	}
-	// The point of MTS: 60 outer steps = 60+1 slow evaluations for 120
-	// inner steps of dynamics (half of plain Verlet's 120).
-	if mts.SlowEvals > 62 {
-		t.Errorf("slow evaluations = %d for 60 outer steps", mts.SlowEvals)
-	}
-}
-
-func TestMTSMatchesVerletAtK1(t *testing.T) {
-	// With split factor 1 the impulse scheme is ordinary velocity Verlet
-	// (forces split but applied at the same points).
-	spec := molgen.WaterBox(12, 27)
-	sys, st, err := molgen.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ff := forcefield.Standard(5.5)
-	ref := refEngine(t, sys, ff, st.Clone())
-	ref.Minimize(80, 0.2)
-
-	mtsSt := st.Clone()
-	refEng := refEngine(t, sys, ff, mtsSt)
-	refEng.Minimize(80, 0.2)
-
-	mts := NewMTS(refEng)
-	for s := 0; s < 10; s++ {
-		ref.Step(0.5)
-		mts.Step(0.5, 1)
-	}
-	for i := range mtsSt.Pos {
-		d := vec.MinImage(ref.St.Pos[i], mtsSt.Pos[i], sys.Box).Norm()
-		if d > 1e-9 {
-			t.Fatalf("k=1 MTS diverged from Verlet by %.2e Å at atom %d", d, i)
-		}
-	}
-}
-
-func TestMTSValidation(t *testing.T) {
-	sys, st, ff := smallSystem(t)
-	eng := refEngine(t, sys, ff, st)
-	mts := NewMTS(eng)
-	defer func() {
-		if recover() == nil {
-			t.Error("k=0 did not panic")
-		}
-	}()
-	mts.Step(0.5, 0)
-}
-
 func TestEnergyTranslationInvariance(t *testing.T) {
 	// Periodic boundary conditions: translating every atom by the same
 	// vector must not change any energy component.
@@ -737,36 +663,6 @@ func TestPressureFinite(t *testing.T) {
 	// range (|P| < ~20 katm for condensed water-like systems).
 	if math.Abs(p) > 2e4 {
 		t.Errorf("pressure %v atm implausible", p)
-	}
-}
-
-// TestMTSTwoWorkersMatchOne: the fast/slow split runs on the shared
-// compute phase, so it holds at any worker count — two workers follow
-// the one-worker trajectory within summation-order tolerance, and each
-// half reaches the workers' reduction (a half that skipped it would
-// leave the other half's forces in place and diverge at once).
-func TestMTSTwoWorkersMatchOne(t *testing.T) {
-	sys, st, err := molgen.Build(molgen.WaterBox(12, 27))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ff := forcefield.Standard(5.5)
-	refEngine(t, sys, ff, st).Minimize(80, 0.2)
-
-	oneSt, twoSt := st.Clone(), st.Clone()
-	one := NewMTS(clusterEngine(t, sys, ff, oneSt, 1))
-	two := NewMTS(clusterEngine(t, sys, ff, twoSt, 2))
-	for s := 0; s < 10; s++ {
-		one.Step(0.5, 2)
-		two.Step(0.5, 2)
-	}
-	for i := range oneSt.Pos {
-		if d := vec.MinImage(oneSt.Pos[i], twoSt.Pos[i], sys.Box).Norm(); d > 1e-9 {
-			t.Fatalf("two-worker MTS diverged from one worker by %.2e Å at atom %d", d, i)
-		}
-	}
-	if a, b := one.Energies().Potential(), two.Energies().Potential(); math.Abs(a-b) > 1e-8*(1+math.Abs(a)) {
-		t.Errorf("MTS potential: one worker %v, two workers %v", a, b)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -236,39 +237,59 @@ func TestOpenFileAppendsAcrossSessions(t *testing.T) {
 	}
 }
 
+// TestJSONLRoundTrip: ReadAny decodes the NDJSON metrics stream gonamdd
+// serves, built here byte for byte the way the server's metrics handler
+// writes it — MarshalSchema's header line, then one AppendSampleJSON
+// object per line into a reused buffer — with non-finite values in
+// several fields, and recovers every value bit-exactly.
 func TestJSONLRoundTrip(t *testing.T) {
 	schema := EngineSchema()
-	samples := []Sample{
-		{UnixNanos: 1000, Values: make([]float64, schema.NumFields())},
-		{UnixNanos: 2000, Values: make([]float64, schema.NumFields())},
+	samples := make([]Sample, 3)
+	for i := range samples {
+		samples[i] = Sample{UnixNanos: int64(1000 * (i + 1)), Values: make([]float64, schema.NumFields())}
+		for f := range samples[i].Values {
+			samples[i].Values[f] = float64(i*schema.NumFields()+f) / 7
+		}
 	}
 	samples[0].Values[FieldSteps] = 10
 	samples[0].Values[FieldImbalance] = math.NaN()
 	samples[1].Values[FieldSteps] = 20
 	samples[1].Values[FieldStepsPerSec] = math.Inf(1)
 	samples[1].Values[FieldImbalance] = math.Inf(-1)
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, schema, samples); err != nil {
-		t.Fatal(err)
-	}
-	gotSchema, got, err := ReadAny(bytes.NewReader(buf.Bytes()))
+	samples[2].Values[FieldStepsPerSec] = math.NaN()
+	samples[2].Values[FieldImbalance] = math.Copysign(0, -1)
+
+	hdr, err := MarshalSchema(schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotSchema.NumFields() != schema.NumFields() {
-		t.Fatalf("schema fields %d, want %d", gotSchema.NumFields(), schema.NumFields())
+	stream := append(hdr, '\n')
+	var buf []byte
+	for _, smp := range samples {
+		buf = AppendSampleJSON(buf[:0], schema, smp)
+		buf = append(buf, '\n')
+		stream = append(stream, buf...)
 	}
-	if len(got) != 2 {
-		t.Fatalf("%d samples, want 2", len(got))
+
+	gotSchema, got, err := ReadAny(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got[0].UnixNanos != 1000 || got[0].Values[FieldSteps] != 10 {
-		t.Fatalf("sample 0 = %+v", got[0])
+	if !reflect.DeepEqual(gotSchema, schema) {
+		t.Fatalf("schema %+v, want %+v", gotSchema, schema)
 	}
-	if !math.IsNaN(got[0].Values[FieldImbalance]) {
-		t.Fatal("NaN lost in JSONL round trip")
+	if len(got) != len(samples) {
+		t.Fatalf("%d samples, want %d", len(got), len(samples))
 	}
-	if !math.IsInf(got[1].Values[FieldStepsPerSec], 1) || !math.IsInf(got[1].Values[FieldImbalance], -1) {
-		t.Fatal("Inf lost in JSONL round trip")
+	for i := range got {
+		if got[i].UnixNanos != samples[i].UnixNanos {
+			t.Errorf("sample %d at %d ns, want %d", i, got[i].UnixNanos, samples[i].UnixNanos)
+		}
+		for f, v := range got[i].Values {
+			if !sameBits(v, samples[i].Values[f]) {
+				t.Errorf("sample %d field %s = %v, want %v", i, schema.Fields[f].Name, v, samples[i].Values[f])
+			}
+		}
 	}
 }
 

@@ -57,24 +57,6 @@ func appendJSONValue(buf []byte, v float64) []byte {
 	}
 }
 
-// WriteJSONL writes the schema line and all samples as JSONL.
-func WriteJSONL(w io.Writer, schema Schema, samples []Sample) error {
-	bw := bufio.NewWriter(w)
-	hdr, err := MarshalSchema(schema)
-	if err != nil {
-		return err
-	}
-	bw.Write(hdr)
-	bw.WriteByte('\n')
-	var buf []byte
-	for _, s := range samples {
-		buf = AppendSampleJSON(buf[:0], schema, s)
-		bw.Write(buf)
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
-}
-
 // ReadJSONL parses a JSONL metrics stream (schema line + sample lines).
 func ReadJSONL(r io.Reader) (Schema, []Sample, error) {
 	sc := bufio.NewScanner(r)

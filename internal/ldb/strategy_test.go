@@ -42,8 +42,7 @@ func containsStr(haystack, needle string) bool {
 }
 
 // TestGreedyRefineMatchesManualStages pins the composite against running
-// its stages by hand — the equivalence the core.Config compatibility shim
-// relies on.
+// its stages by hand.
 func TestGreedyRefineMatchesManualStages(t *testing.T) {
 	p := randomProblem(11, 16, 64, 400)
 	got := (&GreedyRefine{}).Map(p, 0)

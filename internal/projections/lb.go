@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"gonamd/internal/ldb"
-	"gonamd/internal/trace"
 )
 
 // LBReport renders the load-balance passes of a run as a before/after
@@ -32,87 +31,6 @@ func LBReport(passes []ldb.Stats) string {
 	if first.Imbalance > 0 {
 		fmt.Fprintf(&b, "imbalance %.6fs -> %.6fs (%.1f%% of the first pass remains)\n",
 			first.Imbalance, last.Imbalance, 100*last.Imbalance/first.Imbalance)
-	}
-	return b.String()
-}
-
-// WindowImbalance splits the log's [t0, t1) span into nwin windows and
-// reports per-window busy-time imbalance (max PE busy minus average) —
-// the trace-only way to see load balance improving over a run, e.g.
-// across the cluster simulation's warm / balanced / refined phases.
-type WindowStat struct {
-	T0        float64 `json:"t0_seconds"`
-	T1        float64 `json:"t1_seconds"`
-	MaxBusy   float64 `json:"max_busy_seconds"`
-	AvgBusy   float64 `json:"avg_busy_seconds"`
-	Imbalance float64 `json:"imbalance_seconds"`
-}
-
-// WindowImbalance computes per-window imbalance over npe processors.
-func WindowImbalance(l *trace.Log, npe, nwin int, t0, t1 float64) []WindowStat {
-	if nwin <= 0 || npe <= 0 || t1 <= t0 {
-		return nil
-	}
-	width := (t1 - t0) / float64(nwin)
-	busy := make([][]float64, nwin)
-	for i := range busy {
-		busy[i] = make([]float64, npe)
-	}
-	for _, r := range l.Records {
-		if int(r.PE) < 0 || int(r.PE) >= npe || r.End <= t0 || r.Start >= t1 {
-			continue
-		}
-		s, e := r.Start, r.End
-		if s < t0 {
-			s = t0
-		}
-		if e > t1 {
-			e = t1
-		}
-		b0 := int((s - t0) / width)
-		b1 := int((e - t0) / width)
-		if b1 >= nwin {
-			b1 = nwin - 1
-		}
-		for w := b0; w <= b1; w++ {
-			ws, we := t0+float64(w)*width, t0+float64(w+1)*width
-			lo, hi := s, e
-			if lo < ws {
-				lo = ws
-			}
-			if hi > we {
-				hi = we
-			}
-			if hi > lo {
-				busy[w][r.PE] += hi - lo
-			}
-		}
-	}
-	out := make([]WindowStat, nwin)
-	for w := range out {
-		st := WindowStat{T0: t0 + float64(w)*width, T1: t0 + float64(w+1)*width}
-		total := 0.0
-		for _, bt := range busy[w] {
-			total += bt
-			if bt > st.MaxBusy {
-				st.MaxBusy = bt
-			}
-		}
-		st.AvgBusy = total / float64(npe)
-		st.Imbalance = st.MaxBusy - st.AvgBusy
-		out[w] = st
-	}
-	return out
-}
-
-// WindowImbalanceText renders WindowImbalance as a table.
-func WindowImbalanceText(stats []WindowStat) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %12s %12s %12s %12s\n",
-		"window", "t0 s", "max busy s", "avg busy s", "imbalance s")
-	for i, st := range stats {
-		fmt.Fprintf(&b, "%-8d %12.6f %12.6f %12.6f %12.6f\n",
-			i, st.T0, st.MaxBusy, st.AvgBusy, st.Imbalance)
 	}
 	return b.String()
 }

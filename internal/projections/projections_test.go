@@ -201,38 +201,3 @@ func TestEmptyLog(t *testing.T) {
 		t.Error("empty report renders nothing")
 	}
 }
-
-func TestWindowImbalance(t *testing.T) {
-	l := testLog()
-	stats := WindowImbalance(l, 2, 2, 0, 1.25)
-	if len(stats) != 2 {
-		t.Fatalf("got %d windows, want 2", len(stats))
-	}
-	for i, st := range stats {
-		if st.MaxBusy < st.AvgBusy {
-			t.Errorf("window %d: max busy %g < avg %g", i, st.MaxBusy, st.AvgBusy)
-		}
-		if math.Abs(st.Imbalance-(st.MaxBusy-st.AvgBusy)) > 1e-15 {
-			t.Errorf("window %d: imbalance %g != max-avg", i, st.Imbalance)
-		}
-	}
-	// Total windowed busy across PEs equals clipped record busy: all
-	// records lie inside [0, 1.25), so it matches the report's busy sum
-	// minus the residual (windows clip to record wall time, which for
-	// these records equals span time except the reduce record, whose
-	// full 0.1s wall time is counted).
-	total := 0.0
-	for _, st := range stats {
-		total += st.AvgBusy * 2
-	}
-	want := 0.0
-	for _, r := range l.Records {
-		want += r.Dur()
-	}
-	if math.Abs(total-want) > 1e-9 {
-		t.Errorf("windowed busy %.17g != record wall sum %.17g", total, want)
-	}
-	if WindowImbalanceText(stats) == "" {
-		t.Error("WindowImbalanceText rendered nothing")
-	}
-}

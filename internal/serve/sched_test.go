@@ -38,7 +38,10 @@ func newTestScheduler(t *testing.T, cfg Config) *Scheduler {
 // waitFor polls until cond is true or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
+	// Generous: under -race on a shared two-core host one of
+	// TestClusterJobsCrashRestartResume's 4000-step jobs takes about a
+	// minute after the restart, and a met condition returns at once.
+	deadline := time.Now().Add(3 * time.Minute)
 	for time.Now().Before(deadline) {
 		if cond() {
 			return

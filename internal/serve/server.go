@@ -70,10 +70,8 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 }
 
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInlineSize*2))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxInlineSize*2))
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
 		return
 	}

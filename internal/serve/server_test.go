@@ -440,9 +440,9 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 // bond indexes past its atoms used to panic the exclusion builder on the
 // scheduler's slice goroutine and take the whole server down; an atom
 // type past the force field's table, or a non-finite coordinate, panicked
-// the kernels or the cell binning the same way. Each must end its own
-// job failed, naming the defect, while the server keeps serving the next
-// job.
+// the kernels or the cell binning the same way, and a NaN charge ran and
+// streamed NaN energies. Each must end its own job failed, naming the
+// defect, while the server keeps serving the next job.
 func TestServerSurvivesMalformedInlineTopology(t *testing.T) {
 	sched, err := NewScheduler(Config{StateDir: t.TempDir(), Workers: 1})
 	if err != nil {
@@ -459,6 +459,7 @@ func TestServerSurvivesMalformedInlineTopology(t *testing.T) {
 		{func(sys *gonamd.System, _ *gonamd.State) { sys.Bonds[0].I = 1 << 20 }, "bond 0 index out of range"},
 		{func(sys *gonamd.System, _ *gonamd.State) { sys.Atoms[0].Type = 1000 }, "atom 0 has type 1000"},
 		{func(_ *gonamd.System, st *gonamd.State) { st.Pos[0].X = math.NaN() }, "atom 0 position"},
+		{func(sys *gonamd.System, _ *gonamd.State) { sys.Atoms[1].Charge = math.NaN() }, "atom 1 has non-finite charge"},
 	} {
 		sys, st, err := gonamd.BuildSystem(gonamd.WaterBoxSpec(10, 7))
 		if err != nil {

@@ -12,7 +12,9 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 
 	"gonamd"
 	"gonamd/internal/engine"
@@ -97,6 +99,16 @@ type EnsembleSpec struct {
 	Workers       int    `json:"workers,omitempty"`
 	EngineWorkers int    `json:"engine_workers,omitempty"`
 	Seed          uint64 `json:"seed,omitempty"`
+}
+
+// decodeSpec decodes one job spec strictly: a field this server does not
+// know is an error naming it, never silently dropped.
+func decodeSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
 }
 
 // normalize validates the spec and fills defaults in place, so the
@@ -233,6 +245,9 @@ func (sp *SystemSpec) validate() error {
 		}
 		return nil
 	}
+	// `"inline": ""` decodes to an empty, non-nil blob that the persisted
+	// spec (omitempty) reads back as nil.
+	sp.Inline = nil
 	switch sp.Preset {
 	case "water":
 		if sp.Side == 0 {

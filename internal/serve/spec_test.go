@@ -1,13 +1,17 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"gonamd"
+	"gonamd/internal/sysio"
 )
 
 // TestLBStrategyAdmission: job specs naming a load-balancing strategy
@@ -104,4 +108,67 @@ func TestJobMinimizerMatchesOracle(t *testing.T) {
 			})
 		}
 	}
+}
+
+// FuzzJobSpec holds the job-spec decoder to the contract of the other
+// decoders that read user bytes: arbitrary input, decoded strictly as
+// Server.submit decodes it and then normalized, errors cleanly and never
+// panics. A spec normalize accepts is persisted with json.Marshal and
+// re-read on rescan by the same strict decode and normalize, so it must
+// come back reflect.DeepEqual — otherwise a restarted server would run
+// another job than the one it admitted.
+func FuzzJobSpec(f *testing.F) {
+	var blob bytes.Buffer
+	sys, st, err := gonamd.BuildSystem(gonamd.WaterBoxSpec(6, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := sysio.Save(&blob, sys, st); err != nil {
+		f.Fatal(err)
+	}
+	inline, err := json.Marshal(JobSpec{System: SystemSpec{Inline: blob.Bytes(), Cutoff: 4}, Steps: 5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(inline)
+	for _, s := range []string{
+		`{"name":"w1","system":{"preset":"water","side":16,"seed":3,"cutoff":6},
+		  "engine":{"engine":"seq","thermostat":{"kind":"langevin","temperature":310,"gamma":0.005,"seed":5}},
+		  "steps":2000000,"dt":0.5,"frame_every":200,"energy_every":500,"checkpoint_every":100,"minimize":40}`,
+		`{"system":{"preset":"water","side":12},"engine":{"engine":"par","workers":2,"lb_strategy":"hierarchical",
+		  "rebalance_every":5,"pme":{"grid_spacing":1,"mts_period":2}},"steps":200,"trace":true}`,
+		`{"system":{"preset":"water"},"engine":{"cluster_m":4,"cluster_n":8,"hbond_constraints":true},"steps":1,"energy_every":-1}`,
+		`{"system":{"preset":"water"},"ensemble":{"replicas":4,"tmin":300,"tmax":330,"exchange_every":25},"steps":200}`,
+		`{"system":{"preset":"br"},"ensemble":{"temperatures":[300,310,320],"workers":2,"engine_workers":3},"steps":9,"priority":-2}`,
+		`{"system":{"preset":"water","inline":""},"steps":1}`,
+		`{"system":{"preset":"water"},"engine":{"tabulated":true},"steps":1}`,
+		`{"system":{},"steps":0}`,
+		`{}`,
+		`[`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := decodeSpec(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := spec.normalize(100); err != nil {
+			return
+		}
+		persisted, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("accepted spec does not marshal: %v", err)
+		}
+		back, err := decodeSpec(bytes.NewReader(persisted))
+		if err != nil {
+			t.Fatalf("persisted spec does not decode strictly: %v\n%s", err, persisted)
+		}
+		if err := back.normalize(100); err != nil {
+			t.Fatalf("persisted spec no longer normalizes: %v\n%s", err, persisted)
+		}
+		if !reflect.DeepEqual(spec, back) {
+			t.Fatalf("spec changed through persistence:\nadmitted %+v\nrescanned %+v", spec, back)
+		}
+	})
 }

@@ -127,9 +127,7 @@ func (s *Scheduler) recoverJob(id string) (*Job, error) {
 	// that no longer exist. Dropping them would run the job in another
 	// mode than it was submitted for; fail it naming the field, as the
 	// HTTP submission would.
-	strict := json.NewDecoder(bytes.NewReader(specJSON))
-	strict.DisallowUnknownFields()
-	if err := strict.Decode(new(JobSpec)); err != nil {
+	if _, err := decodeSpec(bytes.NewReader(specJSON)); err != nil {
 		j.finalizeExternal(StateFailed, fmt.Sprintf("cannot resume: spec of record: %v", err))
 		return j, nil
 	}

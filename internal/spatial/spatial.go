@@ -2,7 +2,7 @@
 // the periodic box is divided into a grid of cubes ("patches") whose
 // dimensions are slightly larger than the nonbonded cutoff radius, so
 // atoms in one cube interact only with the 26 neighboring cubes. It also
-// provides the upstream-neighbor rule used to place bonded computes, the
+// provides the base-patch rule (BaseOf) used to place bonded computes, the
 // neighbor-pair enumeration used to create nonbonded pair computes, and
 // recursive coordinate bisection for initial patch placement.
 package spatial
@@ -136,34 +136,6 @@ func (g *Grid) Neighbors(id int) []int {
 	return out
 }
 
-// UpstreamNeighbors returns the ids of the at most 7 distinct neighbors
-// of patch id at equal-or-greater coordinates along all three axes
-// (offsets in {0,1}³ except the zero offset), under periodic wrap. The
-// paper places multi-patch bonded computes on the patch that is the
-// coordinate-wise minimum of its constituent atoms' patches; that patch's
-// required remote data is exactly this upstream set.
-func (g *Grid) UpstreamNeighbors(id int) []int {
-	ix, iy, iz := g.Coords(id)
-	seen := map[int]bool{id: true}
-	var out []int
-	for dz := 0; dz <= 1; dz++ {
-		for dy := 0; dy <= 1; dy++ {
-			for dx := 0; dx <= 1; dx++ {
-				if dx == 0 && dy == 0 && dz == 0 {
-					continue
-				}
-				n := g.Index(mod(ix+dx, g.Dim[0]), mod(iy+dy, g.Dim[1]), mod(iz+dz, g.Dim[2]))
-				if !seen[n] {
-					seen[n] = true
-					out = append(out, n)
-				}
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // NeighborPairs enumerates every unordered pair of adjacent patches
 // exactly once. Each pair receives one nonbonded pair-compute object
 // (the paper's force decomposition: ~13 pair objects per patch plus one
@@ -192,52 +164,6 @@ func (g *Grid) NeighborPairs() [][2]int {
 		return out[i][1] < out[j][1]
 	})
 	return out
-}
-
-// PairProximity classifies how two adjacent patches touch: 1 = share a
-// face, 2 = share an edge, 3 = share only a corner. The paper observes
-// that face pairs carry far more interacting atom pairs than corner
-// pairs (the bimodal grainsize distribution of Figure 1).
-func (g *Grid) PairProximity(a, b int) int {
-	ax, ay, az := g.Coords(a)
-	bx, by, bz := g.Coords(b)
-	d := 0
-	if wrapDelta(ax, bx, g.Dim[0]) != 0 {
-		d++
-	}
-	if wrapDelta(ay, by, g.Dim[1]) != 0 {
-		d++
-	}
-	if wrapDelta(az, bz, g.Dim[2]) != 0 {
-		d++
-	}
-	return d
-}
-
-// MinPatch returns the patch that is the coordinate-wise minimum of the
-// given patches' coordinates (the paper's rule for assigning bonded
-// terms: computed by the object whose base patch coordinates equal the
-// minimum of the constituent atoms' patch coordinates along each axis).
-// Coordinates are compared in the unwrapped grid; with periodic wrap the
-// rule is applied to raw coordinates, which keeps the assignment unique.
-func (g *Grid) MinPatch(ids []int) int {
-	if len(ids) == 0 {
-		panic("spatial: MinPatch of empty set")
-	}
-	mx, my, mz := g.Coords(ids[0])
-	for _, id := range ids[1:] {
-		x, y, z := g.Coords(id)
-		if x < mx {
-			mx = x
-		}
-		if y < my {
-			my = y
-		}
-		if z < mz {
-			mz = z
-		}
-	}
-	return g.Index(mx, my, mz)
 }
 
 // BaseOf returns the base patch of a set of mutually-neighboring patches

@@ -99,30 +99,6 @@ func TestNeighborsSmallGridDedup(t *testing.T) {
 	}
 }
 
-func TestUpstreamNeighbors(t *testing.T) {
-	g, _ := NewGrid(vec.New(84, 84, 60), 12.0)
-	up := g.UpstreamNeighbors(g.Index(3, 3, 2))
-	if len(up) != 7 {
-		t.Errorf("upstream count = %d, want 7", len(up))
-	}
-	want := map[int]bool{}
-	for dz := 0; dz <= 1; dz++ {
-		for dy := 0; dy <= 1; dy++ {
-			for dx := 0; dx <= 1; dx++ {
-				if dx+dy+dz == 0 {
-					continue
-				}
-				want[g.Index(3+dx, 3+dy, 2+dz)] = true
-			}
-		}
-	}
-	for _, u := range up {
-		if !want[u] {
-			t.Errorf("unexpected upstream neighbor %d", u)
-		}
-	}
-}
-
 func TestNeighborPairsCount(t *testing.T) {
 	// For a periodic grid with all dims ≥ 3, each patch pairs with 26
 	// neighbors; each pair counted once → 13 × npatches pairs. Combined
@@ -143,36 +119,6 @@ func TestNeighborPairsCount(t *testing.T) {
 			t.Fatalf("pair %v duplicated", pr)
 		}
 		seen[pr] = true
-	}
-}
-
-func TestPairProximity(t *testing.T) {
-	g, _ := NewGrid(vec.New(84, 84, 60), 12.0)
-	a := g.Index(2, 2, 2)
-	if got := g.PairProximity(a, g.Index(3, 2, 2)); got != 1 {
-		t.Errorf("face proximity = %d, want 1", got)
-	}
-	if got := g.PairProximity(a, g.Index(3, 3, 2)); got != 2 {
-		t.Errorf("edge proximity = %d, want 2", got)
-	}
-	if got := g.PairProximity(a, g.Index(3, 3, 3)); got != 3 {
-		t.Errorf("corner proximity = %d, want 3", got)
-	}
-	// Through the periodic boundary.
-	if got := g.PairProximity(g.Index(0, 0, 0), g.Index(6, 0, 0)); got != 1 {
-		t.Errorf("wrapped face proximity = %d, want 1", got)
-	}
-}
-
-func TestMinPatch(t *testing.T) {
-	g, _ := NewGrid(vec.New(84, 84, 60), 12.0)
-	ids := []int{g.Index(3, 4, 2), g.Index(4, 3, 2), g.Index(4, 4, 1)}
-	want := g.Index(3, 3, 1)
-	if got := g.MinPatch(ids); got != want {
-		t.Errorf("MinPatch = %d, want %d", got, want)
-	}
-	if got := g.MinPatch([]int{5}); got != 5 {
-		t.Errorf("MinPatch single = %d, want 5", got)
 	}
 }
 

@@ -67,7 +67,8 @@ func TestSaveValidates(t *testing.T) {
 }
 
 // TestLoadRejectsMalformedSystems: a system file whose topology indexes
-// past its atoms, or whose box or coordinates are not finite — what a
+// past its atoms, or whose box, coordinates, charges or masses are not
+// finite — what a
 // hostile or damaged gonamdd inline topology carries — is an error
 // naming the defect, not a panic in the exclusion builder or, later, in
 // the engines' cell binning.
@@ -80,6 +81,9 @@ func TestLoadRejectsMalformedSystems(t *testing.T) {
 		{func(s *topology.System, _ *topology.State) { s.Angles[0].K = -1 }, "angle 0 index out of range"},
 		{func(s *topology.System, _ *topology.State) { s.Box.Y = math.Inf(1) }, "not finite and positive"},
 		{func(_ *topology.System, st *topology.State) { st.Vel[3].Z = math.NaN() }, "atom 3 position"},
+		{func(s *topology.System, _ *topology.State) { s.Atoms[2].Charge = math.NaN() }, "atom 2 has non-finite charge"},
+		{func(s *topology.System, _ *topology.State) { s.Atoms[5].Charge = math.Inf(-1) }, "atom 5 has non-finite charge"},
+		{func(s *topology.System, _ *topology.State) { s.Atoms[4].Mass = math.Inf(1) }, "atom 4 has mass +Inf"},
 	} {
 		sys, st, err := molgen.Build(molgen.WaterBox(10, 1))
 		if err != nil {

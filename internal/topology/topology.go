@@ -240,8 +240,8 @@ func containsSorted(xs []int32, v int32) bool {
 }
 
 // Validate checks structural invariants: all indices in range, no
-// self-bonds, positive masses, a positive box. It returns the first
-// problem found, or nil.
+// self-bonds, finite positive masses, finite charges, a finite positive
+// box. It returns the first problem found, or nil.
 func (s *System) Validate() error {
 	n := int32(s.N())
 	finitePos := func(x float64) bool { return x > 0 && x <= math.MaxFloat64 } // false for NaN
@@ -249,8 +249,11 @@ func (s *System) Validate() error {
 		return fmt.Errorf("topology: box %v is not finite and positive", s.Box)
 	}
 	for i, a := range s.Atoms {
-		if !(a.Mass > 0) {
-			return fmt.Errorf("topology: atom %d has non-positive mass %g", i, a.Mass)
+		if !finitePos(a.Mass) {
+			return fmt.Errorf("topology: atom %d has mass %g; want finite and positive", i, a.Mass)
+		}
+		if math.IsNaN(a.Charge) || math.IsInf(a.Charge, 0) {
+			return fmt.Errorf("topology: atom %d has non-finite charge %g", i, a.Charge)
 		}
 	}
 	in := func(i int32) bool { return i >= 0 && i < n }

@@ -1,8 +1,7 @@
 // Package traj provides trajectory output and analysis for the MD
 // engines: a compact binary frame format (float32 coordinates, like the
-// DCD files NAMD writes), a text XYZ writer for visualization tools, and
-// standard analyses (radial distribution function, mean squared
-// displacement).
+// DCD files NAMD writes), and standard analyses (radial distribution
+// function, mean squared displacement).
 package traj
 
 import (
@@ -151,21 +150,6 @@ func (r *Reader) ReadAll() ([]*Frame, error) {
 		}
 		out = append(out, f)
 	}
-}
-
-// WriteXYZ writes one frame in XYZ text format. Element symbols come from
-// names (one per atom type index); missing entries render as "X".
-func WriteXYZ(w io.Writer, sys *topology.System, pos []vec.V3, names []string, comment string) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%d\n%s\n", len(pos), comment)
-	for i, p := range pos {
-		name := "X"
-		if t := int(sys.Atoms[i].Type); t < len(names) && names[t] != "" {
-			name = names[t]
-		}
-		fmt.Fprintf(bw, "%-3s %12.5f %12.5f %12.5f\n", name, p.X, p.Y, p.Z)
-	}
-	return bw.Flush()
 }
 
 // RDF computes the radial distribution function g(r) between atoms

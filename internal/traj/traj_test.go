@@ -107,27 +107,6 @@ func TestTruncatedFrame(t *testing.T) {
 	}
 }
 
-func TestWriteXYZ(t *testing.T) {
-	sys, st, err := molgen.Build(molgen.WaterBox(10, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	names := make([]string, forcefield.NumTypes)
-	names[forcefield.TypeOW] = "O"
-	names[forcefield.TypeHW] = "H"
-	if err := WriteXYZ(&buf, sys, st.Pos, names, "frame 0"); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != sys.N()+2 {
-		t.Fatalf("XYZ lines = %d, want %d", len(lines), sys.N()+2)
-	}
-	if !strings.HasPrefix(lines[2], "O") {
-		t.Errorf("first atom line = %q, want oxygen", lines[2])
-	}
-}
-
 func TestRDFIdealGas(t *testing.T) {
 	// Uncorrelated uniform particles: g(r) ≈ 1 away from zero.
 	box := vec.New(20, 20, 20)

@@ -94,21 +94,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPerm(t *testing.T) {
-	r := New(5)
-	p := r.Perm(20)
-	if len(p) != 20 {
-		t.Fatalf("len(Perm(20)) = %d", len(p))
-	}
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("Perm produced invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRange(t *testing.T) {
 	r := New(9)
 	for i := 0; i < 1000; i++ {
@@ -116,30 +101,6 @@ func TestRange(t *testing.T) {
 		if v < -3 || v >= 5 {
 			t.Fatalf("Range(-3,5) = %v", v)
 		}
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	r := New(13)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	orig := append([]int(nil), xs...)
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 45 {
-		t.Errorf("shuffle changed multiset: %v", xs)
-	}
-	same := true
-	for i := range xs {
-		if xs[i] != orig[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("shuffle left 10 elements in original order (astronomically unlikely)")
 	}
 }
 

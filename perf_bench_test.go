@@ -60,11 +60,9 @@ func benchSteps(b *testing.B, eng gonamd.Engine) {
 }
 
 // One step benchmark per configuration that exists, each at the default
-// geometry (4×8) and skin. The names are new with the one-pipeline
-// change: BENCH_3–6.json carry the retired configurations' numbers under
-// the old names (BenchmarkStepPar = block lists, BenchmarkStepParCluster
-// = 8×8 lists on a 0.5 Å skin, ...), which must not be compared with
-// these.
+// geometry (4×8) and skin. They are profiling tools for the engine layer
+// (run one with -cpuprofile); the numbers a change claims come from the
+// repository benchmark's paired runs (benchmark/README.md).
 
 func benchPar(b *testing.B, opts ...gonamd.Option) *gonamd.Parallel {
 	sys, st, ff := benchSystem(b)
