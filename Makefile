@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race serve metrics chaos fuzz bench-all benchmark benchmark-compare benchmark-smoke table-accuracy profile scale ci
+.PHONY: all vet build test race serve metrics chaos fuzz bench-all benchmark benchmark-compare benchmark-smoke table-accuracy profile scale docs-check ci
 
 all: vet build test
 
@@ -69,7 +69,10 @@ chaos:
 # anything it accepts must re-encode bit-exactly. FuzzTraceJSON holds
 # the trace reader behind cmd/projections to the same contract: error
 # cleanly, never panic, and any log it accepts re-encodes through
-# WriteJSON to the same records. FuzzEnvelopeLoad and FuzzLoadJob hold
+# WriteJSON to the same records; FuzzAnalyzeReader drives the analyzer
+# behind it the same way and holds every accepted report to the trace
+# reader's 65,536-PE bound (an unbounded PE index once cost gigabytes).
+# FuzzEnvelopeLoad and FuzzLoadJob hold
 # the checkpoint envelope behind DES snapshots, CheckpointPath files and
 # gonamdd job checkpoints to the same contract, fed raw file bytes and
 # payloads re-framed behind a valid header and CRC so the gob decoder is
@@ -81,13 +84,14 @@ chaos:
 # job-spec decoder behind POST /jobs to it, with the accepted spec
 # persisted and re-read the way a restarted server rescans it. Part of
 # `ci` — list-building, table, and codec bugs corrupt data silently, so
-# all nine get adversarial inputs on every change; TestFuzzTargetsListed
+# all ten get adversarial inputs on every change; TestFuzzTargetsListed
 # fails when a Fuzz function in the tree is missing from this list.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzClusterPairs -fuzztime=20s ./internal/spatial
 	$(GO) test -run='^$$' -fuzz=FuzzInteractionTable -fuzztime=20s ./internal/forcefield
 	$(GO) test -run='^$$' -fuzz=FuzzFTDCDecode -fuzztime=20s ./internal/ftdc
 	$(GO) test -run='^$$' -fuzz=FuzzTraceJSON -fuzztime=20s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeReader -fuzztime=20s ./internal/projections
 	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeLoad -fuzztime=20s -fuzzminimizetime=2s ./internal/ckpt
 	$(GO) test -run='^$$' -fuzz=FuzzLoadJob -fuzztime=20s -fuzzminimizetime=2s ./internal/ckpt
 	$(GO) test -run='^$$' -fuzz=FuzzSystemLoad -fuzztime=20s -fuzzminimizetime=2s ./internal/sysio
@@ -152,4 +156,11 @@ scale:
 	$(GO) run ./cmd/benchtables -scale > docs/scaletables_output.txt
 	@echo "wrote docs/scaletables_output.txt"
 
-ci: vet build race fuzz benchmark-smoke
+# The checked-in paper tables and figures (docs/benchtables_output.txt:
+# Tables 1-6, Figures 1-4) must be what the code prints today. The run
+# (~60 s) writes its elapsed time to stderr, so stdout is byte-stable.
+docs-check:
+	@out=$$(mktemp) && $(GO) run ./cmd/benchtables > $$out && cmp $$out docs/benchtables_output.txt; \
+		st=$$?; rm -f $$out; exit $$st
+
+ci: vet build race fuzz benchmark-smoke docs-check

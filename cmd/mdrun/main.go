@@ -22,6 +22,7 @@ import (
 
 	"gonamd"
 	"gonamd/internal/ckpt"
+	"gonamd/internal/molgen"
 	"gonamd/internal/sysio"
 	"gonamd/internal/thermo"
 	"gonamd/internal/traj"
@@ -88,21 +89,10 @@ func main() {
 			log.Fatal(err)
 		}
 	} else {
-		var spec gonamd.Spec
-		switch *system {
-		case "water":
-			spec = gonamd.WaterBoxSpec(*side, *seed)
-		case "br":
-			spec = gonamd.BRSpec()
-		case "apoa1":
-			spec = gonamd.ApoA1Spec()
-		case "bc1":
-			spec = gonamd.BC1Spec()
-		default:
-			log.Fatalf("unknown system %q", *system)
+		spec, err := molgen.Preset(*system, *side, *seed)
+		if err == nil {
+			sys, st, err = gonamd.BuildSystem(spec)
 		}
-		var err error
-		sys, st, err = gonamd.BuildSystem(spec)
 		if err != nil {
 			log.Fatal(err)
 		}

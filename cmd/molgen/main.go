@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"gonamd"
+	"gonamd/internal/molgen"
 	"gonamd/internal/sysio"
 )
 
@@ -22,20 +23,10 @@ func main() {
 	out := flag.String("o", "", "save the built system to this file (load with mdrun -in)")
 	flag.Parse()
 
-	var spec gonamd.Spec
-	switch *system {
-	case "water":
-		spec = gonamd.WaterBoxSpec(*side, *seed)
-	case "br":
-		spec = gonamd.BRSpec()
-	case "apoa1":
-		spec = gonamd.ApoA1Spec()
-	case "bc1":
-		spec = gonamd.BC1Spec()
-	default:
-		log.Fatalf("unknown system %q", *system)
+	spec, err := molgen.Preset(*system, *side, *seed)
+	if err != nil {
+		log.Fatal(err)
 	}
-
 	sys, st, err := gonamd.BuildSystem(spec)
 	if err != nil {
 		log.Fatal(err)

@@ -102,7 +102,7 @@ func main() {
 		for i := range peList {
 			peList[i] = int32(i)
 		}
-		fmt.Print(tlog.Timeline(trace.TimelineOptions{
+		fmt.Print(projections.Timeline(tlog, projections.TimelineOptions{
 			PEs: peList, T0: rep.T0, T1: rep.T1, Width: *width,
 		}))
 	}

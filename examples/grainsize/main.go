@@ -9,6 +9,7 @@ import (
 
 	"gonamd"
 	"gonamd/internal/ldb"
+	"gonamd/internal/projections"
 	"gonamd/internal/trace"
 )
 
@@ -46,7 +47,7 @@ func main() {
 			log.Fatal(err)
 		}
 		res := sim.Run()
-		h := res.Trace.Histogram(0.2e-3, func(rec trace.ExecRecord) bool {
+		h := projections.DurationHistogram(res.Trace, 0.2e-3, func(rec trace.ExecRecord) bool {
 			for _, sp := range rec.Spans {
 				if sp.Cat == trace.CatNonbonded {
 					return true

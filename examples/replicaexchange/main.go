@@ -63,10 +63,7 @@ func main() {
 	// 4. The trace log covers the ensemble the way Projections covers a
 	// single run: per-replica step timing plus every exchange decision.
 	fmt.Println("\ntrace summary (top entries):")
-	for i, s := range tlog.SummaryByEntry() {
-		if i == 3 {
-			break
-		}
+	for _, s := range gonamd.AnalyzeTrace(tlog, gonamd.ProjectionsOptions{TopEntries: 3}).Entries {
 		fmt.Printf("  %-18s ×%-4d total %.3fs\n", s.Entry, s.Count, s.Total)
 	}
 

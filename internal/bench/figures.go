@@ -2,12 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"gonamd/internal/core"
 	"gonamd/internal/ldb"
 	"gonamd/internal/machine"
+	"gonamd/internal/projections"
 	"gonamd/internal/trace"
 )
 
@@ -27,7 +27,7 @@ func isNonbondedWork(rec trace.ExecRecord) bool {
 // in Figures 1 (split=false) and 2 (split=true). The distribution is a
 // property of the decomposition, not the processor count; 64 PEs keeps
 // the run quick while exercising remote communication.
-func GrainsizeHistogram(split bool) (*trace.Histogram, error) {
+func GrainsizeHistogram(split bool) (*projections.Histogram, error) {
 	w, err := ApoA1Workload()
 	if err != nil {
 		return nil, err
@@ -49,7 +49,7 @@ func GrainsizeHistogram(split bool) (*trace.Histogram, error) {
 	}
 	res := sim.Run()
 	steps := float64(len(res.StepDurations) + 1)
-	h := res.Trace.Histogram(2e-3, isNonbondedWork)
+	h := projections.DurationHistogram(res.Trace, 2e-3, isNonbondedWork)
 	// Normalize counts to per-timestep task counts like the paper's
 	// "number of instances during an average timestep".
 	for i := range h.Counts {
@@ -64,11 +64,11 @@ func GrainsizeHistogram(split bool) (*trace.Histogram, error) {
 
 // Figure1 is the grainsize distribution before splitting: bimodal, with
 // face-pair computes forming a heavy upper mode (paper: max ≈ 42 ms).
-func Figure1() (*trace.Histogram, error) { return GrainsizeHistogram(false) }
+func Figure1() (*projections.Histogram, error) { return GrainsizeHistogram(false) }
 
 // Figure2 is the distribution after §4.2.1 splitting: unimodal with a
 // small maximum.
-func Figure2() (*trace.Histogram, error) { return GrainsizeHistogram(true) }
+func Figure2() (*projections.Histogram, error) { return GrainsizeHistogram(true) }
 
 // TimelineView runs a traced 1024-PE ApoA-I simulation with or without
 // the optimized multicast and renders two timesteps of a processor
@@ -135,7 +135,7 @@ func Timelines(optimized bool) (*TimelineView, error) {
 	for pe := int32(238); pe < 250; pe++ {
 		pes = append(pes, pe)
 	}
-	v.Timeline = res.Trace.Timeline(trace.TimelineOptions{PEs: pes, T0: t0, T1: t1, Width: 110})
+	v.Timeline = projections.Timeline(res.Trace, projections.TimelineOptions{PEs: pes, T0: t0, T1: t1, Width: 110})
 	return v, nil
 }
 
@@ -146,7 +146,7 @@ func Figure3() (*TimelineView, error) { return Timelines(false) }
 func Figure4() (*TimelineView, error) { return Timelines(true) }
 
 // FormatHistogram renders a grainsize histogram with summary statistics.
-func FormatHistogram(title string, h *trace.Histogram) string {
+func FormatHistogram(title string, h *projections.Histogram) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	fmt.Fprintf(&b, "tasks/step=%d  max grainsize=%.1f ms  bimodal upper-mode fraction=%.2f\n",
@@ -180,12 +180,11 @@ func SummaryProfile(pes int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sums := l.SummaryByEntry()
-	sort.Slice(sums, func(i, j int) bool { return sums[i].Total > sums[j].Total })
+	rep := projections.Analyze(l, projections.Options{TopEntries: -1})
 	var b strings.Builder
 	fmt.Fprintf(&b, "summary profile, ApoA-I on %d PEs (entire run)\n", pes)
 	fmt.Fprintf(&b, "%-18s %10s %14s %12s\n", "entry", "count", "total (s)", "max (ms)")
-	for _, s := range sums {
+	for _, s := range rep.Entries {
 		fmt.Fprintf(&b, "%-18s %10d %14.3f %12.3f\n", s.Entry, s.Count, s.Total, s.Max*1e3)
 	}
 	return b.String(), nil

@@ -6,6 +6,7 @@ import (
 
 	"gonamd/internal/core"
 	"gonamd/internal/machine"
+	"gonamd/internal/projections"
 )
 
 // Paper reference data, transcribed from the paper's tables.
@@ -38,10 +39,10 @@ var (
 	}
 
 	// Table 1's rows (milliseconds), for reporting alongside ours.
-	PaperTable1Ideal = core.Audit{
+	PaperTable1Ideal = projections.Audit{
 		Total: 57.04e-3, Nonbonded: 52.44e-3, Bonded: 3.16e-3, Integration: 1.44e-3,
 	}
-	PaperTable1Actual = core.Audit{
+	PaperTable1Actual = projections.Audit{
 		Total: 86e-3, Nonbonded: 49.77e-3, Bonded: 3.9e-3, Integration: 3.05e-3,
 		Overhead: 7.97e-3, Imbalance: 10.45e-3, Idle: 9.25e-3, Receives: 1.61e-3,
 	}
@@ -124,7 +125,7 @@ func Table6() ([]ScalingRow, error) {
 
 // Table1 reproduces the 1024-processor ApoA-I performance audit: the
 // ideal (perfect-scaling) decomposition and the measured one.
-func Table1() (ideal, actual core.Audit, err error) {
+func Table1() (ideal, actual projections.Audit, err error) {
 	w, err := ApoA1Workload()
 	if err != nil {
 		return
@@ -146,12 +147,12 @@ func Table1() (ideal, actual core.Audit, err error) {
 }
 
 // FormatAudit renders Table 1 with the paper's values alongside.
-func FormatAudit(ideal, actual core.Audit) string {
+func FormatAudit(ideal, actual projections.Audit) string {
 	var b strings.Builder
 	b.WriteString("Table 1: ApoA-I performance audit on 1024 PEs (ms per step per PE)\n")
 	fmt.Fprintf(&b, "%-18s %8s %10s %7s %12s %9s %10s %6s %9s\n",
 		"", "Total", "Nonbonded", "Bonds", "Integration", "Overhead", "Imbalance", "Idle", "Receives")
-	row := func(name string, a core.Audit) {
+	row := func(name string, a projections.Audit) {
 		fmt.Fprintf(&b, "%-18s %8.2f %10.2f %7.2f %12.2f %9.2f %10.2f %6.2f %9.2f\n",
 			name, a.Total*1e3, a.Nonbonded*1e3, a.Bonded*1e3, a.Integration*1e3,
 			a.Overhead*1e3, a.Imbalance*1e3, a.Idle*1e3, a.Receives*1e3)

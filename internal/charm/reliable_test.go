@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gonamd/internal/converse"
+	"gonamd/internal/projections"
 	"gonamd/internal/trace"
 )
 
@@ -152,7 +153,12 @@ func TestReliableRetryChargesProtocolCategory(t *testing.T) {
 	b = rt.CreateObj("b", 1, nil, false)
 	rt.Inject(a, sendE, 0, 0, 0)
 	m.Run()
-	retry := m.Trace.CategoryTotals(0)[trace.CatRetry] + m.Trace.CategoryTotals(1)[trace.CatRetry]
+	retry := 0.0
+	for _, c := range projections.Analyze(m.Trace, projections.Options{}).Categories {
+		if c.Category == trace.CatRetry.String() {
+			retry = c.Seconds
+		}
+	}
 	if retry <= 0 {
 		t.Errorf("CatRetry total = %v, want > 0", retry)
 	}

@@ -4,30 +4,15 @@ import (
 	"fmt"
 
 	"gonamd/internal/machine"
-	"gonamd/internal/trace"
+	"gonamd/internal/projections"
 )
-
-// Audit is the paper's Table 1 performance accounting: where each
-// processor's share of a timestep goes, averaged over the measured steps.
-// All values are seconds per step per processor, and the components sum
-// to Total.
-type Audit struct {
-	Total       float64
-	Nonbonded   float64
-	Bonded      float64
-	Integration float64
-	Overhead    float64 // message allocation/packing/send (CatComm)
-	Imbalance   float64 // max per-PE busy time minus the average
-	Idle        float64 // remaining idle time
-	Receives    float64 // message receive overhead (CatRecv)
-}
 
 // IdealAudit returns the audit a perfectly-scaling machine would show:
 // the sequential component times divided by the processor count, with no
 // overhead, imbalance, or idle time.
-func IdealAudit(m *machine.Model, c machine.Counts, npe int) Audit {
+func IdealAudit(m *machine.Model, c machine.Counts, npe int) projections.Audit {
 	p := float64(npe)
-	return Audit{
+	return projections.Audit{
 		Total:       m.SeqTime(c) / p,
 		Nonbonded:   m.NonbondedTime(c) / p,
 		Bonded:      m.BondedTime(c) / p,
@@ -35,67 +20,12 @@ func IdealAudit(m *machine.Model, c machine.Counts, npe int) Audit {
 	}
 }
 
-// MeasuredAudit extracts the actual audit from a traced result. It
-// returns an error if the result carries no trace.
-func (r *Result) MeasuredAudit() (Audit, error) {
+// MeasuredAudit extracts the actual audit from a traced result: the
+// projections audit of its measured window. It returns an error if the
+// result carries no trace.
+func (r *Result) MeasuredAudit() (projections.Audit, error) {
 	if r.Trace == nil || len(r.Trace.Records) == 0 {
-		return Audit{}, fmt.Errorf("core: result has no trace (set Config.CollectTrace)")
+		return projections.Audit{}, fmt.Errorf("core: result has no trace (set Config.CollectTrace)")
 	}
-	nsteps := float64(len(r.StepDurations))
-	npe := float64(r.PEs)
-	perPEStep := nsteps * npe
-
-	var a Audit
-	a.Total = r.AvgStep
-
-	busy := make([]float64, r.PEs)
-	for _, rec := range r.Trace.Records {
-		if rec.End <= r.MeasureT0 || rec.Start >= r.MeasureT1 {
-			continue
-		}
-		busy[rec.PE] += rec.Dur()
-		for _, sp := range rec.Spans {
-			switch sp.Cat {
-			case trace.CatNonbonded:
-				a.Nonbonded += sp.Dur
-			case trace.CatBonded:
-				a.Bonded += sp.Dur
-			case trace.CatIntegration:
-				a.Integration += sp.Dur
-			case trace.CatComm:
-				a.Overhead += sp.Dur
-			case trace.CatRecv:
-				a.Receives += sp.Dur
-			default:
-				a.Overhead += sp.Dur
-			}
-		}
-	}
-	a.Nonbonded /= perPEStep
-	a.Bonded /= perPEStep
-	a.Integration /= perPEStep
-	a.Overhead /= perPEStep
-	a.Receives /= perPEStep
-
-	maxBusy, totBusy := 0.0, 0.0
-	for _, b := range busy {
-		totBusy += b
-		if b > maxBusy {
-			maxBusy = b
-		}
-	}
-	avgBusy := totBusy / npe
-	a.Imbalance = (maxBusy - avgBusy) / nsteps
-	a.Idle = a.Total - avgBusy/nsteps - a.Imbalance
-	if a.Idle < 0 {
-		a.Idle = 0
-	}
-	return a, nil
-}
-
-// String renders the audit as one row of the paper's Table 1.
-func (a Audit) String() string {
-	ms := func(x float64) float64 { return x * 1e3 }
-	return fmt.Sprintf("total=%.2fms nonbonded=%.2f bonds=%.2f integration=%.2f overhead=%.2f imbalance=%.2f idle=%.2f receives=%.2f",
-		ms(a.Total), ms(a.Nonbonded), ms(a.Bonded), ms(a.Integration), ms(a.Overhead), ms(a.Imbalance), ms(a.Idle), ms(a.Receives))
+	return projections.MeasureAudit(r.Trace, r.PEs, r.MeasureT0, r.MeasureT1, len(r.StepDurations), r.AvgStep), nil
 }

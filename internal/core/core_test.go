@@ -9,6 +9,7 @@ import (
 	"gonamd/internal/ldb"
 	"gonamd/internal/machine"
 	"gonamd/internal/molgen"
+	"gonamd/internal/projections"
 	"gonamd/internal/spatial"
 	"gonamd/internal/topology"
 	"gonamd/internal/trace"
@@ -269,7 +270,7 @@ func TestGrainsizeSplitting(t *testing.T) {
 		t.Errorf("splitting did not increase object count: %d -> %d", before.NumComputes, after.NumComputes)
 	}
 	maxGrain := func(r *Result) float64 {
-		h := r.Trace.Histogram(1e-3, func(rec trace.ExecRecord) bool {
+		h := projections.DurationHistogram(r.Trace, 1e-3, func(rec trace.ExecRecord) bool {
 			for _, sp := range rec.Spans {
 				if sp.Cat == trace.CatNonbonded {
 					return true

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gonamd/internal/ldb"
+	"gonamd/internal/projections"
 	"gonamd/internal/trace"
 )
 
@@ -26,8 +27,13 @@ func TestPMEPencilsCreatedAndScheduled(t *testing.T) {
 		t.Error("load balancer performed no pencil migrations")
 	}
 	// The mesh work must show up in the trace under its own category.
-	totals := res.Trace.CategoryTotals(-1)
-	if totals[trace.CatPME] <= 0 {
+	pme := 0.0
+	for _, c := range projections.Analyze(res.Trace, projections.Options{}).Categories {
+		if c.Category == trace.CatPME.String() {
+			pme = c.Seconds
+		}
+	}
+	if pme <= 0 {
 		t.Error("trace records no CatPME time")
 	}
 	// MTS: pencil executions happen only on reciprocal steps. Count

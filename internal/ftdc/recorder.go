@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gonamd/internal/fanout"
 )
 
 // Recorder is the live half of the telemetry pipeline: producers Store
@@ -36,9 +38,8 @@ type Recorder struct {
 	lastTime  int64
 	haveLast  bool
 	sink      Sink
-	subs      map[*subscriber]struct{}
-	closed    bool // subscribers closed, no further samples
-	stopped   bool // sampler goroutine told to exit
+	subs      fanout.Fanout[Sample] // closed: no further samples
+	stopped   bool                  // sampler goroutine told to exit
 	memStats  runtime.MemStats
 
 	stop chan struct{}
@@ -99,7 +100,6 @@ func NewRecorder(opts Options) *Recorder {
 		ring:        ring,
 		backing:     backing,
 		sink:        opts.Sink,
-		subs:        make(map[*subscriber]struct{}),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
@@ -171,7 +171,7 @@ func (r *Recorder) SampleNow() {
 	}
 	now := time.Now().UnixNano()
 	r.mu.Lock()
-	if r.closed {
+	if r.subs.Closed() {
 		r.mu.Unlock()
 		return
 	}
@@ -206,8 +206,9 @@ func (r *Recorder) SampleNow() {
 	if r.sink != nil {
 		r.sink.Append(s.UnixNanos, s.Values)
 	}
-	for sub := range r.subs {
-		sub.push(*s)
+	if r.subs.Len() > 0 {
+		// Copy: the ring slot is reused on wraparound.
+		r.subs.Publish(Sample{UnixNanos: s.UnixNanos, Values: append([]float64(nil), s.Values...)})
 	}
 	r.mu.Unlock()
 }
@@ -301,25 +302,10 @@ func (r *Recorder) historyLocked() []Sample {
 	return out
 }
 
-type subscriber struct {
-	ch chan Sample
-}
-
-func (s *subscriber) push(smp Sample) {
-	// Copy: the ring slot is reused on wraparound.
-	out := Sample{UnixNanos: smp.UnixNanos, Values: append([]float64(nil), smp.Values...)}
-	select {
-	case s.ch <- out:
-	default: // slow consumer: drop rather than stall the sampler
-	}
-}
-
-const subBuffer = 256
-
 // Subscribe returns the ring history (replay), a live channel of
-// subsequent samples, and a cancel func. The channel closes on Close
-// or cancel. Mirrors the /events broker contract: slow consumers drop
-// samples rather than block the sampler.
+// subsequent samples, and a cancel func. The channel closes on Close,
+// Kill or cancel; slow consumers drop samples rather than block the
+// sampler.
 func (r *Recorder) Subscribe() (replay []Sample, live <-chan Sample, cancel func()) {
 	if r == nil {
 		ch := make(chan Sample)
@@ -328,25 +314,8 @@ func (r *Recorder) Subscribe() (replay []Sample, live <-chan Sample, cancel func
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	replay = r.historyLocked()
-	sub := &subscriber{ch: make(chan Sample, subBuffer)}
-	if r.closed {
-		close(sub.ch)
-		return replay, sub.ch, func() {}
-	}
-	r.subs[sub] = struct{}{}
-	var once sync.Once
-	cancel = func() {
-		once.Do(func() {
-			r.mu.Lock()
-			if _, ok := r.subs[sub]; ok {
-				delete(r.subs, sub)
-				close(sub.ch)
-			}
-			r.mu.Unlock()
-		})
-	}
-	return replay, sub.ch, cancel
+	live, cancel = r.subs.Subscribe()
+	return r.historyLocked(), live, cancel
 }
 
 // Close stops the sampler goroutine, takes one final sample, flushes
@@ -359,8 +328,7 @@ func (r *Recorder) Close() error {
 	r.SampleNow()
 	err := r.Flush()
 	r.mu.Lock()
-	r.closed = true
-	r.closeSubsLocked()
+	r.subs.Close()
 	r.mu.Unlock()
 	return err
 }
@@ -374,8 +342,7 @@ func (r *Recorder) Kill() {
 	}
 	r.stopLoop()
 	r.mu.Lock()
-	r.closed = true
-	r.closeSubsLocked()
+	r.subs.Close()
 	r.mu.Unlock()
 }
 
@@ -389,11 +356,4 @@ func (r *Recorder) stopLoop() {
 	}
 	r.mu.Unlock()
 	<-r.done
-}
-
-func (r *Recorder) closeSubsLocked() {
-	for sub := range r.subs {
-		delete(r.subs, sub)
-		close(sub.ch)
-	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"gonamd/internal/fanout"
 )
 
 func manualRecorder(ringSize int) *Recorder {
@@ -219,5 +221,72 @@ func TestRecorderKillAbandonsBuffered(t *testing.T) {
 	r.SampleNow()
 	if r.SampleCount() != 1 {
 		t.Fatalf("samples after Kill = %d, want 1", r.SampleCount())
+	}
+}
+
+// TestSampleFanoutDropPath runs TestEventFanoutDropPath's cases
+// (internal/serve) on telemetry samples: two subscribers that never
+// read, a sampler that never blocks on them, exactly the first
+// fanout.Buffer samples kept, the drop count equal to the number lost,
+// Close ending both streams, cancel after Close a no-op, and a late
+// subscriber handed the ring and an already-closed channel.
+func TestSampleFanoutDropPath(t *testing.T) {
+	const extra, ring = 40, 16
+	r := manualRecorder(ring)
+	var lives []<-chan Sample
+	var cancels []func()
+	for i := 0; i < 2; i++ {
+		_, live, cancel := r.Subscribe()
+		lives, cancels = append(lives, live), append(cancels, cancel)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= fanout.Buffer+extra; i++ {
+			r.StoreInt(FieldSteps, int64(i))
+			r.SampleNow()
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("SampleNow blocked on subscribers that never read")
+	}
+	if got, want := r.subs.Dropped(), int64(2*extra); got != want {
+		t.Errorf("dropped = %d, want %d (%d lost by each of 2 subscribers)", got, want, extra)
+	}
+
+	r.Close() // its final sample finds both buffers full too
+	for s, live := range lives {
+		n := 0
+		for smp := range live { // ends only if Close ended the stream
+			n++
+			if smp.Values[FieldSteps] != float64(n) {
+				t.Fatalf("subscriber %d: sample %d has steps %v: kept samples must be the first ones", s, n, smp.Values[FieldSteps])
+			}
+		}
+		if n != fanout.Buffer {
+			t.Errorf("subscriber %d received %d samples, want the buffer's %d", s, n, fanout.Buffer)
+		}
+	}
+	for _, cancel := range cancels {
+		cancel()
+		cancel()
+	}
+
+	replay, live, cancel := r.Subscribe()
+	defer cancel()
+	if len(replay) != ring || replay[ring-1].Values[FieldSteps] != fanout.Buffer+extra {
+		t.Errorf("late replay has %d samples ending at steps %v, want %d ending at %d",
+			len(replay), replay[len(replay)-1].Values[FieldSteps], ring, fanout.Buffer+extra)
+	}
+	select {
+	case _, ok := <-live:
+		if ok {
+			t.Error("subscribing after Close returned a channel with an item")
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("subscribing after Close returned an open channel")
 	}
 }

@@ -1,6 +1,10 @@
 package molgen
 
-import "gonamd/internal/vec"
+import (
+	"fmt"
+
+	"gonamd/internal/vec"
+)
 
 // Cutoff is the nonbonded cutoff used by all paper benchmarks (12 Å).
 const Cutoff = 12.0
@@ -57,6 +61,23 @@ func BR() Spec {
 		Temperature:   300,
 		Seed:          19991020,
 	}
+}
+
+// Preset returns the spec of a named system: "water" is a WaterBox of
+// the given side and seed; "br", "apoa1" and "bc1" are the paper's
+// benchmarks, which ignore both.
+func Preset(name string, side float64, seed uint64) (Spec, error) {
+	switch name {
+	case "water":
+		return WaterBox(side, seed), nil
+	case "br":
+		return BR(), nil
+	case "apoa1":
+		return ApoA1(), nil
+	case "bc1":
+		return BC1(), nil
+	}
+	return Spec{}, fmt.Errorf("molgen: unknown system preset %q (want water, br, apoa1, or bc1)", name)
 }
 
 // WaterBox returns a pure-water cube with roughly liquid density

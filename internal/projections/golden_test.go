@@ -5,9 +5,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gonamd/internal/ldb"
+	"gonamd/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -58,6 +60,29 @@ func TestGoldenGantt(t *testing.T) {
 	l := testLog()
 	got := UtilizationGantt(l, 2, 50, 5, 0, 1.25)
 	checkGolden(t, "gantt.txt", []byte(got))
+}
+
+// TestGoldenTimeline pins the timeline rendering of the trace package's
+// golden log, which covers every category: it must show the retry (T)
+// and recovery (V) letters introduced with fault injection and the PME
+// letter (P).
+func TestGoldenTimeline(t *testing.T) {
+	f, err := os.Open("../trace/testdata/log.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	l, err := trace.ReadJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := Timeline(l, TimelineOptions{PEs: []int32{0, 1}, T0: 0, T1: 0.08, Width: 80})
+	for _, letter := range []string{"T", "V", "P"} {
+		if !strings.Contains(out, letter) {
+			t.Errorf("timeline missing category letter %q:\n%s", letter, out)
+		}
+	}
+	checkGolden(t, "timeline.txt", []byte(out))
 }
 
 // TestGoldenLBReport pins the load-balance before/after table.

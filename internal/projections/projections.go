@@ -8,8 +8,10 @@
 //
 //   - per-category time profiles (compute / comm / PME / retry / idle /
 //     overhead) whose totals sum exactly to the recorded busy time,
+//   - per-entry summary profiles (paper §4.1),
+//   - the Table 1 performance audit of a measured window (audit.go),
 //   - per-PE utilization with an ASCII utilization Gantt (the shape of
-//     the paper's Figures 5–6),
+//     the paper's Figures 5–6) and per-PE timelines (Figures 3–4),
 //   - grainsize histograms with percentiles over compute-object
 //     execution times (Figures 1–2),
 //   - step-time series derived from step boundary markers, and

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"gonamd"
+	"gonamd/internal/fanout"
 )
 
 // Event is one NDJSON line on a job's event stream.
@@ -59,34 +60,27 @@ type FrameInfo struct {
 	TimeFs float64 `json:"t_fs"`
 }
 
-// ringSize bounds the replay buffer handed to late subscribers, and
-// subBuffer the per-subscriber channel; a subscriber that falls further
-// behind than subBuffer events has events dropped (counted, never
-// blocking the simulation).
-const (
-	ringSize  = 256
-	subBuffer = 256
-)
+// ringSize bounds the replay buffer handed to late subscribers; live
+// events reach each subscriber over a bounded fan-out channel, and one
+// that falls further behind has events dropped (counted, never blocking
+// the simulation).
+const ringSize = 256
 
-// broker fans a job's events out to any number of NDJSON subscribers.
+// broker keeps a job's replay ring and fans its events out to any
+// number of NDJSON subscribers.
 type broker struct {
-	mu      sync.Mutex
-	subs    map[int]chan Event
-	nextSub int
-	ring    []Event
-	seq     int64
-	closed  bool
-	dropped int64
+	mu   sync.Mutex // guards ring and seq, and orders publish against subscribe
+	ring []Event
+	seq  int64
+	fan  fanout.Fanout[Event]
 }
-
-func newBroker() *broker { return &broker{subs: make(map[int]chan Event)} }
 
 // publish stamps the event's sequence number and delivers it to every
 // subscriber without blocking.
 func (b *broker) publish(ev Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
+	if b.fan.Closed() {
 		return
 	}
 	b.seq++
@@ -95,27 +89,14 @@ func (b *broker) publish(ev Event) {
 	if len(b.ring) > ringSize {
 		b.ring = b.ring[len(b.ring)-ringSize:]
 	}
-	for _, ch := range b.subs {
-		select {
-		case ch <- ev:
-		default:
-			b.dropped++
-		}
-	}
+	b.fan.Publish(ev)
 }
 
 // close ends every subscriber's stream. Further publishes are ignored.
 func (b *broker) close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return
-	}
-	b.closed = true
-	for id, ch := range b.subs {
-		close(ch)
-		delete(b.subs, id)
-	}
+	b.fan.Close()
 }
 
 // subscribe returns the replay of recent events, a live channel (already
@@ -123,28 +104,6 @@ func (b *broker) close() {
 func (b *broker) subscribe() (replay []Event, live <-chan Event, cancel func()) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	replay = append([]Event(nil), b.ring...)
-	ch := make(chan Event, subBuffer)
-	if b.closed {
-		close(ch)
-		return replay, ch, func() {}
-	}
-	id := b.nextSub
-	b.nextSub++
-	b.subs[id] = ch
-	return replay, ch, func() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if _, ok := b.subs[id]; ok {
-			delete(b.subs, id)
-			close(ch)
-		}
-	}
-}
-
-// droppedEvents reports how many events were dropped on slow subscribers.
-func (b *broker) droppedEvents() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
+	live, cancel = b.fan.Subscribe()
+	return append([]Event(nil), b.ring...), live, cancel
 }

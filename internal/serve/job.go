@@ -115,7 +115,7 @@ type Job struct {
 }
 
 func newJob(id, dir string, spec JobSpec, specJSON []byte, metricsInterval time.Duration) *Job {
-	j := &Job{ID: id, Spec: spec, dir: dir, specJSON: specJSON, events: newBroker(),
+	j := &Job{ID: id, Spec: spec, dir: dir, specJSON: specJSON, events: &broker{},
 		metricsInterval: metricsInterval}
 	j.status = JobStatus{
 		ID: id, Name: spec.Name, Tenant: spec.Tenant, Priority: spec.Priority,
@@ -129,7 +129,7 @@ func (j *Job) Status() JobStatus {
 	j.statusMu.Lock()
 	defer j.statusMu.Unlock()
 	st := j.status
-	st.DroppedEvents = j.events.droppedEvents()
+	st.DroppedEvents = j.events.fan.Dropped()
 	if st.Energy != nil {
 		e := *st.Energy
 		st.Energy = &e

@@ -306,10 +306,16 @@ func TestRecoveryRescanDistinguishesCheckpointErrors(t *testing.T) {
 // shutdown, or killed early) must come back as a fresh job at step 0 —
 // not prevent the server from restarting. Regression test: the ENOENT
 // from the missing checkpoint file used to be fmt-wrapped, os.IsNotExist
-// missed it, and NewScheduler failed for good.
+// missed it, and NewScheduler failed for good. The first scheduler has
+// no free worker slot, so the job is persisted and queued but never
+// dispatched: "no checkpoint yet" holds by construction (a dispatched
+// 40-step job could finish and checkpoint before Kill).
 func TestRecoveryRescanSpecWithoutCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestScheduler(t, Config{StateDir: dir, Workers: 1, SliceSteps: 10, CheckpointEvery: 1 << 30})
+	s.mu.Lock()
+	s.free = 0
+	s.mu.Unlock()
 	st, err := s.Submit(waterJob(40))
 	if err != nil {
 		t.Fatal(err)

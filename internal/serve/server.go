@@ -126,36 +126,8 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	}
 	replay, live, cancel := j.events.subscribe()
 	defer cancel()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	for _, ev := range replay {
-		if enc.Encode(ev) != nil {
-			return
-		}
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
-	ctx := r.Context()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case ev, ok := <-live:
-			if !ok {
-				return // job finished; stream is complete
-			}
-			if enc.Encode(ev) != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-	}
+	streamNDJSON(w, r, nil, replay, live, func(ev Event) error { return enc.Encode(ev) })
 }
 
 // metrics streams a job's FTDC telemetry as NDJSON under the same
@@ -192,49 +164,49 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
 	hdr, err := ftdc.MarshalSchema(schema)
 	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	var buf []byte
-	writeSample := func(smp ftdc.Sample) bool {
-		buf = ftdc.AppendSampleJSON(buf[:0], schema, smp)
-		buf = append(buf, '\n')
-		_, werr := w.Write(buf)
-		return werr == nil
-	}
-	if _, err := w.Write(append(hdr, '\n')); err != nil {
+	streamNDJSON(w, r, append(hdr, '\n'), replay, live, func(smp ftdc.Sample) error {
+		buf = append(ftdc.AppendSampleJSON(buf[:0], schema, smp), '\n')
+		_, err := w.Write(buf)
+		return err
+	})
+}
+
+// streamNDJSON answers 200 with an NDJSON body: head, then the replay,
+// flushed, then each live item as it arrives, flushed, until live closes
+// (the stream is complete), the client disconnects, or a write fails. A
+// nil live channel ends the stream after the replay.
+func streamNDJSON[T any](w http.ResponseWriter, r *http.Request, head []byte, replay []T, live <-chan T, write func(T) error) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Cache-Control", "no-store")
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(head); err != nil {
 		return
 	}
-	for _, smp := range replay {
-		if !writeSample(smp) {
+	for _, v := range replay {
+		if write(v) != nil {
 			return
 		}
 	}
-	if flusher != nil {
-		flusher.Flush()
-	}
-	if live == nil {
-		return
-	}
-	ctx := r.Context()
+	flusher, _ := w.(http.Flusher)
 	for {
-		select {
-		case <-ctx.Done():
+		if flusher != nil {
+			flusher.Flush()
+		}
+		if live == nil {
 			return
-		case smp, ok := <-live:
-			if !ok {
-				return // recorder closed; stream is complete
-			}
-			if !writeSample(smp) {
+		}
+		select {
+		case <-r.Context().Done():
+			return
+		case v, ok := <-live:
+			if !ok || write(v) != nil {
 				return
-			}
-			if flusher != nil {
-				flusher.Flush()
 			}
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"gonamd"
 	"gonamd/internal/engine"
 	"gonamd/internal/ensemble"
+	"gonamd/internal/molgen"
 	"gonamd/internal/sysio"
 )
 
@@ -256,10 +257,10 @@ func (sp *SystemSpec) validate() error {
 		if sp.Side < 4 || sp.Side > 400 {
 			return fmt.Errorf("serve: water box side %g Å out of range (4..400)", sp.Side)
 		}
-	case "br", "apoa1", "bc1":
 	case "":
 		return fmt.Errorf("serve: system needs a preset or an inline topology")
-	default:
+	}
+	if _, err := molgen.Preset(sp.Preset, sp.Side, sp.Seed); err != nil {
 		return fmt.Errorf("serve: unknown system preset %q (want water, br, apoa1, or bc1)", sp.Preset)
 	}
 	return nil
@@ -270,17 +271,8 @@ func (sp *SystemSpec) build() (*gonamd.System, *gonamd.State, error) {
 	if len(sp.Inline) > 0 {
 		return sysio.Load(bytes.NewReader(sp.Inline))
 	}
-	var spec gonamd.Spec
-	switch sp.Preset {
-	case "water":
-		spec = gonamd.WaterBoxSpec(sp.Side, sp.Seed)
-	case "br":
-		spec = gonamd.BRSpec()
-	case "apoa1":
-		spec = gonamd.ApoA1Spec()
-	case "bc1":
-		spec = gonamd.BC1Spec()
-	default:
+	spec, err := molgen.Preset(sp.Preset, sp.Side, sp.Seed)
+	if err != nil {
 		return nil, nil, fmt.Errorf("serve: unknown system preset %q", sp.Preset)
 	}
 	return gonamd.BuildSystem(spec)

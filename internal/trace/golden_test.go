@@ -1,4 +1,4 @@
-package trace
+package trace_test
 
 import (
 	"flag"
@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gonamd/internal/projections"
+	. "gonamd/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -92,26 +95,13 @@ func TestGoldenJSON(t *testing.T) {
 	}
 }
 
-// TestGoldenTimeline pins the timeline rendering, which must show the
-// retry (T) and recovery (V) letters introduced with fault injection and
-// the PME letter (P).
-func TestGoldenTimeline(t *testing.T) {
-	out := goldenLog().Timeline(TimelineOptions{PEs: []int32{0, 1}, T0: 0, T1: 0.08, Width: 80})
-	for _, letter := range []string{"T", "V", "P"} {
-		if !strings.Contains(out, letter) {
-			t.Errorf("timeline missing category letter %q:\n%s", letter, out)
-		}
-	}
-	checkGolden(t, "timeline.txt", out)
-}
-
 // TestGoldenCategoryTotals pins the per-category accounting over the
-// same log as a stable text table.
+// same log, as projections computes it, as a stable text table.
 func TestGoldenCategoryTotals(t *testing.T) {
-	totals := goldenLog().CategoryTotals(-1)
+	totals := categorySeconds(projections.Analyze(goldenLog(), projections.Options{}))
 	var b strings.Builder
-	for c := Category(0); c < numCategories; c++ {
-		fmt.Fprintf(&b, "%-12s %.6f\n", c.String(), totals[c])
+	for c := Category(0); c < Category(NumCategories); c++ {
+		fmt.Fprintf(&b, "%-12s %.6f\n", c.String(), totals[c.String()])
 	}
 	checkGolden(t, "category_totals.txt", b.String())
 }

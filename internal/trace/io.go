@@ -49,10 +49,16 @@ func (l *Log) WriteJSON(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxPE bounds the processor index a trace file may name: analysis keeps
+// per-PE tables, so one record naming PE 2³¹−1 would otherwise cost
+// gigabytes. 65,536 is well above ASCI-Red's 9,536 processors.
+const maxPE = 1 << 16
+
 // ScanJSON streams a JSON Lines trace to fn one record at a time,
 // without materializing the whole log — the path internal/projections
-// uses to analyze saved trace files of arbitrary size. Scanning stops at
-// the first error fn returns.
+// uses to analyze saved trace files of arbitrary size. A record whose PE
+// is negative or at least 65,536 is an error naming the record. Scanning
+// stops at the first error fn returns.
 func ScanJSON(r io.Reader, fn func(ExecRecord) error) error {
 	dec := json.NewDecoder(bufio.NewReader(r))
 	for n := 0; ; n++ {
@@ -62,6 +68,9 @@ func ScanJSON(r io.Reader, fn func(ExecRecord) error) error {
 				return nil
 			}
 			return fmt.Errorf("trace: decoding record %d: %w", n, err)
+		}
+		if jr.PE < 0 || jr.PE >= maxPE {
+			return fmt.Errorf("trace: record %d (entry %q): pe %d out of range [0, %d)", n, jr.Entry, jr.PE, maxPE)
 		}
 		rec := ExecRecord{PE: jr.PE, Obj: jr.Obj, Entry: jr.Entry, Start: jr.Start, End: jr.End}
 		for _, sp := range jr.Spans {

@@ -1,17 +1,11 @@
-// Package trace is the performance-instrumentation layer modeled on
-// Charm++'s summary profiles and Projections event traces (paper §4.1).
-// The simulated machine records one ExecRecord per entry-method execution;
-// this package turns those records into the artifacts the paper uses:
-// per-entry summary profiles, grainsize histograms (Figures 1-2),
-// processor timelines (Figures 3-4), utilization curves, and the
-// per-category time accounting behind the performance audit (Table 1).
+// Package trace is the record model of the performance instrumentation,
+// modeled on Charm++'s Projections event traces (paper §4.1): the
+// simulated machine and the real engines record one ExecRecord per
+// entry-method execution into a Log (the engines through a Recorder),
+// and the JSON Lines codec saves and loads it. Every aggregate over the
+// records — summary profiles, the Table 1 audit, grainsize histograms,
+// timelines, utilization — is computed by internal/projections.
 package trace
-
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
 
 // Category classifies where virtual CPU time goes. Categories mirror the
 // columns of the paper's Table 1 audit.
@@ -84,7 +78,7 @@ type ExecRecord struct {
 func (r ExecRecord) Dur() float64 { return r.End - r.Start }
 
 // Log collects execution records. The zero value is a disabled log that
-// discards records; call Enable (or use NewLog) to collect.
+// discards records; NewLog returns one that collects.
 type Log struct {
 	Records []ExecRecord
 	enabled bool
@@ -92,9 +86,6 @@ type Log struct {
 
 // NewLog returns an enabled log.
 func NewLog() *Log { return &Log{enabled: true} }
-
-// Enable turns on collection.
-func (l *Log) Enable() { l.enabled = true }
 
 // Enabled reports whether the log records anything.
 func (l *Log) Enabled() bool { return l != nil && l.enabled }
@@ -120,298 +111,3 @@ func (l *Log) Reserve(n int) {
 
 // Clear drops all records but keeps the log enabled.
 func (l *Log) Clear() { l.Records = l.Records[:0] }
-
-// Window returns records overlapping [t0, t1).
-func (l *Log) Window(t0, t1 float64) []ExecRecord {
-	var out []ExecRecord
-	for _, r := range l.Records {
-		if r.End > t0 && r.Start < t1 {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// EntrySummary is one row of a summary profile.
-type EntrySummary struct {
-	Entry string
-	Count int
-	Total float64
-	Max   float64
-}
-
-// SummaryByEntry aggregates total execution time per entry method, the
-// Charm++ "summary profile" of paper §4.1, sorted by descending total.
-func (l *Log) SummaryByEntry() []EntrySummary {
-	agg := map[string]*EntrySummary{}
-	for _, r := range l.Records {
-		s := agg[r.Entry]
-		if s == nil {
-			s = &EntrySummary{Entry: r.Entry}
-			agg[r.Entry] = s
-		}
-		s.Count++
-		d := r.Dur()
-		s.Total += d
-		if d > s.Max {
-			s.Max = d
-		}
-	}
-	out := make([]EntrySummary, 0, len(agg))
-	for _, s := range agg {
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		return out[i].Entry < out[j].Entry
-	})
-	return out
-}
-
-// CategoryTotals sums span durations per category across all records,
-// optionally restricted to one PE (pe < 0 means all PEs).
-func (l *Log) CategoryTotals(pe int32) map[Category]float64 {
-	out := make(map[Category]float64, numCategories)
-	for _, r := range l.Records {
-		if pe >= 0 && r.PE != pe {
-			continue
-		}
-		for _, s := range r.Spans {
-			out[s.Cat] += s.Dur
-		}
-	}
-	return out
-}
-
-// BusyTime returns total busy time per PE over the whole log.
-func (l *Log) BusyTime(npe int) []float64 {
-	busy := make([]float64, npe)
-	for _, r := range l.Records {
-		if int(r.PE) < npe {
-			busy[r.PE] += r.Dur()
-		}
-	}
-	return busy
-}
-
-// Histogram is a fixed-bin-width histogram of execution durations.
-type Histogram struct {
-	BinWidth float64
-	Counts   []int
-	N        int
-	MaxVal   float64
-}
-
-// Histogram bins the durations of records accepted by filter (nil accepts
-// all) into bins of binWidth seconds — the grainsize distribution of
-// Figures 1 and 2.
-func (l *Log) Histogram(binWidth float64, filter func(ExecRecord) bool) *Histogram {
-	h := &Histogram{BinWidth: binWidth}
-	for _, r := range l.Records {
-		if filter != nil && !filter(r) {
-			continue
-		}
-		d := r.Dur()
-		bin := int(d / binWidth)
-		for len(h.Counts) <= bin {
-			h.Counts = append(h.Counts, 0)
-		}
-		h.Counts[bin]++
-		h.N++
-		if d > h.MaxVal {
-			h.MaxVal = d
-		}
-	}
-	return h
-}
-
-// String renders the histogram as a horizontal ASCII bar chart, one bin
-// per line.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	maxCount := 0
-	for _, c := range h.Counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	for i, c := range h.Counts {
-		bar := 0
-		if maxCount > 0 {
-			bar = c * 50 / maxCount
-		}
-		fmt.Fprintf(&b, "%7.1f-%-7.1f ms |%s %d\n",
-			float64(i)*h.BinWidth*1e3, float64(i+1)*h.BinWidth*1e3,
-			strings.Repeat("#", bar), c)
-	}
-	return b.String()
-}
-
-// Bimodality returns the fraction of samples lying above three times the
-// (count-weighted) median bin value — the "upper mode" population. The
-// paper's Figure 1 grainsize distribution has a visible upper mode of
-// heavy face-pair computes; after splitting (Figure 2) this fraction
-// drops to zero.
-func (h *Histogram) Bimodality() float64 {
-	if h.N == 0 {
-		return 0
-	}
-	// Count-weighted median bin center.
-	half := h.N / 2
-	acc := 0
-	median := 0.0
-	for i, c := range h.Counts {
-		acc += c
-		if acc > half {
-			median = (float64(i) + 0.5) * h.BinWidth
-			break
-		}
-	}
-	cutoff := 3 * median
-	upper := 0
-	for i, c := range h.Counts {
-		if (float64(i)+0.5)*h.BinWidth > cutoff {
-			upper += c
-		}
-	}
-	return float64(upper) / float64(h.N)
-}
-
-// Utilization divides [t0, t1) into nbins intervals and returns, for each
-// interval, the average fraction of the npe processors that were busy.
-func (l *Log) Utilization(npe, nbins int, t0, t1 float64) []float64 {
-	if t1 <= t0 || nbins <= 0 || npe <= 0 {
-		return nil
-	}
-	out := make([]float64, nbins)
-	width := (t1 - t0) / float64(nbins)
-	for _, r := range l.Records {
-		if r.End <= t0 || r.Start >= t1 {
-			continue
-		}
-		s, e := r.Start, r.End
-		if s < t0 {
-			s = t0
-		}
-		if e > t1 {
-			e = t1
-		}
-		b0 := int((s - t0) / width)
-		b1 := int((e - t0) / width)
-		if b1 >= nbins {
-			b1 = nbins - 1
-		}
-		for b := b0; b <= b1; b++ {
-			bs, be := t0+float64(b)*width, t0+float64(b+1)*width
-			lo, hi := s, e
-			if lo < bs {
-				lo = bs
-			}
-			if hi > be {
-				hi = be
-			}
-			if hi > lo {
-				out[b] += hi - lo
-			}
-		}
-	}
-	for b := range out {
-		out[b] /= width * float64(npe)
-	}
-	return out
-}
-
-// TimelineOptions controls Timeline rendering.
-type TimelineOptions struct {
-	PEs    []int32 // which processors, in display order
-	T0, T1 float64 // window
-	Width  int     // characters across (default 100)
-}
-
-// Timeline renders an "Upshot-style" per-processor timeline (Figures 3-4):
-// one row per PE, one character per time slice, with the dominant
-// category's letter in busy slices (N nonbonded, B bonded, I integration,
-// C comm, R recv, X exchange, P pme, F fault, T retry, V recovery,
-// o other) and '.' when idle.
-func (l *Log) Timeline(opt TimelineOptions) string {
-	if opt.Width <= 0 {
-		opt.Width = 100
-	}
-	width := opt.T1 - opt.T0
-	if width <= 0 {
-		return ""
-	}
-	slice := width / float64(opt.Width)
-	letters := map[Category]byte{
-		CatNonbonded: 'N', CatBonded: 'B', CatIntegration: 'I',
-		CatComm: 'C', CatRecv: 'R', CatExchange: 'X', CatPME: 'P',
-		CatFault: 'F', CatRetry: 'T', CatRecovery: 'V', CatOther: 'o',
-	}
-	var b strings.Builder
-	for _, pe := range opt.PEs {
-		// For each slice accumulate busy time per category.
-		busy := make([][numCategories]float64, opt.Width)
-		for _, r := range l.Records {
-			if r.PE != pe || r.End <= opt.T0 || r.Start >= opt.T1 {
-				continue
-			}
-			// Accumulate the record's spans into the slices, iterating
-			// by bin index (robust against floating-point boundaries).
-			t := r.Start
-			for _, sp := range r.Spans {
-				e := t + sp.Dur
-				lo, hi := t, e
-				if lo < opt.T0 {
-					lo = opt.T0
-				}
-				if hi > opt.T1 {
-					hi = opt.T1
-				}
-				if hi > lo {
-					b0 := int((lo - opt.T0) / slice)
-					b1 := int((hi - opt.T0) / slice)
-					if b1 >= opt.Width {
-						b1 = opt.Width - 1
-					}
-					for b := b0; b <= b1; b++ {
-						bs := opt.T0 + float64(b)*slice
-						be := bs + slice
-						sl, sr := lo, hi
-						if sl < bs {
-							sl = bs
-						}
-						if sr > be {
-							sr = be
-						}
-						if sr > sl {
-							busy[b][sp.Cat] += sr - sl
-						}
-					}
-				}
-				t = e
-			}
-		}
-		fmt.Fprintf(&b, "PE%4d |", pe)
-		for s := 0; s < opt.Width; s++ {
-			best := Category(0)
-			bestT := 0.0
-			tot := 0.0
-			for c := Category(0); c < numCategories; c++ {
-				tot += busy[s][c]
-				if busy[s][c] > bestT {
-					bestT = busy[s][c]
-					best = c
-				}
-			}
-			if tot < slice*0.25 {
-				b.WriteByte('.')
-			} else {
-				b.WriteByte(letters[best])
-			}
-		}
-		b.WriteString("|\n")
-	}
-	return b.String()
-}

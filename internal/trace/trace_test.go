@@ -1,10 +1,18 @@
-package trace
+// The tests of this package are an external package: every aggregate
+// over trace records is computed by internal/projections, so the tests
+// below that check aggregates (summary profile, category totals, busy
+// time, windows, histograms, utilization, timelines) hold the record
+// semantics defined here to that one implementation.
+package trace_test
 
 import (
 	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"gonamd/internal/projections"
+	. "gonamd/internal/trace"
 )
 
 func rec(pe int32, entry string, start, dur float64, cat Category) ExecRecord {
@@ -12,6 +20,15 @@ func rec(pe int32, entry string, start, dur float64, cat Category) ExecRecord {
 		PE: pe, Obj: -1, Entry: entry, Start: start, End: start + dur,
 		Spans: []Span{{Cat: cat, Dur: dur}},
 	}
+}
+
+// categorySeconds maps a report's category rows by category name.
+func categorySeconds(rep *projections.Report) map[string]float64 {
+	out := map[string]float64{}
+	for _, c := range rep.Categories {
+		out[c.Category] = c.Seconds
+	}
+	return out
 }
 
 func TestDisabledLogDiscards(t *testing.T) {
@@ -32,7 +49,7 @@ func TestSummaryByEntry(t *testing.T) {
 	l.Add(rec(0, "nb", 0, 5, CatNonbonded))
 	l.Add(rec(1, "nb", 0, 3, CatNonbonded))
 	l.Add(rec(0, "integrate", 5, 1, CatIntegration))
-	s := l.SummaryByEntry()
+	s := projections.Analyze(l, projections.Options{}).Entries
 	if len(s) != 2 {
 		t.Fatalf("summary rows = %d", len(s))
 	}
@@ -48,13 +65,12 @@ func TestCategoryTotalsPerPE(t *testing.T) {
 	l := NewLog()
 	l.Add(rec(0, "a", 0, 5, CatNonbonded))
 	l.Add(rec(1, "b", 0, 3, CatBonded))
-	all := l.CategoryTotals(-1)
-	if all[CatNonbonded] != 5 || all[CatBonded] != 3 {
+	rep := projections.Analyze(l, projections.Options{})
+	if all := categorySeconds(rep); all["nonbonded"] != 5 || all["bonded"] != 3 {
 		t.Errorf("totals = %v", all)
 	}
-	pe0 := l.CategoryTotals(0)
-	if pe0[CatNonbonded] != 5 || pe0[CatBonded] != 0 {
-		t.Errorf("pe0 totals = %v", pe0)
+	if pe := rep.PerPE; len(pe) != 2 || pe[0].BusySeconds != 5 || pe[1].BusySeconds != 3 {
+		t.Errorf("per-PE busy = %+v", pe)
 	}
 }
 
@@ -65,7 +81,7 @@ func TestHistogram(t *testing.T) {
 		l.Add(rec(0, "nb", 0, d, CatNonbonded))
 	}
 	l.Add(rec(0, "other", 0, 0.05, CatOther))
-	h := l.Histogram(0.002, func(r ExecRecord) bool { return r.Entry == "nb" })
+	h := projections.DurationHistogram(l, 0.002, func(r ExecRecord) bool { return r.Entry == "nb" })
 	if h.N != 5 {
 		t.Fatalf("N = %d", h.N)
 	}
@@ -93,7 +109,7 @@ func TestBimodality(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		uni.Add(rec(0, "nb", 0, 0.001+float64(i%3)*0.001, CatNonbonded))
 	}
-	hu := uni.Histogram(0.001, nil)
+	hu := projections.DurationHistogram(uni, 0.001, nil)
 	if b := hu.Bimodality(); b != 0 {
 		t.Errorf("unimodal bimodality = %v, want 0", b)
 	}
@@ -106,11 +122,11 @@ func TestBimodality(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		bi.Add(rec(0, "nb", 0, 0.040, CatNonbonded))
 	}
-	hb := bi.Histogram(0.002, nil)
+	hb := projections.DurationHistogram(bi, 0.002, nil)
 	if b := hb.Bimodality(); math.Abs(b-0.2) > 1e-9 {
 		t.Errorf("bimodal fraction = %v, want 0.2", b)
 	}
-	var empty Histogram
+	var empty projections.Histogram
 	if empty.Bimodality() != 0 {
 		t.Error("empty histogram bimodality != 0")
 	}
@@ -121,9 +137,9 @@ func TestBusyTime(t *testing.T) {
 	l.Add(rec(0, "a", 0, 2, CatOther))
 	l.Add(rec(0, "b", 5, 3, CatOther))
 	l.Add(rec(1, "c", 0, 1, CatOther))
-	busy := l.BusyTime(2)
-	if busy[0] != 5 || busy[1] != 1 {
-		t.Errorf("busy = %v", busy)
+	busy := projections.Analyze(l, projections.Options{}).PerPE
+	if busy[0].BusySeconds != 5 || busy[1].BusySeconds != 1 {
+		t.Errorf("busy = %+v", busy)
 	}
 }
 
@@ -133,23 +149,24 @@ func TestUtilization(t *testing.T) {
 	// bin 0 = (1+1)/2 = 1.0, bin 1 = (0+1)/2 = 0.5.
 	l.Add(rec(0, "a", 0, 1, CatOther))
 	l.Add(rec(1, "b", 0, 2, CatOther))
-	u := l.Utilization(2, 2, 0, 2)
+	u := projections.Utilization(l, 2, 2, 0, 2)
 	if math.Abs(u[0]-1.0) > 1e-12 || math.Abs(u[1]-0.5) > 1e-12 {
 		t.Errorf("utilization = %v", u)
 	}
-	if l.Utilization(0, 2, 0, 2) != nil {
+	if projections.Utilization(l, 0, 2, 0, 2) != nil {
 		t.Error("degenerate args should return nil")
 	}
 }
 
 func TestWindow(t *testing.T) {
 	l := NewLog()
-	l.Add(rec(0, "a", 0, 1, CatOther))
-	l.Add(rec(0, "b", 2, 1, CatOther))
-	l.Add(rec(0, "c", 5, 1, CatOther))
-	w := l.Window(1.5, 4)
-	if len(w) != 1 || w[0].Entry != "b" {
-		t.Errorf("window = %v", w)
+	l.Add(rec(0, "a", 0, 1, CatNonbonded))
+	l.Add(rec(0, "b", 2, 1, CatBonded))
+	l.Add(rec(0, "c", 5, 1, CatIntegration))
+	// The measured window [1.5, 4) overlaps only record b.
+	w := projections.MeasureAudit(l, 1, 1.5, 4, 1, 2.5)
+	if w.Nonbonded != 0 || w.Bonded != 1 || w.Integration != 0 || w.Idle != 1.5 {
+		t.Errorf("window audit = %+v", w)
 	}
 }
 
@@ -159,7 +176,7 @@ func TestTimeline(t *testing.T) {
 		Spans: []Span{{Cat: CatNonbonded, Dur: 0.5}}})
 	l.Add(ExecRecord{PE: 1, Entry: "int", Start: 0.5, End: 1.0,
 		Spans: []Span{{Cat: CatIntegration, Dur: 0.5}}})
-	out := l.Timeline(TimelineOptions{PEs: []int32{0, 1}, T0: 0, T1: 1, Width: 10})
+	out := projections.Timeline(l, projections.TimelineOptions{PEs: []int32{0, 1}, T0: 0, T1: 1, Width: 10})
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("timeline lines = %d:\n%s", len(lines), out)
@@ -244,6 +261,29 @@ func TestReadJSONErrors(t *testing.T) {
 	}
 }
 
+// TestScanJSONBoundsPE is the regression test for a one-line trace that
+// made cmd/projections allocate gigabytes: the analyzer keeps a per-PE
+// table, so a record naming PE 50,000,000 grew it to 50,000,001 rows.
+// The reader now rejects a PE outside [0, 65536), naming the record.
+func TestScanJSONBoundsPE(t *testing.T) {
+	ok := `{"pe":0,"obj":-1,"entry":"a","start":0,"end":1}` + "\n" +
+		`{"pe":65535,"obj":-1,"entry":"b","start":0,"end":1}` + "\n"
+	if l, err := ReadJSON(strings.NewReader(ok)); err != nil || len(l.Records) != 2 {
+		t.Fatalf("in-range PEs: %v", err)
+	}
+	for _, pe := range []string{"50000000", "65536", "2147483647", "-1"} {
+		in := ok + `{"pe":` + pe + `,"obj":-1,"entry":"huge","start":0,"end":1}` + "\n"
+		_, err := ReadJSON(strings.NewReader(in))
+		if err == nil {
+			t.Errorf("pe %s accepted", pe)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "record 2") || !strings.Contains(msg, `"huge"`) || !strings.Contains(msg, "pe "+pe) {
+			t.Errorf("pe %s: error %q does not name the record", pe, msg)
+		}
+	}
+}
+
 func TestTimelineBoundaryAlignment(t *testing.T) {
 	// Regression: a span boundary landing exactly on a slice boundary
 	// used to make the renderer loop forever (zero-length segment).
@@ -252,7 +292,7 @@ func TestTimelineBoundaryAlignment(t *testing.T) {
 		Spans: []Span{{Cat: CatNonbonded, Dur: 0.1}, {Cat: CatIntegration, Dur: 0.1}}})
 	done := make(chan string, 1)
 	go func() {
-		done <- l.Timeline(TimelineOptions{PEs: []int32{0}, T0: 0, T1: 1, Width: 10})
+		done <- projections.Timeline(l, projections.TimelineOptions{PEs: []int32{0}, T0: 0, T1: 1, Width: 10})
 	}()
 	select {
 	case out := <-done:
