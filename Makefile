@@ -5,9 +5,13 @@
 
 GO ?= go
 
-.PHONY: all vet build test race serve metrics chaos fuzz bench-all benchmark benchmark-compare benchmark-smoke table-accuracy profile scale docs-check ci
+.PHONY: all fmt-check vet build test race serve metrics chaos fuzz bench-all benchmark benchmark-compare benchmark-smoke table-accuracy profile scale docs-check ci
 
 all: vet build test
+
+# Fails, listing the files, when gofmt would reformat anything in the tree.
+fmt-check:
+	@out=$$(gofmt -l . 2>&1); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -163,4 +167,4 @@ docs-check:
 	@out=$$(mktemp) && $(GO) run ./cmd/benchtables > $$out && cmp $$out docs/benchtables_output.txt; \
 		st=$$?; rm -f $$out; exit $$st
 
-ci: vet build race fuzz benchmark-smoke docs-check
+ci: fmt-check vet build race fuzz benchmark-smoke docs-check

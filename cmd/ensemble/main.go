@@ -173,8 +173,8 @@ func main() {
 			StepField:   emSteps,
 			RateField:   emStepsPerSec,
 			RuntimeBase: -1,
-			Sink:        fw,
 		})
+		mrec.SetSink(fw)
 	}
 	// publishMetrics refreshes the recorder slots from the ensemble's
 	// counters; the sampler (ticker or final Close) snapshots them.

@@ -36,7 +36,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "builder seed")
 	steps := flag.Int("steps", 100, "MD steps")
 	dt := flag.Float64("dt", 0.5, "timestep, fs")
-	workers := flag.Int("workers", 0, "parallel workers (0 = all cores, -1 = sequential engine)")
+	workers := flag.Int("workers", 0, "engine workers (0 = all cores; 1 runs inline, without goroutines)")
 	lb := flag.String("lb", "", "parallel load-balancing strategy: greedy+refine (default), refine-only, hierarchical, diffusion, none")
 	minimize := flag.Int("minimize", 200, "minimization iterations before dynamics")
 	cutoff := flag.Float64("cutoff", 9.0, "nonbonded cutoff, Å")
@@ -46,7 +46,7 @@ func main() {
 	trajPath := flag.String("traj", "", "write a binary trajectory to this file")
 	ckptPath := flag.String("ckpt", "", "write a final sysio snapshot here (reload with -in); also written on SIGINT/SIGTERM")
 	trajEvery := flag.Int("trajevery", 10, "write a trajectory frame every N steps")
-	shake := flag.Bool("shake", false, "constrain bonds to hydrogen (sequential engine; allows -dt 2)")
+	shake := flag.Bool("shake", false, "constrain bonds to hydrogen (allows -dt 2)")
 	cluster := flag.String("cluster", "4x8", "M×N geometry of the cluster pair lists, e.g. 4x4 or 4x8")
 	pme := flag.Bool("pme", false, "full electrostatics: smooth particle-mesh Ewald")
 	grid := flag.Float64("grid", 1.0, "PME mesh spacing, Å (mesh dims round up to powers of two)")
@@ -60,6 +60,9 @@ func main() {
 	metricsEvery := flag.Duration("metricsevery", time.Second, "telemetry sampling interval; 0 samples only at exit (requires -metrics)")
 	flag.Parse()
 
+	if *workers < 0 {
+		log.Fatalf("-workers %d must be ≥ 0 (0 = all cores)", *workers)
+	}
 	if *metricsEvery < 0 {
 		log.Fatalf("-metricsevery %v must be ≥ 0 (0 = one sample at exit)", *metricsEvery)
 	}
@@ -107,7 +110,7 @@ func main() {
 	if *minimize > 0 {
 		// The minimizer runs the run's own pipeline — one inline worker on
 		// its cluster lists — under the shifted cutoff.
-		m, err := gonamd.NewSequential(sys, ff, st, gonamd.WithClusterLists(clM, clN))
+		m, err := gonamd.NewParallel(sys, ff, st, 1, gonamd.WithClusterLists(clM, clN))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -130,10 +133,6 @@ func main() {
 	}
 	if th != nil {
 		fmt.Printf("thermostat: %s at %.0f K\n", th.Name(), *targetT)
-	}
-
-	if *shake {
-		*workers = -1 // constrained stepping runs on the sequential engine
 	}
 
 	// Option validation — cluster geometry, grid/MTS ranges and the
@@ -167,36 +166,22 @@ func main() {
 		opts = append(opts, gonamd.WithMetricsRecorder(mrec))
 	}
 
-	var eng *gonamd.Parallel
-	if *workers < 0 {
-		if *lb != "" {
-			log.Fatalf("-lb %s applies only to the parallel engine (drop -shake / use -workers ≥ 0)", *lb)
-		}
-		if *shake {
-			opts = append(opts, gonamd.WithHBondConstraints())
-		}
-		e, err := gonamd.NewSequential(sys, ff, st, opts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if c := e.Constraints(); c != nil {
-			fmt.Printf("SHAKE/RATTLE: %d constrained bonds\n", c.Count())
-		}
-		eng = e
-		fmt.Println("engine: sequential")
-	} else {
-		if *lb != "" {
-			opts = append(opts, gonamd.WithLoadBalancer(*lb))
-		}
-		e, err := gonamd.NewParallel(sys, ff, st, *workers, opts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		eng = e
-		fmt.Printf("engine: parallel, %d workers, %d tasks\n", e.Workers(), e.NumTasks())
-		if *lb != "" {
-			fmt.Printf("load balancer: %s\n", *lb)
-		}
+	if *shake {
+		opts = append(opts, gonamd.WithHBondConstraints())
+	}
+	if *lb != "" {
+		opts = append(opts, gonamd.WithLoadBalancer(*lb))
+	}
+	eng, err := gonamd.NewParallel(sys, ff, st, *workers, opts...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("engine: %d workers, %d tasks\n", eng.Workers(), eng.NumTasks())
+	if c := eng.Constraints(); c != nil {
+		fmt.Printf("SHAKE/RATTLE: %d constrained bonds\n", c.Count())
+	}
+	if *lb != "" {
+		fmt.Printf("load balancer: %s\n", *lb)
 	}
 	kernel := "analytic"
 	if *pme {

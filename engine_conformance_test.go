@@ -279,18 +279,24 @@ func TestOptionValidation(t *testing.T) {
 }
 
 // TestHBondConstraintsOption: the option builds and attaches constraints
-// retrievable from the engine.
+// retrievable from the engine, at one worker and on a pool, and the
+// engine takes constrained steps with them.
 func TestHBondConstraintsOption(t *testing.T) {
 	sys, st, ff := confSetup(t)
-	e, err := gonamd.NewSequential(sys, ff, cloneState(st), gonamd.WithHBondConstraints())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := e.Constraints()
-	if c == nil || c.Count() == 0 {
-		t.Fatalf("constraints not attached (got %v)", c)
-	}
-	if err := e.StepConstrained(2.0, c); err != nil {
-		t.Fatalf("constrained step: %v", err)
+	for _, w := range []int{1, 2} {
+		e, err := gonamd.NewParallel(sys, ff, cloneState(st), w, gonamd.WithHBondConstraints())
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		c := e.Constraints()
+		if c == nil || c.Count() == 0 {
+			t.Fatalf("workers=%d: constraints not attached (got %v)", w, c)
+		}
+		for i := 0; i < 5; i++ {
+			if err := e.StepConstrained(2.0, c); err != nil {
+				t.Fatalf("workers=%d: constrained step: %v", w, err)
+			}
+		}
+		e.Close()
 	}
 }

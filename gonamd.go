@@ -85,8 +85,9 @@ type (
 // what the constructors promise: NewSequential(sys, ff, st,
 // WithClusterLists(4, 8)) returns it with one inline worker,
 // NewParallel(sys, ff, st, workers, WithPME(grid, beta, mts),
-// WithTrace(log)) with a goroutine pool. It is configured at construction
-// with functional options and satisfies the Engine interface.
+// WithTrace(log)) with that many workers, a goroutine pool from two up.
+// It is configured at construction with functional options and
+// satisfies the Engine interface.
 type (
 	// Sequential is the engine as NewSequential constructs it: one worker,
 	// cluster pair lists with WithClusterLists, the list-free reference
@@ -229,7 +230,7 @@ type (
 
 // NewHBondConstraints constrains every bond involving hydrogen to its
 // force-field equilibrium length, enabling ~2 fs timesteps via
-// Sequential.StepConstrained.
+// StepConstrained at any worker count.
 func NewHBondConstraints(sys *System, ff *ForceField) (*Constraints, error) {
 	return engine.NewHBondConstraints(sys, func(typ int32) float64 { return ff.BondTypes[typ].R0 })
 }

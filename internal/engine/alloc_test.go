@@ -14,7 +14,7 @@ import (
 // once the cluster list is built (and, past one worker, the pool is up),
 // a dynamics step — including list rebuilds, whose builder scratch, slot
 // tables, and worker slot buffers are all reused — must not allocate.
-// Regressions here (per-step goroutine spawns, touch list growth, rebuild
+// Regressions here (per-step goroutine spawns, slot buffer growth, rebuild
 // scratch, an interface boxed per phase) show up as a nonzero count.
 //
 //   - traced: the recorder pre-reserves its record slice and span arena,

@@ -16,12 +16,9 @@ import (
 // cell-grouped cluster order — so the measured-task-time load balancers
 // work on stable task identities whose measurements survive rebuilds.
 // Workers accumulate slot-indexed forces into private buffers and flush
-// them into their atom-indexed accumulators by touched lcm(M,N)-aligned
-// slot block, keeping both the flush and the deterministic sparse
-// reduction O(touched); the buffers are re-zeroed while flushing, so no
-// bulk clear is ever needed and the steady state stays allocation-free.
-// The single worker of a one-worker engine has nobody to stay out of the
-// way of and skips the block bookkeeping: it flushes every slot.
+// every slot into their atom-indexed accumulators after the task loop;
+// the buffers are re-zeroed while flushing, so no bulk clear is ever
+// needed and the steady state stays allocation-free.
 
 // clusterState is the engine's cluster list, its validity guard, and
 // the kernel operands every worker reads.
@@ -137,19 +134,11 @@ func (e *Engine) rebuildClusters() {
 	// Worker slot buffers: sized to the padded slot count, zeroed by
 	// construction and kept zero by the flush (see flushClusterForces).
 	slots := c.list.Slots()
-	nblk := slots / c.builder.L
 	for w := range e.wstates {
 		ws := &e.wstates[w]
 		ws.fxs = growZeroF64(ws.fxs, slots)
 		ws.fys = growZeroF64(ws.fys, slots)
 		ws.fzs = growZeroF64(ws.fzs, slots)
-		if ws.mark == nil {
-			continue // the single worker flushes every slot
-		}
-		ws.blkMark = growZeroBool(ws.blkMark, nblk)
-		if ws.blkTouch == nil {
-			ws.blkTouch = make([]int32, 0, nblk+8)
-		}
 	}
 	c.guard.Rebase(e.St.Pos)
 }
@@ -162,70 +151,24 @@ func (e *Engine) runClusterTask(t *task, ws *wstate, en *seq.Energies) {
 	if len(ics) == 0 {
 		return
 	}
-	if ws.mark != nil {
-		c.markBlocks(ics, ws)
-	}
 	evdw, eelec, vir := c.kernel.Eval(e.FF, c.list, &c.data, ics, ws.fxs, ws.fys, ws.fzs)
 	en.VdW += evdw
 	en.Elec += eelec
 	en.Virial += vir
 }
 
-// markBlocks records which lcm(M,N)-aligned slot blocks the kernel is
-// about to write in the worker's buffers (i-cluster and entry j-cluster
-// ranges never straddle a block boundary).
-func (c *clusterState) markBlocks(ics []int32, ws *wstate) {
-	l := c.list
-	L := c.builder.L
-	for _, ic := range ics {
-		lo, hi := l.EntryOff[ic], l.EntryOff[ic+1]
-		if lo == hi {
-			continue
-		}
-		if blk := int(ic) * l.M / L; !ws.blkMark[blk] {
-			ws.blkMark[blk] = true
-			ws.blkTouch = append(ws.blkTouch, int32(blk))
-		}
-		for _, ent := range l.Entries[lo:hi] {
-			if blk := int(ent.J) * l.N / L; !ws.blkMark[blk] {
-				ws.blkMark[blk] = true
-				ws.blkTouch = append(ws.blkTouch, int32(blk))
-			}
-		}
-	}
-}
-
 // flushClusterForces folds the worker's slot force buffers into its
-// atom-indexed accumulator (by touched block, in task execution order —
-// deterministic for a fixed assignment) and re-zeroes them in the same
-// walk, restoring the all-zero invariant without a bulk clear.
+// atom-indexed accumulator and re-zeroes them in the same walk, restoring
+// the all-zero invariant without a bulk clear. Every atom has one slot,
+// so the order of this walk does not show in the sums, and a slot no task
+// of this worker wrote adds +0.
 func (e *Engine) flushClusterForces(ws *wstate) {
-	c := e.clb
-	l := c.list
-	L := c.builder.L
-	atomOf := l.Atom
-	if ws.mark == nil {
-		// Every atom has one slot, so the order of this walk does not show
-		// in the sums.
-		for s, a := range atomOf {
-			if a >= 0 {
-				ws.f[a] = ws.f[a].Add(vec.New(ws.fxs[s], ws.fys[s], ws.fzs[s]))
-			}
-			ws.fxs[s], ws.fys[s], ws.fzs[s] = 0, 0, 0
+	for s, a := range e.clb.list.Atom {
+		if a >= 0 {
+			ws.add(a, vec.New(ws.fxs[s], ws.fys[s], ws.fzs[s]))
 		}
-		return
+		ws.fxs[s], ws.fys[s], ws.fzs[s] = 0, 0, 0
 	}
-	for _, blk := range ws.blkTouch {
-		base := int(blk) * L
-		for s := base; s < base+L; s++ {
-			if a := atomOf[s]; a >= 0 {
-				ws.add(a, vec.New(ws.fxs[s], ws.fys[s], ws.fzs[s]))
-			}
-			ws.fxs[s], ws.fys[s], ws.fzs[s] = 0, 0, 0
-		}
-		ws.blkMark[blk] = false
-	}
-	ws.blkTouch = ws.blkTouch[:0]
 }
 
 func resizeI32p(s []int32, n int) []int32 {
@@ -243,13 +186,6 @@ func resizeI32p(s []int32, n int) []int32 {
 func growZeroF64(s []float64, n int) []float64 {
 	if cap(s) < n+8 {
 		return make([]float64, n, n+n/8+8)
-	}
-	return s[:n]
-}
-
-func growZeroBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n, n+n/8+8)
 	}
 	return s[:n]
 }

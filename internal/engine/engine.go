@@ -5,17 +5,14 @@
 // bonded terms into fixed-size chunks; task execution times are measured
 // every step and periodically rebalanced across workers with the same
 // measurement-based greedy/refinement strategies (internal/ldb) the
-// cluster simulation uses. Forces accumulate into worker-private arrays —
-// each worker records the atoms it actually wrote, so zeroing and the
-// final reduction cost O(touched) instead of O(N·workers) — and are
-// reduced in a deterministic order, so results are independent of
-// scheduling.
+// cluster simulation uses. Every worker accumulates into its own dense
+// force array, and the arrays are summed per atom range in worker order,
+// so results are independent of scheduling.
 //
 // One worker is the same program run inline: no goroutine is started, the
 // compute phase runs on the calling goroutine and accumulates straight
-// into the engine's force array, and there is nothing to reduce. That is
-// the "sequential engine", and the single-processor time speedups are
-// measured against.
+// into the engine's force array, and there is nothing to reduce. Its
+// time is the single-processor time speedups are measured against.
 //
 // Constructed without a cluster geometry the engine evaluates nonbonded
 // forces by the list-free cell walk of internal/seq instead — one task in
@@ -27,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -68,22 +64,16 @@ type bondedRef struct {
 	idx  int32
 }
 
-// wstate is one worker's private force accumulator plus the sparse record
-// of which atoms it has written this evaluation. touch is sorted at the
-// end of the compute phase so the reduction can binary-search it. The
-// single worker of a one-worker engine accumulates into the engine's
-// force array itself (f aliases it) and keeps no record: mark is nil.
+// wstate is one worker's private, dense force accumulator. The single
+// worker of a one-worker engine accumulates into the engine's force
+// array itself (f aliases it).
 type wstate struct {
-	f     []vec.V3
-	touch []int32
-	mark  []bool
+	f []vec.V3
 
 	// Slot-indexed force buffers the cluster kernels accumulate into
-	// (clusterlist.go), flushed to f by touched lcm(M,N)-aligned slot block
-	// after the task loop. Invariant: all-zero between evaluations.
+	// (clusterlist.go), flushed to f after the task loop. Invariant:
+	// all-zero between evaluations.
 	fxs, fys, fzs []float64
-	blkTouch      []int32
-	blkMark       []bool
 
 	// nbT/bT are this worker's summed nonbonded and bonded task times for
 	// the latest compute phase, read by the tracing emission (tracing.go).
@@ -91,10 +81,6 @@ type wstate struct {
 }
 
 func (ws *wstate) add(i int32, fv vec.V3) {
-	if ws.mark != nil && !ws.mark[i] {
-		ws.mark[i] = true
-		ws.touch = append(ws.touch, i)
-	}
 	ws.f[i] = ws.f[i].Add(fv)
 }
 
@@ -126,7 +112,7 @@ type Engine struct {
 	terms    []bondedRef
 
 	forces  []vec.V3 // reduced forces
-	wstates []wstate // per-worker accumulators with touched-set tracking
+	wstates []wstate // per-worker dense accumulators
 	wenergy []seq.Energies
 
 	// Persistent worker pool of a multi-worker engine (a one-worker engine
@@ -224,11 +210,7 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State, worker
 		e.RebalanceEvery = 20
 		e.mesh = poolAdapter{e}
 		for w := range e.wstates {
-			e.wstates[w] = wstate{
-				f:     make([]vec.V3, sys.N()),
-				touch: make([]int32, 0, sys.N()),
-				mark:  make([]bool, sys.N()),
-			}
+			e.wstates[w].f = make([]vec.V3, sys.N())
 		}
 	}
 	e.buildTasks()
@@ -392,10 +374,8 @@ func (e *Engine) ComputeForces() seq.Energies {
 	}
 
 	if e.workers > 1 {
-		// Deterministic sparse reduction: each reducer owns an atom range and
-		// adds worker contributions in fixed worker order, visiting only atoms
-		// the worker actually touched (its sorted touch list locates the range
-		// by binary search).
+		// Deterministic dense reduction: each reducer owns an atom range and
+		// adds the workers' arrays over it in fixed worker order.
 		e.runPool(e.workers)
 		e.phaseEmit("reduce", trace.CatComm, t)
 	}
@@ -473,21 +453,11 @@ func (e *Engine) workerLoop(jobs <-chan int) {
 	}
 }
 
-// computeWorker is phase one: run the worker's assigned tasks into its
-// private accumulator. Zeroing covers only the atoms touched during the
-// previous evaluation — or, for the single worker writing the engine's
-// force array directly, all of it.
+// computeWorker is phase one: clear the worker's force array and run its
+// assigned tasks into it.
 func (e *Engine) computeWorker(w int) {
 	ws := &e.wstates[w]
-	if ws.mark == nil {
-		clear(ws.f)
-	} else {
-		for _, i := range ws.touch {
-			ws.f[i] = vec.Zero
-			ws.mark[i] = false
-		}
-		ws.touch = ws.touch[:0]
-	}
+	clear(ws.f)
 
 	var en seq.Energies
 	var nbT, bT float64
@@ -523,21 +493,18 @@ func (e *Engine) computeWorker(w int) {
 		e.flushClusterForces(ws)
 	}
 	ws.nbT, ws.bT = nbT, bT
-	slices.Sort(ws.touch)
 	e.wenergy[w] = en
 }
 
-// reduceRange is phase two: sum worker contributions for atoms [lo, hi).
+// reduceRange is phase two: sum the workers' arrays over atoms [lo, hi),
+// in worker order. A worker that never wrote an atom adds +0, which
+// leaves the sum's bits as they are.
 func (e *Engine) reduceRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		e.forces[i] = vec.Zero
-	}
-	for w := 0; w < e.workers; w++ {
-		ws := &e.wstates[w]
-		k, _ := slices.BinarySearch(ws.touch, int32(lo))
-		for ; k < len(ws.touch) && ws.touch[k] < int32(hi); k++ {
-			i := ws.touch[k]
-			e.forces[i] = e.forces[i].Add(ws.f[i])
+	out := e.forces[lo:hi]
+	clear(out)
+	for w := range e.wstates {
+		for i, f := range e.wstates[w].f[lo:hi] {
+			out[i] = out[i].Add(f)
 		}
 	}
 }

@@ -60,8 +60,6 @@ type Options struct {
 	// manual sampling via SampleNow (deterministic; what tests and the
 	// slice-driven scheduler use).
 	Interval time.Duration
-	// RingSize caps the in-memory history (default 512 samples).
-	RingSize int
 	// StepField/RateField: when both are ≥ 0 the sampler writes
 	// Δ(values[StepField])/Δt into values[RateField].
 	StepField int
@@ -71,19 +69,14 @@ type Options struct {
 	// starting at that index, via runtime.ReadMemStats at sample
 	// cadence only.
 	RuntimeBase int
-	// Sink, if non-nil, receives every sample (see SetSink).
-	Sink Sink
 }
 
-const defaultRingSize = 512
+// ringSize is how many of the latest samples a recorder keeps in memory.
+const ringSize = 512
 
 // NewRecorder builds a recorder; if opts.Interval > 0 the sampler
 // goroutine starts immediately.
 func NewRecorder(opts Options) *Recorder {
-	ringSize := opts.RingSize
-	if ringSize <= 0 {
-		ringSize = defaultRingSize
-	}
 	nf := opts.Schema.NumFields()
 	backing := make([]float64, ringSize*nf)
 	ring := make([]Sample, ringSize)
@@ -99,7 +92,6 @@ func NewRecorder(opts Options) *Recorder {
 		runtimeBase: opts.RuntimeBase,
 		ring:        ring,
 		backing:     backing,
-		sink:        opts.Sink,
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}

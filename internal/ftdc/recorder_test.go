@@ -8,11 +8,10 @@ import (
 	"gonamd/internal/fanout"
 )
 
-func manualRecorder(ringSize int) *Recorder {
+func manualRecorder() *Recorder {
 	return NewRecorder(Options{
 		Schema:      EngineSchema(),
 		Interval:    0, // manual SampleNow
-		RingSize:    ringSize,
 		StepField:   FieldSteps,
 		RateField:   FieldStepsPerSec,
 		RuntimeBase: FieldHeapAlloc,
@@ -20,7 +19,7 @@ func manualRecorder(ringSize int) *Recorder {
 }
 
 func TestRecorderStoreSample(t *testing.T) {
-	r := manualRecorder(8)
+	r := manualRecorder()
 	defer r.Close()
 	r.StoreInt(FieldSteps, 42)
 	r.Store(FieldImbalance, 0.25)
@@ -41,7 +40,7 @@ func TestRecorderStoreSample(t *testing.T) {
 }
 
 func TestRecorderRate(t *testing.T) {
-	r := manualRecorder(8)
+	r := manualRecorder()
 	defer r.Close()
 	r.StoreInt(FieldSteps, 0)
 	r.SampleNow()
@@ -56,15 +55,15 @@ func TestRecorderRate(t *testing.T) {
 }
 
 func TestRecorderRingWrap(t *testing.T) {
-	r := manualRecorder(4)
+	r := manualRecorder()
 	defer r.Close()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < ringSize+6; i++ {
 		r.StoreInt(FieldSteps, int64(i))
 		r.SampleNow()
 	}
 	h := r.History()
-	if len(h) != 4 {
-		t.Fatalf("history len %d, want ring size 4", len(h))
+	if len(h) != ringSize {
+		t.Fatalf("history len %d, want ring size %d", len(h), ringSize)
 	}
 	for i, s := range h {
 		if want := float64(6 + i); s.Values[FieldSteps] != want {
@@ -74,7 +73,7 @@ func TestRecorderRingWrap(t *testing.T) {
 }
 
 func TestRecorderSubscribeReplayAndLive(t *testing.T) {
-	r := manualRecorder(16)
+	r := manualRecorder()
 	r.StoreInt(FieldSteps, 1)
 	r.SampleNow()
 	replay, live, cancel := r.Subscribe()
@@ -110,7 +109,6 @@ func TestRecorderTickerSampling(t *testing.T) {
 	r := NewRecorder(Options{
 		Schema:    EngineSchema(),
 		Interval:  2 * time.Millisecond,
-		RingSize:  64,
 		StepField: FieldSteps, RateField: FieldStepsPerSec,
 		RuntimeBase: FieldHeapAlloc,
 	})
@@ -141,7 +139,7 @@ func TestRecorderSinkReceivesSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := manualRecorder(8)
+	r := manualRecorder()
 	r.SetSink(w)
 	for i := 1; i <= 3; i++ {
 		r.StoreInt(FieldSteps, int64(i*10))
@@ -188,7 +186,7 @@ func TestRecorderNilSafe(t *testing.T) {
 }
 
 func TestSampleNowZeroAlloc(t *testing.T) {
-	r := manualRecorder(32)
+	r := manualRecorder()
 	defer r.Close()
 	r.StoreInt(FieldSteps, 1)
 	r.SampleNow() // warm the rate state
@@ -201,7 +199,7 @@ func TestSampleNowZeroAlloc(t *testing.T) {
 }
 
 func TestStoreZeroAlloc(t *testing.T) {
-	r := manualRecorder(8)
+	r := manualRecorder()
 	defer r.Close()
 	allocs := testing.AllocsPerRun(100, func() {
 		r.StoreInt(FieldSteps, 123)
@@ -213,7 +211,7 @@ func TestStoreZeroAlloc(t *testing.T) {
 }
 
 func TestRecorderKillAbandonsBuffered(t *testing.T) {
-	r := manualRecorder(8)
+	r := manualRecorder()
 	r.StoreInt(FieldSteps, 5)
 	r.SampleNow()
 	r.Kill()
@@ -229,10 +227,11 @@ func TestRecorderKillAbandonsBuffered(t *testing.T) {
 // read, a sampler that never blocks on them, exactly the first
 // fanout.Buffer samples kept, the drop count equal to the number lost,
 // Close ending both streams, cancel after Close a no-op, and a late
-// subscriber handed the ring and an already-closed channel.
+// subscriber handed the ring and an already-closed channel. The
+// subscribers lose more samples than the ring holds, so the ring wraps.
 func TestSampleFanoutDropPath(t *testing.T) {
-	const extra, ring = 40, 16
-	r := manualRecorder(ring)
+	const extra = ringSize
+	r := manualRecorder()
 	var lives []<-chan Sample
 	var cancels []func()
 	for i := 0; i < 2; i++ {
@@ -277,9 +276,9 @@ func TestSampleFanoutDropPath(t *testing.T) {
 
 	replay, live, cancel := r.Subscribe()
 	defer cancel()
-	if len(replay) != ring || replay[ring-1].Values[FieldSteps] != fanout.Buffer+extra {
+	if len(replay) != ringSize || replay[ringSize-1].Values[FieldSteps] != fanout.Buffer+extra {
 		t.Errorf("late replay has %d samples ending at steps %v, want %d ending at %d",
-			len(replay), replay[len(replay)-1].Values[FieldSteps], ring, fanout.Buffer+extra)
+			len(replay), replay[len(replay)-1].Values[FieldSteps], ringSize, fanout.Buffer+extra)
 	}
 	select {
 	case _, ok := <-live:

@@ -15,9 +15,9 @@ import (
 
 // clusterSpecs are the jobs of the cluster-list e2e test: one minimized
 // inline worker and a pool of two on explicit geometries, the pool with
-// full electrostatics (the tabulated kernel), and one inline worker
-// stepping under SHAKE/RATTLE constraints. A pool with no cluster fields
-// rides in e2eSpecs.
+// full electrostatics (the tabulated kernel), and an inline worker and a
+// pool of two stepping under SHAKE/RATTLE constraints. A pool with no
+// cluster fields rides in e2eSpecs.
 func clusterSpecs() []JobSpec {
 	base := JobSpec{
 		System:          SystemSpec{Preset: "water", Side: 10, Seed: 7, Cutoff: 4.5},
@@ -44,7 +44,10 @@ func clusterSpecs() []JobSpec {
 	shake.Name = "seq-cluster-shake"
 	shake.Dt = 2
 	shake.Engine = gonamd.EngineSpec{ClusterM: 4, ClusterN: 8, HBondConstraints: true}
-	return []JobSpec{seq, par, pme, shake}
+	parShake := shake
+	parShake.Name = "par-cluster-shake"
+	parShake.Engine = gonamd.EngineSpec{Engine: "parallel", Workers: 2, ClusterM: 4, ClusterN: 8, HBondConstraints: true}
+	return []JobSpec{seq, par, pme, shake, parShake}
 }
 
 // TestClusterJobsCrashRestartResume: jobs on cluster lists are admitted

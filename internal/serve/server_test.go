@@ -47,8 +47,8 @@ func e2eSpecs() []JobSpec {
 	par.Name = "par-langevin"
 	par.Minimize = 20
 	par.Engine = gonamd.EngineSpec{
-		Engine:  "parallel",
-		Workers: 2,
+		Engine:     "parallel",
+		Workers:    2,
 		Thermostat: &gonamd.ThermostatSpec{Kind: "langevin", Temperature: 300, Seed: 9},
 	}
 	return []JobSpec{nve, lang, par}
@@ -403,9 +403,9 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 
 	bad := []string{
 		`{`, // not JSON
-		`{"system":{"preset":"water"},"steps":0}`,                       // no step budget
-		`{"system":{"preset":"plasma"},"steps":10}`,                     // unknown preset
-		`{"system":{"preset":"water"},"steps":10,"unknown_field":true}`, // strict decoding
+		`{"system":{"preset":"water"},"steps":0}`,                                                               // no step budget
+		`{"system":{"preset":"plasma"},"steps":10}`,                                                             // unknown preset
+		`{"system":{"preset":"water"},"steps":10,"unknown_field":true}`,                                         // strict decoding
 		`{"system":{"preset":"water"},"steps":10,"engine":{"thermostat":{"kind":"rescale","temperature":300}}}`, // uncheckpointable thermostat
 		`{"system":{"preset":"water"},"steps":10,"ensemble":{"replicas":1,"tmin":300,"tmax":360}}`,              // one replica
 	}
@@ -434,6 +434,55 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("missing job: status %d, want 404", resp.StatusCode)
 	}
+}
+
+// TestSubmitRejectsUnbuildableEngineSpecs: every engine spec the options
+// layer would refuse at construction is a 400 at submission carrying the
+// option's message — it used to be accepted and then fail at the job's
+// first slice. A pool under SHAKE/RATTLE is a valid spec and runs.
+func TestSubmitRejectsUnbuildableEngineSpecs(t *testing.T) {
+	s := newTestScheduler(t, Config{Workers: 1})
+	defer s.Stop()
+	srv := httptest.NewServer(NewServer(s))
+	defer srv.Close()
+	type reply struct{ ID, Error string }
+	post := func(engine string) (*http.Response, reply) {
+		t.Helper()
+		body := `{"system":{"preset":"water","side":10,"seed":7,"cutoff":4.5},"steps":10,"engine":` + engine + `}`
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var r reply
+		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		return resp, r
+	}
+	for _, c := range []struct{ engine, msg string }{
+		{`{"hbond_constraints":true,"pme":{"grid_spacing":1}}`, "cannot be combined"},
+		{`{"cluster_m":9,"cluster_n":9}`, "cluster geometry 9x9 out of range"},
+		{`{"pme":{"grid_spacing":0}}`, "grid spacing 0 Å must be positive"},
+		{`{"pme":{"grid_spacing":1,"beta":-1}}`, "beta -1 Å⁻¹ must be ≥ 0"},
+		{`{"engine":"par","rebalance_every":-1}`, "rebalance interval -1 must be ≥ 0"},
+		{`{"engine":"seq","rebalance_every":5}`, "WithRebalanceEvery applies only to the parallel engine"},
+		{`{"thermostat":{"kind":"nose","temperature":300}}`, "unknown thermostat kind \"nose\""},
+	} {
+		resp, r := post(c.engine)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(r.Error, c.msg) {
+			t.Errorf("engine %s: status %d, error %q; want 400 with %q", c.engine, resp.StatusCode, r.Error, c.msg)
+		}
+	}
+	if got := len(s.List("")); got != 0 {
+		t.Errorf("%d jobs created from unbuildable specs", got)
+	}
+
+	resp, r := post(`{"engine":"par","workers":2,"hbond_constraints":true}`)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("pool under SHAKE: status %d, error %q; want 201", resp.StatusCode, r.Error)
+	}
+	waitState(t, s, r.ID, StateDone)
 }
 
 // TestServerSurvivesMalformedInlineTopology: an inline topology whose

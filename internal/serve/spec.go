@@ -159,22 +159,13 @@ func (s *JobSpec) normalizeMD() error {
 		// rescale on a shifted schedule and break bit-identical resume.
 		return fmt.Errorf("serve: the rescale thermostat's interval phase is not checkpointable; use langevin or berendsen")
 	}
-	par, err := s.Engine.Parallel()
-	if err != nil {
-		return err
+	// Apply the options' own rules at admission, so a spec that can never
+	// build fails the submission instead of a queued job failing when it
+	// first runs.
+	if err := s.Engine.Validate(); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
-	if s.Engine.LBStrategy != "" {
-		// Resolve the name at admission so a typo fails the submission —
-		// with the error listing the valid names — instead of a queued
-		// job failing when it first runs.
-		if !par {
-			return fmt.Errorf("serve: lb_strategy %q requires the parallel engine", s.Engine.LBStrategy)
-		}
-		if _, err := gonamd.LookupLBStrategy(s.Engine.LBStrategy); err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-	}
-	if par && s.Engine.RebalanceEvery == nil {
+	if par, _ := s.Engine.Parallel(); par && s.Engine.RebalanceEvery == nil {
 		// Measurement-based rebalancing reassigns tasks from wall-clock
 		// timings, which would make a resumed run sum forces in a
 		// different order than the uninterrupted one. Pin it off unless

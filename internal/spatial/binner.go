@@ -50,7 +50,7 @@ func (b *Binner) Bin(pos []vec.V3) [][]int32 {
 	var start int32
 	for c := range b.cells {
 		n := b.cnt[c]
-		b.cells[c] = flat[start:start : start+n]
+		b.cells[c] = flat[start : start : start+n]
 		start += n
 	}
 	for i, id := range ids {

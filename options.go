@@ -44,9 +44,9 @@ var _ Engine = (*Parallel)(nil)
 // validation that spans options (or needs the force field) happens after
 // every option has run, so option order never matters.
 type engineOptions struct {
-	// parallel tells which constructor is applying the options, so options
-	// that make sense only at one worker, or only at several, can reject
-	// the other constructor by name.
+	// parallel tells which constructor is applying the options, so the
+	// options that only tune a worker pool (WithRebalanceEvery,
+	// WithLoadBalancer) can reject NewSequential by name.
 	parallel bool
 
 	// Cluster pair list geometry; 0×0 = not given (sequential: the
@@ -72,9 +72,9 @@ type engineOptions struct {
 
 // Option configures an engine at construction time. Options are applied
 // by NewSequential and NewParallel in a fixed internal order, so the
-// order they are passed in never changes the result. Engine-specific
-// options (WithRebalanceEvery, WithHBondConstraints, ...) return a
-// construction error when handed to the other engine.
+// order they are passed in never changes the result. The pool options
+// (WithRebalanceEvery, WithLoadBalancer) return a construction error
+// when handed to NewSequential.
 type Option func(*engineOptions) error
 
 // WithClusterLists selects the production nonbonded path — M×N cluster
@@ -239,15 +239,12 @@ func WithLoadBalancer(name string) Option {
 
 // WithHBondConstraints builds SHAKE/RATTLE constraints for every bond
 // involving hydrogen, fixed at the force-field equilibrium length, and
-// attaches them to the engine (retrieve with Sequential.Constraints and
-// drive with StepConstrained). Sequential engine only, and incompatible
-// with WithPME: both reshape the timestep structure, and the impulse-MTS
-// PME step has no constraint projection.
+// attaches them to the engine (retrieve with Constraints and drive with
+// StepConstrained), at any worker count. Incompatible with WithPME: both
+// reshape the timestep structure, and the impulse-MTS PME step has no
+// constraint projection.
 func WithHBondConstraints() Option {
 	return func(o *engineOptions) error {
-		if o.parallel {
-			return fmt.Errorf("gonamd: WithHBondConstraints applies only to the sequential engine")
-		}
 		o.hbond = true
 		return nil
 	}
@@ -272,22 +269,30 @@ func NewSequential(sys *System, ff *ForceField, st *State, opts ...Option) (*Seq
 // NewParallel creates the engine with the given number of goroutine
 // workers (0 = all cores), configured by the options (WithClusterLists,
 // WithPME, WithTrace, WithMetrics, WithThermostat, WithRebalanceEvery,
-// WithLoadBalancer). Close it when done: the workers are parked
-// goroutines that otherwise live as long as the process.
+// WithLoadBalancer, WithHBondConstraints). Close it when done: the
+// workers are parked goroutines that otherwise live as long as the
+// process.
 func NewParallel(sys *System, ff *ForceField, st *State, workers int, opts ...Option) (*Parallel, error) {
 	return newEngine(true, sys, ff, st, workers, opts)
+}
+
+// applyOptions runs the options and their cross-option checks: every
+// rule construction enforces before it looks at a system.
+func applyOptions(parallel bool, opts []Option) (engineOptions, error) {
+	o := engineOptions{parallel: parallel}
+	for _, opt := range opts {
+		if err := opt(&o); err != nil {
+			return o, err
+		}
+	}
+	return o, o.validate()
 }
 
 // newEngine is the one construction body: apply and validate the options,
 // then build the engine with the given worker count.
 func newEngine(parallel bool, sys *System, ff *ForceField, st *State, workers int, opts []Option) (*engine.Engine, error) {
-	o := engineOptions{parallel: parallel}
-	for _, opt := range opts {
-		if err := opt(&o); err != nil {
-			return nil, err
-		}
-	}
-	if err := o.validate(); err != nil {
+	o, err := applyOptions(parallel, opts)
+	if err != nil {
 		return nil, err
 	}
 	if parallel && o.clusterM == 0 {
@@ -366,7 +371,7 @@ type EngineSpec struct {
 	// Thermostat, when non-nil, selects NVT dynamics.
 	Thermostat *ThermostatSpec `json:"thermostat,omitempty"`
 	// HBondConstraints enables SHAKE/RATTLE on bonds to hydrogen
-	// (sequential engine only, incompatible with PME).
+	// (either engine, incompatible with PME).
 	HBondConstraints bool `json:"hbond_constraints,omitempty"`
 }
 
@@ -453,11 +458,16 @@ func (s *EngineSpec) Parallel() (bool, error) {
 	}
 }
 
-// options lowers the spec to functional options, with th (possibly nil)
-// as the already-constructed thermostat.
-func (s *EngineSpec) options(th Thermostat) []Option {
-	var opts []Option
-	if th != nil {
+// lower resolves the engine kind, constructs the thermostat (nil for
+// NVE) and lowers the rest of the spec to functional options.
+func (s *EngineSpec) lower() (par bool, th Thermostat, opts []Option, err error) {
+	if par, err = s.Parallel(); err != nil {
+		return false, nil, nil, err
+	}
+	if s.Thermostat != nil {
+		if th, err = s.Thermostat.New(); err != nil {
+			return false, nil, nil, err
+		}
 		opts = append(opts, WithThermostat(th))
 	}
 	if s.PME != nil {
@@ -479,7 +489,19 @@ func (s *EngineSpec) options(th Thermostat) []Option {
 	if s.HBondConstraints {
 		opts = append(opts, WithHBondConstraints())
 	}
-	return opts
+	return par, th, opts, nil
+}
+
+// Validate checks the spec against every rule NewEngine enforces before
+// it needs a system — engine kind, thermostat, each option and their
+// combinations — without building anything, so a service can refuse at
+// admission a spec that could never run.
+func (s *EngineSpec) Validate() error {
+	par, _, opts, err := s.lower()
+	if err == nil {
+		_, err = applyOptions(par, opts)
+	}
+	return err
 }
 
 // NewEngine constructs the engine the spec describes over the given
@@ -489,21 +511,15 @@ func (s *EngineSpec) options(th Thermostat) []Option {
 // checkpoint, like the job server, can snapshot and restore a Langevin
 // noise stream.
 func (s *EngineSpec) NewEngine(sys *System, ff *ForceField, st *State) (*Parallel, Thermostat, error) {
-	par, err := s.Parallel()
+	par, th, opts, err := s.lower()
 	if err != nil {
 		return nil, nil, err
 	}
-	var th Thermostat
-	if s.Thermostat != nil {
-		if th, err = s.Thermostat.New(); err != nil {
-			return nil, nil, err
-		}
-	}
 	var eng *Parallel
 	if par {
-		eng, err = NewParallel(sys, ff, st, s.Workers, s.options(th)...)
+		eng, err = NewParallel(sys, ff, st, s.Workers, opts...)
 	} else {
-		eng, err = NewSequential(sys, ff, st, s.options(th)...)
+		eng, err = NewSequential(sys, ff, st, opts...)
 	}
 	if err != nil {
 		return nil, nil, err

@@ -74,8 +74,8 @@ func benchPar(b *testing.B, opts ...gonamd.Option) *gonamd.Parallel {
 }
 
 // BenchmarkStepClusterPar is the headline number: cluster pair lists,
-// the analytic M×N kernel, slot-force flush into the sparse
-// deterministic reduction, at 8 workers.
+// the analytic M×N kernel, slot-force flush into dense per-worker force
+// arrays and their deterministic reduction, at 8 workers.
 func BenchmarkStepClusterPar(b *testing.B) { benchSteps(b, benchPar(b)) }
 
 // BenchmarkStepClusterParPME is the full-electrostatics configuration:
