@@ -24,7 +24,6 @@ import (
 	"gonamd/internal/ckpt"
 	"gonamd/internal/molgen"
 	"gonamd/internal/sysio"
-	"gonamd/internal/thermo"
 	"gonamd/internal/traj"
 )
 
@@ -69,12 +68,24 @@ func main() {
 	if *metricsEvery != time.Second && *metricsPath == "" {
 		log.Fatalf("-metricsevery %v has no effect without -metrics", *metricsEvery)
 	}
-	if *lb != "" {
-		// Resolve the name before any expensive setup so a typo fails
-		// immediately with the list of valid strategies.
-		if _, err := gonamd.LookupLBStrategy(*lb); err != nil {
-			log.Fatal(err)
-		}
+	var clM, clN int
+	if _, err := fmt.Sscanf(*cluster, "%dx%d", &clM, &clN); err != nil {
+		log.Fatalf("bad -cluster %q: want MxN, e.g. 4x8", *cluster)
+	}
+	// The flags lower to one engine spec, validated by the options layer
+	// before any expensive setup, so a bad geometry, strategy name,
+	// thermostat or -shake/-pme combination fails at once with the
+	// option's explanation.
+	spec := gonamd.EngineSpec{Engine: "par", Workers: *workers, ClusterM: clM, ClusterN: clN,
+		LBStrategy: *lb, HBondConstraints: *shake}
+	if *pme {
+		spec.PME = &gonamd.PMESpec{GridSpacing: *grid, Beta: *ewaldBeta, MTSPeriod: *mts}
+	}
+	if *thermostat != "" {
+		spec.Thermostat = &gonamd.ThermostatSpec{Kind: *thermostat, Temperature: *targetT, Seed: *seed}
+	}
+	if err := spec.Validate(); err != nil {
+		log.Fatal(err)
 	}
 
 	var sys *gonamd.System
@@ -103,10 +114,6 @@ func main() {
 	ff := gonamd.StandardForceField(*cutoff)
 	fmt.Printf("%s: %d atoms, %d bonded terms, box %v\n", sys.Name, sys.N(), sys.NumBondedTerms(), sys.Box)
 
-	var clM, clN int
-	if _, err := fmt.Sscanf(*cluster, "%dx%d", &clM, &clN); err != nil {
-		log.Fatalf("bad -cluster %q: want MxN, e.g. 4x8", *cluster)
-	}
 	if *minimize > 0 {
 		// The minimizer runs the run's own pipeline — one inline worker on
 		// its cluster lists — under the shifted cutoff.
@@ -119,38 +126,10 @@ func main() {
 		fmt.Printf("minimized %d iterations: %.1f -> %.1f kcal/mol\n", *minimize, e0, e1)
 	}
 
-	var th thermo.Thermostat
-	switch *thermostat {
-	case "":
-	case "rescale":
-		th = &thermo.Rescale{Target: *targetT, Interval: 10}
-	case "berendsen":
-		th = &thermo.Berendsen{Target: *targetT, Tau: 100}
-	case "langevin":
-		th = &thermo.Langevin{Target: *targetT, Gamma: 0.005, Seed: *seed}
-	default:
-		log.Fatalf("unknown thermostat %q", *thermostat)
-	}
-	if th != nil {
-		fmt.Printf("thermostat: %s at %.0f K\n", th.Name(), *targetT)
-	}
-
-	// Option validation — cluster geometry, grid/MTS ranges and the
-	// -shake/-pme exclusion — lives in the options layer; construction
-	// errors carry the explanation.
+	var opts []gonamd.Option
 	var tlog *gonamd.TraceLog
 	if *profile || *tracePath != "" {
 		tlog = gonamd.NewTraceLog()
-	}
-	var opts []gonamd.Option
-	if th != nil {
-		opts = append(opts, gonamd.WithThermostat(th))
-	}
-	if *pme {
-		opts = append(opts, gonamd.WithPME(*grid, *ewaldBeta, *mts))
-	}
-	opts = append(opts, gonamd.WithClusterLists(clM, clN))
-	if tlog != nil {
 		opts = append(opts, gonamd.WithTrace(tlog))
 	}
 	var mrec *gonamd.MetricsRecorder
@@ -165,20 +144,16 @@ func main() {
 		mrec.SetSink(mfw)
 		opts = append(opts, gonamd.WithMetricsRecorder(mrec))
 	}
-
-	if *shake {
-		opts = append(opts, gonamd.WithHBondConstraints())
-	}
-	if *lb != "" {
-		opts = append(opts, gonamd.WithLoadBalancer(*lb))
-	}
-	eng, err := gonamd.NewParallel(sys, ff, st, *workers, opts...)
+	eng, th, err := spec.NewEngine(sys, ff, st, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
+	if th != nil {
+		fmt.Printf("thermostat: %s at %.0f K\n", th.Name(), *targetT)
+	}
 	fmt.Printf("engine: %d workers, %d tasks\n", eng.Workers(), eng.NumTasks())
-	if c := eng.Constraints(); c != nil {
-		fmt.Printf("SHAKE/RATTLE: %d constrained bonds\n", c.Count())
+	if *shake {
+		fmt.Println("SHAKE/RATTLE: bonds to hydrogen constrained")
 	}
 	if *lb != "" {
 		fmt.Printf("load balancer: %s\n", *lb)
@@ -189,11 +164,7 @@ func main() {
 	}
 	fmt.Printf("cluster lists: %dx%d, %s kernel\n", clM, clN, kernel)
 	if *pme {
-		beta := *ewaldBeta
-		if beta == 0 {
-			beta = 3.12 / *cutoff
-		}
-		fmt.Printf("pme: grid spacing %.2f Å, ewald beta %.3f 1/Å, MTS period %d\n", *grid, beta, *mts)
+		fmt.Printf("pme: grid spacing %.2f Å, ewald beta %.3f 1/Å, MTS period %d\n", *grid, eng.FF.EwaldBeta, *mts)
 	}
 
 	var tw *traj.Writer
@@ -252,7 +223,6 @@ func main() {
 	defer stop()
 
 	defer eng.Close()
-	constraints := eng.Constraints()
 	start := time.Now()
 	done := 0
 	for s := 1; s <= *steps; s++ {
@@ -260,12 +230,8 @@ func main() {
 			fmt.Printf("interrupted after step %d; flushing outputs\n", done)
 			break
 		}
-		if constraints != nil {
-			if err := eng.StepConstrained(*dt, constraints); err != nil {
-				log.Fatal(err)
-			}
-		} else {
-			eng.Step(*dt)
+		if err := eng.Step(*dt); err != nil {
+			log.Fatal(err)
 		}
 		done = s
 		if s%*every == 0 || s == *steps {

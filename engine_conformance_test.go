@@ -71,7 +71,10 @@ func TestEngineInterface(t *testing.T) {
 			if e.System() != sys || e.State() != s {
 				t.Error("System()/State() accessors do not return the constructor arguments")
 			}
-			en := e.Run(3, 0.5)
+			en, err := e.Run(3, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if math.IsNaN(en.Total()) {
 				t.Errorf("energies NaN after 3 steps: %v", en)
 			}
@@ -96,7 +99,6 @@ func TestOptionsOrderIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.RebalanceEvery = 0
 		return runSteps(e, 5)
 	}
 	a := build(gonamd.WithPME(1.0, 0, 2), gonamd.WithClusterLists(4, 4), gonamd.WithRebalanceEvery(0))
@@ -278,25 +280,40 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
-// TestHBondConstraintsOption: the option builds and attaches constraints
-// retrievable from the engine, at one worker and on a pool, and the
-// engine takes constrained steps with them.
+// TestHBondConstraintsOption: the option constrains the engine at one
+// worker and on a pool, whichever way it is stepped: after Run(20, 2 fs)
+// every bond to hydrogen is at its equilibrium length within 1e-6
+// relative. (Run once took unconstrained steps on such an engine, and
+// the lengths ended 1e-1 off.)
 func TestHBondConstraintsOption(t *testing.T) {
 	sys, st, ff := confSetup(t)
 	for _, w := range []int{1, 2} {
-		e, err := gonamd.NewParallel(sys, ff, cloneState(st), w, gonamd.WithHBondConstraints())
+		s := cloneState(st)
+		e, err := gonamd.NewParallel(sys, ff, s, w, gonamd.WithHBondConstraints())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		c := e.Constraints()
-		if c == nil || c.Count() == 0 {
-			t.Fatalf("workers=%d: constraints not attached (got %v)", w, c)
-		}
-		for i := 0; i < 5; i++ {
-			if err := e.StepConstrained(2.0, c); err != nil {
-				t.Fatalf("workers=%d: constrained step: %v", w, err)
-			}
+		if _, err := e.Run(20, 2.0); err != nil {
+			t.Fatalf("workers=%d: constrained run: %v", w, err)
 		}
 		e.Close()
+		if dev, n := hBondDeviation(sys, ff, s); n == 0 || dev > 1e-6 {
+			t.Errorf("workers=%d: %d bonds to hydrogen, worst relative deviation from the target length %.2e, want ≤ 1e-6", w, n, dev)
+		}
 	}
+}
+
+// hBondDeviation returns the largest relative deviation of a bond to
+// hydrogen from its equilibrium length, and the number of such bonds.
+func hBondDeviation(sys *gonamd.System, ff *gonamd.ForceField, st *gonamd.State) (float64, int) {
+	worst, n := 0.0, 0
+	for _, b := range sys.Bonds {
+		if sys.Atoms[b.I].Mass >= 3.5 && sys.Atoms[b.J].Mass >= 3.5 {
+			continue
+		}
+		r0 := ff.BondTypes[b.Type].R0
+		r := gonamd.MinImage(st.Pos[b.I], st.Pos[b.J], sys.Box).Norm()
+		worst, n = math.Max(worst, math.Abs(r-r0)/r0), n+1
+	}
+	return worst, n
 }

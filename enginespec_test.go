@@ -81,8 +81,12 @@ func TestEngineSpecParallel(t *testing.T) {
 	if eng.Workers() != 2 {
 		t.Fatalf("workers = %d, want 2", eng.Workers())
 	}
-	if eng.RebalanceEvery != 0 {
-		t.Fatalf("RebalanceEvery = %d, want 0", eng.RebalanceEvery)
+	// The default cadence would have rebalanced at step 20.
+	if _, err := eng.Run(25, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.Balances(); n != 0 {
+		t.Fatalf("%d rebalancing passes with rebalance_every 0, want none", n)
 	}
 }
 

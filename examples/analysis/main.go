@@ -35,7 +35,9 @@ func main() {
 	}
 	const frames = 40
 	for f := 0; f < frames; f++ {
-		eng.Run(5, 1.0) // 5 fs between frames
+		if _, err := eng.Run(5, 1.0); err != nil { // 5 fs between frames
+			log.Fatal(err)
+		}
 		if err := w.WriteFrame(int64(f*5), float64(f*5), st.Pos); err != nil {
 			log.Fatal(err)
 		}

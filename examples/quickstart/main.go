@@ -48,7 +48,10 @@ func main() {
 	const dt = 0.5 // fs
 	start := time.Now()
 	for block := 0; block < 5; block++ {
-		en := eng.Run(20, dt)
+		en, err := eng.Run(20, dt)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("t=%5.1f fs  T=%6.1f K  %s\n",
 			float64((block+1)*20)*dt, eng.Temperature(), en)
 	}

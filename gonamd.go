@@ -214,7 +214,8 @@ func WithFaultPlan(cfg ClusterConfig, plan *FaultPlan) ClusterConfig {
 // EnsembleConfig.FailAt is reached — the chaos harness's injected crash.
 var ErrInjectedFailure = ensemble.ErrInjectedFailure
 
-// Temperature control and constraints for NVT / long-timestep dynamics.
+// Temperature control for NVT dynamics (attach with WithThermostat;
+// WithHBondConstraints allows ~2 fs timesteps).
 type (
 	// Thermostat adjusts velocities toward a target temperature.
 	Thermostat = thermo.Thermostat
@@ -224,16 +225,7 @@ type (
 	Berendsen = thermo.Berendsen
 	// Langevin is a stochastic thermostat with a deterministic stream.
 	Langevin = thermo.Langevin
-	// Constraints holds SHAKE/RATTLE bond constraints.
-	Constraints = engine.Constraints
 )
-
-// NewHBondConstraints constrains every bond involving hydrogen to its
-// force-field equilibrium length, enabling ~2 fs timesteps via
-// StepConstrained at any worker count.
-func NewHBondConstraints(sys *System, ff *ForceField) (*Constraints, error) {
-	return engine.NewHBondConstraints(sys, func(typ int32) float64 { return ff.BondTypes[typ].R0 })
-}
 
 // Trajectory I/O.
 type (

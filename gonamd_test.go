@@ -93,18 +93,11 @@ func TestFacadeConstraintsAndTrajectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	ff := gonamd.StandardForceField(6.0)
-	eng, err := gonamd.NewSequential(sys, ff, st)
+	eng, err := gonamd.NewSequential(sys, ff, st, gonamd.WithHBondConstraints())
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.Minimize(100, 0.2)
-	c, err := gonamd.NewHBondConstraints(sys, ff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Count() != len(sys.Bonds) {
-		t.Fatalf("water should constrain every bond: %d vs %d", c.Count(), len(sys.Bonds))
-	}
 
 	var buf bytes.Buffer
 	w, err := gonamd.NewTrajWriter(&buf, sys.N(), sys.Box)
@@ -112,12 +105,15 @@ func TestFacadeConstraintsAndTrajectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s < 5; s++ {
-		if err := eng.StepConstrained(2.0, c); err != nil {
+		if err := eng.Step(2.0); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.WriteFrame(int64(s), float64(s)*2, st.Pos); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if dev, n := hBondDeviation(sys, ff, st); n != len(sys.Bonds) || dev > 1e-6 {
+		t.Errorf("%d of %d water bonds constrained, worst relative deviation %.2e", n, len(sys.Bonds), dev)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -146,13 +142,14 @@ func TestFacadeNVT(t *testing.T) {
 		t.Fatal(err)
 	}
 	ff := gonamd.StandardForceField(6.0)
-	eng, err := gonamd.NewSequential(sys, ff, st)
+	eng, err := gonamd.NewSequential(sys, ff, st, gonamd.WithThermostat(&gonamd.Berendsen{Target: 200, Tau: 20}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.Minimize(100, 0.2)
-	eng.Thermo = &gonamd.Berendsen{Target: 200, Tau: 20}
-	eng.Run(150, 0.5)
+	if _, err := eng.Run(150, 0.5); err != nil {
+		t.Fatal(err)
+	}
 	if temp := eng.Temperature(); math.Abs(temp-200) > 60 {
 		t.Errorf("NVT temperature %.1f, want near 200", temp)
 	}

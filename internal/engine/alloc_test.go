@@ -28,6 +28,8 @@ import (
 //     sum — spline, spread, both 3D transforms, convolution, gather: ten
 //     pool regions — whose region functions are bound once (pme.Recip,
 //     fft.RealMesh3), not closed over per call.
+//   - shake: SHAKE and RATTLE stages in the same Step; the pre-drift
+//     position copy reuses its buffer.
 func TestStepZeroAllocs(t *testing.T) {
 	sys, st, err := molgen.Build(molgen.WaterBox(16, 7))
 	if err != nil {
@@ -35,32 +37,40 @@ func TestStepZeroAllocs(t *testing.T) {
 	}
 	ff := forcefield.Standard(7.0)
 	for _, workers := range []int{1, 2} {
-		for _, mode := range []string{"plain", "traced", "metered", "pme-realspace", "pme-recip"} {
+		for _, mode := range []string{"plain", "traced", "metered", "pme-realspace", "pme-recip", "shake"} {
 			t.Run(fmt.Sprintf("w%d/%s", workers, mode), func(t *testing.T) {
-				e := clusterEngine(t, sys, ff, st.Clone(), workers)
-				e.RebalanceEvery = 0
+				cfg := clusterConfig(workers)
+				cfg.RebalanceEvery = every(0)
 				tlog := trace.NewLog()
 				rec := ftdc.NewEngineRecorder(0)
-				var err error
 				switch mode {
 				case "traced":
-					e.SetTrace(tlog)
+					cfg.Trace = tlog
 				case "metered":
-					e.SetMetrics(rec)
+					cfg.Metrics = rec
 				case "pme-realspace":
-					err = EnableFullElectrostatics(e, 1.0, 0.45, 1000)
+					cfg.PME = &PMEConfig{GridSpacing: 1.0, Beta: 0.45, MTSPeriod: 1000}
 				case "pme-recip":
-					err = EnableFullElectrostatics(e, 1.0, 0.45, 1)
+					cfg.PME = &PMEConfig{GridSpacing: 1.0, Beta: 0.45, MTSPeriod: 1}
+				case "shake":
+					cfg.HBondConstraints = true
+				}
+				e := buildEngine(t, sys, ff, st.Clone(), cfg)
+				var err error
+				step := func() {
+					if err == nil {
+						err = e.Step(0.5)
+					}
+				}
+				for i := 0; i < 10; i++ {
+					step()
+				}
+				evals := e.RecipEvals()
+				if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+					t.Fatalf("steady-state Step allocates: %v allocs/step, want 0", allocs)
 				}
 				if err != nil {
 					t.Fatal(err)
-				}
-				for i := 0; i < 10; i++ {
-					e.Step(0.5)
-				}
-				evals := e.RecipEvals()
-				if allocs := testing.AllocsPerRun(20, func() { e.Step(0.5) }); allocs != 0 {
-					t.Fatalf("steady-state Step allocates: %v allocs/step, want 0", allocs)
 				}
 				switch mode {
 				case "traced":

@@ -18,13 +18,13 @@ func TestClusterKernelFollowsElectrostatics(t *testing.T) {
 		if eng.clb.kernel.Tabulated() {
 			t.Errorf("%d workers: shifted-cutoff engine selected the tabulated kernel", workers)
 		}
-		if err := EnableFullElectrostatics(eng, 1.0, 0.3, 1); err != nil {
-			t.Fatal(err)
-		}
+		cfg := clusterConfig(workers)
+		cfg.PME = &PMEConfig{GridSpacing: 1.0, Beta: 0.3, MTSPeriod: 1}
+		eng = buildEngine(t, sys, ff, st.Clone(), cfg)
 		if !eng.clb.kernel.Tabulated() {
 			t.Errorf("%d workers: engine with PME did not select the tabulated kernel", workers)
 		}
-		eng.ComputeForces() // the table must match the swapped force field (checkParams panics otherwise)
+		eng.ComputeForces() // the table must match the Ewald force field (checkParams panics otherwise)
 	}
 }
 
@@ -62,7 +62,7 @@ func TestClusterListRebuildOnMotion(t *testing.T) {
 func TestNewRejectsBadClusterGeometry(t *testing.T) {
 	sys, st, ff := smallSystem(t)
 	for _, mn := range [][2]int{{9, 9}, {4, 0}, {-1, 4}} {
-		if _, err := New(sys, ff, st, 2, mn[0], mn[1]); err == nil {
+		if _, err := New(sys, ff, st, Config{Workers: 2, ClusterM: mn[0], ClusterN: mn[1]}); err == nil {
 			t.Errorf("cluster geometry %dx%d accepted", mn[0], mn[1])
 		}
 	}

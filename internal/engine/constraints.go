@@ -3,22 +3,20 @@ package engine
 import (
 	"fmt"
 
+	"gonamd/internal/forcefield"
 	"gonamd/internal/topology"
-	"gonamd/internal/trace"
 	"gonamd/internal/vec"
 )
 
-// Constraints implements SHAKE/RATTLE bond-length constraints, the
+// constraints implements SHAKE/RATTLE bond-length constraints, the
 // standard technique (used by NAMD and CHARMM) for freezing the fastest
 // bond vibrations — typically bonds to hydrogen — so the timestep can be
-// raised from ~0.5 fs to 2 fs.
-type Constraints struct {
-	pairs  []constraintPair
-	Tol    float64 // relative tolerance on |r|² (default 1e-8)
-	MaxIts int     // iteration cap per step (default 100)
+// raised from ~0.5 fs to 2 fs. Step runs SHAKE after the drift and
+// RATTLE after the closing half-kick.
+type constraints struct {
+	pairs []constraintPair
 
-	// prev is StepConstrained's copy of the pre-drift positions, reused
-	// across steps: a Constraints value serves one engine at a time.
+	// prev is Step's copy of the pre-drift positions, reused across steps.
 	prev []vec.V3
 }
 
@@ -29,16 +27,21 @@ type constraintPair struct {
 	rmJ  float64
 }
 
-// NewHBondConstraints builds constraints for every bond involving a
+const (
+	shakeTol    = 1e-8 // relative tolerance on |r|²
+	shakeMaxIts = 100  // iteration cap per step
+)
+
+// newHBondConstraints builds constraints for every bond involving a
 // hydrogen (mass < 3.5 amu), fixed at the bond type's equilibrium length.
-func NewHBondConstraints(sys *topology.System, r0 func(typ int32) float64) (*Constraints, error) {
-	c := &Constraints{Tol: 1e-8, MaxIts: 100}
+func newHBondConstraints(sys *topology.System, ff *forcefield.Params) (*constraints, error) {
+	c := &constraints{}
 	for _, b := range sys.Bonds {
 		mi, mj := sys.Atoms[b.I].Mass, sys.Atoms[b.J].Mass
 		if mi >= 3.5 && mj >= 3.5 {
 			continue
 		}
-		d := r0(b.Type)
+		d := ff.BondTypes[b.Type].R0
 		if d <= 0 {
 			return nil, fmt.Errorf("engine: constraint bond type %d has target length %g", b.Type, d)
 		}
@@ -49,35 +52,20 @@ func NewHBondConstraints(sys *topology.System, r0 func(typ int32) float64) (*Con
 	return c, nil
 }
 
-// Count returns the number of constrained bonds.
-func (c *Constraints) Count() int { return len(c.pairs) }
-
-// SetConstraints attaches a constraint set built at construction time;
-// Constraints returns it (nil when none were attached). The engine does
-// not apply them implicitly — callers drive StepConstrained.
-func (e *Engine) SetConstraints(c *Constraints) { e.cons = c }
-
-// Constraints returns the constraint set attached at construction.
-func (e *Engine) Constraints() *Constraints { return e.cons }
-
-// Shake iteratively corrects positions (and the velocities implied by the
+// shake iteratively corrects positions (and the velocities implied by the
 // position change over dt) so every constrained bond has its target
-// length. prev holds the positions before the unconstrained drift.
-// It returns the number of iterations used or an error if the solver did
-// not converge.
-func (c *Constraints) Shake(st *topology.State, prev []vec.V3, box vec.V3, dt float64) (int, error) {
-	if len(c.pairs) == 0 {
-		return 0, nil
-	}
-	for it := 1; it <= c.MaxIts; it++ {
+// length; c.prev holds the positions before the unconstrained drift. It
+// returns an error if the solver did not converge.
+func (c *constraints) shake(st *topology.State, box vec.V3, dt float64) error {
+	for it := 1; it <= shakeMaxIts; it++ {
 		converged := true
 		for _, p := range c.pairs {
 			d := vec.MinImage(st.Pos[p.i], st.Pos[p.j], box)
 			diff := d.Norm2() - p.d2
-			if diff < -c.Tol*p.d2 || diff > c.Tol*p.d2 {
+			if diff < -shakeTol*p.d2 || diff > shakeTol*p.d2 {
 				converged = false
 				// Standard SHAKE correction along the old bond vector.
-				ref := vec.MinImage(prev[p.i], prev[p.j], box)
+				ref := vec.MinImage(c.prev[p.i], c.prev[p.j], box)
 				g := diff / (2 * (p.rmI + p.rmJ) * ref.Dot(d))
 				corrI := ref.Scale(-g * p.rmI)
 				corrJ := ref.Scale(g * p.rmJ)
@@ -89,19 +77,16 @@ func (c *Constraints) Shake(st *topology.State, prev []vec.V3, box vec.V3, dt fl
 			}
 		}
 		if converged {
-			return it, nil
+			return nil
 		}
 	}
-	return c.MaxIts, fmt.Errorf("engine: SHAKE did not converge in %d iterations", c.MaxIts)
+	return fmt.Errorf("engine: SHAKE did not converge in %d iterations", shakeMaxIts)
 }
 
-// Rattle removes the velocity components along each constrained bond
+// rattle removes the velocity components along each constrained bond
 // (the RATTLE velocity constraint after the second half-kick).
-func (c *Constraints) Rattle(st *topology.State, box vec.V3) (int, error) {
-	if len(c.pairs) == 0 {
-		return 0, nil
-	}
-	for it := 1; it <= c.MaxIts; it++ {
+func (c *constraints) rattle(st *topology.State, box vec.V3) error {
+	for it := 1; it <= shakeMaxIts; it++ {
 		converged := true
 		for _, p := range c.pairs {
 			d := vec.MinImage(st.Pos[p.i], st.Pos[p.j], box)
@@ -116,37 +101,8 @@ func (c *Constraints) Rattle(st *topology.State, box vec.V3) (int, error) {
 			}
 		}
 		if converged {
-			return it, nil
+			return nil
 		}
 	}
-	return c.MaxIts, fmt.Errorf("engine: RATTLE did not converge in %d iterations", c.MaxIts)
-}
-
-// StepConstrained advances one velocity-Verlet step with SHAKE/RATTLE
-// constraints applied. An error (the solver did not converge) leaves the
-// step unfinished and uncounted.
-func (e *Engine) StepConstrained(dt float64, c *Constraints) error {
-	e.ensureForces()
-	c.prev = append(c.prev[:0], e.St.Pos...)
-	t := e.phaseNow()
-	e.kickDrift(e.forces, dt)
-	if _, err := c.Shake(e.St, c.prev, e.Sys.Box, dt); err != nil {
-		return err
-	}
-	// SHAKE corrections move atoms beyond the |v|·dt drift, so the list's
-	// drift bound is unknown; Invalidate forces a displacement scan.
-	e.Invalidate()
-	e.phaseEmit("integrate", trace.CatIntegration, t)
-	e.ComputeForces()
-	t = e.phaseNow()
-	e.kick(e.forces, 0.5*dt)
-	if _, err := c.Rattle(e.St, e.Sys.Box); err != nil {
-		return err
-	}
-	if e.Thermo != nil {
-		e.Thermo.Apply(e.Sys, e.St, dt)
-	}
-	e.phaseEmit("integrate", trace.CatIntegration, t)
-	e.finishStep()
-	return nil
+	return fmt.Errorf("engine: RATTLE did not converge in %d iterations", shakeMaxIts)
 }

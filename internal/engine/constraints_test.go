@@ -10,31 +10,29 @@ import (
 	"gonamd/internal/vec"
 )
 
-func constrainedWaterSetup(t *testing.T) (*Engine, *Constraints) {
+// constrainedWaterSetup returns a minimized water box in the reference
+// mode under SHAKE/RATTLE.
+func constrainedWaterSetup(t *testing.T) *Engine {
 	t.Helper()
 	sys, st, err := molgen.Build(molgen.WaterBox(14, 44))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ff := forcefield.Standard(6.0)
-	eng := refEngine(t, sys, ff, st)
+	eng := buildEngine(t, sys, ff, st, Config{Workers: 1, HBondConstraints: true})
 	eng.Minimize(150, 0.2)
-	c, err := NewHBondConstraints(sys, func(typ int32) float64 { return ff.BondTypes[typ].R0 })
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Every water O-H bond is constrained.
-	if c.Count() != len(sys.Bonds) {
-		t.Fatalf("constraints = %d, bonds = %d", c.Count(), len(sys.Bonds))
+	if n := len(eng.cons.pairs); n != len(sys.Bonds) {
+		t.Fatalf("constraints = %d, bonds = %d", n, len(sys.Bonds))
 	}
-	return eng, c
+	return eng
 }
 
 func TestShakeHoldsBondLengths(t *testing.T) {
-	eng, c := constrainedWaterSetup(t)
+	eng := constrainedWaterSetup(t)
 	ff := eng.FF
 	for s := 0; s < 50; s++ {
-		if err := eng.StepConstrained(1.0, c); err != nil {
+		if err := eng.Step(1.0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -48,8 +46,8 @@ func TestShakeHoldsBondLengths(t *testing.T) {
 }
 
 func TestRattleRemovesBondVelocity(t *testing.T) {
-	eng, c := constrainedWaterSetup(t)
-	if err := eng.StepConstrained(1.0, c); err != nil {
+	eng := constrainedWaterSetup(t)
+	if err := eng.Step(1.0); err != nil {
 		t.Fatal(err)
 	}
 	// After RATTLE, relative velocity along each bond must vanish.
@@ -65,10 +63,10 @@ func TestRattleRemovesBondVelocity(t *testing.T) {
 func TestConstrainedLargerTimestepStable(t *testing.T) {
 	// With O-H bonds frozen, a 2 fs timestep is stable, which it is not
 	// for unconstrained TIP3P-like water. Check energy stays bounded.
-	eng, c := constrainedWaterSetup(t)
+	eng := constrainedWaterSetup(t)
 	e0 := eng.Energies().Total()
 	for s := 0; s < 100; s++ {
-		if err := eng.StepConstrained(2.0, c); err != nil {
+		if err := eng.Step(2.0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,7 +81,7 @@ func TestConstrainedLargerTimestepStable(t *testing.T) {
 }
 
 // TestShakeRebuildsClusterList: SHAKE corrections are not drift-tracked,
-// so StepConstrained must void the list's drift bound every step. (It
+// so the constrained step must void the list's drift bound every step. (It
 // once invalidated only a list mode the engine was not in; the cluster
 // list then never rebuilt and went stale silently.) The list must
 // rebuild during a constrained run, and the forces at the final
@@ -93,16 +91,18 @@ func TestConstrainedLargerTimestepStable(t *testing.T) {
 // holds on two workers, whose trajectory must follow the one-worker one
 // within summation-order tolerance.
 func TestShakeRebuildsClusterList(t *testing.T) {
-	relaxed, c := constrainedWaterSetup(t)
+	relaxed := constrainedWaterSetup(t)
 	sys, ff := relaxed.Sys, relaxed.FF
 	var oneSt *topology.State
 	for _, workers := range []int{1, 2} {
 		st := relaxed.St.Clone()
-		eng := clusterEngine(t, sys, ff, st, workers)
+		cfg := clusterConfig(workers)
+		cfg.HBondConstraints = true
+		eng := buildEngine(t, sys, ff, st, cfg)
 		eng.ComputeForces()
 		built := eng.ClusterRebuilds()
 		for s := 0; s < 150; s++ {
-			if err := eng.StepConstrained(1.0, c); err != nil {
+			if err := eng.Step(1.0); err != nil {
 				t.Fatalf("%d workers, step %d: %v", workers, s, err)
 			}
 		}
@@ -142,7 +142,7 @@ func TestConstraintsSkipHeavyBonds(t *testing.T) {
 		t.Fatal(err)
 	}
 	ff := forcefield.Standard(9.0)
-	c, err := NewHBondConstraints(sys, func(typ int32) float64 { return ff.BondTypes[typ].R0 })
+	c, err := newHBondConstraints(sys, ff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,20 +152,25 @@ func TestConstraintsSkipHeavyBonds(t *testing.T) {
 			withH++
 		}
 	}
-	if c.Count() != withH {
-		t.Errorf("constraints = %d, bonds with H = %d", c.Count(), withH)
+	if len(c.pairs) != withH {
+		t.Errorf("constraints = %d, bonds with H = %d", len(c.pairs), withH)
 	}
-	if c.Count() == len(sys.Bonds) {
+	if len(c.pairs) == len(sys.Bonds) {
 		t.Error("heavy-atom bonds were constrained too")
 	}
 }
 
 func TestConstraintValidation(t *testing.T) {
-	sys, _, err := molgen.Build(molgen.WaterBox(10, 2))
+	sys, st, err := molgen.Build(molgen.WaterBox(10, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewHBondConstraints(sys, func(int32) float64 { return 0 }); err == nil {
+	ff := forcefield.Standard(4.5)
+	ff.BondTypes = append([]forcefield.BondType(nil), ff.BondTypes...)
+	for i := range ff.BondTypes {
+		ff.BondTypes[i].R0 = 0
+	}
+	if _, err := New(sys, ff, st, Config{Workers: 1, HBondConstraints: true}); err == nil {
 		t.Error("zero target length accepted")
 	}
 }

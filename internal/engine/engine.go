@@ -91,18 +91,10 @@ type Engine struct {
 	FF  *forcefield.Params
 	St  *topology.State
 
-	// RebalanceEvery sets how many steps run between load-balancing
-	// passes (0 disables automatic rebalancing; call Rebalance manually).
-	RebalanceEvery int
-
-	// LB is the load-balancing strategy Rebalance applies; nil selects
-	// the default ldb.GreedyRefine. Resolve registry names with
-	// ldb.Lookup ("greedy+refine", "refine-only", "hierarchical",
-	// "diffusion", "none").
-	LB ldb.Strategy
-
-	// Thermo, when non-nil, is applied after every step (NVT dynamics).
-	Thermo thermo.Thermostat
+	// From Config; rebalanceEvery with its default resolved.
+	rebalanceEvery int
+	lb             ldb.Strategy
+	thermostat     thermo.Thermostat
 
 	workers  int
 	grid     *spatial.Grid // cells of edge ≥ cutoff+skin: the task decomposition
@@ -143,16 +135,51 @@ type Engine struct {
 	steps    int64
 	balances int
 
-	// tr, when non-nil, receives per-phase execution records (tracing.go).
-	tr *trace.Recorder
+	tr      *trace.Recorder // per-phase execution records, nil untraced (tracing.go)
+	metrics *ftdc.Recorder  // telemetry published after every step (metrics.go)
+	cons    *constraints    // SHAKE/RATTLE stages of Step, nil without (constraints.go)
+}
 
-	// metrics, when non-nil, receives the always-on telemetry vector
-	// after every step (see metrics.go).
-	metrics *ftdc.Recorder
+// Config is everything an engine is built with. New takes it whole;
+// nothing about an engine is configured after construction.
+type Config struct {
+	// Workers is the worker count (0 = NumCPU); one worker runs inline.
+	Workers int
 
-	// cons, when non-nil, holds SHAKE/RATTLE constraints attached at
-	// construction (the options API); drive them with StepConstrained.
-	cons *Constraints
+	// ClusterM×ClusterN is the geometry of the cluster pair lists; 0×0
+	// selects the list-free reference mode, which runs on one worker.
+	ClusterM, ClusterN int
+
+	// PME, when non-nil, switches the electrostatics to smooth
+	// particle-mesh Ewald under the impulse-MTS schedule (pme.go).
+	PME *PMEConfig
+
+	// HBondConstraints holds every bond to hydrogen at its force-field
+	// equilibrium length with SHAKE/RATTLE (constraints.go). Not with PME:
+	// the impulse-MTS cycle has no constraint projection.
+	HBondConstraints bool
+
+	// Thermostat, when non-nil, is applied after every step (NVT dynamics).
+	Thermostat thermo.Thermostat
+
+	// RebalanceEvery, when non-nil, sets how many steps run between
+	// load-balancing passes (0 disables them; call Rebalance manually).
+	// Nil selects every 20 steps on a multi-worker engine, none on one.
+	RebalanceEvery *int
+
+	// LB is the load-balancing strategy Rebalance applies; nil selects
+	// ldb.GreedyRefine. Resolve registry names with ldb.Lookup.
+	LB ldb.Strategy
+
+	// Trace, when enabled, receives per-phase execution records
+	// (tracing.go).
+	Trace *trace.Log
+
+	// Metrics, when non-nil, receives the always-on telemetry vector
+	// after every step: atomic stores, no allocation (metrics.go). Its
+	// phase times come from the trace recorder, a timing-only one when
+	// there is no Trace.
+	Metrics *ftdc.Recorder
 }
 
 // DefaultClusterM × DefaultClusterN is the cluster geometry every
@@ -162,15 +189,17 @@ type Engine struct {
 // useful pair as the tile grows.
 const DefaultClusterM, DefaultClusterN = 4, 8
 
-// New creates an engine with the given number of workers (0 = NumCPU)
-// over m×n cluster pair lists, or, given 0×0, in the list-free reference
-// mode, which runs on one worker. The spatial grid has cells at least
-// cutoff+skin wide, and work decomposes into one nonbonded task per cell
-// (reference mode: one task in all) plus chunks of bonded terms. A
-// multi-worker engine rebalances every 20 steps unless told otherwise.
-func New(sys *topology.System, ff *forcefield.Params, st *topology.State, workers, m, n int) (*Engine, error) {
+// New builds the engine cfg describes over the system. The spatial grid
+// has cells at least cutoff+skin wide, and work decomposes into one
+// nonbonded task per cell (reference mode: one task in all) plus chunks
+// of bonded terms.
+func New(sys *topology.System, ff *forcefield.Params, st *topology.State, cfg Config) (*Engine, error) {
+	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
+	}
+	if cfg.HBondConstraints && cfg.PME != nil {
+		return nil, fmt.Errorf("engine: SHAKE/RATTLE constraints and PME cannot be combined")
 	}
 	if sys.N() != len(st.Pos) || sys.N() != len(st.Vel) {
 		return nil, fmt.Errorf("engine: state size %d/%d does not match %d atoms", len(st.Pos), len(st.Vel), sys.N())
@@ -185,15 +214,28 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State, worker
 	if err != nil {
 		return nil, err
 	}
+	if cfg.PME != nil {
+		// The pair kernels evaluate the Ewald real-space term from here on,
+		// and the cluster kernel follows the electrostatics.
+		ff = ff.WithEwald(cfg.PME.beta(ff))
+	}
 	e := &Engine{
 		Sys: sys, FF: ff, St: st,
-		workers: workers,
-		grid:    grid,
-		forces:  make([]vec.V3, sys.N()),
-		wstates: make([]wstate, workers),
-		wenergy: make([]seq.Energies, workers),
+		lb:         cfg.LB,
+		thermostat: cfg.Thermostat,
+		workers:    workers,
+		grid:       grid,
+		forces:     make([]vec.V3, sys.N()),
+		wstates:    make([]wstate, workers),
+		wenergy:    make([]seq.Energies, workers),
+		tr:         trace.NewRecorder(cfg.Trace),
+		metrics:    cfg.Metrics,
 	}
-	if m == 0 && n == 0 {
+	if e.metrics != nil && e.tr == nil {
+		// Metrics need the phase accumulators even without a trace log.
+		e.tr = trace.NewTimingRecorder()
+	}
+	if m, n := cfg.ClusterM, cfg.ClusterN; m == 0 && n == 0 {
 		if workers != 1 {
 			return nil, fmt.Errorf("engine: the list-free reference mode runs on one worker, not %d", workers)
 		}
@@ -207,10 +249,23 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State, worker
 		e.wstates[0].f = e.forces
 		e.mesh = fft.Serial{}
 	} else {
-		e.RebalanceEvery = 20
+		e.rebalanceEvery = 20
 		e.mesh = poolAdapter{e}
 		for w := range e.wstates {
 			e.wstates[w].f = make([]vec.V3, sys.N())
+		}
+	}
+	if cfg.RebalanceEvery != nil {
+		e.rebalanceEvery = *cfg.RebalanceEvery
+	}
+	if cfg.PME != nil {
+		if err := e.enablePME(cfg.PME); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.HBondConstraints {
+		if e.cons, err = newHBondConstraints(sys, ff); err != nil {
+			return nil, err
 		}
 	}
 	e.buildTasks()
@@ -323,7 +378,7 @@ func (e *Engine) staticAssign() {
 }
 
 // Rebalance remaps tasks to workers using the measured task times and
-// the engine's LB strategy (default ldb.GreedyRefine, the same
+// the engine's strategy (Config.LB, default ldb.GreedyRefine, the same
 // centralized pair the cluster simulation uses). The balance count is
 // the strategy's pass number, so composite strategies run their global
 // stage on the first rebalance and refine incrementally thereafter.
@@ -341,7 +396,7 @@ func (e *Engine) Rebalance() {
 			PE:         e.assign[ti],
 		})
 	}
-	strat := e.LB
+	strat := e.lb
 	if strat == nil {
 		strat = &ldb.GreedyRefine{}
 	}
@@ -667,44 +722,101 @@ func (e *Engine) kickDrift(f []vec.V3, dt float64) {
 	}
 }
 
-// Step advances one velocity-Verlet step of dt femtoseconds. With full
-// electrostatics enabled the step follows the impulse-MTS schedule in
-// stepPME.
-func (e *Engine) Step(dt float64) {
-	if e.pme != nil {
-		e.stepPME(dt)
-		return
-	}
+// Step advances one velocity-Verlet step of dt femtoseconds, with the
+// stages the engine was built with: under PME the reciprocal force kicks
+// velocities by ½·k·dt at the start and end of each k-step impulse-MTS
+// cycle (Verlet-I/r-RESPA: one reciprocal evaluation per cycle, plain
+// velocity Verlet on the fast forces every step, exactly velocity Verlet
+// on the combined force at k = 1); SHAKE follows the drift and RATTLE
+// the closing half-kick; the thermostat ends the step. An error — a
+// force evaluation left the potential energy non-finite, or a constraint
+// solver did not converge — leaves the step unfinished and uncounted.
+func (e *Engine) Step(dt float64) error {
 	e.ensureForces()
+	if err := e.diverged(); err != nil {
+		return err
+	}
+	p, c := e.pme, e.cons
+	var fr []vec.V3
+	var dtOuter float64
+	if p != nil {
+		e.ensureRecip()
+		fr, dtOuter = p.Forces(), dt*float64(p.MTSPeriod)
+	}
+
 	t := e.phaseNow()
+	if p != nil && p.Counter == 0 {
+		e.kick(fr, 0.5*dtOuter)
+	}
+	if c != nil {
+		c.prev = append(c.prev[:0], e.St.Pos...)
+	}
 	e.kickDrift(e.forces, dt)
+	if c != nil {
+		if err := c.shake(e.St, e.Sys.Box, dt); err != nil {
+			return err
+		}
+		// SHAKE corrections move atoms beyond the |v|·dt drift, so the
+		// list's drift bound is unknown; Invalidate forces a displacement
+		// scan.
+		e.Invalidate()
+	}
 	e.phaseEmit("integrate", trace.CatIntegration, t)
+
 	e.ComputeForces()
+	if err := e.diverged(); err != nil {
+		return err
+	}
+
 	t = e.phaseNow()
 	e.kick(e.forces, 0.5*dt)
-	if e.Thermo != nil {
-		e.Thermo.Apply(e.Sys, e.St, dt)
+	if c != nil {
+		if err := c.rattle(e.St, e.Sys.Box); err != nil {
+			return err
+		}
+	}
+	if p != nil {
+		p.Counter++
+		if p.Counter == p.MTSPeriod {
+			p.Counter = 0
+			e.phaseEmit("integrate", trace.CatIntegration, t)
+			e.evalRecip()
+			t = e.phaseNow()
+			e.kick(fr, 0.5*dtOuter)
+		}
+	}
+	if e.thermostat != nil {
+		e.thermostat.Apply(e.Sys, e.St, dt)
 	}
 	e.phaseEmit("integrate", trace.CatIntegration, t)
-	e.finishStep()
-}
 
-// finishStep is the epilogue of every kind of step: count it, rebalance
-// on the configured cadence, emit the step marker and publish metrics.
-func (e *Engine) finishStep() {
 	e.steps++
-	if e.RebalanceEvery > 0 && e.steps%int64(e.RebalanceEvery) == 0 {
+	if e.rebalanceEvery > 0 && e.steps%int64(e.rebalanceEvery) == 0 {
 		e.Rebalance()
 	}
 	e.markStep()
+	return nil
 }
 
-// Run advances n steps and returns the final energies.
-func (e *Engine) Run(n int, dt float64) seq.Energies {
-	for s := 0; s < n; s++ {
-		e.Step(dt)
+// diverged reports, naming the step, a potential energy the latest force
+// evaluation left non-finite: forces that would carry the state into
+// NaN, or that already did. O(1), and allocation-free unless it fails.
+func (e *Engine) diverged() error {
+	if u := e.cur.Potential(); math.IsNaN(u) || math.IsInf(u, 0) {
+		return fmt.Errorf("engine: step %d: non-finite potential energy %g", e.steps+1, u)
 	}
-	return e.Energies()
+	return nil
+}
+
+// Run advances n steps and returns the final energies. It stops at the
+// first step that fails and returns that step's error.
+func (e *Engine) Run(n int, dt float64) (seq.Energies, error) {
+	for s := 0; s < n; s++ {
+		if err := e.Step(dt); err != nil {
+			return seq.Energies{}, err
+		}
+	}
+	return e.Energies(), nil
 }
 
 // Minimize performs up to steps iterations of steepest descent with

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,25 +38,32 @@ func smallSystem(t *testing.T) (*topology.System, *topology.State, *forcefield.P
 
 // refEngine returns the one-worker engine in the list-free reference
 // mode over st; clusterEngine one on 4×8 cluster lists with the given
-// worker count, its pool stopped when the test ends.
+// worker count; buildEngine the engine cfg describes, with
+// clusterConfig's cluster geometry. Pools stop when the test ends.
 func refEngine(t testing.TB, sys *topology.System, ff *forcefield.Params, st *topology.State) *Engine {
-	t.Helper()
-	eng, err := New(sys, ff, st, 1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
+	return buildEngine(t, sys, ff, st, Config{Workers: 1})
 }
 
 func clusterEngine(t testing.TB, sys *topology.System, ff *forcefield.Params, st *topology.State, workers int) *Engine {
+	return buildEngine(t, sys, ff, st, clusterConfig(workers))
+}
+
+func clusterConfig(workers int) Config {
+	return Config{Workers: workers, ClusterM: DefaultClusterM, ClusterN: DefaultClusterN}
+}
+
+func buildEngine(t testing.TB, sys *topology.System, ff *forcefield.Params, st *topology.State, cfg Config) *Engine {
 	t.Helper()
-	eng, err := New(sys, ff, st, workers, DefaultClusterM, DefaultClusterN)
+	eng, err := New(sys, ff, st, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
 	return eng
 }
+
+// every returns a rebalance cadence for Config.RebalanceEvery.
+func every(steps int) *int { return &steps }
 
 func TestForcesMatchSequential(t *testing.T) {
 	sys, st, ff := smallSystem(t)
@@ -89,8 +97,9 @@ func TestTrajectoryMatchesSequential(t *testing.T) {
 	refEng := refEngine(t, sys, ff, parSt)
 	refEng.Minimize(30, 0.2)
 
-	eng := clusterEngine(t, sys, ff, parSt, 4)
-	eng.RebalanceEvery = 0
+	cfg := clusterConfig(4)
+	cfg.RebalanceEvery = every(0)
+	eng := buildEngine(t, sys, ff, parSt, cfg)
 
 	const steps = 10
 	ref.Run(steps, 0.5)
@@ -106,8 +115,9 @@ func TestTrajectoryMatchesSequential(t *testing.T) {
 
 func TestRebalanceRuns(t *testing.T) {
 	sys, st, ff := smallSystem(t)
-	eng := clusterEngine(t, sys, ff, st, 3)
-	eng.RebalanceEvery = 2
+	cfg := clusterConfig(3)
+	cfg.RebalanceEvery = every(2)
+	eng := buildEngine(t, sys, ff, st, cfg)
 	eng.Run(5, 0.25)
 	if eng.Balances() != 2 {
 		t.Errorf("balances = %d, want 2", eng.Balances())
@@ -129,8 +139,9 @@ func TestRebalanceRuns(t *testing.T) {
 
 func TestRebalanceImprovesSpread(t *testing.T) {
 	sys, st, ff := smallSystem(t)
-	eng := clusterEngine(t, sys, ff, st, 4)
-	eng.RebalanceEvery = 0
+	cfg := clusterConfig(4)
+	cfg.RebalanceEvery = every(0)
+	eng := buildEngine(t, sys, ff, st, cfg)
 	eng.Run(3, 0.25) // populate measurements
 	spread := func() float64 {
 		loads := eng.WorkerLoads()
@@ -196,18 +207,26 @@ func TestEnergyConservationParallel(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	sys, st, ff := smallSystem(t)
 	bad := &topology.State{Pos: st.Pos[:5], Vel: st.Vel[:5]}
-	if _, err := New(sys, ff, bad, 2, 4, 8); err == nil {
+	if _, err := New(sys, ff, bad, clusterConfig(2)); err == nil {
 		t.Error("mismatched state accepted")
 	}
 	noExcl := &topology.System{Name: "x", Box: sys.Box, Atoms: sys.Atoms}
-	if _, err := New(noExcl, ff, st, 1, 0, 0); err == nil {
+	if _, err := New(noExcl, ff, st, Config{Workers: 1}); err == nil {
 		t.Error("system without exclusions accepted")
 	}
-	if _, err := New(sys, ff, st, 2, 0, 0); err == nil {
+	if _, err := New(sys, ff, st, Config{Workers: 2}); err == nil {
 		t.Error("reference mode accepted on two workers")
 	}
-	if eng, err := New(sys, ff, st, 0, 4, 8); err != nil || eng.Workers() <= 0 {
+	if _, err := New(sys, ff, st, Config{Workers: 1, HBondConstraints: true, PME: &PMEConfig{GridSpacing: 1, MTSPeriod: 1}}); err == nil {
+		t.Error("constraints accepted with PME")
+	}
+	if _, err := New(sys, ff, st, Config{Workers: 1, PME: &PMEConfig{GridSpacing: 1}}); err == nil {
+		t.Error("PME accepted with MTS period 0")
+	}
+	if eng, err := New(sys, ff, st, clusterConfig(0)); err != nil || eng.Workers() <= 0 {
 		t.Errorf("workers=0 should default to NumCPU: %v", err)
+	} else {
+		eng.Close()
 	}
 }
 
@@ -238,8 +257,9 @@ func TestParallelNVT(t *testing.T) {
 	// One instantaneous temperature of a ~270-atom box swings by tens of
 	// kelvin from step to step; the mean over a window after the coupling
 	// has acted (τ = 20 fs, the window starts at 150 fs) does not.
-	eng := clusterEngine(t, sys, ff, st, 3)
-	eng.Thermo = &thermo.Berendsen{Target: 220, Tau: 20}
+	cfg := clusterConfig(3)
+	cfg.Thermostat = &thermo.Berendsen{Target: 220, Tau: 20}
+	eng := buildEngine(t, sys, ff, st, cfg)
 	eng.Run(300, 0.5)
 	var sum float64
 	const window = 300
@@ -366,12 +386,7 @@ func TestMinimizeStepsAlongAcceptedGradient(t *testing.T) {
 	}{{"reference", 1, 0, 0}, {"cluster/W=1", 1, DefaultClusterM, DefaultClusterN}, {"cluster/W=2", 2, DefaultClusterM, DefaultClusterN}} {
 		t.Run(c.name, func(t *testing.T) {
 			mk := func() *Engine {
-				e, err := New(sys, ff, st.Clone(), c.workers, c.m, c.n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(e.Close)
-				return e
+				return buildEngine(t, sys, ff, st.Clone(), Config{Workers: c.workers, ClusterM: c.m, ClusterN: c.n})
 			}
 			got, want := mk(), mk()
 			u := got.Minimize(150, 0.2)
@@ -531,14 +546,15 @@ func TestNVTWithBerendsenThermostat(t *testing.T) {
 		t.Fatal(err)
 	}
 	ff := forcefield.Standard(6.0)
-	eng := refEngine(t, sys, ff, st)
+	eng := buildEngine(t, sys, ff, st, Config{Workers: 1, Thermostat: &thermo.Berendsen{Target: 240, Tau: 25}})
 	eng.Minimize(120, 0.2)
 	rng := xrand.New(3)
 	for i := range st.Vel {
 		st.Vel[i] = st.Vel[i].Scale(0.1 * rng.Float64())
 	}
-	eng.Thermo = &thermo.Berendsen{Target: 240, Tau: 25}
-	eng.Run(250, 0.5)
+	if _, err := eng.Run(250, 0.5); err != nil {
+		t.Fatal(err)
+	}
 	temp := eng.Temperature()
 	if temp < 150 || temp > 330 {
 		t.Errorf("NVT run temperature %.1f, want near 240", temp)
@@ -699,16 +715,17 @@ func TestGoroutineLifecycle(t *testing.T) {
 		if i%4 == 3 {
 			m, n = 0, 0
 		}
-		e, err := New(sys, ff, st.Clone(), 1, m, n)
+		cfg := Config{Workers: 1, ClusterM: m, ClusterN: n}
+		if i%10 == 0 {
+			cfg.PME = &PMEConfig{GridSpacing: 1.0, Beta: 0.55, MTSPeriod: 1}
+		}
+		e, err := New(sys, ff, st.Clone(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i%10 == 0 {
-			if err := EnableFullElectrostatics(e, 1.0, 0.55, 1); err != nil {
-				t.Fatal(err)
-			}
+		if err := e.Step(0.5); err != nil {
+			t.Fatal(err)
 		}
-		e.Step(0.5)
 		e.Close()
 		if got := runtime.NumGoroutine(); got != baseline {
 			t.Fatalf("%d goroutines after one-worker engine %d stepped, %d before", got, i, baseline)
@@ -717,11 +734,12 @@ func TestGoroutineLifecycle(t *testing.T) {
 
 	const workers = 3
 	mk := func() *Engine {
-		e, err := New(sys, ff, st.Clone(), workers, DefaultClusterM, DefaultClusterN)
+		cfg := clusterConfig(workers)
+		cfg.RebalanceEvery = every(0)
+		e, err := New(sys, ff, st.Clone(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.RebalanceEvery = 0
 		return e
 	}
 	whole, closed := mk(), mk()
@@ -743,5 +761,36 @@ func TestGoroutineLifecycle(t *testing.T) {
 	defer closed.Close()
 	if !reflect.DeepEqual(closed.St.Pos, whole.St.Pos) {
 		t.Error("an engine closed and stepped again left the trajectory of one never closed")
+	}
+}
+
+// TestStepFailsOnNonFiniteEnergy: a force evaluation that leaves the
+// potential energy non-finite fails the step, naming it, instead of
+// carrying the state into NaN: here two oxygens 1e-60 Å apart, whose
+// Lennard-Jones energy overflows, in reference mode and on cluster lists.
+func TestStepFailsOnNonFiniteEnergy(t *testing.T) {
+	sys, st0, err := molgen.Build(molgen.WaterBox(12, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := forcefield.Standard(5.5)
+	for _, cfg := range []Config{{Workers: 1}, clusterConfig(1), clusterConfig(2)} {
+		st := st0.Clone()
+		eng := buildEngine(t, sys, ff, st, cfg)
+		if err := eng.Step(0.5); err != nil {
+			t.Fatal(err)
+		}
+		st.Pos[0], st.Pos[3] = vec.New(1e-60, 5, 5), vec.New(0, 5, 5)
+		eng.Invalidate()
+		err := eng.Step(0.5)
+		if err == nil || !strings.Contains(err.Error(), "step 2: non-finite potential energy") {
+			t.Errorf("%+v: Step = %v, want step 2's non-finite energy error", cfg, err)
+		}
+		if _, err := eng.Run(3, 0.5); err == nil {
+			t.Errorf("%+v: Run continued past a failed step", cfg)
+		}
+		if eng.Steps() != 1 {
+			t.Errorf("%+v: %d steps counted, want 1", cfg, eng.Steps())
+		}
 	}
 }

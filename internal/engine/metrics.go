@@ -5,22 +5,6 @@ import (
 	"gonamd/internal/trace"
 )
 
-// SetMetrics attaches an always-on telemetry recorder: after every
-// completed step the engine publishes the FTDC engine vector (step
-// count, per-phase busy seconds, rebuild count, worker load imbalance)
-// into the recorder's slot array — a handful of atomic stores, no
-// locks, no allocation, so the zero-alloc step contract holds with
-// metrics on. The per-phase times come from the trace recorder's
-// accumulators; if no trace is attached, a timing-only recorder
-// (bounded memory) is installed so phase timing works without a
-// Projections log. Passing nil detaches metrics.
-func (e *Engine) SetMetrics(rec *ftdc.Recorder) {
-	e.metrics = rec
-	if rec != nil && !e.tr.Enabled() {
-		e.tr = trace.NewTimingRecorder()
-	}
-}
-
 // Metrics returns the attached telemetry recorder, if any.
 func (e *Engine) Metrics() *ftdc.Recorder { return e.metrics }
 

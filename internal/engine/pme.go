@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"gonamd/internal/forcefield"
 	"gonamd/internal/pme"
 	"gonamd/internal/trace"
 	"gonamd/internal/vec"
@@ -25,30 +26,40 @@ func (p poolAdapter) Run(f func(w int)) {
 	e.pmeFn = nil
 }
 
-// EnableFullElectrostatics switches the engine from shifted-cutoff
-// electrostatics to smooth particle-mesh Ewald: the pair kernels evaluate
-// the erfc-screened real-space term inside the existing cutoff (from the
+// PMEConfig switches the engine from shifted-cutoff electrostatics to
+// smooth particle-mesh Ewald: the pair kernels evaluate the
+// erfc-screened real-space term inside the existing cutoff (from the
 // interaction table on the cluster path, analytically in reference
-// mode), and a reciprocal-space mesh sum (order-4 B-spline PME on a grid
-// of at most gridSpacing Å per point) plus self, background, and
-// excluded-pair corrections supply the long-range remainder. mtsPeriod
-// sets the multiple-timestepping split: the reciprocal sum is evaluated
-// once every mtsPeriod steps and applied as an impulse
-// (Verlet-I/r-RESPA), 1 meaning every step. The mesh phases are split
-// over the engine's workers; the reciprocal forces are bitwise identical
-// for any worker count.
-// Must be called before the first Step. This is the implementation
-// behind gonamd.WithPME; it is a package function rather than a method
-// so the configuration surface of the public Engine type stays
-// construction-only.
-func EnableFullElectrostatics(e *Engine, gridSpacing, beta float64, mtsPeriod int) error {
-	if e.pme != nil {
-		return fmt.Errorf("engine: full electrostatics already enabled")
+// mode), and a reciprocal-space mesh sum (order-4 B-spline PME) plus
+// self, background, and excluded-pair corrections supply the long-range
+// remainder. The mesh phases are split over the engine's workers; the
+// reciprocal forces are bitwise identical for any worker count.
+type PMEConfig struct {
+	// GridSpacing is the largest mesh spacing, Å per point.
+	GridSpacing float64
+	// Beta is the Ewald splitting parameter, Å⁻¹; 0 derives it from the
+	// cutoff (3.12/cutoff, erfc(3.12) ≈ 1e-5 at the cutoff).
+	Beta float64
+	// MTSPeriod sets the multiple-timestepping split: the reciprocal sum
+	// is evaluated once every MTSPeriod steps and applied as an impulse
+	// (Step), 1 meaning every step.
+	MTSPeriod int
+}
+
+func (c *PMEConfig) beta(ff *forcefield.Params) float64 {
+	if c.Beta > 0 {
+		return c.Beta
 	}
-	if mtsPeriod < 1 {
-		return fmt.Errorf("engine: MTS period %d must be ≥ 1", mtsPeriod)
+	return 3.12 / ff.Cutoff
+}
+
+// enablePME builds the slow-force solver; e.FF already carries the Ewald
+// splitting parameter.
+func (e *Engine) enablePME(c *PMEConfig) error {
+	if c.MTSPeriod < 1 {
+		return fmt.Errorf("engine: MTS period %d must be ≥ 1", c.MTSPeriod)
 	}
-	recip, err := pme.NewRecip(e.Sys.Box, gridSpacing, beta)
+	recip, err := pme.NewRecip(e.Sys.Box, c.GridSpacing, e.FF.EwaldBeta)
 	if err != nil {
 		return err
 	}
@@ -56,22 +67,9 @@ func EnableFullElectrostatics(e *Engine, gridSpacing, beta float64, mtsPeriod in
 	for i := range q {
 		q[i] = e.Sys.Atoms[i].Charge
 	}
-	ff := e.FF.WithEwald(beta)
-	if e.clb != nil {
-		// The cluster kernel follows the electrostatics: re-select it (and
-		// build the interaction table) for the Ewald real-space term.
-		if e.clb.kernel, err = ff.ClusterKernel(); err != nil {
-			return err
-		}
-	}
-	e.pme = pme.NewSolver(recip, q, e.FF.Scale14Elec, e.Sys, mtsPeriod)
-	e.FF = ff
-	e.fresh = false
+	e.pme = pme.NewSolver(recip, q, e.FF.Scale14Elec, e.Sys, c.MTSPeriod)
 	return nil
 }
-
-// PMEEnabled reports whether full electrostatics are active.
-func (e *Engine) PMEEnabled() bool { return e.pme != nil }
 
 // RecipEvals returns the number of reciprocal-space evaluations performed,
 // for verifying the MTS saving.
@@ -104,46 +102,4 @@ func (e *Engine) evalRecip() {
 	t := e.phaseNow()
 	e.pme.Evaluate(e.St.Pos, e.mesh)
 	e.phaseEmit("pme_recip", trace.CatPME, t)
-}
-
-// stepPME advances one step with full electrostatics under the impulse
-// MTS scheme: the slow reciprocal force kicks velocities by ½·k·dt at
-// cycle boundaries (one reciprocal evaluation per k steps), while the
-// fast forces — real-space erfc nonbonded plus bonded — integrate with
-// plain velocity Verlet every step. With k = 1 this reduces exactly to
-// velocity Verlet on the combined force.
-func (e *Engine) stepPME(dt float64) {
-	p := e.pme
-	e.ensureForces()
-	e.ensureRecip()
-	dtOuter := dt * float64(p.MTSPeriod)
-	fr := p.Forces()
-
-	// Outer half-kick with the reciprocal impulse at the cycle start.
-	t := e.phaseNow()
-	if p.Counter == 0 {
-		e.kick(fr, 0.5*dtOuter)
-	}
-
-	// Inner velocity-Verlet step with the fast forces.
-	e.kickDrift(e.forces, dt)
-	e.phaseEmit("integrate", trace.CatIntegration, t)
-	e.ComputeForces()
-	t = e.phaseNow()
-	e.kick(e.forces, 0.5*dt)
-	e.phaseEmit("integrate", trace.CatIntegration, t)
-
-	// Cycle end: fresh reciprocal forces and the closing outer half-kick.
-	p.Counter++
-	if p.Counter == p.MTSPeriod {
-		p.Counter = 0
-		e.evalRecip()
-		t = e.phaseNow()
-		e.kick(fr, 0.5*dtOuter)
-		e.phaseEmit("integrate", trace.CatIntegration, t)
-	}
-	if e.Thermo != nil {
-		e.Thermo.Apply(e.Sys, e.St, dt)
-	}
-	e.finishStep()
 }

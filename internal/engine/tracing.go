@@ -5,25 +5,16 @@ import (
 	"gonamd/internal/trace"
 )
 
-// SetTrace attaches a trace log to the engine. Every subsequent force
-// evaluation emits one compacted "nonbonded" and "bonded" record per
-// worker (PE = worker, duration = that worker's summed task times, laid
-// end to end from the phase start so spans sum exactly to the record
-// duration) plus, on a multi-worker engine, a PE-0 "reduce" record of the
-// reduction-phase wall time; Step adds "integrate" records ("pme_recip"
-// too when full electrostatics are on) and a zero-duration "step" marker.
-// Workers only accumulate floats — all records are emitted from the
-// goroutine driving the step, so the recorder needs no locking. Passing
-// nil or a disabled log detaches tracing; the hot path then pays only
-// nil checks, preserving the zero-allocation step.
-func (e *Engine) SetTrace(l *trace.Log) {
-	e.tr = trace.NewRecorder(l)
-	if e.tr == nil && e.metrics != nil {
-		// Metrics still need the phase accumulators: fall back to a
-		// timing-only recorder rather than losing them.
-		e.tr = trace.NewTimingRecorder()
-	}
-}
+// Tracing (Config.Trace): every force evaluation emits one compacted
+// "nonbonded" and "bonded" record per worker (PE = worker, duration =
+// that worker's summed task times, laid end to end from the phase start
+// so spans sum exactly to the record duration) plus, on a multi-worker
+// engine, a PE-0 "reduce" record of the reduction-phase wall time; Step
+// adds "integrate" records ("pme_recip" too under PME) and a
+// zero-duration "step" marker. Workers only accumulate floats — all
+// records are emitted from the goroutine driving the step, so the
+// recorder needs no locking. Without a log the hot path pays only nil
+// checks, preserving the zero-allocation step.
 
 // System returns the engine's topology.
 func (e *Engine) System() *topology.System { return e.Sys }

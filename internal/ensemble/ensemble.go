@@ -202,23 +202,19 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State, cfg Co
 			Gamma:  cfg.Gamma,
 			Seed:   cfg.Seed + 0x9e3779b97f4a7c15*uint64(i+1),
 		}
-		eng, err := newEngine(sys, ff, rst, cfg.EngineWorkers)
+		// One replica's engine: list-free and inline on one worker, or on
+		// cluster lists with a worker pool (0 workers = all cores).
+		ecfg := engine.Config{Workers: 1, Thermostat: th}
+		if w := cfg.EngineWorkers; w > 1 || w == 0 && sys.N() >= parAtomThreshold {
+			ecfg.Workers, ecfg.ClusterM, ecfg.ClusterN = w, engine.DefaultClusterM, engine.DefaultClusterN
+		}
+		eng, err := engine.New(sys, ff, rst, ecfg)
 		if err != nil {
 			return nil, err
 		}
-		eng.Thermo = th
 		e.replicas = append(e.replicas, &Replica{Index: i, Temp: temp, st: rst, eng: eng, th: th})
 	}
 	return e, nil
-}
-
-// newEngine builds one replica's engine: list-free and inline on one
-// worker, or on cluster lists with a worker pool (0 workers = all cores).
-func newEngine(sys *topology.System, ff *forcefield.Params, st *topology.State, engineWorkers int) (*engine.Engine, error) {
-	if engineWorkers > 1 || engineWorkers == 0 && sys.N() >= parAtomThreshold {
-		return engine.New(sys, ff, st, engineWorkers, engine.DefaultClusterM, engine.DefaultClusterN)
-	}
-	return engine.New(sys, ff, st, 1, 0, 0)
 }
 
 // Close stops every replica engine's worker pool. Call it when done with
@@ -289,7 +285,9 @@ func (e *Ensemble) Run(steps int) error {
 		if fa := e.cfg.FailAt; fa > e.step && fa < next {
 			next = fa
 		}
-		e.advance(int(next - e.step))
+		if err := e.advance(int(next - e.step)); err != nil {
+			return err
+		}
 		e.step = next
 		if fa := e.cfg.FailAt; fa > 0 && e.step == fa {
 			return ErrInjectedFailure
@@ -309,11 +307,14 @@ func (e *Ensemble) Run(steps int) error {
 // advance steps every replica n times, at most e.workers concurrently.
 // Replicas share only read-only data (topology, force field), so the pool
 // needs no ordering: results are deterministic regardless of scheduling.
-func (e *Ensemble) advance(n int) {
+// A replica stops at its first failed step; advance returns the error of
+// the lowest-index replica that failed.
+func (e *Ensemble) advance(n int) error {
 	if n <= 0 {
-		return
+		return nil
 	}
 	recs := make([]trace.ExecRecord, len(e.replicas))
+	errs := make([]error, len(e.replicas))
 	sem := make(chan struct{}, e.workers)
 	var wg sync.WaitGroup
 	for _, r := range e.replicas {
@@ -323,10 +324,14 @@ func (e *Ensemble) advance(n int) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			t0 := e.now()
-			for s := 0; s < n; s++ {
-				r.eng.Step(e.cfg.Dt)
+			s := 0
+			for ; s < n; s++ {
+				if err := r.eng.Step(e.cfg.Dt); err != nil {
+					errs[r.Index] = fmt.Errorf("ensemble: replica %d: %w", r.Index, err)
+					break
+				}
 			}
-			r.steps += int64(n)
+			r.steps += int64(s)
 			t1 := e.now()
 			recs[r.Index] = trace.ExecRecord{
 				PE: int32(r.Index), Obj: int32(r.Index), Entry: "replica.advance",
@@ -341,6 +346,12 @@ func (e *Ensemble) advance(n int) {
 			e.cfg.Trace.Add(rec)
 		}
 	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // exchange attempts Metropolis swaps between neighboring rungs, even pairs

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"os"
+	"strings"
 	"testing"
 
 	"gonamd/internal/engine"
@@ -11,6 +12,7 @@ import (
 	"gonamd/internal/molgen"
 	"gonamd/internal/topology"
 	"gonamd/internal/trace"
+	"gonamd/internal/vec"
 )
 
 // buildRelaxed builds a system and relaxes the packed initial
@@ -22,7 +24,7 @@ func buildRelaxed(t testing.TB, spec molgen.Spec, cutoff float64, minSteps int) 
 		t.Fatal(err)
 	}
 	ff := forcefield.Standard(cutoff)
-	eng, err := engine.New(sys, ff, st, 1, 0, 0)
+	eng, err := engine.New(sys, ff, st, engine.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,5 +355,30 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	}
 	if err := other2.Restore(snap); err == nil {
 		t.Error("Restore accepted a checkpoint with a different ladder")
+	}
+}
+
+// TestRunStopsOnDivergedReplica: a replica whose step fails stops the
+// run, and Run reports the lowest-index failing replica whatever order
+// the pool finished them in. Replicas 1 and 2 start with two oxygens
+// 1e-60 Å apart, whose Lennard-Jones energy overflows.
+func TestRunStopsOnDivergedReplica(t *testing.T) {
+	sys, ff, st := waterEnsembleInputs(t)
+	ens, err := New(sys, ff, st, Config{Temperatures: GeometricLadder(300, 330, 3), ExchangeEvery: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ens.Close()
+	for _, i := range []int{1, 2} {
+		r := ens.Replica(i)
+		r.State().Pos[0], r.State().Pos[3] = vec.New(1e-60, 5, 5), vec.New(0, 5, 5)
+		r.eng.Invalidate()
+	}
+	err = ens.Run(40)
+	if err == nil || !strings.Contains(err.Error(), "replica 1:") || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("Run = %v, want replica 1's non-finite energy error", err)
+	}
+	if ens.Step() != 0 {
+		t.Errorf("ensemble counted %d steps past a failed one", ens.Step())
 	}
 }

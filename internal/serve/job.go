@@ -186,29 +186,32 @@ func (j *Job) ensure() error {
 		}
 		j.ens = ens
 	} else {
-		eng, th, err := j.Spec.Engine.NewEngine(sys, ff, st)
-		if err != nil {
-			return err
-		}
-		j.eng, j.th = eng, th
+		var extra []gonamd.Option
 		if j.tlog != nil {
-			eng.SetTrace(j.tlog)
+			extra = append(extra, gonamd.WithTrace(j.tlog))
 		}
 		if j.metricsInterval >= 0 {
 			// OpenFile recovers a torn tail from a crash and appends, so
-			// a resumed job keeps its pre-crash samples.
+			// a resumed job keeps its pre-crash samples. The recorder is
+			// the job's from here on, so finalize closes it and the file
+			// even if the engine then fails to build.
 			fw, err := ftdc.OpenFile(j.metricsPath(), ftdc.EngineSchema())
 			if err != nil {
 				return err
 			}
 			rec := ftdc.NewEngineRecorder(j.metricsInterval)
 			rec.SetSink(fw)
-			eng.SetMetrics(rec)
 			j.metricsFW = fw
 			j.statusMu.Lock()
 			j.metrics = rec
 			j.statusMu.Unlock()
+			extra = append(extra, gonamd.WithMetricsRecorder(rec))
 		}
+		eng, th, err := j.Spec.Engine.NewEngine(sys, ff, st, extra...)
+		if err != nil {
+			return err
+		}
+		j.eng, j.th = eng, th
 	}
 	j.sys, j.ff, j.st = sys, ff, st
 
@@ -357,7 +360,7 @@ func (j *Job) runSlice(n int, killed <-chan struct{}) sliceOutcome {
 		if j.pauseF.Load() {
 			return j.pauseNow()
 		}
-		if err := j.stepEngine(); err != nil {
+		if err := j.eng.Step(j.Spec.Dt); err != nil {
 			return j.finalize(StateFailed, err.Error())
 		}
 		j.step++
@@ -370,17 +373,6 @@ func (j *Job) runSlice(n int, killed <-chan struct{}) sliceOutcome {
 	}
 	j.updateStatus(func(s *JobStatus) { s.Step = j.step; s.Frames = j.frames })
 	return outcomeProgress
-}
-
-// stepEngine advances the engine one step: the constrained step when the
-// spec attached SHAKE/RATTLE constraints (a solver that does not converge
-// fails the job), the plain one otherwise.
-func (j *Job) stepEngine() error {
-	if c := j.eng.Constraints(); c != nil {
-		return j.eng.StepConstrained(j.Spec.Dt, c)
-	}
-	j.eng.Step(j.Spec.Dt)
-	return nil
 }
 
 // emitCadence handles the per-step cadences: trajectory frames, energy
@@ -675,7 +667,7 @@ func (j *Job) persistStatus() {
 }
 
 // Metrics returns the job's live telemetry recorder, or nil if the job
-// has not built its engine (or metrics are disabled). Safe to call
+// has not begun building its engine (or metrics are disabled). Safe to call
 // while a slice runs — the pointer lives under statusMu, not j.mu.
 func (j *Job) Metrics() *ftdc.Recorder {
 	j.statusMu.Lock()

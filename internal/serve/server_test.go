@@ -81,12 +81,8 @@ func referenceTrajectory(t *testing.T, spec JobSpec) []byte {
 		t.Fatal(err)
 	}
 	for step := int64(1); step <= spec.Steps; step++ {
-		if c := eng.Constraints(); c != nil {
-			if err := eng.StepConstrained(spec.Dt, c); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			eng.Step(spec.Dt)
+		if err := eng.Step(spec.Dt); err != nil {
+			t.Fatal(err)
 		}
 		if step%spec.FrameEvery == 0 {
 			if err := w.WriteFrame(step, float64(step)*spec.Dt, st.Pos); err != nil {
@@ -524,6 +520,37 @@ func TestServerSurvivesMalformedInlineTopology(t *testing.T) {
 		if note := getStatus(t, srv.URL, bad.ID).Note; !strings.Contains(note, tc.note) {
 			t.Errorf("failed job's note %q does not contain %q", note, tc.note)
 		}
+	}
+
+	good := postJob(t, srv.URL, waterJob(20))
+	waitFor(t, "the next job to finish", func() bool { return getStatus(t, srv.URL, good.ID).State == StateDone })
+}
+
+// TestServerFailsDivergingJob: a job whose integration diverges (a 20 fs
+// timestep under PME) ends failed before its step budget, with a note
+// naming the non-finite energy. It once ran to done on NaN energies: its
+// event stream stopped where the first NaN failed to encode, and
+// GET /jobs/{id} answered 200 with an empty body. The status must decode
+// on every poll, and the server keeps serving the next job.
+func TestServerFailsDivergingJob(t *testing.T) {
+	sched := newTestScheduler(t, Config{Workers: 1})
+	defer sched.Stop()
+	srv := httptest.NewServer(NewServer(sched))
+	defer srv.Close()
+
+	bad := postJob(t, srv.URL, JobSpec{
+		System: SystemSpec{Preset: "water", Side: 16, Seed: 3, Cutoff: 6},
+		Engine: gonamd.EngineSpec{PME: &gonamd.PMESpec{GridSpacing: 1}},
+		Steps:  400,
+		Dt:     20,
+	})
+	var st JobStatus
+	waitFor(t, "the diverging job to end", func() bool {
+		st = getStatus(t, srv.URL, bad.ID)
+		return terminal(st.State)
+	})
+	if st.State != StateFailed || st.Step >= 400 || !strings.Contains(st.Note, "non-finite") {
+		t.Errorf("diverging job ended %s at step %d with note %q; want failed before step 400 naming the non-finite energy", st.State, st.Step, st.Note)
 	}
 
 	good := postJob(t, srv.URL, waterJob(20))

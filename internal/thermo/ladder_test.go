@@ -23,7 +23,7 @@ func TestLangevinRelaxesToLadderTemperatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	ff := forcefield.Standard(6.0)
-	eng, err := engine.New(sys, ff, st, 1, 0, 0)
+	eng, err := engine.New(sys, ff, st, engine.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,13 +36,21 @@ func TestLangevinRelaxesToLadderTemperatures(t *testing.T) {
 		sample = 400  // steps averaged
 	)
 	for _, target := range []float64{240, 300, 360, 420} {
-		eng.Thermo = &thermo.Langevin{Target: target, Gamma: gamma, Seed: 12}
-		for s := 0; s < equil; s++ {
-			eng.Step(dt)
+		// Each rung continues the previous one's state under its own
+		// thermostat; the list-free engine carries no history to lose.
+		eng, err := engine.New(sys, ff, st, engine.Config{Workers: 1,
+			Thermostat: &thermo.Langevin{Target: target, Gamma: gamma, Seed: 12}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(equil, dt); err != nil {
+			t.Fatal(err)
 		}
 		mean := 0.0
 		for s := 0; s < sample; s++ {
-			eng.Step(dt)
+			if err := eng.Step(dt); err != nil {
+				t.Fatal(err)
+			}
 			mean += thermo.Temperature(sys, st)
 		}
 		mean /= sample

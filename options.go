@@ -7,8 +7,6 @@ import (
 	"gonamd/internal/engine"
 	"gonamd/internal/ftdc"
 	"gonamd/internal/ldb"
-	"gonamd/internal/thermo"
-	"gonamd/internal/trace"
 )
 
 // Engine is what driving a simulation needs of the engine NewSequential
@@ -16,10 +14,14 @@ import (
 // type. The cluster simulation (NewClusterSim) models machines rather
 // than advancing real atoms and stays outside this interface.
 type Engine interface {
-	// Step advances one velocity-Verlet step of dt femtoseconds.
-	Step(dt float64)
-	// Run advances n steps and returns the final energies.
-	Run(n int, dt float64) Energies
+	// Step advances one velocity-Verlet step of dt femtoseconds, with
+	// every stage the engine was built with (PME impulses, SHAKE/RATTLE,
+	// the thermostat). It fails when the step diverged (a non-finite
+	// potential energy) or a constraint solver did not converge.
+	Step(dt float64) error
+	// Run advances n steps and returns the final energies, stopping at
+	// the first step that fails.
+	Run(n int, dt float64) (Energies, error)
 	// ComputeForces evaluates forces at the current positions.
 	ComputeForces() Energies
 	// Energies returns the last evaluation's energies plus current kinetic.
@@ -40,42 +42,13 @@ type Engine interface {
 
 var _ Engine = (*Parallel)(nil)
 
-// engineOptions accumulates the configuration the options record. All
-// validation that spans options (or needs the force field) happens after
-// every option has run, so option order never matters.
-type engineOptions struct {
-	// parallel tells which constructor is applying the options, so the
-	// options that only tune a worker pool (WithRebalanceEvery,
-	// WithLoadBalancer) can reject NewSequential by name.
-	parallel bool
-
-	// Cluster pair list geometry; 0×0 = not given (sequential: the
-	// list-free reference mode; parallel: the default geometry).
-	clusterM, clusterN int
-
-	pmeSet  bool
-	pmeGrid float64
-	pmeBeta float64 // 0 = auto (3.12/cutoff, erfc(3.12) ≈ 1e-5 at the cutoff)
-	pmeMTS  int
-
-	trace      *trace.Log
-	metrics    *ftdc.Recorder
-	thermostat thermo.Thermostat
-
-	rebalanceEvery    int
-	rebalanceEverySet bool
-
-	lb ldb.Strategy // par: task-to-worker balancing strategy, nil = default
-
-	hbond bool
-}
-
-// Option configures an engine at construction time. Options are applied
-// by NewSequential and NewParallel in a fixed internal order, so the
-// order they are passed in never changes the result. The pool options
-// (WithRebalanceEvery, WithLoadBalancer) return a construction error
-// when handed to NewSequential.
-type Option func(*engineOptions) error
+// Option configures an engine at construction time by setting its part
+// of the engine's configuration. Cross-option rules are checked once
+// every option has run, so the order options are passed in never
+// changes the result. The pool options (WithRebalanceEvery,
+// WithLoadBalancer) return a construction error when handed to
+// NewSequential.
+type Option func(*engine.Config) error
 
 // WithClusterLists selects the production nonbonded path — M×N cluster
 // pair lists (GROMACS-style) — and its geometry: atoms pack into spatial
@@ -93,11 +66,11 @@ type Option func(*engineOptions) error
 // NewSequential without this option evaluates the list-free cell-walk
 // reference mode, the oracle the cluster path is tested against.
 func WithClusterLists(m, n int) Option {
-	return func(o *engineOptions) error {
+	return func(c *engine.Config) error {
 		if m < 1 || m > 8 || n < 1 || n > 8 || m*n > 64 {
 			return fmt.Errorf("gonamd: cluster geometry %dx%d out of range (M, N in [1, 8], M·N ≤ 64)", m, n)
 		}
-		o.clusterM, o.clusterN = m, n
+		c.ClusterM, c.ClusterN = m, n
 		return nil
 	}
 }
@@ -112,7 +85,7 @@ func WithClusterLists(m, n int) Option {
 // WithPME. Delete that call in a benchmark-only change, then this
 // function.
 func WithTabulatedKernels(spacing float64) Option {
-	return func(*engineOptions) error {
+	return func(*engine.Config) error {
 		if spacing < 0 || spacing != spacing {
 			return fmt.Errorf("gonamd: table spacing %g Å² must be ≥ 0", spacing)
 		}
@@ -127,7 +100,7 @@ func WithTabulatedKernels(spacing float64) Option {
 // in Å⁻¹; pass 0 to choose it from the cutoff (3.12/cutoff, which makes
 // the real-space term negligible at the cutoff).
 func WithPME(gridSpacing, beta float64, mtsPeriod int) Option {
-	return func(o *engineOptions) error {
+	return func(c *engine.Config) error {
 		if gridSpacing <= 0 {
 			return fmt.Errorf("gonamd: PME grid spacing %g Å must be positive", gridSpacing)
 		}
@@ -137,10 +110,7 @@ func WithPME(gridSpacing, beta float64, mtsPeriod int) Option {
 		if mtsPeriod < 1 {
 			return fmt.Errorf("gonamd: PME MTS period %d must be ≥ 1", mtsPeriod)
 		}
-		o.pmeSet = true
-		o.pmeGrid = gridSpacing
-		o.pmeBeta = beta
-		o.pmeMTS = mtsPeriod
+		c.PME = &engine.PMEConfig{GridSpacing: gridSpacing, Beta: beta, MTSPeriod: mtsPeriod}
 		return nil
 	}
 }
@@ -150,8 +120,8 @@ func WithPME(gridSpacing, beta float64, mtsPeriod int) Option {
 // AnalyzeTrace or cmd/projections. The instrumentation adds no heap
 // allocations to the steady-state step.
 func WithTrace(l *TraceLog) Option {
-	return func(o *engineOptions) error {
-		o.trace = l
+	return func(c *engine.Config) error {
+		c.Trace = l
 		return nil
 	}
 }
@@ -169,11 +139,11 @@ func WithTrace(l *TraceLog) Option {
 // trace attached the phase times feed both; without one a bounded
 // timing-only accumulator is installed.
 func WithMetrics(interval time.Duration) Option {
-	return func(o *engineOptions) error {
+	return func(c *engine.Config) error {
 		if interval < 0 {
 			return fmt.Errorf("gonamd: metrics interval %s must be ≥ 0 (0 = manual sampling)", interval)
 		}
-		o.metrics = ftdc.NewEngineRecorder(interval)
+		c.Metrics = ftdc.NewEngineRecorder(interval)
 		return nil
 	}
 }
@@ -182,19 +152,19 @@ func WithMetrics(interval time.Duration) Option {
 // (see NewMetricsRecorder) — the variant services use so they keep the
 // handle for sampling, streaming, and shutdown. Nil is rejected.
 func WithMetricsRecorder(rec *MetricsRecorder) Option {
-	return func(o *engineOptions) error {
+	return func(c *engine.Config) error {
 		if rec == nil {
 			return fmt.Errorf("gonamd: WithMetricsRecorder requires a non-nil recorder (use WithMetrics to construct one)")
 		}
-		o.metrics = rec
+		c.Metrics = rec
 		return nil
 	}
 }
 
 // WithThermostat applies the thermostat after every step (NVT dynamics).
 func WithThermostat(th Thermostat) Option {
-	return func(o *engineOptions) error {
-		o.thermostat = th
+	return func(c *engine.Config) error {
+		c.Thermostat = th
 		return nil
 	}
 }
@@ -203,15 +173,11 @@ func WithThermostat(th Thermostat) Option {
 // engine's measurement-based load-balancing passes (0 disables automatic
 // rebalancing; call Rebalance manually). Parallel engine only.
 func WithRebalanceEvery(steps int) Option {
-	return func(o *engineOptions) error {
-		if !o.parallel {
-			return fmt.Errorf("gonamd: WithRebalanceEvery applies only to the parallel engine")
-		}
+	return func(c *engine.Config) error {
 		if steps < 0 {
 			return fmt.Errorf("gonamd: rebalance interval %d must be ≥ 0", steps)
 		}
-		o.rebalanceEvery = steps
-		o.rebalanceEverySet = true
+		c.RebalanceEvery = &steps
 		return nil
 	}
 }
@@ -224,38 +190,26 @@ func WithRebalanceEvery(steps int) Option {
 // unknown name fails construction with an *UnknownLBStrategyError
 // listing the valid names. Parallel engine only.
 func WithLoadBalancer(name string) Option {
-	return func(o *engineOptions) error {
-		if !o.parallel {
-			return fmt.Errorf("gonamd: WithLoadBalancer applies only to the parallel engine")
-		}
+	return func(c *engine.Config) error {
 		s, err := ldb.Lookup(name)
 		if err != nil {
 			return err
 		}
-		o.lb = s
+		c.LB = s
 		return nil
 	}
 }
 
-// WithHBondConstraints builds SHAKE/RATTLE constraints for every bond
-// involving hydrogen, fixed at the force-field equilibrium length, and
-// attaches them to the engine (retrieve with Constraints and drive with
-// StepConstrained), at any worker count. Incompatible with WithPME: both
-// reshape the timestep structure, and the impulse-MTS PME step has no
-// constraint projection.
+// WithHBondConstraints holds every bond involving hydrogen at its
+// force-field equilibrium length: every Step then runs SHAKE after the
+// drift and RATTLE after the closing half-kick, at any worker count.
+// Incompatible with WithPME: both reshape the timestep structure, and the
+// impulse-MTS PME cycle has no constraint projection.
 func WithHBondConstraints() Option {
-	return func(o *engineOptions) error {
-		o.hbond = true
+	return func(c *engine.Config) error {
+		c.HBondConstraints = true
 		return nil
 	}
-}
-
-// validate enforces the cross-option constraints once all options ran.
-func (o *engineOptions) validate() error {
-	if o.hbond && o.pmeSet {
-		return fmt.Errorf("gonamd: WithHBondConstraints and WithPME cannot be combined: the impulse-MTS PME step has no SHAKE/RATTLE projection")
-	}
-	return nil
 }
 
 // NewSequential creates the engine with one worker, which runs inline on
@@ -276,66 +230,36 @@ func NewParallel(sys *System, ff *ForceField, st *State, workers int, opts ...Op
 	return newEngine(true, sys, ff, st, workers, opts)
 }
 
-// applyOptions runs the options and their cross-option checks: every
+// applyOptions runs the options over the configuration of an engine with
+// the given worker count and checks the rules that span options: every
 // rule construction enforces before it looks at a system.
-func applyOptions(parallel bool, opts []Option) (engineOptions, error) {
-	o := engineOptions{parallel: parallel}
+func applyOptions(parallel bool, workers int, opts []Option) (engine.Config, error) {
+	c := engine.Config{Workers: workers}
 	for _, opt := range opts {
-		if err := opt(&o); err != nil {
-			return o, err
+		if err := opt(&c); err != nil {
+			return c, err
 		}
 	}
-	return o, o.validate()
+	switch {
+	case !parallel && c.RebalanceEvery != nil:
+		return c, fmt.Errorf("gonamd: WithRebalanceEvery applies only to the parallel engine")
+	case !parallel && c.LB != nil:
+		return c, fmt.Errorf("gonamd: WithLoadBalancer applies only to the parallel engine")
+	case c.HBondConstraints && c.PME != nil:
+		return c, fmt.Errorf("gonamd: WithHBondConstraints and WithPME cannot be combined: the impulse-MTS PME step has no SHAKE/RATTLE projection")
+	case parallel && c.ClusterM == 0:
+		c.ClusterM, c.ClusterN = engine.DefaultClusterM, engine.DefaultClusterN
+	}
+	return c, nil
 }
 
-// newEngine is the one construction body: apply and validate the options,
-// then build the engine with the given worker count.
+// newEngine applies the options and builds the engine.
 func newEngine(parallel bool, sys *System, ff *ForceField, st *State, workers int, opts []Option) (*engine.Engine, error) {
-	o, err := applyOptions(parallel, opts)
+	c, err := applyOptions(parallel, workers, opts)
 	if err != nil {
 		return nil, err
 	}
-	if parallel && o.clusterM == 0 {
-		o.clusterM, o.clusterN = engine.DefaultClusterM, engine.DefaultClusterN
-	}
-	e, err := engine.New(sys, ff, st, workers, o.clusterM, o.clusterN)
-	if err != nil {
-		return nil, err
-	}
-	e.Thermo = o.thermostat
-	if o.rebalanceEverySet {
-		e.RebalanceEvery = o.rebalanceEvery
-	}
-	e.LB = o.lb
-	if o.pmeSet {
-		if err := engine.EnableFullElectrostatics(e, o.pmeGrid, o.betaOrAuto(ff), o.pmeMTS); err != nil {
-			return nil, err
-		}
-	}
-	if o.hbond {
-		c, err := NewHBondConstraints(sys, ff)
-		if err != nil {
-			return nil, err
-		}
-		e.SetConstraints(c)
-	}
-	if o.trace != nil {
-		e.SetTrace(o.trace)
-	}
-	if o.metrics != nil {
-		e.SetMetrics(o.metrics)
-	}
-	return e, nil
-}
-
-// betaOrAuto resolves the Ewald splitting parameter: an explicit value
-// passes through; 0 derives it from the cutoff so that the real-space
-// term is negligible (erfc(3.12) ≈ 1e-5) at the cutoff.
-func (o *engineOptions) betaOrAuto(ff *ForceField) float64 {
-	if o.pmeBeta > 0 {
-		return o.pmeBeta
-	}
-	return 3.12 / ff.Cutoff
+	return engine.New(sys, ff, st, c)
 }
 
 // EngineSpec is the wire form of an engine configuration: a
@@ -499,22 +423,24 @@ func (s *EngineSpec) lower() (par bool, th Thermostat, opts []Option, err error)
 func (s *EngineSpec) Validate() error {
 	par, _, opts, err := s.lower()
 	if err == nil {
-		_, err = applyOptions(par, opts)
+		_, err = applyOptions(par, s.Workers, opts)
 	}
 	return err
 }
 
 // NewEngine constructs the engine the spec describes over the given
 // system, with every option validated by the same construction rules
-// NewSequential and NewParallel enforce. The returned Thermostat is the
-// instance the engine applies (nil for NVE) — exposed so callers that
-// checkpoint, like the job server, can snapshot and restore a Langevin
-// noise stream.
-func (s *EngineSpec) NewEngine(sys *System, ff *ForceField, st *State) (*Parallel, Thermostat, error) {
+// NewSequential and NewParallel enforce. The extra options attach what
+// does not travel over the wire — a trace log, a metrics recorder. The
+// returned Thermostat is the instance the engine applies (nil for NVE) —
+// exposed so callers that checkpoint, like the job server, can snapshot
+// and restore a Langevin noise stream.
+func (s *EngineSpec) NewEngine(sys *System, ff *ForceField, st *State, extra ...Option) (*Parallel, Thermostat, error) {
 	par, th, opts, err := s.lower()
 	if err != nil {
 		return nil, nil, err
 	}
+	opts = append(opts, extra...)
 	var eng *Parallel
 	if par {
 		eng, err = NewParallel(sys, ff, st, s.Workers, opts...)
