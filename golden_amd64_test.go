@@ -1,4 +1,4 @@
-//go:build amd64 && !amd64.v3
+//go:build amd64
 
 package gonamd_test
 

@@ -12,8 +12,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
-	"sort"
+	"sync"
+	"sync/atomic"
 
 	"gonamd/internal/machine"
 	"gonamd/internal/spatial"
@@ -95,41 +97,45 @@ func BuildWorkload(name string, sys *topology.System, st *topology.State, grid *
 		patchPos[p], cells[p], key = splitPatch(grid, p, st.Pos, atoms, box, key)
 	}
 
-	// Within-patch pairs.
-	for p := 0; p < np; p++ {
-		pos := patchPos[p]
-		var c PairCount
-		for i := 0; i < len(pos); i++ {
-			for j := i + 1; j < len(pos); j++ {
-				r2 := minImage2(pos[i], pos[j], box)
-				if r2 < list2 {
-					c.Listed++
-					if r2 < cut2 {
-						c.Within++
-					}
+	// The census: every patch's own pairs, then every neighbouring patch
+	// pair's. Items are claimed in chunks by up to GOMAXPROCS goroutines;
+	// each writes only its own items' counts, and integer counts do not
+	// depend on the order they are taken in.
+	//
+	// A pair of sub-cells is skipped when no two of their atoms can be
+	// within listDist, with a relative margin far above the rounding of any
+	// computed distance, so every skipped pair is one the full loop would
+	// not have counted. Inside, an atom further than listDist from the
+	// neighbour patch's cell cannot pair with any atom inside it. The
+	// minimum image is taken once per pair of sub-cells, or per patch for
+	// its own pairs, where one shift serves every atom pair (see
+	// census.shift).
+	skip2 := list2 * (1 + 1e-9)
+	cs := census{box: box, list2: list2, cut2: cut2}
+	measure := func(item int, near []vec.V3) []vec.V3 {
+		if item < np {
+			var c PairCount
+			pos := patchPos[item]
+			if len(pos) > 0 {
+				lo, hi := spread(cells[item])
+				s, ok := cs.shift(lo, hi, lo, hi)
+				for i, pa := range pos {
+					cs.count(&c, pa, pos[i+1:], s, ok)
 				}
 			}
+			w.Self[item] = c
+			return near
 		}
-		w.Self[p] = c
-	}
-
-	// Cross-patch pairs. A pair of sub-cells is skipped when no two of
-	// their atoms can be within listDist, with a relative margin far above
-	// the rounding of any computed distance, so every skipped pair is one
-	// the full loop would not have counted. Inside, an atom further than
-	// listDist from the neighbor patch's cell cannot pair with any atom
-	// inside it.
-	skip2 := list2 * (1 + 1e-9)
-	var near []vec.V3
-	for pi, pr := range w.Pairs {
-		a, b := pr[0], pr[1]
+		pi := item - np
+		a, b := w.Pairs[pi][0], w.Pairs[pi][1]
 		if len(patchPos[a]) > len(patchPos[b]) {
 			a, b = b, a
 		}
 		posA, posB := patchPos[a], patchPos[b]
 		bxLo, bxHi := patchBounds(grid, b)
 		var c PairCount
-		for _, ca := range cells[a] {
+		for i := range cells[a] {
+			ca := &cells[a][i]
 			near = near[:0]
 			for _, pa := range posA[ca.start:ca.end] {
 				if boxDist2(pa, bxLo, bxHi, box) < list2 {
@@ -139,88 +145,156 @@ func BuildWorkload(name string, sys *topology.System, st *topology.State, grid *
 			if len(near) == 0 {
 				continue
 			}
-			for _, cb := range cells[b] {
+			for j := range cells[b] {
+				cb := &cells[b][j]
 				if cellDist2(ca, cb, box) >= skip2 {
 					continue
 				}
+				s, ok := cs.shift(ca.min, ca.max, cb.min, cb.max)
 				for _, pa := range near {
-					for _, pb := range posB[cb.start:cb.end] {
-						r2 := minImage2(pa, pb, box)
-						if r2 < list2 {
-							c.Listed++
-							if r2 < cut2 {
-								c.Within++
-							}
-						}
-					}
+					cs.count(&c, pa, posB[cb.start:cb.end], s, ok)
 				}
 			}
 		}
 		w.PairCounts[pi] = c
+		return near
 	}
-
-	// Bonded terms: fully-intra terms count toward their patch; terms
-	// spanning patches aggregate into per-base-patch groups.
-	inter := map[int]*BondedGroup{}
-	addTerm := func(atoms ...int32) {
-		patchSet := map[int]bool{}
-		for _, ai := range atoms {
-			patchSet[int(atomPatch[ai])] = true
-		}
-		if len(patchSet) == 1 {
-			for p := range patchSet {
-				w.IntraTerms[p]++
-			}
-			return
-		}
-		ids := make([]int, 0, len(patchSet))
-		for p := range patchSet {
-			ids = append(ids, p)
-		}
-		sort.Ints(ids)
-		base := grid.BaseOf(ids)
-		g := inter[base]
-		if g == nil {
-			g = &BondedGroup{Base: base}
-			inter[base] = g
-		}
-		g.Terms++
-		for _, p := range ids {
-			found := false
-			for _, q := range g.Patches {
-				if q == p {
-					found = true
-					break
+	items := np + len(w.Pairs)
+	const chunk = 16
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := min(runtime.GOMAXPROCS(0), (items+chunk-1)/chunk); g > 0; g-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var near []vec.V3
+			for {
+				lo := int(next.Add(chunk)) - chunk
+				if lo >= items {
+					return
+				}
+				for item := lo; item < min(lo+chunk, items); item++ {
+					near = measure(item, near)
 				}
 			}
-			if !found {
+		}()
+	}
+	wg.Wait()
+
+	// Bonded terms: fully-intra terms count toward their patch; terms
+	// spanning patches aggregate into per-base-patch groups. groups[b]
+	// collects the terms based at patch b; a term has at most four atoms,
+	// so its patch set fits a fixed array.
+	groups := make([]BondedGroup, np)
+	addTerm := func(atoms [4]int32, n int) {
+		var ids [4]int
+		k := 0
+		for _, ai := range atoms[:n] {
+			p := int(atomPatch[ai])
+			if !slices.Contains(ids[:k], p) {
+				ids[k] = p
+				k++
+			}
+		}
+		if k == 1 {
+			w.IntraTerms[ids[0]]++
+			return
+		}
+		slices.Sort(ids[:k])
+		g := &groups[grid.BaseOf(ids[:k])]
+		g.Terms++
+		for _, p := range ids[:k] {
+			if !slices.Contains(g.Patches, p) {
 				g.Patches = append(g.Patches, p)
 			}
 		}
 	}
 	for _, t := range sys.Bonds {
-		addTerm(t.I, t.J)
+		addTerm([4]int32{t.I, t.J}, 2)
 	}
 	for _, t := range sys.Angles {
-		addTerm(t.I, t.J, t.K)
+		addTerm([4]int32{t.I, t.J, t.K}, 3)
 	}
 	for _, t := range sys.Dihedrals {
-		addTerm(t.I, t.J, t.K, t.L)
+		addTerm([4]int32{t.I, t.J, t.K, t.L}, 4)
 	}
 	for _, t := range sys.Impropers {
-		addTerm(t.I, t.J, t.K, t.L)
+		addTerm([4]int32{t.I, t.J, t.K, t.L}, 4)
 	}
-	bases := make([]int, 0, len(inter))
-	for b := range inter {
-		bases = append(bases, b)
-	}
-	sort.Ints(bases)
-	for _, b := range bases {
-		g := inter[b]
-		sort.Ints(g.Patches)
-		w.InterGroups = append(w.InterGroups, *g)
+	for b, g := range groups {
+		if g.Terms > 0 {
+			g.Base = b
+			slices.Sort(g.Patches)
+			w.InterGroups = append(w.InterGroups, g)
+		}
 	}
 	return w, nil
+}
+
+// census counts atom pairs inside the pairlist distance (list2, squared)
+// and the cutoff (cut2 ≤ list2) in the periodic box.
+type census struct {
+	box         vec.V3
+	list2, cut2 float64
+}
+
+// count adds to c the pairs of pa with each of pbs inside list2 (Listed)
+// and inside cut2 (Within). With shifted, s is the minimum-image shift
+// that vec.MinImage subtracts from every displacement pa − pb, per axis
+// (see shift), and r² is its squared norm after that shift, the bits
+// vec.MinImage2 would return; without it, vec.MinImage2 itself runs. The
+// counts are the sign bits of r² − list² and r² − cut², set exactly when
+// r² is below the bound, so the shifted loop takes no data-dependent
+// branch.
+func (cs *census) count(c *PairCount, pa vec.V3, pbs []vec.V3, s vec.V3, shifted bool) {
+	var listed, within uint64
+	if shifted {
+		for _, pb := range pbs {
+			dx, dy, dz := pa.X-pb.X-s.X, pa.Y-pb.Y-s.Y, pa.Z-pb.Z-s.Z
+			r2 := dx*dx + dy*dy + dz*dz
+			listed += math.Float64bits(r2-cs.list2) >> 63
+			within += math.Float64bits(r2-cs.cut2) >> 63
+		}
+	} else {
+		for _, pb := range pbs {
+			r2 := vec.MinImage2(pa, pb, cs.box)
+			listed += math.Float64bits(r2-cs.list2) >> 63
+			within += math.Float64bits(r2-cs.cut2) >> 63
+		}
+	}
+	c.Listed += int64(listed)
+	c.Within += int64(within)
+}
+
+// shift returns, per axis, the multiple of the box length that
+// vec.MinImage subtracts from every displacement a − b with a in
+// [aMin, aMax] and b in [bMin, bMax], and whether one shift serves all of
+// them on every axis. Subtraction rounds monotonically, so each computed
+// a − b lies within [aMin − bMax, aMax − bMin] as computed. Where that
+// range stays below 3L/8 in magnitude, d/L rounds to ±0 and the shift is
+// 0; between 5L/8 and 11L/8 it rounds to ±1 and the shift is ±L, which
+// MinImage subtracts as L·(±1) = ±L exactly. The eighths leave room far
+// above the rounding of the quotient and of the bounds.
+func (cs *census) shift(aMin, aMax, bMin, bMax vec.V3) (vec.V3, bool) {
+	x, okx := axisShift(aMin.X-bMax.X, aMax.X-bMin.X, cs.box.X)
+	y, oky := axisShift(aMin.Y-bMax.Y, aMax.Y-bMin.Y, cs.box.Y)
+	z, okz := axisShift(aMin.Z-bMax.Z, aMax.Z-bMin.Z, cs.box.Z)
+	return vec.New(x, y, z), okx && oky && okz
+}
+
+// axisShift is one axis of census.shift: the shift of every displacement
+// in [lo, hi] on a ring of length l.
+func axisShift(lo, hi, l float64) (float64, bool) {
+	near, far0, far1 := 0.375*l, 0.625*l, 1.375*l
+	switch {
+	case -near < lo && hi < near:
+		return 0, true
+	case far0 < lo && hi < far1:
+		return l, true
+	case -far1 < lo && hi < -far0:
+		return -l, true
+	}
+	return 0, false
 }
 
 // Counts returns the aggregate work counts for machine-model calibration
@@ -271,28 +345,12 @@ func boxDist2(p, lo, hi, box vec.V3) float64 {
 	return d2
 }
 
-// minImage2 is vec.MinImage(a, b, box).Norm2(), bit for bit, without the
-// rounding call where it cannot change anything: math.Round returns ±0
-// for |d/L| < ½, and subtracting ±0 leaves d's square as it was.
-func minImage2(a, b, box vec.V3) float64 {
-	dx, dy, dz := a.X-b.X, a.Y-b.Y, a.Z-b.Z
-	if q := dx / box.X; !(math.Abs(q) < 0.5) {
-		dx -= box.X * math.Round(q)
-	}
-	if q := dy / box.Y; !(math.Abs(q) < 0.5) {
-		dy -= box.Y * math.Round(q)
-	}
-	if q := dz / box.Z; !(math.Abs(q) < 0.5) {
-		dz -= box.Z * math.Round(q)
-	}
-	return dx*dx + dy*dy + dz*dz
-}
-
 // subCell is a run of a patch's atom positions, pos[start:end] as
-// splitPatch lays them out, and the bounds of those positions wrapped
-// into the box.
+// splitPatch lays them out, and the bounds of those positions, both
+// wrapped into the box and as stored.
 type subCell struct {
-	lo, hi     vec.V3
+	lo, hi     vec.V3 // bounds of the wrapped positions
+	min, max   vec.V3 // bounds of the positions as stored
 	start, end int
 }
 
@@ -330,29 +388,42 @@ func splitPatch(g *spatial.Grid, id int, allPos []vec.V3, atoms []int32, box vec
 		for k, p := range pos[sc.start:sc.end] {
 			w := vec.Wrap(p, box)
 			if k == 0 {
-				sc.lo, sc.hi = w, w
+				sc.lo, sc.hi, sc.min, sc.max = w, w, p, p
 				continue
 			}
-			sc.lo = vec.New(math.Min(sc.lo.X, w.X), math.Min(sc.lo.Y, w.Y), math.Min(sc.lo.Z, w.Z))
-			sc.hi = vec.New(math.Max(sc.hi.X, w.X), math.Max(sc.hi.Y, w.Y), math.Max(sc.hi.Z, w.Z))
+			sc.lo, sc.hi = vec.Min(sc.lo, w), vec.Max(sc.hi, w)
+			sc.min, sc.max = vec.Min(sc.min, p), vec.Max(sc.max, p)
 		}
 		cells = append(cells, sc)
 	}
 	return pos, cells, key
 }
 
+// spread returns the bounds of the stored positions of every sub-cell in
+// cells, which must not be empty.
+func spread(cells []subCell) (lo, hi vec.V3) {
+	lo, hi = cells[0].min, cells[0].max
+	for _, sc := range cells[1:] {
+		lo, hi = vec.Min(lo, sc.min), vec.Max(hi, sc.max)
+	}
+	return lo, hi
+}
+
 // cellDist2 is a lower bound on the squared minimum-image distance
 // between any atom of sub-cell a and any of sub-cell b: per axis, the gap
 // between their bounds on the ring of the box's length.
-func cellDist2(a, b subCell, box vec.V3) float64 {
-	d2 := 0.0
-	for c := 0; c < 3; c++ {
-		aLo, aHi, bLo, bHi, L := a.lo.Comp(c), a.hi.Comp(c), b.lo.Comp(c), b.hi.Comp(c), box.Comp(c)
-		gap := max(0, bLo-aHi, aLo-bHi)
-		gap = min(gap, max(0, bLo+L-aHi), max(0, aLo+L-bHi))
-		d2 += gap * gap
-	}
-	return d2
+func cellDist2(a, b *subCell, box vec.V3) float64 {
+	gx := ringGap(a.lo.X, a.hi.X, b.lo.X, b.hi.X, box.X)
+	gy := ringGap(a.lo.Y, a.hi.Y, b.lo.Y, b.hi.Y, box.Y)
+	gz := ringGap(a.lo.Z, a.hi.Z, b.lo.Z, b.hi.Z, box.Z)
+	return gx*gx + gy*gy + gz*gz
+}
+
+// ringGap is the gap between the intervals [aLo, aHi] and [bLo, bHi] on
+// a ring of length l.
+func ringGap(aLo, aHi, bLo, bHi, l float64) float64 {
+	gap := max(0, bLo-aHi, aLo-bHi)
+	return min(gap, max(0, bLo+l-aHi), max(0, aLo+l-bHi))
 }
 
 // circDist is the circular distance between a and b on a ring of size L.

@@ -392,13 +392,6 @@ func (b *builder) addWater(at vec.V3) {
 	b.tb.AddAngle(h1, o, h2, forcefield.AngleHWOWHW)
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func (b *builder) randUnit() vec.V3 {
 	for {
 		v := vec.New(b.rng.Range(-1, 1), b.rng.Range(-1, 1), b.rng.Range(-1, 1))
@@ -444,41 +437,40 @@ func assignVelocities(sys *topology.System, st *topology.State, T float64, rng *
 	}
 }
 
-// occupancy is a coarse hash grid used to keep water off structured atoms.
+// occupancy is a dense grid of cells, cell Å or a little more on a side,
+// holding the wrapped positions of the atoms placed so far; it keeps
+// water off them.
 type occupancy struct {
 	box   vec.V3
 	cell  float64
 	dim   [3]int
-	cells map[int][]vec.V3
+	side  vec.V3     // cell edge per axis: box / dim
+	cells [][]vec.V3 // indexed by flat
+
+	// Scratch of nearest, filled by around: per axis and offset d from
+	// the query's cell, index reach+d, the wrapped cell coordinate and
+	// the squared slab gap; and the offsets, nearest first.
+	at    [3][]int
+	gap   [3][]float64
+	order []int
 }
 
 func newOccupancy(box vec.V3, cell float64) *occupancy {
-	o := &occupancy{box: box, cell: cell, cells: map[int][]vec.V3{}}
+	o := &occupancy{box: box, cell: cell}
 	for c := 0; c < 3; c++ {
-		n := int(box.Comp(c) / cell)
-		if n < 1 {
-			n = 1
-		}
-		o.dim[c] = n
+		o.dim[c] = max(1, int(box.Comp(c)/cell))
 	}
+	o.side = vec.New(box.X/float64(o.dim[0]), box.Y/float64(o.dim[1]), box.Z/float64(o.dim[2]))
+	o.cells = make([][]vec.V3, o.dim[0]*o.dim[1]*o.dim[2])
 	return o
 }
 
-func (o *occupancy) index(p vec.V3) (int, int, int) {
-	w := vec.Wrap(p, o.box)
+// index returns the cell of w, a position wrapped into the box.
+func (o *occupancy) index(w vec.V3) (int, int, int) {
 	ix := int(w.X / o.box.X * float64(o.dim[0]))
 	iy := int(w.Y / o.box.Y * float64(o.dim[1]))
 	iz := int(w.Z / o.box.Z * float64(o.dim[2]))
-	if ix >= o.dim[0] {
-		ix = o.dim[0] - 1
-	}
-	if iy >= o.dim[1] {
-		iy = o.dim[1] - 1
-	}
-	if iz >= o.dim[2] {
-		iz = o.dim[2] - 1
-	}
-	return ix, iy, iz
+	return min(ix, o.dim[0]-1), min(iy, o.dim[1]-1), min(iz, o.dim[2]-1)
 }
 
 func (o *occupancy) flat(ix, iy, iz int) int {
@@ -486,24 +478,42 @@ func (o *occupancy) flat(ix, iy, iz int) int {
 }
 
 func (o *occupancy) add(p vec.V3) {
-	ix, iy, iz := o.index(p)
-	k := o.flat(ix, iy, iz)
-	o.cells[k] = append(o.cells[k], vec.Wrap(p, o.box))
+	w := vec.Wrap(p, o.box)
+	k := o.flat(o.index(w))
+	o.cells[k] = append(o.cells[k], w)
 }
 
 // nearest returns the distance from p to the closest stored atom, capped
-// at cap (returned when nothing is closer).
+// at cap (returned when nothing is closer): the minimum of cap² and every
+// stored atom's squared minimum-image distance, as vec.MinImage2 computes
+// it, rooted. It visits the cells within reach of p's, nearest offsets
+// first, and skips a cell whose slab lower bound (see around) already
+// reaches the best distance so far: none of its atoms could lower it.
 func (o *occupancy) nearest(p vec.V3, cap float64) float64 {
-	ix, iy, iz := o.index(p)
 	reach := int(cap/o.cell) + 1
+	o.around(vec.Wrap(p, o.box), reach)
 	best2 := cap * cap
-	for dz := -reach; dz <= reach; dz++ {
-		for dy := -reach; dy <= reach; dy++ {
-			for dx := -reach; dx <= reach; dx++ {
-				k := o.flat(mod(ix+dx, o.dim[0]), mod(iy+dy, o.dim[1]), mod(iz+dz, o.dim[2]))
-				for _, q := range o.cells[k] {
-					if d2 := vec.MinImage(p, q, o.box).Norm2(); d2 < best2 {
+	skip2 := best2 * (1 + 1e-9)
+	for _, dz := range o.order {
+		gz := o.gap[2][reach+dz]
+		if gz >= skip2 {
+			continue
+		}
+		kz := o.at[2][reach+dz] * o.dim[1]
+		for _, dy := range o.order {
+			gyz := gz + o.gap[1][reach+dy]
+			if gyz >= skip2 {
+				continue
+			}
+			kyz := (kz + o.at[1][reach+dy]) * o.dim[0]
+			for _, dx := range o.order {
+				if gyz+o.gap[0][reach+dx] >= skip2 {
+					continue
+				}
+				for _, q := range o.cells[kyz+o.at[0][reach+dx]] {
+					if d2 := vec.MinImage2(p, q, o.box); d2 < best2 {
 						best2 = d2
+						skip2 = best2 * (1 + 1e-9)
 					}
 				}
 			}
@@ -512,16 +522,67 @@ func (o *occupancy) nearest(p vec.V3, cap float64) float64 {
 	return math.Sqrt(best2)
 }
 
-// crowded reports whether any stored atom lies within dist of p.
+// around fills nearest's scratch for a query at w, wrapped into the box:
+// per axis c and offset d in -reach…reach, the cell coordinate of w's
+// cell plus d, wrapped, and the square of a lower bound on the distance
+// along c from w to any atom of that cell's image d cells away: the
+// distance from w to that image's slab, less a slack of 1e-9 box
+// lengths, far above the rounding of w, of the cell edges and of any
+// computed displacement. nearest skips a cell only when the bound
+// reaches the best squared distance times 1 + 1e-9, a margin far above
+// the rounding of the bound's sum.
+//
+// A cell's images lie at offsets d + k·dim, and the nearer the offset,
+// the nearer the slab, so the bound at a cell's nearest offset holds for
+// every image, and so for the minimum-image distance. When 2·reach+1
+// exceeds an axis's cell count, a cell comes round at more than one
+// offset; the bound at a farther one may be too large, but the cell is
+// then visited at its nearest offset too, where the bound holds.
+func (o *occupancy) around(w vec.V3, reach int) {
+	if n := 2*reach + 1; len(o.order) != n {
+		o.order = o.order[:0]
+		for d := 0; d <= reach; d++ {
+			o.order = append(o.order, -d)
+			if d > 0 {
+				o.order = append(o.order, d)
+			}
+		}
+		for c := 0; c < 3; c++ {
+			o.at[c], o.gap[c] = make([]int, n), make([]float64, n)
+		}
+	}
+	ix, iy, iz := o.index(w)
+	for c, i := range [3]int{ix, iy, iz} {
+		at, g := o.at[c], o.gap[c]
+		for d := -reach; d <= reach; d++ {
+			at[reach+d] = mod(i+d, o.dim[c])
+		}
+		x, h, slack := w.Comp(c), o.side.Comp(c), 1e-9*o.box.Comp(c)
+		for d := 1; d <= reach; d++ {
+			above := max(0, float64(i+d)*h-x-slack)
+			below := max(0, x-float64(i-d+1)*h-slack)
+			g[reach+d], g[reach-d] = above*above, below*below
+		}
+	}
+}
+
+// crowded reports whether any stored atom lies within dist of p. It
+// looks in p's cell and the 26 around it, which hold every atom within a
+// cell edge of p.
 func (o *occupancy) crowded(p vec.V3, dist float64) bool {
-	ix, iy, iz := o.index(p)
+	ix, iy, iz := o.index(vec.Wrap(p, o.box))
+	var at [3][3]int
+	for c, i := range [3]int{ix, iy, iz} {
+		for d := -1; d <= 1; d++ {
+			at[c][d+1] = mod(i+d, o.dim[c])
+		}
+	}
 	d2 := dist * dist
-	for dz := -1; dz <= 1; dz++ {
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				k := o.flat(mod(ix+dx, o.dim[0]), mod(iy+dy, o.dim[1]), mod(iz+dz, o.dim[2]))
-				for _, q := range o.cells[k] {
-					if vec.MinImage(p, q, o.box).Norm2() < d2 {
+	for _, kz := range at[2] {
+		for _, ky := range at[1] {
+			for _, kx := range at[0] {
+				for _, q := range o.cells[o.flat(kx, ky, kz)] {
+					if vec.MinImage2(p, q, o.box) < d2 {
 						return true
 					}
 				}

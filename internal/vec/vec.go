@@ -138,3 +138,30 @@ func MinImage(v, w, box V3) V3 {
 	d.Z -= box.Z * math.Round(d.Z/box.Z)
 	return d
 }
+
+// MinImage2 returns MinImage(v, w, box).Norm2(), bit for bit, dividing
+// only for a component at least a quarter of the box long. A shorter one
+// is exact: |d/L| < ¼ rounds below ½, math.Round returns ±0, and
+// subtracting L·(±0) leaves d's square as it was.
+func MinImage2(v, w, box V3) float64 {
+	dx, dy, dz := v.X-w.X, v.Y-w.Y, v.Z-w.Z
+	if !(math.Abs(dx) < 0.25*box.X) {
+		dx = image(dx, box.X)
+	}
+	if !(math.Abs(dy) < 0.25*box.Y) {
+		dy = image(dy, box.Y)
+	}
+	if !(math.Abs(dz) < 0.25*box.Z) {
+		dz = image(dz, box.Z)
+	}
+	return dx*dx + dy*dy + dz*dz
+}
+
+// image is one component of MinImage, without the rounding call where
+// math.Round would return ±0.
+func image(d, l float64) float64 {
+	if q := d / l; !(math.Abs(q) < 0.5) {
+		d -= l * math.Round(q)
+	}
+	return d
+}

@@ -212,3 +212,43 @@ func TestAlgebraProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// MinImage2 must return the bits of MinImage(…).Norm2(): at the quarter
+// box (where its pre-test hands over to the division), at exactly half a
+// box (math.Round rounds ½ away from zero), at whole multiples and
+// several boxes away, one ulp either side of each, and at random.
+func TestMinImage2BitwiseMinImage(t *testing.T) {
+	box := New(10, 14.3, 77.76)
+	var ds []float64
+	for _, f := range []float64{0, 0.25, 0.5, 0.75, 1, 1.5, 2, 2.5, 3.25, 7.5} {
+		for _, L := range []float64{box.X, box.Y, box.Z} {
+			d := f * L
+			ds = append(ds, d, -d, math.Nextafter(d, 0), -math.Nextafter(d, 0),
+				math.Nextafter(d, math.Inf(1)), -math.Nextafter(d, math.Inf(1)))
+		}
+	}
+	check := func(a, b V3) {
+		t.Helper()
+		got, want := MinImage2(a, b, box), MinImage(a, b, box).Norm2()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("MinImage2(%v, %v) = %v (%#x), MinImage Norm2 %v (%#x)",
+				a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, dx := range ds {
+		for _, b := range []V3{Zero, New(3.3, 1e-3, 70), New(-4.1, 20, 0.5)} {
+			check(b.Add(New(dx, 0, 0)), b)
+			check(b.Add(New(0, dx, 0)), b)
+			check(b.Add(New(0, 0, dx)), b)
+			check(b.Add(New(dx, -dx/3, dx*0.7)), b)
+		}
+	}
+	f := func(ax, ay, az, bx, by, bz float64) bool {
+		a := New(math.Mod(ax, 100), math.Mod(ay, 100), math.Mod(az, 300))
+		b := New(math.Mod(bx, 100), math.Mod(by, 100), math.Mod(bz, 300))
+		return math.Float64bits(MinImage2(a, b, box)) == math.Float64bits(MinImage(a, b, box).Norm2())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+}

@@ -16,9 +16,10 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// fmaFreeBuild is set by golden_amd64_test.go on amd64 builds below the
-// v3 feature level, where the compiler never fuses a multiply-add. Other
-// targets may fuse them, which moves the last bits of a trajectory.
+// fmaFreeBuild is set by golden_amd64_test.go on amd64 builds, where the
+// compiler never fuses a multiply-add (at any GOAMD64 level: v3 emits no
+// VFMADD). Other targets may fuse them, which moves the last bits of a
+// trajectory.
 var fmaFreeBuild bool
 
 // TestGoldenWorkerTrajectories pins the bits of multi-worker trajectories
@@ -33,7 +34,7 @@ var fmaFreeBuild bool
 // byte-identical; -update rewrites it.
 func TestGoldenWorkerTrajectories(t *testing.T) {
 	if !fmaFreeBuild {
-		t.Skip("trajectory bits are pinned for GOARCH=amd64 below GOAMD64=v3 only")
+		t.Skip("trajectory bits are pinned for GOARCH=amd64 only")
 	}
 	sys, st0, err := gonamd.BuildSystem(gonamd.WaterBoxSpec(20, 5))
 	if err != nil {
