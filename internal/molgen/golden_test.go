@@ -26,8 +26,9 @@ func fnvOf(t *testing.T, v any) uint64 {
 
 // TestBuildGolden pins every bit Build produces: for water boxes of three
 // sizes and the paper's systems, FNV-64 hashes of the positions,
-// velocities, atoms (type, mass, charge, molecule) and each bonded term
-// list. A change to the builder's search structures that keeps its
+// velocities, atoms (type, mass, charge, molecule), each bonded term
+// list, and the exclusion lists in ForEachExcludedPair order (full, then
+// 1-4: every atom's excl and excl14 list, sorted). A change to the builder's search structures that keeps its
 // choices leaves testdata/build_golden.txt byte-identical; -update
 // rewrites it. BC1 is built only without -short; a short run compares
 // the other lines.
@@ -53,6 +54,15 @@ func TestBuildGolden(t *testing.T) {
 		for _, v := range []any{st.Pos, st.Vel, sys.Atoms, sys.Bonds, sys.Angles, sys.Dihedrals, sys.Impropers} {
 			line += fmt.Sprintf(" %016x", fnvOf(t, v))
 		}
+		var full, modified [][2]int32
+		sys.ForEachExcludedPair(func(i, j int32, mod bool) {
+			if mod {
+				modified = append(modified, [2]int32{i, j})
+			} else {
+				full = append(full, [2]int32{i, j})
+			}
+		})
+		line += fmt.Sprintf(" excl=%016x excl14=%016x", fnvOf(t, full), fnvOf(t, modified))
 		lines = append(lines, line)
 	}
 
