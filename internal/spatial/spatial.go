@@ -9,6 +9,7 @@ package spatial
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gonamd/internal/vec"
@@ -114,55 +115,45 @@ func (g *Grid) Center(id int) vec.V3 {
 // to patch id under periodic boundary conditions, excluding id itself.
 // With small grid dimensions several offsets may wrap to the same patch;
 // duplicates are removed.
-func (g *Grid) Neighbors(id int) []int {
+func (g *Grid) Neighbors(id int) []int { return g.appendNeighbors(nil, id) }
+
+// appendNeighbors appends Neighbors(id) to dst. A patch has at most 26
+// neighbours, so a linear scan deduplicates the wrapped ones.
+func (g *Grid) appendNeighbors(dst []int, id int) []int {
 	ix, iy, iz := g.Coords(id)
-	seen := map[int]bool{id: true}
-	var out []int
+	lo := len(dst)
 	for dz := -1; dz <= 1; dz++ {
 		for dy := -1; dy <= 1; dy++ {
 			for dx := -1; dx <= 1; dx++ {
-				if dx == 0 && dy == 0 && dz == 0 {
-					continue
-				}
 				n := g.Index(mod(ix+dx, g.Dim[0]), mod(iy+dy, g.Dim[1]), mod(iz+dz, g.Dim[2]))
-				if !seen[n] {
-					seen[n] = true
-					out = append(out, n)
+				if n != id && !slices.Contains(dst[lo:], n) {
+					dst = append(dst, n)
 				}
 			}
 		}
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(dst[lo:])
+	return dst
 }
 
 // NeighborPairs enumerates every unordered pair of adjacent patches
-// exactly once. Each pair receives one nonbonded pair-compute object
-// (the paper's force decomposition: ~13 pair objects per patch plus one
-// self object).
+// exactly once, in ascending (a, b) order with a < b. Each pair receives
+// one nonbonded pair-compute object (the paper's force decomposition:
+// ~13 pair objects per patch plus one self object). Adjacency is
+// symmetric, so patch a's sorted neighbours above a are exactly the
+// pairs that start at a.
 func (g *Grid) NeighborPairs() [][2]int {
-	var out [][2]int
-	seen := make(map[[2]int]bool)
 	n := g.NumPatches()
-	for id := 0; id < n; id++ {
-		for _, nb := range g.Neighbors(id) {
-			a, b := id, nb
-			if a > b {
-				a, b = b, a
-			}
-			k := [2]int{a, b}
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, k)
+	out := make([][2]int, 0, 13*n)
+	var nbs []int
+	for a := 0; a < n; a++ {
+		nbs = g.appendNeighbors(nbs[:0], a)
+		for _, b := range nbs {
+			if b > a {
+				out = append(out, [2]int{a, b})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }
 

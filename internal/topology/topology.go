@@ -12,7 +12,7 @@ package topology
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"gonamd/internal/vec"
 )
@@ -99,74 +99,74 @@ func (s *System) NumBondedTerms() int {
 // modified-pair lists from the bond network. It must be called after all
 // bonds are added and before nonbonded evaluation. Pairs that are both
 // 1-4 and (via another path) 1-2 or 1-3 are fully excluded.
+//
+// Each atom i walks its own bond graph out to three bonds and keeps the
+// partners j > i; a stamp array (mark[j] == i+1) deduplicates them and
+// tells a 1-4 partner that is also 1-2 or 1-3 apart, so the walk needs no
+// set. Both relations are symmetric, so i's walk finds every pair it
+// owns.
 func (s *System) BuildExclusions() {
-	n := s.N()
+	n := int32(s.N())
 	adj := make([][]int32, n)
 	for _, b := range s.Bonds {
 		adj[b.I] = append(adj[b.I], b.J)
 		adj[b.J] = append(adj[b.J], b.I)
 	}
 
-	s.excl = make([][]int32, n)
-	s.excl14 = make([][]int32, n)
-	full := make(map[int64]bool) // canonical key i<j
-	onefour := make(map[int64]bool)
-
-	key := func(i, j int32) int64 {
-		if i > j {
-			i, j = j, i
-		}
-		return int64(i)<<32 | int64(j)
-	}
-
-	// 1-2 pairs.
-	for _, b := range s.Bonds {
-		full[key(b.I, b.J)] = true
-	}
-	// 1-3 pairs: neighbors of neighbors.
-	for i := int32(0); i < int32(n); i++ {
-		for _, j := range adj[i] {
-			for _, k := range adj[j] {
-				if k != i {
-					full[key(i, k)] = true
+	// Every atom's lists back to back; fullEnd[i] and fourEnd[i] close
+	// atom i's segments.
+	var full, onefour []int32
+	fullEnd := make([]int, n)
+	fourEnd := make([]int, n)
+	mark := make([]int32, n)   // == i+1: (i, j) is 1-2 or 1-3
+	mark14 := make([]int32, n) // == i+1: (i, j) is listed 1-4
+	for i := int32(0); i < n; i++ {
+		tag := i + 1
+		lo := len(full)
+		addFull := func(j int32) {
+			if mark[j] != tag {
+				mark[j] = tag
+				if j >= i { // j == i only for a self-bond
+					full = append(full, j)
 				}
 			}
 		}
-	}
-	// 1-4 pairs: three bonds away, unless already 1-2/1-3.
-	for i := int32(0); i < int32(n); i++ {
+		for _, j := range adj[i] {
+			addFull(j)
+		}
+		for _, j := range adj[i] {
+			for _, k := range adj[j] {
+				if k != i {
+					addFull(k)
+				}
+			}
+		}
+		lo14 := len(onefour)
 		for _, j := range adj[i] {
 			for _, k := range adj[j] {
 				if k == i {
 					continue
 				}
 				for _, l := range adj[k] {
-					if l == i || l == j {
-						continue
-					}
-					kk := key(i, l)
-					if !full[kk] {
-						onefour[kk] = true
+					if l > i && l != j && mark[l] != tag && mark14[l] != tag {
+						mark14[l] = tag
+						onefour = append(onefour, l)
 					}
 				}
 			}
 		}
+		slices.Sort(full[lo:])
+		slices.Sort(onefour[lo14:])
+		fullEnd[i], fourEnd[i] = len(full), len(onefour)
 	}
 
-	for kk := range full {
-		i, j := int32(kk>>32), int32(kk&0xffffffff)
-		s.excl[i] = append(s.excl[i], j)
-	}
-	for kk := range onefour {
-		if full[kk] {
-			continue
-		}
-		i, j := int32(kk>>32), int32(kk&0xffffffff)
-		s.excl14[i] = append(s.excl14[i], j)
-	}
-	for i := 0; i < n; i++ {
-		sort.Slice(s.excl[i], func(a, b int) bool { return s.excl[i][a] < s.excl[i][b] })
-		sort.Slice(s.excl14[i], func(a, b int) bool { return s.excl14[i][a] < s.excl14[i][b] })
+	s.excl = make([][]int32, n)
+	s.excl14 = make([][]int32, n)
+	lo, lo14 := 0, 0
+	for i := range s.excl {
+		s.excl[i] = full[lo:fullEnd[i]:fullEnd[i]]
+		s.excl14[i] = onefour[lo14:fourEnd[i]:fourEnd[i]]
+		lo, lo14 = fullEnd[i], fourEnd[i]
 	}
 }
 
