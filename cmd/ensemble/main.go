@@ -66,7 +66,7 @@ func main() {
 	gamma := flag.Float64("gamma", 0.005, "Langevin friction, 1/fs")
 	exchange := flag.Int("exchange", 100, "steps between exchange attempts (<0 disables)")
 	workers := flag.Int("workers", 0, "concurrent replicas (0 = all cores)")
-	engineWorkers := flag.Int("engineworkers", 0, "workers per replica engine (0 = auto, 1 = sequential)")
+	engineWorkers := flag.Int("engineworkers", 0, "workers per replica engine (0 = auto, 1 = one inline worker)")
 	minimize := flag.Int("minimize", 200, "minimization iterations before dynamics")
 	cutoff := flag.Float64("cutoff", 9.0, "nonbonded cutoff, Å")
 	every := flag.Int("every", 0, "print a status line every N steps (0 = each exchange interval)")

@@ -97,23 +97,19 @@ func TestEngineSpecParallel(t *testing.T) {
 func TestEngineSpecPrecisionMode(t *testing.T) {
 	pme := &gonamd.PMESpec{GridSpacing: 1}
 	cases := []struct {
-		spec  gonamd.EngineSpec
-		want  string
-		lists bool
+		spec gonamd.EngineSpec
+		want string
 	}{
-		{gonamd.EngineSpec{}, "fp64", false},
-		{gonamd.EngineSpec{PME: pme}, "fp64", false}, // reference path: analytic erfc
-		{gonamd.EngineSpec{ClusterM: 4, ClusterN: 8}, "fp64", true},
-		{gonamd.EngineSpec{ClusterM: 4, ClusterN: 8, PME: pme}, "fp64-tab", true},
-		{gonamd.EngineSpec{Engine: "par"}, "fp64", true},
-		{gonamd.EngineSpec{Engine: "parallel", PME: pme}, "fp64-tab", true},
+		{gonamd.EngineSpec{}, "fp64"},
+		{gonamd.EngineSpec{PME: pme}, "fp64"}, // reference path: analytic erfc
+		{gonamd.EngineSpec{ClusterM: 4, ClusterN: 8}, "fp64"},
+		{gonamd.EngineSpec{ClusterM: 4, ClusterN: 8, PME: pme}, "fp64-tab"},
+		{gonamd.EngineSpec{Engine: "par"}, "fp64"},
+		{gonamd.EngineSpec{Engine: "parallel", PME: pme}, "fp64-tab"},
 	}
 	for _, c := range cases {
 		if got := c.spec.PrecisionMode(); got != c.want {
 			t.Errorf("PrecisionMode(%+v) = %q, want %q", c.spec, got, c.want)
-		}
-		if got := c.spec.UsesLists(); got != c.lists {
-			t.Errorf("UsesLists(%+v) = %v, want %v", c.spec, got, c.lists)
 		}
 	}
 }

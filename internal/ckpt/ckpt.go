@@ -1,13 +1,14 @@
-// Package ckpt persists ensemble checkpoints: the complete dynamic state
-// of a replica-exchange run (per-replica positions, velocities, thermostat
-// noise streams, and exchange statistics) in a versioned binary format, so
-// an interrupted ensemble resumes bit-for-bit where it left off.
+// Package ckpt persists checkpoints: the complete dynamic state of an MD
+// engine (EngineState), of a replica-exchange run (every replica's engine
+// state plus the exchange statistics) and of a gonamdd job, in a
+// versioned binary format, so an interrupted run resumes bit-for-bit
+// where it left off.
 //
 // The on-disk layout is a fixed header followed by a gob payload
 // (sysio-style encoding, but integrity-checked):
 //
 //	magic    [12]byte  "gonamd-ckpt\n"
-//	version  uint32    little-endian, currently 1
+//	version  uint32    little-endian, currently 2
 //	length   uint64    payload byte count
 //	checksum uint64    CRC-64/ECMA of the payload
 //	payload  []byte    gob-encoded EnsembleState
@@ -31,8 +32,10 @@ import (
 	"gonamd/internal/vec"
 )
 
-// Version is the current ensemble checkpoint format version.
-const Version = 1
+// Version is the current ensemble checkpoint format version. Version 2
+// replaced each replica's positions, velocities and noise stream by its
+// engine's whole state.
+const Version = 2
 
 // ensembleTag identifies the ensemble snapshot payload; other layers
 // wrap their own payloads in the same envelope under their own tags
@@ -65,19 +68,65 @@ var (
 	ErrCorrupt         = errors.New("ckpt: corrupt checkpoint")
 )
 
-// ErrVersion is the old name of ErrVersionMismatch.
-//
-// Deprecated: use ErrVersionMismatch.
-var ErrVersion = ErrVersionMismatch
+// EngineState is the whole dynamic state of one MD engine
+// (engine.Engine.Snapshot): everything a step reads besides what the
+// engine was constructed with. Restoring it into an engine built the same
+// way continues the trajectory bit for bit.
+type EngineState struct {
+	Step     int64 // steps the engine has taken
+	Pos, Vel []vec.V3
 
-// ReplicaState is one replica's snapshot: where it is on the ladder, how
-// far it has advanced, its full phase-space state, and the state of its
-// Langevin noise stream.
+	// Anchor holds the positions the cluster pair list was last built at;
+	// the deterministic list builder replays the identical list from them.
+	// Empty for the list-free reference mode.
+	Anchor []vec.V3
+
+	// The PME impulse-MTS phase: the step index within the current cycle
+	// and the reciprocal forces, energy and virial of the cycle's
+	// evaluation. Zero and empty without PME.
+	Counter    int
+	RecipF     []vec.V3
+	SlowEnergy float64
+	SlowVirial float64
+
+	// Thermostat names the thermostat ("" for none) and Thermo holds the
+	// state it carries between steps (thermo.Thermostat.State).
+	Thermostat string
+	Thermo     []uint64
+
+	// Assign maps each task to its worker; Balances counts the
+	// load-balancing passes run. Measured task times are left out: they
+	// are wall-clock readings, not state a step's arithmetic reads.
+	Assign   []int
+	Balances int
+}
+
+// Validate performs structural checks on a decoded engine snapshot; the
+// engine checks the rest against itself when restoring.
+func (s *EngineState) Validate() error {
+	n := len(s.Pos)
+	switch {
+	case n == 0 || len(s.Vel) != n:
+		return fmt.Errorf("%w: engine state has %d/%d pos/vel", ErrCorrupt, n, len(s.Vel))
+	case s.Step < 0:
+		return fmt.Errorf("%w: engine state at step %d", ErrCorrupt, s.Step)
+	case len(s.Anchor) != 0 && len(s.Anchor) != n:
+		return fmt.Errorf("%w: list anchor of %d positions for %d atoms", ErrCorrupt, len(s.Anchor), n)
+	case s.Counter < 0:
+		return fmt.Errorf("%w: MTS counter %d", ErrCorrupt, s.Counter)
+	case len(s.RecipF) != 0 && len(s.RecipF) != n:
+		return fmt.Errorf("%w: %d reciprocal forces for %d atoms", ErrCorrupt, len(s.RecipF), n)
+	case s.Balances < 0:
+		return fmt.Errorf("%w: %d load-balancing passes", ErrCorrupt, s.Balances)
+	}
+	return nil
+}
+
+// ReplicaState is one replica's snapshot: where it is on the ladder and
+// its engine's whole state (which carries its Langevin noise stream).
 type ReplicaState struct {
-	Temp      float64 // ladder temperature, K
-	Steps     int64   // MD steps this replica has advanced
-	Pos, Vel  []vec.V3
-	ThermoRNG [4]uint64 // Langevin noise stream (xrand state)
+	Temp   float64 // ladder temperature, K
+	Engine EngineState
 }
 
 // EnsembleState is a whole-ensemble snapshot: every replica plus the
@@ -97,11 +146,14 @@ func (s *EnsembleState) Validate() error {
 	if len(s.Replicas) == 0 {
 		return fmt.Errorf("%w: no replicas", ErrCorrupt)
 	}
-	n := len(s.Replicas[0].Pos)
+	n := len(s.Replicas[0].Engine.Pos)
 	for i, r := range s.Replicas {
-		if len(r.Pos) != n || len(r.Vel) != n {
-			return fmt.Errorf("%w: replica %d has %d/%d pos/vel, want %d atoms",
-				ErrCorrupt, i, len(r.Pos), len(r.Vel), n)
+		if err := r.Engine.Validate(); err != nil {
+			return fmt.Errorf("replica %d: %w", i, err)
+		}
+		if len(r.Engine.Pos) != n {
+			return fmt.Errorf("%w: replica %d has %d atoms, replica 0 has %d",
+				ErrCorrupt, i, len(r.Engine.Pos), n)
 		}
 		if !(r.Temp > 0) {
 			return fmt.Errorf("%w: replica %d temperature %v", ErrCorrupt, i, r.Temp)

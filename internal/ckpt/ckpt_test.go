@@ -11,12 +11,13 @@ import (
 	"strings"
 	"testing"
 
-	"gonamd/internal/vec"
 	"gonamd/internal/xrand"
 )
 
 // sample builds a non-trivial snapshot with distinct values everywhere, so
-// a round-trip that drops or transposes a field cannot pass.
+// a round-trip that drops or transposes a field cannot pass: four
+// cluster-list replicas, each with a list anchor, a Langevin stream and a
+// task assignment.
 func sample() *EnsembleState {
 	rng := xrand.New(5)
 	st := &EnsembleState{
@@ -27,16 +28,11 @@ func sample() *EnsembleState {
 		Accepts:     []int64{4, 2, 5},
 	}
 	for rep := 0; rep < 4; rep++ {
-		r := ReplicaState{
-			Temp:      300 + 25*float64(rep),
-			Steps:     1200,
-			ThermoRNG: xrand.New(uint64(rep + 1)).State(),
-		}
-		for i := 0; i < 17; i++ {
-			r.Pos = append(r.Pos, vec.New(rng.Float64(), rng.Float64(), rng.Float64()))
-			r.Vel = append(r.Vel, vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()))
-		}
-		st.Replicas = append(st.Replicas, r)
+		es := randomEngine(rng, 17)
+		es.Step = 1200
+		es.Counter, es.RecipF, es.SlowEnergy, es.SlowVirial = 0, nil, 0, 0
+		es.Thermostat, es.Thermo = "langevin", xrand.New(uint64(rep+1)).Words()
+		st.Replicas = append(st.Replicas, ReplicaState{Temp: 300 + 25*float64(rep), Engine: es})
 	}
 	return st
 }
@@ -104,8 +100,8 @@ func TestLoadRejectsCorruption(t *testing.T) {
 func TestLoadRejectsWrongVersion(t *testing.T) {
 	full := encode(t, sample())
 	binary.LittleEndian.PutUint32(full[12:16], 99)
-	if _, err := Load(bytes.NewReader(full)); !errors.Is(err, ErrVersion) {
-		t.Errorf("version 99: err = %v, want ErrVersion", err)
+	if _, err := Load(bytes.NewReader(full)); !errors.Is(err, ErrVersionMismatch) {
+		t.Errorf("version 99: err = %v, want ErrVersionMismatch", err)
 	}
 }
 
@@ -124,11 +120,12 @@ func TestValidateRejectsInconsistentSnapshots(t *testing.T) {
 	mut := func(f func(*EnsembleState)) *EnsembleState { s := sample(); f(s); return s }
 	cases := map[string]*EnsembleState{
 		"no replicas":      mut(func(s *EnsembleState) { s.Replicas = nil }),
-		"pos/vel mismatch": mut(func(s *EnsembleState) { s.Replicas[1].Vel = s.Replicas[1].Vel[:3] }),
+		"pos/vel mismatch": mut(func(s *EnsembleState) { s.Replicas[1].Engine.Vel = s.Replicas[1].Engine.Vel[:3] }),
 		"ragged atom counts": mut(func(s *EnsembleState) {
-			s.Replicas[2].Pos = s.Replicas[2].Pos[:3]
-			s.Replicas[2].Vel = s.Replicas[2].Vel[:3]
+			e := &s.Replicas[2].Engine
+			e.Pos, e.Vel, e.Anchor = e.Pos[:3], e.Vel[:3], e.Anchor[:3]
 		}),
+		"bad engine state":   mut(func(s *EnsembleState) { s.Replicas[3].Engine.Anchor = s.Replicas[3].Engine.Anchor[:3] }),
 		"bad temperature":    mut(func(s *EnsembleState) { s.Replicas[0].Temp = -1 }),
 		"counter shape":      mut(func(s *EnsembleState) { s.Attempts = s.Attempts[:1] }),
 		"accepts > attempts": mut(func(s *EnsembleState) { s.Accepts[0] = s.Attempts[0] + 1 }),
@@ -150,7 +147,7 @@ func TestSaveFileAtomicRoundTrip(t *testing.T) {
 	}
 	// Overwrite with a newer snapshot: the old file must be replaced.
 	want.Step = 2400
-	want.Replicas[0].Steps = 2400
+	want.Replicas[0].Engine.Step = 2400
 	if err := SaveFile(path, want); err != nil {
 		t.Fatal(err)
 	}
@@ -174,5 +171,34 @@ func TestSaveFileAtomicRoundTrip(t *testing.T) {
 func TestLoadFileMissing(t *testing.T) {
 	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.ckpt")); err == nil {
 		t.Error("loading a missing file should fail")
+	}
+}
+
+// TestEngineStateValidate: the structural rules of one engine's state,
+// each broken once on an otherwise valid snapshot.
+func TestEngineStateValidate(t *testing.T) {
+	valid := func() *EngineState { es := randomEngine(xrand.New(3), 9); return &es }
+	if err := valid().Validate(); err != nil {
+		t.Fatalf("valid state rejected: %v", err)
+	}
+	cases := []struct {
+		name string
+		mut  func(*EngineState)
+	}{
+		{"anchor shorter than pos", func(s *EngineState) { s.Anchor = s.Anchor[:8] }},
+		{"anchor longer than pos", func(s *EngineState) { s.Anchor = append(s.Anchor, s.Anchor[0]) }},
+		{"negative counter", func(s *EngineState) { s.Counter = -1 }},
+		{"negative step", func(s *EngineState) { s.Step = -1 }},
+		{"pos/vel mismatch", func(s *EngineState) { s.Vel = s.Vel[:8] }},
+		{"no atoms", func(s *EngineState) { s.Pos, s.Vel, s.Anchor, s.RecipF = nil, nil, nil, nil }},
+		{"reciprocal forces for other atoms", func(s *EngineState) { s.RecipF = s.Pos[:2] }},
+		{"negative balances", func(s *EngineState) { s.Balances = -1 }},
+	}
+	for _, c := range cases {
+		s := valid()
+		c.mut(s)
+		if err := s.Validate(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", c.name, err)
+		}
 	}
 }

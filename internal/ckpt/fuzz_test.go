@@ -88,10 +88,13 @@ func FuzzEnvelopeLoad(f *testing.F) {
 }
 
 func FuzzLoadJob(f *testing.F) {
+	// A single engine with a list anchor, PME reciprocal state and a
+	// Langevin stream; an ensemble of cluster-list replicas; bare phase
+	// space.
 	ens := sampleJob()
-	ens.Pos, ens.Vel, ens.Ensemble = nil, nil, sample()
+	ens.Engine, ens.Ensemble = nil, sample()
 	var seeds [][]byte
-	for _, st := range []*JobState{sampleJob(), ens} {
+	for _, st := range []*JobState{sampleJob(), ens, phaseSpaceJob()} {
 		var buf bytes.Buffer
 		if err := SaveJob(&buf, st); err != nil {
 			f.Fatal(err)

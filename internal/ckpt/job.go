@@ -8,8 +8,10 @@ import (
 	"gonamd/internal/vec"
 )
 
-// JobVersion is the current job checkpoint format version.
-const JobVersion = 1
+// JobVersion is the current job checkpoint format version. Version 2
+// replaced a single-engine job's positions, velocities and noise stream
+// by its engine's whole state.
+const JobVersion = 2
 
 // jobTag identifies job-server checkpoint payloads ("jsrv"), written by
 // the gonamdd scheduler for every incomplete job on its checkpoint
@@ -17,11 +19,10 @@ const JobVersion = 1
 const jobTag = "jsrv"
 
 // JobState is the complete dynamic state of one simulation job managed
-// by the gonamdd job server: either a single-engine MD run (positions,
-// velocities, and the thermostat noise stream) or a replica-exchange
-// ensemble (the whole-ensemble snapshot). The job's spec is embedded as
-// the JSON it was submitted with, so a rescan can rebuild the engine
-// from the checkpoint file alone and resume bit-identically.
+// by the gonamdd job server: either a single engine's whole state or a
+// replica-exchange ensemble (the whole-ensemble snapshot). The job's spec
+// is embedded as the JSON it was submitted with, so a rescan can rebuild
+// the engine from the checkpoint file alone and resume bit-identically.
 type JobState struct {
 	ID       string // job id (matches the state-dir file names)
 	SpecJSON []byte // the submitted job spec, verbatim
@@ -30,21 +31,22 @@ type JobState struct {
 
 	// Precision names the numerical mode the trajectory was produced in
 	// ("fp64", or "fp64-tab" when the tabulated cluster kernel was active;
-	// see gonamd.EngineSpec.PrecisionMode — checkpoints from older servers
-	// may carry modes that no longer exist). Trajectories are bitwise
+	// see gonamd.EngineSpec.PrecisionMode). Trajectories are bitwise
 	// reproducible within a mode but not across modes, so resume refuses
-	// a mode change. Empty in checkpoints that predate the field and means
-	// fp64 (gob tolerates the missing field, so JobVersion is unchanged).
+	// a mode change.
 	Precision string
 
-	// Single-engine MD jobs: full phase space plus the Langevin noise
-	// stream (HasThermoRNG reports whether ThermoRNG is meaningful).
-	Pos, Vel     []vec.V3
-	ThermoRNG    [4]uint64
-	HasThermoRNG bool
+	// Engine is a single-engine job's whole engine state.
+	Engine *EngineState
 
-	// Replica-exchange jobs snapshot the whole ensemble instead.
+	// Ensemble is a replica-exchange job's whole-ensemble snapshot.
 	Ensemble *EnsembleState
+
+	// Pos and Vel are bare phase space without the rest of an engine's
+	// state. The codec accepts them so the repository benchmark can time
+	// it on a plain snapshot; gonamdd never writes them and will not
+	// resume from them.
+	Pos, Vel []vec.V3
 }
 
 // Validate performs structural checks on a decoded job snapshot.
@@ -55,13 +57,15 @@ func (s *JobState) Validate() error {
 	if s.Step < 0 {
 		return fmt.Errorf("%w: job %s at step %d", ErrCorrupt, s.ID, s.Step)
 	}
-	if s.Ensemble != nil {
-		if len(s.Pos) != 0 || len(s.Vel) != 0 {
-			return fmt.Errorf("%w: job %s has both ensemble and single-engine state", ErrCorrupt, s.ID)
-		}
+	bare := len(s.Pos)+len(s.Vel) > 0
+	switch {
+	case s.Engine != nil && (s.Ensemble != nil || bare) || s.Ensemble != nil && bare:
+		return fmt.Errorf("%w: job %s carries more than one kind of state", ErrCorrupt, s.ID)
+	case s.Engine != nil:
+		return s.Engine.Validate()
+	case s.Ensemble != nil:
 		return s.Ensemble.Validate()
-	}
-	if len(s.Pos) == 0 || len(s.Pos) != len(s.Vel) {
+	case len(s.Pos) == 0 || len(s.Pos) != len(s.Vel):
 		return fmt.Errorf("%w: job %s has %d/%d pos/vel", ErrCorrupt, s.ID, len(s.Pos), len(s.Vel))
 	}
 	return nil

@@ -5,41 +5,52 @@ import (
 	"encoding/binary"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"gonamd/internal/vec"
+	"gonamd/internal/xrand"
 )
 
+// sampleJob is a single-engine job: cluster lists, PME mid-cycle, a
+// Langevin stream.
 func sampleJob() *JobState {
+	es := randomEngine(xrand.New(11), 5)
+	es.Counter, es.RecipF = 1, es.Pos
+	es.Thermostat, es.Thermo = "langevin", []uint64{1, 2, 3, 4}
 	return &JobState{
-		ID:           "j000001",
-		SpecJSON:     []byte(`{"steps":100}`),
-		Step:         40,
-		Pos:          []vec.V3{{X: 1, Y: 2, Z: 3}, {X: 4, Y: 5, Z: 6}},
-		Vel:          []vec.V3{{X: 0.1}, {Y: 0.2}},
-		ThermoRNG:    [4]uint64{1, 2, 3, 4},
-		HasThermoRNG: true,
+		ID:        "j000001",
+		SpecJSON:  []byte(`{"steps":100}`),
+		Step:      40,
+		Precision: "fp64-tab",
+		Engine:    &es,
+	}
+}
+
+// phaseSpaceJob is the bare form the codec also accepts.
+func phaseSpaceJob() *JobState {
+	return &JobState{
+		ID:       "j000002",
+		SpecJSON: []byte(`{"steps":100}`),
+		Step:     40,
+		Pos:      []vec.V3{{X: 1, Y: 2, Z: 3}, {X: 4, Y: 5, Z: 6}},
+		Vel:      []vec.V3{{X: 0.1}, {Y: 0.2}},
 	}
 }
 
 func TestJobRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	want := sampleJob()
-	if err := SaveJob(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadJob(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != want.ID || got.Step != want.Step || !got.HasThermoRNG {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	if got.Pos[1] != want.Pos[1] || got.Vel[1] != want.Vel[1] {
-		t.Fatalf("state mismatch: %+v", got)
-	}
-	if string(got.SpecJSON) != string(want.SpecJSON) {
-		t.Fatalf("spec mismatch: %s", got.SpecJSON)
+	for _, want := range []*JobState{sampleJob(), phaseSpaceJob()} {
+		var buf bytes.Buffer
+		if err := SaveJob(&buf, want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadJob(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+		}
 	}
 }
 
@@ -72,10 +83,6 @@ func TestJobLoadVersionMismatch(t *testing.T) {
 	}
 	if errors.Is(err, ErrCorrupt) {
 		t.Fatalf("version mismatch must not also read as corruption: %v", err)
-	}
-	// The deprecated alias must keep matching.
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("ErrVersion alias broken: %v", err)
 	}
 }
 
@@ -129,9 +136,12 @@ func TestJobValidate(t *testing.T) {
 	}{
 		{"no id", func(s *JobState) { s.ID = "" }},
 		{"negative step", func(s *JobState) { s.Step = -1 }},
-		{"pos/vel mismatch", func(s *JobState) { s.Vel = s.Vel[:1] }},
-		{"empty state", func(s *JobState) { s.Pos, s.Vel = nil, nil }},
-		{"both kinds", func(s *JobState) { s.Ensemble = &EnsembleState{} }},
+		{"engine pos/vel mismatch", func(s *JobState) { s.Engine.Vel = s.Engine.Vel[:1] }},
+		{"engine anchor mismatch", func(s *JobState) { s.Engine.Anchor = s.Engine.Anchor[:1] }},
+		{"empty state", func(s *JobState) { s.Engine = nil }},
+		{"engine and ensemble", func(s *JobState) { s.Ensemble = sample() }},
+		{"engine and phase space", func(s *JobState) { s.Pos, s.Vel = s.Engine.Pos, s.Engine.Vel }},
+		{"phase-space pos/vel mismatch", func(s *JobState) { s.Engine, s.Pos, s.Vel = nil, s.Engine.Pos, s.Engine.Vel[:1] }},
 	}
 	for _, c := range cases {
 		s := sampleJob()

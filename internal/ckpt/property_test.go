@@ -29,18 +29,37 @@ func randomState(rng *xrand.RNG) *EnsembleState {
 		st.Accepts = append(st.Accepts, acc)
 	}
 	for rep := 0; rep < nrep; rep++ {
-		r := ReplicaState{
-			Temp:      250 + 200*rng.Float64(),
-			Steps:     int64(rng.Uint64() % 100000),
-			ThermoRNG: xrand.New(rng.Uint64()).State(),
-		}
-		for i := 0; i < natoms; i++ {
-			r.Pos = append(r.Pos, vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()))
-			r.Vel = append(r.Vel, vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()))
-		}
-		st.Replicas = append(st.Replicas, r)
+		st.Replicas = append(st.Replicas, ReplicaState{Temp: 250 + 200*rng.Float64(), Engine: randomEngine(rng, natoms)})
 	}
 	return st
+}
+
+// randomEngine generates a structurally valid EngineState of natoms atoms
+// on cluster lists (a list anchor and a task assignment), with PME state
+// and a Langevin or rescale thermostat as the draws fall.
+func randomEngine(rng *xrand.RNG, natoms int) EngineState {
+	v := func() vec.V3 { return vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()) }
+	es := EngineState{Step: int64(rng.Uint64() % 100000), Balances: int(rng.Uint64() % 5)}
+	for i := 0; i < natoms; i++ {
+		es.Pos, es.Vel, es.Anchor = append(es.Pos, v()), append(es.Vel, v()), append(es.Anchor, v())
+	}
+	if rng.Uint64()%2 == 0 {
+		es.Counter, es.SlowEnergy, es.SlowVirial = int(rng.Uint64()%4), rng.NormFloat64(), rng.NormFloat64()
+		for i := 0; i < natoms; i++ {
+			es.RecipF = append(es.RecipF, v())
+		}
+	}
+	switch rng.Uint64() % 3 {
+	case 0:
+		es.Thermostat, es.Thermo = "langevin", xrand.New(rng.Uint64()).Words()
+	case 1:
+		es.Thermostat, es.Thermo = "rescale", []uint64{rng.Uint64() % 100}
+	}
+	workers := 1 + rng.Uint64()%4
+	for ti := uint64(0); ti < 1+rng.Uint64()%20; ti++ {
+		es.Assign = append(es.Assign, int(rng.Uint64()%workers))
+	}
+	return es
 }
 
 // TestPropertyRoundTripBitIdentical: for many random ensembles, a

@@ -84,15 +84,15 @@ func (e *Engine) ClusterRebuilds() int {
 	return e.clb.guard.Builds
 }
 
-// rebuildClusters regenerates the global cluster list at the current
-// positions, refreshes the static slot tables, regroups clusters by
+// rebuildClusters regenerates the global cluster list at positions pos
+// (the current ones, or a restored anchor), refreshes the static slot tables, regroups clusters by
 // owning cell into clOrder, updates every cluster task's range (the task
 // objects — and their measured times — persist), and sizes the workers'
 // slot force buffers. Runs in the driver, strictly before evaluation, so
 // a rebuild step evaluates exactly the same list a replay step would.
-func (e *Engine) rebuildClusters() {
+func (e *Engine) rebuildClusters(pos []vec.V3) {
 	c := e.clb
-	c.list = c.builder.Build(e.St.Pos, c.exclFn)
+	c.list = c.builder.Build(pos, c.exclFn)
 	c.data.LoadStatic(c.list, c.types, c.charges)
 
 	numI := c.list.NumI()
@@ -140,7 +140,7 @@ func (e *Engine) rebuildClusters() {
 		ws.fys = growZeroF64(ws.fys, slots)
 		ws.fzs = growZeroF64(ws.fzs, slots)
 	}
-	c.guard.Rebase(e.St.Pos)
+	c.guard.Rebase(pos)
 }
 
 // runClusterTask evaluates one cell's clusters with the selected

@@ -29,7 +29,8 @@ func TestClusterKernelFollowsElectrostatics(t *testing.T) {
 }
 
 // TestClusterListRebuildOnMotion: the list is reused until an atom moves
-// past skin/2, and ResetLists forces a rebuild whatever the positions.
+// past skin/2, and Restore builds the snapshot's list once, which then
+// stays valid.
 // External position edits go through Invalidate, which also voids the
 // drift bound so the displacement scan actually runs.
 func TestClusterListRebuildOnMotion(t *testing.T) {
@@ -53,8 +54,11 @@ func TestClusterListRebuildOnMotion(t *testing.T) {
 			check("no motion", false)
 			st.Pos[0] = vec.Wrap(st.Pos[0].Add(vec.New(seq.DefaultClusterSkin/2+0.05, 0, 0)), sys.Box)
 			check("one atom past skin/2", true)
-			eng.ResetLists()
-			check("after ResetLists", true)
+			if err := eng.Restore(eng.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			want++ // Restore replays the list at its anchor, the current positions
+			check("after Restore", false)
 		})
 	}
 }

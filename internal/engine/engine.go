@@ -412,7 +412,7 @@ func (e *Engine) ComputeForces() seq.Energies {
 		// rebuild step evaluates exactly the list a replay step would (bitwise
 		// rebuild-vs-replay).
 		if !c.guard.Valid(e.St.Pos, e.Sys.Box) {
-			e.rebuildClusters()
+			e.rebuildClusters(e.St.Pos)
 		}
 		c.data.LoadPositions(c.list, e.St.Pos)
 	}
@@ -653,33 +653,11 @@ func (e *Engine) Invalidate() {
 	}
 }
 
-// ResetLists drops the cluster-list history so the next force evaluation
-// rebuilds the list from the positions it sees, instead of replaying a
-// list built at earlier positions. Replay and rebuild agree on which
-// pairs contribute, but not on the accumulation order, so their sums
-// differ in ulps. Dropping the history makes the next evaluation a pure
-// function of positions; the job server calls this after every checkpoint
-// so the uninterrupted continuation stays bitwise identical to a run
-// resumed from that checkpoint. A no-op in reference mode.
-func (e *Engine) ResetLists() {
-	if e.clb != nil {
-		e.clb.guard.Drop()
-	}
-}
-
 // Kinetic returns the kinetic energy in kcal/mol.
-func (e *Engine) Kinetic() float64 {
-	ke := 0.0
-	for i, v := range e.St.Vel {
-		ke += 0.5 * e.Sys.Atoms[i].Mass * v.Norm2()
-	}
-	return ke / units.ForceToAccel
-}
+func (e *Engine) Kinetic() float64 { return thermo.Kinetic(e.Sys, e.St) }
 
 // Temperature returns the instantaneous temperature in K.
-func (e *Engine) Temperature() float64 {
-	return units.KineticToKelvin(e.Kinetic(), 3*e.Sys.N())
-}
+func (e *Engine) Temperature() float64 { return thermo.Temperature(e.Sys, e.St) }
 
 // atmPerKcalMolA3 converts kcal/mol/Å³ to atmospheres.
 const atmPerKcalMolA3 = 68568.4

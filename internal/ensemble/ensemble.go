@@ -38,8 +38,8 @@ import (
 	"gonamd/internal/xrand"
 )
 
-// parAtomThreshold is the replica size above which engine auto-selection
-// picks the shared-memory parallel engine: below it, per-replica
+// parAtomThreshold is the replica size from which auto-selection gives
+// each replica's engine a worker per core: below it, per-replica
 // parallelism costs more in synchronization than it buys, and replica-level
 // parallelism across the pool already uses the cores.
 const parAtomThreshold = 25000
@@ -68,13 +68,13 @@ type Config struct {
 	// (0 = min(NumCPU, replicas)).
 	Workers int
 
-	// EngineWorkers selects the per-replica engine: 0 = auto (sequential
-	// below ~25k atoms, parallel above), 1 = always sequential, >1 =
-	// parallel with that many workers per replica. Bitwise kill-and-resume
-	// is promised for sequential replicas, whose list-free forces are a
-	// pure function of the checkpointed positions; parallel replicas carry
-	// cluster-list history a checkpoint does not capture and resume within
-	// reduction tolerance.
+	// EngineWorkers is each replica's engine worker count: 0 = auto (one
+	// inline worker below ~25k atoms, one per core above), 1 = always one,
+	// >1 = that many. Every replica runs on M×N cluster pair lists at the
+	// default geometry, and a checkpoint carries each engine's whole
+	// state, so one-worker replicas resume bit for bit. Multi-worker
+	// replicas rebalance their tasks on measured wall-clock times, which a
+	// checkpoint does not carry, and resume within reduction tolerance.
 	EngineWorkers int
 
 	// CheckpointEvery, with CheckpointPath, writes an atomic whole-ensemble
@@ -98,22 +98,20 @@ type Config struct {
 }
 
 // Replica is one rung of the ladder: a full system state plus the engine
-// and thermostat advancing it.
+// (and its Langevin thermostat) advancing it.
 type Replica struct {
 	Index int
 	Temp  float64 // ladder temperature, K
 
-	st    *topology.State
-	eng   *engine.Engine
-	th    *thermo.Langevin
-	steps int64
+	st  *topology.State
+	eng *engine.Engine
 }
 
 // State returns the replica's positions and velocities (live, not a copy).
 func (r *Replica) State() *topology.State { return r.st }
 
 // Steps returns how many MD steps the replica has advanced.
-func (r *Replica) Steps() int64 { return r.steps }
+func (r *Replica) Steps() int64 { return r.eng.Steps() }
 
 // Potential returns the replica's current potential energy in kcal/mol.
 func (r *Replica) Potential() float64 { return r.eng.Energies().Potential() }
@@ -202,17 +200,17 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State, cfg Co
 			Gamma:  cfg.Gamma,
 			Seed:   cfg.Seed + 0x9e3779b97f4a7c15*uint64(i+1),
 		}
-		// One replica's engine: list-free and inline on one worker, or on
-		// cluster lists with a worker pool (0 workers = all cores).
-		ecfg := engine.Config{Workers: 1, Thermostat: th}
+		// One replica's engine on cluster lists: one inline worker, or a
+		// worker pool (0 workers = all cores).
+		ecfg := engine.Config{Workers: 1, ClusterM: engine.DefaultClusterM, ClusterN: engine.DefaultClusterN, Thermostat: th}
 		if w := cfg.EngineWorkers; w > 1 || w == 0 && sys.N() >= parAtomThreshold {
-			ecfg.Workers, ecfg.ClusterM, ecfg.ClusterN = w, engine.DefaultClusterM, engine.DefaultClusterN
+			ecfg.Workers = w
 		}
 		eng, err := engine.New(sys, ff, rst, ecfg)
 		if err != nil {
 			return nil, err
 		}
-		e.replicas = append(e.replicas, &Replica{Index: i, Temp: temp, st: rst, eng: eng, th: th})
+		e.replicas = append(e.replicas, &Replica{Index: i, Temp: temp, st: rst, eng: eng})
 	}
 	return e, nil
 }
@@ -324,14 +322,12 @@ func (e *Ensemble) advance(n int) error {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			t0 := e.now()
-			s := 0
-			for ; s < n; s++ {
+			for s := 0; s < n; s++ {
 				if err := r.eng.Step(e.cfg.Dt); err != nil {
 					errs[r.Index] = fmt.Errorf("ensemble: replica %d: %w", r.Index, err)
 					break
 				}
 			}
-			r.steps += int64(s)
 			t1 := e.now()
 			recs[r.Index] = trace.ExecRecord{
 				PE: int32(r.Index), Obj: int32(r.Index), Entry: "replica.advance",
@@ -408,8 +404,9 @@ func (e *Ensemble) swap(ri, rj *Replica) {
 }
 
 // Snapshot captures the complete dynamic state of the ensemble as a
-// checkpoint payload (deep copies: mutating the ensemble afterwards does
-// not alter the snapshot).
+// checkpoint payload: every replica engine's whole state (engine
+// Snapshot) and the exchange state, deep-copied, so mutating the ensemble
+// afterwards does not alter the snapshot.
 func (e *Ensemble) Snapshot() *ckpt.EnsembleState {
 	st := &ckpt.EnsembleState{
 		Step:        e.step,
@@ -420,13 +417,7 @@ func (e *Ensemble) Snapshot() *ckpt.EnsembleState {
 		Replicas:    make([]ckpt.ReplicaState, len(e.replicas)),
 	}
 	for i, r := range e.replicas {
-		st.Replicas[i] = ckpt.ReplicaState{
-			Temp:      r.Temp,
-			Steps:     r.steps,
-			Pos:       append([]vec.V3(nil), r.st.Pos...),
-			Vel:       append([]vec.V3(nil), r.st.Vel...),
-			ThermoRNG: r.th.StreamState(),
-		}
+		st.Replicas[i] = ckpt.ReplicaState{Temp: r.Temp, Engine: *r.eng.Snapshot()}
 	}
 	return st
 }
@@ -460,18 +451,11 @@ func (e *Ensemble) Restore(st *ckpt.EnsembleState) error {
 			return fmt.Errorf("ensemble: checkpoint rung %d at %g K, ensemble at %g K",
 				i, rs.Temp, e.replicas[i].Temp)
 		}
-		if len(rs.Pos) != e.sys.N() {
-			return fmt.Errorf("ensemble: checkpoint replica %d has %d atoms, system has %d",
-				i, len(rs.Pos), e.sys.N())
-		}
 	}
-	for i, rs := range st.Replicas {
-		r := e.replicas[i]
-		copy(r.st.Pos, rs.Pos)
-		copy(r.st.Vel, rs.Vel)
-		r.steps = rs.Steps
-		r.th.RestoreStream(rs.ThermoRNG)
-		r.eng.Invalidate()
+	for i := range st.Replicas {
+		if err := e.replicas[i].eng.Restore(&st.Replicas[i].Engine); err != nil {
+			return fmt.Errorf("ensemble: replica %d: %w", i, err)
+		}
 	}
 	e.step = st.Step
 	e.round = st.Round

@@ -2,11 +2,13 @@ package ensemble
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"strings"
 	"testing"
 
+	"gonamd/internal/ckpt"
 	"gonamd/internal/engine"
 	"gonamd/internal/forcefield"
 	"gonamd/internal/molgen"
@@ -380,5 +382,62 @@ func TestRunStopsOnDivergedReplica(t *testing.T) {
 	}
 	if ens.Step() != 0 {
 		t.Errorf("ensemble counted %d steps past a failed one", ens.Step())
+	}
+}
+
+// TestReplicasRunClusterLists: every replica steps on cluster lists, at
+// one worker as at two, so its snapshot carries a list anchor.
+func TestReplicasRunClusterLists(t *testing.T) {
+	sys, ff, st := waterEnsembleInputs(t)
+	for _, w := range []int{1, 2} {
+		e, err := New(sys, ff, st, Config{Temperatures: GeometricLadder(300, 330, 2), Seed: 1, EngineWorkers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(3); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range e.Snapshot().Replicas {
+			if len(r.Engine.Anchor) != sys.N() {
+				t.Errorf("%d engine workers: replica %d has a list anchor of %d positions, want %d", w, i, len(r.Engine.Anchor), sys.N())
+			}
+		}
+		e.Close()
+	}
+}
+
+// TestResumeRejectsVersion1: a checkpoint in the format before engine
+// state (positions, velocities and a noise stream per replica) is
+// refused with ErrVersionMismatch naming its version, not misread.
+func TestResumeRejectsVersion1(t *testing.T) {
+	sys, ff, st := waterEnsembleInputs(t)
+	e, err := New(sys, ff, st, Config{Temperatures: GeometricLadder(300, 330, 2), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type v1Replica struct {
+		Temp      float64
+		Steps     int64
+		Pos, Vel  []vec.V3
+		ThermoRNG [4]uint64
+	}
+	type v1Ensemble struct {
+		Step, Round       int64
+		ExchangeRNG       [4]uint64
+		Attempts, Accepts []int64
+		Replicas          []v1Replica
+	}
+	old := v1Ensemble{Attempts: []int64{0}, Accepts: []int64{0}}
+	for i := 0; i < e.NumReplicas(); i++ {
+		r := e.Replica(i)
+		old.Replicas = append(old.Replicas, v1Replica{Temp: r.Temp, Pos: r.State().Pos, Vel: r.State().Vel, ThermoRNG: [4]uint64{1, 2, 3, 4}})
+	}
+	var buf bytes.Buffer
+	if err := ckpt.EnvelopeSave(&buf, "ckpt", 1, &old); err != nil {
+		t.Fatal(err)
+	}
+	err = e.Resume(&buf)
+	if !errors.Is(err, ckpt.ErrVersionMismatch) || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("Resume of a version-1 checkpoint = %v, want ErrVersionMismatch naming version 1", err)
 	}
 }

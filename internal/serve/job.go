@@ -92,7 +92,6 @@ type Job struct {
 	ff            *gonamd.ForceField
 	st            *gonamd.State
 	eng           *gonamd.Parallel // nil for ensemble jobs, and again once finalized
-	th            gonamd.Thermostat
 	ens           *ensemble.Ensemble
 	tlog          *trace.Log
 	step          int64
@@ -207,11 +206,11 @@ func (j *Job) ensure() error {
 			j.statusMu.Unlock()
 			extra = append(extra, gonamd.WithMetricsRecorder(rec))
 		}
-		eng, th, err := j.Spec.Engine.NewEngine(sys, ff, st, extra...)
+		eng, _, err := j.Spec.Engine.NewEngine(sys, ff, st, extra...)
 		if err != nil {
 			return err
 		}
-		j.eng, j.th = eng, th
+		j.eng = eng
 	}
 	j.sys, j.ff, j.st = sys, ff, st
 
@@ -244,13 +243,8 @@ func (j *Job) applyResume(snap *ckpt.JobState) error {
 	// Bit-identical resume only holds within one numerical mode: a
 	// checkpoint taken under the analytic kernel replayed under the
 	// tabulated one (or in a mode this server no longer has) would
-	// silently continue a different trajectory. Empty means fp64 —
-	// checkpoints that predate the field.
-	have := snap.Precision
-	if have == "" {
-		have = "fp64"
-	}
-	if want := j.Spec.Engine.PrecisionMode(); have != want {
+	// silently continue a different trajectory.
+	if have, want := snap.Precision, j.Spec.Engine.PrecisionMode(); have != want {
 		return fmt.Errorf("serve: job %s checkpoint was taken in precision mode %s but the spec selects %s; trajectories are not comparable across modes — resubmit as a fresh job instead of resuming", j.ID, have, want)
 	}
 	if j.ens != nil {
@@ -261,18 +255,12 @@ func (j *Job) applyResume(snap *ckpt.JobState) error {
 			return err
 		}
 	} else {
-		if snap.Ensemble != nil {
-			return fmt.Errorf("serve: job %s checkpoint is an ensemble snapshot", j.ID)
+		if snap.Engine == nil {
+			return fmt.Errorf("serve: job %s checkpoint carries no engine state", j.ID)
 		}
-		if len(snap.Pos) != j.sys.N() {
-			return fmt.Errorf("serve: job %s checkpoint has %d atoms, system has %d", j.ID, len(snap.Pos), j.sys.N())
+		if err := j.eng.Restore(snap.Engine); err != nil {
+			return fmt.Errorf("serve: job %s: %w", j.ID, err)
 		}
-		copy(j.st.Pos, snap.Pos)
-		copy(j.st.Vel, snap.Vel)
-		if lv, ok := j.th.(*gonamd.Langevin); ok && snap.HasThermoRNG {
-			lv.RestoreStream(snap.ThermoRNG)
-		}
-		j.eng.Invalidate()
 	}
 	j.step = snap.Step
 	if j.Spec.FrameEvery > 0 {
@@ -394,31 +382,9 @@ func (j *Job) emitCadence() error {
 		j.events.publish(Event{Type: "energy", Job: j.ID, Step: j.step, Energy: rep})
 	}
 	if ce := j.Spec.CheckpointEvery; ce > 0 && j.step%ce == 0 {
-		if err := j.checkpointLocked(); err != nil {
-			return err
-		}
-		j.rebaseListsLocked()
+		return j.checkpointLocked()
 	}
 	return nil
-}
-
-// rebaseListsLocked re-anchors a list-mode engine on the checkpoint just
-// written. A cluster list carries history: forces depend on
-// where the active list was built, not just on the current positions, so
-// an engine resumed from a checkpoint (which builds a fresh list at the
-// checkpointed positions) would diverge from the uninterrupted run in
-// ulps. Invalidate plus ResetLists force the continuing engine to redo
-// exactly what the resumed one will — re-evaluate at the checkpointed
-// positions over a freshly built list — so both follow bitwise-identical
-// trajectories. The sequential reference path carries no list, already
-// evaluates forces as a pure function of positions, and skips the extra
-// evaluation this costs.
-func (j *Job) rebaseListsLocked() {
-	if j.eng == nil || !j.Spec.Engine.UsesLists() {
-		return
-	}
-	j.eng.Invalidate()
-	j.eng.ResetLists()
 }
 
 func (j *Job) runEnsembleSlice(n int, killed <-chan struct{}) sliceOutcome {
@@ -461,19 +427,15 @@ func (j *Job) runEnsembleSlice(n int, killed <-chan struct{}) sliceOutcome {
 	return outcomeProgress
 }
 
-// snapshotLocked captures the job's complete dynamic state.
+// snapshotLocked captures the job's complete dynamic state: its
+// engine's, or its ensemble's, whole state.
 func (j *Job) snapshotLocked() *ckpt.JobState {
 	snap := &ckpt.JobState{ID: j.ID, SpecJSON: j.specJSON, Step: j.step,
 		Precision: j.Spec.Engine.PrecisionMode()}
 	if j.ens != nil {
 		snap.Ensemble = j.ens.Snapshot()
-		return snap
-	}
-	snap.Pos = append([]gonamd.V3(nil), j.st.Pos...)
-	snap.Vel = append([]gonamd.V3(nil), j.st.Vel...)
-	if lv, ok := j.th.(*gonamd.Langevin); ok {
-		snap.ThermoRNG = lv.StreamState()
-		snap.HasThermoRNG = true
+	} else {
+		snap.Engine = j.eng.Snapshot()
 	}
 	return snap
 }
@@ -518,11 +480,7 @@ func (j *Job) CheckpointNow() error {
 	if !j.built || terminal(j.Status().State) {
 		return nil
 	}
-	if err := j.checkpointLocked(); err != nil {
-		return err
-	}
-	j.rebaseListsLocked()
-	return nil
+	return j.checkpointLocked()
 }
 
 // complete finishes a job whose step budget is exhausted.
@@ -538,7 +496,6 @@ func (j *Job) pauseNow() sliceOutcome {
 	if err := j.checkpointLocked(); err != nil {
 		return j.finalize(StateFailed, err.Error())
 	}
-	j.rebaseListsLocked()
 	j.publishState(StatePaused, "")
 	j.persistStatus()
 	return outcomePaused

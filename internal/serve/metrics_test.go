@@ -95,7 +95,7 @@ func TestServerMetricsStreamCrashRestart(t *testing.T) {
 	spec := JobSpec{
 		Name:            "metered",
 		System:          SystemSpec{Preset: "water", Side: 10, Seed: 7, Cutoff: 4.5},
-		Steps:           4000,
+		Steps:           400,
 		Dt:              0.5,
 		EnergyEvery:     40,
 		CheckpointEvery: 40,

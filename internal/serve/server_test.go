@@ -23,12 +23,12 @@ import (
 // plain NVE run, a Langevin run (whose noise stream must survive the
 // restart), and a minimized parallel-engine Langevin run with no cluster
 // fields (whose minimization and static task decomposition must be
-// reconstructed identically, and whose default cluster list the server
-// must rebase on every checkpoint like an explicitly configured one).
+// reconstructed identically, and whose default cluster list travels in
+// the checkpoint like an explicitly configured one).
 func e2eSpecs() []JobSpec {
 	base := JobSpec{
 		System:          SystemSpec{Preset: "water", Side: 10, Seed: 7, Cutoff: 4.5},
-		Steps:           4000,
+		Steps:           400,
 		Dt:              0.5,
 		FrameEvery:      20,
 		EnergyEvery:     20,
@@ -57,10 +57,8 @@ func e2eSpecs() []JobSpec {
 // referenceTrajectory runs a spec's simulation start-to-finish in
 // process, through the same build + minimize (JobSpec.prepare) and
 // spec→engine bridge the server uses, and returns the trajectory bytes an
-// uninterrupted run would produce. After each checkpoint boundary the
-// server re-anchors list-mode engines on the checkpointed positions
-// (Job.rebaseListsLocked) — part of the trajectory contract, so the
-// reference does too.
+// uninterrupted run would produce. Checkpoints do not touch the engine,
+// so the reference takes none.
 func referenceTrajectory(t *testing.T, spec JobSpec) []byte {
 	t.Helper()
 	if err := spec.normalize(40); err != nil {
@@ -88,10 +86,6 @@ func referenceTrajectory(t *testing.T, spec JobSpec) []byte {
 			if err := w.WriteFrame(step, float64(step)*spec.Dt, st.Pos); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if ce := spec.CheckpointEvery; ce > 0 && step%ce == 0 && spec.Engine.UsesLists() {
-			eng.Invalidate()
-			eng.ResetLists()
 		}
 	}
 	if err := w.Flush(); err != nil {
@@ -279,8 +273,8 @@ func TestServerCrashRestartResume(t *testing.T) {
 		if st.Resumes != 1 {
 			t.Errorf("job %s Resumes = %d, want 1", id, st.Resumes)
 		}
-		if st.Step != 4000 {
-			t.Errorf("job %s finished at step %d, want 4000", id, st.Step)
+		if st.Step != specs[0].Steps {
+			t.Errorf("job %s finished at step %d, want %d", id, st.Step, specs[0].Steps)
 		}
 	}
 
@@ -399,11 +393,11 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 
 	bad := []string{
 		`{`, // not JSON
-		`{"system":{"preset":"water"},"steps":0}`,                                                               // no step budget
-		`{"system":{"preset":"plasma"},"steps":10}`,                                                             // unknown preset
-		`{"system":{"preset":"water"},"steps":10,"unknown_field":true}`,                                         // strict decoding
-		`{"system":{"preset":"water"},"steps":10,"engine":{"thermostat":{"kind":"rescale","temperature":300}}}`, // uncheckpointable thermostat
-		`{"system":{"preset":"water"},"steps":10,"ensemble":{"replicas":1,"tmin":300,"tmax":360}}`,              // one replica
+		`{"system":{"preset":"water"},"steps":0}`,                                                            // no step budget
+		`{"system":{"preset":"plasma"},"steps":10}`,                                                          // unknown preset
+		`{"system":{"preset":"water"},"steps":10,"unknown_field":true}`,                                      // strict decoding
+		`{"system":{"preset":"water"},"steps":10,"engine":{"thermostat":{"kind":"nose","temperature":300}}}`, // unknown thermostat
+		`{"system":{"preset":"water"},"steps":10,"ensemble":{"replicas":1,"tmin":300,"tmax":360}}`,           // one replica
 	}
 	for _, body := range bad {
 		resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader([]byte(body)))

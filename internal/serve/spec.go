@@ -153,12 +153,6 @@ func (s *JobSpec) normalize(defaultCkpt int64) error {
 }
 
 func (s *JobSpec) normalizeMD() error {
-	if th := s.Engine.Thermostat; th != nil && th.Kind == "rescale" {
-		// Rescale counts steps since its last rescale internally; that
-		// phase is not captured by checkpoints, so a resumed run would
-		// rescale on a shifted schedule and break bit-identical resume.
-		return fmt.Errorf("serve: the rescale thermostat's interval phase is not checkpointable; use langevin or berendsen")
-	}
 	// Apply the options' own rules at admission, so a spec that can never
 	// build fails the submission instead of a queued job failing when it
 	// first runs.
@@ -211,11 +205,11 @@ func (s *JobSpec) normalizeEnsemble() error {
 		e.Workers = 1
 	}
 	if e.EngineWorkers == 0 {
-		// Auto-selection would pick the parallel engine for large
-		// replicas with measurement-based rebalancing on, which breaks
-		// the bit-identical resume contract (see normalizeMD). Pin the
-		// deterministic sequential engine; clients that want per-replica
-		// parallelism opt in explicitly.
+		// Auto-selection would give large replicas a worker pool with
+		// measurement-based rebalancing on, which breaks the
+		// bit-identical resume contract (see normalizeMD). Pin one
+		// worker per replica; clients that want per-replica parallelism
+		// opt in explicitly.
 		e.EngineWorkers = 1
 	}
 	return nil

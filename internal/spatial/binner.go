@@ -152,6 +152,11 @@ func (g *ListGuard) Rebase(pos []vec.V3) {
 	g.Builds++
 }
 
-// Drop forgets the list, so the next Valid reports false whatever the
-// positions: the next evaluation rebuilds instead of replaying.
-func (g *ListGuard) Drop() { g.built = false }
+// Anchor returns the positions of the last Rebase (owned by the guard),
+// or nil before the first.
+func (g *ListGuard) Anchor() []vec.V3 {
+	if !g.built {
+		return nil
+	}
+	return g.ref
+}

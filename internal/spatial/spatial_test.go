@@ -272,13 +272,13 @@ func TestNewGridErrors(t *testing.T) {
 // TestListGuard walks the skin/2 validity rule through its cases: no
 // list yet, the drift bound answering alone, the bound overshooting and
 // a scan re-seeding it, a real displacement past the limit, an external
-// edit, and a dropped list.
+// edit, and the anchor a checkpoint saves.
 func TestListGuard(t *testing.T) {
 	box := vec.New(20, 20, 20)
 	pos := []vec.V3{vec.New(1, 1, 1), vec.New(19.9, 5, 5)}
 	g := NewListGuard(1.5)
-	if g.Valid(pos, box) {
-		t.Fatal("valid before any list was built")
+	if g.Valid(pos, box) || g.Anchor() != nil {
+		t.Fatal("valid, or anchored, before any list was built")
 	}
 	g.Rebase(pos)
 	if !g.Valid(pos, box) || g.Builds != 1 {
@@ -311,9 +311,8 @@ func TestListGuard(t *testing.T) {
 	if !g.Valid(moved, box) || g.Builds != 2 {
 		t.Error("rebased list invalid")
 	}
-	g.Drop()
-	if g.Valid(moved, box) {
-		t.Error("dropped list reported valid")
+	if a := g.Anchor(); len(a) != len(moved) || a[0] != moved[0] || a[1] != moved[1] {
+		t.Errorf("anchor %v, want the positions of the last Rebase %v", a, moved)
 	}
 }
 

@@ -29,9 +29,16 @@ func Temperature(sys *topology.System, st *topology.State) float64 {
 
 // Thermostat adjusts velocities toward a target temperature. Apply is
 // called once per step with the timestep in femtoseconds.
+//
+// State returns the words Apply carries from one step to the next,
+// aliasing the thermostat's own storage: a checkpoint copies them out, a
+// restore copies them back in, and the thermostat then continues exactly
+// where the saved one would have. Nil for a thermostat without such
+// state.
 type Thermostat interface {
 	Name() string
 	Apply(sys *topology.System, st *topology.State, dt float64)
+	State() []uint64
 }
 
 // Rescale hard-rescales velocities to exactly Target every Interval
@@ -39,16 +46,19 @@ type Thermostat interface {
 type Rescale struct {
 	Target   float64 // K
 	Interval int
-	steps    int
+	steps    [1]uint64 // Apply calls so far: the interval phase
 }
 
 // Name implements Thermostat.
 func (r *Rescale) Name() string { return "rescale" }
 
+// State implements Thermostat: the interval phase.
+func (r *Rescale) State() []uint64 { return r.steps[:] }
+
 // Apply implements Thermostat.
 func (r *Rescale) Apply(sys *topology.System, st *topology.State, dt float64) {
-	r.steps++
-	if r.Interval > 1 && r.steps%r.Interval != 0 {
+	r.steps[0]++
+	if r.Interval > 1 && r.steps[0]%uint64(r.Interval) != 0 {
 		return
 	}
 	t := Temperature(sys, st)
@@ -71,6 +81,9 @@ type Berendsen struct {
 
 // Name implements Thermostat.
 func (b *Berendsen) Name() string { return "berendsen" }
+
+// State implements Thermostat: Berendsen carries nothing between steps.
+func (b *Berendsen) State() []uint64 { return nil }
 
 // Apply implements Thermostat.
 func (b *Berendsen) Apply(sys *topology.System, st *topology.State, dt float64) {
@@ -105,16 +118,12 @@ type Langevin struct {
 // Name implements Thermostat.
 func (l *Langevin) Name() string { return "langevin" }
 
-// StreamState returns the state of the noise stream for checkpointing,
-// initializing the stream from Seed if it has not produced noise yet.
-func (l *Langevin) StreamState() [4]uint64 {
+// State implements Thermostat: the noise stream, started from Seed if
+// it has not produced noise yet.
+func (l *Langevin) State() []uint64 {
 	l.ensureRNG()
-	return l.rng.State()
+	return l.rng.Words()
 }
-
-// RestoreStream resumes the noise stream from a state previously returned
-// by StreamState, so a restarted run draws the identical noise sequence.
-func (l *Langevin) RestoreStream(s [4]uint64) { l.rng = xrand.FromState(s) }
 
 func (l *Langevin) ensureRNG() {
 	if l.rng == nil {

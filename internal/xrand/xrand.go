@@ -37,6 +37,11 @@ func FromState(s [4]uint64) *RNG { return &RNG{s: s} }
 // to FromState to resume the identical stream.
 func (r *RNG) State() [4]uint64 { return r.s }
 
+// Words returns the generator's state as a slice aliasing it: copying
+// words read earlier back in resumes that stream exactly. A caller must
+// never write the all-zero state.
+func (r *RNG) Words() []uint64 { return r.s[:] }
+
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.

@@ -345,26 +345,16 @@ func (t *ThermostatSpec) New() (Thermostat, error) {
 	}
 }
 
-// UsesLists reports whether the spec's engine evaluates nonbonded forces
-// over a cluster pair list: every parallel engine does, and a sequential
-// one given a geometry. Such engines carry list history — forces depend
-// on where the current list was built, not just on the current positions
-// — so services that promise bit-identical crash resume rebase them on
-// every checkpoint (Invalidate + ResetLists; see the job server). Only
-// the sequential reference path is list-free.
-func (s *EngineSpec) UsesLists() bool {
-	par, _ := s.Parallel()
-	return par || s.ClusterM > 0 || s.ClusterN > 0
-}
-
 // PrecisionMode names the numerical mode the spec's trajectory runs in:
 // "fp64-tab" when the tabulated cluster kernel evaluates the pair
-// interaction (cluster lists with PME), "fp64" otherwise. Trajectories
+// interaction (PME on cluster lists, which every parallel engine and a
+// sequential one given a geometry runs), "fp64" otherwise. Trajectories
 // are bitwise reproducible within a mode but differ across modes, so
 // checkpoints record this and services refuse to resume across a mode
 // change.
 func (s *EngineSpec) PrecisionMode() string {
-	if s.UsesLists() && s.PME != nil {
+	par, _ := s.Parallel()
+	if s.PME != nil && (par || s.ClusterM > 0 || s.ClusterN > 0) {
 		return "fp64-tab"
 	}
 	return "fp64"
@@ -432,9 +422,8 @@ func (s *EngineSpec) Validate() error {
 // system, with every option validated by the same construction rules
 // NewSequential and NewParallel enforce. The extra options attach what
 // does not travel over the wire — a trace log, a metrics recorder. The
-// returned Thermostat is the instance the engine applies (nil for NVE) —
-// exposed so callers that checkpoint, like the job server, can snapshot
-// and restore a Langevin noise stream.
+// returned Thermostat is the instance the engine applies (nil for NVE);
+// its state travels in the engine's Snapshot.
 func (s *EngineSpec) NewEngine(sys *System, ff *ForceField, st *State, extra ...Option) (*Parallel, Thermostat, error) {
 	par, th, opts, err := s.lower()
 	if err != nil {
