@@ -74,6 +74,10 @@ func TestRestoreContinuesBitwise(t *testing.T) {
 			if err := b.Restore(snap); err != nil {
 				t.Fatal(err)
 			}
+			// Mid-cycle, the energies and reciprocal forces are the cycle's.
+			if !reflect.DeepEqual(a.Energies(), b.Energies()) || !reflect.DeepEqual(a.RecipForces(), b.RecipForces()) {
+				t.Fatal("restored engine reports other energies or reciprocal forces")
+			}
 			for s := 0; s < after; s++ {
 				if err := a.Step(1); err != nil {
 					t.Fatal(err)

@@ -119,8 +119,6 @@ func (r *Replica) Potential() float64 { return r.eng.Energies().Potential() }
 // Ensemble is a replica-exchange run in progress.
 type Ensemble struct {
 	cfg      Config
-	sys      *topology.System
-	ff       *forcefield.Params
 	replicas []*Replica
 	workers  int
 
@@ -167,8 +165,6 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State, cfg Co
 
 	e := &Ensemble{
 		cfg:      cfg,
-		sys:      sys,
-		ff:       ff,
 		exch:     xrand.New(cfg.Seed ^ 0xe0c5_a9d1_37b3_f00d),
 		attempts: make([]int64, max(0, len(cfg.Temperatures)-1)),
 		accepts:  make([]int64, max(0, len(cfg.Temperatures)-1)),

@@ -89,7 +89,6 @@ type Job struct {
 	mu            sync.Mutex
 	built         bool
 	sys           *gonamd.System
-	ff            *gonamd.ForceField
 	st            *gonamd.State
 	eng           *gonamd.Parallel // nil for ensemble jobs, and again once finalized
 	ens           *ensemble.Ensemble
@@ -212,7 +211,7 @@ func (j *Job) ensure() error {
 		}
 		j.eng = eng
 	}
-	j.sys, j.ff, j.st = sys, ff, st
+	j.sys, j.st = sys, st
 
 	if snap := j.pendingResume; snap != nil {
 		if err := j.applyResume(snap); err != nil {

@@ -262,9 +262,10 @@ func TestRecoveryRescanDistinguishesCheckpointErrors(t *testing.T) {
 	})
 	s.Kill()
 
-	// ids[0]: rewrite the version field → ErrVersionMismatch.
+	// ids[0]: rewrite the version field to 1, the format before engine
+	// state → ErrVersionMismatch.
 	tamper(t, jobPath(dir, ids[0], "ckpt"), func(b []byte) {
-		binary.LittleEndian.PutUint32(b[12:16], 99)
+		binary.LittleEndian.PutUint32(b[12:16], 1)
 	})
 	// ids[1]: flip a payload byte → ErrCorrupt (checksum mismatch).
 	tamper(t, jobPath(dir, ids[1], "ckpt"), func(b []byte) {
@@ -276,8 +277,8 @@ func TestRecoveryRescanDistinguishesCheckpointErrors(t *testing.T) {
 	defer s2.Stop()
 
 	failed := waitState(t, s2, ids[0], StateFailed)
-	if !strings.Contains(failed.Note, "version") {
-		t.Errorf("version-mismatch note = %q, want it to name the version problem", failed.Note)
+	if !strings.Contains(failed.Note, "version 1") {
+		t.Errorf("version-mismatch note = %q, want it to name version 1", failed.Note)
 	}
 	j1, _ := s2.Get(ids[1])
 	if note := j1.Status().Note; !strings.Contains(note, "restarted from step 0") {
