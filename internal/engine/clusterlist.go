@@ -85,10 +85,10 @@ func (e *Engine) ClusterRebuilds() int {
 }
 
 // rebuildClusters regenerates the global cluster list at positions pos
-// (the current ones, or a restored anchor), refreshes the static slot tables, regroups clusters by
-// owning cell into clOrder, updates every cluster task's range (the task
-// objects — and their measured times — persist), and sizes the workers'
-// slot force buffers. Runs in the driver, strictly before evaluation, so
+// (the current ones, or a restored anchor), refreshes the static slot
+// tables, regroups clusters by owning cell into clOrder, updates every
+// cluster task's range (the task objects — and their measured times —
+// persist), and sizes the workers' slot force buffers. Runs in the driver, strictly before evaluation, so
 // a rebuild step evaluates exactly the same list a replay step would.
 func (e *Engine) rebuildClusters(pos []vec.V3) {
 	c := e.clb
