@@ -15,9 +15,11 @@ import (
 // not touch the engine, so a job checkpointed every step, every seven
 // steps or only at its end writes the same trajectory file, byte for
 // byte, and ends in the same engine state. Seven lands mid-way through a
-// PME MTS cycle, a rescale interval and a cluster list's lifetime.
+// PME MTS cycle, a rescale interval and a cluster list's lifetime; 400
+// steps of 1 fs are enough for a list rebuilt at every checkpoint, rather
+// than replayed, to change the bits of every job here.
 func TestTrajectoryIndependentOfCheckpointCadence(t *testing.T) {
-	const steps = 42
+	const steps = 400
 	langevin := &gonamd.ThermostatSpec{Kind: "langevin", Temperature: 300, Seed: 4}
 	rescale := &gonamd.ThermostatSpec{Kind: "rescale", Temperature: 300, Interval: 5}
 	engines := []struct {
@@ -40,6 +42,7 @@ func TestTrajectoryIndependentOfCheckpointCadence(t *testing.T) {
 			for _, k := range []int64{1, 7, 1 << 20} {
 				spec := waterJob(steps)
 				spec.Minimize = 10
+				spec.Dt = 1
 				spec.FrameEvery = 1
 				spec.CheckpointEvery = k
 				spec.Engine = eng.spec
