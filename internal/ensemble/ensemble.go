@@ -433,7 +433,9 @@ func (e *Ensemble) Resume(r io.Reader) error {
 	return e.Restore(st)
 }
 
-// Restore applies a decoded checkpoint to the ensemble.
+// Restore applies a decoded checkpoint to the ensemble. A replica whose
+// engine refuses its state (engine Restore) fails the call after the
+// replicas before it were restored; the ensemble must not be run then.
 func (e *Ensemble) Restore(st *ckpt.EnsembleState) error {
 	if err := st.Validate(); err != nil {
 		return err
