@@ -23,7 +23,7 @@ func sample() *EnsembleState {
 	st := &EnsembleState{
 		Step:        1200,
 		Round:       12,
-		ExchangeRNG: rng.State(),
+		ExchangeRNG: [4]uint64(rng.Words()),
 		Attempts:    []int64{6, 6, 5},
 		Accepts:     []int64{4, 2, 5},
 	}

@@ -17,7 +17,7 @@ func randomState(rng *xrand.RNG) *EnsembleState {
 	st := &EnsembleState{
 		Step:        int64(rng.Uint64() % 100000),
 		Round:       int64(rng.Uint64() % 1000),
-		ExchangeRNG: xrand.New(rng.Uint64()).State(),
+		ExchangeRNG: [4]uint64(xrand.New(rng.Uint64()).Words()),
 	}
 	for p := 0; p < nrep-1; p++ {
 		att := int64(rng.Uint64() % 50)

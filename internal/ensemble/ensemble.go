@@ -407,7 +407,7 @@ func (e *Ensemble) Snapshot() *ckpt.EnsembleState {
 	st := &ckpt.EnsembleState{
 		Step:        e.step,
 		Round:       e.round,
-		ExchangeRNG: e.exch.State(),
+		ExchangeRNG: [4]uint64(e.exch.Words()),
 		Attempts:    append([]int64(nil), e.attempts...),
 		Accepts:     append([]int64(nil), e.accepts...),
 		Replicas:    make([]ckpt.ReplicaState, len(e.replicas)),
@@ -457,7 +457,7 @@ func (e *Ensemble) Restore(st *ckpt.EnsembleState) error {
 	}
 	e.step = st.Step
 	e.round = st.Round
-	e.exch = xrand.FromState(st.ExchangeRNG)
+	copy(e.exch.Words(), st.ExchangeRNG[:])
 	copy(e.attempts, st.Attempts)
 	copy(e.accepts, st.Accepts)
 	if e.cfg.Trace.Enabled() {

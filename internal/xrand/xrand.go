@@ -28,18 +28,10 @@ func New(seed uint64) *RNG {
 	return r
 }
 
-// FromState reconstructs a generator from a state previously returned by
-// State, continuing its stream exactly where it left off. The all-zero
-// state is not a valid xoshiro256** state and never produced by State.
-func FromState(s [4]uint64) *RNG { return &RNG{s: s} }
-
-// State returns the generator's internal state for checkpointing. Pass it
-// to FromState to resume the identical stream.
-func (r *RNG) State() [4]uint64 { return r.s }
-
-// Words returns the generator's state as a slice aliasing it: copying
-// words read earlier back in resumes that stream exactly. A caller must
-// never write the all-zero state.
+// Words returns the generator's state as a slice aliasing it, for
+// checkpoints: copying words read earlier back in resumes that stream
+// exactly. The all-zero state is not a valid xoshiro256** state, never
+// read from a generator, and must never be written.
 func (r *RNG) Words() []uint64 { return r.s[:] }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
