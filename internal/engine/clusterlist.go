@@ -88,8 +88,9 @@ func (e *Engine) ClusterRebuilds() int {
 // (the current ones, or a restored anchor), refreshes the static slot
 // tables, regroups clusters by owning cell into clOrder, updates every
 // cluster task's range (the task objects — and their measured times —
-// persist), and sizes the workers' slot force buffers. Runs in the driver, strictly before evaluation, so
-// a rebuild step evaluates exactly the same list a replay step would.
+// persist), and sizes the workers' slot force buffers. Runs in the
+// driver, strictly before evaluation, so a rebuild step evaluates exactly
+// the same list a replay step would.
 func (e *Engine) rebuildClusters(pos []vec.V3) {
 	c := e.clb
 	c.list = c.builder.Build(pos, c.exclFn)
