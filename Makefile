@@ -161,10 +161,13 @@ scale:
 	@echo "wrote docs/scaletables_output.txt"
 
 # The checked-in paper tables and figures (docs/benchtables_output.txt:
-# Tables 1-6, Figures 1-4) must be what the code prints today. The run
-# (~60 s) writes its elapsed time to stderr, so stdout is byte-stable.
+# Tables 1-6, Figures 1-4) and the scale study (docs/scaletables_output.txt:
+# the 1024/2048-PE load-balancing and multicast results) must be what
+# the code prints today. The runs (~60 s and ~30 s) write their elapsed
+# times to stderr, so stdout is byte-stable.
 docs-check:
-	@out=$$(mktemp) && $(GO) run ./cmd/benchtables > $$out && cmp $$out docs/benchtables_output.txt; \
+	@out=$$(mktemp) && $(GO) run ./cmd/benchtables > $$out && cmp $$out docs/benchtables_output.txt && \
+		$(GO) run ./cmd/benchtables -scale > $$out && cmp $$out docs/scaletables_output.txt; \
 		st=$$?; rm -f $$out; exit $$st
 
 ci: fmt-check vet build race fuzz benchmark-smoke docs-check

@@ -24,12 +24,13 @@ type EntryID int32
 // object's state, and the message payload with its modeled size.
 type Entry func(c *Ctx, obj any, payload any, size int)
 
-// envelope is the converse-level payload wrapping an object invocation.
-type envelope struct {
-	obj     ObjID
-	entry   EntryID
-	payload any
-}
+// invocation packs an object invocation's routing into the converse
+// message's tag word, so the payload travels as the caller boxed it:
+// sending costs no allocation beyond what boxing the payload does.
+func invocation(obj ObjID, e EntryID) uint64 { return uint64(uint32(obj))<<32 | uint64(uint32(e)) }
+
+// target unpacks an invocation tag.
+func target(tag uint64) (ObjID, EntryID) { return ObjID(tag >> 32), EntryID(uint32(tag)) }
 
 // Runtime manages objects on a simulated machine.
 type Runtime struct {
@@ -63,7 +64,6 @@ type objSlot struct {
 	state      any
 	load       float64 // measured execution time since last reset
 	migratable bool
-	name       string
 }
 
 // NewRuntime creates an object runtime on machine m. It registers one
@@ -91,11 +91,11 @@ func (rt *Runtime) RegisterEntry(name string, fn Entry) EntryID {
 // CreateObj places a new object with the given state on a processor.
 // Migratable objects may be moved by Migrate; non-migratable objects
 // (the paper's multi-patch bonded computes) stay put.
-func (rt *Runtime) CreateObj(name string, pe int, state any, migratable bool) ObjID {
+func (rt *Runtime) CreateObj(pe int, state any, migratable bool) ObjID {
 	if pe < 0 || pe >= rt.M.NumPE() {
 		panic(fmt.Sprintf("charm: CreateObj on invalid PE %d", pe))
 	}
-	rt.objs = append(rt.objs, objSlot{pe: int32(pe), state: state, migratable: migratable, name: name})
+	rt.objs = append(rt.objs, objSlot{pe: int32(pe), state: state, migratable: migratable})
 	return ObjID(len(rt.objs) - 1)
 }
 
@@ -108,9 +108,6 @@ func (rt *Runtime) Location(obj ObjID) int { return int(rt.objs[obj].pe) }
 // Migratable reports whether the object may be migrated.
 func (rt *Runtime) Migratable(obj ObjID) bool { return rt.objs[obj].migratable }
 
-// Name returns the object's debug name.
-func (rt *Runtime) Name(obj ObjID) string { return rt.objs[obj].name }
-
 // State returns the object's state (for inspection in tests and setup).
 func (rt *Runtime) State(obj ObjID) any { return rt.objs[obj].state }
 
@@ -119,7 +116,7 @@ func (rt *Runtime) State(obj ObjID) any { return rt.objs[obj].state }
 // balancer migrates during a synchronized pause, as in the paper).
 func (rt *Runtime) Migrate(obj ObjID, pe int) {
 	if !rt.objs[obj].migratable {
-		panic(fmt.Sprintf("charm: object %d (%s) is not migratable", obj, rt.objs[obj].name))
+		panic(fmt.Sprintf("charm: object %d is not migratable", obj))
 	}
 	if pe < 0 || pe >= rt.M.NumPE() {
 		panic(fmt.Sprintf("charm: Migrate to invalid PE %d", pe))
@@ -157,32 +154,32 @@ func (rt *Runtime) ResetLoads() {
 
 // Inject seeds an invocation before the machine runs.
 func (rt *Runtime) Inject(obj ObjID, e EntryID, payload any, size int, prio int64) {
-	rt.M.Inject(int(rt.objs[obj].pe), rt.dispatchH, envelope{obj: obj, entry: e, payload: payload}, size, prio)
+	rt.M.InjectTagged(int(rt.objs[obj].pe), rt.dispatchH, invocation(obj, e), payload, size, prio)
 }
 
-// dispatch is the converse handler that routes envelopes to objects.
+// dispatch is the converse handler that invokes the entry method the
+// message's tag names on the object it names.
 func (rt *Runtime) dispatch(cc *converse.Ctx, payload any, size int) {
-	env, ok := payload.(envelope)
-	if !ok {
+	obj, e := target(cc.Tag())
+	if re, ok := payload.(relEnvelope); ok {
 		// Reliable send: ack it, and invoke the entry only on first
 		// delivery — retransmitted duplicates stop here.
-		re := payload.(relEnvelope)
 		if rt.recvReliable(cc, re) {
 			return
 		}
-		env = re.env
+		payload = re.payload
 	}
-	slot := &rt.objs[env.obj]
+	slot := &rt.objs[obj]
 	if int(slot.pe) != cc.PE() {
 		// A message arrived at a stale location. This cannot happen when
 		// migration only occurs during synchronized pauses.
 		panic(fmt.Sprintf("charm: object %d addressed on PE %d but lives on PE %d",
-			env.obj, cc.PE(), slot.pe))
+			obj, cc.PE(), slot.pe))
 	}
-	cc.SetObj(int32(env.obj))
-	rt.ctx.C, rt.ctx.Obj = cc, env.obj
+	cc.SetObj(int32(obj))
+	rt.ctx.C, rt.ctx.Obj = cc, obj
 	before := cc.Elapsed()
-	rt.entries[env.entry](&rt.ctx, slot.state, env.payload, size)
+	rt.entries[e](&rt.ctx, slot.state, payload, size)
 	slot.load += cc.Elapsed() - before
 }
 
@@ -212,7 +209,7 @@ func (c *Ctx) Send(obj ObjID, e EntryID, payload any, size int, prio int64) {
 		c.RT.sendReliable(c.C, obj, e, payload, size, prio, false)
 		return
 	}
-	c.C.Send(c.RT.Location(obj), c.RT.dispatchH, envelope{obj: obj, entry: e, payload: payload}, size, prio)
+	c.C.SendTagged(c.RT.Location(obj), c.RT.dispatchH, invocation(obj, e), payload, size, prio)
 }
 
 // Multicast invokes the same entry with the same payload on many objects.
@@ -233,7 +230,7 @@ func (c *Ctx) Multicast(objs []ObjID, e EntryID, payload any, size int, prio int
 				c.RT.sendReliable(c.C, obj, e, payload, size, prio, true)
 				continue
 			}
-			c.C.SendFree(c.RT.Location(obj), c.RT.dispatchH, envelope{obj: obj, entry: e, payload: payload}, size, prio)
+			c.C.SendFreeTagged(c.RT.Location(obj), c.RT.dispatchH, invocation(obj, e), payload, size, prio)
 		}
 	} else {
 		for _, obj := range objs {

@@ -30,8 +30,8 @@ func TestObjectInvocation(t *testing.T) {
 	pongE = rt.RegisterEntry("pong", func(c *Ctx, obj any, payload any, size int) {
 		obj.(*counter).hits++
 	})
-	a := rt.CreateObj("a", 0, &counter{}, true)
-	b := rt.CreateObj("b", 1, &counter{}, true)
+	a := rt.CreateObj(0, &counter{}, true)
+	b := rt.CreateObj(1, &counter{}, true)
 	rt.Inject(a, pingE, b, 0, 0)
 	m.Run()
 	if rt.State(a).(*counter).hits != 1 || rt.State(b).(*counter).hits != 1 {
@@ -45,8 +45,8 @@ func TestLoadMeasurement(t *testing.T) {
 	work := rt.RegisterEntry("work", func(c *Ctx, obj any, payload any, size int) {
 		c.Charge(payload.(float64), trace.CatNonbonded)
 	})
-	a := rt.CreateObj("a", 0, nil, true)
-	b := rt.CreateObj("b", 0, nil, true)
+	a := rt.CreateObj(0, nil, true)
+	b := rt.CreateObj(0, nil, true)
 	rt.Inject(a, work, 5e-6, 0, 0)
 	rt.Inject(a, work, 3e-6, 0, 0)
 	rt.Inject(b, work, 2e-6, 0, 0)
@@ -75,7 +75,7 @@ func TestMigration(t *testing.T) {
 	work := rt.RegisterEntry("work", func(c *Ctx, obj any, payload any, size int) {
 		ranOn = append(ranOn, c.PE())
 	})
-	a := rt.CreateObj("a", 0, nil, true)
+	a := rt.CreateObj(0, nil, true)
 	rt.Inject(a, work, nil, 0, 0)
 	m.Run()
 	rt.Migrate(a, 1)
@@ -92,7 +92,7 @@ func TestMigration(t *testing.T) {
 func TestMigrateNonMigratablePanics(t *testing.T) {
 	m := converse.NewMachine(2, net)
 	rt := NewRuntime(m)
-	a := rt.CreateObj("fixed", 0, nil, false)
+	a := rt.CreateObj(0, nil, false)
 	defer func() {
 		if recover() == nil {
 			t.Error("migrating non-migratable object did not panic")
@@ -116,12 +116,12 @@ func TestMulticastToObjects(t *testing.T) {
 		})
 		var dests []ObjID
 		for i := 0; i < n; i++ {
-			dests = append(dests, rt.CreateObj("d", i+1, nil, true))
+			dests = append(dests, rt.CreateObj(i+1, nil, true))
 		}
 		cast := rt.RegisterEntry("cast", func(c *Ctx, obj any, payload any, size int) {
 			c.Multicast(dests, recv, "positions", 1000, 0)
 		})
-		src := rt.CreateObj("src", 0, nil, true)
+		src := rt.CreateObj(0, nil, true)
 		rt.Inject(src, cast, nil, 0, 0)
 		m.Run()
 		// Find the cast execution's comm time.
@@ -168,7 +168,7 @@ func TestStaleLocationPanics(t *testing.T) {
 			rt.Migrate(c.Obj, 1)
 		}
 	})
-	a := rt.CreateObj("a", 0, nil, true)
+	a := rt.CreateObj(0, nil, true)
 	rt.Inject(a, self, nil, 0, 0)
 	defer func() {
 		if recover() == nil {
@@ -186,17 +186,14 @@ func TestCreateObjValidation(t *testing.T) {
 			t.Error("CreateObj on invalid PE did not panic")
 		}
 	}()
-	rt.CreateObj("bad", 7, nil, true)
+	rt.CreateObj(7, nil, true)
 }
 
-func TestNameAndMigratable(t *testing.T) {
+func TestMigratableAndNumObjs(t *testing.T) {
 	m := converse.NewMachine(1, net)
 	rt := NewRuntime(m)
-	a := rt.CreateObj("alpha", 0, nil, true)
-	b := rt.CreateObj("beta", 0, nil, false)
-	if rt.Name(a) != "alpha" || rt.Name(b) != "beta" {
-		t.Error("names wrong")
-	}
+	a := rt.CreateObj(0, nil, true)
+	b := rt.CreateObj(0, nil, false)
 	if !rt.Migratable(a) || rt.Migratable(b) {
 		t.Error("migratable flags wrong")
 	}
@@ -212,13 +209,13 @@ func TestReducer(t *testing.T) {
 	done := rt.RegisterEntry("done", func(c *Ctx, obj any, payload any, size int) {
 		fired = append(fired, payload.(int))
 	})
-	sink := rt.CreateObj("sink", 0, nil, false)
+	sink := rt.CreateObj(0, nil, false)
 	red := rt.NewReducer(1, 3, sink, done)
 
 	contribute := rt.RegisterEntry("contribute", func(c *Ctx, obj any, payload any, size int) {
 		c.Contribute(red, payload.(int))
 	})
-	worker := rt.CreateObj("worker", 2, nil, true)
+	worker := rt.CreateObj(2, nil, true)
 
 	// Three contributions for tag 7 → fires once; two for tag 8 → not yet.
 	for i := 0; i < 3; i++ {
@@ -245,7 +242,7 @@ func TestReducer(t *testing.T) {
 func TestReducerValidation(t *testing.T) {
 	m := converse.NewMachine(1, net)
 	rt := NewRuntime(m)
-	sink := rt.CreateObj("sink", 0, nil, false)
+	sink := rt.CreateObj(0, nil, false)
 	e := rt.RegisterEntry("e", func(c *Ctx, obj any, payload any, size int) {})
 	defer func() {
 		if recover() == nil {

@@ -48,7 +48,7 @@ func (rt *Runtime) NewReducer(pe, expected int, target ObjID, entry EntryID) Obj
 	}
 	rt.ensureReduceEntry()
 	st := &reducerState{expected: expected, target: target, entry: entry, got: map[int]int{}}
-	return rt.CreateObj("reducer", pe, st, false)
+	return rt.CreateObj(pe, st, false)
 }
 
 // Contribute sends one tagged contribution to a reducer from inside an

@@ -45,16 +45,20 @@ type ReliableStats struct {
 	GiveUps    int // sends abandoned after MaxRetries
 }
 
-// relEnvelope wraps an envelope with the sequencing the protocol needs.
+// relEnvelope wraps a reliable send's payload with the sequencing the
+// protocol needs; the object and entry ride in the tag word as for any
+// send.
 type relEnvelope struct {
-	seq  uint64
-	from int32 // sender PE, where acks are routed and retries fire
-	env  envelope
+	seq     uint64
+	from    int32 // sender PE, where acks are routed and retries fire
+	payload any
 }
 
 // pendingSend is an unacknowledged reliable send on the sender's side.
 type pendingSend struct {
 	env      relEnvelope
+	obj      ObjID
+	entry    EntryID
 	size     int
 	prio     int64
 	attempts int
@@ -107,16 +111,16 @@ func (rt *Runtime) ResetReliable() {
 }
 
 // sendReliable performs one reliable entry-method send: transmit the
-// wrapped envelope, record it pending, and arm the retransmission timer.
+// wrapped payload, record it pending, and arm the retransmission timer.
 func (rt *Runtime) sendReliable(cc *converse.Ctx, obj ObjID, e EntryID, payload any, size int, prio int64, free bool) {
 	rt.relSeq++
-	env := relEnvelope{seq: rt.relSeq, from: int32(cc.PE()), env: envelope{obj: obj, entry: e, payload: payload}}
+	env := relEnvelope{seq: rt.relSeq, from: int32(cc.PE()), payload: payload}
 	if free {
-		cc.SendFree(rt.Location(obj), rt.dispatchH, env, size, prio)
+		cc.SendFreeTagged(rt.Location(obj), rt.dispatchH, invocation(obj, e), env, size, prio)
 	} else {
-		cc.Send(rt.Location(obj), rt.dispatchH, env, size, prio)
+		cc.SendTagged(rt.Location(obj), rt.dispatchH, invocation(obj, e), env, size, prio)
 	}
-	rt.pending[env.seq] = &pendingSend{env: env, size: size, prio: prio, timeout: rt.relCfg.Timeout}
+	rt.pending[env.seq] = &pendingSend{env: env, obj: obj, entry: e, size: size, prio: prio, timeout: rt.relCfg.Timeout}
 	rt.Rel.Sends++
 	cc.After(rt.relCfg.Timeout, rt.retryH, env.seq, 0, prio)
 }
@@ -167,6 +171,6 @@ func (rt *Runtime) onRetryTimer(cc *converse.Ctx, payload any, size int) {
 	rt.Rel.Retries++
 	net := &rt.M.Net
 	cc.Charge(net.SendOverhead+float64(p.size)*net.SendPerByte, trace.CatRetry)
-	cc.SendFree(rt.Location(p.env.env.obj), rt.dispatchH, p.env, p.size, p.prio)
+	cc.SendFreeTagged(rt.Location(p.obj), rt.dispatchH, invocation(p.obj, p.entry), p.env, p.size, p.prio)
 	cc.After(p.timeout, rt.retryH, seq, 0, p.prio)
 }

@@ -31,8 +31,8 @@ func reliablePingPong(t *testing.T, n int, plan *converse.FaultPlan, cfg Reliabl
 			c.Send(c.Obj, sendE, i+1, 0, 0)
 		}
 	})
-	a := rt.CreateObj("a", 0, nil, false)
-	b = rt.CreateObj("b", 1, nil, false)
+	a := rt.CreateObj(0, nil, false)
+	b = rt.CreateObj(1, nil, false)
 	rt.Inject(a, sendE, 0, 0, 0)
 	m.Run()
 	return m, rt, invocations
@@ -116,8 +116,8 @@ func TestReliableGivesUpOnDeadPE(t *testing.T) {
 	sendE := rt.RegisterEntry("send", func(c *Ctx, obj any, payload any, size int) {
 		c.Send(b, recvE, 0, 100, 0)
 	})
-	a := rt.CreateObj("a", 0, nil, false)
-	b = rt.CreateObj("b", 1, nil, false)
+	a := rt.CreateObj(0, nil, false)
+	b = rt.CreateObj(1, nil, false)
 	rt.Inject(a, sendE, nil, 0, 0)
 	m.Run()
 	if hits != 0 {
@@ -149,8 +149,8 @@ func TestReliableRetryChargesProtocolCategory(t *testing.T) {
 			c.Send(c.Obj, sendE, i+1, 0, 0)
 		}
 	})
-	a := rt.CreateObj("a", 0, nil, false)
-	b = rt.CreateObj("b", 1, nil, false)
+	a := rt.CreateObj(0, nil, false)
+	b = rt.CreateObj(1, nil, false)
 	rt.Inject(a, sendE, 0, 0, 0)
 	m.Run()
 	retry := 0.0

@@ -12,7 +12,8 @@
 package charm
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"gonamd/internal/converse"
 	"gonamd/internal/trace"
@@ -24,10 +25,13 @@ type treeDest struct {
 	objs []ObjID
 }
 
-// mcastEnv is the converse-level payload of one tree hop: the chunk of
-// destinations rooted at the receiving PE (dests[0] is the receiver
-// itself).
-type mcastEnv struct {
+// treeCast is one tree multicast, shared read-only by every hop of it:
+// what each destination object receives, and the destination PEs in
+// tree order. A hop message carries a pointer to it as its payload and
+// the chunk of dests rooted at the receiving PE as its tag (see span),
+// so relaying allocates nothing, and a hop the network drops or
+// duplicates needs no bookkeeping.
+type treeCast struct {
 	entry   EntryID
 	payload any
 	size    int // bytes delivered to each destination object
@@ -37,25 +41,30 @@ type mcastEnv struct {
 	dests   []treeDest
 }
 
+// span packs the chunk dests[lo:hi] of a tree multicast into a hop's tag
+// word; dests[lo] is the receiving PE.
+func span(lo, hi int) uint64 { return uint64(lo)<<32 | uint64(hi) }
+
 // relay is the converse handler forwarding tree multicasts: deliver to
 // the local destinations, then forward the remaining chunks.
 func (rt *Runtime) relay(cc *converse.Ctx, payload any, _ int) {
-	env := payload.(mcastEnv)
-	for _, obj := range env.dests[0].objs {
-		cc.SendFree(cc.PE(), rt.dispatchH,
-			envelope{obj: obj, entry: env.entry, payload: env.payload}, env.size, env.prio)
+	tc := payload.(*treeCast)
+	tag := cc.Tag()
+	lo, hi := int(tag>>32), int(uint32(tag))
+	for _, obj := range tc.dests[lo].objs {
+		cc.SendFreeTagged(cc.PE(), rt.dispatchH, invocation(obj, tc.entry), tc.payload, tc.size, tc.prio)
 	}
-	rt.forward(cc, env.dests[1:], env)
+	rt.forward(cc, tc, lo+1, hi)
 }
 
-// forward splits rest into up to env.fanout contiguous chunks and sends
-// each to its first PE, charging the per-child multicast cost.
-func (rt *Runtime) forward(cc *converse.Ctx, rest []treeDest, env mcastEnv) {
-	n := len(rest)
+// forward splits tc.dests[lo:hi] into up to tc.fanout contiguous chunks
+// and sends each to its first PE, charging the per-child multicast cost.
+func (rt *Runtime) forward(cc *converse.Ctx, tc *treeCast, lo, hi int) {
+	n := hi - lo
 	if n == 0 {
 		return
 	}
-	chunks := env.fanout
+	chunks := tc.fanout
 	if chunks < 1 {
 		chunks = 1
 	}
@@ -64,45 +73,64 @@ func (rt *Runtime) forward(cc *converse.Ctx, rest []treeDest, env mcastEnv) {
 	}
 	net := &rt.M.Net
 	for i := 0; i < chunks; i++ {
-		chunk := rest[i*n/chunks : (i+1)*n/chunks]
-		wire := env.size
-		if env.scatter {
+		clo, chi := lo+i*n/chunks, lo+(i+1)*n/chunks
+		wire := tc.size
+		if tc.scatter {
 			nobjs := 0
-			for _, d := range chunk {
+			for _, d := range tc.dests[clo:chi] {
 				nobjs += len(d.objs)
 			}
-			wire = env.size * nobjs
+			wire = tc.size * nobjs
 		}
 		cc.Charge(net.MulticastPerDest, trace.CatComm)
-		child := env
-		child.dests = chunk
-		cc.SendFree(int(chunk[0].pe), rt.mcastH, child, wire, env.prio)
+		cc.SendFreeTagged(int(tc.dests[clo].pe), rt.mcastH, span(clo, chi), tc, wire, tc.prio)
 	}
 }
 
-// treeDests groups the destination objects by current processor: remote
-// PEs in ascending order (objects in caller order within each), local
-// objects separately.
-func (c *Ctx) treeDests(objs []ObjID) (dests []treeDest, local []ObjID) {
+// treeDests groups the remote destination objects by current processor:
+// PEs in ascending order, objects in caller order within each. The
+// groups share one backing array.
+func (c *Ctx) treeDests(objs []ObjID) []treeDest {
 	self := int32(c.C.PE())
-	byPE := map[int32][]ObjID{}
-	var pes []int
+	rt := c.RT
+	remote := make([]ObjID, 0, len(objs))
 	for _, obj := range objs {
-		pe := c.RT.objs[obj].pe
-		if pe == self {
-			local = append(local, obj)
+		if rt.objs[obj].pe != self {
+			remote = append(remote, obj)
+		}
+	}
+	slices.SortStableFunc(remote, func(a, b ObjID) int { return cmp.Compare(rt.objs[a].pe, rt.objs[b].pe) })
+	npe := 0
+	for i, obj := range remote {
+		if i == 0 || rt.objs[obj].pe != rt.objs[remote[i-1]].pe {
+			npe++
+		}
+	}
+	dests := make([]treeDest, 0, npe)
+	for i := 0; i < len(remote); {
+		pe := rt.objs[remote[i]].pe
+		j := i + 1
+		for j < len(remote) && rt.objs[remote[j]].pe == pe {
+			j++
+		}
+		dests = append(dests, treeDest{pe: pe, objs: remote[i:j]})
+		i = j
+	}
+	return dests
+}
+
+// sendLocal delivers to the destination objects on the sender's own PE,
+// in caller order, each at the per-destination multicast charge.
+func (c *Ctx) sendLocal(objs []ObjID, e EntryID, payload any, size int, prio int64) {
+	self := int32(c.C.PE())
+	perDest := c.RT.M.Net.MulticastPerDest
+	for _, obj := range objs {
+		if c.RT.objs[obj].pe != self {
 			continue
 		}
-		if _, ok := byPE[pe]; !ok {
-			pes = append(pes, int(pe))
-		}
-		byPE[pe] = append(byPE[pe], obj)
+		c.C.Charge(perDest, trace.CatComm)
+		c.C.SendFreeTagged(int(self), c.RT.dispatchH, invocation(obj, e), payload, size, prio)
 	}
-	sort.Ints(pes)
-	for _, pe := range pes {
-		dests = append(dests, treeDest{pe: int32(pe), objs: byPE[int32(pe)]})
-	}
-	return dests, local
 }
 
 // MulticastTree delivers like Multicast but routes remote destinations
@@ -120,7 +148,7 @@ func (c *Ctx) MulticastTree(objs []ObjID, e EntryID, payload any, size int, prio
 		c.Multicast(objs, e, payload, size, prio)
 		return
 	}
-	dests, local := c.treeDests(objs)
+	dests := c.treeDests(objs)
 	fanout := 0
 	if len(dests) > 0 {
 		fanout = net.TreeFanout(len(dests), size)
@@ -132,12 +160,9 @@ func (c *Ctx) MulticastTree(objs []ObjID, e EntryID, payload any, size int, prio
 	// Pack once, deliver local destinations directly, hand the remote
 	// chunks to the tree.
 	c.C.Charge(net.SendOverhead+float64(size)*net.SendPerByte, trace.CatComm)
-	for _, obj := range local {
-		c.C.Charge(net.MulticastPerDest, trace.CatComm)
-		c.C.SendFree(c.PE(), c.RT.dispatchH,
-			envelope{obj: obj, entry: e, payload: payload}, size, prio)
-	}
-	c.RT.forward(c.C, dests, mcastEnv{entry: e, payload: payload, size: size, prio: prio, fanout: fanout})
+	c.sendLocal(objs, e, payload, size, prio)
+	tc := &treeCast{entry: e, payload: payload, size: size, prio: prio, fanout: fanout, dests: dests}
+	c.RT.forward(c.C, tc, 0, len(dests))
 }
 
 // ScatterTree is the personalized-tree counterpart for transpose-style
@@ -160,7 +185,7 @@ func (c *Ctx) ScatterTree(objs []ObjID, e EntryID, payload any, sizeEach int, pr
 		flat()
 		return
 	}
-	dests, local := c.treeDests(objs)
+	dests := c.treeDests(objs)
 	fanout := 0
 	if len(dests) > 0 {
 		fanout = net.ScatterFanout(len(dests), sizeEach)
@@ -171,10 +196,7 @@ func (c *Ctx) ScatterTree(objs []ObjID, e EntryID, payload any, sizeEach int, pr
 	}
 	// Pack all blocks in one buffer, then scatter down the tree.
 	c.C.Charge(net.SendOverhead+float64(sizeEach*len(objs))*net.SendPerByte, trace.CatComm)
-	for _, obj := range local {
-		c.C.Charge(net.MulticastPerDest, trace.CatComm)
-		c.C.SendFree(c.PE(), c.RT.dispatchH,
-			envelope{obj: obj, entry: e, payload: payload}, sizeEach, prio)
-	}
-	c.RT.forward(c.C, dests, mcastEnv{entry: e, payload: payload, size: sizeEach, prio: prio, fanout: fanout, scatter: true})
+	c.sendLocal(objs, e, payload, sizeEach, prio)
+	tc := &treeCast{entry: e, payload: payload, size: sizeEach, prio: prio, fanout: fanout, scatter: true, dests: dests}
+	c.RT.forward(c.C, tc, 0, len(dests))
 }

@@ -32,9 +32,9 @@ func runTreeDelivery(t *testing.T, npe, nobj int, scatter bool) ([]int, float64)
 	})
 	var objs []ObjID
 	for i := 0; i < nobj; i++ {
-		objs = append(objs, rt.CreateObj("o", i%npe, &counter{}, true))
+		objs = append(objs, rt.CreateObj(i%npe, &counter{}, true))
 	}
-	root := rt.CreateObj("root", 0, nil, true)
+	root := rt.CreateObj(0, nil, true)
 	var send EntryID
 	send = rt.RegisterEntry("send", func(c *Ctx, obj any, payload any, size int) {
 		if scatter {
@@ -77,9 +77,9 @@ func TestTreeMulticastBeatsFlatAtScale(t *testing.T) {
 	hit := rt.RegisterEntry("hit", func(c *Ctx, obj any, payload any, size int) {})
 	var objs []ObjID
 	for i := 0; i < nobj; i++ {
-		objs = append(objs, rt.CreateObj("o", i%npe, nil, true))
+		objs = append(objs, rt.CreateObj(i%npe, nil, true))
 	}
-	root := rt.CreateObj("root", 0, nil, true)
+	root := rt.CreateObj(0, nil, true)
 	flat := rt.RegisterEntry("flat", func(c *Ctx, obj any, payload any, size int) {
 		c.Multicast(objs, hit, nil, 4096, 0)
 	})
@@ -92,9 +92,9 @@ func TestTreeMulticastBeatsFlatAtScale(t *testing.T) {
 	hit2 := rt2.RegisterEntry("hit", func(c *Ctx, obj any, payload any, size int) {})
 	var objs2 []ObjID
 	for i := 0; i < nobj; i++ {
-		objs2 = append(objs2, rt2.CreateObj("o", i%npe, nil, true))
+		objs2 = append(objs2, rt2.CreateObj(i%npe, nil, true))
 	}
-	root2 := rt2.CreateObj("root", 0, nil, true)
+	root2 := rt2.CreateObj(0, nil, true)
 	tree := rt2.RegisterEntry("tree", func(c *Ctx, obj any, payload any, size int) {
 		c.MulticastTree(objs2, hit2, nil, 4096, 0)
 	})
@@ -129,9 +129,9 @@ func TestTreeFallsBackUnderReliable(t *testing.T) {
 	})
 	var objs []ObjID
 	for i := 0; i < 24; i++ {
-		objs = append(objs, rt.CreateObj("o", i%8, &counter{}, true))
+		objs = append(objs, rt.CreateObj(i%8, &counter{}, true))
 	}
-	root := rt.CreateObj("root", 0, nil, true)
+	root := rt.CreateObj(0, nil, true)
 	send := rt.RegisterEntry("send", func(c *Ctx, obj any, payload any, size int) {
 		c.MulticastTree(objs, hit, nil, 1024, 0)
 	})

@@ -1,13 +1,18 @@
 package converse
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"gonamd/internal/trace"
+	"gonamd/internal/xrand"
 )
 
 // BenchmarkEventThroughput measures the discrete-event core: a message
 // ring across 64 PEs (one handler execution + one remote send per event).
+// It keeps one event in flight, so it times the loop, not the heap; see
+// BenchmarkQueue for that.
 func BenchmarkEventThroughput(b *testing.B) {
 	m := NewMachine(64, NetworkModel{
 		Latency: 10e-6, PerByte: 3e-9, SendOverhead: 20e-6,
@@ -27,4 +32,42 @@ func BenchmarkEventThroughput(b *testing.B) {
 	m.Inject(0, relay, nil, 256, 0)
 	m.Run()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkQueue times one pop and one push of the event heap held at
+// the sizes it has in a 1024-PE ApoA-I simulation: ~2.8k keys on average
+// and ~12.9k at peak. Keys follow the simulation's tie pattern: each
+// push is the popped event's time plus either nothing (about half of
+// them: work at the same instant) or one of a few message and execution
+// delays, as a completion or an arrival, with a rising sequence number.
+func BenchmarkQueue(b *testing.B) {
+	const tab = 1 << 12
+	rng := xrand.New(1)
+	delay := make([]float64, tab)
+	kind := make([]uint64, tab)
+	lat := []float64{2e-6, 1e-5, 4e-5, 2e-4}
+	for i := range delay {
+		if rng.Intn(100) >= 46 {
+			delay[i] = lat[rng.Intn(len(lat))]
+		}
+		kind[i] = uint64(rng.Intn(2))
+	}
+	for _, n := range []int{3000, 13000} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			var q queue
+			seq := uint64(0)
+			event := func(t float64, i int) key {
+				seq++
+				return key{hi: math.Float64bits(t), lo: kind[i%tab]<<kindShift | seq}
+			}
+			for i := 0; i < n; i++ {
+				q.push(event(rng.Float64()*4e-4, i))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := q.pop()
+				q.push(event(k.time()+delay[i%tab], i))
+			}
+		})
+	}
 }

@@ -15,6 +15,7 @@ package converse
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"gonamd/internal/trace"
 )
@@ -52,6 +53,7 @@ type NetworkModel struct {
 // msg is one message: an invocation in an outbox, in flight, or queued.
 type msg struct {
 	payload any
+	tag     uint64  // opaque to the machine; read by the handler via Ctx.Tag
 	delay   float64 // extra arrival delay (timers via Ctx.After)
 	prio    int64
 	size    int
@@ -117,7 +119,22 @@ func (q *queue) push(k key) {
 	*q = h
 }
 
+// before reports, as 0 or 1, whether a orders before b: the borrow out of
+// the 128-bit subtraction (a.hi:a.lo) - (b.hi:b.lo), with no branch.
+func before(a, b *key) int {
+	_, borrow := bits.Sub64(a.lo, b.lo, 0)
+	_, borrow = bits.Sub64(a.hi, b.hi, borrow)
+	return int(borrow)
+}
+
 // pop removes and returns the least key. The vacated slot is zeroed.
+//
+// It pops bottom-up: the hole left at the root moves down to a leaf
+// along the lesser child, picked by a branch-free compare, and the old
+// last key then sifts up from that leaf — usually no level or one,
+// since a last key is large. That is one compare per level down instead
+// of two data-dependent branches. Keys are unique, so the lesser child
+// is unambiguous and the pop sequence is that of any min-heap.
 func (q *queue) pop() key {
 	h := *q
 	top := h[0]
@@ -127,19 +144,22 @@ func (q *queue) pop() key {
 	h = h[:n]
 	if n > 0 {
 		i := 0
-		for {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if r := c + 1; r < n && h[r].less(h[c]) {
-				c = r
-			}
-			if !h[c].less(last) {
-				break
-			}
+		for c := 1; c+1 < n; c = 2*i + 1 {
+			c += before(&h[c+1], &h[c])
 			h[i] = h[c]
 			i = c
+		}
+		if c := 2*i + 1; c < n { // the last parent's only child
+			h[i] = h[c]
+			i = c
+		}
+		for i > 0 {
+			p := (i - 1) / 2
+			if !last.less(h[p]) {
+				break
+			}
+			h[i] = h[p]
+			i = p
 		}
 		h[i] = last
 	}
@@ -257,8 +277,13 @@ func (m *Machine) RegisterImmediateHandler(name string, fn Handler) HandlerID {
 // Inject enqueues a message arriving at the given PE at the current
 // virtual time, for seeding the computation before Run.
 func (m *Machine) Inject(pe int, h HandlerID, payload any, size int, prio int64) {
+	m.InjectTagged(pe, h, 0, payload, size, prio)
+}
+
+// InjectTagged is Inject with a tag word the handler reads via Ctx.Tag.
+func (m *Machine) InjectTagged(pe int, h HandlerID, tag uint64, payload any, size int, prio int64) {
 	m.validate(pe, h)
-	m.schedule(m.now, kindArrive, int32(pe), m.store(msg{to: int32(pe), handler: h, payload: payload, size: size, prio: prio}))
+	m.schedule(m.now, kindArrive, int32(pe), m.store(msg{to: int32(pe), handler: h, tag: tag, payload: payload, size: size, prio: prio}))
 }
 
 // schedule pushes an event with the next sequence number. Events are
@@ -369,7 +394,7 @@ func (m *Machine) startExec(pe *PE) {
 func (m *Machine) execute(pe *PE, mg msg, worker bool) {
 	pe.MsgsRecv++
 	c := &m.ctx
-	c.pe, c.start, c.dur, c.obj = pe, m.now, 0, 0
+	c.pe, c.start, c.dur, c.obj, c.tag = pe, m.now, 0, 0, mg.tag
 	recvCost := m.Net.RecvOverhead
 	if mg.local {
 		recvCost = m.Net.LocalRecvOverhead
@@ -467,6 +492,7 @@ type Ctx struct {
 	start  float64
 	dur    float64
 	obj    int32
+	tag    uint64
 	spans  []trace.Span
 	outbox []msg
 
@@ -487,6 +513,12 @@ func (c *Ctx) Now() float64 { return c.start + c.dur }
 
 // Machine returns the underlying machine (e.g. to Stop it).
 func (c *Ctx) Machine() *Machine { return c.m }
+
+// Tag returns the tag word of the message being executed: 0 unless it
+// was sent by a *Tagged call. Higher layers carry small routing words in
+// it (the charm runtime's object and entry ids) instead of boxing them
+// into the payload.
+func (c *Ctx) Tag() uint64 { return c.tag }
 
 // SetObj tags the trace record of this execution with an object id.
 func (c *Ctx) SetObj(obj int32) { c.obj = obj }
@@ -519,6 +551,11 @@ func (c *Ctx) Elapsed() float64 { return c.dur }
 // The message leaves when this execution completes. Sends to the local
 // PE charge only LocalSendOverhead (no packing, no wire).
 func (c *Ctx) Send(to int, h HandlerID, payload any, size int, prio int64) {
+	c.SendTagged(to, h, 0, payload, size, prio)
+}
+
+// SendTagged is Send with a tag word the handler reads via Ctx.Tag.
+func (c *Ctx) SendTagged(to int, h HandlerID, tag uint64, payload any, size int, prio int64) {
 	c.m.validate(to, h)
 	local := to == int(c.pe.id)
 	if local {
@@ -526,7 +563,7 @@ func (c *Ctx) Send(to int, h HandlerID, payload any, size int, prio int64) {
 	} else {
 		c.charge(c.m.Net.SendOverhead+float64(size)*c.m.Net.SendPerByte, trace.CatComm)
 	}
-	c.outbox = append(c.outbox, msg{to: int32(to), handler: h, payload: payload, size: size, prio: prio, local: local})
+	c.outbox = append(c.outbox, msg{to: int32(to), handler: h, tag: tag, payload: payload, size: size, prio: prio, local: local})
 }
 
 // After schedules a handler invocation on this PE delay seconds after
@@ -548,8 +585,14 @@ func (c *Ctx) After(delay float64, h HandlerID, payload any, size int, prio int6
 // account for packing costs themselves; wire latency and bandwidth still
 // apply.
 func (c *Ctx) SendFree(to int, h HandlerID, payload any, size int, prio int64) {
+	c.SendFreeTagged(to, h, 0, payload, size, prio)
+}
+
+// SendFreeTagged is SendFree with a tag word the handler reads via
+// Ctx.Tag.
+func (c *Ctx) SendFreeTagged(to int, h HandlerID, tag uint64, payload any, size int, prio int64) {
 	c.m.validate(to, h)
-	c.outbox = append(c.outbox, msg{to: int32(to), handler: h, payload: payload, size: size, prio: prio, local: to == int(c.pe.id)})
+	c.outbox = append(c.outbox, msg{to: int32(to), handler: h, tag: tag, payload: payload, size: size, prio: prio, local: to == int(c.pe.id)})
 }
 
 // Multicast sends the same payload to every destination. In naive mode

@@ -1,6 +1,7 @@
 package converse
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -8,45 +9,146 @@ import (
 	"gonamd/internal/xrand"
 )
 
+// queueModel is the reference for the heap: the live keys stably sorted
+// on (hi, kind), ties in push order — the order the scheduler's
+// determinism rests on.
+type queueModel []key
+
+func (m *queueModel) push(k key) {
+	i := sort.Search(len(*m), func(i int) bool {
+		o := (*m)[i]
+		return o.hi > k.hi || o.hi == k.hi && o.lo>>kindShift > k.lo>>kindShift
+	})
+	*m = slices.Insert(*m, i, k)
+}
+
+// checkPop pops q and m and fails unless both give the same key, q holds
+// as many keys as m, and the slot the pop vacated reads as the zero key.
+func checkPop(t *testing.T, q *queue, m *queueModel, what string) {
+	t.Helper()
+	got, want := q.pop(), (*m)[0]
+	*m = (*m)[1:]
+	if got != want {
+		t.Fatalf("%s: popped %+v, stable sort says %+v", what, got, want)
+	}
+	if len(*q) != len(*m) {
+		t.Fatalf("%s: queue holds %d keys, want %d", what, len(*q), len(*m))
+	}
+	if vacated := (*q)[:cap(*q)][len(*q)]; vacated != (key{}) {
+		t.Fatalf("%s: vacated slot holds %+v", what, vacated)
+	}
+}
+
+// tieKey is a key that ties heavily on hi (three values) and on the kind
+// bits of lo, with its sequence number seq in lo like the machine's.
+func tieKey(rng *xrand.RNG, seq uint64) key {
+	return key{hi: uint64(rng.Intn(3)), lo: uint64(rng.Intn(3))<<kindShift | seq, arg: uint32(seq)}
+}
+
 // TestQueuePopsInStableSortOrder drives random interleaved push/pop
-// sequences whose keys tie heavily on hi (three values) and on the kind
-// bits of lo, with sequence numbers rising in push order like the
-// machine's. Every pop must return the head of a stable sort of the live
-// keys on (hi, kind) — the order the scheduler's determinism rests on —
-// and every slot a pop vacates must read as the zero key.
+// sequences of tie-heavy keys, with sequence numbers rising in push
+// order, and then drains the queue with pushes still interleaved. It runs
+// at two scales: many short runs of a few hundred operations, and runs
+// that grow the heap past 10k live keys, the event heap's size in a
+// 1024-PE ApoA-I simulation (~13k at peak). Every pop must return the
+// head of a stable sort of the live keys on (hi, kind), and every slot a
+// pop vacates must read as the zero key.
 func TestQueuePopsInStableSortOrder(t *testing.T) {
 	rng := xrand.New(7)
-	for trial := 0; trial < 50; trial++ {
-		var q queue
-		var live []key // pushed and not yet popped, in push order
-		seq := uint64(0)
-		for op := 0; op < 400; op++ {
-			if len(live) == 0 || rng.Intn(3) > 0 {
+	for _, c := range []struct {
+		name          string
+		trials, grow  int // grow: operations with pushes favored 2:1
+		maxLive, peak int // no pushes at maxLive live keys; peak: the least peak
+	}{
+		{"short", 50, 400, 400, 0},
+		{"des-scale", 2, 40000, 20000, 10000},
+	} {
+		for trial := 0; trial < c.trials; trial++ {
+			var q queue
+			var m queueModel
+			seq, peak := uint64(0), 0
+			push := func() {
 				seq++
-				k := key{hi: uint64(rng.Intn(3)), lo: uint64(rng.Intn(3))<<kindShift | seq, arg: uint32(seq)}
+				k := tieKey(rng, seq)
 				q.push(k)
-				live = append(live, k)
-				continue
+				m.push(k)
+				peak = max(peak, len(m))
 			}
-			sort.SliceStable(live, func(i, j int) bool {
-				if live[i].hi != live[j].hi {
-					return live[i].hi < live[j].hi
+			for op := 0; op < c.grow; op++ {
+				if len(m) == 0 || len(m) < c.maxLive && rng.Intn(3) > 0 {
+					push()
+				} else {
+					checkPop(t, &q, &m, c.name)
 				}
-				return live[i].lo>>kindShift < live[j].lo>>kindShift
-			})
-			got := q.pop()
-			if got != live[0] {
-				t.Fatalf("trial %d op %d: popped %+v, stable sort says %+v", trial, op, got, live[0])
 			}
-			live = live[1:]
-			if len(q) != len(live) {
-				t.Fatalf("queue holds %d keys, want %d", len(q), len(live))
+			for len(m) > 0 {
+				if rng.Intn(4) == 0 {
+					push()
+				} else {
+					checkPop(t, &q, &m, c.name)
+				}
 			}
-			if vacated := q[:cap(q)][len(q)]; vacated != (key{}) {
-				t.Fatalf("vacated slot holds %+v", vacated)
+			if peak < c.peak {
+				t.Fatalf("%s trial %d: heap peaked at %d live keys, want ≥ %d", c.name, trial, peak, c.peak)
 			}
 		}
 	}
+}
+
+// TestQueueSmallHeapsAllOrders pushes every permutation of up to seven
+// distinct keys and pops them all. It covers the bottom-up pop's edge
+// cases: a heap of one to three keys, a last parent with one child (an
+// even count left after the pop) at depths one and two, and the old last
+// key sifting up zero, one or two levels from the leaf the hole reached.
+func TestQueueSmallHeapsAllOrders(t *testing.T) {
+	for n := 1; n <= 7; n++ {
+		keys := make([]key, n)
+		for i := range keys {
+			// Distinct on hi for some, on lo only for others.
+			keys[i] = key{hi: uint64(i / 2), lo: uint64(i%2)<<kindShift | uint64(i+1), arg: uint32(i)}
+		}
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		for {
+			var q queue
+			for _, i := range perm {
+				q.push(keys[i])
+			}
+			for want := 0; want < n; want++ {
+				got := q.pop()
+				if got != keys[want] {
+					t.Fatalf("n=%d push order %v: pop %d returned %+v, want %+v", n, perm, want, got, keys[want])
+				}
+				if len(q) != n-want-1 || q[:cap(q)][len(q)] != (key{}) {
+					t.Fatalf("n=%d push order %v: after pop %d the queue is %v", n, perm, want, q[:cap(q)])
+				}
+			}
+			if !nextPerm(perm) {
+				break
+			}
+		}
+	}
+}
+
+// nextPerm steps p to its next permutation in lexicographic order and
+// reports whether there was one.
+func nextPerm(p []int) bool {
+	i := len(p) - 2
+	for i >= 0 && p[i] >= p[i+1] {
+		i--
+	}
+	if i < 0 {
+		return false
+	}
+	j := len(p) - 1
+	for p[j] <= p[i] {
+		j--
+	}
+	p[i], p[j] = p[j], p[i]
+	slices.Reverse(p[i+1:])
+	return true
 }
 
 // TestVacatedSlotsHoldNoPayload runs a program whose payloads are

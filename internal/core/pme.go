@@ -188,8 +188,7 @@ func (s *Sim) createPencils() error {
 				need:    p * p,
 			}
 			s.zPencils = append(s.zPencils, zp)
-			s.zPencilObj = append(s.zPencilObj,
-				s.rt.CreateObj(fmt.Sprintf("zpencil%d.%d", jx, jy), 0, zp, true))
+			s.zPencilObj = append(s.zPencilObj, s.rt.CreateObj(0, zp, true))
 		}
 	}
 	// X-pencils: the two remaining FFT axes plus the convolution.
@@ -201,8 +200,7 @@ func (s *Sim) createPencils() error {
 				need:    p * p,
 			}
 			s.xPencils = append(s.xPencils, xp)
-			s.xPencilObj = append(s.xPencilObj,
-				s.rt.CreateObj(fmt.Sprintf("xpencil%d.%d", jy, jz), 0, xp, true))
+			s.xPencilObj = append(s.xPencilObj, s.rt.CreateObj(0, xp, true))
 		}
 	}
 

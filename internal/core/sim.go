@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strconv"
 
 	"gonamd/internal/charm"
 	"gonamd/internal/converse"
@@ -446,7 +445,7 @@ func (s *Sim) placePatches() {
 			posBytes:      32 * s.w.PatchAtoms[p],
 		}
 		s.patches[p] = ps
-		s.patchObj[p] = s.rt.CreateObj(fmt.Sprintf("patch%d", p), s.patchHome[p], ps, false)
+		s.patchObj[p] = s.rt.CreateObj(s.patchHome[p], ps, false)
 	}
 }
 
@@ -456,7 +455,7 @@ func (s *Sim) nbWork(c PairCount) float64 {
 }
 
 // addCompute creates one compute object.
-func (s *Sim) addCompute(name string, pe int, cat trace.Category, patches []int, work float64, migratable bool) {
+func (s *Sim) addCompute(pe int, cat trace.Category, patches []int, work float64, migratable bool) {
 	cs := &computeState{
 		idx:        len(s.computes),
 		cat:        cat,
@@ -466,7 +465,7 @@ func (s *Sim) addCompute(name string, pe int, cat trace.Category, patches []int,
 		need:       len(patches),
 	}
 	s.computes = append(s.computes, cs)
-	s.computeObj = append(s.computeObj, s.rt.CreateObj(name, pe, cs, migratable))
+	s.computeObj = append(s.computeObj, s.rt.CreateObj(pe, cs, migratable))
 }
 
 // pieces returns how many pieces a compute of the given work is split
@@ -491,8 +490,7 @@ func (s *Sim) createComputes() {
 			k = s.pieces(work)
 		}
 		for piece := 0; piece < k; piece++ {
-			s.addCompute(fmt.Sprintf("nbself%d.%d", p, piece), s.patchHome[p],
-				trace.CatNonbonded, []int{p}, work/float64(k), true)
+			s.addCompute(s.patchHome[p], trace.CatNonbonded, []int{p}, work/float64(k), true)
 		}
 	}
 	// Nonbonded pair computes, placed at the pair's base patch home.
@@ -504,8 +502,7 @@ func (s *Sim) createComputes() {
 			k = s.pieces(work)
 		}
 		for piece := 0; piece < k; piece++ {
-			s.addCompute(fmt.Sprintf("nbpair%d-%d.%d", pr[0], pr[1], piece), s.patchHome[base],
-				trace.CatNonbonded, []int{pr[0], pr[1]}, work/float64(k), true)
+			s.addCompute(s.patchHome[base], trace.CatNonbonded, []int{pr[0], pr[1]}, work/float64(k), true)
 		}
 	}
 	// Bonded computes.
@@ -519,12 +516,12 @@ func (s *Sim) createComputes() {
 		// stay pinned at the base patch's home.
 		for p := 0; p < g.NumPatches(); p++ {
 			if s.w.IntraTerms[p] > 0 {
-				s.addCompute(fmt.Sprintf("bintra%d", p), s.patchHome[p], trace.CatBonded,
+				s.addCompute(s.patchHome[p], trace.CatBonded,
 					[]int{p}, float64(s.w.IntraTerms[p])*s.cfg.Model.PerBonded, true)
 			}
 		}
 		for _, gr := range s.w.InterGroups {
-			s.addCompute(fmt.Sprintf("binter%d", gr.Base), s.patchHome[gr.Base], trace.CatBonded,
+			s.addCompute(s.patchHome[gr.Base], trace.CatBonded,
 				append([]int{}, gr.Patches...), float64(gr.Terms)*s.cfg.Model.PerBonded, false)
 		}
 	} else {
@@ -540,7 +537,7 @@ func (s *Sim) createComputes() {
 			if terms == 0 {
 				continue
 			}
-			s.addCompute(fmt.Sprintf("bonded%d", p), s.patchHome[p], trace.CatBonded,
+			s.addCompute(s.patchHome[p], trace.CatBonded,
 				patches, float64(terms)*s.cfg.Model.PerBonded, false)
 		}
 	}
@@ -628,7 +625,7 @@ func (s *Sim) wire() {
 			}
 			if known == len(ps.byPE) || ps.byPE[known].pe != pe {
 				px := &proxyState{patch: p, pe: pe, home: s.patchObj[p], frcBytes: 24 * ps.atoms}
-				px.obj = s.rt.CreateObj("proxy"+strconv.Itoa(p)+"@"+strconv.Itoa(pe), pe, px, false)
+				px.obj = s.rt.CreateObj(pe, px, false)
 				ps.byPE = slices.Insert(ps.byPE, known, px)
 			}
 			px := ps.byPE[known]

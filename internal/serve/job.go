@@ -160,15 +160,14 @@ func (j *Job) publishState(state, note string) {
 }
 
 // ensure lazily builds the system and engine, applying a pending resume
-// snapshot. The fresh and resume paths construct the engine over
-// identical coordinates (JobSpec.prepare: build + minimize), so
-// construction-time state (task decomposition, static assignment) matches
-// the uninterrupted run and the resumed trajectory stays bit-identical.
+// snapshot. A resume does not minimize (JobSpec.prepare): the snapshot
+// is the engine's whole state, so the resumed trajectory is
+// bit-identical to the uninterrupted run without it.
 func (j *Job) ensure() error {
 	if j.built {
 		return nil
 	}
-	sys, ff, st, err := j.Spec.prepare()
+	sys, ff, st, err := j.Spec.prepare(j.pendingResume != nil)
 	if err != nil {
 		return err
 	}

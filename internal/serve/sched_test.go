@@ -403,6 +403,53 @@ func TestRescanReportsCheckpointStep(t *testing.T) {
 	}
 }
 
+// TestResumeSkipsMinimization: a resumed job does not run its spec's
+// minimization, whose every position the checkpoint overwrites. The job
+// checkpoints unminimized, then resumes under its spec with 2^30
+// minimizer iterations — hours of work if they ran — and must come back
+// at its checkpoint step within a minute.
+func TestResumeSkipsMinimization(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestScheduler(t, Config{StateDir: dir, Workers: 1, SliceSteps: 10, CheckpointEvery: 20})
+	st, err := s.Submit(waterJob(1 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "job to checkpoint", func() bool {
+		_, err := os.Stat(jobPath(dir, st.ID, "ckpt"))
+		return err == nil
+	})
+	first, _ := s.Get(st.ID)
+	s.Kill()
+	snap, err := ckpt.LoadJobFile(jobPath(dir, st.ID, "ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spec := first.Spec
+	spec.Minimize = 1 << 30
+	j := newJob(st.ID, dir, spec, nil, -1)
+	j.pendingResume = snap
+	done := make(chan error, 1)
+	go func() {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		done <- j.ensure()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("resumed job still building after a minute: it is minimizing")
+	}
+	defer j.closeEngines()
+	if j.step != snap.Step {
+		t.Errorf("resumed at step %d, want checkpoint step %d", j.step, snap.Step)
+	}
+}
+
 func tamper(t *testing.T, path string, mut func([]byte)) {
 	t.Helper()
 	b, err := os.ReadFile(path)

@@ -64,7 +64,7 @@ func referenceTrajectory(t *testing.T, spec JobSpec) []byte {
 	if err := spec.normalize(40); err != nil {
 		t.Fatal(err)
 	}
-	sys, ff, st, err := spec.prepare()
+	sys, ff, st, err := spec.prepare(false)
 	if err != nil {
 		t.Fatal(err)
 	}

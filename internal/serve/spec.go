@@ -263,19 +263,22 @@ func (sp *SystemSpec) build() (*gonamd.System, *gonamd.State, error) {
 	return gonamd.BuildSystem(spec)
 }
 
-// prepare builds the job's system and force field and runs the spec's
-// minimization: everything before engine construction. A fresh start and
-// a resume both call it (and so does the tests' uninterrupted reference),
-// so every engine of a job is constructed over the same coordinates. The
-// minimizer runs the production pipeline — one inline worker on cluster
-// lists at the default geometry — and does not outlive the call.
-func (s *JobSpec) prepare() (*gonamd.System, *gonamd.ForceField, *gonamd.State, error) {
+// prepare builds the job's system and force field and, for a fresh
+// start, runs the spec's minimization: everything before engine
+// construction. A resume skips the minimization: the checkpoint restores
+// the engine's whole state, so every position it would produce is
+// overwritten, and the coordinates the engine is constructed over feed
+// only its static cell→worker home map, which only opt-in rebalancing
+// reads. The minimizer runs the production pipeline — one inline worker
+// on cluster lists at the default geometry — and does not outlive the
+// call.
+func (s *JobSpec) prepare(resume bool) (*gonamd.System, *gonamd.ForceField, *gonamd.State, error) {
 	sys, st, err := s.System.build()
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	ff := gonamd.StandardForceField(s.System.Cutoff)
-	if s.Minimize > 0 {
+	if s.Minimize > 0 && !resume {
 		m, err := gonamd.NewSequential(sys, ff, st,
 			gonamd.WithClusterLists(engine.DefaultClusterM, engine.DefaultClusterN))
 		if err != nil {

@@ -79,7 +79,7 @@ func TestJobMinimizerMatchesOracle(t *testing.T) {
 				if err := spec.normalize(100); err != nil {
 					t.Fatal(err)
 				}
-				sys, ff, got, err := spec.prepare()
+				sys, ff, got, err := spec.prepare(false)
 				if err != nil {
 					t.Fatal(err)
 				}
