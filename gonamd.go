@@ -32,7 +32,6 @@
 package gonamd
 
 import (
-	"gonamd/internal/charm"
 	"gonamd/internal/ckpt"
 	"gonamd/internal/converse"
 	"gonamd/internal/core"
@@ -47,7 +46,6 @@ import (
 	"gonamd/internal/projections"
 	"gonamd/internal/seq"
 	"gonamd/internal/spatial"
-	"gonamd/internal/sysio"
 	"gonamd/internal/thermo"
 	"gonamd/internal/topology"
 	"gonamd/internal/trace"
@@ -55,9 +53,6 @@ import (
 	"gonamd/internal/units"
 	"gonamd/internal/vec"
 )
-
-// NetworkModel is the communication cost model of a simulated machine.
-type NetworkModel = converse.NetworkModel
 
 // Core molecular data types.
 type (
@@ -97,28 +92,9 @@ type (
 	Parallel = engine.Engine
 )
 
-// Full electrostatics: constructing the engine with
-// WithPME(gridSpacing, beta, mtsPeriod) switches it to smooth
-// particle-mesh Ewald with impulse multiple timestepping. The building
-// blocks are exported for analysis code and tests.
-type (
-	// PMERecip is the reciprocal-space smooth-PME solver (B-spline
-	// spreading, 3D FFT, influence-function convolution, force gather).
-	PMERecip = pme.Recip
-	// PMESolver bundles the reciprocal solver with the self, background,
-	// and excluded-pair corrections — the slow-force half of PME.
-	PMESolver = pme.Solver
-	// EwaldDirect is the O(N²·K³) conventional Ewald sum the mesh solver
-	// is validated against.
-	EwaldDirect = pme.Direct
-)
-
-// NewPMERecip builds a reciprocal solver with mesh spacing at most
-// gridSpacing Å; NewPMERecipK takes explicit power-of-two mesh dims.
-var (
-	NewPMERecip  = pme.NewRecip
-	NewPMERecipK = pme.NewRecipK
-)
+// EwaldDirect is the O(N²·K³) conventional Ewald sum the smooth-PME
+// engine (WithPME) is validated against.
+type EwaldDirect = pme.Direct
 
 // Coulomb is the electrostatic constant (kcal·Å/mol/e²).
 const Coulomb = units.Coulomb
@@ -130,23 +106,14 @@ var MinImage = vec.MinImage
 type (
 	// ClusterConfig configures a simulated parallel run.
 	ClusterConfig = core.Config
-	// ClusterSim is a cluster simulation instance.
-	ClusterSim = core.Sim
-	// ClusterResult reports a simulated run's performance.
-	ClusterResult = core.Result
-	// Workload is the measured work decomposition of a system on a grid.
-	Workload = core.Workload
 	// MachineModel is a parallel computer cost model.
 	MachineModel = machine.Model
-	// WorkCounts are aggregate per-step work counts.
-	WorkCounts = machine.Counts
 )
 
 // Benchmark system presets (the paper's three benchmarks plus a plain
 // water box for quick starts).
 var (
 	ApoA1Spec    = molgen.ApoA1
-	BC1Spec      = molgen.BC1
 	BRSpec       = molgen.BR
 	WaterBoxSpec = molgen.WaterBox
 )
@@ -174,12 +141,12 @@ func NewGridDims(sys *System, dims [3]int, cutoff float64) (*Grid, error) {
 
 // BuildWorkload measures the per-patch and per-patch-pair work of a
 // system — the expensive precomputation shared by cluster simulations.
-func BuildWorkload(name string, sys *System, st *State, grid *Grid, cutoff, listDist float64) (*Workload, error) {
+func BuildWorkload(name string, sys *System, st *State, grid *Grid, cutoff, listDist float64) (*core.Workload, error) {
 	return core.BuildWorkload(name, sys, st, grid, cutoff, listDist)
 }
 
 // NewClusterSim builds a simulated parallel run of a workload.
-func NewClusterSim(w *Workload, cfg ClusterConfig) (*ClusterSim, error) {
+func NewClusterSim(w *core.Workload, cfg ClusterConfig) (*core.Sim, error) {
 	return core.NewSim(w, cfg)
 }
 
@@ -190,11 +157,6 @@ type (
 	FaultPlan = converse.FaultPlan
 	// PECrash schedules one simulated-processor crash inside a FaultPlan.
 	PECrash = converse.Crash
-	// FaultStats counts the faults a simulated run actually suffered.
-	FaultStats = converse.FaultStats
-	// ReliableStats counts ack/retry protocol activity when
-	// ClusterConfig.Reliable is set.
-	ReliableStats = charm.ReliableStats
 )
 
 // WithFaultPlan returns cfg configured to run under the fault plan with
@@ -217,8 +179,6 @@ var ErrInjectedFailure = ensemble.ErrInjectedFailure
 // Temperature control for NVT dynamics (attach with WithThermostat;
 // WithHBondConstraints allows ~2 fs timesteps).
 type (
-	// Thermostat adjusts velocities toward a target temperature.
-	Thermostat = thermo.Thermostat
 	// Rescale is a hard velocity-rescaling thermostat.
 	Rescale = thermo.Rescale
 	// Berendsen is the weak-coupling thermostat.
@@ -227,30 +187,13 @@ type (
 	Langevin = thermo.Langevin
 )
 
-// Trajectory I/O.
-type (
-	// TrajWriter streams binary trajectory frames.
-	TrajWriter = traj.Writer
-	// TrajReader decodes binary trajectories.
-	TrajReader = traj.Reader
-	// TrajFrame is one decoded frame.
-	TrajFrame = traj.Frame
-)
-
-// NewTrajWriter and NewTrajReader open trajectory streams; RDF and MSD
-// are the standard analyses over decoded frames.
+// NewTrajWriter and NewTrajReader open binary trajectory streams; RDF
+// and MSD are the standard analyses over decoded frames.
 var (
 	NewTrajWriter = traj.NewWriter
 	NewTrajReader = traj.NewReader
 	RDF           = traj.RDF
 	MSD           = traj.MSD
-)
-
-// SaveSystem and LoadSystem persist built systems (gzip+gob), so
-// expensive synthetic builds can be generated once and reused.
-var (
-	SaveSystem = sysio.Save
-	LoadSystem = sysio.Load
 )
 
 // Replica-exchange ensembles: N replicas on a temperature ladder,
@@ -262,10 +205,6 @@ type (
 	Ensemble = ensemble.Ensemble
 	// EnsembleConfig describes the ladder, schedule, and worker pool.
 	EnsembleConfig = ensemble.Config
-	// EnsembleReplica is one rung of a running ensemble.
-	EnsembleReplica = ensemble.Replica
-	// EnsembleCheckpoint is a decoded whole-ensemble snapshot.
-	EnsembleCheckpoint = ckpt.EnsembleState
 	// TraceLog collects Projections-style execution records; pass one in
 	// EnsembleConfig.Trace to instrument an ensemble.
 	TraceLog = trace.Log
@@ -279,12 +218,11 @@ func NewEnsemble(sys *System, ff *ForceField, st *State, cfg EnsembleConfig) (*E
 
 // GeometricLadder spaces n temperatures geometrically from tmin to tmax
 // (the standard REMD ladder); NewTraceLog creates an enabled trace log;
-// LoadCheckpoint and LoadCheckpointFile decode ensemble checkpoints, and
+// LoadCheckpointFile decodes an ensemble checkpoint file, and
 // SaveCheckpointFile writes one atomically (temp file + rename).
 var (
 	GeometricLadder    = ensemble.GeometricLadder
 	NewTraceLog        = trace.NewLog
-	LoadCheckpoint     = ckpt.Load
 	LoadCheckpointFile = ckpt.LoadFile
 	SaveCheckpointFile = ckpt.SaveFile
 )
@@ -293,20 +231,10 @@ var (
 // style analysis over trace logs — per-category time profiles that sum
 // exactly to recorded busy time, per-PE utilization, grainsize
 // histograms, and step-time series, as text tables, versioned JSON, and
-// ASCII utilization charts.
-type (
-	// ProjectionsReport is a complete analysis of one trace.
-	ProjectionsReport = projections.Report
-	// ProjectionsOptions controls analysis (PE count override, histogram
-	// bins, entry table size, step series retention).
-	ProjectionsOptions = projections.Options
-	// ProjectionsAnalyzer consumes execution records one at a time, for
-	// traces too large to materialize.
-	ProjectionsAnalyzer = projections.Analyzer
-	// LoadBalanceStats is one balancing pass's evaluation (max/avg load,
-	// imbalance, proxy count), as recorded in ClusterResult.LBStats.
-	LoadBalanceStats = ldb.Stats
-)
+// ASCII utilization charts. ProjectionsOptions controls analysis (PE
+// count override, histogram bins, entry table size, step series
+// retention).
+type ProjectionsOptions = projections.Options
 
 // Pluggable load balancing (internal/ldb): strategies are selected by
 // registry name — "greedy+refine" (centralized initial balance plus
@@ -314,8 +242,8 @@ type (
 // "hierarchical" (per-group refinement plus a cross-group pass over
 // group-aggregate loads, for 1024+ PEs), "diffusion" (neighbor
 // averaging), and "none". A ClusterConfig takes a strategy directly in
-// its LB field; the parallel engine takes one via WithLoadBalancer; job
-// specs name one in EngineSpec.LBStrategy.
+// its LB field; the parallel engine takes one by name in
+// EngineSpec.LBStrategy.
 type (
 	// LBStrategy maps migratable compute objects onto processors.
 	LBStrategy = ldb.Strategy
@@ -332,16 +260,11 @@ var (
 	LBStrategyNames  = ldb.Names
 )
 
-// AnalyzeTrace analyzes an in-memory trace log; AnalyzeTraceReader
-// streams a JSONL trace file (as written by TraceLog.WriteJSON) without
-// materializing it; LBReport formats balancing passes as a
-// before/after table; UtilizationGantt renders the utilization-vs-time
-// ASCII chart of the paper's Figures 5–6.
+// AnalyzeTrace analyzes an in-memory trace log; LBReport formats
+// balancing passes as a before/after table.
 var (
-	AnalyzeTrace       = projections.Analyze
-	AnalyzeTraceReader = projections.AnalyzeReader
-	LBReport           = projections.LBReport
-	UtilizationGantt   = projections.UtilizationGantt
+	AnalyzeTrace = projections.Analyze
+	LBReport     = projections.LBReport
 )
 
 // Always-on FTDC-style telemetry (internal/ftdc): engines publish a
@@ -349,30 +272,22 @@ var (
 // GC stats) into a lock-free recorder; samples persist in a compact
 // chunked delta-of-delta format with a JSONL fallback, render with
 // cmd/projections -ftdc, and stream live per job from the gonamdd
-// server (GET /jobs/{id}/metrics). Attach one with WithMetrics or
-// WithMetricsRecorder.
+// server (GET /jobs/{id}/metrics). Attach one with WithMetricsRecorder.
 type (
 	// MetricsRecorder is the live ring-buffer telemetry recorder.
 	MetricsRecorder = ftdc.Recorder
-	// MetricsSchema names and types the metric vector.
-	MetricsSchema = ftdc.Schema
-	// MetricsSample is one observation of the vector.
-	MetricsSample = ftdc.Sample
 	// MetricsFileWriter persists samples to a chunked FTDC file with
 	// crash-safe append (Sync at checkpoints, recover on reopen).
 	MetricsFileWriter = ftdc.FileWriter
 )
 
 // NewMetricsRecorder builds a recorder over the standard engine metric
-// schema (interval 0 = manual SampleNow); CreateMetricsFile and
-// OpenMetricsFile manage on-disk FTDC files (Open recovers torn tails
-// and appends); ReadMetricsFile decodes one, tolerating a torn tail;
-// EngineMetricsSchema is the schema the engines publish under.
+// schema (interval 0 = manual SampleNow); CreateMetricsFile creates an
+// on-disk FTDC file; EngineMetricsSchema is the schema the engines
+// publish under.
 var (
 	NewMetricsRecorder  = ftdc.NewEngineRecorder
 	CreateMetricsFile   = ftdc.CreateFile
-	OpenMetricsFile     = ftdc.OpenFile
-	ReadMetricsFile     = ftdc.ReadFile
 	EngineMetricsSchema = ftdc.EngineSchema
 )
 
