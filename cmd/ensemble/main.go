@@ -64,7 +64,7 @@ func main() {
 	steps := flag.Int("steps", 1000, "MD steps to advance every replica")
 	dt := flag.Float64("dt", 0.5, "timestep, fs")
 	gamma := flag.Float64("gamma", 0.005, "Langevin friction, 1/fs")
-	exchange := flag.Int("exchange", 100, "steps between exchange attempts (<0 disables)")
+	exchange := flag.Int("exchange", 100, "steps between exchange attempts (0 = 100; negative is refused)")
 	workers := flag.Int("workers", 0, "concurrent replicas (0 = all cores)")
 	engineWorkers := flag.Int("engineworkers", 0, "workers per replica engine (0 = auto, 1 = one inline worker)")
 	minimize := flag.Int("minimize", 200, "minimization iterations before dynamics")

@@ -2,6 +2,7 @@ package gonamd_test
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -141,6 +142,12 @@ func TestEngineSpecRejections(t *testing.T) {
 		{"negative pme grid", gonamd.EngineSpec{PME: &gonamd.PMESpec{GridSpacing: -1}}},
 		{"unknown thermostat", gonamd.EngineSpec{Thermostat: &gonamd.ThermostatSpec{Kind: "maxwell", Temperature: 300}}},
 		{"cold thermostat", gonamd.EngineSpec{Thermostat: &gonamd.ThermostatSpec{Kind: "langevin"}}},
+		{"infinitely hot thermostat", gonamd.EngineSpec{Thermostat: &gonamd.ThermostatSpec{Kind: "langevin", Temperature: math.Inf(1)}}},
+		{"negative langevin gamma", gonamd.EngineSpec{Thermostat: &gonamd.ThermostatSpec{Kind: "langevin", Temperature: 300, Gamma: -0.01}}},
+		{"NaN langevin gamma", gonamd.EngineSpec{Thermostat: &gonamd.ThermostatSpec{Kind: "langevin", Temperature: 300, Gamma: math.NaN()}}},
+		{"negative berendsen tau", gonamd.EngineSpec{Thermostat: &gonamd.ThermostatSpec{Kind: "berendsen", Temperature: 300, Tau: -50}}},
+		{"infinite berendsen tau", gonamd.EngineSpec{Thermostat: &gonamd.ThermostatSpec{Kind: "berendsen", Temperature: 300, Tau: math.Inf(1)}}},
+		{"negative rescale interval", gonamd.EngineSpec{Thermostat: &gonamd.ThermostatSpec{Kind: "rescale", Temperature: 300, Interval: -5}}},
 		{"shake plus pme", gonamd.EngineSpec{HBondConstraints: true, PME: &gonamd.PMESpec{GridSpacing: 1}}},
 	}
 	for _, c := range cases {

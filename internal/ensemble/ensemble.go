@@ -57,7 +57,7 @@ type Config struct {
 	Gamma float64
 
 	// ExchangeEvery is how many MD steps run between exchange attempts
-	// (default 100; negative disables exchanges).
+	// (default 100; negative is refused).
 	ExchangeEvery int
 
 	// Seed determines every random stream in the ensemble: the exchange
@@ -150,11 +150,19 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State, cfg Co
 	if cfg.Dt == 0 {
 		cfg.Dt = 0.5
 	}
-	if cfg.Dt < 0 {
+	if !(cfg.Dt > 0) || math.IsInf(cfg.Dt, 1) {
 		return nil, fmt.Errorf("ensemble: timestep %v fs", cfg.Dt)
+	}
+	// A negative friction makes the Langevin noise amplitude the square
+	// root of a negative number: NaN velocities from the first step.
+	if !(cfg.Gamma >= 0) || math.IsInf(cfg.Gamma, 1) {
+		return nil, fmt.Errorf("ensemble: Langevin friction %v /fs, want finite and ≥ 0 (0 = 0.005)", cfg.Gamma)
 	}
 	if cfg.Gamma == 0 {
 		cfg.Gamma = 0.005
+	}
+	if cfg.ExchangeEvery < 0 {
+		return nil, fmt.Errorf("ensemble: exchange interval %d steps, want ≥ 0 (0 = 100)", cfg.ExchangeEvery)
 	}
 	if cfg.ExchangeEvery == 0 {
 		cfg.ExchangeEvery = 100

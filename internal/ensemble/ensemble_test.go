@@ -101,6 +101,11 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{Temperatures: []float64{300, 0}},
 		{Temperatures: []float64{300}, Dt: -1},
 		{Temperatures: []float64{300}, CheckpointEvery: 10}, // no path
+		{Temperatures: []float64{300}, Dt: math.NaN()},
+		{Temperatures: []float64{300}, Gamma: -0.005}, // NaN velocities
+		{Temperatures: []float64{300}, Gamma: math.NaN()},
+		{Temperatures: []float64{300}, Gamma: math.Inf(1)},
+		{Temperatures: []float64{300, 310}, ExchangeEvery: -1}, // silently no exchanges
 	}
 	for i, cfg := range bad {
 		if _, err := New(sys, ff, st, cfg); err == nil {
