@@ -122,7 +122,7 @@ func (rt *Runtime) sendReliable(cc *converse.Ctx, obj ObjID, e EntryID, payload 
 	}
 	rt.pending[env.seq] = &pendingSend{env: env, obj: obj, entry: e, size: size, prio: prio, timeout: rt.relCfg.Timeout}
 	rt.Rel.Sends++
-	cc.After(rt.relCfg.Timeout, rt.retryH, env.seq, 0, prio)
+	cc.AfterTagged(rt.relCfg.Timeout, rt.retryH, env.seq, nil, 0, prio)
 }
 
 // recvReliable runs the receiver half: ack unconditionally (the sender
@@ -132,7 +132,7 @@ func (rt *Runtime) sendReliable(cc *converse.Ctx, obj ObjID, e EntryID, payload 
 func (rt *Runtime) recvReliable(cc *converse.Ctx, env relEnvelope) (duplicate bool) {
 	net := &rt.M.Net
 	cc.Charge(net.SendOverhead+float64(rt.relCfg.AckBytes)*net.SendPerByte, trace.CatRetry)
-	cc.SendFree(int(env.from), rt.ackH, env.seq, rt.relCfg.AckBytes, 0)
+	cc.SendFreeTagged(int(env.from), rt.ackH, env.seq, nil, rt.relCfg.AckBytes, 0)
 	if _, seen := rt.delivered[env.seq]; seen {
 		rt.Rel.Duplicates++
 		return true
@@ -141,10 +141,11 @@ func (rt *Runtime) recvReliable(cc *converse.Ctx, env relEnvelope) (duplicate bo
 	return false
 }
 
-// onAck clears the pending entry for an acknowledged send. Duplicate
-// acks (retransmitted data crossing with the first ack) are no-ops.
+// onAck clears the pending entry for an acknowledged send, whose
+// sequence number the ack carries in its tag word. Duplicate acks
+// (retransmitted data crossing with the first ack) are no-ops.
 func (rt *Runtime) onAck(cc *converse.Ctx, payload any, size int) {
-	seq := payload.(uint64)
+	seq := cc.Tag()
 	if _, ok := rt.pending[seq]; ok {
 		delete(rt.pending, seq)
 		rt.Rel.Acks++
@@ -152,11 +153,12 @@ func (rt *Runtime) onAck(cc *converse.Ctx, payload any, size int) {
 }
 
 // onRetryTimer fires on the sending PE when a retransmission timeout
-// expires. If the send is still unacknowledged it is retransmitted with
-// an exponentially backed-off timeout, re-resolving the destination
+// expires; the timer's tag word is the send's sequence number. If the
+// send is still unacknowledged it is retransmitted with an
+// exponentially backed-off timeout, re-resolving the destination
 // object's current location; after MaxRetries it is abandoned.
 func (rt *Runtime) onRetryTimer(cc *converse.Ctx, payload any, size int) {
-	seq := payload.(uint64)
+	seq := cc.Tag()
 	p, ok := rt.pending[seq]
 	if !ok {
 		return // acked in the meantime
@@ -172,5 +174,5 @@ func (rt *Runtime) onRetryTimer(cc *converse.Ctx, payload any, size int) {
 	net := &rt.M.Net
 	cc.Charge(net.SendOverhead+float64(p.size)*net.SendPerByte, trace.CatRetry)
 	cc.SendFreeTagged(rt.Location(p.obj), rt.dispatchH, invocation(p.obj, p.entry), p.env, p.size, p.prio)
-	cc.After(p.timeout, rt.retryH, seq, 0, p.prio)
+	cc.AfterTagged(p.timeout, rt.retryH, seq, nil, 0, p.prio)
 }

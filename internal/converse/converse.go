@@ -167,10 +167,68 @@ func (q *queue) pop() key {
 	return top
 }
 
+// readyQueue is a PE's scheduler queue: a sorted lane of the keys that
+// arrived in order beside a heap of the rest. Most messages arrive in
+// (prio, seq) order — all of them on one PE — and those cost an append
+// and a slice step instead of a sift through the heap.
+type readyQueue struct {
+	lane queue // ascending; the live keys are lane[head:]
+	head int
+	heap queue
+}
+
+func (r *readyQueue) len() int { return len(r.lane) - r.head + len(r.heap) }
+
+// push appends k to the lane when the lane is empty or k orders after
+// its last key, and pushes it on the heap otherwise.
+func (r *readyQueue) push(k key) {
+	if n := len(r.lane); n == r.head || r.lane[n-1].less(k) {
+		r.lane = append(r.lane, k)
+		return
+	}
+	r.heap.push(k)
+}
+
+// pop removes and returns the lesser of the lane's head and the heap's
+// top. Keys are unique, so the pop sequence is the one a single heap
+// gives. The vacated lane slot is zeroed. The lane resets when it drains
+// and, once its head passes half its length, moves its live keys to the
+// front and zeroes the slots they left, so it holds at most twice its
+// live keys.
+func (r *readyQueue) pop() key {
+	if r.head == len(r.lane) || len(r.heap) > 0 && r.heap[0].less(r.lane[r.head]) {
+		return r.heap.pop()
+	}
+	k := r.lane[r.head]
+	r.lane[r.head] = key{}
+	r.head++
+	if r.head == len(r.lane) {
+		r.lane, r.head = r.lane[:0], 0
+	} else if 2*r.head > len(r.lane) {
+		n := copy(r.lane, r.lane[r.head:])
+		clear(r.lane[n:])
+		r.lane, r.head = r.lane[:n], 0
+	}
+	return k
+}
+
+// wipe drops every key, zeroing the slots they held, and calls drop on
+// each key's slab slot.
+func (r *readyQueue) wipe(drop func(slot uint32)) {
+	for _, q := range [2]queue{r.lane[r.head:], r.heap} {
+		for _, k := range q {
+			drop(k.arg)
+		}
+	}
+	clear(r.lane)
+	clear(r.heap)
+	r.lane, r.head, r.heap = r.lane[:0], 0, r.heap[:0]
+}
+
 // PE is one virtual processor.
 type PE struct {
 	id    int32
-	ready queue
+	ready readyQueue
 	busy  bool
 
 	// Crash state: a down PE discards arrivals; incarnation invalidates
@@ -231,11 +289,20 @@ func NewMachine(npe int, net NetworkModel) *Machine {
 	m := &Machine{Net: net}
 	m.ctx.m = m
 	m.pes = make([]*PE, npe)
+	// Each lane starts in a window of one shared block instead of growing
+	// through a run of small allocations. A window's capacity ends at the
+	// window, so a lane that outgrows it moves to an array of its own
+	// instead of into its neighbour's.
+	lanes := make([]key, npe*laneWindow)
 	for i := range m.pes {
 		m.pes[i] = &PE{id: int32(i)}
+		m.pes[i].ready.lane = lanes[i*laneWindow : i*laneWindow : (i+1)*laneWindow]
 	}
 	return m
 }
+
+// laneWindow is the capacity each PE's ready lane starts with.
+const laneWindow = 16
 
 // NumPE returns the processor count.
 func (m *Machine) NumPE() int { return len(m.pes) }
@@ -350,7 +417,7 @@ func (m *Machine) Run() float64 {
 				continue // execution was wiped out by a crash
 			}
 			pe.busy = false
-			if len(pe.ready) > 0 {
+			if pe.ready.len() > 0 {
 				m.startExec(pe)
 			}
 		case kindArrive:
@@ -573,11 +640,16 @@ func (c *Ctx) SendTagged(to int, h HandlerID, tag uint64, payload any, size int,
 // timer whose PE is down when it fires is lost with the rest of the
 // PE's state.
 func (c *Ctx) After(delay float64, h HandlerID, payload any, size int, prio int64) {
+	c.AfterTagged(delay, h, 0, payload, size, prio)
+}
+
+// AfterTagged is After with a tag word the handler reads via Ctx.Tag.
+func (c *Ctx) AfterTagged(delay float64, h HandlerID, tag uint64, payload any, size int, prio int64) {
 	if delay < 0 {
 		panic("converse: negative timer delay")
 	}
 	c.m.validate(int(c.pe.id), h)
-	c.outbox = append(c.outbox, msg{to: c.pe.id, handler: h, payload: payload, size: size, prio: prio, local: true, delay: delay})
+	c.outbox = append(c.outbox, msg{to: c.pe.id, handler: h, tag: tag, payload: payload, size: size, prio: prio, local: true, delay: delay})
 }
 
 // SendFree queues a message without charging any CPU cost. Higher layers

@@ -167,12 +167,8 @@ func (m *Machine) checkCrash(t float64) bool {
 	pe.down = true
 	pe.busy = false
 	pe.incarnation++
-	m.Stats.Lost += len(pe.ready)
-	for _, k := range pe.ready {
-		m.release(k.arg)
-	}
-	clear(pe.ready)
-	pe.ready = pe.ready[:0]
+	m.Stats.Lost += pe.ready.len()
+	pe.ready.wipe(m.release)
 	m.Stats.Crashes++
 	m.faultRecord("fault.crash", pe.id, m.now)
 	if m.OnCrash != nil {

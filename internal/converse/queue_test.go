@@ -1,6 +1,7 @@
 package converse
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -22,20 +23,96 @@ func (m *queueModel) push(k key) {
 	*m = slices.Insert(*m, i, k)
 }
 
+// queueUnderTest is a queue the model tests drive: the event heap or a
+// PE's ready queue.
+type queueUnderTest interface {
+	push(key)
+	pop() key
+	size() int
+	// vacated returns an error naming a slot outside the live keys that
+	// does not read as the zero key; full widens the search from the
+	// slots the last pop may have vacated to every slot of the backing
+	// arrays.
+	vacated(full bool) error
+}
+
+type heapUnderTest struct{ queue }
+
+func (h *heapUnderTest) size() int { return len(h.queue) }
+
+func (h *heapUnderTest) vacated(full bool) error {
+	n := len(h.queue)
+	end := min(n+1, cap(h.queue))
+	if full {
+		end = cap(h.queue)
+	}
+	return zeroSlots("heap", h.queue[:end], n)
+}
+
+// readyUnderTest also counts the pops that moved the lane's live keys to
+// its front, so a test can tell it reached the compaction point, and
+// remembers the lane's length before the last pop, the bound of the
+// slots that pop may have vacated.
+type readyUnderTest struct {
+	readyQueue
+	compactions, laneLen int
+}
+
+func (r *readyUnderTest) size() int { return r.len() }
+
+func (r *readyUnderTest) pop() key {
+	head := r.head
+	r.laneLen = len(r.lane)
+	k := r.readyQueue.pop()
+	if r.head < head && len(r.lane) > 0 {
+		r.compactions++
+	}
+	return k
+}
+
+func (r *readyUnderTest) vacated(full bool) error {
+	// A pop vacates the lane slot before head, the slots past the lane's
+	// end when it drains or compacts, or the heap slot past its end.
+	laneFrom, laneEnd := max(r.head-1, 0), min(max(r.laneLen, len(r.lane)), cap(r.lane))
+	heapEnd := min(len(r.heap)+1, cap(r.heap))
+	if full {
+		laneFrom, laneEnd, heapEnd = 0, cap(r.lane), cap(r.heap)
+	}
+	if err := zeroSlots("lane", r.lane[:r.head], laneFrom); err != nil {
+		return err
+	}
+	if err := zeroSlots("lane", r.lane[:laneEnd], len(r.lane)); err != nil {
+		return err
+	}
+	return zeroSlots("heap", r.heap[:heapEnd], len(r.heap))
+}
+
+// zeroSlots returns an error naming the first slot of s from index from
+// on that does not read as the zero key.
+func zeroSlots(what string, s []key, from int) error {
+	for i := from; i < len(s); i++ {
+		if s[i] != (key{}) {
+			return fmt.Errorf("%s slot %d holds %+v", what, i, s[i])
+		}
+	}
+	return nil
+}
+
 // checkPop pops q and m and fails unless both give the same key, q holds
-// as many keys as m, and the slot the pop vacated reads as the zero key.
-func checkPop(t *testing.T, q *queue, m *queueModel, what string) {
+// as many keys as m, and the slots the pop vacated read as the zero key
+// (every slot outside the live keys, with full set).
+func checkPop(t *testing.T, q queueUnderTest, m *queueModel, full bool, what string) {
 	t.Helper()
 	got, want := q.pop(), (*m)[0]
 	*m = (*m)[1:]
 	if got != want {
 		t.Fatalf("%s: popped %+v, stable sort says %+v", what, got, want)
 	}
-	if len(*q) != len(*m) {
-		t.Fatalf("%s: queue holds %d keys, want %d", what, len(*q), len(*m))
+	if q.size() != len(*m) {
+		t.Fatalf("%s: queue holds %d keys, want %d", what, q.size(), len(*m))
 	}
-	if vacated := (*q)[:cap(*q)][len(*q)]; vacated != (key{}) {
-		t.Fatalf("%s: vacated slot holds %+v", what, vacated)
+	if err := q.vacated(full); err != nil {
+		t.Fatalf("%s: %v", what, err)
 	}
 }
 
@@ -45,51 +122,97 @@ func tieKey(rng *xrand.RNG, seq uint64) key {
 	return key{hi: uint64(rng.Intn(3)), lo: uint64(rng.Intn(3))<<kindShift | seq, arg: uint32(seq)}
 }
 
+// queueKinds are the queues the model tests drive, each with the keys it
+// sees in a simulation. The event heap gets tie-heavy event keys. A ready
+// queue gets (prio, seq) keys in runs: the priority mostly holds or
+// rises, so most keys arrive in order and go on the lane, and one push
+// in eight lands one to three priorities below it, so the heap fills too.
+var queueKinds = []struct {
+	name string
+	new  func() queueUnderTest
+	keys func(rng *xrand.RNG) func(seq uint64) key
+}{
+	{"heap", func() queueUnderTest { return &heapUnderTest{} }, func(rng *xrand.RNG) func(uint64) key {
+		return func(seq uint64) key { return tieKey(rng, seq) }
+	}},
+	{"ready", func() queueUnderTest { return &readyUnderTest{} }, func(rng *xrand.RNG) func(uint64) key {
+		prio := int64(0)
+		return func(seq uint64) key {
+			switch r := rng.Intn(8); {
+			case r == 0:
+				return readyKey(prio-1-int64(rng.Intn(3)), seq, uint32(seq))
+			case r < 3:
+				prio++
+			}
+			return readyKey(prio, seq, uint32(seq))
+		}
+	}},
+}
+
 // TestQueuePopsInStableSortOrder drives random interleaved push/pop
-// sequences of tie-heavy keys, with sequence numbers rising in push
-// order, and then drains the queue with pushes still interleaved. It runs
-// at two scales: many short runs of a few hundred operations, and runs
-// that grow the heap past 10k live keys, the event heap's size in a
-// 1024-PE ApoA-I simulation (~13k at peak). Every pop must return the
-// head of a stable sort of the live keys on (hi, kind), and every slot a
-// pop vacates must read as the zero key.
+// sequences, with sequence numbers rising in push order, and then drains
+// the queue with pushes still interleaved. It runs at two scales: many
+// short runs of a few hundred operations, and runs that grow the queue
+// past 10k live keys — the event heap's size in a 1024-PE ApoA-I
+// simulation (~13k at peak), and about the ready queue's in a one-PE one
+// (~17k). Every pop must return the head of a stable sort of the live
+// keys on (hi, kind), and every slot a pop vacates must read as the zero
+// key. The ready queue must have used its lane and its heap and reached
+// the lane's compaction point.
 func TestQueuePopsInStableSortOrder(t *testing.T) {
-	rng := xrand.New(7)
-	for _, c := range []struct {
-		name          string
-		trials, grow  int // grow: operations with pushes favored 2:1
-		maxLive, peak int // no pushes at maxLive live keys; peak: the least peak
-	}{
-		{"short", 50, 400, 400, 0},
-		{"des-scale", 2, 40000, 20000, 10000},
-	} {
-		for trial := 0; trial < c.trials; trial++ {
-			var q queue
-			var m queueModel
-			seq, peak := uint64(0), 0
-			push := func() {
-				seq++
-				k := tieKey(rng, seq)
-				q.push(k)
-				m.push(k)
-				peak = max(peak, len(m))
-			}
-			for op := 0; op < c.grow; op++ {
-				if len(m) == 0 || len(m) < c.maxLive && rng.Intn(3) > 0 {
-					push()
-				} else {
-					checkPop(t, &q, &m, c.name)
+	for _, kind := range queueKinds {
+		rng := xrand.New(7)
+		for _, c := range []struct {
+			name          string
+			trials, grow  int // grow: operations with pushes favored 2:1
+			maxLive, peak int // no pushes at maxLive live keys; peak: the least peak
+		}{
+			{"short", 50, 400, 400, 0},
+			{"des-scale", 2, 40000, 20000, 10000},
+		} {
+			what := kind.name + " " + c.name
+			for trial := 0; trial < c.trials; trial++ {
+				q := kind.new()
+				var m queueModel
+				next := kind.keys(rng)
+				seq, peak, op := uint64(0), 0, 0
+				push := func() {
+					seq++
+					k := next(seq)
+					q.push(k)
+					m.push(k)
+					peak = max(peak, len(m))
 				}
-			}
-			for len(m) > 0 {
-				if rng.Intn(4) == 0 {
-					push()
-				} else {
-					checkPop(t, &q, &m, c.name)
+				pop := func() {
+					// A full scan every pop would make the large runs
+					// quadratic.
+					op++
+					checkPop(t, q, &m, len(m) < 512 || op%256 == 0, what)
 				}
-			}
-			if peak < c.peak {
-				t.Fatalf("%s trial %d: heap peaked at %d live keys, want ≥ %d", c.name, trial, peak, c.peak)
+				for i := 0; i < c.grow; i++ {
+					if len(m) == 0 || len(m) < c.maxLive && rng.Intn(3) > 0 {
+						push()
+					} else {
+						pop()
+					}
+				}
+				for len(m) > 0 {
+					if rng.Intn(4) == 0 {
+						push()
+					} else {
+						pop()
+					}
+				}
+				if peak < c.peak {
+					t.Fatalf("%s trial %d: queue peaked at %d live keys, want ≥ %d", what, trial, peak, c.peak)
+				}
+				if err := q.vacated(true); err != nil {
+					t.Fatalf("%s trial %d: drained queue: %v", what, trial, err)
+				}
+				if r, ok := q.(*readyUnderTest); ok && (r.compactions == 0 || cap(r.lane) == 0 || cap(r.heap) == 0) {
+					t.Fatalf("%s trial %d: lane capacity %d, heap capacity %d, %d compactions; want all > 0",
+						what, trial, cap(r.lane), cap(r.heap), r.compactions)
+				}
 			}
 		}
 	}
@@ -100,33 +223,40 @@ func TestQueuePopsInStableSortOrder(t *testing.T) {
 // cases: a heap of one to three keys, a last parent with one child (an
 // even count left after the pop) at depths one and two, and the old last
 // key sifting up zero, one or two levels from the leaf the hole reached.
+// On a ready queue the permutations split the keys between the lane and
+// the heap every way a push order can.
 func TestQueueSmallHeapsAllOrders(t *testing.T) {
-	for n := 1; n <= 7; n++ {
-		keys := make([]key, n)
-		for i := range keys {
-			// Distinct on hi for some, on lo only for others.
-			keys[i] = key{hi: uint64(i / 2), lo: uint64(i%2)<<kindShift | uint64(i+1), arg: uint32(i)}
-		}
-		perm := make([]int, n)
-		for i := range perm {
-			perm[i] = i
-		}
-		for {
-			var q queue
-			for _, i := range perm {
-				q.push(keys[i])
+	for _, kind := range queueKinds {
+		for n := 1; n <= 7; n++ {
+			keys := make([]key, n)
+			for i := range keys {
+				// Distinct on hi for some, on lo only for others.
+				keys[i] = key{hi: uint64(i / 2), lo: uint64(i%2)<<kindShift | uint64(i+1), arg: uint32(i)}
 			}
-			for want := 0; want < n; want++ {
-				got := q.pop()
-				if got != keys[want] {
-					t.Fatalf("n=%d push order %v: pop %d returned %+v, want %+v", n, perm, want, got, keys[want])
-				}
-				if len(q) != n-want-1 || q[:cap(q)][len(q)] != (key{}) {
-					t.Fatalf("n=%d push order %v: after pop %d the queue is %v", n, perm, want, q[:cap(q)])
-				}
+			perm := make([]int, n)
+			for i := range perm {
+				perm[i] = i
 			}
-			if !nextPerm(perm) {
-				break
+			for {
+				q := kind.new()
+				for _, i := range perm {
+					q.push(keys[i])
+				}
+				for want := 0; want < n; want++ {
+					got := q.pop()
+					if got != keys[want] {
+						t.Fatalf("%s n=%d push order %v: pop %d returned %+v, want %+v", kind.name, n, perm, want, got, keys[want])
+					}
+					if q.size() != n-want-1 {
+						t.Fatalf("%s n=%d push order %v: after pop %d the queue holds %d keys", kind.name, n, perm, want, q.size())
+					}
+					if err := q.vacated(true); err != nil {
+						t.Fatalf("%s n=%d push order %v: after pop %d: %v", kind.name, n, perm, want, err)
+					}
+				}
+				if !nextPerm(perm) {
+					break
+				}
 			}
 		}
 	}
@@ -152,8 +282,8 @@ func nextPerm(p []int) bool {
 }
 
 // TestVacatedSlotsHoldNoPayload runs a program whose payloads are
-// pointers through drops, duplicates and a crash that wipes a queue of
-// waiting messages, then checks that every message slot and every
+// pointers through drops, duplicates and a crash that wipes a ready
+// queue holding waiting messages on its lane and in its heap, then checks that every message slot and every
 // vacated queue slot reads as the zero value: nothing the machine has
 // finished with stays reachable from it.
 func TestVacatedSlotsHoldNoPayload(t *testing.T) {
@@ -170,11 +300,40 @@ func TestVacatedSlotsHoldNoPayload(t *testing.T) {
 			}
 		}
 	})
+	// PE 1 runs hold from time 0 until after the crash, so the messages
+	// injected behind it wait: 5, 6 and 7 on the lane, 1 and 2 in the
+	// heap. probe, an immediate handler on a timer, looks at PE 1's queue
+	// just before the crash; pushes only add keys, and a busy PE pops
+	// none, so the crash wipes keys from both.
+	hold := m.RegisterHandler("hold", func(ctx *Ctx, payload any, size int) {
+		ctx.Charge(40e-6, trace.CatOther)
+	})
+	var probed struct {
+		at         float64
+		busy       bool
+		lane, heap int
+	}
+	probe := m.RegisterImmediateHandler("probe", func(ctx *Ctx, payload any, size int) {
+		r := &m.pes[1].ready
+		probed.at, probed.busy, probed.lane, probed.heap = ctx.Now(), m.pes[1].busy, len(r.lane)-r.head, len(r.heap)
+	})
+	arm := m.RegisterHandler("arm", func(ctx *Ctx, payload any, size int) {
+		ctx.After(15e-6, probe, nil, 0, 0)
+	})
+	m.Inject(1, hold, nil, 0, 0)
+	last := 0
+	for _, prio := range []int64{5, 6, 7, 1, 2} {
+		m.Inject(1, fan, &last, 0, prio)
+	}
+	m.Inject(2, arm, nil, 0, 0)
 	start := 3
 	m.Inject(0, fan, &start, 0, 0)
 	m.Run()
 	if m.Stats.Crashes != 1 || m.Stats.Lost == 0 {
 		t.Fatalf("crash did not strike queued work: %+v", m.Stats)
+	}
+	if !(probed.at > 0 && probed.at < 20e-6) || !probed.busy || probed.lane == 0 || probed.heap == 0 {
+		t.Fatalf("before the crash PE 1's queue was %+v; want it busy with keys on the lane and in the heap", probed)
 	}
 	if len(m.free) != len(m.msgs) {
 		t.Errorf("%d of %d message slots still taken after quiescence", len(m.msgs)-len(m.free), len(m.msgs))
@@ -186,7 +345,7 @@ func TestVacatedSlotsHoldNoPayload(t *testing.T) {
 	}
 	queues := []queue{m.events}
 	for _, pe := range m.pes {
-		queues = append(queues, pe.ready)
+		queues = append(queues, pe.ready.lane, pe.ready.heap)
 	}
 	for qi, q := range queues {
 		for i, k := range q[:cap(q)] {

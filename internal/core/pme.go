@@ -186,6 +186,7 @@ func (s *Sim) createPencils() error {
 				fwdWork: atomShare*m.PerAtomSpread + fftPass,
 				bwdWork: fftPass + atomShare*m.PerAtomSpread,
 				need:    p * p,
+				got:     s.newCounter(),
 			}
 			s.zPencils = append(s.zPencils, zp)
 			s.zPencilObj = append(s.zPencilObj, s.rt.CreateObj(0, zp, true))
@@ -198,6 +199,7 @@ func (s *Sim) createPencils() error {
 				ix: jy, iy: jz,
 				fwdWork: meshPerPencil * (2*logK + 1) * m.PerMeshPoint,
 				need:    p * p,
+				got:     s.newCounter(),
 			}
 			s.xPencils = append(s.xPencils, xp)
 			s.xPencilObj = append(s.xPencilObj, s.rt.CreateObj(0, xp, true))

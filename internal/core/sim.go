@@ -209,6 +209,22 @@ type stepCounter []stepCount
 
 type stepCount struct{ key, n int }
 
+// counterBlock is how many arrival counters one allocation holds.
+const counterBlock = 1024
+
+// newCounter returns an empty arrival counter with room for two keys,
+// carved from a block shared with other counters instead of allocated on
+// its first arrival. Its capacity ends where its window does, so a third
+// key reallocates instead of overwriting the next counter.
+func (s *Sim) newCounter() stepCounter {
+	if len(s.counters) < 2 {
+		s.counters = make([]stepCount, 2*counterBlock)
+	}
+	c := s.counters[:0:2]
+	s.counters = s.counters[2:]
+	return c
+}
+
 // arrive counts one arrival for key and reports whether need arrivals
 // have now been counted, forgetting the key when they have.
 func (c *stepCounter) arrive(key, need int) bool {
@@ -284,6 +300,10 @@ type Sim struct {
 	pauseAt    int
 	stepEnd    []float64
 	busyBase   []float64
+
+	// counters is the unused rest of the block arrival counters are
+	// carved from (see newCounter).
+	counters []stepCount
 
 	lb      ldb.Strategy
 	lbStats []ldb.Stats
@@ -443,6 +463,7 @@ func (s *Sim) placePatches() {
 			atoms:         s.w.PatchAtoms[p],
 			integrateTime: float64(s.w.PatchAtoms[p]) * s.cfg.Model.PerAtomIntegrate,
 			posBytes:      32 * s.w.PatchAtoms[p],
+			got:           s.newCounter(),
 		}
 		s.patches[p] = ps
 		s.patchObj[p] = s.rt.CreateObj(s.patchHome[p], ps, false)
@@ -463,6 +484,7 @@ func (s *Sim) addCompute(pe int, cat trace.Category, patches []int, work float64
 		work:       work,
 		migratable: migratable,
 		need:       len(patches),
+		got:        s.newCounter(),
 	}
 	s.computes = append(s.computes, cs)
 	s.computeObj = append(s.computeObj, s.rt.CreateObj(pe, cs, migratable))
@@ -624,7 +646,7 @@ func (s *Sim) wire() {
 				known++
 			}
 			if known == len(ps.byPE) || ps.byPE[known].pe != pe {
-				px := &proxyState{patch: p, pe: pe, home: s.patchObj[p], frcBytes: 24 * ps.atoms}
+				px := &proxyState{patch: p, pe: pe, home: s.patchObj[p], frcBytes: 24 * ps.atoms, got: s.newCounter()}
 				px.obj = s.rt.CreateObj(pe, px, false)
 				ps.byPE = slices.Insert(ps.byPE, known, px)
 			}

@@ -675,7 +675,6 @@ func (b *balance) destination(obj *Object, src, lo, hi, least int, relaxed bool)
 // and each move strictly reduces the sum of squared PE loads, so the
 // loop cannot revisit a state.
 func (b *balance) refine(lo, hi int, relaxed bool) {
-	b.order(lo, hi)
 	if b.least == nil {
 		b.least = newTournament(b.loads, false)
 		b.most = newTournament(b.loads, true)
@@ -692,7 +691,15 @@ func (b *balance) refine(lo, hi int, relaxed bool) {
 		// faces the same receivers, so retrying others rarely helps — like
 		// the paper's conservative refinement.
 		src := b.most.span(lo, hi)
-		if !(b.loads[src] > b.threshold) || b.shed(src, lo, hi, b.least.span(lo, hi), relaxed) < 0 {
+		if !(b.loads[src] > b.threshold) {
+			break
+		}
+		if iter == 0 {
+			// Sort only a span with a PE above the threshold. Nothing has
+			// moved yet, so the lists are those an up-front sort gives.
+			b.order(lo, hi)
+		}
+		if b.shed(src, lo, hi, b.least.span(lo, hi), relaxed) < 0 {
 			break
 		}
 	}

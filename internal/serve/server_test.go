@@ -398,6 +398,10 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 		`{"system":{"preset":"water"},"steps":10,"unknown_field":true}`,                                      // strict decoding
 		`{"system":{"preset":"water"},"steps":10,"engine":{"thermostat":{"kind":"nose","temperature":300}}}`, // unknown thermostat
 		`{"system":{"preset":"water"},"steps":10,"ensemble":{"replicas":1,"tmin":300,"tmax":360}}`,           // one replica
+
+		// Ensemble parameters ensemble.New would refuse.
+		`{"system":{"preset":"water"},"steps":10,"ensemble":{"replicas":2,"tmin":300,"tmax":360,"gamma":-0.01}}`,
+		`{"system":{"preset":"water"},"steps":10,"ensemble":{"replicas":2,"tmin":300,"tmax":360,"exchange_every":-5}}`,
 	}
 	for _, body := range bad {
 		resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader([]byte(body)))

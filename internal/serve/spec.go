@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"gonamd"
 	"gonamd/internal/engine"
@@ -192,8 +193,16 @@ func (s *JobSpec) normalizeEnsemble() error {
 		return fmt.Errorf("serve: ensemble needs ≥ 2 ladder rungs (got %d)", len(e.Temperatures))
 	}
 	e.Replicas = len(e.Temperatures)
+	// ensemble.New refuses these too; refusing them here makes them a 400
+	// instead of a job that fails when it first runs.
+	if e.ExchangeEvery < 0 {
+		return fmt.Errorf("serve: ensemble exchange_every %d must be ≥ 0 (0 = 100)", e.ExchangeEvery)
+	}
 	if e.ExchangeEvery == 0 {
 		e.ExchangeEvery = 100
+	}
+	if !(e.Gamma >= 0) || math.IsInf(e.Gamma, 1) {
+		return fmt.Errorf("serve: ensemble gamma %g /fs must be finite and ≥ 0 (0 = 0.005 /fs)", e.Gamma)
 	}
 	if e.Gamma == 0 {
 		e.Gamma = 0.005

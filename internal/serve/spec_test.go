@@ -66,6 +66,43 @@ func TestLBStrategyAdmission(t *testing.T) {
 	})
 }
 
+// TestEnsembleSpecAdmission: ensemble parameters ensemble.New would
+// refuse — a negative or non-finite Langevin friction, a negative
+// exchange interval — fail normalize with an error naming the field, so
+// POST /jobs answers 400 instead of admitting a job that fails when it
+// first runs. Zero still means the default.
+func TestEnsembleSpecAdmission(t *testing.T) {
+	spec := func(gamma float64, every int) JobSpec {
+		return JobSpec{
+			System:   SystemSpec{Preset: "water"},
+			Steps:    10,
+			Ensemble: &EnsembleSpec{Replicas: 2, TMin: 300, TMax: 330, Gamma: gamma, ExchangeEvery: every},
+		}
+	}
+	for _, c := range []struct {
+		gamma float64
+		every int
+		field string
+	}{
+		{-0.01, 0, "gamma"},
+		{math.NaN(), 0, "gamma"},
+		{math.Inf(1), 0, "gamma"},
+		{0.005, -5, "exchange_every"},
+	} {
+		s := spec(c.gamma, c.every)
+		if err := s.normalize(100); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("gamma %v, exchange_every %d: normalize says %v; want an error naming %s", c.gamma, c.every, err, c.field)
+		}
+	}
+	s := spec(0, 0)
+	if err := s.normalize(100); err != nil {
+		t.Fatal(err)
+	}
+	if e := s.Ensemble; e.Gamma != 0.005 || e.ExchangeEvery != 100 {
+		t.Errorf("defaults: gamma %v, exchange_every %d; want 0.005, 100", e.Gamma, e.ExchangeEvery)
+	}
+}
+
 // TestJobMinimizerMatchesOracle: a job minimizes on the production
 // cluster pipeline (JobSpec.prepare), and lands where the list-free
 // reference mode — the oracle — does: the same minimum to 1e-9 Å per atom
