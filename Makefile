@@ -55,12 +55,13 @@ metrics: vet
 # carry the worker-count/repeat determinism tests behind the
 # bitwise-reproducible PME guarantee; the ldb package carries the
 # strategy property suite (never-worsen, validity, determinism) and the
-# assignment golden.
+# assignment golden. cmd/chaos runs both harness modes (ensemble
+# crash/restore, machine PE crash/rollback) at their defaults.
 chaos:
 	$(GO) test -count=2 -run 'Chaos|Crash|Reliable|Recovery|Property|Differential|Golden|Determinism|PME|ZeroAllocs' \
 		./internal/converse ./internal/charm ./internal/core ./internal/ckpt ./internal/trace \
 		./internal/forcefield ./internal/engine ./internal/fft ./internal/pme ./internal/projections \
-		./internal/ldb ./internal/ftdc ./internal/serve .
+		./internal/ldb ./internal/ftdc ./internal/serve ./cmd/chaos .
 
 # Short runs of the fuzz targets (one -fuzz per invocation): the
 # cluster-builder geometry fuzzer, and the interaction-table fuzzer that

@@ -5,9 +5,10 @@
 //
 // Two modes:
 //
-//   - ensemble (default): a replica-exchange run is killed at step k
-//     (-crash-at), restarted from its last periodic checkpoint, and run
-//     to completion; final positions, velocities, and the full exchange
+//   - ensemble (default): a replica-exchange run, checkpointed to a
+//     file every -ckpt-every steps, is abandoned at step k (-crash-at);
+//     a fresh ensemble restored from the last checkpoint runs to
+//     completion, and its final positions, velocities, and full exchange
 //     history must be bit-identical to a run that never failed.
 //
 //   - machine: a cluster simulation runs under a seeded fault plan
@@ -25,6 +26,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -37,27 +39,30 @@ import (
 	"gonamd/internal/vec"
 )
 
-func main() {
-	log.SetFlags(0)
-	mode := flag.String("mode", "ensemble", "ensemble or machine")
-	seed := flag.Uint64("seed", 1, "system, ensemble, and fault-plan seed")
+var (
+	mode = flag.String("mode", "ensemble", "ensemble or machine")
+	seed = flag.Uint64("seed", 1, "system, ensemble, and fault-plan seed")
 
 	// Ensemble mode.
-	crashAt := flag.Int64("crash-at", 120, "ensemble: kill the run at this MD step")
-	steps := flag.Int("steps", 200, "ensemble: total MD steps")
-	replicas := flag.Int("replicas", 3, "ensemble: ladder rungs")
-	side := flag.Float64("side", 12, "ensemble: water box side, Å")
-	exchange := flag.Int("exchange", 50, "ensemble: steps between exchange attempts")
-	ckptEvery := flag.Int("ckpt-every", 40, "ensemble: checkpoint every N steps")
+	crashAt   = flag.Int64("crash-at", 120, "ensemble: kill the run at this MD step")
+	steps     = flag.Int("steps", 200, "ensemble: total MD steps")
+	replicas  = flag.Int("replicas", 3, "ensemble: ladder rungs")
+	side      = flag.Float64("side", 12, "ensemble: water box side, Å")
+	exchange  = flag.Int("exchange", 50, "ensemble: steps between exchange attempts")
+	ckptEvery = flag.Int("ckpt-every", 40, "ensemble: checkpoint every N steps")
 
 	// Machine mode.
-	pes := flag.Int("pes", 8, "machine: simulated processors")
-	drop := flag.Float64("drop", 0, "machine: message drop probability")
-	dup := flag.Float64("dup", 0, "machine: message duplication probability")
-	delay := flag.Float64("delay", 0, "machine: message delay probability")
-	lb := flag.String("lb", "", "machine: load-balancing strategy: greedy+refine (default), refine-only, hierarchical, diffusion, none")
+	pes   = flag.Int("pes", 8, "machine: simulated processors")
+	drop  = flag.Float64("drop", 0, "machine: message drop probability")
+	dup   = flag.Float64("dup", 0, "machine: message duplication probability")
+	delay = flag.Float64("delay", 0, "machine: message delay probability")
+	lb    = flag.String("lb", "", "machine: load-balancing strategy: greedy+refine (default), refine-only, hierarchical, diffusion, none")
 
-	profile := flag.Bool("profile", false, "print a projections summary of the faulty run's trace")
+	profile = flag.Bool("profile", false, "print a projections summary of the faulty run's trace")
+)
+
+func main() {
+	log.SetFlags(0)
 	flag.Parse()
 
 	// Resolve the strategy name before any work so a typo fails
@@ -73,33 +78,36 @@ func main() {
 		}
 	}
 
-	ok := false
+	var err error
 	switch *mode {
 	case "ensemble":
-		ok = runEnsemble(*seed, *crashAt, *steps, *replicas, *side, *exchange, *ckptEvery, *profile)
+		err = runEnsemble(*seed, *crashAt, *steps, *replicas, *side, *exchange, *ckptEvery, *profile)
 	case "machine":
-		ok = runMachine(*seed, *pes, *drop, *dup, *delay, lbStrat, *profile)
+		err = runMachine(*seed, *pes, *drop, *dup, *delay, lbStrat, *profile)
 	default:
 		log.Fatalf("unknown mode %q (want ensemble or machine)", *mode)
 	}
-	if !ok {
+	if err != nil {
+		fmt.Println(err)
 		fmt.Println("FAIL")
 		os.Exit(1)
 	}
 	fmt.Println("PASS")
 }
 
-// runEnsemble kills a replica-exchange run at crashAt, resumes it from
-// its last checkpoint, and compares the final snapshot bit-for-bit
-// against an unfailed reference run.
-func runEnsemble(seed uint64, crashAt int64, steps, replicas int, side float64, exchange, ckptEvery int, profile bool) bool {
-	if crashAt <= int64(ckptEvery) || crashAt >= int64(steps) {
-		log.Fatalf("-crash-at %d must lie in (%d, %d): the first checkpoint must exist before the crash",
+// runEnsemble runs a replica-exchange ensemble in blocks, saving a
+// checkpoint file after every ckptEvery steps, and abandons it at
+// crashAt — everything since the last checkpoint is lost, as in a crash.
+// A fresh ensemble restored from that file runs to completion, and its
+// final snapshot must equal an unfailed reference run's bit for bit.
+func runEnsemble(seed uint64, crashAt int64, steps, replicas int, side float64, exchange, ckptEvery int, profile bool) error {
+	if ckptEvery <= 0 || crashAt <= int64(ckptEvery) || crashAt >= int64(steps) {
+		return fmt.Errorf("-crash-at %d must lie in (%d, %d) and -ckpt-every be positive: the first checkpoint must exist before the crash",
 			crashAt, ckptEvery, steps)
 	}
 	sys, st, err := gonamd.BuildSystem(gonamd.WaterBoxSpec(side, seed))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ff := gonamd.StandardForceField(5.0)
 	fmt.Printf("system: %s, %d atoms; %d replicas, %d steps, exchange every %d\n",
@@ -107,111 +115,106 @@ func runEnsemble(seed uint64, crashAt int64, steps, replicas int, side float64, 
 
 	dir, err := os.MkdirTemp("", "gonamd-chaos")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	ckptPath := filepath.Join(dir, "ens.ckpt")
 
-	base := gonamd.EnsembleConfig{
+	cfg := gonamd.EnsembleConfig{
 		Temperatures:  gonamd.GeometricLadder(300, 360, replicas),
 		ExchangeEvery: exchange,
 		Seed:          seed,
 	}
 
 	// Reference: never fails, no checkpointing.
-	ref, err := gonamd.NewEnsemble(sys, ff, st, base)
+	ref, err := gonamd.NewEnsemble(sys, ff, st, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer ref.Close()
 	if err := ref.Run(steps); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	want := ref.Snapshot()
 
-	// Chaos: checkpoint periodically and die at crashAt.
-	cfg := base
-	cfg.CheckpointEvery = ckptEvery
-	cfg.CheckpointPath = ckptPath
-	cfg.FailAt = crashAt
+	// Victim: checkpoint at every multiple of ckptEvery, die at crashAt.
 	victim, err := gonamd.NewEnsemble(sys, ff, st, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer victim.Close()
-	if err := victim.Run(steps); err != gonamd.ErrInjectedFailure {
-		log.Fatalf("victim run: got %v, want injected failure at step %d", err, crashAt)
+	for {
+		next := min(crashAt, (victim.Step()/int64(ckptEvery)+1)*int64(ckptEvery))
+		if err := victim.Run(int(next - victim.Step())); err != nil {
+			return err
+		}
+		if next == crashAt {
+			break // the crash comes before a checkpoint due at this step
+		}
+		if err := gonamd.SaveCheckpointFile(ckptPath, victim.Snapshot()); err != nil {
+			return err
+		}
 	}
 	fmt.Printf("killed at step %d (work since the step-%d checkpoint lost)\n",
 		victim.Step(), int64(ckptEvery)*((crashAt-1)/int64(ckptEvery)))
 
-	// Recovery: a fresh process resumes from the checkpoint file.
-	cfg.FailAt = 0
+	// Recovery: a fresh ensemble restored from the checkpoint file.
 	if profile {
 		cfg.Trace = gonamd.NewTraceLog()
 	}
 	recovered, err := gonamd.NewEnsemble(sys, ff, st, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer recovered.Close()
-	f, err := os.Open(ckptPath)
+	snap, err := gonamd.LoadCheckpointFile(ckptPath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	err = recovered.Resume(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		log.Fatal(err)
+	if err := recovered.Restore(snap); err != nil {
+		return err
 	}
 	fmt.Printf("resumed from %s at step %d\n", ckptPath, recovered.Step())
 	if err := recovered.Run(steps - int(recovered.Step())); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	got := recovered.Snapshot()
-	if !reflect.DeepEqual(want, got) {
-		fmt.Println("recovered run diverged from the unfailed reference:")
+	if got := recovered.Snapshot(); !reflect.DeepEqual(want, got) {
 		for i := range want.Replicas {
 			if !reflect.DeepEqual(want.Replicas[i], got.Replicas[i]) {
-				fmt.Printf("  replica %d state differs\n", i)
+				return fmt.Errorf("recovered run diverged from the unfailed reference: replica %d state differs", i)
 			}
 		}
-		if !reflect.DeepEqual(want.Attempts, got.Attempts) || !reflect.DeepEqual(want.Accepts, got.Accepts) {
-			fmt.Printf("  exchange history differs: %v/%v vs %v/%v\n",
-				want.Accepts, want.Attempts, got.Accepts, got.Attempts)
-		}
-		return false
+		return fmt.Errorf("recovered run diverged from the unfailed reference: exchanges %v/%v accepted, want %v/%v",
+			got.Accepts, got.Attempts, want.Accepts, want.Attempts)
 	}
 	att, acc := recovered.ExchangeCounts()
 	fmt.Printf("final state bit-identical to unfailed run (exchanges %v of %v accepted)\n", acc, att)
-	if profile && cfg.Trace != nil {
+	if profile {
 		fmt.Println()
 		gonamd.AnalyzeTrace(cfg.Trace, gonamd.ProjectionsOptions{PEs: replicas}).WriteText(os.Stdout)
 	}
-	return true
+	return nil
 }
 
 // runMachine runs a cluster simulation under a fault plan with reliable
 // delivery and checkpoint rollback, against a fault-free reference.
-func runMachine(seed uint64, pes int, drop, dup, delay float64, lb gonamd.LBStrategy, profile bool) bool {
+func runMachine(seed uint64, pes int, drop, dup, delay float64, lb gonamd.LBStrategy, profile bool) error {
 	sys, st, err := gonamd.BuildSystem(gonamd.Spec{
 		Name: "chaos", Box: vec.New(39, 39, 39), TargetAtoms: 3000,
 		ProteinChains: 1, ChainResidues: 25, LipidCount: 4, LipidTailLen: 8,
 		Seed: seed,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	grid, err := gonamd.NewGrid(sys, 12.0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	w, err := gonamd.BuildWorkload("chaos", sys, st, grid, 12.0, 13.5)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	model := gonamd.CalibrateMachine("chaos-ascired", 1.0, gonamd.ASCIRed().Net, w.Counts())
 	cfg := gonamd.ClusterConfig{PEs: pes, Model: model, SplitSelf: true, CollectTrace: profile, LB: lb}
@@ -224,7 +227,7 @@ func runMachine(seed uint64, pes int, drop, dup, delay float64, lb gonamd.LBStra
 	// can be bit-compared).
 	sim, err := gonamd.NewClusterSim(w, gonamd.WithFaultPlan(cfg, nil))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ref := sim.Run()
 	fmt.Printf("fault-free: %d PEs, avg step %.4fs\n", ref.PEs, ref.AvgStep)
@@ -238,7 +241,7 @@ func runMachine(seed uint64, pes int, drop, dup, delay float64, lb gonamd.LBStra
 	}
 	sim2, err := gonamd.NewClusterSim(w, gonamd.WithFaultPlan(cfg, plan))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res := sim2.Run()
 	fmt.Printf("faulty: crashes=%d restarts=%d lost=%d dropped=%d duplicated=%d delayed=%d\n",
@@ -249,8 +252,7 @@ func runMachine(seed uint64, pes int, drop, dup, delay float64, lb gonamd.LBStra
 		res.Reliable.Duplicates, res.Reliable.GiveUps, res.Recoveries)
 
 	if res.Recoveries == 0 {
-		fmt.Println("expected at least one checkpoint rollback")
-		return false
+		return errors.New("expected at least one checkpoint rollback")
 	}
 	if drop == 0 && dup == 0 && delay == 0 {
 		// Crash-only plans must leave the measured steps untouched. The
@@ -259,23 +261,20 @@ func runMachine(seed uint64, pes int, drop, dup, delay float64, lb gonamd.LBStra
 		// to float rounding (~1e-12 relative), not bit-for-bit.
 		const tol = 1e-9
 		if len(ref.StepDurations) != len(res.StepDurations) {
-			fmt.Printf("measured %d steps fault-free, %d recovered\n",
+			return fmt.Errorf("measured %d steps fault-free, %d recovered",
 				len(ref.StepDurations), len(res.StepDurations))
-			return false
 		}
 		for i, d := range ref.StepDurations {
 			if diff := math.Abs(res.StepDurations[i] - d); diff > tol*math.Abs(d) {
-				fmt.Printf("step %d duration diverged: fault-free %.15g, recovered %.15g\n",
+				return fmt.Errorf("step %d duration diverged: fault-free %.15g, recovered %.15g",
 					i, d, res.StepDurations[i])
-				return false
 			}
 		}
 		fmt.Printf("measured step durations identical to fault-free run within %g relative (avg %.4fs)\n",
 			tol, res.AvgStep)
 	} else {
 		if res.Reliable.GiveUps > 0 {
-			fmt.Println("reliable layer abandoned sends")
-			return false
+			return errors.New("reliable layer abandoned sends")
 		}
 		fmt.Println("run completed under message faults with no abandoned sends")
 	}
@@ -285,5 +284,5 @@ func runMachine(seed uint64, pes int, drop, dup, delay float64, lb gonamd.LBStra
 		fmt.Println()
 		fmt.Print(gonamd.LBReport(res.LBStats))
 	}
-	return true
+	return nil
 }

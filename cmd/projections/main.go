@@ -1,6 +1,7 @@
 // Command projections analyzes a Projections-style trace (JSON Lines,
 // as written by the engines' WithTrace instrumentation, cmd/mdrun
-// -trace, cmd/ensemble -trace, or a cluster simulation's CollectTrace)
+// -trace, a traced gonamdd job's <id>.trace, or a cluster simulation's
+// CollectTrace)
 // and prints utilization, per-category time profiles, grainsize
 // histograms, per-PE timelines, and step-time statistics — the analyses
 // behind the paper's Figures 1–6 and Table 1.

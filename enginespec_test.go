@@ -91,10 +91,30 @@ func TestEngineSpecParallel(t *testing.T) {
 	}
 }
 
+// TestEngineSpecZeroRunsClusterLists: a spec with no cluster fields steps
+// on the default cluster lists on either engine kind, never on the
+// list-free reference mode, which is a test oracle only.
+func TestEngineSpecZeroRunsClusterLists(t *testing.T) {
+	sys, st, ff := specSystem(t)
+	for _, spec := range []gonamd.EngineSpec{{}, {Engine: "seq"}, {Engine: "par", Workers: 2}} {
+		eng, _, err := spec.NewEngine(sys, ff, st.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(2, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		if n := eng.ClusterRebuilds(); n == 0 {
+			t.Errorf("spec %+v: no cluster list built in 2 steps; the engine ran the list-free oracle", spec)
+		}
+		eng.Close()
+	}
+}
+
 // TestEngineSpecPrecisionMode: the numerical mode is derived, not
-// chosen — "fp64-tab" exactly when the tabulated kernel runs (cluster
-// lists with PME), "fp64" otherwise. Checkpoints record the string and
-// services refuse to resume across a change.
+// chosen — "fp64-tab" exactly when the tabulated kernel runs (PME: every
+// spec runs cluster lists), "fp64" otherwise. Checkpoints record the
+// string and services refuse to resume across a change.
 func TestEngineSpecPrecisionMode(t *testing.T) {
 	pme := &gonamd.PMESpec{GridSpacing: 1}
 	cases := []struct {
@@ -102,7 +122,7 @@ func TestEngineSpecPrecisionMode(t *testing.T) {
 		want string
 	}{
 		{gonamd.EngineSpec{}, "fp64"},
-		{gonamd.EngineSpec{PME: pme}, "fp64"}, // reference path: analytic erfc
+		{gonamd.EngineSpec{PME: pme}, "fp64-tab"},
 		{gonamd.EngineSpec{ClusterM: 4, ClusterN: 8}, "fp64"},
 		{gonamd.EngineSpec{ClusterM: 4, ClusterN: 8, PME: pme}, "fp64-tab"},
 		{gonamd.EngineSpec{Engine: "par"}, "fp64"},

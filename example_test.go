@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"gonamd"
+	"gonamd/internal/ckpt"
 )
 
 // ExampleBuildSystem builds a small water box and reports its
@@ -230,9 +231,9 @@ func ExampleNewEnsemble() {
 	fmt.Printf("trace records every exchange decision: %v\n", decisions == att[0]+att[1]+att[2])
 
 	// Checkpoint mid-run and keep going; resume a fresh ensemble from the
-	// checkpoint and run it the same number of steps.
+	// checkpoint bytes and run it the same number of steps.
 	var ck bytes.Buffer
-	if err := ens.Checkpoint(&ck); err != nil {
+	if err := ckpt.Save(&ck, ens.Snapshot()); err != nil {
 		panic(err)
 	}
 	if err := ens.Run(200); err != nil {
@@ -243,7 +244,11 @@ func ExampleNewEnsemble() {
 		panic(err)
 	}
 	defer resumed.Close()
-	if err := resumed.Resume(bytes.NewReader(ck.Bytes())); err != nil {
+	snap, err := ckpt.Load(&ck)
+	if err != nil {
+		panic(err)
+	}
+	if err := resumed.Restore(snap); err != nil {
 		panic(err)
 	}
 	if err := resumed.Run(200); err != nil {

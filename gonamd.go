@@ -172,10 +172,6 @@ func WithFaultPlan(cfg ClusterConfig, plan *FaultPlan) ClusterConfig {
 	return cfg
 }
 
-// ErrInjectedFailure is returned by Ensemble.Run when
-// EnsembleConfig.FailAt is reached — the chaos harness's injected crash.
-var ErrInjectedFailure = ensemble.ErrInjectedFailure
-
 // Temperature control for NVT dynamics (attach with WithThermostat;
 // WithHBondConstraints allows ~2 fs timesteps).
 type (
@@ -198,10 +194,11 @@ var (
 
 // Replica-exchange ensembles: N replicas on a temperature ladder,
 // advanced concurrently with periodic Metropolis exchanges, deterministic
-// per seed, checkpointable, and traced per replica.
+// per seed, snapshottable, and traced per replica. The gonamdd job
+// server runs them with checkpoints, telemetry and crash recovery.
 type (
-	// Ensemble is a replica-exchange run (create with NewEnsemble; Run,
-	// Checkpoint, and Resume drive it).
+	// Ensemble is a replica-exchange run (create with NewEnsemble; Run
+	// advances it, Snapshot and Restore carry its whole state).
 	Ensemble = ensemble.Ensemble
 	// EnsembleConfig describes the ladder, schedule, and worker pool.
 	EnsembleConfig = ensemble.Config

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gonamd"
+	"gonamd/internal/ckpt"
 )
 
 // TestFacadeEndToEnd exercises the public API the way the README's
@@ -184,7 +185,7 @@ func TestFacadeEnsemble(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ens.Checkpoint(&buf); err != nil {
+	if err := ckpt.Save(&buf, ens.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if err := ens.Run(20); err != nil {
@@ -195,7 +196,11 @@ func TestFacadeEnsemble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := resumed.Resume(bytes.NewReader(buf.Bytes())); err != nil {
+	snap, err := ckpt.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := resumed.Run(20); err != nil {

@@ -10,6 +10,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -136,6 +137,23 @@ func FormatScaling(title string, rows []ScalingRow) string {
 		} else {
 			fmt.Fprintf(&b, "%12s  %9s  %8s\n", "-", "-", "-")
 		}
+	}
+	// The error against the paper: relative s/step over the rows it reports.
+	var sum, worst float64
+	n, worstPEs := 0, 0
+	for _, r := range rows {
+		if r.PaperStep > 0 {
+			d := 100 * math.Abs(r.StepTime/r.PaperStep-1)
+			sum += d
+			n++
+			if d > worst {
+				worst, worstPEs = d, r.PEs
+			}
+		}
+	}
+	if n > 0 {
+		fmt.Fprintf(&b, "s/step vs paper over %d rows: mean |Δ| %.1f %%, max |Δ| %.1f %% at %d PEs\n",
+			n, sum/float64(n), worst, worstPEs)
 	}
 	return b.String()
 }

@@ -60,6 +60,10 @@ func TestBRScalingShape(t *testing.T) {
 	if !strings.Contains(out, "procs") {
 		t.Error("FormatScaling missing header")
 	}
+	out = FormatScaling("test", []ScalingRow{{PEs: 1, StepTime: 1.1, PaperStep: 1}, {PEs: 8, StepTime: 0.1, PaperStep: 0.125}, {PEs: 64, StepTime: 0.01}})
+	if want := "s/step vs paper over 2 rows: mean |Δ| 15.0 %, max |Δ| 20.0 % at 8 PEs\n"; !strings.HasSuffix(out, want) {
+		t.Errorf("FormatScaling error line against the paper: got\n%s\nwant a last line %q", out, want)
+	}
 }
 
 func TestRunScalingRejectsMissingBase(t *testing.T) {

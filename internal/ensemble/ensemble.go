@@ -11,7 +11,10 @@
 // streams, the exchange decision stream, and the exchange schedule — is
 // deterministic given Config.Seed, so whole-ensemble runs are
 // bit-reproducible, and the complete dynamic state snapshots into an
-// internal/ckpt checkpoint from which Resume continues bit-for-bit.
+// internal/ckpt payload (Snapshot) from which Restore continues
+// bit-for-bit. The package is a stepper only: when to checkpoint, where
+// to write, and how to recover belong to the layer that runs it (the
+// gonamdd job server, internal/serve).
 // Per-replica step timing and every exchange decision are recorded into an
 // internal/trace log, so the same Projections-style analyses the paper
 // applies to one run (timelines, utilization, summary profiles) cover
@@ -19,9 +22,7 @@
 package ensemble
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"sync"
@@ -76,19 +77,6 @@ type Config struct {
 	// replicas rebalance their tasks on measured wall-clock times, which a
 	// checkpoint does not carry, and resume within reduction tolerance.
 	EngineWorkers int
-
-	// CheckpointEvery, with CheckpointPath, writes an atomic whole-ensemble
-	// checkpoint every so many MD steps (0 disables periodic checkpoints).
-	CheckpointEvery int
-	CheckpointPath  string
-
-	// FailAt, when positive, injects a failure: Run returns
-	// ErrInjectedFailure the moment the global step counter reaches
-	// FailAt, before any exchange or checkpoint scheduled at that step —
-	// modeling a crash that loses everything since the last checkpoint.
-	// A run resumed from that checkpoint should clear FailAt (or it
-	// fails again at the same step).
-	FailAt int64
 
 	// Trace, when non-nil and enabled, receives per-replica step-timing
 	// records (entry "replica.advance", PE = replica index) and exchange
@@ -167,9 +155,6 @@ func New(sys *topology.System, ff *forcefield.Params, st *topology.State, cfg Co
 	if cfg.ExchangeEvery == 0 {
 		cfg.ExchangeEvery = 100
 	}
-	if cfg.CheckpointEvery > 0 && cfg.CheckpointPath == "" {
-		return nil, fmt.Errorf("ensemble: CheckpointEvery set without CheckpointPath")
-	}
 
 	e := &Ensemble{
 		cfg:      cfg,
@@ -233,11 +218,6 @@ func (e *Ensemble) NumReplicas() int { return len(e.replicas) }
 // Replica returns rung i.
 func (e *Ensemble) Replica(i int) *Replica { return e.replicas[i] }
 
-// Temperatures returns the ladder.
-func (e *Ensemble) Temperatures() []float64 {
-	return append([]float64(nil), e.cfg.Temperatures...)
-}
-
 // Step returns the global MD step counter.
 func (e *Ensemble) Step() int64 { return e.step }
 
@@ -261,46 +241,21 @@ func (e *Ensemble) AcceptanceRates() []float64 {
 
 func (e *Ensemble) now() float64 { return time.Since(e.epoch).Seconds() }
 
-// ErrInjectedFailure is returned by Run when the configured FailAt step
-// is reached — the chaos harness's stand-in for a mid-run crash.
-var ErrInjectedFailure = errors.New("ensemble: injected failure")
-
-// Run advances every replica by steps MD steps, attempting exchanges and
-// writing periodic checkpoints on their configured cadences. The global
-// step counter persists across calls (and across Resume), so the
-// exchange/checkpoint schedule is a pure function of the step count — the
-// property that makes a resumed run bit-identical to an uninterrupted one.
+// Run advances every replica by steps MD steps, attempting an exchange
+// at every multiple of ExchangeEvery. The global step counter persists
+// across calls (and across Restore), so the exchange schedule is a pure
+// function of the step count: a run split into blocks, or resumed from a
+// Snapshot, is bit-identical to one uninterrupted call.
 func (e *Ensemble) Run(steps int) error {
-	target := e.step + int64(steps)
-	for e.step < target {
-		next := target
-		if ee := int64(e.cfg.ExchangeEvery); ee > 0 {
-			if nx := (e.step/ee + 1) * ee; nx < next {
-				next = nx
-			}
-		}
-		if ce := int64(e.cfg.CheckpointEvery); ce > 0 {
-			if nc := (e.step/ce + 1) * ce; nc < next {
-				next = nc
-			}
-		}
-		if fa := e.cfg.FailAt; fa > e.step && fa < next {
-			next = fa
-		}
+	ee := int64(e.cfg.ExchangeEvery)
+	for target := e.step + int64(steps); e.step < target; {
+		next := min(target, (e.step/ee+1)*ee)
 		if err := e.advance(int(next - e.step)); err != nil {
 			return err
 		}
 		e.step = next
-		if fa := e.cfg.FailAt; fa > 0 && e.step == fa {
-			return ErrInjectedFailure
-		}
-		if ee := int64(e.cfg.ExchangeEvery); ee > 0 && e.step%ee == 0 {
+		if e.step%ee == 0 {
 			e.exchange()
-		}
-		if ce := int64(e.cfg.CheckpointEvery); ce > 0 && e.step%ce == 0 {
-			if err := ckpt.SaveFile(e.cfg.CheckpointPath, e.Snapshot()); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -426,22 +381,9 @@ func (e *Ensemble) Snapshot() *ckpt.EnsembleState {
 	return st
 }
 
-// Checkpoint writes a Snapshot to w in the internal/ckpt format.
-func (e *Ensemble) Checkpoint(w io.Writer) error { return ckpt.Save(w, e.Snapshot()) }
-
-// Resume restores the ensemble from a checkpoint stream written by
-// Checkpoint (or the periodic CheckpointPath files). The ensemble must
-// have been built with the same system and temperature ladder; continuing
-// a resumed run is then bit-identical to never having stopped.
-func (e *Ensemble) Resume(r io.Reader) error {
-	st, err := ckpt.Load(r)
-	if err != nil {
-		return err
-	}
-	return e.Restore(st)
-}
-
-// Restore applies a decoded checkpoint to the ensemble. A replica whose
+// Restore applies a Snapshot to the ensemble, which must have been built
+// with the same system and temperature ladder; continuing a restored run
+// is then bit-identical to never having stopped. A replica whose
 // engine refuses its state (engine Restore) fails the call after the
 // replicas before it were restored; the ensemble must not be run then.
 func (e *Ensemble) Restore(st *ckpt.EnsembleState) error {
@@ -497,34 +439,5 @@ func GeometricLadder(tmin, tmax float64, n int) []float64 {
 		t *= ratio
 	}
 	out[n-1] = tmax // exact endpoint despite rounding
-	return out
-}
-
-// AcceptanceRatesFromTrace recovers per-neighbor-pair acceptance rates
-// from a trace log's exchange.accept / exchange.reject records — the
-// Projections-style route to the same numbers AcceptanceRates reports
-// directly, usable on logs loaded from disk long after the run.
-func AcceptanceRatesFromTrace(l *trace.Log, pairs int) []float64 {
-	acc := make([]int64, pairs)
-	att := make([]int64, pairs)
-	for _, r := range l.Records {
-		p := int(r.PE)
-		if p < 0 || p >= pairs {
-			continue
-		}
-		switch r.Entry {
-		case "exchange.accept":
-			acc[p]++
-			att[p]++
-		case "exchange.reject":
-			att[p]++
-		}
-	}
-	out := make([]float64, pairs)
-	for i := range out {
-		if att[i] > 0 {
-			out[i] = float64(acc[i]) / float64(att[i])
-		}
-	}
 	return out
 }

@@ -51,6 +51,10 @@ type JobStatus struct {
 
 	Energy     *EnergyReport `json:"energy,omitempty"`
 	Potentials []float64     `json:"potentials,omitempty"` // ensemble jobs
+	// Ensemble jobs: exchanges attempted and accepted per neighbor pair
+	// (pair i couples rungs i and i+1).
+	ExchangeAttempts []int64 `json:"exchange_attempts,omitempty"`
+	ExchangeAccepts  []int64 `json:"exchange_accepts,omitempty"`
 
 	DroppedEvents int64 `json:"dropped_events,omitempty"`
 
@@ -100,7 +104,8 @@ type Job struct {
 	pendingResume *ckpt.JobState // set by rescan, applied on first slice
 
 	// Always-on telemetry: the recorder samples the engine's metric
-	// vector and persists it to <id>.ftdc next to the checkpoint. The
+	// vector (an ensemble job's: newEnsembleRecorder) and persists it to
+	// <id>.ftdc next to the checkpoint. The
 	// recorder pointer lives under statusMu (never j.mu, which is held
 	// for whole slices) so the metrics endpoint can reach it while a
 	// slice runs; the recorder itself is internally synchronized.
@@ -133,6 +138,8 @@ func (j *Job) Status() JobStatus {
 		st.Energy = &e
 	}
 	st.Potentials = append([]float64(nil), st.Potentials...)
+	st.ExchangeAttempts = append([]int64(nil), st.ExchangeAttempts...)
+	st.ExchangeAccepts = append([]int64(nil), st.ExchangeAccepts...)
 	return st
 }
 
@@ -160,9 +167,10 @@ func (j *Job) publishState(state, note string) {
 }
 
 // ensure lazily builds the system and engine, applying a pending resume
-// snapshot. A resume does not minimize (JobSpec.prepare): the snapshot
-// is the engine's whole state, so the resumed trajectory is
-// bit-identical to the uninterrupted run without it.
+// snapshot, and attaches the telemetry recorder. A resume does not
+// minimize (JobSpec.prepare): the snapshot is the engine's whole state,
+// so the resumed trajectory is bit-identical to the uninterrupted run
+// without it.
 func (j *Job) ensure() error {
 	if j.built {
 		return nil
@@ -188,20 +196,10 @@ func (j *Job) ensure() error {
 			extra = append(extra, gonamd.WithTrace(j.tlog))
 		}
 		if j.metricsInterval >= 0 {
-			// OpenFile recovers a torn tail from a crash and appends, so
-			// a resumed job keeps its pre-crash samples. The recorder is
-			// the job's from here on, so finalize closes it and the file
-			// even if the engine then fails to build.
-			fw, err := ftdc.OpenFile(j.metricsPath(), ftdc.EngineSchema())
-			if err != nil {
+			rec := ftdc.NewEngineRecorder(j.metricsInterval)
+			if err := j.attachMetrics(rec); err != nil {
 				return err
 			}
-			rec := ftdc.NewEngineRecorder(j.metricsInterval)
-			rec.SetSink(fw)
-			j.metricsFW = fw
-			j.statusMu.Lock()
-			j.metrics = rec
-			j.statusMu.Unlock()
 			extra = append(extra, gonamd.WithMetricsRecorder(rec))
 		}
 		eng, _, err := j.Spec.Engine.NewEngine(sys, ff, st, extra...)
@@ -229,8 +227,94 @@ func (j *Job) ensure() error {
 		}
 		j.trajFile, j.trajW = f, w
 	}
+	if j.ens != nil {
+		// Attached after the resume, so the first sample already
+		// carries the restored counters.
+		if j.metricsInterval >= 0 {
+			if err := j.attachMetrics(newEnsembleRecorder(j.metricsInterval)); err != nil {
+				return err
+			}
+		}
+		j.publishEnsemble()
+	}
 	j.built = true
 	return nil
+}
+
+// attachMetrics makes rec the job's recorder, persisting to <id>.ftdc.
+// OpenFile recovers a torn tail from a crash and appends, so a resumed
+// job keeps its pre-crash samples. The recorder is the job's from here
+// on, so finalize closes it and the file even if the engine then fails
+// to build.
+func (j *Job) attachMetrics(rec *ftdc.Recorder) error {
+	fw, err := ftdc.OpenFile(j.metricsPath(), rec.Schema())
+	if err != nil {
+		rec.Kill()
+		return err
+	}
+	rec.SetSink(fw)
+	j.metricsFW = fw
+	j.statusMu.Lock()
+	j.metrics = rec
+	j.statusMu.Unlock()
+	return nil
+}
+
+// Field indices of an ensemble job's telemetry past the steps and
+// steps_per_sec it shares with the engine schema.
+const (
+	emReplicaSteps = ftdc.FieldStepsPerSec + 1 + iota
+	emExchAttempted
+	emExchAccepted
+)
+
+// newEnsembleRecorder builds the telemetry recorder of a replica-exchange
+// job: ladder-wide step counters and exchange totals. steps and
+// steps_per_sec (which the sampler derives) sit at the engine schema's
+// indices, so /stats aggregates both kinds of job.
+func newEnsembleRecorder(interval time.Duration) *ftdc.Recorder {
+	fields := []ftdc.Field{
+		{Name: "steps", Kind: ftdc.Counter},
+		{Name: "steps_per_sec", Kind: ftdc.Gauge},
+		{Name: "replica_steps", Kind: ftdc.Counter},
+		{Name: "exchanges_attempted", Kind: ftdc.Counter},
+		{Name: "exchanges_accepted", Kind: ftdc.Counter},
+	}
+	return ftdc.NewRecorder(ftdc.Options{
+		Schema:      ftdc.Schema{Version: ftdc.SchemaVersion, Fields: fields},
+		Interval:    interval,
+		StepField:   ftdc.FieldSteps,
+		RateField:   ftdc.FieldStepsPerSec,
+		RuntimeBase: -1,
+	})
+}
+
+// publishEnsemble refreshes an ensemble job's status (replica
+// potentials, per-pair exchange counts) and its telemetry slots from the
+// ensemble, and returns the potentials.
+func (j *Job) publishEnsemble() []float64 {
+	pots := make([]float64, j.ens.NumReplicas())
+	for i := range pots {
+		pots[i] = j.ens.Replica(i).Potential()
+	}
+	att, acc := j.ens.ExchangeCounts()
+	if rec := j.Metrics(); rec != nil {
+		var ta, tc int64
+		for i := range att {
+			ta += att[i]
+			tc += acc[i]
+		}
+		rec.StoreInt(ftdc.FieldSteps, j.step)
+		rec.StoreInt(emReplicaSteps, j.step*int64(len(pots)))
+		rec.StoreInt(emExchAttempted, ta)
+		rec.StoreInt(emExchAccepted, tc)
+	}
+	j.updateStatus(func(s *JobStatus) {
+		s.Step = j.step
+		s.Potentials = pots
+		s.ExchangeAttempts, s.ExchangeAccepts = att, acc
+	})
+	return pots
 }
 
 // applyResume restores engine state from a checkpoint and reconciles the
@@ -405,12 +489,7 @@ func (j *Job) runEnsembleSlice(n int, killed <-chan struct{}) sliceOutcome {
 		return j.finalize(StateFailed, err.Error())
 	}
 	j.step += int64(n)
-
-	pots := make([]float64, j.ens.NumReplicas())
-	for i := range pots {
-		pots[i] = j.ens.Replica(i).Potential()
-	}
-	j.updateStatus(func(s *JobStatus) { s.Step = j.step; s.Potentials = pots })
+	pots := j.publishEnsemble()
 	if ee := j.Spec.EnergyEvery; ee > 0 && j.step/ee > before/ee {
 		j.events.publish(Event{Type: "energy", Job: j.ID, Step: j.step, Potentials: pots})
 	}
@@ -500,8 +579,9 @@ func (j *Job) pauseNow() sliceOutcome {
 }
 
 // finalize moves the job to a terminal state: closes the trajectory,
-// persists the terminal status, emits the final events (including the
-// Projections summary when tracing), ends every event stream, and stops
+// writes a traced job's log to <id>.trace, persists the terminal status,
+// emits the final events (including the Projections summary when
+// tracing), ends every event stream, and stops
 // and drops the engines — a terminal job is read through its status,
 // trace log, metrics ring and files, never its engine, and a worker pool
 // left running would hold the engine for the life of the server.
@@ -517,6 +597,14 @@ func (j *Job) finalize(state, note string) sliceOutcome {
 			state, note = StateFailed, fmt.Sprintf("writing trajectory: %v", err)
 		}
 		j.trajFile, j.trajW = nil, nil
+	}
+	if j.tlog != nil {
+		// JSON Lines for cmd/projections. The log lives in memory, so a
+		// resumed job's trace starts at the resume.
+		err := ckpt.AtomicWriteFile(j.tracePath(), j.tlog.WriteJSON)
+		if err != nil && state == StateDone {
+			state, note = StateFailed, fmt.Sprintf("writing trace: %v", err)
+		}
 	}
 	if rec := j.Metrics(); rec != nil {
 		// Graceful end: final sample, flush, close the file, end the
@@ -663,3 +751,4 @@ func (j *Job) trajPath() string    { return jobPath(j.dir, j.ID, "traj") }
 func (j *Job) statusPath() string  { return jobPath(j.dir, j.ID, "status.json") }
 func (j *Job) specPath() string    { return jobPath(j.dir, j.ID, "spec.json") }
 func (j *Job) metricsPath() string { return jobPath(j.dir, j.ID, "ftdc") }
+func (j *Job) tracePath() string   { return jobPath(j.dir, j.ID, "trace") }

@@ -10,12 +10,16 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"gonamd"
+	"gonamd/internal/ckpt"
+	"gonamd/internal/ftdc"
 	"gonamd/internal/sysio"
+	"gonamd/internal/trace"
 	"gonamd/internal/traj"
 )
 
@@ -380,6 +384,127 @@ func TestServerEnsembleJobChaosRecovery(t *testing.T) {
 	})
 }
 
+// TestServerEnsembleCrashRestartBitwise: the job server is the one way
+// to run replica exchange, so it carries the bitwise restart guarantee.
+// An ensemble job killed past a checkpoint and finished by a restarted
+// server ends with a final checkpoint reflect.DeepEqual to an
+// uninterrupted job's: every replica's engine state, the exchange counts
+// and the exchange RNG words. Its status reports the per-pair exchange
+// counts, its telemetry (<id>.ftdc, streamed from /metrics) carries the
+// ladder counters, and its trace (<id>.trace) decodes.
+func TestServerEnsembleCrashRestartBitwise(t *testing.T) {
+	spec := JobSpec{
+		Name:   "remd",
+		System: SystemSpec{Preset: "water", Side: 10, Seed: 3, Cutoff: 4.5},
+		// Some 300 ms of stepping: the kill lands mid-job even when the
+		// polling goroutine waits on other test binaries.
+		Steps:           1200,
+		Ensemble:        &EnsembleSpec{Replicas: 3, TMin: 300, TMax: 330, ExchangeEvery: 30, Seed: 11},
+		EnergyEvery:     40,
+		CheckpointEvery: 40,
+		Trace:           true,
+	}
+
+	// Reference: one server runs the job start to finish.
+	refDir := t.TempDir()
+	ref := newTestScheduler(t, Config{StateDir: refDir, Workers: 1, SliceSteps: 20})
+	refSt, err := ref.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, ref, refSt.ID, StateDone)
+	ref.Stop()
+	want, err := ckpt.LoadJobFile(jobPath(refDir, refSt.ID, "ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	cfg := Config{StateDir: dir, Workers: 1, SliceSteps: 20, CheckpointEvery: 40}
+	sched1, err := NewScheduler(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1 := httptest.NewServer(NewServer(sched1))
+	st := postJob(t, srv1.URL, spec)
+	waitFor(t, "ensemble past a checkpoint", func() bool {
+		return getStatus(t, srv1.URL, st.ID).Step >= 50
+	})
+	sched1.Kill()
+	srv1.Close()
+	if j, _ := sched1.Get(st.ID); terminal(j.Status().State) {
+		t.Fatalf("ensemble already %s before the crash; raise Steps", j.Status().State)
+	}
+
+	sched2, err := NewScheduler(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sched2.Stop()
+	srv2 := httptest.NewServer(NewServer(sched2))
+	defer srv2.Close()
+	waitFor(t, "the resumed ensemble to finish", func() bool {
+		return getStatus(t, srv2.URL, st.ID).State == StateDone
+	})
+	got := getStatus(t, srv2.URL, st.ID)
+	if got.Resumes != 1 {
+		t.Errorf("Resumes = %d, want 1", got.Resumes)
+	}
+	final, err := ckpt.LoadJobFile(jobPath(dir, st.ID, "ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Step != spec.Steps || !reflect.DeepEqual(final.Ensemble, want.Ensemble) {
+		t.Fatalf("killed-and-resumed ensemble (step %d) differs from the uninterrupted one (step %d)", final.Step, want.Step)
+	}
+	if !reflect.DeepEqual(got.ExchangeAttempts, final.Ensemble.Attempts) || !reflect.DeepEqual(got.ExchangeAccepts, final.Ensemble.Accepts) {
+		t.Errorf("status exchanges %v of %v, checkpoint %v of %v",
+			got.ExchangeAccepts, got.ExchangeAttempts, final.Ensemble.Accepts, final.Ensemble.Attempts)
+	}
+
+	schema, samples, err := ftdc.ReadFile(jobPath(dir, st.ID, "ftdc"))
+	if err != nil {
+		t.Fatalf("decoding %s.ftdc: %v", st.ID, err)
+	}
+	if len(samples) == 0 {
+		t.Fatal("no telemetry samples")
+	}
+	last := samples[len(samples)-1].Values
+	var accepted int64
+	for _, n := range final.Ensemble.Accepts {
+		accepted += n
+	}
+	if last[schema.FieldIndex("steps")] != float64(spec.Steps) ||
+		last[schema.FieldIndex("replica_steps")] != float64(3*spec.Steps) ||
+		last[schema.FieldIndex("exchanges_accepted")] != float64(accepted) {
+		t.Errorf("last telemetry sample %v, want %d steps, %d replica steps, %d exchanges accepted",
+			last, spec.Steps, 3*spec.Steps, accepted)
+	}
+	streamed, replay := streamMetricsSamples(t, srv2.URL, st.ID, 1)
+	if !reflect.DeepEqual(streamed, schema) || len(replay) == 0 {
+		t.Errorf("/metrics streamed schema %+v and %d samples, want the file's schema and samples", streamed, len(replay))
+	}
+
+	f, err := os.Open(jobPath(dir, st.ID, "trace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tlog, err := trace.ReadJSON(f)
+	f.Close()
+	if err != nil {
+		t.Fatalf("decoding %s.trace: %v", st.ID, err)
+	}
+	advances := 0
+	for _, r := range tlog.Records {
+		if r.Entry == "replica.advance" {
+			advances++
+		}
+	}
+	if advances == 0 {
+		t.Errorf("trace has %d records and no replica.advance", len(tlog.Records))
+	}
+}
+
 // TestServerRejectsBadSpecs: the submit endpoint validates specs and
 // rejects malformed ones with 400s, never creating a job.
 func TestServerRejectsBadSpecs(t *testing.T) {
@@ -402,15 +527,22 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 		// Ensemble parameters ensemble.New would refuse.
 		`{"system":{"preset":"water"},"steps":10,"ensemble":{"replicas":2,"tmin":300,"tmax":360,"gamma":-0.01}}`,
 		`{"system":{"preset":"water"},"steps":10,"ensemble":{"replicas":2,"tmin":300,"tmax":360,"exchange_every":-5}}`,
+		`{"system":{"preset":"water"},"steps":10,"ensemble":{"temperatures":[300,-5]}}`,
+		`{"system":{"preset":"water"},"steps":10,"ensemble":{"temperatures":[0,300]}}`,
 	}
 	for _, body := range bad {
 		resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var reply map[string]string
+		_ = json.NewDecoder(resp.Body).Decode(&reply)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("spec %s: status %d, want 400", body, resp.StatusCode)
+		}
+		if strings.Contains(body, `"temperatures"`) && !strings.Contains(reply["error"], "temperatures") {
+			t.Errorf("spec %s: error %q does not name the temperatures field", body, reply["error"])
 		}
 	}
 	if got := len(sched.List("")); got != 0 {

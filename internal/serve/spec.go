@@ -70,7 +70,8 @@ type JobSpec struct {
 	// negative disables).
 	EnergyEvery int64 `json:"energy_every,omitempty"`
 	// Trace attaches a Projections trace to the job, enabling the
-	// summary endpoint and the final summary event.
+	// summary endpoint, the final summary event, and the JSON Lines log
+	// <id>.trace written when the job ends (cmd/projections reads it).
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -192,6 +193,11 @@ func (s *JobSpec) normalizeEnsemble() error {
 	if len(e.Temperatures) < 2 {
 		return fmt.Errorf("serve: ensemble needs ≥ 2 ladder rungs (got %d)", len(e.Temperatures))
 	}
+	for i, t := range e.Temperatures {
+		if !(t > 0) {
+			return fmt.Errorf("serve: ensemble temperatures[%d] = %g K must be > 0", i, t)
+		}
+	}
 	e.Replicas = len(e.Temperatures)
 	// ensemble.New refuses these too; refusing them here makes them a 400
 	// instead of a job that fails when it first runs.
@@ -299,8 +305,8 @@ func (s *JobSpec) prepare(resume bool) (*gonamd.System, *gonamd.ForceField, *gon
 	return sys, ff, st, nil
 }
 
-// ensembleConfig lowers the spec to an ensemble.Config. Checkpointing is
-// left off: the job layer snapshots the whole ensemble itself.
+// ensembleConfig lowers the spec to an ensemble.Config; the job layer
+// checkpoints the ensemble's Snapshot on its own cadence.
 func (s *JobSpec) ensembleConfig() ensemble.Config {
 	e := s.Ensemble
 	return ensemble.Config{

@@ -68,7 +68,7 @@ func TestLBStrategyAdmission(t *testing.T) {
 
 // TestEnsembleSpecAdmission: ensemble parameters ensemble.New would
 // refuse — a negative or non-finite Langevin friction, a negative
-// exchange interval — fail normalize with an error naming the field, so
+// exchange interval, a rung at or below 0 K — fail normalize with an error naming the field, so
 // POST /jobs answers 400 instead of admitting a job that fails when it
 // first runs. Zero still means the default.
 func TestEnsembleSpecAdmission(t *testing.T) {
@@ -92,6 +92,13 @@ func TestEnsembleSpecAdmission(t *testing.T) {
 		s := spec(c.gamma, c.every)
 		if err := s.normalize(100); err == nil || !strings.Contains(err.Error(), c.field) {
 			t.Errorf("gamma %v, exchange_every %d: normalize says %v; want an error naming %s", c.gamma, c.every, err, c.field)
+		}
+	}
+	// A ladder with a rung ensemble.New cannot thermostat.
+	for _, ladder := range [][]float64{{300, -5}, {0, 300}} {
+		s := JobSpec{System: SystemSpec{Preset: "water"}, Steps: 10, Ensemble: &EnsembleSpec{Temperatures: ladder}}
+		if err := s.normalize(100); err == nil || !strings.Contains(err.Error(), "temperatures") {
+			t.Errorf("temperatures %v: normalize says %v; want an error naming temperatures", ladder, err)
 		}
 	}
 	s := spec(0, 0)

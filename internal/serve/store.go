@@ -17,7 +17,8 @@ import (
 )
 
 // jobPath names one of a job's files in the state directory:
-// <dir>/<id>.<ext> with ext one of spec.json, ckpt, traj, status.json.
+// <dir>/<id>.<ext> with ext one of spec.json, ckpt, traj, status.json,
+// ftdc, trace.
 func jobPath(dir, id, ext string) string {
 	return filepath.Join(dir, id+"."+ext)
 }
@@ -111,6 +112,7 @@ func (s *Scheduler) recoverJob(id string) (*Job, error) {
 			st.Note = prev.Note
 			st.Energy = prev.Energy
 			st.Potentials = prev.Potentials
+			st.ExchangeAttempts, st.ExchangeAccepts = prev.ExchangeAttempts, prev.ExchangeAccepts
 			if !prev.SubmittedAt.IsZero() {
 				st.SubmittedAt = prev.SubmittedAt
 			}
@@ -176,6 +178,7 @@ func (s *Scheduler) recoverJob(id string) (*Job, error) {
 			st.Frames = 0
 			st.Energy = nil
 			st.Potentials = nil
+			st.ExchangeAttempts, st.ExchangeAccepts = nil, nil
 			st.Note = fmt.Sprintf("checkpoint unreadable (%v); restarted from step 0", err)
 		})
 	default:

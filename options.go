@@ -256,16 +256,17 @@ func newEngine(parallel bool, sys *System, ff *ForceField, st *State, workers in
 // options, so services (the gonamdd job server) can accept engine
 // configuration over the network, validate it with the same rules the
 // options enforce, and construct the engine with NewEngine. The zero
-// value describes a plain sequential NVE engine.
+// value describes a plain sequential NVE engine on 4×8 cluster lists.
 type EngineSpec struct {
 	// Engine selects the engine: "sequential"/"seq" (default) or
 	// "parallel"/"par".
 	Engine string `json:"engine,omitempty"`
 	// Workers is the parallel engine's goroutine count (0 = all cores).
 	Workers int `json:"workers,omitempty"`
-	// ClusterM/ClusterN select M×N cluster pair lists; see
-	// WithClusterLists for the geometry constraints and for what 0×0
-	// means on each engine.
+	// ClusterM/ClusterN select the M×N cluster pair lists either engine
+	// steps on (see WithClusterLists for the geometry constraints); 0×0
+	// selects the default 4×8. A spec never selects the list-free
+	// reference mode, which is a test oracle.
 	ClusterM int `json:"cluster_m,omitempty"`
 	ClusterN int `json:"cluster_n,omitempty"`
 	// PME enables smooth particle-mesh Ewald full electrostatics.
@@ -351,14 +352,12 @@ func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // PrecisionMode names the numerical mode the spec's trajectory runs in:
 // "fp64-tab" when the tabulated cluster kernel evaluates the pair
-// interaction (PME on cluster lists, which every parallel engine and a
-// sequential one given a geometry runs), "fp64" otherwise. Trajectories
-// are bitwise reproducible within a mode but differ across modes, so
-// checkpoints record this and services refuse to resume across a mode
-// change.
+// interaction (PME: every spec runs cluster lists), "fp64" otherwise.
+// Trajectories are bitwise reproducible within a mode but differ across
+// modes, so checkpoints record this and services refuse to resume across
+// a mode change.
 func (s *EngineSpec) PrecisionMode() string {
-	par, _ := s.Parallel()
-	if s.PME != nil && (par || s.ClusterM > 0 || s.ClusterN > 0) {
+	if s.PME != nil {
 		return "fp64-tab"
 	}
 	return "fp64"
@@ -395,9 +394,11 @@ func (s *EngineSpec) lower() (par bool, th thermo.Thermostat, opts []Option, err
 		}
 		opts = append(opts, WithPME(s.PME.GridSpacing, s.PME.Beta, mts))
 	}
-	if s.ClusterM > 0 || s.ClusterN > 0 {
-		opts = append(opts, WithClusterLists(s.ClusterM, s.ClusterN))
+	m, n := s.ClusterM, s.ClusterN
+	if m == 0 && n == 0 {
+		m, n = engine.DefaultClusterM, engine.DefaultClusterN
 	}
+	opts = append(opts, WithClusterLists(m, n))
 	if s.RebalanceEvery != nil {
 		opts = append(opts, WithRebalanceEvery(*s.RebalanceEvery))
 	}
