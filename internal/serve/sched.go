@@ -37,7 +37,7 @@ type Config struct {
 	CheckpointEvery int64
 
 	// MetricsInterval is the always-on telemetry sampling cadence for
-	// every MD job: each job gets an FTDC recorder whose samples
+	// every job, MD or ensemble: each gets an FTDC recorder whose samples
 	// persist to <id>.ftdc next to the checkpoint and stream live from
 	// GET /jobs/{id}/metrics. 0 selects the default (1s); negative
 	// disables per-job metrics entirely.
