@@ -94,6 +94,7 @@ chaos:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzClusterPairs -fuzztime=20s ./internal/spatial
 	$(GO) test -run='^$$' -fuzz=FuzzInteractionTable -fuzztime=20s ./internal/forcefield
+	$(GO) test -run='^$$' -fuzz=FuzzClusterPrune -fuzztime=20s ./internal/forcefield
 	$(GO) test -run='^$$' -fuzz=FuzzFTDCDecode -fuzztime=20s ./internal/ftdc
 	$(GO) test -run='^$$' -fuzz=FuzzTraceJSON -fuzztime=20s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeReader -fuzztime=20s ./internal/projections

@@ -13,7 +13,8 @@ import (
 // TestStepZeroAllocs guards the steady-state hot path, inline and pooled:
 // once the cluster list is built (and, past one worker, the pool is up),
 // a dynamics step — including list rebuilds, whose builder scratch, slot
-// tables, and worker slot buffers are all reused — must not allocate.
+// tables, and worker slot buffers are all reused, and re-prunes of the
+// inner view, which the window must contain — must not allocate.
 // Regressions here (per-step goroutine spawns, slot buffer growth, rebuild
 // scratch, an interface boxed per phase) show up as a nonzero count.
 //
@@ -66,8 +67,12 @@ func TestStepZeroAllocs(t *testing.T) {
 					step()
 				}
 				evals := e.RecipEvals()
+				prunes := e.clb.prune.Builds - e.clb.guard.Builds
 				if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
 					t.Fatalf("steady-state Step allocates: %v allocs/step, want 0", allocs)
+				}
+				if e.clb.prune.Builds-e.clb.guard.Builds == prunes {
+					t.Fatal("the measured window re-pruned no inner view")
 				}
 				if err != nil {
 					t.Fatal(err)

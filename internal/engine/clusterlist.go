@@ -10,15 +10,30 @@ import (
 
 // Cluster pair lists: one global M×N cluster list
 // (spatial.ClusterBuilder), rebuilt in the driver under the skin/2 drift
-// rule (spatial.ListGuard). Each i-cluster is assigned to the spatial
-// cell containing its bounding-box center, and nonbonded work decomposes
-// into one task per cell covering that cell's contiguous run of the
-// cell-grouped cluster order — so the measured-task-time load balancers
-// work on stable task identities whose measurements survive rebuilds.
-// Workers accumulate slot-indexed forces into private buffers and flush
-// every slot into their atom-indexed accumulators after the task loop;
-// the buffers are re-zeroed while flushing, so no bulk clear is ever
-// needed and the steady state stays allocation-free.
+// rule (spatial.ListGuard), and walked through its inner view: a dual
+// pair list. The outer list keeps the pairs within cutoff + 1.5 Å; the
+// inner view keeps, per i-cluster and in list order, those within cutoff
+// + spatial.ClusterPruneSkin at its last prune. Every build emits it; a
+// second skin/2 guard (skin ClusterPruneSkin) says when it is stale, and
+// then the next evaluation's tasks sweep the outer list, each rewriting
+// the inner view of its own i-clusters from the r² the sweep computes
+// anyway (in parallel, no driver pass). Every other evaluation walks the
+// inner view, which holds every pair the outer sweep would evaluate, in
+// the same order, so the forces carry the same bits either way. Restore
+// (whose build at the anchor emits a view for the anchor, not for the
+// restored positions) and the reference-kernel switch mark the view
+// stale; Invalidate voids its drift bound as it does the list's. The
+// reference kernel always walks the outer list.
+//
+// Each i-cluster is assigned to the spatial cell containing its
+// bounding-box center, and nonbonded work decomposes into one task per
+// cell covering that cell's contiguous run of the cell-grouped cluster
+// order — so the measured-task-time load balancers work on stable task
+// identities whose measurements survive rebuilds. Workers accumulate
+// slot-indexed forces into private buffers and flush every slot into
+// their atom-indexed accumulators after the task loop; the buffers are
+// re-zeroed while flushing, so no bulk clear is ever needed and the
+// steady state stays allocation-free.
 
 // clusterState is the engine's cluster list, its validity guard, and
 // the kernel operands every worker reads.
@@ -27,6 +42,8 @@ type clusterState struct {
 	builder *spatial.ClusterBuilder
 	list    *spatial.ClusterList
 	guard   spatial.ListGuard
+	prune   spatial.ListGuard       // the inner view's guard
+	sweep   forcefield.ClusterSweep // this evaluation's
 	data    forcefield.ClusterData
 	exclFn  func(func(i, j int32, modified bool)) // bound once; rebuilds allocate nothing
 
@@ -49,6 +66,7 @@ func newClusterState(sys *topology.System, ff *forcefield.Params, m, n int) (*cl
 	if err != nil {
 		return nil, err
 	}
+	builder.PruneDist = ff.Cutoff + spatial.ClusterPruneSkin
 	kernel, err := ff.ClusterKernel()
 	if err != nil {
 		return nil, err
@@ -56,6 +74,7 @@ func newClusterState(sys *topology.System, ff *forcefield.Params, m, n int) (*cl
 	na := sys.N()
 	c := &clusterState{kernel: kernel, builder: builder, exclFn: sys.ForEachExcludedPair,
 		guard: spatial.NewListGuard(seq.DefaultClusterSkin),
+		prune: spatial.NewListGuard(spatial.ClusterPruneSkin),
 		types: make([]int32, na), charges: make([]float64, na)}
 	for i := 0; i < na; i++ {
 		c.types[i] = sys.Atoms[i].Type
@@ -68,11 +87,41 @@ func newClusterState(sys *topology.System, ff *forcefield.Params, m, n int) (*cl
 // reference kernel (forcefield.NonbondedClusterRef) instead of the
 // production one, over the same list. The conformance tests use it to
 // compare the two through the full engine pipeline. A no-op in reference
-// mode, which has no cluster kernel.
+// mode, which has no cluster kernel. The inner view goes stale: the
+// reference kernel never prunes it.
 func (e *Engine) UseReferenceClusterKernel(on bool) {
 	if e.clb != nil {
 		e.clb.kernel.UseReference(on)
+		e.clb.prune.Expire()
 		e.fresh = false
+	}
+}
+
+// prepareClusters readies the list for an evaluation at the current
+// positions: it rebuilds the list when the outer guard says stale, then
+// picks the sweep — a prune when the inner guard says stale, the inner
+// view otherwise, the outer list for tiles too wide to carry a view.
+// Runs in the driver, so every task of the evaluation sweeps the same
+// way.
+func (e *Engine) prepareClusters() {
+	c := e.clb
+	pos := e.St.Pos
+	// The list rebuilds only when it went stale, and in the driver, so a
+	// rebuild step evaluates exactly the list a replay step would (bitwise
+	// rebuild-vs-replay).
+	if !c.guard.Valid(pos, e.Sys.Box) {
+		e.rebuildClusters(pos)
+		c.prune.Rebase(pos) // the builder emitted the inner view at pos
+	}
+	c.data.LoadPositions(c.list, pos)
+	switch {
+	case c.list.PruneDist == 0:
+		c.sweep = forcefield.SweepOuter // tiles too wide for an inner view
+	case !c.kernel.Reference() && !c.prune.Valid(pos, e.Sys.Box):
+		c.sweep = forcefield.SweepPrune
+		c.prune.Rebase(pos)
+	default:
+		c.sweep = forcefield.SweepInner
 	}
 }
 
@@ -152,7 +201,7 @@ func (e *Engine) runClusterTask(t *task, ws *wstate, en *seq.Energies) {
 	if len(ics) == 0 {
 		return
 	}
-	evdw, eelec, vir := c.kernel.Eval(e.FF, c.list, &c.data, ics, ws.fxs, ws.fys, ws.fzs)
+	evdw, eelec, vir := c.kernel.Eval(e.FF, c.list, &c.data, ics, c.sweep, ws.fxs, ws.fys, ws.fzs)
 	en.VdW += evdw
 	en.Elec += eelec
 	en.Virial += vir

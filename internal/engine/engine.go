@@ -407,14 +407,8 @@ func (e *Engine) Rebalance() {
 // ComputeForces runs every task into the engine's force array and
 // returns the energies (kinetic included).
 func (e *Engine) ComputeForces() seq.Energies {
-	if c := e.clb; c != nil {
-		// The list rebuilds only when it went stale, and in the driver, so a
-		// rebuild step evaluates exactly the list a replay step would (bitwise
-		// rebuild-vs-replay).
-		if !c.guard.Valid(e.St.Pos, e.Sys.Box) {
-			e.rebuildClusters(e.St.Pos)
-		}
-		c.data.LoadPositions(c.list, e.St.Pos)
+	if e.clb != nil {
+		e.prepareClusters()
 	}
 
 	t := e.phaseNow()
@@ -647,6 +641,7 @@ func (e *Engine) Invalidate() {
 	e.fresh = false
 	if e.clb != nil {
 		e.clb.guard.Invalidate()
+		e.clb.prune.Invalidate()
 	}
 	if e.pme != nil {
 		e.pme.Invalidate()
@@ -696,7 +691,9 @@ func (e *Engine) kickDrift(f []vec.V3, dt float64) {
 		pos[i] = vec.Wrap(pos[i].Add(vel[i].Scale(dt)), e.Sys.Box)
 	}
 	if e.clb != nil {
-		e.clb.guard.Advance(math.Sqrt(maxV2) * dt)
+		step := math.Sqrt(maxV2) * dt
+		e.clb.guard.Advance(step)
+		e.clb.prune.Advance(step)
 	}
 }
 

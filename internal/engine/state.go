@@ -87,6 +87,7 @@ func (e *Engine) Restore(s *ckpt.EngineState) error {
 	if c := e.clb; c != nil {
 		e.rebuildClusters(s.Anchor)
 		c.guard.Invalidate()
+		c.prune.Expire() // emitted at the anchor, not at s.Pos
 	}
 	if p := e.pme; p != nil {
 		copy(p.Forces(), s.RecipF)

@@ -2,6 +2,7 @@ package forcefield
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"gonamd/internal/spatial"
@@ -62,15 +63,17 @@ func BenchmarkDihedralKernel(b *testing.B) {
 }
 
 // clusterBench is a water-density random box with an M×N cluster list at
-// the ApoA-I production geometry (9 Å cutoff, 1.5 Å skin), so the
-// cluster kernels can be measured in isolation from the engines.
+// the ApoA-I production geometry (9 Å cutoff, 1.5 Å skin) and its inner
+// view at the engines' inner skin, so the cluster kernels can be
+// measured in isolation from the engines.
 type clusterBench struct {
 	p          *Params
 	l          *spatial.ClusterList
 	d          *ClusterData
 	ics        []int32
 	fx, fy, fz []float64
-	pairs      int // listed candidates: the mask bits a sweep walks
+	pairs      int // listed candidates: the mask bits an outer sweep walks
+	inner      int // the inner view's candidates
 	useful     int // candidates inside the cutoff
 }
 
@@ -97,6 +100,7 @@ func clusterBenchSetup(b *testing.B, m, n int) *clusterBench {
 	if err != nil {
 		b.Fatal(err)
 	}
+	builder.PruneDist = p.Cutoff + spatial.ClusterPruneSkin
 	l := builder.Build(pos, func(func(i, j int32, modified bool)) {})
 	d := &ClusterData{}
 	d.LoadStatic(l, types, charges)
@@ -107,16 +111,21 @@ func clusterBenchSetup(b *testing.B, m, n int) *clusterBench {
 		ics[i] = int32(i)
 	}
 	census := sweepCensus(l, d, p.Cutoff*p.Cutoff)
+	inner := 0
+	for _, e := range l.Entries {
+		inner += bits.OnesCount32(e.Inner)
+	}
 	return &clusterBench{p: p, l: l, d: d, ics: ics,
 		fx: make([]float64, ns, ns+8), fy: make([]float64, ns, ns+8), fz: make([]float64, ns, ns+8),
-		pairs: census.candidates, useful: census.inside}
+		pairs: census.candidates, inner: inner, useful: census.inside}
 }
 
-// run times kern over the whole list and reports its cost per listed
-// candidate (ns/pair, directly comparable to BenchmarkNonbondedPair's
-// ns/op) and per in-cutoff pair (ns/useful-pair, the unit of the
-// repository benchmark's forcefield.nb_ns_per_useful_pair).
-func (c *clusterBench) run(b *testing.B, kern func() (evdw, eelec, virial float64)) {
+// run times kern over the whole list, whose sweep walks cand
+// candidates, and reports them with the cost per candidate (ns/pair,
+// directly comparable to BenchmarkNonbondedPair's ns/op) and per
+// in-cutoff pair (ns/useful-pair, the unit of the repository
+// benchmark's forcefield.nb_ns_per_useful_pair).
+func (c *clusterBench) run(b *testing.B, cand int, kern func() (evdw, eelec, virial float64)) {
 	b.ResetTimer()
 	var acc float64
 	for i := 0; i < b.N; i++ {
@@ -125,19 +134,30 @@ func (c *clusterBench) run(b *testing.B, kern func() (evdw, eelec, virial float6
 	}
 	_ = acc
 	perSweep := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	b.ReportMetric(perSweep/float64(c.pairs), "ns/pair")
+	b.ReportMetric(float64(cand), "candidates")
+	b.ReportMetric(perSweep/float64(cand), "ns/pair")
 	b.ReportMetric(perSweep/float64(c.useful), "ns/useful-pair")
 }
 
+// BenchmarkNonbondedCluster sweeps the whole list at four geometries,
+// and, in the pruned row, the engines' 4×8 list through its inner view
+// (the dual list's common step): the same useful pairs from fewer
+// candidates.
 func BenchmarkNonbondedCluster(b *testing.B) {
 	for _, g := range [][2]int{{4, 4}, {8, 4}, {4, 8}, {8, 8}} {
 		b.Run(fmt.Sprintf("%dx%d", g[0], g[1]), func(b *testing.B) {
 			c := clusterBenchSetup(b, g[0], g[1])
-			c.run(b, func() (float64, float64, float64) {
+			c.run(b, c.pairs, func() (float64, float64, float64) {
 				return c.p.NonbondedCluster(c.l, c.d, c.ics, c.fx, c.fy, c.fz)
 			})
 		})
 	}
+	b.Run("pruned", func(b *testing.B) {
+		c := clusterBenchSetup(b, 4, 8)
+		c.run(b, c.inner, func() (float64, float64, float64) {
+			return c.p.nonbondedCluster(c.l, c.d, c.ics, SweepInner, c.fx, c.fy, c.fz)
+		})
+	})
 }
 
 // The Ewald and tabulated rows run the engines' default geometry
@@ -149,7 +169,7 @@ func BenchmarkNonbondedCluster(b *testing.B) {
 func BenchmarkNonbondedClusterEwald(b *testing.B) {
 	c := clusterBenchSetup(b, 4, 8)
 	pe := c.p.WithEwald(0.35)
-	c.run(b, func() (float64, float64, float64) {
+	c.run(b, c.pairs, func() (float64, float64, float64) {
 		return pe.NonbondedCluster(c.l, c.d, c.ics, c.fx, c.fy, c.fz)
 	})
 }
@@ -169,7 +189,7 @@ func BenchmarkNonbondedClusterTab(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c.run(b, func() (float64, float64, float64) {
+			c.run(b, c.pairs, func() (float64, float64, float64) {
 				return p.NonbondedClusterTab(tab, c.l, c.d, c.ics, c.fx, c.fy, c.fz)
 			})
 		})

@@ -25,6 +25,15 @@ import (
 // without branching on the outcome, then a straight-line pair-math loop
 // over the survivors. The filter is shared by both production kernels;
 // they differ only in the pair math.
+//
+// Both production kernels walk one of three views of the list
+// (ClusterSweep): the entries as built, the inner view of a dual pair
+// list (the entries' Inner masks), or the entries as built while
+// rewriting the inner view of the swept i-clusters from the r² the
+// filter computes anyway. The inner view keeps every pair within
+// PruneDist at the prune, in list order; while no atom has moved half of
+// PruneDist − cutoff since, it holds every pair the filter would pass,
+// in the same order, so all three sweeps produce the same bits.
 
 // ClusterData holds the slot-indexed SoA operands of the cluster
 // kernels for one ClusterList: wrapped positions, atom types and
@@ -110,31 +119,57 @@ func (k ClusterKernel) Tabulated() bool { return k.tab != nil }
 // Waals energy and within the table's h³ bound in the electrostatics.
 func (k *ClusterKernel) UseReference(on bool) { k.ref = on }
 
+// ClusterSweep names the view of a ClusterList a production cluster
+// kernel walks. SweepInner and SweepPrune need a list with an inner view
+// (PruneDist > 0).
+type ClusterSweep uint8
+
+const (
+	// SweepOuter walks every listed entry: the list as built.
+	SweepOuter ClusterSweep = iota
+	// SweepInner walks the inner view of the last prune.
+	SweepInner
+	// SweepPrune walks every listed entry, as SweepOuter does, and
+	// rewrites the swept i-clusters' inner view at the list's PruneDist
+	// from the r² of the current positions.
+	SweepPrune
+)
+
 // Eval runs the selected kernel over the listed i-clusters; the
-// arguments and results are NonbondedCluster's.
-func (k ClusterKernel) Eval(p *Params, l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (evdw, eelec, virial float64) {
+// arguments and results are NonbondedCluster's, and sweep picks the view
+// the production kernels walk. The reference kernel always walks the
+// list as built, and never prunes.
+func (k ClusterKernel) Eval(p *Params, l *spatial.ClusterList, d *ClusterData, ics []int32, sweep ClusterSweep, fx, fy, fz []float64) (evdw, eelec, virial float64) {
 	switch {
 	case k.ref:
 		return p.NonbondedClusterRef(l, d, ics, fx, fy, fz)
 	case k.tab != nil:
-		return p.NonbondedClusterTab(k.tab, l, d, ics, fx, fy, fz)
+		return p.nonbondedClusterTab(k.tab, l, d, ics, sweep, fx, fy, fz)
 	default:
-		return p.NonbondedCluster(l, d, ics, fx, fy, fz)
+		return p.nonbondedCluster(l, d, ics, sweep, fx, fy, fz)
 	}
 }
+
+// Reference reports whether evaluation runs the reference kernel.
+func (k ClusterKernel) Reference() bool { return k.ref }
 
 // NonbondedCluster evaluates the listed i-clusters (ics, in order),
 // accumulating slot forces into fx/fy/fz (indexed like d, caller-zeroed)
 // and returning the summed van der Waals energy,
 // electrostatic energy, and pair virial Σ f·d. Per pair it is bitwise
-// identical to Nonbonded.
+// identical to Nonbonded. It walks the list as built (SweepOuter).
 //
 // fx/fy/fz must be allocated with capacity ≥ Slots()+8 (the engines'
 // slot-force allocators and the ClusterData resize helpers guarantee
 // this): the kernel reads and writes a cluster's slot run through
 // constant-length-8 re-slices so the pair loop carries no bounds checks.
 func (p *Params) NonbondedCluster(l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (evdw, eelec, virial float64) {
+	return p.nonbondedCluster(l, d, ics, SweepOuter, fx, fy, fz)
+}
+
+func (p *Params) nonbondedCluster(l *spatial.ClusterList, d *ClusterData, ics []int32, sweep ClusterSweep, fx, fy, fz []float64) (evdw, eelec, virial float64) {
 	rc2 := p.Cutoff * p.Cutoff
+	prune2 := l.PruneDist * l.PruneDist
 	lj := p.lj()
 	invRc2 := 1 / rc2
 	pair, pair14 := p.pair, p.pair14
@@ -167,6 +202,7 @@ func (p *Params) NonbondedCluster(l *spatial.ClusterList, d *ClusterData, ics []
 		if lo == hi {
 			continue
 		}
+		entries := l.Entries[lo:hi]
 		iBase := ic * M
 		for a := 0; a < M; a++ {
 			s := iBase + a
@@ -174,9 +210,14 @@ func (p *Params) NonbondedCluster(l *spatial.ClusterList, d *ClusterData, ics []
 			ti[a&7], qai[a&7] = typ[s], qas[s]
 			fxi[a&7], fyi[a&7], fzi[a&7] = 0, 0, 0
 		}
-		for _, e := range l.Entries[lo:hi] {
-			jBase := int(e.J) * N
+		for k, e := range entries {
 			mask, modMask := e.Mask, e.Mod
+			if sweep == SweepInner {
+				if mask = uint64(e.Inner); mask == 0 {
+					continue
+				}
+			}
+			jBase := int(e.J) * N
 			xj := (*[8]float64)(xs[jBase:][:8])
 			yj := (*[8]float64)(ys[jBase:][:8])
 			zj := (*[8]float64)(zs[jBase:][:8])
@@ -185,7 +226,14 @@ func (p *Params) NonbondedCluster(l *spatial.ClusterList, d *ClusterData, ics []
 			fxj := fx[jBase:][:8]
 			fyj := fy[jBase:][:8]
 			fzj := fz[jBase:][:8]
-			n := buf.gather(mask, &abOf, &xi, &yi, &zi, xj, yj, zj, bx, by, bz, rc2)
+			var n int
+			if sweep == SweepPrune {
+				var keep uint64
+				n, keep = buf.gatherPrune(mask, &abOf, &xi, &yi, &zi, xj, yj, zj, bx, by, bz, rc2, prune2)
+				entries[k].Inner = uint32(keep)
+			} else {
+				n = buf.gather(mask, &abOf, &xi, &yi, &zi, xj, yj, zj, bx, by, bz, rc2)
+			}
 
 			// Row partials: zeroed per entry and folded into fxi at
 			// entry end, so every i-force sees the partial sums of a
@@ -323,6 +371,49 @@ func (buf *pairBuf) gather(mask uint64, abOf *[64]uint8, xi, yi, zi, xj, yj, zj 
 		n += int(math.Float64bits(x-rc2) >> 63)
 	}
 	return n
+}
+
+// gatherPrune is gather that also returns the entry's mask cut to the
+// candidates with r² < prune2 — the entry's inner-view mask at these
+// positions, from the same r² and, like the cutoff test, without a
+// branch on the outcome (r² == prune2 is dropped). It is gather's loop
+// with one more line; the plain sweeps keep gather, which is the
+// filter's hot path.
+func (buf *pairBuf) gatherPrune(mask uint64, abOf *[64]uint8, xi, yi, zi, xj, yj, zj *[8]float64, bx, by, bz, rc2, prune2 float64) (int, uint64) {
+	hx, hy, hz := bx/2, by/2, bz/2
+	nhx, nhy, nhz := -hx, -hy, -hz
+	_, _, _, _, _, _, _, _ = *abOf, *xi, *yi, *zi, *xj, *yj, *zj, *buf
+	n := 0
+	var keep uint64
+	for m := mask; m != 0; m &= m - 1 {
+		bit := m & -m
+		ab := uint(abOf[bit*deBruijn64>>58])
+		a, b := ab>>3&7, ab&7
+		dx := xi[a] - xj[b]
+		if dx > hx {
+			dx -= bx
+		} else if dx < nhx {
+			dx += bx
+		}
+		dy := yi[a] - yj[b]
+		if dy > hy {
+			dy -= by
+		} else if dy < nhy {
+			dy += by
+		}
+		dz := zi[a] - zj[b]
+		if dz > hz {
+			dz -= bz
+		} else if dz < nhz {
+			dz += bz
+		}
+		x := dx*dx + dy*dy + dz*dz
+		k := n & 63
+		buf.ab[k], buf.dx[k], buf.dy[k], buf.dz[k], buf.x[k] = uint8(ab), dx, dy, dz, x
+		n += int(math.Float64bits(x-rc2) >> 63)
+		keep |= bit & -(math.Float64bits(x-prune2) >> 63)
+	}
+	return n, keep
 }
 
 // NonbondedClusterRef is the differential-testing reference for

@@ -237,7 +237,7 @@ func TestClusterKernelDispatch(t *testing.T) {
 			}
 		}
 		eval := func(p *Params, l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (float64, float64, float64) {
-			return k.Eval(p, l, d, ics, fx, fy, fz)
+			return k.Eval(p, l, d, ics, SweepOuter, fx, fy, fz)
 		}
 		fGot, ev1, ee1, _ := s.evalCluster(t, 4, 8, eval)
 		fWant, ev2, ee2, _ := s.evalCluster(t, 4, 8, want)

@@ -18,6 +18,9 @@ import (
 // fringe entries whose candidates all sit in the skin shell (n = 0), a
 // coincident pair (r² == 0, skipped in the pair-math phase), exclusions
 // and modified 1-4 pairs — over power-of-two and odd cluster geometries.
+// The same systems carry entries the dual list's inner view cuts partly,
+// entries it drops, and a pair at exactly the prune distance, which it
+// drops too (checkPrunedSweeps).
 
 // newSweepTestSystem is the random test system's parameter set on that
 // box, with the blob and the coincident pair. Blob pairs are only ever
@@ -53,7 +56,11 @@ func newSweepTestSystem(t *testing.T, beta float64) *clusterTestSystem {
 			}
 		}
 	}
-	nBlob := len(s.pos)
+	// The tie: a pair exactly the inner view's prune distance apart along
+	// x (r² == PruneDist² in floating point), away from the blob.
+	add(vec.New(0, 12, 12))
+	add(vec.New(s.params.Cutoff+spatial.ClusterPruneSkin, 12, 12))
+	nBlob := len(s.pos) - 2
 	for k := 0; k < nBlob/3; k++ {
 		i, j := int32(rng.Intn(nBlob)), int32(rng.Intn(nBlob))
 		if i > j {
@@ -152,7 +159,8 @@ var sweepGeometries = [][2]int{{1, 8}, {3, 5}, {4, 8}, {5, 3}, {8, 8}}
 
 // TestDifferentialClusterSweepAnalytic: over every edge case above the
 // production analytic kernel is bitwise NonbondedClusterRef — energies,
-// virial and every slot force, padding slots included.
+// virial and every slot force, padding slots included — and its inner
+// and prune sweeps are bitwise its outer sweep.
 func TestDifferentialClusterSweepAnalytic(t *testing.T) {
 	for _, beta := range []float64{0, 0.35} {
 		s := newSweepTestSystem(t, beta)
@@ -173,6 +181,7 @@ func TestDifferentialClusterSweepAnalytic(t *testing.T) {
 						}
 					}
 				}
+				s.checkPrunedSweeps(t, mn[0], mn[1], (*Params).nonbondedCluster)
 			})
 		}
 	}
@@ -185,7 +194,7 @@ func TestDifferentialClusterSweepAnalytic(t *testing.T) {
 // the closest contact (the per-pair coefficient FuzzInteractionTable
 // pins), relative to the scale of the electrostatics — the one term the
 // two kernels differ in — measured by the replay with every LJ well
-// zeroed.
+// zeroed. Its inner and prune sweeps are bitwise its outer sweep.
 func TestDifferentialClusterSweepTabulated(t *testing.T) {
 	for _, beta := range []float64{0, 0.35} {
 		s := newSweepTestSystem(t, beta)
@@ -195,6 +204,9 @@ func TestDifferentialClusterSweepTabulated(t *testing.T) {
 		}
 		tabKern := func(p *Params, l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (float64, float64, float64) {
 			return p.NonbondedClusterTab(tab, l, d, ics, fx, fy, fz)
+		}
+		tabSweep := func(p *Params, l *spatial.ClusterList, d *ClusterData, ics []int32, sweep ClusterSweep, fx, fy, fz []float64) (float64, float64, float64) {
+			return p.nonbondedClusterTab(tab, l, d, ics, sweep, fx, fy, fz)
 		}
 		elecOnly := *s.params
 		elecOnly.AtomTypes = append([]AtomType(nil), s.params.AtomTypes...)
@@ -237,6 +249,7 @@ func TestDifferentialClusterSweepTabulated(t *testing.T) {
 				if dV := math.Abs(enTab[2] - enRef[2]); dV > bound*math.Abs(enElec[2]) {
 					t.Errorf("tabulated virial error %.3g of the electrostatic virial exceeds the h³ bound %.3g", dV/math.Abs(enElec[2]), bound)
 				}
+				s.checkPrunedSweeps(t, mn[0], mn[1], tabSweep)
 			})
 		}
 	}

@@ -18,10 +18,16 @@ import "gonamd/internal/spatial"
 // forces into fx/fy/fz (caller-zeroed, capacity ≥ Slots()+8 like
 // NonbondedCluster) and returning the summed vdW energy, electrostatic
 // energy, and pair virial. tab must have been built from p (after any
-// WithEwald swap); a mismatch panics.
+// WithEwald swap); a mismatch panics. It walks the list as built
+// (SweepOuter).
 func (p *Params) NonbondedClusterTab(tab *InteractionTable, l *spatial.ClusterList, d *ClusterData, ics []int32, fx, fy, fz []float64) (evdw, eelec, virial float64) {
+	return p.nonbondedClusterTab(tab, l, d, ics, SweepOuter, fx, fy, fz)
+}
+
+func (p *Params) nonbondedClusterTab(tab *InteractionTable, l *spatial.ClusterList, d *ClusterData, ics []int32, sweep ClusterSweep, fx, fy, fz []float64) (evdw, eelec, virial float64) {
 	tab.checkParams(p)
 	rc2 := tab.Cutoff2
+	prune2 := l.PruneDist * l.PruneDist
 	lj := p.lj()
 	invH, recs := tab.InvSpacing, tab.recs
 	pair, pair14 := p.pair, p.pair14
@@ -44,6 +50,7 @@ func (p *Params) NonbondedClusterTab(tab *InteractionTable, l *spatial.ClusterLi
 		if lo == hi {
 			continue
 		}
+		entries := l.Entries[lo:hi]
 		iBase := ic * M
 		for a := 0; a < M; a++ {
 			s := iBase + a
@@ -51,9 +58,14 @@ func (p *Params) NonbondedClusterTab(tab *InteractionTable, l *spatial.ClusterLi
 			ti[a&7], qai[a&7] = typ[s], qas[s]
 			fxi[a&7], fyi[a&7], fzi[a&7] = 0, 0, 0
 		}
-		for _, e := range l.Entries[lo:hi] {
-			jBase := int(e.J) * N
+		for k, e := range entries {
 			mask, modMask := e.Mask, e.Mod
+			if sweep == SweepInner {
+				if mask = uint64(e.Inner); mask == 0 {
+					continue
+				}
+			}
+			jBase := int(e.J) * N
 			xj := (*[8]float64)(xs[jBase:][:8])
 			yj := (*[8]float64)(ys[jBase:][:8])
 			zj := (*[8]float64)(zs[jBase:][:8])
@@ -62,7 +74,14 @@ func (p *Params) NonbondedClusterTab(tab *InteractionTable, l *spatial.ClusterLi
 			fxj := fx[jBase:][:8]
 			fyj := fy[jBase:][:8]
 			fzj := fz[jBase:][:8]
-			n := buf.gather(mask, &abOf, &xi, &yi, &zi, xj, yj, zj, bx, by, bz, rc2)
+			var n int
+			if sweep == SweepPrune {
+				var keep uint64
+				n, keep = buf.gatherPrune(mask, &abOf, &xi, &yi, &zi, xj, yj, zj, bx, by, bz, rc2, prune2)
+				entries[k].Inner = uint32(keep)
+			} else {
+				n = buf.gather(mask, &abOf, &xi, &yi, &zi, xj, yj, zj, bx, by, bz, rc2)
+			}
 
 			var pfx, pfy, pfz [8]float64
 			for k := 0; k < n; k++ {

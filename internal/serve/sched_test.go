@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -337,6 +338,53 @@ func TestRecoveryRescanSpecWithoutCheckpoint(t *testing.T) {
 	}
 	if done.Resumes != 0 {
 		t.Errorf("Resumes = %d, want 0 (never checkpointed, restarted from scratch)", done.Resumes)
+	}
+}
+
+// TestRescanRemovesAtomicWriteTemps: a kill inside ckpt.AtomicWriteFile
+// leaves <file>.tmp<digits> in the state directory; the restarted
+// scheduler deletes it, keeps the job's own files, and resumes the job.
+func TestRescanRemovesAtomicWriteTemps(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestScheduler(t, Config{StateDir: dir, Workers: 1, SliceSteps: 10, CheckpointEvery: 1 << 30})
+	s.mu.Lock()
+	s.free = 0
+	s.mu.Unlock()
+	st, err := s.Submit(waterJob(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Kill()
+	temps := []string{jobPath(dir, st.ID, "ckpt.tmp2767504950"), jobPath(dir, st.ID, "status.json.tmp11")}
+	for _, p := range temps {
+		if err := os.WriteFile(p, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Not a temporary file of an atomic write: kept.
+	other := filepath.Join(dir, "notes.tmpx")
+	if err := os.WriteFile(other, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := NewScheduler(Config{StateDir: dir, Workers: 1, SliceSteps: 10, CheckpointEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Stop()
+	for _, p := range temps {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s survived the restart (stat err %v)", filepath.Base(p), err)
+		}
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Errorf("rescan removed %s: %v", filepath.Base(other), err)
+	}
+	if _, err := os.Stat(jobPath(dir, st.ID, "spec.json")); err != nil {
+		t.Errorf("job spec gone: %v", err)
+	}
+	if done := waitState(t, s2, st.ID, StateDone); done.Step != 40 {
+		t.Errorf("finished at step %d, want 40", done.Step)
 	}
 }
 

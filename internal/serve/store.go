@@ -39,7 +39,9 @@ func persistSpec(j *Job) error {
 // distinguished: a version mismatch means the state cannot be
 // interpreted and the job fails, while corruption or truncation (a torn
 // write from a crash) discards the checkpoint and restarts the job from
-// step 0.
+// step 0. The temporary files of atomic writes a crash interrupted
+// (ckpt.AtomicWriteFile's <file>.tmp<digits>) are deleted: no write is in
+// flight before the scheduler starts, so every such file is orphaned.
 func (s *Scheduler) rescan() error {
 	if err := os.MkdirAll(s.cfg.StateDir, 0o755); err != nil {
 		return err
@@ -50,7 +52,16 @@ func (s *Scheduler) rescan() error {
 	}
 	var ids []string
 	for _, e := range entries {
-		if id, ok := strings.CutSuffix(e.Name(), ".spec.json"); ok && !e.IsDir() {
+		if e.IsDir() {
+			continue
+		}
+		if isAtomicWriteTemp(e.Name()) {
+			if err := os.Remove(filepath.Join(s.cfg.StateDir, e.Name())); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return err
+			}
+			continue
+		}
+		if id, ok := strings.CutSuffix(e.Name(), ".spec.json"); ok {
 			ids = append(ids, id)
 		}
 	}
@@ -77,6 +88,22 @@ func (s *Scheduler) rescan() error {
 		j.persistStatus()
 	}
 	return nil
+}
+
+// isAtomicWriteTemp reports whether name is a temporary file of
+// ckpt.AtomicWriteFile: a file name, ".tmp", and the decimal random
+// suffix os.CreateTemp puts in place of its "*".
+func isAtomicWriteTemp(name string) bool {
+	i := strings.LastIndex(name, ".tmp")
+	if i <= 0 || i+len(".tmp") == len(name) {
+		return false
+	}
+	for _, r := range name[i+len(".tmp"):] {
+		if r < '0' || r > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // recoverJob rebuilds one job from its on-disk spec, status, and

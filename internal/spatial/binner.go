@@ -160,3 +160,7 @@ func (g *ListGuard) Anchor() []vec.V3 {
 	}
 	return g.ref
 }
+
+// Expire marks the list stale: Valid reports false until the next
+// Rebase, whatever the positions.
+func (g *ListGuard) Expire() { g.built = false }

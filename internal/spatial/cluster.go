@@ -32,22 +32,42 @@ import (
 // ordering (only s_j > s_i bits are set), padding slots, and exclusions;
 // a parallel mask flags modified 1-4 pairs. The skin/2 drift rule
 // (ListGuard) decides list reuse.
+//
+// A list can also carry an inner view, the short half of a dual pair
+// list: every entry's mask cut to the pairs within a prune distance
+// PruneDist < ListDist at the positions of the last prune, kept in the
+// entry's otherwise-padding Inner word, so the view costs no memory. It
+// therefore exists for tiles of up to 32 pairs (the engines' 4×8 and
+// every smaller one). The builder emits it at build time; the cluster
+// kernels re-prune it from the r² of an outer sweep, under a second
+// skin/2 guard of skin PruneDist − cutoff.
+
+// ClusterPruneSkin is the inner skin (Å) of the engines' dual cluster
+// pair lists: the inner view keeps the pairs within cutoff +
+// ClusterPruneSkin, and is re-pruned once an atom has moved half of it.
+// The mean one-worker step of an 11k-atom water box is flat over
+// 0.3–0.5 Å; 0.5 Å re-prunes least (DESIGN.md, "The dual pair list").
+const ClusterPruneSkin = 0.5
 
 // ClusterPairEntry is one packed cluster pair of a ClusterList: the
 // j-cluster index plus the interaction masks. Mask bit a·N+b enables the
 // pair (i-slot a, j-slot b); Mod flags the subset evaluated with modified
-// 1-4 parameters (Mod ⊆ Mask).
+// 1-4 parameters (Mod ⊆ Mask); Inner, in a list with an inner view, is
+// Mask cut to the pairs within PruneDist at the last prune (0 when none
+// is that close).
 type ClusterPairEntry struct {
-	J    int32
-	Mask uint64
-	Mod  uint64
+	J     int32
+	Inner uint32
+	Mask  uint64
+	Mod   uint64
 }
 
-// ClusterList is an immutable cluster pair list over one position
-// snapshot. Slot s holds atom Atom[s] (-1 for padding); the i-view groups
-// slots in runs of M, the j-view in runs of N, and per-column padding to
-// lcm(M, N) keeps both views aligned so a cluster never straddles a
-// column boundary.
+// ClusterList is a cluster pair list over one position snapshot,
+// immutable but for the entries' Inner words, which prunes rewrite. Slot
+// s holds atom Atom[s] (-1 for padding); the i-view groups slots in runs
+// of M, the j-view in runs of N, and per-column padding to lcm(M, N)
+// keeps both views aligned so a cluster never straddles a column
+// boundary.
 type ClusterList struct {
 	M, N int
 	Box  vec.V3
@@ -63,6 +83,10 @@ type ClusterList struct {
 	// IMin/IMax are the i-cluster bounding boxes over wrapped positions at
 	// build time (IMin > IMax marks an empty, all-padding cluster).
 	IMin, IMax []vec.V3
+
+	// PruneDist > 0 says the entries' Inner words hold the inner view,
+	// cut at this distance.
+	PruneDist float64
 }
 
 // Slots returns the padded slot count (a multiple of lcm(M, N)).
@@ -104,6 +128,10 @@ type ClusterBuilder struct {
 	M, N, L  int // cluster sizes and lcm(M, N)
 	Box      vec.V3
 	ListDist float64 // cutoff + skin
+	// PruneDist, when positive and the tiles hold at most 32 pairs, makes
+	// Build emit the list's inner view at this distance (cutoff + inner
+	// skin, below ListDist).
+	PruneDist float64
 
 	list ClusterList
 
@@ -164,11 +192,21 @@ func lcm(a, b int) int {
 func (b *ClusterBuilder) Build(pos []vec.V3, excl func(fn func(i, j int32, modified bool))) *ClusterList {
 	b.packColumns(pos)
 	b.buildAABBs(pos)
+	b.list.PruneDist = b.innerDist()
 	b.buildEntries()
 	if excl != nil {
 		b.applyExclusions(excl)
 	}
 	return &b.list
+}
+
+// innerDist is the distance the built list's inner view is cut at, 0
+// for none: tiles of more than 32 pairs do not fit the Inner word.
+func (b *ClusterBuilder) innerDist() float64 {
+	if b.M*b.N > 32 || b.PruneDist <= 0 {
+		return 0
+	}
+	return b.PruneDist
 }
 
 // packColumns assigns atoms to x–y columns, z-sorts each column, and lays
@@ -454,11 +492,11 @@ func (b *ClusterBuilder) buildEntries() {
 				if jgx*jgx+jgy*jgy+gz*gz > dist2 {
 					continue
 				}
-				mask := b.entryMask(icBase, jcBase, ic, jc)
+				mask, near := b.entryMask(icBase, jcBase, ic, jc)
 				if mask == 0 {
 					continue
 				}
-				l.Entries = append(l.Entries, ClusterPairEntry{J: int32(jc), Mask: mask})
+				l.Entries = append(l.Entries, ClusterPairEntry{J: int32(jc), Inner: uint32(near), Mask: mask})
 			}
 		}
 	}
@@ -466,7 +504,9 @@ func (b *ClusterBuilder) buildEntries() {
 }
 
 // entryMask computes the interaction mask of one entry: ordering
-// (Newton's 3rd law), padding, and the per-pair distance filter. Only
+// (Newton's 3rd law), padding, and the per-pair distance filter; and,
+// from the same r², the subset within the inner view's distance (strict
+// like the kernels' prune: r² == PruneDist² is dropped). Only
 // pairs within ListDist at build time get a bit — exactly the Verlet
 // criterion of an atom-pair list — so the kernels' candidate count
 // matches such a list's instead of growing with the tile volume. The
@@ -481,11 +521,12 @@ func (b *ClusterBuilder) buildEntries() {
 // s_j > s_i where the two views overlap — is integer work ANDed on per
 // row; padding slots hold stale but finite coordinates, so testing them
 // is harmless.
-func (b *ClusterBuilder) entryMask(icBase, jcBase, ic, jc int) uint64 {
+func (b *ClusterBuilder) entryMask(icBase, jcBase, ic, jc int) (mask, inner uint64) {
 	M, N := b.M, b.N
 	rj := b.realJ[jc]
 	ri := b.realI[ic]
 	dist2 := b.ListDist * b.ListDist
+	prune2 := b.list.PruneDist * b.list.PruneDist // 0 without an inner view: no bit
 	bx, by, bz := b.Box.X, b.Box.Y, b.Box.Z
 	hx, hy, hz := bx/2, by/2, bz/2
 
@@ -497,11 +538,10 @@ func (b *ClusterBuilder) entryMask(icBase, jcBase, ic, jc int) uint64 {
 	copy(yj[:], b.sy[jcBase:jcBase+N])
 	copy(zj[:], b.sz[jcBase:jcBase+N])
 
-	var mask uint64
 	for a := 0; a < M; a++ {
 		is := icBase + a
 		xa, ya, za := b.sx[is], b.sy[is], b.sz[is]
-		var near uint64
+		var near, in uint64
 		for bb := 0; bb < N; bb++ {
 			dx := xa - xj[bb&7]
 			if dx > hx {
@@ -521,7 +561,9 @@ func (b *ClusterBuilder) entryMask(icBase, jcBase, ic, jc int) uint64 {
 			} else if dz < -hz {
 				dz += bz
 			}
-			near |= ^math.Float64bits(dist2-(dx*dx+dy*dy+dz*dz)) >> 63 << uint(bb)
+			x := dx*dx + dy*dy + dz*dz
+			near |= ^math.Float64bits(dist2-x) >> 63 << uint(bb)
+			in |= math.Float64bits(x-prune2) >> 63 << uint(bb)
 		}
 		valid := rj & -(ri >> uint(a) & 1) // every real j-slot if i-slot a is real
 		if lim := is - jcBase; lim >= 0 {
@@ -529,8 +571,9 @@ func (b *ClusterBuilder) entryMask(icBase, jcBase, ic, jc int) uint64 {
 			valid &^= 2<<uint(lim) - 1
 		}
 		mask |= (near & valid) << uint(a*N)
+		inner |= (in & valid) << uint(a*N)
 	}
-	return mask
+	return mask, inner
 }
 
 // collectCandidates gathers the distinct columns within the search window
@@ -583,8 +626,8 @@ func (b *ClusterBuilder) collectCandidates(c, rx, ry int) {
 	}
 }
 
-// applyExclusions clears excluded pairs from the interaction masks and
-// flags modified 1-4 pairs. Entries are sorted by J per i-cluster, so
+// applyExclusions clears excluded pairs from the interaction masks (the
+// inner view's too) and flags modified 1-4 pairs. Entries are sorted by J per i-cluster, so
 // each pair locates its entry with one binary search.
 func (b *ClusterBuilder) applyExclusions(excl func(fn func(i, j int32, modified bool))) {
 	l := &b.list
@@ -616,6 +659,7 @@ func (b *ClusterBuilder) applyExclusions(excl func(fn func(i, j int32, modified 
 			e.Mod |= bit
 		} else {
 			e.Mask &^= bit
+			e.Inner &^= uint32(bit)
 		}
 	})
 }

@@ -120,7 +120,13 @@ func Wrap(v, box V3) V3 {
 	return V3{wrap1(v.X, box.X), wrap1(v.Y, box.Y), wrap1(v.Z, box.Z)}
 }
 
+// wrap1 maps x into [0, l). A coordinate already inside is returned
+// as it is — bitwise what math.Mod returns for it, −0 included — so
+// the per-step wraps of in-box atoms skip the division.
 func wrap1(x, l float64) float64 {
+	if 0 <= x && x < l {
+		return x
+	}
 	x = math.Mod(x, l)
 	if x < 0 {
 		x += l

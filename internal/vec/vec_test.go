@@ -125,6 +125,32 @@ func TestWrap(t *testing.T) {
 	}
 }
 
+// TestWrap1MatchesMod: wrap1's in-box shortcut returns the bits the
+// math.Mod form returns, at the boundaries and the special values.
+func TestWrap1MatchesMod(t *testing.T) {
+	modForm := func(x, l float64) float64 {
+		x = math.Mod(x, l)
+		if x < 0 {
+			x += l
+		}
+		return x
+	}
+	for _, l := range []float64{48.3, 1, 0.7} {
+		ulp := math.Nextafter(l, math.Inf(1)) - l
+		for _, x := range []float64{
+			math.Copysign(0, -1), 0, math.Nextafter(l, 0), l, -ulp,
+			-math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64,
+			l / 2, 3 * l, -3 * l, -l, 1e300, -1e300,
+			math.Inf(1), math.Inf(-1), math.NaN(),
+		} {
+			got, want := wrap1(x, l), modForm(x, l)
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Errorf("wrap1(%g, %g) = %g (%#x), Mod form %g (%#x)", x, l, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
 func TestMinImage(t *testing.T) {
 	box := New(10, 10, 10)
 	// Atoms at opposite edges are actually close through the boundary.
