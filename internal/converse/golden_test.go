@@ -18,11 +18,11 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // multiple of a power-of-two time unit, so virtual times add up exactly
 // and completions and arrivals tie on the same instant; priorities come
 // from a small set and half the traffic aims at eight hot PEs, so ready
-// queues hold many equal-priority messages. It uses every send path
-// (Send, SendFree, Multicast, After, an immediate handler) under a fault
-// plan that drops, duplicates and reorders messages and crashes one PE.
-// Handlers draw their decisions from one stream in execution order, so
-// any change in pop order changes the rest of the run.
+// queues hold many equal-priority messages. It uses every send path:
+// Send, SendFree (remote and to the sender's own PE), Multicast and an
+// immediate handler. Handlers draw their decisions from one stream in
+// execution order, so any change in pop order changes the rest of the
+// run.
 func goldenProgram() *Machine {
 	const npe = 64
 	const u = 1.0 / (1 << 20)
@@ -32,10 +32,6 @@ func goldenProgram() *Machine {
 		MulticastOptimized: true, MulticastPerDest: u / 8,
 	})
 	m.Trace = trace.NewLog()
-	m.SetFaultPlan(&FaultPlan{
-		Seed: 5, DropProb: 0.05, DupProb: 0.05, ReorderProb: 0.2,
-		Crashes: []Crash{{PE: 3, At: 24 * u, Down: 16 * u}},
-	})
 	rng := xrand.New(2024)
 	durs := []float64{u, 2 * u, 4 * u}
 	prios := []int64{0, 1, 2}
@@ -63,7 +59,7 @@ func goldenProgram() *Machine {
 		case 2:
 			ctx.Multicast([]int32{int32(dest()), int32(dest()), int32(dest())}, work, nil, 64, pr)
 		case 3:
-			ctx.After(durs[rng.Intn(len(durs))], work, nil, 0, pr)
+			ctx.SendFree(ctx.PE(), work, nil, 0, pr)
 			ctx.Charge(durs[rng.Intn(len(durs))], trace.CatIntegration)
 		case 4:
 			ctx.Send(dest(), relay, nil, 64, pr)
@@ -86,10 +82,6 @@ func goldenProgram() *Machine {
 // orders whatever their implementation.
 func TestGoldenEventOrder(t *testing.T) {
 	m := goldenProgram()
-	st := m.Stats
-	if st.Dropped == 0 || st.Duplicated == 0 || st.Reordered == 0 || st.Crashes != 1 || st.Restarts != 1 || st.Lost == 0 {
-		t.Fatalf("fault plan not fully exercised: %+v", st)
-	}
 	var buf bytes.Buffer
 	if err := m.Trace.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

@@ -63,9 +63,8 @@ func TestGoldenGantt(t *testing.T) {
 }
 
 // TestGoldenTimeline pins the timeline rendering of the trace package's
-// golden log, which covers every category: it must show the retry (T)
-// and recovery (V) letters introduced with fault injection and the PME
-// letter (P).
+// golden log, which covers every category: it must show the recovery (V)
+// and PME (P) letters.
 func TestGoldenTimeline(t *testing.T) {
 	f, err := os.Open("../trace/testdata/log.jsonl")
 	if err != nil {
@@ -77,7 +76,7 @@ func TestGoldenTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := Timeline(l, TimelineOptions{PEs: []int32{0, 1}, T0: 0, T1: 0.08, Width: 80})
-	for _, letter := range []string{"T", "V", "P"} {
+	for _, letter := range []string{"V", "P"} {
 		if !strings.Contains(out, letter) {
 			t.Errorf("timeline missing category letter %q:\n%s", letter, out)
 		}
