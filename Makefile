@@ -45,23 +45,26 @@ metrics: vet
 	$(GO) test -race -count=1 ./internal/ftdc
 	$(GO) test -race -count=1 -run 'Metrics' . ./internal/serve
 
-# The chaos/conformance suite: fault injection, reliable delivery, and
-# checkpoint recovery, run twice (-count=2) to flush out any hidden
-# run-to-run nondeterminism in the seeded fault streams. The forcefield
-# package carries the kernel differential tests and the root package the
+# The chaos/conformance suite, run twice (-count=2) to flush out any
+# hidden run-to-run nondeterminism: the job server's kill-and-resume and
+# checkpoint-rescan tests (Crash, Recovery, Chaos: a process killed
+# between checkpoints must resume bit-identically, and a damaged or
+# missing checkpoint must be told apart on rescan), the checkpoint
+# codec's property suite, and the goldens. The forcefield package
+# carries the kernel differential tests and the root package the
 # nonbonded-pipeline conformance table (TestDifferential*); the engine
 # package carries the zero-allocation step table (one worker and two,
-# PME real-space and reciprocal rows included); the fft and pme packages
-# carry the worker-count/repeat determinism tests behind the
-# bitwise-reproducible PME guarantee; the ldb package carries the
-# strategy property suite (never-worsen, validity, determinism) and the
-# assignment golden. cmd/chaos runs both harness modes (ensemble
-# crash/restore, machine PE crash/rollback) at their defaults.
+# PME real-space and reciprocal rows included) and the charm package the
+# zero-allocation send paths; the fft and pme packages carry the
+# worker-count/repeat determinism tests behind the bitwise-reproducible
+# PME guarantee; the ldb package carries the strategy property suite
+# (never-worsen, validity, determinism) and the assignment golden; the
+# converse package the DES event-order golden.
 chaos:
-	$(GO) test -count=2 -run 'Chaos|Crash|Reliable|Recovery|Property|Differential|Golden|Determinism|PME|ZeroAllocs' \
+	$(GO) test -count=2 -run 'Chaos|Crash|Recovery|Property|Differential|Golden|Determinism|PME|ZeroAllocs' \
 		./internal/converse ./internal/charm ./internal/core ./internal/ckpt ./internal/trace \
 		./internal/forcefield ./internal/engine ./internal/fft ./internal/pme ./internal/projections \
-		./internal/ldb ./internal/ftdc ./internal/serve ./cmd/chaos .
+		./internal/ldb ./internal/ftdc ./internal/serve .
 
 # Short runs of the fuzz targets (one -fuzz per invocation): the
 # cluster-builder geometry fuzzer, and the interaction-table fuzzer that
@@ -78,8 +81,8 @@ chaos:
 # behind it the same way and holds every accepted report to the trace
 # reader's 65,536-PE bound (an unbounded PE index once cost gigabytes).
 # FuzzEnvelopeLoad and FuzzLoadJob hold
-# the checkpoint envelope behind DES snapshots, CheckpointPath files and
-# gonamdd job checkpoints to the same contract, fed raw file bytes and
+# the checkpoint envelope behind ensemble and gonamdd job checkpoints to
+# the same contract, fed raw file bytes and
 # payloads re-framed behind a valid header and CRC so the gob decoder is
 # reached; their seeds are whole checkpoints, which the fuzzer would
 # spend the run minimizing, hence the cap. FuzzSystemLoad holds sysio.Load

@@ -20,8 +20,8 @@
 //     Origin 2000 machine models.
 //
 // Synthetic benchmark systems standing in for the paper's inputs
-// (ApoA-I, BC1, bR) are built by BuildSystem with the corresponding
-// Spec presets.
+// (ApoA-I, BC1, bR) are built by BuildSystem from the corresponding
+// presets.
 //
 // Engines are configured with functional options at construction; the
 // same configuration travels over the wire as an EngineSpec, the
@@ -32,8 +32,6 @@
 package gonamd
 
 import (
-	"gonamd/internal/ckpt"
-	"gonamd/internal/converse"
 	"gonamd/internal/core"
 	"gonamd/internal/engine"
 	"gonamd/internal/ensemble"
@@ -68,13 +66,8 @@ type (
 	Energies = seq.Energies
 )
 
-// Builders.
-type (
-	// Spec describes a synthetic system to build.
-	Spec = molgen.Spec
-	// Grid is the spatial patch decomposition geometry.
-	Grid = spatial.Grid
-)
+// Grid is the spatial patch decomposition geometry.
+type Grid = spatial.Grid
 
 // The engine. Sequential and Parallel are two names of one type, kept for
 // what the constructors promise: NewSequential(sys, ff, st,
@@ -122,7 +115,7 @@ var (
 const Cutoff = molgen.Cutoff
 
 // BuildSystem constructs a synthetic system and its initial state.
-func BuildSystem(spec Spec) (*System, *State, error) { return molgen.Build(spec) }
+func BuildSystem(spec molgen.Spec) (*System, *State, error) { return molgen.Build(spec) }
 
 // StandardForceField returns the CHARMM-style parameter set used by the
 // synthetic systems, with the given cutoff (Å).
@@ -148,28 +141,6 @@ func BuildWorkload(name string, sys *System, st *State, grid *Grid, cutoff, list
 // NewClusterSim builds a simulated parallel run of a workload.
 func NewClusterSim(w *core.Workload, cfg ClusterConfig) (*core.Sim, error) {
 	return core.NewSim(w, cfg)
-}
-
-// Fault injection for cluster simulations.
-type (
-	// FaultPlan is a seeded, deterministic schedule of message faults
-	// (drop/delay/duplicate/reorder) and PE crash/restart events.
-	FaultPlan = converse.FaultPlan
-	// PECrash schedules one simulated-processor crash inside a FaultPlan.
-	PECrash = converse.Crash
-)
-
-// WithFaultPlan returns cfg configured to run under the fault plan with
-// the machinery needed to survive it: reliable entry-method delivery
-// (acks, retransmission, duplicate suppression) and periodic coordinated
-// checkpoints to roll back to after a PE crash.
-func WithFaultPlan(cfg ClusterConfig, plan *FaultPlan) ClusterConfig {
-	cfg.Faults = plan
-	cfg.Reliable = true
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 2
-	}
-	return cfg
 }
 
 // Temperature control for NVT dynamics (attach with WithThermostat;
@@ -214,14 +185,10 @@ func NewEnsemble(sys *System, ff *ForceField, st *State, cfg EnsembleConfig) (*E
 }
 
 // GeometricLadder spaces n temperatures geometrically from tmin to tmax
-// (the standard REMD ladder); NewTraceLog creates an enabled trace log;
-// LoadCheckpointFile decodes an ensemble checkpoint file, and
-// SaveCheckpointFile writes one atomically (temp file + rename).
+// (the standard REMD ladder); NewTraceLog creates an enabled trace log.
 var (
-	GeometricLadder    = ensemble.GeometricLadder
-	NewTraceLog        = trace.NewLog
-	LoadCheckpointFile = ckpt.LoadFile
-	SaveCheckpointFile = ckpt.SaveFile
+	GeometricLadder = ensemble.GeometricLadder
+	NewTraceLog     = trace.NewLog
 )
 
 // Performance analysis (internal/projections): streaming Projections-
@@ -241,13 +208,10 @@ type ProjectionsOptions = projections.Options
 // averaging), and "none". A ClusterConfig takes a strategy directly in
 // its LB field; the parallel engine takes one by name in
 // EngineSpec.LBStrategy.
-type (
-	// LBStrategy maps migratable compute objects onto processors.
-	LBStrategy = ldb.Strategy
-	// UnknownLBStrategyError is returned by LookupLBStrategy for an
-	// unrecognized name; it lists the valid names.
-	UnknownLBStrategyError = ldb.UnknownStrategyError
-)
+//
+// UnknownLBStrategyError is returned by LookupLBStrategy for an
+// unrecognized name; it lists the valid names.
+type UnknownLBStrategyError = ldb.UnknownStrategyError
 
 // LookupLBStrategy resolves a registry name to a fresh strategy,
 // returning an *UnknownLBStrategyError (listing the valid names) for
@@ -257,12 +221,8 @@ var (
 	LBStrategyNames  = ldb.Names
 )
 
-// AnalyzeTrace analyzes an in-memory trace log; LBReport formats
-// balancing passes as a before/after table.
-var (
-	AnalyzeTrace = projections.Analyze
-	LBReport     = projections.LBReport
-)
+// AnalyzeTrace analyzes an in-memory trace log.
+var AnalyzeTrace = projections.Analyze
 
 // Always-on FTDC-style telemetry (internal/ftdc): engines publish a
 // flat metric vector (steps, per-phase seconds, rebuilds, imbalance,
@@ -295,7 +255,3 @@ var (
 	T3E        = machine.T3E
 	Origin2000 = machine.Origin2000
 )
-
-// CalibrateMachine builds a custom machine model: cpuFactor scales all
-// CPU costs relative to ASCI-Red.
-var CalibrateMachine = machine.Calibrate

@@ -7,14 +7,11 @@ import (
 )
 
 // TestSendPathsZeroAllocs: once a runtime's machine has grown to its
-// working set, no send path but the reliable one allocates per message
-// — Send, Multicast in both modes, and a tree-multicast hop (the relay
-// delivering to its PE's objects through dispatch and forwarding the
-// rest of its chunk to further relays). The object and entry ride in
-// the message's tag word and the payload travels as the caller boxed it.
-// The reliable path is exempt: each reliable send boxes a relEnvelope
-// and records a pendingSend, state its ack/retry protocol keeps per
-// message.
+// working set, no send path allocates per message — Send, Multicast in
+// both modes, and a tree-multicast hop (the relay delivering to its PE's
+// objects through dispatch and forwarding the rest of its chunk to
+// further relays). The object and entry ride in the message's tag word
+// and the payload travels as the caller boxed it.
 func TestSendPathsZeroAllocs(t *testing.T) {
 	payload := any(&counter{}) // boxed once, outside the measured runs
 	const npe, perPE = 4, 2
@@ -82,40 +79,4 @@ func TestSendPathsZeroAllocs(t *testing.T) {
 			t.Errorf("%v allocations per tree multicast over %d relays, want 0", allocs, len(dests))
 		}
 	})
-}
-
-// TestReliableRoundTripAllocs: a reliable send, its ack and its
-// retransmission timer (which fires after the ack and finds nothing to
-// resend) allocate only the state the protocol keeps per message — the
-// boxed relEnvelope and the pendingSend record. The sequence number
-// rides in the ack's and the timer's tag word, so neither boxes it,
-// however large it has grown (values below 256 box without allocating,
-// so the measured sends come after 300 others).
-func TestReliableRoundTripAllocs(t *testing.T) {
-	m := converse.NewMachine(2, treeNet)
-	rt := NewRuntime(m)
-	rt.EnableReliable(ReliableConfig{Timeout: 1e-3})
-	payload := any(&counter{})
-	got := 0
-	recv := rt.RegisterEntry("recv", func(*Ctx, any, any, int) { got++ })
-	dst := rt.CreateObj(1, nil, true)
-	send := rt.RegisterEntry("send", func(c *Ctx, _ any, _ any, _ int) { c.Send(dst, recv, payload, 64, 1) })
-	src := rt.CreateObj(0, nil, true)
-	roundTrip := func() {
-		rt.Inject(src, send, nil, 0, 0)
-		m.Run()
-		// Keep the dedup filter from growing: its map's growth is not
-		// per-message cost.
-		rt.ResetReliable()
-	}
-	for i := 0; i < 300; i++ {
-		roundTrip()
-	}
-	allocs := testing.AllocsPerRun(50, roundTrip)
-	if want := 351; got != want || rt.Rel.Acks != want || rt.Rel.Retries != 0 {
-		t.Fatalf("%d deliveries, %d acks, %d retries; want %d, %d, 0", got, rt.Rel.Acks, rt.Rel.Retries, want, want)
-	}
-	if allocs > 2 {
-		t.Errorf("%v allocations per reliable round trip, want ≤ 2 (envelope and pending record)", allocs)
-	}
 }

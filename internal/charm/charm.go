@@ -36,9 +36,6 @@ func target(tag uint64) (ObjID, EntryID) { return ObjID(tag >> 32), EntryID(uint
 type Runtime struct {
 	M *converse.Machine
 
-	// Rel counts reliable-delivery protocol activity (see EnableReliable).
-	Rel ReliableStats
-
 	dispatchH   converse.HandlerID
 	mcastH      converse.HandlerID
 	entries     []Entry
@@ -48,15 +45,6 @@ type Runtime struct {
 
 	// ctx is the one entry-method context, reused by every dispatch.
 	ctx Ctx
-
-	// Reliable-delivery state (nil/zero unless EnableReliable was called).
-	reliable  bool
-	relCfg    ReliableConfig
-	relSeq    uint64
-	pending   map[uint64]*pendingSend
-	delivered map[uint64]struct{}
-	ackH      converse.HandlerID
-	retryH    converse.HandlerID
 }
 
 type objSlot struct {
@@ -134,17 +122,6 @@ func (rt *Runtime) Loads() []float64 {
 	return out
 }
 
-// SetLoads overwrites the measurement database — the inverse of Loads,
-// used by recovery layers rolling application state back to a snapshot.
-func (rt *Runtime) SetLoads(loads []float64) {
-	if len(loads) != len(rt.objs) {
-		panic(fmt.Sprintf("charm: SetLoads with %d loads for %d objects", len(loads), len(rt.objs)))
-	}
-	for i := range rt.objs {
-		rt.objs[i].load = loads[i]
-	}
-}
-
 // ResetLoads zeroes the measurement database.
 func (rt *Runtime) ResetLoads() {
 	for i := range rt.objs {
@@ -161,14 +138,6 @@ func (rt *Runtime) Inject(obj ObjID, e EntryID, payload any, size int, prio int6
 // message's tag names on the object it names.
 func (rt *Runtime) dispatch(cc *converse.Ctx, payload any, size int) {
 	obj, e := target(cc.Tag())
-	if re, ok := payload.(relEnvelope); ok {
-		// Reliable send: ack it, and invoke the entry only on first
-		// delivery — retransmitted duplicates stop here.
-		if rt.recvReliable(cc, re) {
-			return
-		}
-		payload = re.payload
-	}
 	slot := &rt.objs[obj]
 	if int(slot.pe) != cc.PE() {
 		// A message arrived at a stale location. This cannot happen when
@@ -202,13 +171,8 @@ func (c *Ctx) Now() float64 { return c.C.Now() }
 func (c *Ctx) Charge(dt float64, cat trace.Category) { c.C.Charge(dt, cat) }
 
 // Send invokes an entry method on another object (or this one), routing
-// to the object's current processor. With EnableReliable, the send is
-// tracked, retransmitted on timeout, and deduplicated at the receiver.
+// to the object's current processor.
 func (c *Ctx) Send(obj ObjID, e EntryID, payload any, size int, prio int64) {
-	if c.RT.reliable {
-		c.RT.sendReliable(c.C, obj, e, payload, size, prio, false)
-		return
-	}
 	c.C.SendTagged(c.RT.Location(obj), c.RT.dispatchH, invocation(obj, e), payload, size, prio)
 }
 
@@ -226,10 +190,6 @@ func (c *Ctx) Multicast(objs []ObjID, e EntryID, payload any, size int, prio int
 		c.C.Charge(net.SendOverhead+float64(size)*net.SendPerByte, trace.CatComm)
 		for _, obj := range objs {
 			c.C.Charge(net.MulticastPerDest, trace.CatComm)
-			if c.RT.reliable {
-				c.RT.sendReliable(c.C, obj, e, payload, size, prio, true)
-				continue
-			}
 			c.C.SendFreeTagged(c.RT.Location(obj), c.RT.dispatchH, invocation(obj, e), payload, size, prio)
 		}
 	} else {

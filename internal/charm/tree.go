@@ -135,16 +135,14 @@ func (c *Ctx) sendLocal(objs []ObjID, e EntryID, payload any, size int, prio int
 
 // MulticastTree delivers like Multicast but routes remote destinations
 // through a spanning tree when the machine model says a tree completes
-// sooner. Falls back to the flat Multicast under reliable delivery (the
-// ack/retry protocol tracks point-to-point sends, not relayed chunks),
-// in naive multicast mode, and whenever the chosen fan-out degenerates
-// to the flat send.
+// sooner. Falls back to the flat Multicast in naive multicast mode and
+// whenever the chosen fan-out degenerates to the flat send.
 func (c *Ctx) MulticastTree(objs []ObjID, e EntryID, payload any, size int, prio int64) {
 	if len(objs) == 0 {
 		return
 	}
 	net := &c.RT.M.Net
-	if c.RT.reliable || !net.MulticastOptimized {
+	if !net.MulticastOptimized {
 		c.Multicast(objs, e, payload, size, prio)
 		return
 	}
@@ -169,8 +167,8 @@ func (c *Ctx) MulticastTree(objs []ObjID, e EntryID, payload any, size int, prio
 // all-to-alls: every destination object receives its own sizeEach-byte
 // block, so relays forward one combined message per subtree instead of
 // the sender paying a full SendOverhead per destination. Falls back to
-// per-destination Sends under reliable delivery, in naive multicast
-// mode, or when the machine model prefers the flat exchange.
+// per-destination Sends in naive multicast mode or when the machine
+// model prefers the flat exchange.
 func (c *Ctx) ScatterTree(objs []ObjID, e EntryID, payload any, sizeEach int, prio int64) {
 	if len(objs) == 0 {
 		return
@@ -181,7 +179,7 @@ func (c *Ctx) ScatterTree(objs []ObjID, e EntryID, payload any, sizeEach int, pr
 			c.Send(obj, e, payload, sizeEach, prio)
 		}
 	}
-	if c.RT.reliable || !net.MulticastOptimized {
+	if !net.MulticastOptimized {
 		flat()
 		return
 	}

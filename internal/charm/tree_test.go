@@ -116,30 +116,3 @@ func TestTreeMulticastDeterministic(t *testing.T) {
 		t.Errorf("tree multicast nondeterministic: %v vs %v", t1, t2)
 	}
 }
-
-// TestTreeFallsBackUnderReliable: with reliable delivery the tree path
-// must route through the tracked point-to-point protocol and still
-// deliver exactly once.
-func TestTreeFallsBackUnderReliable(t *testing.T) {
-	m := converse.NewMachine(8, treeNet)
-	rt := NewRuntime(m)
-	rt.EnableReliable(ReliableConfig{Timeout: 5e-3})
-	hit := rt.RegisterEntry("hit", func(c *Ctx, obj any, payload any, size int) {
-		obj.(*counter).hits++
-	})
-	var objs []ObjID
-	for i := 0; i < 24; i++ {
-		objs = append(objs, rt.CreateObj(i%8, &counter{}, true))
-	}
-	root := rt.CreateObj(0, nil, true)
-	send := rt.RegisterEntry("send", func(c *Ctx, obj any, payload any, size int) {
-		c.MulticastTree(objs, hit, nil, 1024, 0)
-	})
-	rt.Inject(root, send, nil, 0, 0)
-	m.Run()
-	for i, o := range objs {
-		if rt.State(o).(*counter).hits != 1 {
-			t.Fatalf("object %d delivered %d times", i, rt.State(o).(*counter).hits)
-		}
-	}
-}

@@ -37,9 +37,9 @@ import (
 // engine's whole state.
 const Version = 2
 
-// ensembleTag identifies the ensemble snapshot payload; other layers
-// wrap their own payloads in the same envelope under their own tags
-// (e.g. internal/core's cluster-sim snapshots use "simc").
+// ensembleTag identifies the ensemble snapshot payload; other payloads
+// travel in the same envelope under their own tags (job checkpoints use
+// jobTag).
 const ensembleTag = "ckpt"
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
@@ -176,9 +176,8 @@ func (s *EnsembleState) Validate() error {
 // EnvelopeSave gob-encodes v and writes it wrapped in the checkpoint
 // envelope: the magic derived from the 4-character format tag, the
 // format version, the payload length, and a CRC-64 of the payload. It
-// is the generic half of Save, reused by other subsystems (the cluster
-// simulation's recovery snapshots) so every persisted state in the
-// system gets the same integrity checking.
+// is the generic half of Save, reused for job checkpoints so every
+// persisted state in the system gets the same integrity checking.
 func EnvelopeSave(w io.Writer, tag string, version uint32, v any) error {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
@@ -287,19 +286,4 @@ func AtomicWriteFile(path string, write func(io.Writer) error) error {
 		return fmt.Errorf("ckpt: %w", err)
 	}
 	return nil
-}
-
-// SaveFile writes an ensemble checkpoint atomically via AtomicWriteFile.
-func SaveFile(path string, st *EnsembleState) error {
-	return AtomicWriteFile(path, func(w io.Writer) error { return Save(w, st) })
-}
-
-// LoadFile reads a checkpoint from a file.
-func LoadFile(path string) (*EnsembleState, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
 }

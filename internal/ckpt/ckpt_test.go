@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -135,42 +133,6 @@ func TestValidateRejectsInconsistentSnapshots(t *testing.T) {
 		if err := Save(&buf, s); err == nil {
 			t.Errorf("%s: Save accepted an invalid snapshot", name)
 		}
-	}
-}
-
-func TestSaveFileAtomicRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ens.ckpt")
-	want := sample()
-	if err := SaveFile(path, want); err != nil {
-		t.Fatal(err)
-	}
-	// Overwrite with a newer snapshot: the old file must be replaced.
-	want.Step = 2400
-	want.Replicas[0].Engine.Step = 2400
-	if err := SaveFile(path, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("decoded snapshot differs from saved snapshot")
-	}
-	// No temporary droppings left behind.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Errorf("checkpoint dir has %d entries, want just the checkpoint", len(entries))
-	}
-}
-
-func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.ckpt")); err == nil {
-		t.Error("loading a missing file should fail")
 	}
 }
 

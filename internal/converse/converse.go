@@ -53,8 +53,7 @@ type NetworkModel struct {
 // msg is one message: an invocation in an outbox, in flight, or queued.
 type msg struct {
 	payload any
-	tag     uint64  // opaque to the machine; read by the handler via Ctx.Tag
-	delay   float64 // extra arrival delay (timers via Ctx.After)
+	tag     uint64 // opaque to the machine; read by the handler via Ctx.Tag
 	prio    int64
 	size    int
 	to      int32
@@ -64,9 +63,8 @@ type msg struct {
 
 // Event kinds, in tie-break order at equal times.
 const (
-	kindDone    uint64 = iota // execution completion
-	kindArrive                // message arrival
-	kindRestart               // crashed PE comes back up
+	kindDone   uint64 = iota // execution completion
+	kindArrive               // message arrival
 )
 
 // kindShift places an event's kind above its sequence number in key.lo;
@@ -90,7 +88,7 @@ const (
 type key struct {
 	hi, lo uint64
 	pe     int32  // events: the processor
-	arg    uint32 // arrivals and ready entries: the slab slot; completions: the PE incarnation
+	arg    uint32 // arrivals and ready entries: the slab slot
 }
 
 func (a key) less(b key) bool { return a.hi < b.hi || a.hi == b.hi && a.lo < b.lo }
@@ -212,29 +210,11 @@ func (r *readyQueue) pop() key {
 	return k
 }
 
-// wipe drops every key, zeroing the slots they held, and calls drop on
-// each key's slab slot.
-func (r *readyQueue) wipe(drop func(slot uint32)) {
-	for _, q := range [2]queue{r.lane[r.head:], r.heap} {
-		for _, k := range q {
-			drop(k.arg)
-		}
-	}
-	clear(r.lane)
-	clear(r.heap)
-	r.lane, r.head, r.heap = r.lane[:0], 0, r.heap[:0]
-}
-
 // PE is one virtual processor.
 type PE struct {
 	id    int32
 	ready readyQueue
 	busy  bool
-
-	// Crash state: a down PE discards arrivals; incarnation invalidates
-	// completion events scheduled before a crash.
-	down        bool
-	incarnation uint32
 
 	// Statistics. BusyTime is worker (entry-method) execution; CommTime
 	// is communication-processor time consumed by immediate handlers.
@@ -247,15 +227,6 @@ type PE struct {
 type Machine struct {
 	Net   NetworkModel
 	Trace *trace.Log // nil or disabled = no tracing
-
-	// OnCrash and OnRestart, when set, are called as scheduled PE
-	// failures fire (see SetFaultPlan) — the hook recovery layers use to
-	// detect failures.
-	OnCrash   func(pe int, now float64)
-	OnRestart func(pe int, now float64)
-
-	// Stats counts injected and suffered faults.
-	Stats FaultStats
 
 	handlers     []Handler
 	handlerNames []string
@@ -274,10 +245,6 @@ type Machine struct {
 
 	// ctx is the one execution context, reused by every execution.
 	ctx Ctx
-
-	fault    *FaultPlan
-	crashes  []Crash // sorted by At
-	crashIdx int
 
 	// Aggregate statistics.
 	TotalMsgs  int
@@ -402,30 +369,16 @@ func (m *Machine) validate(pe int, h HandlerID) {
 // returns the final virtual time.
 func (m *Machine) Run() float64 {
 	for !m.stopped && len(m.events) > 0 {
-		// Scheduled crashes fire just before the first event at or after
-		// their time, so they interleave deterministically with the
-		// event schedule.
-		if m.checkCrash(m.events[0].time()) {
-			continue
-		}
 		ev := m.events.pop()
 		m.now = ev.time()
 		pe := m.pes[ev.pe]
 		switch ev.lo >> kindShift {
 		case kindDone:
-			if ev.arg != pe.incarnation {
-				continue // execution was wiped out by a crash
-			}
 			pe.busy = false
 			if pe.ready.len() > 0 {
 				m.startExec(pe)
 			}
 		case kindArrive:
-			if pe.down {
-				m.Stats.Lost++
-				m.release(ev.arg)
-				continue
-			}
 			mg := &m.msgs[ev.arg]
 			if m.immediate[mg.handler] {
 				m.execute(pe, m.take(ev.arg), false)
@@ -435,8 +388,6 @@ func (m *Machine) Run() float64 {
 			if !pe.busy {
 				m.startExec(pe)
 			}
-		case kindRestart:
-			m.restart(pe)
 		}
 	}
 	return m.now
@@ -474,7 +425,7 @@ func (m *Machine) execute(pe *PE, mg msg, worker bool) {
 	end := m.now + c.dur
 	if worker {
 		pe.BusyTime += c.dur
-		m.schedule(end, kindDone, pe.id, pe.incarnation)
+		m.schedule(end, kindDone, pe.id, 0)
 	} else {
 		pe.CommTime += c.dur
 	}
@@ -496,46 +447,16 @@ func (m *Machine) execute(pe *PE, mg msg, worker bool) {
 
 // dispatchOutbox queues the messages sent during an execution: they
 // leave the PE at completion time and arrive after latency +
-// transmission (plus any Ctx.After delay), with the fault plan's
-// drop/delay/dup/reorder verdicts applied to remote messages.
+// transmission, or at completion time on the sender's own PE.
 func (m *Machine) dispatchOutbox(pe *PE, c *Ctx, end float64) {
-	c.arrive = c.arrive[:0]
 	for _, out := range c.outbox {
-		t := end + out.delay
+		m.TotalMsgs++
+		m.TotalBytes += out.size
+		t := end
 		if out.to != pe.id {
 			t += m.Net.Latency + float64(out.size)*m.Net.PerByte
 		}
-		c.arrive = append(c.arrive, t)
-	}
-	faults := m.fault != nil
-	if faults {
-		c.drop, c.dupJitter = c.drop[:0], c.dupJitter[:0]
-		for range c.outbox {
-			c.drop = append(c.drop, false)
-			c.dupJitter = append(c.dupJitter, -1)
-		}
-		m.messageFaults(pe, c.outbox, c.arrive, c.drop, c.dupJitter)
-	}
-	for i, out := range c.outbox {
-		m.TotalMsgs++
-		m.TotalBytes += out.size
-		if faults && c.drop[i] {
-			continue
-		}
-		m.schedule(c.arrive[i], kindArrive, out.to, m.store(out))
-		if faults && c.dupJitter[i] >= 0 {
-			m.schedule(c.arrive[i]+c.dupJitter[i], kindArrive, out.to, m.store(out))
-		}
-	}
-}
-
-// RestorePEStats overwrites the per-PE busy times and message counts —
-// the inverse of PEStats, used when a recovery layer rolls the
-// simulation's statistics back to a checkpoint.
-func (m *Machine) RestorePEStats(busy []float64, msgs []int) {
-	for i, pe := range m.pes {
-		pe.BusyTime = busy[i]
-		pe.MsgsRecv = msgs[i]
+		m.schedule(t, kindArrive, out.to, m.store(out))
 	}
 }
 
@@ -562,10 +483,6 @@ type Ctx struct {
 	tag    uint64
 	spans  []trace.Span
 	outbox []msg
-
-	// Per-execution scratch of dispatchOutbox.
-	arrive, dupJitter []float64
-	drop              []bool
 }
 
 // PE returns the executing processor's id.
@@ -631,25 +548,6 @@ func (c *Ctx) SendTagged(to int, h HandlerID, tag uint64, payload any, size int,
 		c.charge(c.m.Net.SendOverhead+float64(size)*c.m.Net.SendPerByte, trace.CatComm)
 	}
 	c.outbox = append(c.outbox, msg{to: int32(to), handler: h, tag: tag, payload: payload, size: size, prio: prio, local: local})
-}
-
-// After schedules a handler invocation on this PE delay seconds after
-// the current execution completes, charging no CPU cost — the timer
-// primitive reliability protocols build retransmission timeouts on.
-// Timers never cross the wire, so the fault plan cannot drop them; a
-// timer whose PE is down when it fires is lost with the rest of the
-// PE's state.
-func (c *Ctx) After(delay float64, h HandlerID, payload any, size int, prio int64) {
-	c.AfterTagged(delay, h, 0, payload, size, prio)
-}
-
-// AfterTagged is After with a tag word the handler reads via Ctx.Tag.
-func (c *Ctx) AfterTagged(delay float64, h HandlerID, tag uint64, payload any, size int, prio int64) {
-	if delay < 0 {
-		panic("converse: negative timer delay")
-	}
-	c.m.validate(int(c.pe.id), h)
-	c.outbox = append(c.outbox, msg{to: c.pe.id, handler: h, tag: tag, payload: payload, size: size, prio: prio, local: true, delay: delay})
 }
 
 // SendFree queues a message without charging any CPU cost. Higher layers

@@ -556,7 +556,7 @@ func TestPeriodicRefinementTracksSlowDrift(t *testing.T) {
 // TestStepCounterMatchesMap: the arrival counter behaves exactly like the
 // map it replaced (count, compare with need, delete when reached) for any
 // key order and need, including needs of 0 and 1 and counts that
-// overshoot, and survives the snapshot's map form.
+// overshoot.
 func TestStepCounterMatchesMap(t *testing.T) {
 	rng := xrand.New(5)
 	var c stepCounter
@@ -571,11 +571,12 @@ func TestStepCounterMatchesMap(t *testing.T) {
 		if got := c.arrive(key, need); got != want {
 			t.Fatalf("arrival %d (key %d, need %d): counter says %v, map %v", i, key, need, got, want)
 		}
-		if i%97 == 0 {
-			c = gotCounter(gotMap(c))
-		}
 	}
-	if got := gotMap(c); !maps.Equal(got, ref) {
+	got := map[int]int{}
+	for _, e := range c {
+		got[e.key] = e.n
+	}
+	if !maps.Equal(got, ref) {
 		t.Fatalf("counter holds %v, map %v", got, ref)
 	}
 }

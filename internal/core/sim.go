@@ -38,9 +38,8 @@ type Config struct {
 	// TreeMulticast routes proxy-position and pencil-charge multicasts
 	// and the PME transpose all-to-alls through spanning trees whose
 	// fan-out the machine model chooses to minimize modeled completion
-	// time (see charm.MulticastTree/ScatterTree). Requires MulticastOpt;
-	// with Reliable delivery the charm layer falls back to tracked
-	// point-to-point sends. Flat routing is kept automatically whenever
+	// time (see charm.MulticastTree/ScatterTree). Requires MulticastOpt.
+	// Flat routing is kept automatically whenever
 	// the model says a tree would not help, so this is safe to enable at
 	// any scale — it pays off past a few hundred PEs.
 	TreeMulticast bool
@@ -66,19 +65,6 @@ type Config struct {
 
 	CollectTrace bool
 
-	// Faults installs a deterministic fault plan on the simulated
-	// machine: message drops/delays/duplicates/reorders and scheduled PE
-	// crash/restart events.
-	Faults *converse.FaultPlan
-
-	// Reliable enables the charm layer's ack/timeout/retry protocol, so
-	// entry-method sends survive message drops (exactly-once delivery
-	// via sequence-number dedup). ReliableTimeout is the initial
-	// retransmission timeout in virtual seconds (0 picks two ideal step
-	// times, comfortably above healthy queueing delays).
-	Reliable        bool
-	ReliableTimeout float64
-
 	// PMEGrid enables full electrostatics: the reciprocal mesh has
 	// PMEGrid points per axis (0 disables PME; powers of two match the
 	// real engines' FFT). The mesh work runs on migratable pencil
@@ -91,14 +77,6 @@ type Config struct {
 	// PMEPencils is the pencil-grid side p (p² z-pencils and p²
 	// x-pencils; 0 picks ~√PEs clamped to [2,8]).
 	PMEPencils int
-
-	// CheckpointEvery takes a coordinated snapshot of application state
-	// every so many steps (0 = only at epoch starts); after a PE crash
-	// the sim rolls back to the last snapshot and re-executes.
-	// CheckpointPath additionally persists each snapshot atomically in
-	// the internal/ckpt envelope format.
-	CheckpointEvery int
-	CheckpointPath  string
 }
 
 func (c *Config) fillDefaults() {
@@ -154,12 +132,6 @@ type Result struct {
 	// audits and timelines); Trace is non-nil when CollectTrace was set.
 	MeasureT0, MeasureT1 float64
 	Trace                *trace.Log
-
-	// Failure handling: faults injected and suffered, reliable-delivery
-	// protocol activity, and checkpoint rollbacks performed.
-	FaultStats converse.FaultStats
-	Reliable   charm.ReliableStats
-	Recoveries int
 }
 
 // proxyForceMsg marks a combined force message from a proxy (as opposed
@@ -204,7 +176,7 @@ type proxyState struct {
 // stepCounter counts one object's message arrivals per step (or per
 // step-and-phase key). The step protocol keeps at most a step or two in
 // flight per object, so a short slice scanned linearly stands in for a
-// map; snapshots keep the map form (see recovery.go).
+// map.
 type stepCounter []stepCount
 
 type stepCount struct{ key, n int }
@@ -307,13 +279,6 @@ type Sim struct {
 
 	lb      ldb.Strategy
 	lbStats []ldb.Stats
-
-	// Recovery state: the last coordinated snapshot (ckpt-envelope
-	// bytes), the step it was taken at, and whether a crash fired since.
-	snapBytes  []byte
-	snapStep   int
-	crashed    bool
-	recoveries int
 }
 
 // NewSim builds the decomposition for a workload under a configuration.
@@ -338,24 +303,7 @@ func NewSim(w *Workload, cfg Config) (*Sim, error) {
 	if cfg.CollectTrace {
 		s.m.Trace = trace.NewLog()
 	}
-	if cfg.Faults != nil {
-		s.m.SetFaultPlan(cfg.Faults)
-		s.m.OnCrash = func(pe int, now float64) { s.crashed = true }
-	}
 	s.rt = charm.NewRuntime(s.m)
-	if cfg.Reliable {
-		timeout := cfg.ReliableTimeout
-		if timeout <= 0 {
-			// A message can queue behind most of a step's work, so the
-			// retransmission timeout must be on the step-time scale
-			// (~SeqTime/PEs), not the network's: two ideal steps.
-			timeout = 2 * cfg.Model.SeqTime(w.Counts()) / float64(cfg.PEs)
-			if timeout <= 0 {
-				timeout = 4 * cfg.TargetGrain
-			}
-		}
-		s.rt.EnableReliable(charm.ReliableConfig{Timeout: timeout})
-	}
 	s.registerEntries()
 	s.placePatches()
 	s.createComputes()
@@ -710,40 +658,20 @@ func (s *Sim) resume() {
 }
 
 // runEpoch runs the machine until every patch has completed `until`
-// steps, snapshotting at the epoch start (object placements just
-// changed, so earlier snapshots are stale) and every CheckpointEvery
-// steps. A PE crash stalls the step protocol; once the machine drains
-// (crashed PEs have restarted by then), the epoch rolls back to the
-// last snapshot and re-executes.
+// steps.
 func (s *Sim) runEpoch(until int) {
 	if until > s.totalSteps {
 		until = s.totalSteps
 	}
-	cur := s.patches[0].step
-	s.takeSnapshot(cur)
-	for cur < until {
-		next := until
-		if ce := s.cfg.CheckpointEvery; ce > 0 {
-			if nc := (cur/ce + 1) * ce; nc < next {
-				next = nc
-			}
-		}
-		s.pauseAt = next
-		s.resume()
-		s.m.Run()
-		if s.crashed {
-			s.recover()
-			cur = s.snapStep
-			continue
-		}
-		for _, ps := range s.patches {
-			if ps.step != next {
-				panic(fmt.Sprintf("core: patch %d stopped at step %d, want %d", ps.id, ps.step, next))
-			}
-		}
-		cur = next
-		if cur < until {
-			s.takeSnapshot(cur)
+	if s.patches[0].step >= until {
+		return
+	}
+	s.pauseAt = until
+	s.resume()
+	s.m.Run()
+	for _, ps := range s.patches {
+		if ps.step != until {
+			panic(fmt.Sprintf("core: patch %d stopped at step %d, want %d", ps.id, ps.step, until))
 		}
 	}
 }
@@ -878,9 +806,6 @@ func (s *Sim) Run() *Result {
 		TotalBytes:    s.m.TotalBytes,
 		LBStats:       s.lbStats,
 		Trace:         s.m.Trace,
-		FaultStats:    s.m.Stats,
-		Reliable:      s.rt.Rel,
-		Recoveries:    s.recoveries,
 	}
 	// Measured steps: the last MeasureSteps durations (the first step
 	// after the final pause is excluded via the extra +1 step above).

@@ -6,7 +6,7 @@
 // Lines trace file — and produces the artifacts the paper's figures and
 // Table 1 audit are built from:
 //
-//   - per-category time profiles (compute / comm / PME / retry / idle /
+//   - per-category time profiles (compute / comm / PME / idle /
 //     overhead) whose totals sum exactly to the recorded busy time,
 //   - per-entry summary profiles (paper §4.1),
 //   - the Table 1 performance audit of a measured window (audit.go),
@@ -43,12 +43,11 @@ var computeCats = [trace.NumCategories]bool{
 }
 
 // overheadCats are the busy-time categories counted as overhead rather
-// than useful work in the summary percentages (message handling,
-// reliable-delivery protocol, and unattributed residue).
+// than useful work in the summary percentages (message handling and
+// unattributed residue).
 var overheadCats = [trace.NumCategories]bool{
 	trace.CatComm:  true,
 	trace.CatRecv:  true,
-	trace.CatRetry: true,
 	trace.CatOther: true,
 }
 

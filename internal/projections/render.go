@@ -217,13 +217,13 @@ type TimelineOptions struct {
 var timelineLetters = [trace.NumCategories]byte{
 	trace.CatNonbonded: 'N', trace.CatBonded: 'B', trace.CatIntegration: 'I',
 	trace.CatComm: 'C', trace.CatRecv: 'R', trace.CatExchange: 'X', trace.CatPME: 'P',
-	trace.CatFault: 'F', trace.CatRetry: 'T', trace.CatRecovery: 'V', trace.CatOther: 'o',
+	trace.CatRecovery: 'V', trace.CatOther: 'o',
 }
 
 // Timeline renders an "Upshot-style" per-processor timeline (Figures 3-4):
 // one row per PE, one character per time slice, with the dominant
 // category's letter in busy slices (N nonbonded, B bonded, I integration,
-// C comm, R recv, X exchange, P pme, F fault, T retry, V recovery,
+// C comm, R recv, X exchange, P pme, V recovery,
 // o other) and '.' when idle.
 func Timeline(l *trace.Log, opt TimelineOptions) string {
 	if opt.Width <= 0 {

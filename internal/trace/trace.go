@@ -20,8 +20,6 @@ const (
 	CatRecv                 // message receive overhead
 	CatExchange             // replica-exchange decision and configuration swap
 	CatPME                  // particle-mesh Ewald reciprocal work (spread, FFT, convolution, gather)
-	CatFault                // injected fault (drop/duplicate/delay/reorder/crash)
-	CatRetry                // reliable-delivery protocol: acks, retransmissions
 	CatRecovery             // restart and checkpoint-rollback work
 	numCategories  = iota
 )
@@ -47,10 +45,6 @@ func (c Category) String() string {
 		return "exchange"
 	case CatPME:
 		return "pme"
-	case CatFault:
-		return "fault"
-	case CatRetry:
-		return "retry"
 	case CatRecovery:
 		return "recovery"
 	default:
